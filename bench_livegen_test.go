@@ -62,6 +62,25 @@ func BenchmarkLiveGenFullMem(b *testing.B) {
 	}
 }
 
+// BenchmarkLiveGenAllocHeavy measures the allocation path: building and
+// running default-scale ocean on the report's 32-processor full-memory
+// machine. Ocean allocates every per-processor subgrid of every field
+// separately — thousands of allocations against a 32-processor directory
+// and history — so this is where a memory-system table re-copy per
+// allocation (rather than one exact reservation at phase entry) shows.
+func BenchmarkLiveGenAllocHeavy(b *testing.B) {
+	cfg := splash2.Config{Procs: 32, CacheSize: 1 << 20, Assoc: 4, LineSize: 64}
+	for i := 0; i < b.N; i++ {
+		res, err := splash2.RunProgram("ocean", cfg, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Stats.Mem.MissRate() <= 0 {
+			b.Fatal("full-memory run produced no misses")
+		}
+	}
+}
+
 // BenchmarkLiveGenRecordThenReplay measures the record-then-replay
 // composition behind the -mode record-replay execution path: generate
 // the stream once under count-only recording, then drive the cache

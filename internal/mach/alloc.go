@@ -75,10 +75,6 @@ func (m *Machine) Alloc(words int, shared bool, place Placement) Addr {
 	}
 	m.hm.Store(&homeMap{homes: homes, shared: sharedMap})
 	m.allocMu.Unlock()
-
-	if m.sys != nil {
-		m.sys.Reserve(m.nextLine * uint64(lineWords))
-	}
 	return Addr(base) * Addr(m.memCfg.LineSize)
 }
 

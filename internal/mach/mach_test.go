@@ -2,6 +2,8 @@ package mach
 
 import (
 	"math/rand"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -451,5 +453,106 @@ func TestRegionAddresses(t *testing.T) {
 	r := m.NewRegion(32, true, Interleaved())
 	if r.WordAddr(4)-r.WordAddr(0) != 32 {
 		t.Fatalf("word addressing wrong")
+	}
+}
+
+// TestTableGrowthAmortized: allocation no longer re-makes the memory
+// system's tables. 2 000 one-line Allocs before a run cost one exact
+// reservation at Run entry, and 2 000 more made and first-touched in
+// ascending order while the run executes grow the tables geometrically —
+// O(log n) re-copies in all, where a reservation per Alloc (or growth to
+// word+1 per touch) is n re-copies of 34 tables each.
+func TestTableGrowthAmortized(t *testing.T) {
+	const n = 2000
+	program := func() *Machine {
+		m := MustNew(Config{Procs: 32, CacheSize: 1 << 10, Assoc: 2, LineSize: 64})
+		for i := 0; i < n; i++ {
+			m.Alloc(1, true, Owner(i))
+		}
+		m.Run(func(p *Proc) {
+			if p.ID != 0 {
+				return
+			}
+			for i := 0; i < n; i++ {
+				p.Write(m.Alloc(1, true, Owner(i)))
+			}
+		})
+		return m
+	}
+
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	m := program()
+	runtime.ReadMemStats(&ms)
+	bytes := ms.TotalAlloc - before
+
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if w := m.Snapshot().Mem.Procs[0].Writes; w != n {
+		t.Fatalf("memory system saw %d writes, want %d", w, n)
+	}
+	// Final tables, per line: 8 word-history entries and a directory
+	// entry of 16 bytes each, and one 8-byte history stamp per processor.
+	const lineBytes = 8*16 + 16 + 32*8
+	if limit := uint64(8 * 2 * n * lineBytes); bytes > limit {
+		t.Errorf("program allocated %d bytes, want at most %d (8× the final tables)", bytes, limit)
+	}
+
+	// Each Alloc publishes one homeMap snapshot; everything else —
+	// machine construction, goroutines, append doublings and the table
+	// re-copies — must fit in the slack, which a single re-copy per
+	// Alloc (34 tables) would exceed sixtyfold.
+	allocs := testing.AllocsPerRun(1, func() { program() })
+	if limit := float64(2*n + 2000); allocs > limit {
+		t.Errorf("program made %.0f allocations, want at most %.0f", allocs, limit)
+	}
+	t.Logf("%d bytes, %.0f allocations", bytes, allocs)
+}
+
+// TestMidRunAllocationMatchesPreReserved: a program that allocates and
+// first-touches in the middle of a Run measures the same whether the
+// memory system's tables were reserved for everything up front or sized
+// at Run entry and grown on demand. Every processor touches only lines
+// homed at itself, so the statistics are deterministic.
+func TestMidRunAllocationMatchesPreReserved(t *testing.T) {
+	const procs, perProc = 4, 24 // lines per processor: 1.5× the cache
+	run := func(preReserve bool) Stats {
+		m := MustNew(Config{Procs: procs, CacheSize: 1024, Assoc: 2, LineSize: 64})
+		if preReserve {
+			m.sys.Reserve(1 << 16)
+		}
+		lineWords := m.LineSize() / WordBytes
+		sweep := func(p *Proc, base Addr) {
+			mine := base + Addr(p.ID*perProc*m.LineSize())
+			for pass := 0; pass < 3; pass++ {
+				for w := 0; w < perProc*lineWords; w++ {
+					p.Read(mine + Addr(w*WordBytes))
+					if w%3 == 0 {
+						p.Write(mine + Addr(w*WordBytes))
+					}
+				}
+			}
+		}
+		first := m.Alloc(procs*perProc*lineWords, true, Blocked())
+		var second Addr
+		b := m.NewBarrier()
+		m.Run(func(p *Proc) {
+			sweep(p, first)
+			b.Wait(p)
+			if p.ID == 0 {
+				second = m.Alloc(procs*perProc*lineWords, true, Blocked())
+			}
+			b.Wait(p)
+			sweep(p, second)
+		})
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		return m.Snapshot()
+	}
+	if got, want := run(false), run(true); !reflect.DeepEqual(got, want) {
+		t.Errorf("on-demand tables changed the measurement\n got %+v\nwant %+v", got, want)
 	}
 }

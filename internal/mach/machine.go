@@ -20,6 +20,7 @@ package mach
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -80,6 +81,10 @@ type Machine struct {
 	memCfg memsys.Config
 	sys    *memsys.System // nil under CountOnly
 
+	// lineShift converts byte addresses to line indices (LineSize is a
+	// validated power of two).
+	lineShift uint
+
 	allocMu  sync.Mutex // serializes allocators; readers use hm
 	nextLine uint64     // allocation high-water mark, in lines
 	hm       atomic.Pointer[homeMap]
@@ -102,7 +107,7 @@ func New(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	cfg.Procs = mc.Procs
-	m := &Machine{cfg: cfg, memCfg: mc}
+	m := &Machine{cfg: cfg, memCfg: mc, lineShift: uint(bits.TrailingZeros(uint(mc.LineSize)))}
 	m.hm.Store(&homeMap{})
 	if cfg.MemModel == FullMem {
 		sys, err := memsys.New(mc, m.homeOf)
@@ -151,10 +156,24 @@ func (m *Machine) homeOf(line uint64) int {
 	return 0
 }
 
-// isShared reports whether the line was allocated as shared data.
-func (m *Machine) isShared(line uint64) bool {
+// isShared reports whether the line holding byte address a was allocated
+// as shared data. It runs on every reference, so it reads the published
+// snapshot once and takes no lock.
+func (m *Machine) isShared(a Addr) bool {
 	hm := m.hm.Load()
+	line := uint64(a) >> m.lineShift
 	return line < uint64(len(hm.shared)) && hm.shared[line]
+}
+
+// reserveAllocated sizes the memory system's tables exactly to the
+// allocation high-water mark. Run and RunOne call it on entry, so all of
+// a setup's allocations cost one table build; allocations made while a
+// phase runs (Radiosity) are covered by the memory system's geometric
+// on-demand growth at first touch.
+func (m *Machine) reserveAllocated() {
+	if m.sys != nil {
+		m.sys.Reserve(m.AllocatedWords())
+	}
 }
 
 // epochFork is the fork half of a phase's fork-join synchronization:
@@ -189,6 +208,7 @@ func (m *Machine) maxEpoch() uint64 {
 // waits for all of them. It may be called repeatedly for multi-phase
 // programs; logical clocks persist across calls.
 func (m *Machine) Run(body func(p *Proc)) {
+	m.reserveAllocated()
 	m.epochFork()
 	var wg sync.WaitGroup
 	wg.Add(len(m.procs))
@@ -205,6 +225,7 @@ func (m *Machine) Run(body func(p *Proc)) {
 
 // RunOne executes body on processor 0 only (sequential setup phases).
 func (m *Machine) RunOne(body func(p *Proc)) {
+	m.reserveAllocated()
 	m.epochFork()
 	p := m.procs[0]
 	p.unpark()

@@ -10,9 +10,10 @@ const refBufCap = 256
 type Proc struct {
 	ID int
 
-	m    *Machine
-	time uint64 // logical PRAM clock
-	c    Counters
+	m         *Machine
+	time      uint64 // logical PRAM clock
+	published uint64 // clock last stored for the window (see window.go)
+	c         Counters
 
 	// Batched reference capture (see internal/README.md, "Event ordering
 	// under batched capture"). References append to evbuf/tmbuf with no
@@ -45,7 +46,7 @@ func (p *Proc) Time() uint64 { return p.time }
 func (p *Proc) Instr(n int) {
 	p.c.Instr += uint64(n)
 	p.time += uint64(n)
-	p.publish()
+	p.tick()
 }
 
 // Flop accounts n floating-point operations; flops are instructions too.
@@ -53,7 +54,7 @@ func (p *Proc) Flop(n int) {
 	p.c.Flops += uint64(n)
 	p.c.Instr += uint64(n)
 	p.time += uint64(n)
-	p.publish()
+	p.tick()
 }
 
 // buffer appends one reference to the local buffer, flushing when full.
@@ -74,8 +75,12 @@ func (p *Proc) buffer(a Addr, write bool) {
 // flushRefs drains the reference buffer into the memory system and the
 // recorder. Must be called (directly or via a sync point) before any
 // epoch change — recorded events are stamped with the epoch at flush
-// time — and before any code reads memory-system statistics.
+// time — and before any code reads memory-system statistics. Every flush
+// point is also a forced clock publication: the processor is about to
+// block on a lock or a synchronization object, and others should throttle
+// against its exact clock meanwhile.
 func (p *Proc) flushRefs() {
+	p.publish()
 	if len(p.evbuf) == 0 {
 		return
 	}
@@ -118,8 +123,8 @@ func (p *Proc) Read(a Addr) {
 	p.c.Instr++
 	p.c.Reads++
 	p.time++
-	p.publish()
-	if p.m.isShared(a.Line(p.m.memCfg.LineSize)) {
+	p.tick()
+	if p.m.isShared(a) {
 		p.c.SharedReads++
 	}
 	if p.capture {
@@ -132,8 +137,8 @@ func (p *Proc) Write(a Addr) {
 	p.c.Instr++
 	p.c.Writes++
 	p.time++
-	p.publish()
-	if p.m.isShared(a.Line(p.m.memCfg.LineSize)) {
+	p.tick()
+	if p.m.isShared(a) {
 		p.c.SharedWrites++
 	}
 	if p.capture {

@@ -20,23 +20,48 @@ import (
 // from the minimum, so the window can always advance.
 //
 // Throttling happens only at safe points where the caller holds no locks
-// (the top of TaskQueues.PopOrSteal); clock publication is a cheap atomic
-// store on every instruction.
+// (the top of TaskQueues.PopOrSteal), and throttle is the only reader of
+// published clocks, so publication is lazy: Instr/Flop/Read/Write only
+// compare the clock against the last published value and do the atomic
+// store once it has advanced publishLag cycles. While a processor is
+// active its published clock therefore satisfies
+//
+//	published ≤ true clock  and  true clock − published < publishLag
+//
+// after every operation. A stale-low clock can only make a reader wait
+// longer, never let it run further ahead, so throttle is at most
+// publishLag/window = 1/64 more conservative than with exact clocks, and
+// it stays live because the laggard it waits for republishes within
+// publishLag cycles of progress. Publication is forced — exact — wherever
+// the clock jumps or the processor stops advancing it: wait (sync joins),
+// park and unpark, throttle itself, and flushRefs (every buffer drain and
+// synchronization point).
 
 // defaultWindow is the allowed clock divergence in cycles: large enough
 // to keep real concurrency, small enough that stealing decisions stay
 // close to what a logically-synchronous machine would do.
 const defaultWindow = 4096
 
+// publishLag bounds how far a processor's clock may run ahead of its
+// published value between forced publications.
+const publishLag = defaultWindow / 64
+
+// clockSlot is one processor's published clock, padded to a cache line
+// so publishing processors never contend for each other's slots.
+type clockSlot struct {
+	atomic.Uint64
+	_ [56]byte
+}
+
 // windowState is embedded in Machine.
 type windowState struct {
-	clocks []atomic.Uint64
+	clocks []clockSlot
 	parked []atomic.Bool
 	window uint64
 }
 
 func (w *windowState) init(procs int) {
-	w.clocks = make([]atomic.Uint64, procs)
+	w.clocks = make([]clockSlot, procs)
 	w.parked = make([]atomic.Bool, procs)
 	w.window = defaultWindow
 	for i := range w.parked {
@@ -45,7 +70,18 @@ func (w *windowState) init(procs int) {
 }
 
 // publish records p's logical clock for window computations.
-func (p *Proc) publish() { p.m.win.clocks[p.ID].Store(p.time) }
+func (p *Proc) publish() {
+	p.published = p.time
+	p.m.win.clocks[p.ID].Store(p.time)
+}
+
+// tick publishes p's clock once it has run publishLag cycles past the
+// published value; it is the whole per-instruction cost of the window.
+func (p *Proc) tick() {
+	if p.time-p.published >= publishLag {
+		p.publish()
+	}
+}
 
 // park marks p as blocked at a synchronization point (excluded from the
 // window minimum); unpark re-activates it. Parking also flushes the
@@ -53,7 +89,7 @@ func (p *Proc) publish() { p.m.win.clocks[p.ID].Store(p.time) }
 // and everything it issued must be visible to whoever runs meanwhile
 // (or to a quiescent-point reader like Snapshot/FinishRecording).
 func (p *Proc) park() {
-	p.flushRefs()
+	p.flushRefs() // publishes the exact clock
 	p.m.win.parked[p.ID].Store(true)
 }
 

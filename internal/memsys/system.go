@@ -115,14 +115,29 @@ func New(cfg Config, home HomeFn) (*System, error) {
 // Config returns the configuration in effect (with defaults applied).
 func (s *System) Config() Config { return s.cfg }
 
-// Reserve pre-sizes internal tables for an address space of the given
-// number of words, avoiding repeated growth during simulation.
+// Reserve pre-sizes internal tables, exactly, for an address space of the
+// given number of words. Callers that know the address range up front
+// (mach at phase entry, trace replay from the trace's MaxAddr) reserve
+// once; references beyond the reserved range grow the tables on demand.
 func (s *System) Reserve(words uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.growWords(words)
 }
 
+// growFor makes the tables cover word, which lies beyond them. Growth is
+// geometric (at least 1.5×) so that first touches of ascending addresses
+// — allocations made while a phase runs — re-copy the tables O(log n)
+// times rather than once per touch.
+func (s *System) growFor(word uint64) {
+	need := word + 1
+	if g := uint64(len(s.words)); need < g+g/2 {
+		need = g + g/2
+	}
+	s.growWords(need)
+}
+
+// growWords sizes every table for exactly the given number of words.
 func (s *System) growWords(words uint64) {
 	if uint64(len(s.words)) < words && !s.extWords {
 		nw := make([]wordInfo, words)
@@ -182,7 +197,7 @@ func (s *System) AccessBatch(p int, events []uint64, times []uint64) {
 		a := Addr(e >> 8)
 		word := a.Word()
 		if word >= uint64(len(s.words)) {
-			s.growWords(word + 1)
+			s.growFor(word)
 		}
 		s.seq++
 		now := times[i]
@@ -200,7 +215,7 @@ func (s *System) access(p int, a Addr, write bool, now uint64) (hit bool, kind M
 
 	word := a.Word()
 	if word >= uint64(len(s.words)) {
-		s.growWords(word + 1)
+		s.growFor(word)
 	}
 	s.seq++
 	if now == 0 {

@@ -19,6 +19,11 @@ type flight struct {
 	key  string
 	done chan struct{} // closed when body/err are final
 
+	// ctx bounds the execution (the server's base context, cut short by
+	// the leader's deadline). It is kept here so join can tell a doomed
+	// flight from a live one.
+	ctx context.Context
+
 	// Results, final under done.
 	body     []byte // the rendered JSON response (Results.WriteJSON bytes)
 	etag     string
@@ -109,7 +114,11 @@ func newCoalescer(engine *core.Engine, inflight, queue int) *coalescer {
 // join returns the flight computing req, starting one if none is live.
 // ok=false means the daemon is saturated (inflight + queued flights at
 // the cap) and the caller must shed the request; joining an existing
-// flight always succeeds — it adds no load.
+// flight always succeeds — it adds no load. A flight whose context has
+// already expired is not live even while it is still registered (its
+// goroutine has yet to notice): joining it would hand a patient client
+// the impatient leader's 504, so a fresh flight replaces it under the
+// same key.
 //
 // The flight runs detached on ctx (the server's base context, not any
 // one request's): a client disconnecting mid-flight never cancels an
@@ -119,7 +128,7 @@ func newCoalescer(engine *core.Engine, inflight, queue int) *coalescer {
 func (c *coalescer) join(ctx context.Context, req core.Request) (*flight, bool) {
 	key := req.Key().String()
 	c.mu.Lock()
-	if f, live := c.flights[key]; live {
+	if f, live := c.flights[key]; live && f.ctx.Err() == nil {
 		c.coalesced++
 		c.mu.Unlock()
 		return f, true
@@ -129,24 +138,24 @@ func (c *coalescer) join(ctx context.Context, req core.Request) (*flight, bool) 
 		c.mu.Unlock()
 		return nil, false
 	}
-	f := &flight{key: key, etag: req.ETag(), done: make(chan struct{})}
-	c.flights[key] = f
-	c.active++
-	c.started++
-	c.mu.Unlock()
-
 	// The leader's deadline bounds the flight context: doomed work is
 	// cancelled whether it is still queued for a slot or already
 	// executing, so an expired request never wedges the pipeline. (The
 	// deadline is excluded from the content address, so a patient and an
 	// impatient client still coalesce — the leader's patience governs.)
+	fctx, cancel := ctx, context.CancelFunc(func() {})
+	if d := req.Deadline(); d > 0 {
+		fctx, cancel = context.WithTimeout(ctx, d)
+	}
+	f := &flight{key: key, etag: req.ETag(), done: make(chan struct{}), ctx: fctx}
+	c.flights[key] = f
+	c.active++
+	c.started++
+	c.mu.Unlock()
+
 	go func() {
-		fctx, cancel := ctx, context.CancelFunc(func() {})
-		if d := req.Deadline(); d > 0 {
-			fctx, cancel = context.WithTimeout(ctx, d)
-		}
 		defer cancel()
-		c.run(fctx, req, f)
+		c.run(req, f)
 	}()
 	return f, true
 }
@@ -154,10 +163,13 @@ func (c *coalescer) join(ctx context.Context, req core.Request) (*flight, bool) 
 // run executes one flight: wait for an execution slot, run the request
 // through a scoped engine view with progress streaming to subscribers,
 // render the response bytes once, finish.
-func (c *coalescer) run(ctx context.Context, req core.Request, f *flight) {
+func (c *coalescer) run(req core.Request, f *flight) {
+	ctx := f.ctx
 	defer func() {
 		c.mu.Lock()
-		delete(c.flights, f.key)
+		if c.flights[f.key] == f { // a fresh flight may have replaced a doomed one
+			delete(c.flights, f.key)
+		}
 		c.active--
 		c.mu.Unlock()
 		close(f.done)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -67,6 +68,73 @@ func TestDeadlineExceededReturns504(t *testing.T) {
 	}
 	if !s.BeginDrain(10 * time.Second) {
 		t.Error("drain wedged after a deadline 504")
+	}
+}
+
+// TestPatientRequestDoesNotJoinDoomedFlight: while a flight whose leader
+// deadline has expired is still registered (held before its engine call),
+// a follow-up request for the same experiment must start a fresh flight
+// and succeed, not inherit the doomed flight's 504 — and the doomed
+// flight's exit must not unregister its replacement.
+func TestPatientRequestDoesNotJoinDoomedFlight(t *testing.T) {
+	s, ts := newTestServer(t, core.EngineOptions{}, Options{})
+	gate, hold := make(chan struct{}), make(chan struct{})
+	var flights atomic.Int32
+	s.co.hookFlightStart = func(string) {
+		switch flights.Add(1) {
+		case 1:
+			<-gate // the doomed flight
+		case 3:
+			<-hold // its second replacement, below
+		}
+	}
+
+	resp := postJSON(t, ts.URL, smallReq(), map[string]string{headerDeadline: "50ms"})
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("doomed request = %d, want 504", resp.StatusCode)
+	}
+	creq, err := smallReq().Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := creq.Key().String()
+	s.co.mu.Lock()
+	doomed := s.co.flights[key]
+	s.co.mu.Unlock()
+	if doomed == nil {
+		t.Fatal("held flight is not registered")
+	}
+	<-doomed.ctx.Done() // the client's timer and the flight's are separate
+
+	resp = postJSON(t, ts.URL, smallReq(), nil)
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("follow-up while the doomed flight is held = %d, want 200", resp.StatusCode)
+	}
+
+	// Hold a third flight open and let the doomed one exit under it.
+	third, ok := s.co.join(s.baseCtx, creq)
+	if !ok || third == doomed {
+		t.Fatalf("join after the doomed flight = %v (ok=%v), want a fresh flight", third, ok)
+	}
+	close(gate)
+	<-doomed.done
+	s.co.mu.Lock()
+	registered := s.co.flights[key]
+	s.co.mu.Unlock()
+	if registered != third {
+		t.Error("the doomed flight's exit unregistered its replacement")
+	}
+	close(hold)
+	<-third.done
+	if third.err != nil {
+		t.Errorf("replacement flight failed: %v", third.err)
+	}
+	if !s.BeginDrain(10 * time.Second) {
+		t.Error("drain wedged")
 	}
 }
 
