@@ -251,5 +251,6 @@ func (r *Radiosity) Verify() error {
 }
 
 // Patches returns the number of patches in the pool (tests).
+//
 //splash:allow accounting result export after the measured phase (patch count for reporting)
 func (r *Radiosity) Patches() int { return r.allocN.Peek(0) }

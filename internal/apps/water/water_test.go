@@ -191,10 +191,16 @@ func TestSpatialCellLocksGenerateCommunication(t *testing.T) {
 }
 
 // §3: the improved locking strategy (private accumulation, one fold at
-// the end) acquires far fewer locks and generates less sharing traffic
-// than SPLASH-1-style per-pair locking.
+// the end) acquires far fewer locks and writes the shared accelerations
+// far less often than SPLASH-1-style per-pair locking. Both counts are
+// fixed by the program: one step's pair list depends only on the
+// predicted positions, per-pair locking makes six shared writes per
+// interacting pair, and the fold makes three per (processor, molecule it
+// touched). The live true-sharing traffic those writes cause follows
+// goroutine interleaving (the two strategies' ranges overlap from run to
+// run), so it is logged, not asserted.
 func TestLockingStrategyAblation(t *testing.T) {
-	run := func(oldLock bool) (locks uint64, sharing uint64) {
+	run := func(oldLock bool) (locks, sharedWrites, sharing uint64) {
 		m := mach.MustNew(mach.Config{Procs: 8, CacheSize: 1 << 20, Assoc: 4, LineSize: 64})
 		w, err := NewNsq(m, 125, 1, oldLock, 9)
 		if err != nil {
@@ -205,14 +211,16 @@ func TestLockingStrategyAblation(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := m.Snapshot()
-		return mach.Aggregate(st.Procs).Locks, st.Mem.Traffic.TrueSharingData
+		agg := mach.Aggregate(st.Procs)
+		return agg.Locks, agg.SharedWrites, st.Mem.Traffic.TrueSharingData
 	}
-	newLocks, newSharing := run(false)
-	oldLocks, oldSharing := run(true)
+	newLocks, newWrites, newSharing := run(false)
+	oldLocks, oldWrites, oldSharing := run(true)
 	if oldLocks <= newLocks {
 		t.Fatalf("old strategy acquired fewer locks: %d <= %d", oldLocks, newLocks)
 	}
-	if oldSharing <= newSharing {
-		t.Fatalf("old strategy shared less data: %d <= %d", oldSharing, newSharing)
+	if oldWrites <= newWrites {
+		t.Fatalf("old strategy wrote shared data less often: %d <= %d", oldWrites, newWrites)
 	}
+	t.Logf("true-sharing traffic (schedule-dependent): per-pair locking %d B, private accumulation %d B", oldSharing, newSharing)
 }

@@ -25,8 +25,8 @@ type SampledCurve struct {
 	BandHi     []float64 // percent, upper 95% band
 
 	// Rate and SampleSeed identify the sampling configuration; EffRate is
-	// the effective rate after adaptive threshold lowering (equal to Rate
-	// unless MaxTracked forced evictions).
+	// the rate the hash threshold realizes (Rate rounded down to a
+	// multiple of 2⁻⁶⁴; kept as a column of the export format).
 	Rate       float64
 	EffRate    float64
 	SampleSeed uint64

@@ -6,11 +6,12 @@ import (
 	"math/bits"
 )
 
-// This file implements a SHARDS-style sampled variant of the Mattson
-// stack-distance pass in stackdist.go: spatially-hashed sampling
+// This file holds the one invalidation-aware Mattson pass over a trace
+// (the stack machinery and its hole rules are in stackdist.go) and the
+// SHARDS-style sampling it can run under: spatially-hashed sampling
 // estimates the full miss-ratio curve from a small fraction of the
-// references, with the same per-processor, invalidation-aware
-// semantics as the exact pass.
+// references, and the exact profile is simply the pass with every line
+// tracked.
 //
 // Spatial hashing (Waldspurger et al., SHARDS) samples LINES, not
 // events: a line is tracked iff hash(line) < T, giving sampling rate
@@ -18,8 +19,8 @@ import (
 // event on a sampled line is seen — including the writes by other
 // processors that drive invalidations — so the coherence behaviour of
 // the sampled subset is internally exact: holes, hole migration and
-// the MESI write-invalidate rule from the exact pass apply unchanged
-// to the sampled stacks.
+// the MESI write-invalidate rule apply to the sampled stacks exactly
+// as they do when every line is tracked.
 //
 // Distances scale by the inverse rate: a sampled stack distance d
 // corresponds to an estimated true distance d/R, because the sampled
@@ -28,17 +29,12 @@ import (
 // index floor(d/R). For an integer capacity C, floor(d/R) ≥ C iff
 // d/R ≥ C, so querying the estimated-domain histogram selects exactly
 // the same samples as thresholding the raw sampled distances — and at
-// R = 1 the index is d itself, which is what makes the rate-1 pass
-// bit-identical to StackDistances.
+// R = 1 the index is d itself: StackDistances is this pass at R = 1.
 //
 // Each sample carries weight 1/R (estimating R·N references from N
-// samples). In fixed-rate mode R is constant, so the pass accumulates
-// unit weights and divides by R at query time: at R = 1 every sum is
-// an exact small integer and the division is by 1.0, preserving
-// bit-identity. In adaptive mode (MaxTracked > 0, a la SHARDS-adj)
-// the threshold shrinks whenever the tracked-line budget overflows —
-// the maximum-hash line is evicted and T drops to its hash — so the
-// weight 1/R_current is applied at accumulation time.
+// samples). R is constant over a pass, so the pass accumulates unit
+// counts in integer histograms and the queries divide by R: at R = 1
+// every sum is the exact count and the division is by 1.0.
 //
 // Miss RATIOS use the exact reference count in the denominator: every
 // event increments the per-processor read/write counters whether or
@@ -56,8 +52,8 @@ import (
 // aggregates yields a standard error for the estimated miss ratio at
 // every capacity. The construction is deterministic — no RNG — so a
 // fixed seed gives byte-identical profiles across runs and GOMAXPROCS
-// settings. When the effective rate is 1 the pass is exact and the
-// band collapses to zero width.
+// settings. At rate 1 the pass is exact and the band collapses to zero
+// width.
 //
 // Spatial sampling is blind below a granularity of 1/R lines: a
 // sampled distance of d can only assert the true distance lies near
@@ -77,30 +73,16 @@ import (
 // are answered exactly as refs − hits — no sampling error at all —
 // while larger capacities use the SHARDS estimate, whose granularity
 // 1/R is by then a small fraction of the capacity.
-//
-// One documented approximation in adaptive mode: evicting a tracked
-// line removes its resident stack entries but not any invalidation
-// holes it left earlier (holes carry no line identity once pushed, and
-// may since have migrated or been consumed). Stale holes inflate later
-// depths by at most the number of sampled invalidations between
-// threshold drops; with no evictions (fixed-rate mode, or a budget
-// that never overflows) the sampled pass has no such term. The exact
-// window is unaffected — it never samples.
 
 // SampledOptions configures a sampled stack-distance pass.
 type SampledOptions struct {
 	// Rate is the spatial sampling rate in (0, 1]: a line is tracked iff
-	// hash(line, Seed) falls below Rate·2^64. Rate 1 tracks every line
-	// and reproduces StackDistances bit for bit.
+	// hash(line, Seed) falls below Rate·2^64. Rate 1 tracks every line,
+	// which is the pass StackDistances runs.
 	Rate float64
 	// Seed perturbs the line hash, choosing an independent sampled
 	// subset. The pass is deterministic for a fixed seed.
 	Seed uint64
-	// MaxTracked, when positive, bounds the number of distinct tracked
-	// lines (SHARDS-adj): on overflow the maximum-hash line is evicted
-	// and the threshold drops to its hash, so memory stays fixed while
-	// the effective rate adapts downward. Zero means fixed-rate mode.
-	MaxTracked int
 	// ExactLines, when positive, answers capacities up to
 	// ExactLines·lineSize exactly from a top-W stack window updated on
 	// every reference — spatial sampling cannot resolve distances below
@@ -132,69 +114,6 @@ func sampleHash(line, seed uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// sampledCounts accumulates one processor's view of the sampled stream.
-type sampledCounts struct {
-	// reads and writes are exact: counted for every reference, sampled
-	// or not, so estimated miss ratios have an exact denominator.
-	reads, writes uint64
-	// cold and coherence are weighted sample counts of first-touch and
-	// invalidated-copy references among the sampled lines.
-	cold, coherence float64
-	// hist[d] is the weighted count of sampled re-references whose
-	// estimated true stack depth is d; hist[maxLines] aggregates depths
-	// ≥ maxLines, which miss at every answerable capacity.
-	hist []float64
-}
-
-// sampleEntry is one tracked line in the adaptive-mode eviction heap.
-type sampleEntry struct {
-	hash uint64
-	line uint64
-}
-
-// sampleHeap is a max-heap of tracked lines ordered by hash, so the
-// adaptive mode can evict the maximum-hash line on budget overflow.
-type sampleHeap []sampleEntry
-
-func (h *sampleHeap) push(v sampleEntry) {
-	s := append(*h, v)
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if s[parent].hash >= s[i].hash {
-			break
-		}
-		s[parent], s[i] = s[i], s[parent]
-		i = parent
-	}
-	*h = s
-}
-
-func (h *sampleHeap) popMax() sampleEntry {
-	s := *h
-	top := s[0]
-	last := len(s) - 1
-	s[0] = s[last]
-	s = s[:last]
-	i := 0
-	for {
-		l, r, big := 2*i+1, 2*i+2, i
-		if l < len(s) && s[l].hash > s[big].hash {
-			big = l
-		}
-		if r < len(s) && s[r].hash > s[big].hash {
-			big = r
-		}
-		if big == i {
-			break
-		}
-		s[i], s[big] = s[big], s[i]
-		i = big
-	}
-	*h = s
-	return top
-}
-
 // winHole marks an invalidation hole occupying an exact-window slot.
 const winHole = ^uint64(0)
 
@@ -221,33 +140,7 @@ func newExactWindow(w int) *exactWindow {
 	return &exactWindow{win: make([]uint64, capPow), mask: capPow - 1, w: capPow, hist: make([]uint64, capPow)}
 }
 
-func (ew *exactWindow) at(d int) uint64     { return ew.win[(ew.head+d)&ew.mask] }
-func (ew *exactWindow) set(d int, v uint64) { ew.win[(ew.head+d)&ew.mask] = v }
-
-// find returns the depth of the given slot value (a line known to be
-// resident, or winHole with holes > 0).
-func (ew *exactWindow) find(v uint64) int {
-	for d := 0; d < ew.n; d++ {
-		if ew.at(d) == v {
-			return d
-		}
-	}
-	// Unreachable while the caller's presence bitset and hole count are
-	// consistent with the buffer; returning n makes a violation loud
-	// (callers would index hist out of range) instead of silent.
-	return ew.n
-}
-
-// removeAt deletes the slot at depth d by shifting the slots above it
-// down one — entries below d never move, which is exactly why every
-// stack rule is a bounded local edit here.
-func (ew *exactWindow) removeAt(d int) {
-	for ; d > 0; d-- {
-		ew.set(d, ew.at(d-1))
-	}
-	ew.head = (ew.head + 1) & ew.mask
-	ew.n--
-}
+func (ew *exactWindow) at(d int) uint64 { return ew.win[(ew.head+d)&ew.mask] }
 
 // pushFront makes the given value the most recent slot.
 func (ew *exactWindow) pushFront(v uint64) {
@@ -346,45 +239,39 @@ func (ew *exactWindow) invalidate(line uint64) {
 }
 
 // SampledProfile is the result of one sampled stack-distance pass:
-// exact per-processor reference counts, weighted distance histograms,
-// and per-stratum aggregates from which the estimated miss count of a
-// fully-associative LRU cache of any profiled size — and a 95%
-// confidence band on its miss ratio — follow in O(maxLines) per query.
+// exact per-processor reference counts, unit-count distance histograms
+// of the tracked lines, and per-stratum aggregates from which the
+// estimated miss count of a fully-associative LRU cache of any profiled
+// size — and a 95% confidence band on its miss ratio — follow in
+// O(maxLines) per query.
 type SampledProfile struct {
-	lineSize int
-	maxLines int
-	// rate is the effective sampling rate at the end of the pass: the
-	// configured rate in fixed mode, the final (possibly lowered)
-	// threshold's rate in adaptive mode.
+	profile
+	// rate is the realized sampling rate, threshold/2^64; every tracked
+	// count is divided by it at query time.
 	rate float64
-	// exact flags a pass that tracked every line (rate 1, fixed mode):
-	// estimates are bit-identical to StackDistances and bands collapse.
-	exact bool
-	// scaleDiv divides every weighted sum at query time: the fixed-mode
-	// rate (samples carry unit weight), or 1 in adaptive mode (weights
-	// were applied at accumulation time).
-	scaleDiv    float64
+	// exact flags a pass that tracked every line (rate 1): estimates
+	// equal StackDistances' counts and bands collapse.
+	exact       bool
 	sampledRefs uint64
-	procs       []sampledCounts
 	// exactLines is the depth of the exact top-W window (0 when
 	// disabled): capacities up to exactLines·lineSize are answered
 	// exactly from wins[p].hist, with zero-width bands.
 	exactLines int
 	wins       []*exactWindow
-	// strataMiss[k] accumulates stratum k's always-miss weight (cold +
-	// coherence); strataHist[k] its estimated-depth histogram. Aggregate
-	// across processors — the bands cover the aggregate miss ratio.
-	strataMiss [sampleStrata]float64
-	strataHist [sampleStrata][]float64
+	// strata[k] is hash stratum k's share of the tracked counts,
+	// aggregated across processors — the bands cover the aggregate miss
+	// ratio. Left empty by an exact pass.
+	strata [sampleStrata]stackCounts
 }
 
-// SampledStackDistances runs the sampled one-pass simulation of the
-// stream at the given line size. The profile answers any cache size
-// from lineSize up to maxCacheSize with an estimated miss count and a
-// jackknife confidence band. Measurement-reset markers zero the
-// counters while leaving every stack warm, exactly like the exact
-// pass. The stream is consumed block by block, so a TraceFile profiles
-// out of core; the pass is deterministic for a fixed seed.
+// SampledStackDistances runs the one-pass simulation of the stream at
+// the given line size, tracking the lines opt selects. The profile
+// answers any cache size from lineSize up to maxCacheSize with an
+// estimated miss count and a jackknife confidence band. Measurement-
+// reset markers zero the counters while leaving every stack warm,
+// exactly like System.ResetStats. The stream is consumed block by
+// block, so a TraceFile profiles out of core; the pass is deterministic
+// for a fixed seed.
 func SampledStackDistances(src TraceSource, lineSize, maxCacheSize int, opt SampledOptions) (*SampledProfile, error) {
 	if lineSize < WordBytes || lineSize&(lineSize-1) != 0 {
 		return nil, fmt.Errorf("memsys: line size must be a power of two ≥ %d, got %d", WordBytes, lineSize)
@@ -395,15 +282,14 @@ func SampledStackDistances(src TraceSource, lineSize, maxCacheSize int, opt Samp
 	if opt.Rate <= 0 || opt.Rate > 1 || math.IsNaN(opt.Rate) {
 		return nil, fmt.Errorf("memsys: sampling rate must be in (0, 1], got %v", opt.Rate)
 	}
-	if opt.MaxTracked < 0 {
-		return nil, fmt.Errorf("memsys: MaxTracked must be ≥ 0, got %d", opt.MaxTracked)
-	}
 	if opt.ExactLines < 0 {
 		return nil, fmt.Errorf("memsys: ExactLines must be ≥ 0, got %d", opt.ExactLines)
 	}
 	shift := uint(bits.TrailingZeros(uint(lineSize)))
 	maxLines := maxCacheSize / lineSize
 
+	// The stream summary is cached on an in-memory trace and free from
+	// the index footer of a TraceFile.
 	meta := src.Meta()
 	nproc := meta.MaxProc + 1
 	if nproc > 64 {
@@ -411,21 +297,27 @@ func SampledStackDistances(src TraceSource, lineSize, maxCacheSize int, opt Samp
 	}
 	lines := uint64(meta.MaxAddr)>>shift + 1
 
-	adaptive := opt.MaxTracked > 0
-	// all short-circuits the hash test when every line is tracked; it can
-	// only be revoked by an adaptive threshold drop.
+	// all short-circuits the hash test when every line is tracked.
 	all := opt.Rate >= 1
 	threshold := ^uint64(0)
+	rate := 1.0
 	if !all {
 		threshold = uint64(opt.Rate * 0x1p64)
 		if threshold == 0 {
 			threshold = 1
 		}
+		rate = float64(threshold) * 0x1p-64
 	}
 
-	sp := &SampledProfile{lineSize: lineSize, maxLines: maxLines, procs: make([]sampledCounts, nproc)}
-	for k := range sp.strataHist {
-		sp.strataHist[k] = make([]float64, maxLines+1)
+	sp := &SampledProfile{
+		profile: profile{lineSize: lineSize, maxLines: maxLines, procs: make([]stackCounts, nproc)},
+		rate:    rate,
+		exact:   all,
+	}
+	if !all { // an exact pass has no band to jackknife
+		for k := range sp.strata {
+			sp.strata[k].hist = make([]uint64, maxLines+1)
+		}
 	}
 	var wins []*exactWindow
 	var winHolders []uint64
@@ -444,53 +336,28 @@ func SampledStackDistances(src TraceSource, lineSize, maxCacheSize int, opt Samp
 		for i := range l {
 			l[i] = slotNever
 		}
-		stacks[p] = sdStack{tree: make(fenwick, sdInitialCap), last: l}
-		sp.procs[p].hist = make([]float64, maxLines+1)
+		// A processor's slot clock never passes its reference count, so a
+		// short stream gets a tree that never needs compacting.
+		capHint := sdInitialCap
+		if p < len(meta.ProcRefs) && meta.ProcRefs[p] < sdInitialCap {
+			capHint = int(meta.ProcRefs[p]) + 1
+		}
+		stacks[p] = sdStack{tree: make(fenwick, capHint), last: l}
+		sp.procs[p].hist = make([]uint64, maxLines+1)
 	}
 	holders := make([]uint64, lines) // line -> bitset of stack-resident procs
-
-	// Adaptive-mode state: which lines have entered the tracked set, and
-	// the max-hash eviction heap over them.
-	var entered []uint64
-	var heap sampleHeap
-	tracked := 0
-	if adaptive {
-		entered = make([]uint64, (lines+63)/64)
-	}
-
-	// evictLine removes a tracked line's resident stack entries (its
-	// sampled-set membership ends; stale invalidation holes remain, see
-	// file comment).
-	evictLine := func(line uint64) {
-		for rem := holders[line]; rem != 0; rem &= rem - 1 {
-			q := bits.TrailingZeros64(rem)
-			st := &stacks[q]
-			st.tree.add(int(st.last[line]), -1)
-			st.last[line] = slotNever
-		}
-		holders[line] = 0
-	}
 
 	err := src.blocks(func(events []uint64) error {
 		for _, e := range events {
 			if e == resetMarker {
 				for p := range sp.procs {
-					c := &sp.procs[p]
-					c.reads, c.writes, c.cold, c.coherence = 0, 0, 0, 0
-					for i := range c.hist {
-						c.hist[i] = 0
-					}
+					sp.procs[p].reset()
+				}
+				for k := range sp.strata {
+					sp.strata[k].reset()
 				}
 				for _, ew := range wins {
-					for i := range ew.hist {
-						ew.hist[i] = 0
-					}
-				}
-				for k := range sp.strataHist {
-					sp.strataMiss[k] = 0
-					for i := range sp.strataHist[k] {
-						sp.strataHist[k][i] = 0
-					}
+					clear(ew.hist)
 				}
 				sp.sampledRefs = 0
 				continue
@@ -536,48 +403,17 @@ func SampledStackDistances(src TraceSource, lineSize, maxCacheSize int, opt Samp
 				}
 			}
 
-			// The spatial sampling gate: unsampled events cost exactly the
-			// counter increments above plus this hash and compare.
-			var z uint64
+			// The spatial sampling gate, and the hash stratum of a line
+			// that passes it (none when every line is tracked).
+			var sc *stackCounts
 			if !all {
-				z = sampleHash(line, opt.Seed)
+				z := sampleHash(line, opt.Seed)
 				if z >= threshold {
 					continue
 				}
-			} else if adaptive {
-				z = sampleHash(line, opt.Seed)
-			}
-			if adaptive && entered[line>>6]&(1<<(line&63)) == 0 {
-				entered[line>>6] |= 1 << (line & 63)
-				heap.push(sampleEntry{hash: z, line: line})
-				tracked++
-				if tracked > opt.MaxTracked {
-					// Budget overflow: evict the maximum-hash line and drop
-					// the threshold to its hash (then any equal-hash peers).
-					top := heap.popMax()
-					threshold = top.hash
-					all = false
-					evictLine(top.line)
-					tracked--
-					for len(heap) > 0 && heap[0].hash >= threshold {
-						top = heap.popMax()
-						evictLine(top.line)
-						tracked--
-					}
-					if z >= threshold {
-						continue // the triggering line was itself evicted
-					}
-				}
+				sc = &sp.strata[z&(sampleStrata-1)]
 			}
 			sp.sampledRefs++
-
-			// Weight and stratum of this sample under the current rate
-			// (unit weight while every line is still tracked).
-			w := 1.0
-			if adaptive && !all {
-				w = 0x1p64 / float64(threshold)
-			}
-			k := int(z & (sampleStrata - 1))
 
 			st := &stacks[p]
 			slot := st.last[line]
@@ -586,41 +422,41 @@ func SampledStackDistances(src TraceSource, lineSize, maxCacheSize int, opt Samp
 			now := st.clock
 			switch slot {
 			case slotNever, slotInval:
-				if slot == slotNever {
-					c.cold += w
-				} else {
-					c.coherence += w
+				c.always++
+				if sc != nil {
+					sc.always++
 				}
-				sp.strataMiss[k] += w
+				// The line enters every cache; the insertion fills the
+				// frontmost freed slot, if an invalidation left one.
 				if len(st.holes) > 0 {
 					st.tree.add(st.holes.popMax(), -1)
 				}
 			default:
+				// Compaction may have renumbered the slot read above.
 				cur := int(st.last[line])
-				d := int(st.tree.sum(now-1) - st.tree.sum(cur))
+				// Depth = stack slots (resident lines AND holes) above this
+				// one; hit in any cache of more than depth lines.
+				dEst := uint64(st.tree.sum(now-1) - st.tree.sum(cur))
 				// Scale the sampled depth to the estimated true-distance
 				// domain: floor(d·2^64/threshold) = floor(d/rate), computed
 				// in integers so the pass is exactly reproducible. With
 				// every line tracked the depth is already true.
-				dEst := d
 				if !all {
-					if uint64(d) >= threshold {
-						dEst = maxLines
+					if dEst < threshold {
+						dEst, _ = bits.Div64(dEst, 0, threshold)
 					} else {
-						q, _ := bits.Div64(uint64(d), 0, threshold)
-						if q >= uint64(maxLines) {
-							dEst = maxLines
-						} else {
-							dEst = int(q)
-						}
+						dEst = uint64(maxLines)
 					}
 				}
-				if dEst > maxLines {
-					dEst = maxLines
+				d := int(min(dEst, uint64(maxLines)))
+				c.hist[d]++
+				if sc != nil {
+					sc.hist[d]++
 				}
-				c.hist[dEst] += w
-				sp.strataHist[k][dEst] += w
 				if len(st.holes) > 0 && st.holes[0] > cur {
+					// A hole sits above the line: caches that missed fill their
+					// freed slot, so the topmost hole migrates down to the old
+					// position (which stays occupied, now as a hole).
 					st.tree.add(st.holes.popMax(), -1)
 					st.holes.push(cur)
 				} else {
@@ -632,10 +468,12 @@ func SampledStackDistances(src TraceSource, lineSize, maxCacheSize int, opt Samp
 			holders[line] |= 1 << uint(p)
 
 			if write {
-				// Illinois-MESI write-invalidate, restricted to the sampled
-				// subset: every event on a sampled line is seen (sampling is
-				// per line), so the invalidation pattern within the subset
-				// matches the exact pass reference for reference.
+				// Illinois-MESI: after any write the writer is the sole holder —
+				// every other resident copy leaves its stack, its slot staying
+				// behind as a hole (see stackdist.go). Every event on a sampled
+				// line is seen (sampling is per line), so the invalidation
+				// pattern within a sampled subset matches the full one
+				// reference for reference.
 				for rem := holders[line] &^ (1 << uint(p)); rem != 0; rem &= rem - 1 {
 					q := bits.TrailingZeros64(rem)
 					stacks[q].holes.push(int(stacks[q].last[line]))
@@ -649,66 +487,19 @@ func SampledStackDistances(src TraceSource, lineSize, maxCacheSize int, opt Samp
 	if err != nil {
 		return nil, err
 	}
-
-	// A pass that never stopped tracking every line is exact, whether the
-	// budget was unlimited or simply never overflowed.
-	sp.exact = all
-	if all {
-		sp.rate = 1
-	} else {
-		sp.rate = float64(threshold) * 0x1p-64
-	}
-	if adaptive || all {
-		sp.scaleDiv = 1
-	} else {
-		sp.scaleDiv = sp.rate
-	}
 	return sp, nil
 }
 
-// LineSize returns the line size the profile was built at.
-func (sp *SampledProfile) LineSize() int { return sp.lineSize }
-
-// MaxCacheSize returns the largest answerable cache size in bytes.
-func (sp *SampledProfile) MaxCacheSize() int { return sp.maxLines * sp.lineSize }
-
-// Procs returns the number of processors in the profiled trace.
-func (sp *SampledProfile) Procs() int { return len(sp.procs) }
-
-// Rate returns the effective sampling rate at the end of the pass: the
-// configured rate in fixed mode, or the final adapted rate when a
-// MaxTracked budget forced the threshold down.
+// Rate returns the realized sampling rate of the pass.
 func (sp *SampledProfile) Rate() float64 { return sp.rate }
 
-// Exact reports whether the pass tracked every line (rate 1, fixed
-// mode), making every estimate bit-identical to StackDistances.
+// Exact reports whether the pass tracked every line (rate 1), making
+// every estimate equal to StackDistances' count.
 func (sp *SampledProfile) Exact() bool { return sp.exact }
-
-// Refs returns the exact total reference count since the last reset
-// marker — every event is counted, sampled or not.
-func (sp *SampledProfile) Refs() uint64 {
-	var n uint64
-	for i := range sp.procs {
-		n += sp.procs[i].reads + sp.procs[i].writes
-	}
-	return n
-}
 
 // SampledRefs returns how many references actually entered the sampled
 // stacks since the last reset marker.
 func (sp *SampledProfile) SampledRefs() uint64 { return sp.sampledRefs }
-
-// capacityLines validates a queried cache size and converts it to lines.
-func (sp *SampledProfile) capacityLines(cacheSize int) (int, error) {
-	if cacheSize < sp.lineSize || cacheSize%sp.lineSize != 0 {
-		return 0, fmt.Errorf("memsys: cache size %d not a positive multiple of line size %d", cacheSize, sp.lineSize)
-	}
-	c := cacheSize / sp.lineSize
-	if c > sp.maxLines {
-		return 0, fmt.Errorf("memsys: cache size %d exceeds profiled maximum %d", cacheSize, sp.MaxCacheSize())
-	}
-	return c, nil
-}
 
 // ExactLines returns the depth of the exact small-capacity window in
 // lines; capacities up to ExactLines·LineSize carry no sampling error.
@@ -729,17 +520,12 @@ func (sp *SampledProfile) EstProcMisses(p, cacheSize int) (float64, error) {
 		// Within the exact window: misses = refs − exact hits above the
 		// capacity depth. Integer arithmetic throughout — no estimate.
 		hits := uint64(0)
-		h := sp.wins[p].hist
-		for d := 0; d < capLines; d++ {
-			hits += h[d]
+		for _, n := range sp.wins[p].hist[:capLines] {
+			hits += n
 		}
 		return float64(c.reads + c.writes - hits), nil
 	}
-	m := c.cold + c.coherence
-	for d := capLines; d <= sp.maxLines; d++ {
-		m += c.hist[d]
-	}
-	return m / sp.scaleDiv, nil
+	return float64(c.misses(capLines)) / sp.rate, nil
 }
 
 // EstMisses returns the estimated total miss count across processors
@@ -798,14 +584,8 @@ func (sp *SampledProfile) Band(cacheSize int) (lo, hi float64, err error) {
 	var m [sampleStrata]float64
 	var total float64
 	for k := range m {
-		s := sp.strataMiss[k]
-		h := sp.strataHist[k]
-		for d := capLines; d <= sp.maxLines; d++ {
-			s += h[d]
-		}
-		s /= sp.scaleDiv
-		m[k] = s
-		total += s
+		m[k] = float64(sp.strata[k].misses(capLines)) / sp.rate
+		total += m[k]
 	}
 	var loo [sampleStrata]float64
 	var mean float64

@@ -1,9 +1,12 @@
 package memsys
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
+	"testing/quick"
 )
 
 // sampledFingerprint flattens every queryable output of a profile —
@@ -34,18 +37,59 @@ func sampledFingerprint(t *testing.T, sp *SampledProfile, sizes []int) []uint64 
 	return out
 }
 
+// replayFullyAssoc is the independent oracle for both profile types: a
+// fully-associative LRU coherence simulation at one cache size.
+func replayFullyAssoc(t *testing.T, src TraceSource, procs, lineSize, cacheSize int) Stats {
+	t.Helper()
+	st, err := Replay(src, Config{Procs: procs, CacheSize: cacheSize, Assoc: FullyAssoc, LineSize: lineSize, OverheadBytes: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// checkAgainstReplay holds a sampled profile's answers at one cache
+// size to fully-associative Replay: per-processor miss counts, the
+// aggregate miss rate bit for bit, and a zero-width band. Only valid
+// where the profile claims exactness (rate 1, or a window-covered
+// capacity).
+func checkAgainstReplay(t *testing.T, what string, sp *SampledProfile, st Stats, cs int) {
+	t.Helper()
+	for p := 0; p < sp.Procs(); p++ {
+		got, err := sp.EstProcMisses(p, cs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := st.Procs[p].TotalMisses(); got != float64(want) {
+			t.Errorf("%s cs=%d proc=%d: est %v != replay %d", what, cs, p, got, want)
+		}
+	}
+	gotRate, err := sp.EstMissRate(cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantRate := st.MissRate(); math.Float64bits(gotRate) != math.Float64bits(wantRate) {
+		t.Errorf("%s cs=%d: est rate %v not bit-identical to replay %v", what, cs, gotRate, wantRate)
+	}
+	lo, hi, err := sp.Band(cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lo != gotRate || hi != gotRate {
+		t.Errorf("%s cs=%d: exact answer has band [%v, %v] around %v", what, cs, lo, hi, gotRate)
+	}
+}
+
 // TestSampledRateOneBitIdentical: at sampling rate 1 the sampled pass
-// must reproduce the exact pass bit for bit — per-processor miss
-// counts, aggregate miss rates, reference counts — with zero-width
+// must reproduce fully-associative Replay bit for bit — per-processor
+// miss counts, aggregate miss rates, reference counts — with zero-width
 // confidence bands, on traces with invalidations and epoch resets.
+// (StackDistances is the same pass, so Replay is the referee.)
 func TestSampledRateOneBitIdentical(t *testing.T) {
+	const procs = 4
 	for _, resets := range []bool{false, true} {
 		for _, exactLines := range []int{0, 64} {
-			tr := buildSharingTrace(7, 4, 5000, resets)
-			exact, err := StackDistances(tr, 64, stackSizes[len(stackSizes)-1])
-			if err != nil {
-				t.Fatal(err)
-			}
+			tr := buildSharingTrace(7, procs, 5000, resets)
 			sp, err := SampledStackDistances(tr, 64, stackSizes[len(stackSizes)-1], SampledOptions{Rate: 1, Seed: 42, ExactLines: exactLines})
 			if err != nil {
 				t.Fatal(err)
@@ -56,72 +100,14 @@ func TestSampledRateOneBitIdentical(t *testing.T) {
 			if sp.Rate() != 1 {
 				t.Fatalf("rate-1 profile reports rate %v", sp.Rate())
 			}
-			if sp.Refs() != exact.Refs() || sp.SampledRefs() != exact.Refs() {
-				t.Fatalf("refs %d sampled %d, exact %d", sp.Refs(), sp.SampledRefs(), exact.Refs())
-			}
+			what := fmt.Sprintf("resets=%v window=%d", resets, exactLines)
 			for _, cs := range stackSizes {
-				for p := 0; p < sp.Procs(); p++ {
-					want, err := exact.ProcMisses(p, cs)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := sp.EstProcMisses(p, cs)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got != float64(want) {
-						t.Fatalf("resets=%v cs=%d proc=%d: est %v != exact %d", resets, cs, p, got, want)
-					}
+				st := replayFullyAssoc(t, tr, procs, 64, cs)
+				if refs := st.Aggregate().Refs(); sp.Refs() != refs || sp.SampledRefs() != refs {
+					t.Fatalf("%s: refs %d sampled %d, replay %d", what, sp.Refs(), sp.SampledRefs(), refs)
 				}
-				wantRate, err := exact.MissRate(cs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotRate, err := sp.EstMissRate(cs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if math.Float64bits(gotRate) != math.Float64bits(wantRate) {
-					t.Fatalf("resets=%v cs=%d: est rate %v not bit-identical to exact %v", resets, cs, gotRate, wantRate)
-				}
-				lo, hi, err := sp.Band(cs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if lo != gotRate || hi != gotRate {
-					t.Fatalf("resets=%v cs=%d: exact pass band [%v, %v] not zero-width at %v", resets, cs, lo, hi, gotRate)
-				}
+				checkAgainstReplay(t, what, sp, st, cs)
 			}
-		}
-	}
-}
-
-// TestSampledAdaptiveNeverOverflowingIsExact: rate 1 with a budget the
-// trace never overflows is still the exact pass.
-func TestSampledAdaptiveNeverOverflowingIsExact(t *testing.T) {
-	tr := buildSharingTrace(3, 4, 4000, true)
-	exact, err := StackDistances(tr, 64, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, err := SampledStackDistances(tr, 64, 1<<20, SampledOptions{Rate: 1, Seed: 9, MaxTracked: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sp.Exact() {
-		t.Fatal("never-overflowing rate-1 adaptive profile not flagged exact")
-	}
-	for _, cs := range []int{1 << 10, 16 << 10, 1 << 20} {
-		want, err := exact.MissRate(cs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := sp.EstMissRate(cs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("cs=%d: adaptive est %v not bit-identical to exact %v", cs, got, want)
 		}
 	}
 }
@@ -204,34 +190,30 @@ func TestSampledDegenerateInputs(t *testing.T) {
 }
 
 // TestSampledErrorEnvelope: on synthetic sharing traces, capacities
-// covered by the exact window must match the exact pass bit for bit
-// with zero-width bands — at any sampling rate, fixed or adaptive —
-// and every estimate above the window must be a valid probability with
-// a self-consistent band. (The tight suite-wide error bound at 1%
+// covered by the exact window must match fully-associative Replay bit
+// for bit with zero-width bands at any sampling rate, and every
+// estimate above the window must be a valid probability with a
+// self-consistent band. (The tight suite-wide error bound at 1%
 // sampling is enforced against the recorded apps in internal/core.)
 func TestSampledErrorEnvelope(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		tr := buildSharingTrace(seed, 4, 30000, seed%2 == 0)
-		exact, err := StackDistances(tr, 64, 1<<20)
-		if err != nil {
-			t.Fatal(err)
+		replays := make(map[int]Stats)
+		for _, cs := range stackSizes {
+			if cs/64 <= DefaultExactLines {
+				replays[cs] = replayFullyAssoc(t, tr, 4, 64, cs)
+			}
 		}
 		for _, opt := range []SampledOptions{
 			{Rate: 0.3, Seed: uint64(seed), ExactLines: DefaultExactLines},
 			{Rate: 0.05, Seed: uint64(seed), ExactLines: DefaultExactLines},
-			{Rate: 0.3, Seed: uint64(seed), MaxTracked: 1 << 20, ExactLines: DefaultExactLines}, // adaptive, no overflow
-			{Rate: 1, Seed: uint64(seed), MaxTracked: 512, ExactLines: 64},                      // adaptive, forced eviction
-			{Rate: 0.3, Seed: uint64(seed)},                                                     // pure SHARDS, no window
+			{Rate: 0.3, Seed: uint64(seed)}, // pure SHARDS, no window
 		} {
 			sp, err := SampledStackDistances(tr, 64, 1<<20, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, cs := range stackSizes {
-				want, err := exact.MissRate(cs)
-				if err != nil {
-					t.Fatal(err)
-				}
 				got, err := sp.EstMissRate(cs)
 				if err != nil {
 					t.Fatal(err)
@@ -247,25 +229,7 @@ func TestSampledErrorEnvelope(t *testing.T) {
 					t.Fatalf("seed=%d opt=%+v cs=%d: band [%v, %v] inconsistent with estimate %v", seed, opt, cs, lo, hi, got)
 				}
 				if cs/64 <= sp.ExactLines() {
-					if math.Float64bits(got) != math.Float64bits(want) {
-						t.Errorf("seed=%d opt=%+v cs=%d: window-covered estimate %v not bit-identical to exact %v", seed, opt, cs, got, want)
-					}
-					if lo != got || hi != got {
-						t.Errorf("seed=%d opt=%+v cs=%d: window-covered band [%v, %v] not zero-width", seed, opt, cs, lo, hi)
-					}
-					for p := 0; p < sp.Procs(); p++ {
-						wantM, err := exact.ProcMisses(p, cs)
-						if err != nil {
-							t.Fatal(err)
-						}
-						gotM, err := sp.EstProcMisses(p, cs)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if gotM != float64(wantM) {
-							t.Errorf("seed=%d opt=%+v cs=%d proc=%d: window misses %v != exact %d", seed, opt, cs, p, gotM, wantM)
-						}
-					}
+					checkAgainstReplay(t, fmt.Sprintf("seed=%d opt=%+v", seed, opt), sp, replays[cs], cs)
 				}
 			}
 		}
@@ -292,26 +256,6 @@ func TestSampledExactLinesRounding(t *testing.T) {
 	}
 }
 
-// TestSampledAdaptiveLowersRate: a tight budget on a wide footprint
-// must drop the effective rate below the configured one while keeping
-// the tracked-set cardinality bounded.
-func TestSampledAdaptiveLowersRate(t *testing.T) {
-	tr := buildSharingTrace(17, 4, 20000, false)
-	sp, err := SampledStackDistances(tr, 64, 1<<20, SampledOptions{Rate: 1, Seed: 3, MaxTracked: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp.Exact() {
-		t.Fatal("overflowing adaptive profile flagged exact")
-	}
-	if sp.Rate() >= 1 {
-		t.Fatalf("adaptive rate did not drop: %v", sp.Rate())
-	}
-	if sp.SampledRefs() == 0 || sp.SampledRefs() >= sp.Refs() {
-		t.Fatalf("adaptive sampled %d of %d refs", sp.SampledRefs(), sp.Refs())
-	}
-}
-
 // TestSampledValidation: option and query validation.
 func TestSampledValidation(t *testing.T) {
 	tr := buildSharingTrace(1, 2, 200, false)
@@ -320,7 +264,6 @@ func TestSampledValidation(t *testing.T) {
 		{Rate: -0.5},
 		{Rate: 1.5},
 		{Rate: math.NaN()},
-		{Rate: 0.5, MaxTracked: -1},
 		{Rate: 0.5, ExactLines: -1},
 	} {
 		if _, err := SampledStackDistances(tr, 64, 1<<16, opt); err == nil {
@@ -342,5 +285,66 @@ func TestSampledValidation(t *testing.T) {
 	}
 	if _, _, err := sp.Band(96); err == nil {
 		t.Fatal("non-multiple cache size accepted")
+	}
+}
+
+// TestSampledDifferentialGeneratedTraces holds every way of counting
+// fully-associative misses equal on generated traces (1–8 processors,
+// three line sizes, a hot shared region plus private regions, optional
+// reset markers): Replay is the oracle; StackDistances, the sampled
+// pass at rate 1 with and without a window, and the window-covered
+// capacities of the sampled pass at rates 0.3 and 0.05 must agree with
+// it per processor and in miss-rate bits, from memory and through a
+// TraceFile.
+func TestSampledDifferentialGeneratedTraces(t *testing.T) {
+	capLines := []int{1, 2, 3, 8, 64, 512}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		procs := 1 + rng.Intn(8)
+		ls := []int{16, 64, 256}[rng.Intn(3)]
+		tr := buildSharingTrace(seed, procs, 1500+rng.Intn(2500), rng.Intn(2) == 0)
+		maxSize := capLines[len(capLines)-1] * ls
+		for _, src := range []TraceSource{tr, openV2(t, writeV2Bytes(t, tr))} {
+			what := fmt.Sprintf("seed=%d procs=%d ls=%d src=%T", seed, procs, ls, src)
+			exact, err := StackDistances(src, ls, maxSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sampled []*SampledProfile
+			for _, w := range []int{0, 64, 512} {
+				for _, rate := range []float64{1, 0.3, 0.05} {
+					sp, err := SampledStackDistances(src, ls, maxSize, SampledOptions{Rate: rate, Seed: uint64(seed), ExactLines: w})
+					if err != nil {
+						t.Fatal(err)
+					}
+					sampled = append(sampled, sp)
+				}
+			}
+			for _, c := range capLines {
+				cs := c * ls
+				st := replayFullyAssoc(t, src, procs, ls, cs)
+				for p := 0; p < exact.Procs(); p++ {
+					got, err := exact.ProcMisses(p, cs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := st.Procs[p].TotalMisses(); got != want {
+						t.Errorf("%s cs=%d proc=%d: StackDistances %d != replay %d", what, cs, p, got, want)
+					}
+				}
+				if got, _ := exact.MissRate(cs); math.Float64bits(got) != math.Float64bits(st.MissRate()) {
+					t.Errorf("%s cs=%d: StackDistances rate %v != replay %v", what, cs, got, st.MissRate())
+				}
+				for _, sp := range sampled {
+					if sp.Exact() || c <= sp.ExactLines() {
+						checkAgainstReplay(t, fmt.Sprintf("%s rate=%v window=%d", what, sp.Rate(), sp.ExactLines()), sp, st, cs)
+					}
+				}
+			}
+		}
+		return !t.Failed()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -2,7 +2,6 @@ package memsys
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 )
 
@@ -10,7 +9,10 @@ import (
 // recorded trace: one pass produces exact miss counts for EVERY
 // fully-associative cache size simultaneously, collapsing the
 // fully-associative half of a Figure-3 working-set sweep from one O(N)
-// replay per cache size to a single O(N log M) pass.
+// replay per cache size to a single O(N log M) pass. The stack machinery,
+// the counts and the exact profile live here; the event loop itself is
+// SampledStackDistances in sampled.go, which the exact profile runs with
+// every line tracked.
 //
 // The classic inclusion argument: an LRU stack orders each processor's
 // resident lines by recency, and a fully-associative LRU cache of
@@ -55,27 +57,84 @@ import (
 // cold/sharing/capacity decomposition is capacity-dependent, and the
 // Figure-3 curves need only totals.
 
-// StackProfile is the result of one stack-distance pass: per-processor
-// reference counts and distance histograms from which the miss count of
-// a fully-associative LRU cache of any profiled size follows in O(1) per
-// processor. Query with Misses, ProcMisses or MissRate.
-type StackProfile struct {
+// stackCounts is one histogram set of the pass: a processor's view of
+// the stream, or one hash stratum's aggregate across processors. Every
+// field is a unit count; a sampled profile scales by 1/rate only when
+// queried.
+type stackCounts struct {
+	// reads and writes count every reference, tracked or not, so miss
+	// ratios have an exact denominator (unused on strata).
+	reads, writes uint64
+	// always counts first-touch and invalidated-copy references among
+	// the tracked lines: misses at every capacity.
+	always uint64
+	// hist[d] counts tracked re-references that found their line at
+	// (estimated true) stack depth d: hits in any cache of more than d
+	// lines. hist[maxLines] aggregates depths ≥ maxLines, which miss at
+	// every answerable capacity.
+	hist []uint64
+}
+
+// reset zeroes the counters at a measurement-reset marker.
+func (c *stackCounts) reset() {
+	clear(c.hist)
+	*c = stackCounts{hist: c.hist}
+}
+
+// misses returns the tracked references that miss in a cache of
+// capLines lines.
+func (c *stackCounts) misses(capLines int) uint64 {
+	m := c.always
+	for _, n := range c.hist[capLines:] {
+		m += n
+	}
+	return m
+}
+
+// profile is what one pass produces and both public profile types
+// embed: the geometry it was built at and the per-processor counts.
+type profile struct {
 	lineSize int
 	maxLines int // largest answerable capacity, in lines
 	procs    []stackCounts
 }
 
-// stackCounts accumulates one processor's view of the stream.
-type stackCounts struct {
-	reads, writes uint64
-	cold          uint64 // first-touch references: miss at every capacity
-	coherence     uint64 // invalidated-copy re-fetches: miss at every capacity
-	// hist[d] counts re-references that found their line at stack depth d
-	// (d still-resident lines touched more recently): hits in any cache
-	// of more than d lines. hist[maxLines] aggregates depths ≥ maxLines,
-	// which miss at every answerable capacity.
-	hist []uint64
+// LineSize returns the line size the profile was built at.
+func (pr *profile) LineSize() int { return pr.lineSize }
+
+// MaxCacheSize returns the largest answerable cache size in bytes.
+func (pr *profile) MaxCacheSize() int { return pr.maxLines * pr.lineSize }
+
+// Procs returns the number of processors in the profiled trace.
+func (pr *profile) Procs() int { return len(pr.procs) }
+
+// Refs returns the exact total reference count since the last reset
+// marker — every event is counted, sampled or not.
+func (pr *profile) Refs() uint64 {
+	var n uint64
+	for i := range pr.procs {
+		n += pr.procs[i].reads + pr.procs[i].writes
+	}
+	return n
 }
+
+// capacityLines validates a queried cache size and converts it to lines.
+func (pr *profile) capacityLines(cacheSize int) (int, error) {
+	if cacheSize < pr.lineSize || cacheSize%pr.lineSize != 0 {
+		return 0, fmt.Errorf("memsys: cache size %d not a positive multiple of line size %d", cacheSize, pr.lineSize)
+	}
+	c := cacheSize / pr.lineSize
+	if c > pr.maxLines {
+		return 0, fmt.Errorf("memsys: cache size %d exceeds profiled maximum %d", cacheSize, pr.MaxCacheSize())
+	}
+	return c, nil
+}
+
+// StackProfile is the result of one exact stack-distance pass: per-
+// processor reference counts and distance histograms from which the miss
+// count of a fully-associative LRU cache of any profiled size follows in
+// O(1) per processor. Query with Misses, ProcMisses or MissRate.
+type StackProfile struct{ profile }
 
 // fenwick is a binary indexed tree over access-slot indices, counting
 // which slots currently mark a stack-resident line. It gives O(log n)
@@ -217,172 +276,20 @@ func (st *sdStack) compact() {
 }
 
 // StackDistances runs the one-pass simulation of the stream at the
-// given line size. The profile answers any cache size from lineSize up
-// to maxCacheSize. Measurement-reset markers zero the counters while
-// leaving every stack warm, exactly like System.ResetStats. The stream
-// is consumed block by block with slot-compacted trees, so peak memory
-// is O(block buffer + address space) — a TraceFile profiles out of
-// core, and the result is bit-identical to the in-memory pass.
+// given line size: the pass in sampled.go at rate 1 with no window, so
+// every line is tracked and every count is exact. The profile answers
+// any cache size from lineSize up to maxCacheSize. Measurement-reset
+// markers zero the counters while leaving every stack warm, exactly like
+// System.ResetStats. The stream is consumed block by block with slot-
+// compacted trees, so peak memory is O(block buffer + address space) —
+// a TraceFile profiles out of core, and the result is bit-identical to
+// the in-memory pass.
 func StackDistances(src TraceSource, lineSize, maxCacheSize int) (*StackProfile, error) {
-	if lineSize < WordBytes || lineSize&(lineSize-1) != 0 {
-		return nil, fmt.Errorf("memsys: line size must be a power of two ≥ %d, got %d", WordBytes, lineSize)
-	}
-	if maxCacheSize < lineSize {
-		return nil, fmt.Errorf("memsys: max cache size %d smaller than line size %d", maxCacheSize, lineSize)
-	}
-	shift := uint(bits.TrailingZeros(uint(lineSize)))
-	maxLines := maxCacheSize / lineSize
-
-	// The stream summary replaces the old pre-scan: cached on an
-	// in-memory trace, free from the index footer of a TraceFile.
-	meta := src.Meta()
-	nproc := meta.MaxProc + 1
-	if nproc > 64 {
-		return nil, fmt.Errorf("memsys: at most 64 processors supported (sharer bitset), trace has %d", nproc)
-	}
-	lines := uint64(meta.MaxAddr)>>shift + 1
-
-	sp := &StackProfile{lineSize: lineSize, maxLines: maxLines, procs: make([]stackCounts, nproc)}
-	stacks := make([]sdStack, nproc)
-	for p := 0; p < nproc; p++ {
-		l := make([]int64, lines)
-		for i := range l {
-			l[i] = slotNever
-		}
-		var refs uint64
-		if p < len(meta.ProcRefs) {
-			refs = meta.ProcRefs[p]
-		}
-		capHint := int(refs) + 1
-		if refs >= sdInitialCap {
-			capHint = sdInitialCap
-		}
-		stacks[p] = sdStack{tree: make(fenwick, capHint), last: l}
-		sp.procs[p].hist = make([]uint64, maxLines+1)
-	}
-	holders := make([]uint64, lines) // line -> bitset of stack-resident procs
-
-	err := src.blocks(func(events []uint64) error {
-		for _, e := range events {
-			if e == resetMarker {
-				for p := range sp.procs {
-					c := &sp.procs[p]
-					c.reads, c.writes, c.cold, c.coherence = 0, 0, 0, 0
-					for i := range c.hist {
-						c.hist[i] = 0
-					}
-				}
-				continue
-			}
-			p := int(e >> 1 & 0x7f)
-			line := (e >> 8) >> shift
-			// These fire only for streams whose index footer understates
-			// the ranges the blocks actually use (a lying or corrupt v2
-			// file); an in-memory trace's meta is exact.
-			if p >= nproc {
-				return fmt.Errorf("memsys: corrupt trace: processor %d beyond declared maximum %d", p, meta.MaxProc)
-			}
-			if line >= lines {
-				return fmt.Errorf("memsys: corrupt trace: address %#x beyond declared maximum %#x", e>>8, uint64(meta.MaxAddr))
-			}
-			write := e&1 == 1
-
-			c := &sp.procs[p]
-			if write {
-				c.writes++
-			} else {
-				c.reads++
-			}
-
-			st := &stacks[p]
-			slot := st.last[line]
-			st.ensureSlot()
-			st.clock++
-			now := st.clock
-			switch slot {
-			case slotNever, slotInval:
-				if slot == slotNever {
-					c.cold++
-				} else {
-					c.coherence++
-				}
-				// The line enters every cache; the insertion fills the
-				// frontmost freed slot, if an invalidation left one.
-				if len(st.holes) > 0 {
-					st.tree.add(st.holes.popMax(), -1)
-				}
-			default:
-				// Compaction may have renumbered the slot read above.
-				cur := int(st.last[line])
-				// Depth = stack slots (resident lines AND holes) above this
-				// one; hit in any cache of more than depth lines.
-				d := int(st.tree.sum(now-1) - st.tree.sum(cur))
-				if d > maxLines {
-					d = maxLines
-				}
-				c.hist[d]++
-				if len(st.holes) > 0 && st.holes[0] > cur {
-					// A hole sits above the line: caches that missed fill their
-					// freed slot, so the topmost hole migrates down to the old
-					// position (which stays occupied, now as a hole).
-					st.tree.add(st.holes.popMax(), -1)
-					st.holes.push(cur)
-				} else {
-					st.tree.add(cur, -1)
-				}
-			}
-			st.tree.add(now, 1)
-			st.last[line] = int64(now)
-			holders[line] |= 1 << uint(p)
-
-			if write {
-				// Illinois-MESI: after any write the writer is the sole holder —
-				// every other resident copy leaves its stack, its slot staying
-				// behind as a hole (see file comment).
-				for rem := holders[line] &^ (1 << uint(p)); rem != 0; rem &= rem - 1 {
-					q := bits.TrailingZeros64(rem)
-					stacks[q].holes.push(int(stacks[q].last[line]))
-					stacks[q].last[line] = slotInval
-				}
-				holders[line] = 1 << uint(p)
-			}
-		}
-		return nil
-	})
+	sp, err := SampledStackDistances(src, lineSize, maxCacheSize, SampledOptions{Rate: 1})
 	if err != nil {
 		return nil, err
 	}
-	return sp, nil
-}
-
-// LineSize returns the line size the profile was built at.
-func (sp *StackProfile) LineSize() int { return sp.lineSize }
-
-// MaxCacheSize returns the largest answerable cache size in bytes.
-func (sp *StackProfile) MaxCacheSize() int { return sp.maxLines * sp.lineSize }
-
-// Procs returns the number of processors in the profiled trace.
-func (sp *StackProfile) Procs() int { return len(sp.procs) }
-
-// Refs returns the total references counted since the last reset marker.
-func (sp *StackProfile) Refs() uint64 {
-	var n uint64
-	for i := range sp.procs {
-		n += sp.procs[i].reads + sp.procs[i].writes
-	}
-	return n
-}
-
-// capacityLines validates a queried cache size and converts it to lines.
-func (sp *StackProfile) capacityLines(cacheSize int) (int, error) {
-	if cacheSize < sp.lineSize || cacheSize%sp.lineSize != 0 {
-		return 0, fmt.Errorf("memsys: cache size %d not a positive multiple of line size %d", cacheSize, sp.lineSize)
-	}
-	c := cacheSize / sp.lineSize
-	if c > sp.maxLines {
-		return 0, fmt.Errorf("memsys: cache size %d exceeds profiled maximum %d", cacheSize, sp.MaxCacheSize())
-	}
-	return c, nil
+	return &StackProfile{sp.profile}, nil
 }
 
 // ProcMisses returns processor p's exact miss count in a fully-
@@ -393,12 +300,7 @@ func (sp *StackProfile) ProcMisses(p, cacheSize int) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	c := &sp.procs[p]
-	m := c.cold + c.coherence
-	for d := capLines; d <= sp.maxLines; d++ {
-		m += c.hist[d]
-	}
-	return m, nil
+	return sp.procs[p].misses(capLines), nil
 }
 
 // Misses returns the total miss count across processors for a fully-
@@ -424,10 +326,7 @@ func (sp *StackProfile) MissRate(cacheSize int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	var refs uint64
-	for i := range sp.procs {
-		refs += sp.procs[i].reads + sp.procs[i].writes
-	}
+	refs := sp.Refs()
 	if refs == 0 {
 		return 0, nil
 	}

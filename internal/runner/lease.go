@@ -35,12 +35,12 @@ import (
 //     the lease. Losers poll: a cache hit ends the wait; a lease whose
 //     mtime is older than the TTL belongs to a dead process and is taken
 //     over.
-//   - Takeover must not double-fire: contenders race to atomically
-//     os.Rename the stale lease aside (exactly one rename succeeds) and
-//     only the renamer deletes it and re-enters acquisition. A lease can
-//     therefore be reclaimed at most once per expiry, and a kill -9'd
-//     winner delays its key by at most one TTL — it can never deadlock
-//     the fleet.
+//   - Takeover must not double-fire: one contender at a time (an
+//     O_EXCL reap lock beside the lease) judges the lease expired,
+//     os.Renames it aside and deletes it, then re-enters acquisition;
+//     see reapIfStale. A lease can therefore be reclaimed at most once
+//     per expiry, and a kill -9'd winner (or reaper) delays its key by
+//     at most one TTL each — it can never deadlock the fleet.
 //
 // The protocol is advisory and best-effort by design: any lease-layer
 // I/O error degrades to "run the job locally", which costs duplicated
@@ -203,24 +203,54 @@ func (l *leases) release(path string) {
 	os.Remove(path)
 }
 
-// reapIfStale checks whether the lease at path has expired and, if so,
-// removes it. Returns true only for the one caller that actually
-// performed the removal: contenders race os.Rename to a unique reap
-// name, and rename's atomicity guarantees a single winner — the losers
-// keep waiting and re-probe.
+// reapIfStale takes over the lease at path if it has expired. Returns
+// true only for the one caller that actually removed the stale lease.
+//
+// Judging a lease stale and renaming it aside are two system calls, and
+// a rename captures whatever sits at path when it runs: a contender
+// that stat'ed the dead lease can be overtaken by one that reaps it and
+// re-acquires, and would then carry off the winner's fresh lease. So
+// reaping is serialised by an O_EXCL lock file next to the lease —
+// under it a stale verdict stays true until the holder acts on it, and
+// path is only ever vacated for a lease that really expired. A reaper
+// killed inside the lock delays takeover by one more TTL: a lock that
+// old is abandoned, and whoever finds it clears it for the next probe.
+// Clearing can itself race a fresh lock, so the rename to a unique reap
+// name stays (exactly one contender captures any given file) and the
+// capturer judges the file it actually holds; a live one goes back.
 func (l *leases) reapIfStale(ctx context.Context, path string) bool {
-	st, err := os.Stat(path)
-	if err != nil {
-		return false // gone already — treat as "someone else reaped"
+	if !l.stale(path) {
+		return false // fresh, or gone already — someone else reaped
 	}
-	if time.Since(st.ModTime()) <= l.ttl {
+	lock := path + ".reap-lock"
+	f, err := os.OpenFile(lock, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		if l.stale(lock) {
+			os.Remove(lock)
+		}
+		return false // another contender is reaping
+	}
+	defer os.Remove(lock)
+	if f.Close() != nil {
 		return false
+	}
+	if !l.stale(path) {
+		return false // reaped (and perhaps re-acquired) before we got the lock
 	}
 	var nb [6]byte
 	rand.Read(nb[:])
 	reap := path + ".reap-" + hex.EncodeToString(nb[:])
 	if err := os.Rename(path, reap); err != nil {
-		return false // lost the reap race
+		return false
+	}
+	if !l.stale(reap) {
+		// Captured a live lease after all (see above, or its stalled owner
+		// just heartbeat). Link, unlike Rename, refuses to replace a lease
+		// acquired while path was briefly free; then the captured owner
+		// runs unleased, which costs duplicated work, never correctness.
+		os.Link(reap, path)
+		os.Remove(reap)
+		return false
 	}
 	os.Remove(reap)
 	if l.takeovers != nil {
@@ -230,6 +260,13 @@ func (l *leases) reapIfStale(ctx context.Context, path string) bool {
 		l.takeovers(ctx, filepath.Base(filepath.Dir(path))+base)
 	}
 	return true
+}
+
+// stale reports whether the lease file at path exists and its last
+// heartbeat (mtime) is older than the TTL.
+func (l *leases) stale(path string) bool {
+	st, err := os.Stat(path)
+	return err == nil && time.Since(st.ModTime()) > l.ttl
 }
 
 // pidAlive reports whether pid is a live process on this host, via

@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -150,6 +151,99 @@ func TestLeaseTakeoverRace(t *testing.T) {
 	}
 	if n := takeovers.Load(); n != 1 {
 		t.Errorf("stale lease reaped %d times, want exactly 1", n)
+	}
+}
+
+// TestLeaseTakeoverStress repeats the takeover race a few hundred times
+// on two CPUs: every round plants one expired lease, releases all
+// contenders at once and requires exactly one winner, exactly one
+// reported takeover, and a directory with no lease or reap file left
+// once the winner releases. Rounds are paced by channels only.
+func TestLeaseTakeoverStress(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const rounds, contenders = 300, 6
+	dir := t.TempDir()
+	var takeovers atomic.Int64
+	mgrs := make([]*leases, contenders)
+	for i := range mgrs {
+		mgrs[i] = newLeases(dir, time.Minute)
+		mgrs[i].takeovers = func(context.Context, string) { takeovers.Add(1) }
+	}
+
+	type outcome struct {
+		state   leaseState
+		release func()
+	}
+	for round := 0; round < rounds; round++ {
+		k := KeyOf("test", "takeover-stress", round)
+		writeStaleLease(t, mgrs[0], k, time.Hour)
+		takeovers.Store(0)
+
+		start := make(chan struct{})
+		results := make(chan outcome, contenders) // one send per contender
+		for _, l := range mgrs {
+			go func(l *leases) {
+				<-start
+				state, release := l.tryAcquire(context.Background(), k)
+				results <- outcome{state, release}
+			}(l)
+		}
+		close(start)
+		// Winners hold their lease until every contender has reported, so a
+		// late contender finds it taken rather than legitimately free.
+		var releases []func()
+		errs := 0
+		for range mgrs {
+			switch o := <-results; o.state {
+			case leaseWon:
+				releases = append(releases, o.release)
+			case leaseErr:
+				errs++
+			}
+		}
+		for _, release := range releases {
+			release()
+		}
+		if len(releases) != 1 || errs != 0 {
+			t.Fatalf("round %d: won=%d err=%d, want exactly one winner and no errors", round, len(releases), errs)
+		}
+		if n := takeovers.Load(); n != 1 {
+			t.Fatalf("round %d: stale lease reaped %d times, want exactly 1", round, n)
+		}
+		if left, _ := filepath.Glob(filepath.Join(dir, "*", "*")); len(left) != 0 {
+			t.Fatalf("round %d: files left behind: %v", round, left)
+		}
+	}
+}
+
+// TestLeaseReapLockAbandoned: a reaper killed while holding the reap
+// lock must not wedge the key — the first contender to find the expired
+// lock clears it, and the next probe takes the stale lease over.
+func TestLeaseReapLockAbandoned(t *testing.T) {
+	l := newLeases(t.TempDir(), 100*time.Millisecond)
+	path := writeStaleLease(t, l, KeyOf("test", "reap-lock-abandoned"), time.Minute)
+	lock := path + ".reap-lock"
+	if err := os.WriteFile(lock, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if l.reapIfStale(context.Background(), path) {
+		t.Fatal("reaped past a live reap lock")
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("lease disturbed while the reap lock was held: %v", err)
+	}
+	old := time.Now().Add(-time.Minute)
+	if err := os.Chtimes(lock, old, old); err != nil {
+		t.Fatal(err)
+	}
+	if l.reapIfStale(context.Background(), path) {
+		t.Fatal("the contender that clears an abandoned lock must re-probe, not reap")
+	}
+	if !l.reapIfStale(context.Background(), path) {
+		t.Fatal("stale lease not taken over after its abandoned reap lock was cleared")
+	}
+	if left, _ := filepath.Glob(path + "*"); len(left) != 0 {
+		t.Fatalf("files left behind: %v", left)
 	}
 }
 

@@ -15,8 +15,8 @@ type endpointStat struct {
 	Count         int64 `json:"count"`
 	TotalMicros   int64 `json:"totalMicros"`
 	MaxMicros     int64 `json:"maxMicros"`
-	ErrorCount    int64 `json:"errors"`    // 4xx
-	FailureCount  int64 `json:"failures"`  // 5xx
+	ErrorCount    int64 `json:"errors"`   // 4xx
+	FailureCount  int64 `json:"failures"` // 5xx
 	NotModified   int64 `json:"notModified"`
 	DegradedCount int64 `json:"degraded"`
 }

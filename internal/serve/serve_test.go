@@ -75,8 +75,8 @@ func TestHealthz(t *testing.T) {
 func TestExperimentBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, core.EngineOptions{}, Options{})
 	cases := []core.Request{
-		{},                          // no kind
-		{Kind: "figure9"},           // unknown kind
+		{},                                       // no kind
+		{Kind: "figure9"},                        // unknown kind
 		{Kind: "table1", Apps: []string{"doom"}}, // unknown app
 		{Kind: "table1", Procs: 999},             // out of range
 	}

@@ -148,7 +148,7 @@ type (
 	// SampledStackDistances).
 	SampledProfile = memsys.SampledProfile
 	// SampledOptions configures the sampled estimator (rate, seed,
-	// adaptive budget, exact-window width).
+	// exact-window width).
 	SampledOptions = memsys.SampledOptions
 	// SampledCurve is one program's estimated working-set curve with
 	// bands (see WorkingSetsSampled).
@@ -352,8 +352,8 @@ func StackDistances(src TraceSource, lineSize, maxCacheSize int) (*StackProfile,
 // SampledStackDistances estimates the stack-distance profile from a
 // spatially-hashed sample of the stream (SHARDS): miss counts for every
 // fully-associative size up to maxCacheSize, with 95% confidence bands,
-// at a fraction of the exact pass's cost. At rate 1 the estimate is
-// bit-identical to StackDistances.
+// at a fraction of the exact pass's cost. StackDistances is this pass at
+// rate 1, so there the estimate is the exact count.
 func SampledStackDistances(src TraceSource, lineSize, maxCacheSize int, opt SampledOptions) (*SampledProfile, error) {
 	return memsys.SampledStackDistances(src, lineSize, maxCacheSize, opt)
 }
