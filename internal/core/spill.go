@@ -29,11 +29,11 @@ import (
 // Spilled containers are content-addressed by the trace identity (the
 // same key space as every derived replay, SuiteVersion included), so a
 // later process reuses a spilled trace the way it reuses cached replay
-// results. Because a few programs are scheduler-dependent, a reused
-// file must be *verified*, not trusted: a sidecar JSON carries the
-// recording run's counters plus the container's SHA-256, and a reader
-// that finds a mismatched hash (concurrent writer, torn update,
-// corruption) re-records instead of replaying the wrong bytes.
+// results. A reused file must be *verified*, not trusted: a sidecar
+// JSON carries the recording run's counters plus the container's
+// SHA-256, and a reader that finds a mismatched hash (concurrent writer,
+// torn update, corruption) re-records instead of replaying the wrong
+// bytes.
 
 // spillOrphanAge guards the open-time orphan sweep: writeSpilled renames
 // the container before the sidecar, so a live concurrent writer presents
@@ -124,8 +124,8 @@ func (e *Engine) recordSpillJob(g *runner.Graph, id traceIdent) runner.Job[recor
 		}
 		out, ok := e.loadSpilled(name)
 		if !ok {
-			// A concurrent writer of a scheduler-dependent app replaced the
-			// pair between our renames; fall back to the trace in hand.
+			// A concurrent writer replaced the pair between our renames;
+			// fall back to the trace in hand.
 			return recordOut{Trace: tr, Stats: st}, nil
 		}
 		return out, nil

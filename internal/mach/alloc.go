@@ -40,8 +40,8 @@ func Owner(o int) Placement {
 // Alloc reserves words of shared or private simulated memory with the given
 // placement and returns its base address. Allocations are rounded up to
 // whole cache lines so a line never spans allocations with different homes.
-// Alloc is safe for concurrent use (Radiosity subdivides during the
-// parallel phase).
+// Alloc may be called during a parallel phase (Radiosity subdivides
+// patches); the baton serializes it like every other processor action.
 func (m *Machine) Alloc(words int, shared bool, place Placement) Addr {
 	if words < 0 {
 		panic(fmt.Sprintf("mach: negative allocation %d", words))
@@ -55,31 +55,19 @@ func (m *Machine) Alloc(words int, shared bool, place Placement) Addr {
 		lines = 1
 	}
 
-	m.allocMu.Lock()
-	base := m.nextLine
-	m.nextLine += uint64(lines)
-	// Appending may grow in place: slots beyond the published length are
-	// written only here (under allocMu) and readers never look past the
-	// length of the snapshot they loaded, so the lock-free lookups in
-	// homeOf/isShared stay race-free. The store publishes the new entries.
-	old := m.hm.Load()
-	homes, sharedMap := old.homes, old.shared
+	base := len(m.homes)
 	for i := 0; i < lines; i++ {
 		h := place(i, lines, m.cfg.Procs)
 		if h < 0 || h >= m.cfg.Procs {
-			m.allocMu.Unlock()
 			panic(fmt.Sprintf("mach: placement returned node %d of %d", h, m.cfg.Procs))
 		}
-		homes = append(homes, int32(h))
-		sharedMap = append(sharedMap, shared)
+		m.homes = append(m.homes, int32(h))
+		m.shared = append(m.shared, shared)
 	}
-	m.hm.Store(&homeMap{homes: homes, shared: sharedMap})
-	m.allocMu.Unlock()
 	return Addr(base) * Addr(m.memCfg.LineSize)
 }
 
 // AllocatedWords returns the allocation high-water mark in words.
 func (m *Machine) AllocatedWords() uint64 {
-	lines := uint64(len(m.hm.Load().homes))
-	return lines * uint64(m.memCfg.LineSize/WordBytes)
+	return uint64(len(m.homes)) * uint64(m.memCfg.LineSize/WordBytes)
 }

@@ -12,17 +12,16 @@
 // overhead of redundant computation and parallelism management (§4).
 //
 // Applications are ordinary Go code: each simulated processor runs in its
-// own goroutine and issues explicit Read/Write/Instr/Flop events. Shared
-// data lives both in regular Go memory (for values) and in the simulated
-// address space (for the reference stream), tied together by the typed
-// array helpers in array.go.
+// own goroutine and issues explicit Read/Write/Instr/Flop events, and
+// exactly one processor executes at a time, in logical-time order
+// (sched.go). Shared data lives both in regular Go memory (for values)
+// and in the simulated address space (for the reference stream), tied
+// together by the typed array helpers in array.go.
 package mach
 
 import (
 	"fmt"
 	"math/bits"
-	"sync"
-	"sync/atomic"
 
 	"splash2/internal/memsys"
 )
@@ -66,15 +65,6 @@ func (c Config) MemConfig() memsys.Config {
 	}.WithDefaults()
 }
 
-// homeMap is an immutable snapshot of the allocator's placement state:
-// per-line home node and shared flag. Alloc publishes a fresh snapshot
-// atomically after each allocation, so the memory system's per-reference
-// home and sharing lookups read it without taking any lock.
-type homeMap struct {
-	homes  []int32
-	shared []bool
-}
-
 // Machine is one simulated multiprocessor.
 type Machine struct {
 	cfg    Config
@@ -85,17 +75,20 @@ type Machine struct {
 	// validated power of two).
 	lineShift uint
 
-	allocMu  sync.Mutex // serializes allocators; readers use hm
-	nextLine uint64     // allocation high-water mark, in lines
-	hm       atomic.Pointer[homeMap]
+	// Allocator placement state, one entry per allocated line: home node
+	// and shared flag. The length is the allocation high-water mark.
+	homes  []int32
+	shared []bool
 
 	procs []*Proc
 
-	statMu   sync.Mutex
 	baseTime []uint64
 	base     []Counters
 
-	win windowState
+	// failure is the message of a panic or deadlock that ended a Run
+	// (sched.go); the machine is unusable afterwards.
+	failure string
+
 	rec *memsys.Recorder
 }
 
@@ -108,7 +101,6 @@ func New(cfg Config) (*Machine, error) {
 	}
 	cfg.Procs = mc.Procs
 	m := &Machine{cfg: cfg, memCfg: mc, lineShift: uint(bits.TrailingZeros(uint(mc.LineSize)))}
-	m.hm.Store(&homeMap{})
 	if cfg.MemModel == FullMem {
 		sys, err := memsys.New(mc, m.homeOf)
 		if err != nil {
@@ -118,12 +110,11 @@ func New(cfg Config) (*Machine, error) {
 	}
 	m.procs = make([]*Proc, cfg.Procs)
 	for i := range m.procs {
-		m.procs[i] = &Proc{ID: i, m: m}
+		m.procs[i] = &Proc{ID: i, m: m, baton: make(chan struct{}, 1)}
 	}
 	m.setCaptureFlags()
 	m.baseTime = make([]uint64, cfg.Procs)
 	m.base = make([]Counters, cfg.Procs)
-	m.win.init(cfg.Procs)
 	return m, nil
 }
 
@@ -145,24 +136,19 @@ func (m *Machine) Config() Config { return m.cfg }
 // LineSize returns the cache line size in bytes.
 func (m *Machine) LineSize() int { return m.memCfg.LineSize }
 
-// homeOf implements memsys.HomeFn. It runs on every simulated cache
-// miss, so it reads the atomically published snapshot instead of
-// taking a lock.
+// homeOf implements memsys.HomeFn.
 func (m *Machine) homeOf(line uint64) int {
-	hm := m.hm.Load()
-	if line < uint64(len(hm.homes)) {
-		return int(hm.homes[line])
+	if line < uint64(len(m.homes)) {
+		return int(m.homes[line])
 	}
 	return 0
 }
 
 // isShared reports whether the line holding byte address a was allocated
-// as shared data. It runs on every reference, so it reads the published
-// snapshot once and takes no lock.
+// as shared data.
 func (m *Machine) isShared(a Addr) bool {
-	hm := m.hm.Load()
 	line := uint64(a) >> m.lineShift
-	return line < uint64(len(hm.shared)) && hm.shared[line]
+	return line < uint64(len(m.shared)) && m.shared[line]
 }
 
 // reserveAllocated sizes the memory system's tables exactly to the
@@ -181,14 +167,9 @@ func (m *Machine) reserveAllocated() {
 // next phase, so every processor joins a fresh epoch strictly above all
 // current ones. Must be called while all processors are quiescent.
 func (m *Machine) epochFork() {
-	var max uint64
+	next := m.maxEpoch() + 1
 	for _, p := range m.procs {
-		if p.epoch > max {
-			max = p.epoch
-		}
-	}
-	for _, p := range m.procs {
-		p.epoch = max + 1
+		p.epoch = next
 	}
 }
 
@@ -202,35 +183,6 @@ func (m *Machine) maxEpoch() uint64 {
 		}
 	}
 	return max
-}
-
-// Run executes body once per processor, each on its own goroutine, and
-// waits for all of them. It may be called repeatedly for multi-phase
-// programs; logical clocks persist across calls.
-func (m *Machine) Run(body func(p *Proc)) {
-	m.reserveAllocated()
-	m.epochFork()
-	var wg sync.WaitGroup
-	wg.Add(len(m.procs))
-	for _, p := range m.procs {
-		go func(p *Proc) {
-			defer wg.Done()
-			p.unpark()
-			defer p.park() // park flushes the reference buffer
-			body(p)
-		}(p)
-	}
-	wg.Wait()
-}
-
-// RunOne executes body on processor 0 only (sequential setup phases).
-func (m *Machine) RunOne(body func(p *Proc)) {
-	m.reserveAllocated()
-	m.epochFork()
-	p := m.procs[0]
-	p.unpark()
-	defer p.park()
-	body(p)
 }
 
 // StartRecording begins capturing the global reference stream; the
@@ -273,8 +225,7 @@ func (m *Machine) FinishRecording() *memsys.Trace {
 		return nil
 	}
 	m.flushAll()
-	homes := append([]int32(nil), m.hm.Load().homes...)
-	tr := m.rec.Finish(homes)
+	tr := m.rec.Finish(append([]int32(nil), m.homes...))
 	m.rec = nil
 	m.setCaptureFlags()
 	return tr
@@ -294,8 +245,6 @@ func (m *Machine) ResetStats() {
 		// ties with the next phase's events, where markers merge first.
 		m.rec.RecordResetAt(m.maxEpoch() + 1)
 	}
-	m.statMu.Lock()
-	defer m.statMu.Unlock()
 	for i, p := range m.procs {
 		m.baseTime[i] = p.time
 		m.base[i] = p.c
@@ -306,7 +255,7 @@ func (m *Machine) ResetStats() {
 // steady-state behaviour is measured "after initialization and cold start"
 // (§2.2). Every processor must call it. The reset runs inside the barrier
 // — executed by the last arriver while the others are still blocked — so
-// no processor's counters are read while being mutated.
+// every counter it reads is settled.
 func (m *Machine) Epoch(p *Proc, b *Barrier) {
 	b.wait(p, func(release, releaseEpoch uint64) {
 		if m.sys != nil {
@@ -318,8 +267,6 @@ func (m *Machine) Epoch(p *Proc, b *Barrier) {
 			// merge before events.
 			m.rec.RecordResetAt(releaseEpoch)
 		}
-		m.statMu.Lock()
-		defer m.statMu.Unlock()
 		for i, q := range m.procs {
 			// All clocks join to the release time on departure.
 			m.baseTime[i] = release
@@ -339,8 +286,6 @@ type Stats struct {
 
 // Snapshot captures current counters relative to the measurement baseline.
 func (m *Machine) Snapshot() Stats {
-	m.statMu.Lock()
-	defer m.statMu.Unlock()
 	st := Stats{Procs: make([]Counters, len(m.procs))}
 	for i, p := range m.procs {
 		st.Procs[i] = p.c.sub(m.base[i])

@@ -10,16 +10,25 @@ const refBufCap = 256
 type Proc struct {
 	ID int
 
-	m         *Machine
-	time      uint64 // logical PRAM clock
-	published uint64 // clock last stored for the window (see window.go)
-	c         Counters
+	m    *Machine
+	time uint64 // logical PRAM clock
+	c    Counters
+
+	// Scheduling (see sched.go). baton receives the machine's baton;
+	// yieldAt is the clock at which tick offers it to the next runnable
+	// processor; on is the synchronization object a blocked processor
+	// waits on.
+	state   procState
+	baton   chan struct{}
+	yieldAt uint64
+	on      any
 
 	// Batched reference capture (see internal/README.md, "Event ordering
 	// under batched capture"). References append to evbuf/tmbuf with no
 	// lock and no interface call; flushRefs drains both into the memory
 	// system (one lock per batch) and the recorder (private sub-stream)
-	// at buffer-full, at every synchronization point, and at phase ends.
+	// at buffer-full, at every synchronization point and baton handoff,
+	// and at phase ends.
 	// epoch is the processor's Lamport-style synchronization epoch: it
 	// strictly increases across every release→acquire edge the processor
 	// participates in, which is what lets the recorder merge per-proc
@@ -72,15 +81,20 @@ func (p *Proc) buffer(a Addr, write bool) {
 	}
 }
 
+// tick offers the baton once the clock reaches the end of p's quantum; it
+// is the whole per-instruction cost of logical-time execution.
+func (p *Proc) tick() {
+	if p.time >= p.yieldAt {
+		p.yield()
+	}
+}
+
 // flushRefs drains the reference buffer into the memory system and the
 // recorder. Must be called (directly or via a sync point) before any
 // epoch change — recorded events are stamped with the epoch at flush
-// time — and before any code reads memory-system statistics. Every flush
-// point is also a forced clock publication: the processor is about to
-// block on a lock or a synchronization object, and others should throttle
-// against its exact clock meanwhile.
+// time — before handing over the baton, and before any code reads
+// memory-system statistics.
 func (p *Proc) flushRefs() {
-	p.publish()
 	if len(p.evbuf) == 0 {
 		return
 	}
@@ -123,13 +137,13 @@ func (p *Proc) Read(a Addr) {
 	p.c.Instr++
 	p.c.Reads++
 	p.time++
-	p.tick()
 	if p.m.isShared(a) {
 		p.c.SharedReads++
 	}
 	if p.capture {
 		p.buffer(a, false)
 	}
+	p.tick()
 }
 
 // Write issues a store to byte address a.
@@ -137,13 +151,13 @@ func (p *Proc) Write(a Addr) {
 	p.c.Instr++
 	p.c.Writes++
 	p.time++
-	p.tick()
 	if p.m.isShared(a) {
 		p.c.SharedWrites++
 	}
 	if p.capture {
 		p.buffer(a, true)
 	}
+	p.tick()
 }
 
 // ReadN issues n consecutive word loads starting at a.
@@ -168,6 +182,5 @@ func (p *Proc) wait(t uint64) {
 	if t > p.time {
 		p.c.SyncWait += t - p.time
 		p.time = t
-		p.publish()
 	}
 }

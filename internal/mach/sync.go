@@ -1,6 +1,9 @@
 package mach
 
-import "sync"
+// Every operation below runs under the machine's baton (sched.go). One
+// whose outcome depends on order first yields to any logically earlier
+// runnable processor, and a processor that must wait blocks until the
+// releasing operation wakes it.
 
 // Barrier is a reusable all-processor barrier with PRAM time semantics:
 // every participant leaves with its clock advanced to the maximum arrival
@@ -10,18 +13,13 @@ import "sync"
 // capture: every participant flushes its buffer on arrival, and all
 // depart in a fresh synchronization epoch strictly above every
 // arrival epoch, so recorded pre-barrier events merge before recorded
-// post-barrier events regardless of goroutine scheduling.
+// post-barrier events.
 type Barrier struct {
 	n int
 
-	mu           sync.Mutex
-	cv           *sync.Cond
-	arrived      int
-	gen          uint64
-	maxTime      uint64
-	releaseTime  uint64
-	maxEpoch     uint64
-	releaseEpoch uint64
+	arrived  int
+	maxTime  uint64
+	maxEpoch uint64
 }
 
 // NewBarrier returns a barrier for all processors of the machine.
@@ -34,9 +32,7 @@ func NewBarrier(n int) *Barrier {
 	if n <= 0 {
 		panic("mach: barrier needs at least one participant")
 	}
-	b := &Barrier{n: n}
-	b.cv = sync.NewCond(&b.mu)
-	return b
+	return &Barrier{n: n}
 }
 
 // Wait blocks until all n participants have arrived.
@@ -44,10 +40,9 @@ func (b *Barrier) Wait(p *Proc) { b.wait(p, nil) }
 
 // wait implements Wait; when onRelease is non-nil the last arriver invokes
 // it with the release time and release epoch while every other participant
-// is still blocked under the barrier mutex — a race-free point for global
-// actions like measurement resets (Machine.Epoch).
+// is still blocked — the point for global actions like measurement resets
+// (Machine.Epoch). The others join the release time only after it returns.
 func (b *Barrier) wait(p *Proc, onRelease func(releaseTime, releaseEpoch uint64)) {
-	b.mu.Lock()
 	p.c.Barriers++
 	if e := p.syncRelease(); e > b.maxEpoch {
 		b.maxEpoch = e
@@ -56,31 +51,18 @@ func (b *Barrier) wait(p *Proc, onRelease func(releaseTime, releaseEpoch uint64)
 		b.maxTime = p.time
 	}
 	b.arrived++
-	if b.arrived == b.n {
-		b.releaseTime = b.maxTime
-		b.releaseEpoch = b.maxEpoch + 1
-		b.arrived = 0
-		b.maxTime = 0
-		b.maxEpoch = 0
-		b.gen++
-		p.wait(b.releaseTime)
-		p.syncAcquire(b.releaseEpoch - 1)
-		if onRelease != nil {
-			onRelease(b.releaseTime, b.releaseEpoch)
-		}
-		b.cv.Broadcast()
-		b.mu.Unlock()
+	if b.arrived < b.n {
+		p.block(b) // woken at the release time, in the release epoch
 		return
 	}
-	gen := b.gen
-	p.park()
-	for gen == b.gen {
-		b.cv.Wait()
+	release, releaseEpoch := b.maxTime, b.maxEpoch+1
+	b.arrived, b.maxTime, b.maxEpoch = 0, 0, 0
+	p.wait(release)
+	p.syncAcquire(releaseEpoch - 1)
+	if onRelease != nil {
+		onRelease(release, releaseEpoch)
 	}
-	p.unpark()
-	p.wait(b.releaseTime)
-	p.syncAcquire(b.releaseEpoch - 1)
-	b.mu.Unlock()
+	p.wake(b, release, releaseEpoch-1)
 }
 
 // Lock is a mutual-exclusion lock with PRAM serialization: an acquirer
@@ -89,22 +71,26 @@ func (b *Barrier) wait(p *Proc, onRelease func(releaseTime, releaseEpoch uint64)
 // up as serialization exactly as in the paper's speedup model. The zero
 // value is an unlocked Lock.
 //
-// A release→acquire pair is an epoch edge for batched capture. Note the
-// order in which contending processors acquire a Lock is
-// scheduler-dependent, so epochs assigned through contended locks — and
-// the merged recording order of the events they protect — vary between
-// runs; recordings are byte-stable only for programs whose measured
-// phases are barrier/flag-structured (see internal/README.md).
+// Contending processors acquire in request order: an acquirer first
+// yields to every logically earlier runnable processor, and a release
+// wakes its waiters at the clocks they requested at, so the earliest
+// retries first. A release→acquire pair is an epoch edge for batched
+// capture, so recordings of lock-ordered programs are byte-stable too
+// (see internal/README.md).
 type Lock struct {
-	mu          sync.Mutex
+	held        bool
 	lastRelease uint64
 	lastEpoch   uint64
 }
 
 // Acquire takes the lock.
 func (l *Lock) Acquire(p *Proc) {
-	l.mu.Lock()
+	p.yield()
 	p.c.Locks++
+	for l.held {
+		p.block(l)
+	}
+	l.held = true
 	p.wait(l.lastRelease)
 	p.syncAcquire(l.lastEpoch)
 }
@@ -117,7 +103,10 @@ func (l *Lock) Release(p *Proc) {
 	if e := p.syncRelease(); e > l.lastEpoch {
 		l.lastEpoch = e
 	}
-	l.mu.Unlock()
+	l.held = false
+	// Waiters keep their request clocks (join clock 0, epoch 0): each
+	// joins the release time and epoch in Acquire once it holds the lock.
+	p.wake(l, 0, 0)
 }
 
 // Flag is a one-shot flag ("pause" in SPLASH-2 terminology): waiters block
@@ -129,11 +118,9 @@ func (l *Lock) Release(p *Proc) {
 // no-op and publishes neither time nor epoch, so a second setter's
 // buffered references are not ordered before the waiters. Flags
 // therefore assume a single setter for epoch/ordering purposes — the
-// SPLASH-2 "pause" idiom — and a racing second setter's events merge
-// only at its own next synchronization point.
+// SPLASH-2 "pause" idiom — and a second setter's events merge only at
+// its own next synchronization point.
 type Flag struct {
-	mu       sync.Mutex
-	cv       *sync.Cond
 	set      bool
 	setTime  uint64
 	setEpoch uint64
@@ -142,43 +129,28 @@ type Flag struct {
 // MakeFlags allocates n flags (e.g. one per block column in Cholesky).
 func MakeFlags(n int) []Flag { return make([]Flag, n) }
 
-func (f *Flag) cond() *sync.Cond {
-	if f.cv == nil {
-		f.cv = sync.NewCond(&f.mu)
-	}
-	return f.cv
-}
-
 // Set raises the flag, waking all waiters. Setting twice is a no-op.
 func (f *Flag) Set(p *Proc) {
-	f.mu.Lock()
-	if !f.set {
-		f.set = true
-		f.setTime = p.time
-		f.setEpoch = p.syncRelease()
-		f.cond().Broadcast()
+	p.yield()
+	if f.set {
+		return
 	}
-	f.mu.Unlock()
+	f.set = true
+	f.setTime = p.time
+	f.setEpoch = p.syncRelease()
+	p.wake(f, f.setTime, f.setEpoch)
 }
 
 // Wait blocks until the flag is set, accounting the wait as a pause.
 func (f *Flag) Wait(p *Proc) {
-	f.mu.Lock()
+	p.yield()
 	p.c.Pauses++
-	cv := f.cond()
-	p.park()
-	for !f.set {
-		cv.Wait()
+	if !f.set {
+		p.block(f)
 	}
-	p.unpark()
 	p.wait(f.setTime)
 	p.syncAcquire(f.setEpoch)
-	f.mu.Unlock()
 }
 
 // IsSet reports whether the flag has been raised (no time accounting).
-func (f *Flag) IsSet() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.set
-}
+func (f *Flag) IsSet() bool { return f.set }

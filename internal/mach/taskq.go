@@ -1,10 +1,5 @@
 package mach
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
 // TaskQueues implements the distributed task queues with task stealing
 // used by Radiosity, Raytrace, Volrend and Cholesky: one queue per
 // processor, locally pushed and popped LIFO, stolen FIFO from victims
@@ -12,13 +7,18 @@ import (
 // shared memory (homed at the owning processor), so queue operations
 // generate the communication that stealing causes in the real programs.
 //
-// Timing model: dequeues of distinct tasks are logically independent, so
-// queue mutual exclusion is real-time only (a Go mutex) and does not
-// propagate release times between processors the way a data lock does —
-// otherwise an owner's local pops would drag every thief's clock forward
-// and fabricate serialization. Instead each task carries the logical time
-// it was pushed: an executor resumes at max(own clock, push time), which
-// is the true dependence. Idle processors block until a push or final
+// Timing model: every queue operation begins by yielding to all
+// logically earlier processors, so which processor pops or steals which
+// task is decided in logical-time order. The yield also leaves the holder
+// a full quantum before tick can hand the baton on, and no operation
+// costs that much (a steal scan probes at most 63 queues), so each one
+// is an indivisible step. Dequeues of distinct tasks are logically
+// independent, so a queue operation does not propagate release times
+// between processors the way a data lock does — otherwise an owner's
+// local pops would drag every thief's clock forward and fabricate
+// serialization. Instead each task carries the logical time it was
+// pushed: an executor resumes at max(own clock, push time), which is the
+// true dependence. Idle processors block until a push or final
 // completion and charge the wait as synchronization time (the paper's
 // "user defined synchronization" category for Radiosity).
 type TaskQueues struct {
@@ -27,15 +27,11 @@ type TaskQueues struct {
 	stamps      []*IntArray // logical push times, parallel to slots
 	heads       *IntArray   // per-proc head index (steal end)
 	tails       *IntArray   // per-proc tail index (local end)
-	qmu         []sync.Mutex
-	qEpoch      []uint64       // per-queue sync epoch, guarded by qmu[q]
-	sizes       []atomic.Int64 // lock-free emptiness probe mirror
-	outstanding atomic.Int64
+	qEpoch      []uint64    // per-queue sync epoch
+	outstanding int64       // pushed but not yet Done
 	capacity    int
 
-	evMu       sync.Mutex
-	evCond     *sync.Cond
-	version    uint64
+	// The latest push or final completion, which idle processors join.
 	eventTime  uint64
 	eventEpoch uint64
 }
@@ -50,7 +46,6 @@ const (
 // NewTaskQueues creates per-processor queues with the given capacity each.
 func (m *Machine) NewTaskQueues(capacity int) *TaskQueues {
 	t := &TaskQueues{m: m, capacity: capacity}
-	t.evCond = sync.NewCond(&t.evMu)
 	n := m.Procs()
 	t.slots = make([]*IntArray, n)
 	t.stamps = make([]*IntArray, n)
@@ -63,64 +58,60 @@ func (m *Machine) NewTaskQueues(capacity int) *TaskQueues {
 	pad := m.LineSize() / WordBytes
 	t.heads = m.NewInt(n*pad, true, Interleaved())
 	t.tails = m.NewInt(n*pad, true, Interleaved())
-	t.qmu = make([]sync.Mutex, n)
 	t.qEpoch = make([]uint64, n)
-	t.sizes = make([]atomic.Int64, n)
 	return t
 }
 
 func (t *TaskQueues) pad() int { return t.m.LineSize() / WordBytes }
 
 // signal records a queue event (push, or last completion) at the caller's
-// logical time and wakes blocked thieves. It is an epoch release edge to
-// match the waiters' acquire in PopOrSteal.
+// logical time and wakes blocked thieves to it. It is an epoch release
+// edge to match the waiters' acquire in PopOrSteal.
 func (t *TaskQueues) signal(p *Proc) {
-	t.evMu.Lock()
-	t.version++
 	if p.time > t.eventTime {
 		t.eventTime = p.time
 	}
 	if e := p.syncRelease(); e > t.eventEpoch {
 		t.eventEpoch = e
 	}
-	t.evCond.Broadcast()
-	t.evMu.Unlock()
+	p.wake(t, t.eventTime, t.eventEpoch)
 }
 
-// Push enqueues a task on p's own queue. Each qmu critical section is an
+// Push enqueues a task on p's own queue. Each queue operation is an
 // epoch acquire/release pair on the queue (like Lock): the slot words a
 // pusher writes merge before the reads of whichever processor later pops
-// or steals the task, because that processor's critical section joins a
+// or steals the task, because that processor's operation joins a
 // strictly higher epoch.
 func (t *TaskQueues) Push(p *Proc, task int) {
-	t.outstanding.Add(1)
+	p.yield()
+	t.outstanding++
 	q := p.ID
-	t.qmu[q].Lock()
 	p.c.Locks++
 	p.syncAcquire(t.qEpoch[q])
 	p.Instr(lockOpCost)
 	tail := t.tails.Get(p, q*t.pad())
 	head := t.heads.Get(p, q*t.pad())
 	if tail-head >= t.capacity {
-		t.qmu[q].Unlock()
 		panic("mach: task queue overflow; increase capacity")
 	}
 	t.slots[q].Set(p, tail%t.capacity, task)
 	t.stamps[q].Set(p, tail%t.capacity, int(p.time))
 	t.tails.Set(p, q*t.pad(), tail+1)
-	t.sizes[q].Add(1)
 	if e := p.syncRelease(); e > t.qEpoch[q] {
 		t.qEpoch[q] = e
 	}
-	t.qmu[q].Unlock()
 	t.signal(p)
 }
 
 // Done marks one previously popped task complete. PopOrSteal only reports
 // global exhaustion when every pushed task has been marked Done, so tasks
-// that spawn subtasks (Radiosity) terminate correctly.
+// that spawn subtasks (Radiosity) terminate correctly. Done yields first
+// like every queue operation: a thief must never see a completion from
+// its logical future.
 func (t *TaskQueues) Done(p *Proc) {
-	if t.outstanding.Add(-1) == 0 {
+	p.yield()
+	t.outstanding--
+	if t.outstanding == 0 {
 		t.signal(p)
 	}
 }
@@ -129,44 +120,28 @@ func (t *TaskQueues) Done(p *Proc) {
 // It returns ok=false only when all tasks everywhere are complete.
 func (t *TaskQueues) PopOrSteal(p *Proc) (task int, ok bool) {
 	for {
-		p.throttle()
-		t.evMu.Lock()
-		v := t.version
-		t.evMu.Unlock()
-
-		if task, ok := t.tryPop(p, p.ID, true); ok {
-			return task, true
-		}
+		p.yield()
+		task, ok := t.tryPop(p, p.ID, true)
 		n := t.m.Procs()
-		for i := 1; i < n; i++ {
+		for i := 1; i < n && !ok; i++ {
 			victim := (p.ID + i) % n
 			p.Instr(probeCost)
-			if t.sizes[victim].Load() == 0 {
-				continue
-			}
-			if task, ok := t.tryPop(p, victim, false); ok {
-				return task, true
+			if t.heads.Peek(victim*t.pad()) != t.tails.Peek(victim*t.pad()) {
+				task, ok = t.tryPop(p, victim, false)
 			}
 		}
-		if t.outstanding.Load() == 0 {
+		if ok {
+			return task, true
+		}
+		if t.outstanding == 0 {
 			// All work complete: idle until the finishing event.
-			t.evMu.Lock()
 			p.wait(t.eventTime)
 			p.syncAcquire(t.eventEpoch)
-			t.evMu.Unlock()
 			return 0, false
 		}
-		// Tasks are in flight elsewhere: block until a push or completion,
-		// then resume at the waking event's logical time (and epoch).
-		t.evMu.Lock()
-		p.park()
-		for t.version == v && t.outstanding.Load() != 0 {
-			t.evCond.Wait()
-		}
-		p.unpark()
-		p.wait(t.eventTime)
-		p.syncAcquire(t.eventEpoch)
-		t.evMu.Unlock()
+		// Tasks are in flight elsewhere: block until a push or completion
+		// wakes p at that event's logical time (and epoch).
+		p.block(t)
 	}
 }
 
@@ -174,8 +149,6 @@ func (t *TaskQueues) PopOrSteal(p *Proc) (task int, ok bool) {
 // owner, FIFO from the steal end for thieves. The executor's clock
 // advances to the task's push time (its true dependence).
 func (t *TaskQueues) tryPop(p *Proc, q int, local bool) (int, bool) {
-	t.qmu[q].Lock()
-	defer t.qmu[q].Unlock()
 	p.c.Locks++
 	p.syncAcquire(t.qEpoch[q])
 	p.Instr(lockOpCost)
@@ -200,7 +173,6 @@ func (t *TaskQueues) tryPop(p *Proc, q int, local bool) (int, bool) {
 	}
 	task := t.slots[q].Get(p, slot)
 	p.wait(uint64(t.stamps[q].Get(p, slot)))
-	t.sizes[q].Add(-1)
 	if e := p.syncRelease(); e > t.qEpoch[q] {
 		t.qEpoch[q] = e
 	}
@@ -208,4 +180,4 @@ func (t *TaskQueues) tryPop(p *Proc, q int, local bool) (int, bool) {
 }
 
 // Outstanding returns the number of pushed-but-not-Done tasks (tests).
-func (t *TaskQueues) Outstanding() int64 { return t.outstanding.Load() }
+func (t *TaskQueues) Outstanding() int64 { return t.outstanding }

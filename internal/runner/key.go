@@ -13,7 +13,7 @@ import (
 // program's reference stream): old cache entries then simply stop
 // matching and experiments are recomputed — there is no explicit cache
 // invalidation step.
-const SuiteVersion = "splash2-suite-v6" // v6: sampled reuse-distance estimator, epoch windows, decode-ahead replay
+const SuiteVersion = "splash2-suite-v7" // v7: logical-time execution
 
 // Key is the content address of one experiment: the SHA-256 of the suite
 // version, the experiment kind, and the canonical JSON encoding of every

@@ -685,3 +685,48 @@ func TestSampledExperiment(t *testing.T) {
 		}
 	}
 }
+
+// TestBodiesIndependentOfFlightOrder: cold traffic and table3 requests
+// for radiosity share its lock- and steal-ordered full-memory runs, and
+// whichever flight happens to execute them, every daemon answers each
+// kind with the same bytes — cold, and warm from the memo afterwards.
+func TestBodiesIndependentOfFlightOrder(t *testing.T) {
+	kinds := []string{core.KindTraffic, core.KindTable3}
+	bodies := map[string][][]byte{}
+	for h := 0; h < 3; h++ {
+		_, ts := newTestServer(t, core.EngineOptions{}, Options{})
+		for _, phase := range []string{"cold", "warm"} {
+			got := make([][]byte, len(kinds))
+			var wg sync.WaitGroup
+			for i, kind := range kinds {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					q := "kind=" + kind + "&apps=radiosity&procs=8&plist=2,8&scale=sweep"
+					resp, err := http.Get(ts.URL + "/v1/experiments?" + q)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					defer resp.Body.Close()
+					got[i], _ = io.ReadAll(resp.Body)
+					if resp.StatusCode != http.StatusOK {
+						t.Errorf("daemon %d, %s %s: status %d: %s", h, phase, kind, resp.StatusCode, got[i])
+					}
+				}()
+			}
+			wg.Wait()
+			for i, kind := range kinds {
+				bodies[kind] = append(bodies[kind], got[i])
+			}
+		}
+	}
+	for _, kind := range kinds {
+		for i, b := range bodies[kind] {
+			if !bytes.Equal(b, bodies[kind][0]) {
+				t.Errorf("%s: body %d of %d (daemon %d, %s) differs from daemon 0's cold body",
+					kind, i+1, len(bodies[kind]), i/2, []string{"cold", "warm"}[i%2])
+			}
+		}
+	}
+}
