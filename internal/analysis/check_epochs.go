@@ -16,9 +16,11 @@ package analysis
 // path from function entry to a waiter-waking call must contain an
 // epoch publication first:
 //
-//   - waking calls: Broadcast/Signal on a sync.Cond, and — in functions
-//     that publish a release time (a store to a *elease* field, the
-//     Lock.Release shape) — Unlock on the sync.Mutex guarding it;
+//   - waking calls: Broadcast/Signal on a sync.Cond, a call to a method
+//     named wake (the scheduler's Proc.wake, which makes blocked
+//     waiters runnable), and — in functions that publish a release time
+//     (a store to a *elease* field, the Lock.Release shape) — Unlock on
+//     the sync.Mutex guarding it;
 //   - publications: a call to syncRelease (whose receiver flushes and
 //     returns the current epoch) or a store to an epoch-named field.
 
@@ -64,17 +66,24 @@ func epochPublication(info *types.Info, n ast.Node) bool {
 	return found
 }
 
-// condWakeCall matches Broadcast/Signal on a *sync.Cond.
-func condWakeCall(info *types.Info, call *ast.CallExpr) bool {
+// wakeCall matches Broadcast/Signal on a *sync.Cond and any method call
+// named wake.
+func wakeCall(info *types.Info, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "Broadcast" && sel.Sel.Name != "Signal") {
+	if !ok {
 		return false
 	}
 	s := info.Selections[sel]
-	if s == nil {
+	if s == nil || s.Kind() != types.MethodVal {
 		return false
 	}
-	return isSyncType(s.Recv(), "Cond")
+	switch sel.Sel.Name {
+	case "wake":
+		return true
+	case "Broadcast", "Signal":
+		return isSyncType(s.Recv(), "Cond")
+	}
+	return false
 }
 
 // mutexUnlockCall matches Unlock/RUnlock on sync.Mutex/RWMutex.
@@ -134,7 +143,7 @@ func runEpochsFunc(pass *Pass, info *types.Info, g *CFG) {
 	for _, b := range g.Blocks {
 		for _, n := range b.Nodes {
 			inspectAtom(n, func(m ast.Node) bool {
-				if call, ok := m.(*ast.CallExpr); ok && condWakeCall(info, call) {
+				if call, ok := m.(*ast.CallExpr); ok && wakeCall(info, call) {
 					wakes = true
 				}
 				return !wakes
@@ -174,7 +183,7 @@ func runEpochsFunc(pass *Pass, info *types.Info, g *CFG) {
 						if !ok {
 							return true
 						}
-						if condWakeCall(info, call) {
+						if wakeCall(info, call) {
 							pass.Reportf(call.Pos(),
 								"%s wakes waiters before publishing a recorder epoch on some path; call syncRelease (and store the epoch) first, or waiters join an epoch that does not cover the releaser's buffered references", g.FuncName())
 						} else if checkUnlocks && mutexUnlockCall(info, call) {

@@ -1,8 +1,8 @@
 // Package epochs seeds violations of the release→acquire epoch
 // publication order: a waiter-waking call (sync.Cond Broadcast/Signal,
-// or the Unlock paired with a release-time store) reached on a path
-// with no prior epoch publication. The shapes mirror internal/mach's
-// Flag.Set and Lock.Release.
+// a scheduler wake, or the Unlock paired with a release-time store)
+// reached on a path with no prior epoch publication. The shapes mirror
+// internal/mach's Flag.Set and Lock.Release.
 package epochs
 
 import "sync"
@@ -14,6 +14,31 @@ type proc struct{ epoch uint64 }
 func (p *proc) syncRelease() uint64 {
 	p.epoch++
 	return p.epoch
+}
+
+// wake mirrors mach.Proc.wake: it makes the processors blocked on on
+// runnable in the published epoch.
+func (p *proc) wake(on any, epoch uint64) {}
+
+// The scheduler shape of Flag.Set: no mutex, the wake is the edge.
+type schedFlag struct {
+	set      bool
+	setEpoch uint64
+}
+
+func (f *schedFlag) setOK(p *proc) {
+	if f.set {
+		return
+	}
+	f.set = true
+	f.setEpoch = p.syncRelease()
+	p.wake(f, f.setEpoch)
+}
+
+func (f *schedFlag) wakeBeforePublish(p *proc) {
+	f.set = true
+	p.wake(f, f.setEpoch) // want epochs
+	f.setEpoch = p.syncRelease()
 }
 
 type flag struct {

@@ -72,7 +72,10 @@ import (
 // therefore exact for every depth < W, and capacities ≤ W·lineSize
 // are answered exactly as refs − hits — no sampling error at all —
 // while larger capacities use the SHARDS estimate, whose granularity
-// 1/R is by then a small fraction of the capacity.
+// 1/R is by then a small fraction of the capacity. If no window ever
+// pushed a line out of its bottom slot, every processor's whole stack
+// fitted in its window, so the window histograms are the complete
+// distance histograms and every capacity is answered exactly.
 
 // SampledOptions configures a sampled stack-distance pass.
 type SampledOptions struct {
@@ -258,6 +261,10 @@ type SampledProfile struct {
 	// exactly from wins[p].hist, with zero-width bands.
 	exactLines int
 	wins       []*exactWindow
+	// windowWhole flags a pass in which no window ever dropped a line:
+	// each window held its processor's whole stack, so capacities past
+	// exactLines are exact too.
+	windowWhole bool
 	// strata[k] is hash stratum k's share of the tracked counts,
 	// aggregated across processors — the bands cover the aggregate miss
 	// ratio. Left empty by an exact pass.
@@ -329,6 +336,7 @@ func SampledStackDistances(src TraceSource, lineSize, maxCacheSize int, opt Samp
 		winHolders = make([]uint64, lines) // line -> bitset of procs holding it in-window
 		sp.wins = wins
 		sp.exactLines = wins[0].w
+		sp.windowWhole = true
 	}
 	stacks := make([]sdStack, nproc)
 	for p := 0; p < nproc; p++ {
@@ -392,6 +400,7 @@ func SampledStackDistances(src TraceSource, lineSize, maxCacheSize int, opt Samp
 				} else {
 					if dropped, ok := ew.insert(line); ok {
 						winHolders[dropped] &^= 1 << uint(p)
+						sp.windowWhole = false
 					}
 					winHolders[line] |= 1 << uint(p)
 				}
@@ -507,20 +516,20 @@ func (sp *SampledProfile) SampledRefs() uint64 { return sp.sampledRefs }
 func (sp *SampledProfile) ExactLines() int { return sp.exactLines }
 
 // EstProcMisses returns processor p's estimated miss count in a fully-
-// associative LRU cache of the given size. At rate 1, or for capacities
-// within the exact window, the estimate equals StackProfile.ProcMisses
-// exactly.
+// associative LRU cache of the given size. At rate 1, for capacities
+// within the exact window, or for any capacity when the window held
+// every stack whole, the estimate equals StackProfile.ProcMisses exactly.
 func (sp *SampledProfile) EstProcMisses(p, cacheSize int) (float64, error) {
 	capLines, err := sp.capacityLines(cacheSize)
 	if err != nil {
 		return 0, err
 	}
 	c := &sp.procs[p]
-	if capLines <= sp.exactLines {
+	if capLines <= sp.exactLines || sp.windowWhole {
 		// Within the exact window: misses = refs − exact hits above the
 		// capacity depth. Integer arithmetic throughout — no estimate.
 		hits := uint64(0)
-		for _, n := range sp.wins[p].hist[:capLines] {
+		for _, n := range sp.wins[p].hist[:min(capLines, sp.exactLines)] {
 			hits += n
 		}
 		return float64(c.reads + c.writes - hits), nil
@@ -560,7 +569,8 @@ func (sp *SampledProfile) EstMissRate(cacheSize int) (float64, error) {
 
 // Band returns a 95% confidence interval for the aggregate miss ratio
 // at the given cache size, from a jackknife over the hash strata. An
-// exact pass (rate 1) returns a zero-width band at the estimate. The
+// exact answer (rate 1, a window-covered capacity, or a whole window)
+// is a zero-width band at the estimate. The
 // band is clamped to [0, 1].
 func (sp *SampledProfile) Band(cacheSize int) (lo, hi float64, err error) {
 	capLines, err := sp.capacityLines(cacheSize)
@@ -571,7 +581,7 @@ func (sp *SampledProfile) Band(cacheSize int) (lo, hi float64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	if sp.exact || capLines <= sp.exactLines {
+	if sp.exact || capLines <= sp.exactLines || sp.windowWhole {
 		return est, est, nil
 	}
 	refs := sp.Refs()

@@ -236,6 +236,30 @@ func TestSampledErrorEnvelope(t *testing.T) {
 	}
 }
 
+// TestSampledWholeWindowExact: when no processor's stack ever outgrows
+// the exact window, the window holds every stack whole, so capacities
+// past the window match Replay bit for bit with zero-width bands at any
+// sampling rate. A window the stacks outgrow is not whole.
+func TestSampledWholeWindowExact(t *testing.T) {
+	const procs = 4
+	tr := buildSharingTrace(11, procs, 20000, true) // 80 lines per processor
+	for _, w := range []int{128, 64} {
+		sp, err := SampledStackDistances(tr, 64, stackSizes[len(stackSizes)-1], SampledOptions{Rate: 0.05, Seed: 3, ExactLines: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sp.windowWhole != (w == 128) {
+			t.Fatalf("window=%d: whole = %v", w, sp.windowWhole)
+		}
+		if !sp.windowWhole {
+			continue
+		}
+		for _, cs := range stackSizes {
+			checkAgainstReplay(t, fmt.Sprintf("window=%d", w), sp, replayFullyAssoc(t, tr, procs, 64, cs), cs)
+		}
+	}
+}
+
 // TestSampledExactLinesRounding: the window depth rounds up to a power
 // of two and is reported by ExactLines.
 func TestSampledExactLinesRounding(t *testing.T) {
@@ -293,9 +317,9 @@ func TestSampledValidation(t *testing.T) {
 // three line sizes, a hot shared region plus private regions, optional
 // reset markers): Replay is the oracle; StackDistances, the sampled
 // pass at rate 1 with and without a window, and the window-covered
-// capacities of the sampled pass at rates 0.3 and 0.05 must agree with
-// it per processor and in miss-rate bits, from memory and through a
-// TraceFile.
+// capacities (every capacity, when the window held each stack whole) of
+// the sampled pass at rates 0.3 and 0.05 must agree with it per
+// processor and in miss-rate bits, from memory and through a TraceFile.
 func TestSampledDifferentialGeneratedTraces(t *testing.T) {
 	capLines := []int{1, 2, 3, 8, 64, 512}
 	f := func(seed int64) bool {
@@ -336,7 +360,7 @@ func TestSampledDifferentialGeneratedTraces(t *testing.T) {
 					t.Errorf("%s cs=%d: StackDistances rate %v != replay %v", what, cs, got, st.MissRate())
 				}
 				for _, sp := range sampled {
-					if sp.Exact() || c <= sp.ExactLines() {
+					if sp.Exact() || c <= sp.ExactLines() || sp.windowWhole {
 						checkAgainstReplay(t, fmt.Sprintf("%s rate=%v window=%d", what, sp.Rate(), sp.ExactLines()), sp, st, cs)
 					}
 				}
