@@ -193,7 +193,6 @@ func replay(args []string, stdout, stderr io.Writer) int {
 	sweep := fs.Bool("sweep", false, "replay the full 1K-1M cache-size sweep")
 	stream := fs.Bool("stream", false, "stream a v2 container from disk instead of decoding it into memory")
 	window := fs.String("window", "", `replay only epochs [start, start+len) as "start:len" (streaming skips out-of-range blocks)`)
-	workers := fs.Int("j", 0, "sweep parallelism (0 = GOMAXPROCS)")
 	faultSpec := fs.String("fault", "", `inject read faults: "action[(arg)][@nth]=trace.read;..."`)
 	faultSeed := fs.Int64("fault-seed", 1, "seed choosing the occurrence of @-nth fault rules")
 	if err := fs.Parse(args); err != nil {
@@ -235,18 +234,20 @@ func replay(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *sweep {
-		sizes := splash2.DefaultCacheSizes()
-		cfgs := make([]splash2.MemConfig, len(sizes))
-		for i, cs := range sizes {
-			cfgs[i] = splash2.MemConfig{Procs: p, CacheSize: cs, Assoc: *assoc, LineSize: *line}
+		if p < meta.MinProcs {
+			return fail(stderr, fmt.Errorf("trace needs ≥ %d processors, replay machine has %d", meta.MinProcs, p))
 		}
-		stats, err := splash2.ReplaySweep(src, cfgs, *workers)
+		rate, err := sweepRates(src, *assoc, *line)
 		if err != nil {
 			return fail(stderr, err)
 		}
 		fmt.Fprintf(stdout, "%-10s %-10s\n", "cache", "miss rate")
-		for i, cs := range sizes {
-			fmt.Fprintf(stdout, "%-10s %.3f%%\n", fmt.Sprintf("%dK", cs/1024), 100*stats[i].MissRate())
+		for _, cs := range splash2.DefaultCacheSizes() {
+			mr, err := rate(cs)
+			if err != nil {
+				return fail(stderr, err)
+			}
+			fmt.Fprintf(stdout, "%-10s %.3f%%\n", fmt.Sprintf("%dK", cs/1024), 100*mr)
 		}
 		return cli.ExitOK
 	}
@@ -265,6 +266,26 @@ func replay(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "traffic    local %d B, remote %d B (overhead %d B)\n",
 		st.Traffic.LocalData, st.Traffic.Remote(), st.Traffic.RemoteOverhead)
 	return cli.ExitOK
+}
+
+// sweepRates answers the whole Figure-3 cache-size sweep from one pass
+// over the stream: the inclusion pass for set-associative caches, the
+// stack-distance pass for fully associative ones (assoc 0). Each rate is
+// bit-identical to replaying that cache size on its own.
+func sweepRates(src splash2.TraceSource, assoc, line int) (func(cacheSize int) (float64, error), error) {
+	sizes := splash2.DefaultCacheSizes()
+	if assoc == memsys.FullyAssoc {
+		sp, err := memsys.StackDistances(src, line, sizes[len(sizes)-1])
+		if err != nil {
+			return nil, err
+		}
+		return sp.MissRate, nil
+	}
+	sp, err := memsys.SetAssocSweep(src, line, assoc, sizes)
+	if err != nil {
+		return nil, err
+	}
+	return sp.MissRate, nil
 }
 
 // parseWindow parses the -window epoch range "start:len".

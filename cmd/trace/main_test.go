@@ -2,12 +2,16 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
+	"splash2"
 	"splash2/internal/cli"
+	"splash2/internal/memsys"
 )
 
 func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
@@ -127,6 +131,45 @@ func TestReplayWindow(t *testing.T) {
 	for _, bad := range []string{"nope", "1", "1:0", "-2:3", ":"} {
 		if code, _, _ := runCLI(t, "replay", "-i", v2, "-window", bad); code != cli.ExitUsage {
 			t.Errorf("-window %q exited %d, want %d", bad, code, cli.ExitUsage)
+		}
+	}
+}
+
+// TestSweepMatchesPerSizeReplay pins the -sweep table, set-associative
+// (-assoc 4) and fully associative (-assoc 0), from v1 and v2 input, to
+// the table per-size ReplayTrace calls print.
+func TestSweepMatchesPerSizeReplay(t *testing.T) {
+	dir := t.TempDir()
+	for _, format := range []string{"v1", "v2"} {
+		path := filepath.Join(dir, "fft."+format)
+		if code, _, stderr := runCLI(t, "record", "-app", "fft", "-p", "4", "-opt", "n=1024", "-o", path, "-format", format); code != cli.ExitOK {
+			t.Fatalf("record exited %d: %s", code, stderr)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := memsys.ReadTrace(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, assoc := range []int{4, memsys.FullyAssoc} {
+			want := fmt.Sprintf("%-10s %-10s\n", "cache", "miss rate")
+			for _, cs := range splash2.DefaultCacheSizes() {
+				st, err := splash2.ReplayTrace(tr, splash2.MemConfig{Procs: tr.Meta().MinProcs, CacheSize: cs, Assoc: assoc, LineSize: 64})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want += fmt.Sprintf("%-10s %.3f%%\n", fmt.Sprintf("%dK", cs/1024), 100*st.MissRate())
+			}
+			code, got, stderr := runCLI(t, "replay", "-i", path, "-sweep", "-assoc", strconv.Itoa(assoc))
+			if code != cli.ExitOK {
+				t.Fatalf("%s -assoc %d sweep exited %d: %s", format, assoc, code, stderr)
+			}
+			if got != want {
+				t.Errorf("%s -assoc %d sweep:\n got %s\nwant %s", format, assoc, got, want)
+			}
 		}
 	}
 }

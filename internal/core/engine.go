@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"os"
@@ -132,10 +130,13 @@ const (
 	// and PRAM times are identical to LiveExec — timing never depends on
 	// the memory model — and traces are shared across configurations, so
 	// multi-configuration reports re-execute each program once. Memory
-	// statistics come from the replay interleaving, which orders
-	// references deterministically at sync boundaries rather than by
-	// live lock-acquisition order; results are cached under distinct
-	// keys ("replayrun") so the two modes never alias.
+	// statistics come from the recorded interleaving, which the recorder
+	// merges by sync epoch, then processor; a live run feeds the memory
+	// system in the order the logical-time scheduler (internal/mach/
+	// sched.go) runs the processors. Both orders are deterministic and
+	// legal, but they differ, so the two modes' memory statistics may
+	// too; results are cached under distinct keys ("replayrun") so they
+	// never alias.
 	RecordReplayExec
 )
 
@@ -436,54 +437,4 @@ func (e *Engine) recordStatsJob(g *runner.Graph, rec runner.Job[recordOut], id t
 		out, err := rec.Result()
 		return out.Stats, err
 	})
-}
-
-// ReplaySweep replays an already-loaded reference stream (an in-memory
-// trace or an opened TraceFile) through each configuration in parallel.
-// Replays are keyed by a digest of the stream content — the digest is
-// format-independent (v1 bytes of the same events), so converting a
-// trace file between v1 and v2 never invalidates cached replays.
-func (e *Engine) ReplaySweep(src memsys.TraceSource, cfgs []memsys.Config) ([]memsys.Stats, error) {
-	wt, ok := src.(io.WriterTo)
-	if !ok {
-		return nil, fmt.Errorf("core: trace source %T is not digestable (io.WriterTo)", src)
-	}
-	h := sha256.New()
-	if _, err := wt.WriteTo(h); err != nil {
-		return nil, err
-	}
-	digest := hex.EncodeToString(h.Sum(nil))
-	g := e.newGraph()
-	jobs := make([]runner.Job[memsys.Stats], len(cfgs))
-	for i, cfg := range cfgs {
-		cfg := cfg.WithDefaults()
-		jobs[i] = runner.Submit(g, runner.Spec{
-			Label: fmt.Sprintf("replay trace %dK/%s/%dB", cfg.CacheSize/1024, assocLabel(cfg.Assoc), cfg.LineSize),
-			Key:   runner.KeyOf("replayfile", digest, cfg),
-		}, func(ctx context.Context) (memsys.Stats, error) {
-			return memsys.Replay(src, cfg)
-		})
-	}
-	if err := g.Wait(e.ctx); err != nil {
-		return nil, err
-	}
-	out := make([]memsys.Stats, len(cfgs))
-	for i, j := range jobs {
-		st, err := j.Result()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = st
-	}
-	return out, nil
-}
-
-// ReplaySweep is the package-level serial form of Engine.ReplaySweep
-// with configurable parallelism and no disk cache.
-func ReplaySweep(src memsys.TraceSource, cfgs []memsys.Config, workers int) ([]memsys.Stats, error) {
-	e, err := NewEngine(EngineOptions{Workers: workers})
-	if err != nil {
-		return nil, err
-	}
-	return e.ReplaySweep(src, cfgs)
 }

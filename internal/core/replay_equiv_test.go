@@ -8,9 +8,8 @@ import (
 )
 
 // equivTestTrace records one program's reference stream at sweep scale
-// for the fused-replay equivalence tests. Each equivalence check must
-// compare both paths on the SAME trace: recording is scheduling-
-// dependent, so separate recordings are different interleavings.
+// for the fused-replay equivalence tests, which compare both paths on
+// that one recording.
 func equivTestTrace(t *testing.T, app string) *memsys.Trace {
 	t.Helper()
 	tr, _, err := RecordApp(app, 4, SweepScale.Overrides(app))
@@ -84,19 +83,17 @@ func TestStackDistancesMatchReplayOnAppTraces(t *testing.T) {
 	}
 }
 
-// TestWorkingSetsMatchPerConfigReplays: the fused Figure-3 grid (stack
-// distances for fully-associative points, multi-replay for the
-// set-associative ones) must be bit-identical to the per-configuration
-// serial path it replaced. Both sides run on ONE recorded trace: program
-// scheduling is not deterministic, so two recordings of the same program
-// are distinct interleavings with (legitimately) different miss counts.
+// TestWorkingSetsMatchPerConfigReplays: the Figure-3 grid (the inclusion
+// pass for set-associative points, stack distances for fully-associative
+// ones) must be bit-identical to per-configuration replays of the same
+// recording at every default size and associativity.
 func TestWorkingSetsMatchPerConfigReplays(t *testing.T) {
-	cacheSizes := []int{2 << 10, 8 << 10, 32 << 10, 128 << 10}
-	assocs := []int{1, 4, memsys.FullyAssoc}
+	cacheSizes := DefaultCacheSizes()
+	assocs := []int{1, 2, 4, 8, memsys.FullyAssoc}
 	const app = "fft"
 
 	tr := equivTestTrace(t, app)
-	grid, err := workingSetMissRates(tr, 4, cacheSizes, assocs)
+	grid, err := workingSetMissRates(tr, cacheSizes, assocs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +107,47 @@ func TestWorkingSetsMatchPerConfigReplays(t *testing.T) {
 				t.Fatal(err)
 			}
 			if want := 100 * st.MissRate(); grid[ai][si] != want {
-				t.Errorf("assoc=%d size=%dK: fused grid %v, serial replay %v", assoc, cs/1024, grid[ai][si], want)
+				t.Errorf("assoc=%d size=%dK: grid %v, per-config replay %v", assoc, cs/1024, grid[ai][si], want)
+			}
+		}
+	}
+}
+
+// TestSetAssocSweepMatchesReplayMultiSuite: on each of the twelve
+// programs' sweep-scale recordings at 8 processors, the inclusion pass
+// must reproduce ReplayMulti's per-processor miss counts at every
+// default cache size for 1-, 2- and 4-way caches.
+func TestSetAssocSweepMatchesReplayMultiSuite(t *testing.T) {
+	const procs = 8
+	sizes := DefaultCacheSizes()
+	for _, app := range Suite {
+		tr, _, err := RecordApp(app, procs, SweepScale.Overrides(app))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, assoc := range []int{1, 2, 4} {
+			sp, err := memsys.SetAssocSweep(tr, 64, assoc, sizes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfgs := make([]memsys.Config, len(sizes))
+			for i, cs := range sizes {
+				cfgs[i] = memsys.Config{Procs: procs, CacheSize: cs, Assoc: assoc, LineSize: 64}
+			}
+			stats, err := memsys.ReplayMulti(tr, cfgs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, cs := range sizes {
+				for p, ps := range stats[i].Procs {
+					got, err := sp.ProcMisses(p, cs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := ps.TotalMisses(); got != want {
+						t.Errorf("%s %d-way %dK proc %d: sweep %d misses, ReplayMulti %d", app, assoc, cs/1024, p, got, want)
+					}
+				}
 			}
 		}
 	}

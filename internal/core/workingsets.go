@@ -35,17 +35,16 @@ func DefaultCacheSizes() []int {
 
 // WorkingSets sweeps cache size × associativity for each program with
 // 64-byte lines on procs processors (Figure 3). Each program executes
-// once; its recorded reference trace is replayed at every sweep point so
-// all points see the identical stream (§2.2's comparability argument).
+// once; its recorded reference trace answers every sweep point so all
+// points see the identical stream (§2.2's comparability argument).
 func WorkingSets(appNames []string, procs int, cacheSizes []int, assocs []int, scale Scale) ([]MissCurve, error) {
 	return serialEngine().WorkingSets(appNames, procs, cacheSizes, assocs, scale)
 }
 
 // WorkingSets schedules one lazy record job per program feeding a single
 // fused sweep job, so a program whose grid is served from the result
-// cache is never re-executed at all, and an uncached grid costs one
-// multi-configuration pass over the trace instead of one replay per
-// point.
+// cache is never re-executed at all, and an uncached grid costs one pass
+// over the trace per associativity instead of one replay per point.
 func (e *Engine) WorkingSets(appNames []string, procs int, cacheSizes []int, assocs []int, scale Scale) ([]MissCurve, error) {
 	g := e.newGraph()
 	sweeps := make(map[string]runner.Job[[][]float64], len(appNames))
@@ -76,9 +75,9 @@ func (e *Engine) WorkingSets(appNames []string, procs int, cacheSizes []int, ass
 
 // workingSetSweepJob schedules one program's whole Figure-3 grid as a
 // single job (kind "wsweep"): every assoc × cache-size point is computed
-// from the recorded trace in one pass — a stack-distance simulation
-// answers all fully-associative sizes at once and a fused multi-
-// configuration replay covers the set-associative points.
+// from the recorded trace, one pass per associativity answering all
+// sizes at once — the inclusion pass for set-associative caches, the
+// stack-distance pass for fully associative ones.
 func (e *Engine) workingSetSweepJob(g *runner.Graph, rec runner.Job[recordOut], id traceIdent, cacheSizes, assocs []int) runner.Job[[][]float64] {
 	return runner.Submit(g, runner.Spec{
 		Label: fmt.Sprintf("wsweep %s %d sizes × %d assocs", id.App, len(cacheSizes), len(assocs)),
@@ -89,62 +88,47 @@ func (e *Engine) workingSetSweepJob(g *runner.Graph, rec runner.Job[recordOut], 
 		if err != nil {
 			return nil, err
 		}
-		return workingSetMissRates(out.Trace, id.Procs, cacheSizes, assocs)
+		return workingSetMissRates(out.Trace, cacheSizes, assocs)
 	})
 }
 
 // workingSetMissRates computes the assoc-major miss-rate grid of a
 // Figure-3 sweep: grid[ai][ci] is the percentage miss rate with 64-byte
-// lines at assocs[ai], cacheSizes[ci] — numerically identical, point by
-// point, to replaying each configuration separately. The stream may be
-// in memory or an out-of-core TraceFile; both passes consume it block
-// by block.
-func workingSetMissRates(tr memsys.TraceSource, procs int, cacheSizes, assocs []int) ([][]float64, error) {
+// lines at assocs[ai], cacheSizes[ci] — bit-identical, point by point,
+// to replaying each configuration separately. Each associativity costs
+// one pass over the stream that answers every size at once: the
+// inclusion pass (memsys.SetAssocSweep) for set-associative caches, the
+// stack-distance pass for fully associative ones. The stream may be in
+// memory or an out-of-core TraceFile; both passes consume it block by
+// block.
+func workingSetMissRates(tr memsys.TraceSource, cacheSizes, assocs []int) ([][]float64, error) {
+	rates := make(map[int]func(cacheSize int) (float64, error), len(assocs))
 	grid := make([][]float64, len(assocs))
-	for i := range grid {
-		grid[i] = make([]float64, len(cacheSizes))
-	}
-
-	// Set-associative points: one fused replay drives every configuration
-	// off a single decode of the trace.
-	var cfgs []memsys.Config
-	var at [][2]int
 	for ai, assoc := range assocs {
-		if assoc == memsys.FullyAssoc {
-			continue
-		}
-		for ci, cs := range cacheSizes {
-			cfgs = append(cfgs, memsys.Config{Procs: procs, CacheSize: cs, Assoc: assoc, LineSize: 64})
-			at = append(at, [2]int{ai, ci})
-		}
-	}
-	stats, err := memsys.ReplayMulti(tr, cfgs)
-	if err != nil {
-		return nil, err
-	}
-	for i, st := range stats {
-		grid[at[i][0]][at[i][1]] = 100 * st.MissRate()
-	}
-
-	// Fully-associative points: one stack-distance pass answers all sizes.
-	var sp *memsys.StackProfile
-	for ai, assoc := range assocs {
-		if assoc != memsys.FullyAssoc {
-			continue
-		}
-		if sp == nil {
-			maxSize := 0
-			for _, cs := range cacheSizes {
-				if cs > maxSize {
-					maxSize = cs
+		rate, ok := rates[assoc]
+		if !ok {
+			if assoc == memsys.FullyAssoc {
+				maxSize := 0
+				for _, cs := range cacheSizes {
+					maxSize = max(maxSize, cs)
 				}
+				sp, err := memsys.StackDistances(tr, 64, maxSize)
+				if err != nil {
+					return nil, err
+				}
+				rate = sp.MissRate
+			} else {
+				sp, err := memsys.SetAssocSweep(tr, 64, assoc, cacheSizes)
+				if err != nil {
+					return nil, err
+				}
+				rate = sp.MissRate
 			}
-			if sp, err = memsys.StackDistances(tr, 64, maxSize); err != nil {
-				return nil, err
-			}
+			rates[assoc] = rate
 		}
+		grid[ai] = make([]float64, len(cacheSizes))
 		for ci, cs := range cacheSizes {
-			mr, err := sp.MissRate(cs)
+			mr, err := rate(cs)
 			if err != nil {
 				return nil, err
 			}

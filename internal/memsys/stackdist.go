@@ -118,6 +118,27 @@ func (pr *profile) Refs() uint64 {
 	return n
 }
 
+// totalMisses sums every processor's misses at histogram index i.
+func (pr *profile) totalMisses(i int) uint64 {
+	var total uint64
+	for p := range pr.procs {
+		total += pr.procs[p].misses(i)
+	}
+	return total
+}
+
+// missRate returns misses per reference at histogram index i. It
+// performs the same integer sums and single float division as
+// Stats.MissRate, so the result is bit-identical to replaying the trace
+// at the matching size.
+func (pr *profile) missRate(i int) float64 {
+	refs := pr.Refs()
+	if refs == 0 {
+		return 0
+	}
+	return float64(pr.totalMisses(i)) / float64(refs)
+}
+
 // capacityLines validates a queried cache size and converts it to lines.
 func (pr *profile) capacityLines(cacheSize int) (int, error) {
 	if cacheSize < pr.lineSize || cacheSize%pr.lineSize != 0 {
@@ -306,29 +327,20 @@ func (sp *StackProfile) ProcMisses(p, cacheSize int) (uint64, error) {
 // Misses returns the total miss count across processors for a fully-
 // associative LRU cache of the given size.
 func (sp *StackProfile) Misses(cacheSize int) (uint64, error) {
-	var total uint64
-	for p := range sp.procs {
-		m, err := sp.ProcMisses(p, cacheSize)
-		if err != nil {
-			return 0, err
-		}
-		total += m
-	}
-	return total, nil
-}
-
-// MissRate returns misses per reference for a fully-associative LRU
-// cache of the given size. It performs the same integer sums and single
-// float division as Stats.MissRate, so the result is bit-identical to
-// replaying the trace at that size.
-func (sp *StackProfile) MissRate(cacheSize int) (float64, error) {
-	misses, err := sp.Misses(cacheSize)
+	capLines, err := sp.capacityLines(cacheSize)
 	if err != nil {
 		return 0, err
 	}
-	refs := sp.Refs()
-	if refs == 0 {
-		return 0, nil
+	return sp.totalMisses(capLines), nil
+}
+
+// MissRate returns misses per reference for a fully-associative LRU
+// cache of the given size, bit-identical to replaying the trace at that
+// size.
+func (sp *StackProfile) MissRate(cacheSize int) (float64, error) {
+	capLines, err := sp.capacityLines(cacheSize)
+	if err != nil {
+		return 0, err
 	}
-	return float64(misses) / float64(refs), nil
+	return sp.missRate(capLines), nil
 }

@@ -262,6 +262,9 @@ func TestTraceFileCorruptBlocks(t *testing.T) {
 			if _, err := Replay(tf, cfg); err == nil {
 				t.Fatal("streaming replay accepted a corrupt block")
 			}
+			if _, err := SetAssocSweep(tf, cfg.LineSize, cfg.Assoc, []int{cfg.CacheSize}); err == nil {
+				t.Fatal("set-associative sweep accepted a corrupt block")
+			}
 		})
 	}
 }

@@ -377,12 +377,3 @@ func WorkingSetsSampled(appNames []string, procs int, cacheSizes []int, rate flo
 // the index footer is parsed at open, event blocks stream from disk
 // during replay. Convert a v1 trace with `trace convert`.
 func OpenTraceFile(path string) (*TraceFile, error) { return memsys.OpenTraceFile(path, nil) }
-
-// ReplaySweep replays one recorded trace through each configuration,
-// scheduling the replays across workers goroutines (≤ 0 selects
-// GOMAXPROCS). Replay is read-only on the trace — an out-of-core
-// TraceFile streams its blocks independently per worker — and results
-// are identical to serial ReplayTrace calls.
-func ReplaySweep(src TraceSource, cfgs []MemConfig, workers int) ([]MemStats, error) {
-	return core.ReplaySweep(src, cfgs, workers)
-}
