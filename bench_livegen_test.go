@@ -82,9 +82,9 @@ func BenchmarkLiveGenAllocHeavy(b *testing.B) {
 }
 
 // BenchmarkLiveGenRecordThenReplay measures the record-then-replay
-// composition behind the -mode record-replay execution path: generate
-// the stream once under count-only recording, then drive the cache
-// simulation from the trace.
+// composition behind the Figure 3 and Figure 7–8 sweeps, for one
+// configuration: generate the stream once under count-only recording,
+// then drive the cache simulation from the trace.
 func BenchmarkLiveGenRecordThenReplay(b *testing.B) {
 	mc := splash2.MemConfig{Procs: 8, CacheSize: 1 << 20, Assoc: 4, LineSize: 64}
 	for i := 0; i < b.N; i++ {

@@ -8,7 +8,6 @@
 //	characterize -scale default       # default (larger) problem sizes
 //	characterize -scale paper         # the paper's published sizes (slow)
 //	characterize -apps fft,lu -p 16
-//	characterize -mode record-replay  # trace each program once, replay per config
 //	characterize -all-assocs          # Figure 3 with 1/2/4-way and full
 //	characterize -sample-rate 0.01    # add the SHARDS-sampled working-set estimate
 //	characterize -sample-seed 7       # … with a different spatial-hash seed
@@ -93,7 +92,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		procs      = fs.Int("p", 32, "processors for fixed-count experiments")
 		procList   = fs.String("plist", "1,2,4,8,16,32", "processor counts for scaling sweeps")
 		scaleName  = fs.String("scale", "sweep", `problem sizes: "sweep", "default" or "paper"`)
-		modeName   = fs.String("mode", "live", `full-memory execution: "live" (inline simulation) or "record-replay" (trace once, replay per configuration)`)
 		spill      = fs.Bool("spill-traces", false, "stream recorded traces to on-disk v2 containers and replay out of core")
 		allAssocs  = fs.Bool("all-assocs", false, "Figure 3 with all associativities")
 		sampleRate = fs.Float64("sample-rate", 0, "add the SHARDS-sampled working-set estimate at this rate, (0, 1] (0 = off)")
@@ -124,9 +122,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	o := splash2.ReportOptions{
-		Procs: *procs, AllAssocs: *allAssocs, Plot: *plot, Workers: *workers,
-		KeepGoing: *keepGoing, Timeout: *timeout, Retries: *retries, RetryBackoff: *retryBackoff,
-		SpillTraces: *spill, Deadline: *deadline, NoJournal: *noJournal,
+		EngineOptions: splash2.EngineOptions{
+			Workers: *workers, KeepGoing: *keepGoing, Timeout: *timeout, Retries: *retries,
+			RetryBackoff: *retryBackoff, SpillTraces: *spill, Deadline: *deadline, NoJournal: *noJournal,
+		},
+		Procs: *procs, AllAssocs: *allAssocs, Plot: *plot,
 		SampleRate: *sampleRate, SampleSeed: *sampleSeed,
 	}
 	if *sampleRate < 0 || *sampleRate > 1 {
@@ -147,10 +147,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return exitUsage
 	}
 	if o.Scale, err = cli.ParseScale(*scaleName); err != nil {
-		fmt.Fprintln(stderr, "characterize:", err)
-		return exitUsage
-	}
-	if o.ExecMode, err = cli.ParseExecMode(*modeName); err != nil {
 		fmt.Fprintln(stderr, "characterize:", err)
 		return exitUsage
 	}

@@ -9,7 +9,6 @@
 //	splashd -addr 127.0.0.1:9000
 //	splashd -j 8 -cache-dir /var/cache/splash2
 //	splashd -no-cache                # memo only, nothing on disk
-//	splashd -mode record-replay      # trace once, replay per configuration
 //	splashd -max-inflight 4 -max-queue 16 -per-client 8
 //	splashd -timeout 5m -retries 2   # per-experiment fault policy
 //	splashd -drain-timeout 30s       # graceful SIGTERM budget
@@ -85,7 +84,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		workers  = fs.Int("j", 0, "experiment-level parallelism (0 = GOMAXPROCS)")
 		cacheDir = fs.String("cache-dir", "", "result cache directory (default: <user cache dir>/splash2)")
 		noCache  = fs.Bool("no-cache", false, "disable the on-disk result cache")
-		modeName = fs.String("mode", "live", `full-memory execution: "live" or "record-replay"`)
 		progress = fs.Bool("progress", false, "live per-experiment progress on stderr")
 
 		maxInflight = fs.Int("max-inflight", 4, "experiments executing concurrently")
@@ -121,11 +119,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		eo.LeaseTTL = -1 // user asked for no leases
 	} else {
 		eo.LeaseTTL = *leaseTTL
-	}
-	var err error
-	if eo.ExecMode, err = cli.ParseExecMode(*modeName); err != nil {
-		fmt.Fprintln(stderr, "splashd:", err)
-		return cli.ExitUsage
 	}
 	switch {
 	case *noCache:

@@ -19,7 +19,7 @@ import (
 func TestUsageErrors(t *testing.T) {
 	cases := [][]string{
 		{"-bogus"},
-		{"-mode", "warp"},
+		{"-mode", "live"}, // no such flag: one execution path
 		{"-no-cache", "-cache-dir", "/tmp/x"},
 		{"-fault", "???"},
 		{"stray-arg"},

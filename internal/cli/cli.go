@@ -68,6 +68,3 @@ func ParseProcList(s string) ([]int, error) {
 
 // ParseScale resolves a -scale flag value.
 func ParseScale(name string) (core.Scale, error) { return core.ParseScale(name) }
-
-// ParseExecMode resolves a -mode flag value.
-func ParseExecMode(name string) (core.ExecMode, error) { return core.ParseExecMode(name) }

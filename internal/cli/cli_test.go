@@ -48,10 +48,4 @@ func TestParseDelegates(t *testing.T) {
 	if _, err := ParseScale("huge"); err == nil {
 		t.Error("ParseScale accepted huge")
 	}
-	if m, err := ParseExecMode("record-replay"); err != nil || m != core.RecordReplayExec {
-		t.Errorf("ParseExecMode = %v, %v", m, err)
-	}
-	if _, err := ParseExecMode("warp"); err == nil {
-		t.Error("ParseExecMode accepted warp")
-	}
 }

@@ -31,7 +31,6 @@ type Engine struct {
 	cancel    context.CancelFunc // releases the engine deadline (root only)
 	journal   *runner.Journal    // durable run journal (root only)
 	keepGoing bool
-	mode      ExecMode
 	spillDir  string // non-empty: record jobs spill v2 traces here
 	fault     *fault.Injector
 
@@ -73,9 +72,6 @@ type ScopeOptions struct {
 	// KeepGoing sets the scope's failure policy (per request, independent
 	// of the engine's and of other scopes').
 	KeepGoing bool
-	// ExecMode selects live simulation or record-then-replay for this
-	// scope's full-memory experiments.
-	ExecMode ExecMode
 	// OnProgress receives this scope's job-completion events only; nil
 	// disables. It must not block (see runner.ProgressFunc).
 	OnProgress runner.ProgressFunc
@@ -83,9 +79,9 @@ type ScopeOptions struct {
 
 // Scoped returns a request-scoped view of the engine: same runner (one
 // worker pool, one memo, one cache — results computed by any scope warm
-// every other), but its own context, failure policy, execution mode,
-// progress sink and failure log. Failed jobs are never memoized or
-// cached, so one scope's failures cannot poison another's results.
+// every other), but its own context, failure policy, progress sink and
+// failure log. Failed jobs are never memoized or cached, so one scope's
+// failures cannot poison another's results.
 func (e *Engine) Scoped(o ScopeOptions) *Engine {
 	ctx := o.Context
 	if ctx == nil {
@@ -95,7 +91,6 @@ func (e *Engine) Scoped(o ScopeOptions) *Engine {
 		r:          e.r,
 		ctx:        ctx,
 		keepGoing:  o.KeepGoing,
-		mode:       o.ExecMode,
 		spillDir:   e.spillDir,
 		fault:      e.fault,
 		onProgress: o.OnProgress,
@@ -116,29 +111,6 @@ func (e *Engine) newGraph() *runner.Graph {
 	}
 	return g
 }
-
-// ExecMode selects how full-memory experiments execute.
-type ExecMode int
-
-const (
-	// LiveExec simulates the memory system inline with program execution
-	// (the classic path).
-	LiveExec ExecMode = iota
-	// RecordReplayExec records each program's reference trace under the
-	// count-only model (cheap with batched capture) and drives the cache
-	// simulation from the trace via memsys.Replay. Per-processor counters
-	// and PRAM times are identical to LiveExec — timing never depends on
-	// the memory model — and traces are shared across configurations, so
-	// multi-configuration reports re-execute each program once. Memory
-	// statistics come from the recorded interleaving, which the recorder
-	// merges by sync epoch, then processor; a live run feeds the memory
-	// system in the order the logical-time scheduler (internal/mach/
-	// sched.go) runs the processors. Both orders are deterministic and
-	// legal, but they differ, so the two modes' memory statistics may
-	// too; results are cached under distinct keys ("replayrun") so they
-	// never alias.
-	RecordReplayExec
-)
 
 // EngineOptions configures an Engine.
 type EngineOptions struct {
@@ -166,10 +138,6 @@ type EngineOptions struct {
 	// Fault is the deterministic fault injector threaded through job
 	// execution and cache I/O; nil disables injection.
 	Fault *fault.Injector
-
-	// ExecMode selects live simulation or record-then-replay for
-	// full-memory experiments (see ExecMode).
-	ExecMode ExecMode
 
 	// SpillTraces makes record jobs stream each recorded trace to an
 	// on-disk columnar v2 container and replay it out of core through a
@@ -262,7 +230,6 @@ func NewEngine(o EngineOptions) (*Engine, error) {
 		}),
 		ctx:       ctx,
 		keepGoing: o.KeepGoing,
-		mode:      o.ExecMode,
 	}, nil
 }
 
@@ -356,13 +323,7 @@ type recordOut struct {
 }
 
 // runJob schedules one full program execution (experiment kind "run").
-// Under RecordReplayExec, full-memory runs are rerouted through a trace
-// recording plus replay; count-only runs have no memory system to
-// simulate and always execute live.
 func (e *Engine) runJob(g *runner.Graph, app string, cfg mach.Config, over map[string]int) runner.Job[*RunResult] {
-	if e.mode == RecordReplayExec && cfg.MemModel == mach.FullMem {
-		return e.replayRunJob(g, app, cfg, over)
-	}
 	ident := runIdent{App: app, Opts: canonOpts(over), Mem: cfg.MemConfig(), MemModel: int(cfg.MemModel)}
 	return runner.Submit(g, runner.Spec{
 		Label: fmt.Sprintf("run %s p=%d cache=%dK/%d-way/%dB model=%d",
@@ -370,38 +331,6 @@ func (e *Engine) runJob(g *runner.Graph, app string, cfg mach.Config, over map[s
 		Key: runner.KeyOf("run", ident),
 	}, func(ctx context.Context) (*RunResult, error) {
 		return Run(app, cfg, over)
-	})
-}
-
-// replayRunJob schedules a full-memory experiment as record + replay
-// (kind "replayrun"): the program executes once under count-only
-// recording — shared with every other configuration that needs the same
-// trace — and the memory statistics come from replaying the trace
-// through the requested cache configuration. Processor counters and the
-// PRAM time are the recording run's: timing is independent of the
-// memory model, so they equal a live run's exactly.
-func (e *Engine) replayRunJob(g *runner.Graph, app string, cfg mach.Config, over map[string]int) runner.Job[*RunResult] {
-	mc := cfg.MemConfig()
-	tid := traceIdent{App: app, Procs: mc.Procs, Opts: canonOpts(over)}
-	rec := e.recordJob(g, tid)
-	ident := runIdent{App: app, Opts: canonOpts(over), Mem: mc, MemModel: int(cfg.MemModel)}
-	return runner.Submit(g, runner.Spec{
-		Label: fmt.Sprintf("replayrun %s p=%d cache=%dK/%d-way/%dB",
-			app, mc.Procs, mc.CacheSize/1024, mc.Assoc, mc.LineSize),
-		Key:  runner.KeyOf("replayrun", ident),
-		Deps: []runner.Handle{rec},
-	}, func(ctx context.Context) (*RunResult, error) {
-		out, err := rec.Result()
-		if err != nil {
-			return nil, err
-		}
-		mem, err := memsys.Replay(out.Trace, mc)
-		if err != nil {
-			return nil, err
-		}
-		st := out.Stats // struct copy; Procs slice is shared read-only
-		st.Mem = mem
-		return &RunResult{App: app, Cfg: cfg, Stats: st}, nil
 	})
 }
 

@@ -18,7 +18,8 @@ import (
 var engineTestApps = []string{"fft", "lu", "radix", "barnes"}
 
 // engineTestOptions is a small but complete characterization: every
-// experiment kind (run, record, recordstats, replay) is exercised.
+// experiment kind (run, record, recordstats, and the wsweep and lssweep
+// replays) is exercised.
 func engineTestOptions() ReportOptions {
 	return ReportOptions{
 		Apps:       engineTestApps,

@@ -35,7 +35,7 @@ type Results struct {
 // CollectResults runs the full characterization and returns the raw data
 // (the machine-readable twin of Report).
 func CollectResults(o ReportOptions) (*Results, error) {
-	e, err := NewEngine(o.engineOptions())
+	e, err := NewEngine(o.EngineOptions)
 	if err != nil {
 		return nil, err
 	}
@@ -44,6 +44,7 @@ func CollectResults(o ReportOptions) (*Results, error) {
 }
 
 // CollectResults is the engine form of the package-level CollectResults.
+// The engine's own options apply; o.EngineOptions is ignored.
 func (e *Engine) CollectResults(o ReportOptions) (*Results, error) {
 	o = o.WithDefaults()
 	res := &Results{Procs: o.Procs}

@@ -3,15 +3,18 @@ package core
 import (
 	"fmt"
 	"io"
-	"time"
 
-	"splash2/internal/fault"
 	"splash2/internal/memsys"
 	"splash2/internal/textplot"
 )
 
-// ReportOptions controls the full characterization run.
+// ReportOptions controls the full characterization run. The embedded
+// EngineOptions configure the engine that the package-level Report and
+// CollectResults create; the Engine methods of the same names run on the
+// receiver's own configuration and ignore them.
 type ReportOptions struct {
+	EngineOptions
+
 	Apps       []string
 	Procs      int   // default 32 (the paper's fixed count, §2.2)
 	ProcList   []int // speedup / traffic sweep points
@@ -21,30 +24,6 @@ type ReportOptions struct {
 	CacheSizes []int
 	LineSizes  []int
 
-	// Workers is the experiment-level parallelism (0 = GOMAXPROCS).
-	// Results are identical at any setting: each experiment is
-	// deterministic under PRAM timing, so scheduling cannot change them.
-	Workers int
-	// CacheDir roots the content-addressed result cache; empty disables
-	// caching (cmd/characterize defaults it to <user cache dir>/splash2).
-	CacheDir string
-	// Progress receives live per-job completion lines (normally stderr).
-	Progress io.Writer
-
-	// KeepGoing completes the characterization past failed experiments:
-	// lost rows render as FAILED(label: cause) placeholders and the run
-	// ends with a failure manifest plus an ErrFailures-wrapped error.
-	KeepGoing bool
-	// Timeout bounds each experiment attempt; 0 disables.
-	Timeout time.Duration
-	// Retries grants extra attempts to transiently failing experiments.
-	Retries int
-	// RetryBackoff is the first-retry delay (doubling per retry);
-	// ≤ 0 selects the scheduler default.
-	RetryBackoff time.Duration
-	// Fault injects deterministic faults (tests, chaos drills); nil
-	// disables injection.
-	Fault *fault.Injector
 	// ManifestOut receives the JSON failure manifest at the end of a
 	// keep-going run that lost experiments; nil skips writing it.
 	ManifestOut io.Writer
@@ -55,43 +34,6 @@ type ReportOptions struct {
 	SampleRate float64
 	// SampleSeed seeds the estimator's spatial hash (0 selects 1).
 	SampleSeed uint64
-
-	// ExecMode selects live simulation or record-then-replay for
-	// full-memory experiments (cmd/characterize's -mode flag).
-	ExecMode ExecMode
-	// SpillTraces streams recorded traces to on-disk columnar v2
-	// containers and replays them out of core (cmd/characterize's
-	// -spill-traces flag); see EngineOptions.SpillTraces.
-	SpillTraces bool
-
-	// LeaseTTL configures cross-process work leases (see
-	// EngineOptions.LeaseTTL): 0 default, negative disables.
-	LeaseTTL time.Duration
-	// NoJournal disables the durable run journal (see
-	// EngineOptions.NoJournal).
-	NoJournal bool
-	// Deadline bounds the whole run; 0 disables (see
-	// EngineOptions.Deadline).
-	Deadline time.Duration
-}
-
-// engineOptions extracts the scheduler configuration.
-func (o ReportOptions) engineOptions() EngineOptions {
-	return EngineOptions{
-		Workers:      o.Workers,
-		CacheDir:     o.CacheDir,
-		Progress:     o.Progress,
-		KeepGoing:    o.KeepGoing,
-		Timeout:      o.Timeout,
-		Retries:      o.Retries,
-		RetryBackoff: o.RetryBackoff,
-		Fault:        o.Fault,
-		ExecMode:     o.ExecMode,
-		SpillTraces:  o.SpillTraces,
-		LeaseTTL:     o.LeaseTTL,
-		NoJournal:    o.NoJournal,
-		Deadline:     o.Deadline,
-	}
 }
 
 // WithDefaults fills unset fields.
@@ -116,11 +58,10 @@ func (o ReportOptions) WithDefaults() ReportOptions {
 
 // Report runs the complete characterization — every table and figure of
 // the paper — writing the formatted results to w. Experiments are
-// scheduled through a runner configured by o.Workers, o.CacheDir and
-// o.Progress; identical experiments needed by several sections execute
-// once.
+// scheduled through an engine configured by o.EngineOptions; identical
+// experiments needed by several sections execute once.
 func Report(w io.Writer, o ReportOptions) error {
-	e, err := NewEngine(o.engineOptions())
+	e, err := NewEngine(o.EngineOptions)
 	if err != nil {
 		return err
 	}
@@ -128,7 +69,8 @@ func Report(w io.Writer, o ReportOptions) error {
 	return e.Report(w, o)
 }
 
-// Report is the engine form of the package-level Report.
+// Report is the engine form of the package-level Report. The engine's
+// own options apply; o.EngineOptions is ignored.
 func (e *Engine) Report(w io.Writer, o ReportOptions) error {
 	o = o.WithDefaults()
 

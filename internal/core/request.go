@@ -34,8 +34,6 @@ type Request struct {
 	// Scale names the problem sizes: "sweep" (default), "default" or
 	// "paper".
 	Scale string `json:"scale,omitempty"`
-	// Mode names the execution mode: "live" (default) or "record-replay".
-	Mode string `json:"mode,omitempty"`
 	// CacheSizes are the Figure-3 sweep points (workingsets only);
 	// default 1 KB–1 MB powers of two.
 	CacheSizes []int `json:"cacheSizes,omitempty"`
@@ -119,25 +117,6 @@ func ScaleName(s Scale) string {
 	default:
 		return "sweep"
 	}
-}
-
-// ParseExecMode resolves an execution-mode name ("" selects live).
-func ParseExecMode(name string) (ExecMode, error) {
-	switch name {
-	case "", "live":
-		return LiveExec, nil
-	case "record-replay":
-		return RecordReplayExec, nil
-	}
-	return 0, fmt.Errorf("core: unknown mode %q (want live or record-replay)", name)
-}
-
-// ExecModeName is ParseExecMode's inverse.
-func ExecModeName(m ExecMode) string {
-	if m == RecordReplayExec {
-		return "record-replay"
-	}
-	return "live"
 }
 
 // Request validation bounds. These are admission sanity limits for a
@@ -225,12 +204,6 @@ func (r Request) Canonical() (Request, error) {
 	if r.Scale == "" {
 		r.Scale = "sweep"
 	}
-	if _, err := ParseExecMode(r.Mode); err != nil {
-		return r, err
-	}
-	if r.Mode == "" {
-		r.Mode = "live"
-	}
 
 	if len(r.CacheSizes) == 0 {
 		r.CacheSizes = DefaultCacheSizes()
@@ -314,7 +287,6 @@ func (r Request) ETag() string { return `"` + r.Key().String() + `"` }
 // full-characterization path (kind "results").
 func (r Request) reportOptions() ReportOptions {
 	scale, _ := ParseScale(r.Scale)
-	mode, _ := ParseExecMode(r.Mode)
 	return ReportOptions{
 		Apps:       r.Apps,
 		Procs:      r.Procs,
@@ -322,8 +294,6 @@ func (r Request) reportOptions() ReportOptions {
 		Scale:      scale,
 		CacheSizes: r.CacheSizes,
 		LineSizes:  r.LineSizes,
-		KeepGoing:  r.KeepGoing,
-		ExecMode:   mode,
 		// SampleRate/SampleSeed deliberately stay zero — "results" reports
 		// the exact curves; the sampled estimator is its own kind (or
 		// characterize -sample-rate).
@@ -354,11 +324,9 @@ func (e *Engine) Do(ctx context.Context, req Request, onProgress runner.Progress
 		}
 	}
 	scale, _ := ParseScale(cr.Scale)
-	mode, _ := ParseExecMode(cr.Mode)
 	sc := e.Scoped(ScopeOptions{
 		Context:    ctx,
 		KeepGoing:  cr.KeepGoing,
-		ExecMode:   mode,
 		OnProgress: onProgress,
 	})
 

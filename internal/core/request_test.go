@@ -20,8 +20,8 @@ func TestRequestCanonicalDefaults(t *testing.T) {
 	if !reflect.DeepEqual(cr.Apps, Suite) {
 		t.Errorf("apps = %v, want full suite", cr.Apps)
 	}
-	if cr.Procs != 32 || cr.Scale != "sweep" || cr.Mode != "live" {
-		t.Errorf("defaults = procs %d scale %q mode %q", cr.Procs, cr.Scale, cr.Mode)
+	if cr.Procs != 32 || cr.Scale != "sweep" {
+		t.Errorf("defaults = procs %d scale %q", cr.Procs, cr.Scale)
 	}
 	if !reflect.DeepEqual(cr.ProcList, []int{1, 2, 4, 8, 16, 32}) {
 		t.Errorf("procList = %v", cr.ProcList)
@@ -63,7 +63,6 @@ func TestRequestCanonicalRejects(t *testing.T) {
 		{"procs neg", Request{Kind: KindTable1, Procs: -1}, "out of range"},
 		{"plist high", Request{Kind: KindSpeedups, ProcList: []int{1, 65}}, "out of range"},
 		{"bad scale", Request{Kind: KindTable1, Scale: "huge"}, "unknown scale"},
-		{"bad mode", Request{Kind: KindTable1, Mode: "dryrun"}, "unknown mode"},
 		{"cache npo2", Request{Kind: KindTraffic, CacheSize: 3000}, "power of two"},
 		{"line huge", Request{Kind: KindLineSize, LineSizes: []int{1 << 20}}, "power of two"},
 		{"assoc npo2", Request{Kind: KindWorkingSets, Assocs: []int{3}}, "associativity"},
@@ -80,7 +79,7 @@ func TestRequestKeyStability(t *testing.T) {
 	// Equivalent spellings — defaults elided vs. explicit, procList
 	// unsorted — address the same content.
 	a := Request{Kind: KindSpeedups, ProcList: []int{4, 1, 2}}
-	b := Request{Kind: KindSpeedups, ProcList: []int{1, 2, 4}, Procs: 32, Scale: "sweep", Mode: "live"}
+	b := Request{Kind: KindSpeedups, ProcList: []int{1, 2, 4}, Procs: 32, Scale: "sweep"}
 	if a.Key() != b.Key() {
 		t.Error("equivalent requests hash differently")
 	}
@@ -92,9 +91,9 @@ func TestRequestKeyStability(t *testing.T) {
 	if a.Key() == c.Key() {
 		t.Error("different requests collide")
 	}
-	d := Request{Kind: KindSpeedups, ProcList: []int{4, 1, 2}, Mode: "record-replay"}
+	d := Request{Kind: KindSpeedups, ProcList: []int{4, 1, 2}, Scale: "default"}
 	if a.Key() == d.Key() {
-		t.Error("mode change did not change key")
+		t.Error("scale change did not change key")
 	}
 	if tag := a.ETag(); !strings.HasPrefix(tag, `"`) || !strings.HasSuffix(tag, `"`) {
 		t.Errorf("ETag %q not a quoted strong validator", tag)
@@ -118,15 +117,6 @@ func TestParseNamesRoundTrip(t *testing.T) {
 		}
 		if got := ScaleName(s); got != name {
 			t.Errorf("ScaleName(ParseScale(%q)) = %q", name, got)
-		}
-	}
-	for _, name := range []string{"live", "record-replay"} {
-		m, err := ParseExecMode(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := ExecModeName(m); got != name {
-			t.Errorf("ExecModeName(ParseExecMode(%q)) = %q", name, got)
 		}
 	}
 }

@@ -20,8 +20,8 @@ import (
 // Trace spilling: with EngineOptions.SpillTraces, a record job streams
 // the recorded reference stream into an on-disk columnar v2 container
 // and hands its consumers an out-of-core memsys.TraceFile instead of
-// the in-memory event array. Replay jobs (Figure 3, Figure 7–8,
-// replayrun) consume TraceSource and stream block by block, so the
+// the in-memory event array. Replay jobs (Figure 3, Figure 7–8)
+// consume TraceSource and stream block by block, so the
 // engine's peak memory for a sweep drops from O(trace) to O(block
 // buffer) — the difference between running paper-scale inputs on a
 // small box or not at all.

@@ -109,6 +109,64 @@ func TestExperimentBadRequests(t *testing.T) {
 	}
 }
 
+// TestUnknownParametersRejected pins both request forms to the fields
+// the handler reads: a GET query naming anything else, a retired name
+// such as mode included, is a 400 that names the parameter, as is a POST
+// body carrying an unknown field. Every name the handler does read is
+// accepted (If-None-Match: * answers 304 once the request canonicalizes,
+// so nothing executes).
+func TestUnknownParametersRejected(t *testing.T) {
+	_, ts := newTestServer(t, core.EngineOptions{}, Options{})
+	get := func(q string) (int, string) {
+		t.Helper()
+		hr, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/experiments?"+q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hr.Header.Set("If-None-Match", "*")
+		resp, err := http.DefaultClient.Do(hr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+
+	base := "kind=table1&apps=fft&procs=2"
+	for _, bad := range []string{"mode=live", "prcos=8"} {
+		code, body := get(base + "&" + bad)
+		name := strings.SplitN(bad, "=", 2)[0]
+		if code != http.StatusBadRequest || !strings.Contains(body, `"`+name+`"`) {
+			t.Errorf("%s: status %d body %q, want 400 naming %q", bad, code, body, name)
+		}
+	}
+
+	allowed := map[string]string{
+		"kind": "table1", "apps": "fft", "procs": "2", "plist": "1,2",
+		"scale": "sweep", "cacheSize": "65536", "sampleRate": "0.5",
+		"sampleSeed": "3", "keepGoing": "1", "deadline": "30s", "stream": "1",
+	}
+	if len(allowed) != len(queryParams) {
+		t.Errorf("handler accepts %d query parameters, test covers %d", len(queryParams), len(allowed))
+	}
+	for name, v := range allowed {
+		if code, body := get(base + "&" + name + "=" + v); code != http.StatusNotModified {
+			t.Errorf("%s=%s: status %d body %q, want 304", name, v, code, body)
+		}
+	}
+
+	resp, err := http.Post(ts.URL+"/v1/experiments", "application/json",
+		strings.NewReader(`{"kind":"table1","mode":"live"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("POST with mode: status %d, want 400", resp.StatusCode)
+	}
+}
+
 // TestIfNoneMatchSkipsExecution pins the revalidation promise: a client
 // holding a current copy is told so without the daemon running anything
 // — even from cold, because the ETag is the request's content address,

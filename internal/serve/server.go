@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -434,6 +435,15 @@ func etagMatch(header, etag string) bool {
 	return false
 }
 
+// queryParams are the names a GET request may carry: exactly those
+// parseRequest and wantsStream read. Like unknown POST fields, anything
+// else is rejected rather than silently answered with defaults.
+var queryParams = map[string]bool{
+	"kind": true, "apps": true, "procs": true, "plist": true, "scale": true,
+	"cacheSize": true, "sampleRate": true, "sampleSeed": true,
+	"keepGoing": true, "deadline": true, "stream": true,
+}
+
 // parseRequest decodes an experiment spec from a POST JSON body or GET
 // query parameters.
 func parseRequest(r *http.Request) (core.Request, error) {
@@ -447,6 +457,16 @@ func parseRequest(r *http.Request) (core.Request, error) {
 		return req, applyDeadlineHeader(r, &req)
 	}
 	q := r.URL.Query()
+	var unknown []string
+	for name := range q {
+		if !queryParams[name] {
+			unknown = append(unknown, strconv.Quote(name))
+		}
+	}
+	if len(unknown) > 0 {
+		sort.Strings(unknown)
+		return req, fmt.Errorf("unknown query parameter %s", strings.Join(unknown, ", "))
+	}
 	req.Kind = q.Get("kind")
 	if v := q.Get("apps"); v != "" {
 		req.Apps = strings.Split(v, ",")
@@ -463,7 +483,6 @@ func parseRequest(r *http.Request) (core.Request, error) {
 		}
 	}
 	req.Scale = q.Get("scale")
-	req.Mode = q.Get("mode")
 	if v := q.Get("cacheSize"); v != "" {
 		if req.CacheSize, err = strconv.Atoi(v); err != nil {
 			return req, fmt.Errorf("bad cacheSize %q", v)

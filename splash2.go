@@ -23,7 +23,10 @@
 //
 // The higher-level experiment drivers (Table1, Speedups, WorkingSets,
 // Traffic, LineSizeSweep, Report) run whole parameter sweeps; see
-// cmd/characterize for the full reproduction.
+// cmd/characterize for the full reproduction. Each full-memory
+// experiment runs live, with the memory system simulated inline with
+// the program; the cache-size and line-size sweeps (Figures 3 and 7–8)
+// replay one recorded trace per program instead of re-executing it.
 package splash2
 
 import (
@@ -117,11 +120,11 @@ type (
 	LineSizePoint = core.LineSizePoint
 	// ReportOptions configures the full characterization.
 	ReportOptions = core.ReportOptions
+	// EngineOptions configures the experiment scheduler (workers, cache,
+	// fault policy); ReportOptions embeds it.
+	EngineOptions = core.EngineOptions
 	// Scale selects default or sweep problem sizes.
 	Scale = core.Scale
-	// ExecMode selects how full-memory experiments execute (live inline
-	// simulation, or record-then-replay via the trace engine).
-	ExecMode = core.ExecMode
 	// Results bundles a full characterization for machine-readable export.
 	Results = core.Results
 	// PruneAdvice is the §5 operating-point recommendation for one program.
@@ -166,15 +169,6 @@ const (
 	SweepScale   = core.SweepScale
 	// PaperScale selects the paper's published problem sizes (slow).
 	PaperScale = core.PaperScale
-)
-
-// Execution modes for ReportOptions.ExecMode.
-const (
-	// LiveExec simulates the memory system inline with execution.
-	LiveExec = core.LiveExec
-	// RecordReplayExec records each program's reference trace once
-	// (count-only, batched capture) and replays it per configuration.
-	RecordReplayExec = core.RecordReplayExec
 )
 
 // Suite is the canonical program order of the paper's tables.
