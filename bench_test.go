@@ -1,9 +1,7 @@
-// Benchmarks regenerating each table and figure of the paper's evaluation
-// (reduced sweep-scale problems so a full -bench=. run stays tractable),
-// plus the ablation benches called out in DESIGN.md. Each benchmark
-// reports domain-specific metrics alongside ns/op — miss rates, traffic
-// per operation, speedups — so `go test -bench=.` reproduces the shape of
-// the paper's results.
+// Benchmarks of the memory system, the trace replay passes and the full
+// characterization, plus the ablation benches called out in DESIGN.md.
+// Each benchmark reports domain-specific metrics alongside ns/op. The
+// per-figure costs are measured by bench/ as core.section.<kind>.s.
 package splash2_test
 
 import (
@@ -14,154 +12,6 @@ import (
 	"splash2"
 	"splash2/internal/memsys"
 )
-
-// benchApps is a representative cross-section used by the per-figure
-// benches: two kernels, a grid application, and an irregular application.
-var benchApps = []string{"fft", "lu", "ocean", "barnes"}
-
-func BenchmarkTable1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := splash2.Table1(benchApps, 8, splash2.SweepScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(float64(rows[0].Instr), "fft-instrs")
-		}
-	}
-}
-
-func BenchmarkFigure1Speedup(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		curves, err := splash2.Speedups(benchApps, []int{1, 4, 16}, splash2.SweepScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, c := range curves {
-				b.ReportMetric(c.Speedup[len(c.Speedup)-1], c.App+"-speedup@16")
-			}
-		}
-	}
-}
-
-func BenchmarkFigure2Sync(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		profs, err := splash2.SyncProfiles(benchApps, 8, splash2.SweepScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(profs[1].AvgPct, "lu-sync-pct")
-		}
-	}
-}
-
-func BenchmarkFigure3WorkingSets(b *testing.B) {
-	sizes := []int{4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20}
-	for i := 0; i < b.N; i++ {
-		curves, err := splash2.WorkingSets(benchApps, 8, sizes, []int{4}, splash2.SweepScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			knee, _ := curves[0].Knee()
-			b.ReportMetric(float64(knee)/1024, "fft-knee-KB")
-		}
-	}
-}
-
-func BenchmarkTable2(b *testing.B) {
-	sizes := []int{4 << 10, 64 << 10, 1 << 20}
-	curves, err := splash2.WorkingSets(benchApps, 8, sizes, []int{4}, splash2.SweepScale)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows := splash2.Table2(curves)
-		if len(rows) == 0 {
-			b.Fatal("no table 2 rows")
-		}
-	}
-}
-
-func BenchmarkFigure4Traffic(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts, err := splash2.Traffic("fft", []int{1, 4, 8}, 1<<20, splash2.SweepScale, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(pts[2].Remote(), "B-per-flop@8")
-		}
-	}
-}
-
-func BenchmarkTable3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := splash2.Table3([]string{"ocean", "fft"}, 2, 8, splash2.SweepScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(rows[0].MeasuredGrow, "ocean-commcomp-growth")
-		}
-	}
-}
-
-func BenchmarkFigure5Ocean(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		small, err := splash2.Traffic("ocean", []int{8}, 1<<20, splash2.SweepScale, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		big, err := splash2.Traffic("ocean", []int{8}, 1<<20, splash2.SweepScale, map[string]int{"n": 64})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(small[0].TrueSharing, "small-trueshare")
-			b.ReportMetric(big[0].TrueSharing, "big-trueshare")
-		}
-	}
-}
-
-func BenchmarkFigure6SmallCache(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts, err := splash2.Traffic("ocean", []int{8}, 16<<10, splash2.SweepScale, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(pts[0].LocalData+pts[0].Remote(), "total-B-per-flop")
-		}
-	}
-}
-
-func BenchmarkFigure7LineSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts, err := splash2.LineSizeSweep("radix", 8, 1<<20, []int{16, 64, 256}, splash2.SweepScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(pts[2].FalsePct, "false-pct@256B")
-		}
-	}
-}
-
-func BenchmarkFigure8LineTraffic(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts, err := splash2.LineSizeSweep("lu", 8, 1<<20, []int{16, 64, 256}, splash2.SweepScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(pts[0].RemoteData+pts[0].LocalData, "data-B-per-flop@16B")
-		}
-	}
-}
 
 // BenchmarkMemsysThroughput tracks raw reference throughput of the memory
 // system (the global-lock design decision in DESIGN.md).

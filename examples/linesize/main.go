@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -18,11 +19,23 @@ func main() {
 	procs := flag.Int("p", 8, "processors")
 	flag.Parse()
 
-	for _, app := range strings.Split(*appsFlag, ",") {
-		pts, err := splash2.LineSizeSweep(app, *procs, 1<<20, splash2.DefaultLineSizes(), splash2.SweepScale)
-		if err != nil {
-			log.Fatal(err)
-		}
+	e, err := splash2.NewEngine(splash2.EngineOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer e.Close()
+	// The request's defaults are the paper's: 1 MB caches, 8–256 B lines.
+	res, err := e.Do(context.Background(), splash2.Request{
+		Kind:  splash2.KindLineSize,
+		Apps:  strings.Split(*appsFlag, ","),
+		Procs: *procs,
+		Scale: "sweep",
+	}, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, pts := range res.LineSize {
+		app := pts[0].App
 		fmt.Printf("%s — miss decomposition vs line size (1 MB caches, %d procs)\n", app, *procs)
 		fmt.Printf("  %-6s %8s %8s %8s %8s %8s\n", "line", "cold%", "cap%", "true%", "false%", "total%")
 		for _, l := range pts {

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -18,12 +19,23 @@ func main() {
 	cache := flag.Int("cache", 1<<20, "cache size in bytes")
 	flag.Parse()
 
-	procList := []int{1, 2, 4, 8, 16, 32}
-	for _, app := range strings.Split(*appsFlag, ",") {
-		pts, err := splash2.Traffic(app, procList, *cache, splash2.SweepScale, nil)
-		if err != nil {
-			log.Fatal(err)
-		}
+	e, err := splash2.NewEngine(splash2.EngineOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer e.Close()
+	res, err := e.Do(context.Background(), splash2.Request{
+		Kind:      splash2.KindTraffic,
+		Apps:      strings.Split(*appsFlag, ","),
+		ProcList:  []int{1, 2, 4, 8, 16, 32},
+		CacheSize: *cache,
+		Scale:     "sweep",
+	}, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, pts := range res.Traffic {
+		app := pts[0].App
 		unit := "instr"
 		if pts[0].PerFlop {
 			unit = "FLOP"

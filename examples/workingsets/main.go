@@ -5,10 +5,10 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
-	"os"
 
 	"splash2"
 )
@@ -18,12 +18,24 @@ func main() {
 	procs := flag.Int("p", 8, "processors")
 	flag.Parse()
 
-	sizes := splash2.DefaultCacheSizes()
-	assocs := []int{1, 2, 4, splash2.FullyAssoc}
-	curves, err := splash2.WorkingSets([]string{*app}, *procs, sizes, assocs, splash2.SweepScale)
+	e, err := splash2.NewEngine(splash2.EngineOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer e.Close()
+	sizes := splash2.DefaultCacheSizes()
+	res, err := e.Do(context.Background(), splash2.Request{
+		Kind:       splash2.KindWorkingSets,
+		Apps:       []string{*app},
+		Procs:      *procs,
+		CacheSizes: sizes,
+		Assocs:     []int{1, 2, 4, splash2.FullyAssoc},
+		Scale:      "sweep",
+	}, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	curves := res.MissCurves
 
 	fmt.Printf("Miss rate vs cache size for %s (%d procs, 64 B lines)\n\n", *app, *procs)
 	fmt.Printf("%-8s", "size")
@@ -56,5 +68,4 @@ func main() {
 			fmt.Println("interesting simulation points; sizes above are redundant (§5).")
 		}
 	}
-	_ = os.Stdout
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -11,14 +12,27 @@ import (
 	"splash2/internal/memsys"
 )
 
-// fast subset of apps for unit tests of the experiment drivers.
+// fast subset of apps for unit tests of the experiment sections.
 var fastApps = []string{"fft", "lu", "radix"}
 
-func TestTable1(t *testing.T) {
-	rows, err := Table1(fastApps, 4, SweepScale)
+// do runs one request on a fresh single-worker engine with no disk
+// cache, so every call performs real executions.
+func do(t *testing.T, req Request) *Results {
+	t.Helper()
+	e, err := NewEngine(EngineOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer e.Close()
+	res, err := e.Do(context.Background(), req, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func TestTable1(t *testing.T) {
+	rows := do(t, Request{Kind: KindTable1, Apps: fastApps, Procs: 4}).Table1
 	if len(rows) != len(fastApps) {
 		t.Fatalf("rows=%d", len(rows))
 	}
@@ -50,10 +64,7 @@ func TestTable1(t *testing.T) {
 // four processors must at least halve their PRAM time, whichever
 // processor the host happens to run first.
 func TestSpeedupsMonotoneAndBounded(t *testing.T) {
-	curves, err := Speedups([]string{"fft", "raytrace", "volrend"}, []int{1, 2, 4}, SweepScale)
-	if err != nil {
-		t.Fatal(err)
-	}
+	curves := do(t, Request{Kind: KindSpeedups, Apps: []string{"fft", "raytrace", "volrend"}, ProcList: []int{1, 2, 4}}).Speedups
 	for _, c := range curves {
 		if c.Speedup[0] != 1 {
 			t.Fatalf("%s: speedup at P=1 is %v", c.App, c.Speedup[0])
@@ -75,10 +86,7 @@ func TestSpeedupsMonotoneAndBounded(t *testing.T) {
 }
 
 func TestSyncProfiles(t *testing.T) {
-	profs, err := SyncProfiles([]string{"lu"}, 4, SweepScale)
-	if err != nil {
-		t.Fatal(err)
-	}
+	profs := do(t, Request{Kind: KindSync, Apps: []string{"lu"}, Procs: 4}).Sync
 	p := profs[0]
 	if p.MinPct > p.AvgPct || p.AvgPct > p.MaxPct {
 		t.Fatalf("ordering violated: %+v", p)
@@ -95,11 +103,10 @@ func TestSyncProfiles(t *testing.T) {
 
 func TestWorkingSetsMonotone(t *testing.T) {
 	sizes := []int{1 << 10, 4 << 10, 16 << 10, 64 << 10}
-	curves, err := WorkingSets([]string{"lu"}, 4, sizes, []int{memsys.FullyAssoc}, SweepScale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := curves[0]
+	c := do(t, Request{
+		Kind: KindWorkingSets, Apps: []string{"lu"}, Procs: 4,
+		CacheSizes: sizes, Assocs: []int{memsys.FullyAssoc},
+	}).MissCurves[0]
 	for i := 1; i < len(c.MissRate); i++ {
 		if c.MissRate[i] > c.MissRate[i-1]+1e-9 {
 			t.Fatalf("fully associative miss rate not monotone: %v", c.MissRate)
@@ -112,11 +119,7 @@ func TestWorkingSetsMonotone(t *testing.T) {
 
 func TestTable2UsesKnees(t *testing.T) {
 	sizes := []int{1 << 10, 8 << 10, 64 << 10}
-	curves, err := WorkingSets([]string{"lu", "fft"}, 2, sizes, []int{4}, SweepScale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := Table2(curves)
+	rows := do(t, Request{Kind: KindWorkingSets, Apps: []string{"lu", "fft"}, Procs: 2, CacheSizes: sizes}).Table2
 	if len(rows) != 2 {
 		t.Fatalf("rows=%d", len(rows))
 	}
@@ -133,10 +136,7 @@ func TestTable2UsesKnees(t *testing.T) {
 }
 
 func TestTrafficBreakdownConsistency(t *testing.T) {
-	pts, err := Traffic("fft", []int{1, 4}, 1<<20, SweepScale, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := do(t, Request{Kind: KindTraffic, Apps: []string{"fft"}, ProcList: []int{1, 4}}).Traffic[0]
 	if pts[0].Remote() != 0 {
 		t.Fatalf("uniprocessor remote traffic %v", pts[0].Remote())
 	}
@@ -154,10 +154,7 @@ func TestTrafficBreakdownConsistency(t *testing.T) {
 }
 
 func TestTable3CommunicationGrows(t *testing.T) {
-	rows, err := Table3([]string{"ocean"}, 2, 4, SweepScale)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := do(t, Request{Kind: KindTable3, Apps: []string{"ocean"}, ProcList: []int{2, 4}}).Table3
 	r := rows[0]
 	if r.RatioHigh <= r.RatioLow {
 		t.Fatalf("ocean comm/comp did not grow with P: %v → %v", r.RatioLow, r.RatioHigh)
@@ -170,10 +167,7 @@ func TestTable3CommunicationGrows(t *testing.T) {
 }
 
 func TestLineSizeSweep(t *testing.T) {
-	pts, err := LineSizeSweep("radix", 4, 1<<20, []int{16, 64, 256}, SweepScale)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := do(t, Request{Kind: KindLineSize, Apps: []string{"radix"}, Procs: 4, LineSizes: []int{16, 64, 256}}).LineSize[0]
 	if len(pts) != 3 {
 		t.Fatalf("points=%d", len(pts))
 	}

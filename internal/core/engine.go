@@ -24,7 +24,7 @@ import (
 // per program), and an optional on-disk cache carries results across
 // processes. PRAM timing makes each experiment deterministic regardless
 // of scheduling, so an Engine at any parallelism produces results
-// deep-equal to the serial path.
+// deep-equal to a single-worker engine's.
 type Engine struct {
 	r         *runner.Runner
 	ctx       context.Context
@@ -276,18 +276,6 @@ func (e *Engine) Failures() []*runner.JobError {
 // DefaultCacheDir returns the default on-disk cache location
 // (<user cache dir>/splash2).
 func DefaultCacheDir() (string, error) { return runner.DefaultDir() }
-
-// serialEngine returns a fresh single-worker engine with no disk cache:
-// the exact serial semantics of the original inline loops. The
-// package-level generator functions go through it, so each call performs
-// real executions (no memo leaks across calls).
-func serialEngine() *Engine {
-	e, err := NewEngine(EngineOptions{Workers: 1})
-	if err != nil { // unreachable: no cache dir is opened
-		panic(err)
-	}
-	return e
-}
 
 // canonOpts normalizes option maps for hashing: empty and nil maps must
 // produce the same key.

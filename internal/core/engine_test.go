@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -133,7 +134,7 @@ func TestDiskCacheSurvivesCorruption(t *testing.T) {
 
 // TestTraceSharedAcrossSweeps: the Figure-3 and Figure-7/8 sweeps must
 // share one recorded trace per program within an engine. After a
-// WorkingSets sweep, a LineSizeSweep over fresh configurations executes
+// working-set sweep, a line-size sweep over fresh configurations executes
 // only its own fused sweep plus the recording-counters job — the trace
 // recording itself is served from the in-memory memo.
 func TestTraceSharedAcrossSweeps(t *testing.T) {
@@ -141,13 +142,15 @@ func TestTraceSharedAcrossSweeps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.WorkingSets([]string{"fft"}, 4, []int{16 << 10}, []int{4}, SweepScale); err != nil {
+	req := Request{Kind: KindWorkingSets, Apps: []string{"fft"}, Procs: 4, CacheSizes: []int{16 << 10}}
+	if _, err := e.Do(context.Background(), req, nil); err != nil {
 		t.Fatal(err)
 	}
 	before := e.Counts().Executed
 
-	lineSizes := []int{32, 128} // configs disjoint from the sweep above
-	if _, err := e.LineSizeSweep("fft", 4, 64<<10, lineSizes, SweepScale); err != nil {
+	// Line-size configs disjoint from the sweep above.
+	req.Kind, req.CacheSize, req.LineSizes = KindLineSize, 64<<10, []int{32, 128}
+	if _, err := e.Do(context.Background(), req, nil); err != nil {
 		t.Fatal(err)
 	}
 	delta := e.Counts().Executed - before

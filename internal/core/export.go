@@ -30,76 +30,10 @@ type Results struct {
 	// Failures is the failure manifest of a keep-going run that lost
 	// experiments; empty on a clean run.
 	Failures []FailureRecord `json:"failures,omitempty"`
-}
 
-// CollectResults runs the full characterization and returns the raw data
-// (the machine-readable twin of Report).
-func CollectResults(o ReportOptions) (*Results, error) {
-	e, err := NewEngine(o.EngineOptions)
-	if err != nil {
-		return nil, err
-	}
-	defer e.Close()
-	return e.CollectResults(o)
-}
-
-// CollectResults is the engine form of the package-level CollectResults.
-// The engine's own options apply; o.EngineOptions is ignored.
-func (e *Engine) CollectResults(o ReportOptions) (*Results, error) {
-	o = o.WithDefaults()
-	res := &Results{Procs: o.Procs}
-	var err error
-	if res.Table1, err = e.Table1(o.Apps, o.Procs, o.Scale); err != nil {
-		return nil, err
-	}
-	if res.Speedups, err = e.Speedups(o.Apps, o.ProcList, o.Scale); err != nil {
-		return nil, err
-	}
-	if res.Sync, err = e.SyncProfiles(o.Apps, o.Procs, o.Scale); err != nil {
-		return nil, err
-	}
-	if res.MissCurves, err = e.WorkingSets(o.Apps, o.Procs, o.CacheSizes, []int{4}, o.Scale); err != nil {
-		return nil, err
-	}
-	if o.SampleRate > 0 {
-		seed := o.SampleSeed
-		if seed == 0 {
-			seed = 1
-		}
-		if res.Sampled, err = e.WorkingSetsSampled(o.Apps, o.Procs, o.CacheSizes, o.SampleRate, seed, o.Scale); err != nil {
-			return nil, err
-		}
-	}
-	res.Table2 = Table2(res.MissCurves)
-	for _, c := range res.MissCurves {
-		if c.Failed != "" {
-			continue
-		}
-		res.PruneAdvice = append(res.PruneAdvice, Prune(c))
-	}
-	if res.Traffic, err = e.TrafficSuite(o.Apps, o.ProcList, 1<<20, o.Scale); err != nil {
-		return nil, err
-	}
-	lowP := o.ProcList[0]
-	if lowP < 2 && len(o.ProcList) > 1 {
-		lowP = o.ProcList[1]
-	}
-	if res.Table3, err = e.Table3(o.Apps, lowP, o.ProcList[len(o.ProcList)-1], o.Scale); err != nil {
-		return nil, err
-	}
-	if res.LineSize, err = e.LineSizeSuite(o.Apps, o.Procs, 1<<20, o.LineSizes, o.Scale); err != nil {
-		return nil, err
-	}
-	if e.keepGoing {
-		if fails := e.Failures(); len(fails) > 0 {
-			m := NewFailureManifest(fails)
-			res.Failures = m.Failures
-			// The results are still returned: callers export the partial
-			// data and use errors.Is(err, ErrFailures) for the exit status.
-			return res, fmt.Errorf("core: %d experiment(s) lost: %w", m.Count, ErrFailures)
-		}
-	}
-	return res, nil
+	// figure5 and figure6 hold the report-only sections; export omits
+	// them.
+	figure5, figure6 [][]TrafficPoint
 }
 
 // WriteJSON emits the results as indented JSON.

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -33,6 +34,32 @@ func TestCollectResultsComplete(t *testing.T) {
 	}
 	if len(res.Traffic) != 2 || len(res.Table3) != 2 || len(res.LineSize) != 2 {
 		t.Fatalf("incomplete traffic results")
+	}
+}
+
+// TestCollectResultsAllAssocs: -all-assocs reaches the exported data —
+// four curves per program — while Table 2 and the pruning advice stay
+// derived from the four-way curves alone.
+func TestCollectResultsAllAssocs(t *testing.T) {
+	e, _ := NewEngine(EngineOptions{Workers: 2})
+	o := ReportOptions{
+		Apps: []string{"lu", "radix"}, Procs: 4, ProcList: []int{1, 4}, Scale: SweepScale,
+		CacheSizes: []int{16 << 10, 1 << 20}, LineSizes: []int{64},
+	}
+	four, err := e.CollectResults(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.AllAssocs = true
+	all, err := e.CollectResults(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all.MissCurves) != 4*len(o.Apps) {
+		t.Fatalf("all-assocs curves = %d, want %d", len(all.MissCurves), 4*len(o.Apps))
+	}
+	if !reflect.DeepEqual(all.Table2, four.Table2) || !reflect.DeepEqual(all.PruneAdvice, four.PruneAdvice) {
+		t.Error("all-assocs changed Table 2 or the pruning advice")
 	}
 }
 

@@ -66,6 +66,25 @@ func NewFailureManifest(fails []*runner.JobError) FailureManifest {
 	return FailureManifest{Count: len(recs), Failures: recs}
 }
 
+// lost returns the failure manifest of a keep-going engine that lost
+// experiments, and nil otherwise.
+func (e *Engine) lost() *FailureManifest {
+	if !e.keepGoing {
+		return nil
+	}
+	fails := e.Failures()
+	if len(fails) == 0 {
+		return nil
+	}
+	m := NewFailureManifest(fails)
+	return &m
+}
+
+// err is the ErrFailures-wrapped error of a run that lost experiments.
+func (m FailureManifest) err() error {
+	return fmt.Errorf("core: %d experiment(s) lost: %w", m.Count, ErrFailures)
+}
+
 // WriteJSON emits the manifest as indented JSON.
 func (m FailureManifest) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)

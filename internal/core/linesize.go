@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
@@ -44,125 +45,83 @@ func (l LineSizePoint) TotalMissPct() float64 {
 // DefaultLineSizes are the paper's §7 sweep points.
 func DefaultLineSizes() []int { return []int{8, 16, 32, 64, 128, 256} }
 
-// LineSizeSweep measures miss decomposition and traffic versus line size
-// at a fixed cache size (1 MB default in the paper). The program executes
-// once and its trace is replayed per line size, keeping the reference
-// stream identical across the sweep.
-func LineSizeSweep(app string, procs int, cacheSize int, lineSizes []int, scale Scale) ([]LineSizePoint, error) {
-	return serialEngine().LineSizeSweep(app, procs, cacheSize, lineSizes, scale)
-}
-
-// lineSizeJobs is the scheduled form of one program's line-size sweep: a
-// lazy record job feeding one fused all-line-sizes replay, plus the
-// small disk-cacheable recording counters needed for normalization (so a
-// fully-cached sweep never re-records the trace).
-type lineSizeJobs struct {
-	stats runner.Job[mach.Stats]
-	sweep runner.Job[[]memsys.Stats]
-}
-
-// LineSizeSweep schedules one program's Figure-7/8 sweep.
-func (e *Engine) LineSizeSweep(app string, procs int, cacheSize int, lineSizes []int, scale Scale) ([]LineSizePoint, error) {
+// lineSize measures Figures 7–8: miss decomposition and traffic versus
+// line size at req.CacheSize for every program. Each program executes
+// once and its trace is replayed at every line size, keeping the
+// reference stream identical across the sweep. A program's lazy record
+// job feeds one fused all-line-sizes replay plus the small,
+// disk-cacheable recording counters needed for normalization, so a
+// fully-cached sweep never re-records the trace.
+func (e *Engine) lineSize(req Request, res *Results) error {
 	g := e.newGraph()
-	jobs := e.lineSizeJobs(g, app, procs, cacheSize, lineSizes, scale)
-	if err := g.Wait(e.ctx); err != nil {
-		return nil, err
+	sweeps := make([]runner.Job[[]memsys.Stats], len(req.Apps))
+	stats := make([]runner.Job[mach.Stats], len(req.Apps))
+	for i, name := range req.Apps {
+		id := req.trace(name)
+		rec := e.recordJob(g, id)
+		sweeps[i] = e.lineSizeSweepJob(g, rec, id, req)
+		stats[i] = e.recordStatsJob(g, rec, id)
 	}
-	return e.lineSizePoints(app, lineSizes, jobs)
+	if err := g.Wait(e.ctx); err != nil {
+		return err
+	}
+	for i, name := range req.Apps {
+		perFlop := flopBased(name)
+		runStats, failed, err := degrade(e, stats[i])
+		if err != nil {
+			return err
+		}
+		sweep, sweepFailed, err := degrade(e, sweeps[i])
+		if err != nil {
+			return err
+		}
+		if failed = cmp.Or(failed, sweepFailed); failed != "" {
+			// A lost program contributes a single failed point.
+			res.LineSize = append(res.LineSize, []LineSizePoint{{App: name, PerFlop: perFlop, Failed: failed}})
+			continue
+		}
+		denom := opCount(perFlop, runStats.Procs)
+		var pts []LineSizePoint
+		for j, ls := range req.LineSizes {
+			agg := sweep[j].Aggregate()
+			refs := float64(max(agg.Refs(), 1))
+			tr := sweep[j].Traffic
+			pts = append(pts, LineSizePoint{
+				App: name, LineSize: ls, PerFlop: perFlop,
+				ColdPct:        100 * float64(agg.Misses[memsys.MissCold]) / refs,
+				CapacityPct:    100 * float64(agg.Misses[memsys.MissCapacity]) / refs,
+				TruePct:        100 * float64(agg.Misses[memsys.MissTrue]) / refs,
+				FalsePct:       100 * float64(agg.Misses[memsys.MissFalse]) / refs,
+				UpgradePct:     100 * float64(agg.Upgrades) / refs,
+				RemoteData:     float64(tr.RemoteShared+tr.RemoteCold+tr.RemoteCapacity+tr.RemoteWriteback) / denom,
+				RemoteOverhead: float64(tr.RemoteOverhead) / denom,
+				LocalData:      float64(tr.LocalData) / denom,
+			})
+		}
+		res.LineSize = append(res.LineSize, pts)
+	}
+	return nil
 }
 
-func (e *Engine) lineSizeJobs(g *runner.Graph, app string, procs, cacheSize int, lineSizes []int, scale Scale) lineSizeJobs {
-	id := traceIdent{App: app, Procs: procs, Opts: canonOpts(scale.Overrides(app))}
-	rec := e.recordJob(g, id)
-	// One job replays the whole sweep fused (kind "lssweep"): the trace is
-	// decoded once, every line size's system fed per reference.
-	sweep := runner.Submit(g, runner.Spec{
-		Label: fmt.Sprintf("lssweep %s %dK 4-way ×%d line sizes", app, cacheSize/1024, len(lineSizes)),
-		Key:   runner.KeyOf("lssweep", id, cacheSize, lineSizes),
+// lineSizeSweepJob schedules one program's whole line-size sweep as a
+// single fused replay (kind "lssweep"): the trace is decoded once, every
+// line size's system fed per reference.
+func (e *Engine) lineSizeSweepJob(g *runner.Graph, rec runner.Job[recordOut], id traceIdent, req Request) runner.Job[[]memsys.Stats] {
+	return runner.Submit(g, runner.Spec{
+		Label: fmt.Sprintf("lssweep %s %dK 4-way ×%d line sizes", id.App, req.CacheSize/1024, len(req.LineSizes)),
+		Key:   runner.KeyOf("lssweep", id, req.CacheSize, req.LineSizes),
 		Deps:  []runner.Handle{rec},
 	}, func(ctx context.Context) ([]memsys.Stats, error) {
 		out, err := rec.Result()
 		if err != nil {
 			return nil, err
 		}
-		cfgs := make([]memsys.Config, len(lineSizes))
-		for i, ls := range lineSizes {
-			cfgs[i] = memsys.Config{Procs: procs, CacheSize: cacheSize, Assoc: 4, LineSize: ls}
+		cfgs := make([]memsys.Config, len(req.LineSizes))
+		for i, ls := range req.LineSizes {
+			cfgs[i] = memsys.Config{Procs: req.Procs, CacheSize: req.CacheSize, Assoc: 4, LineSize: ls}
 		}
 		return memsys.ReplayMulti(out.Trace, cfgs)
 	})
-	return lineSizeJobs{stats: e.recordStatsJob(g, rec, id), sweep: sweep}
-}
-
-func (e *Engine) lineSizePoints(app string, lineSizes []int, jobs lineSizeJobs) ([]LineSizePoint, error) {
-	var out []LineSizePoint
-	perFlop := flopBased(app)
-	runStats, failed, err := degrade(e, jobs.stats)
-	if err != nil {
-		return nil, err
-	}
-	sweep, sweepFailed, err := degrade(e, jobs.sweep)
-	if err != nil {
-		return nil, err
-	}
-	if failed = firstNonEmpty(failed, sweepFailed); failed != "" {
-		return []LineSizePoint{{App: app, PerFlop: perFlop, Failed: failed}}, nil
-	}
-	counters := mach.Aggregate(runStats.Procs)
-	denom := float64(counters.Flops)
-	if !perFlop {
-		denom = float64(counters.Instr)
-	}
-	if denom == 0 {
-		denom = 1
-	}
-	for i, ls := range lineSizes {
-		st := sweep[i]
-		agg := st.Aggregate()
-		refs := float64(agg.Refs())
-		if refs == 0 {
-			refs = 1
-		}
-		tr := st.Traffic
-		out = append(out, LineSizePoint{
-			App: app, LineSize: ls, PerFlop: perFlop,
-			ColdPct:        100 * float64(agg.Misses[memsys.MissCold]) / refs,
-			CapacityPct:    100 * float64(agg.Misses[memsys.MissCapacity]) / refs,
-			TruePct:        100 * float64(agg.Misses[memsys.MissTrue]) / refs,
-			FalsePct:       100 * float64(agg.Misses[memsys.MissFalse]) / refs,
-			UpgradePct:     100 * float64(agg.Upgrades) / refs,
-			RemoteData:     float64(tr.RemoteShared+tr.RemoteCold+tr.RemoteCapacity+tr.RemoteWriteback) / denom,
-			RemoteOverhead: float64(tr.RemoteOverhead) / denom,
-			LocalData:      float64(tr.LocalData) / denom,
-		})
-	}
-	return out, nil
-}
-
-// LineSizeSuite runs the sweep for several programs.
-func LineSizeSuite(appNames []string, procs, cacheSize int, lineSizes []int, scale Scale) ([][]LineSizePoint, error) {
-	return serialEngine().LineSizeSuite(appNames, procs, cacheSize, lineSizes, scale)
-}
-
-// LineSizeSuite schedules every program's sweep in one graph.
-func (e *Engine) LineSizeSuite(appNames []string, procs, cacheSize int, lineSizes []int, scale Scale) ([][]LineSizePoint, error) {
-	g := e.newGraph()
-	jobs := make([]lineSizeJobs, len(appNames))
-	for i, name := range appNames {
-		jobs[i] = e.lineSizeJobs(g, name, procs, cacheSize, lineSizes, scale)
-	}
-	if err := g.Wait(e.ctx); err != nil {
-		return nil, err
-	}
-	var out [][]LineSizePoint
-	for i, name := range appNames {
-		pts, err := e.lineSizePoints(name, lineSizes, jobs[i])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pts)
-	}
-	return out, nil
 }
 
 // RenderLineSizeMisses prints Figure 7 (miss decomposition vs line size).

@@ -45,11 +45,11 @@ func TestPruneEmptyCurve(t *testing.T) {
 }
 
 func TestPruneOnRealCurve(t *testing.T) {
-	curves, err := WorkingSets([]string{"lu"}, 4, []int{1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10}, []int{4}, SweepScale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adv := Prune(curves[0])
+	c := do(t, Request{
+		Kind: KindWorkingSets, Apps: []string{"lu"}, Procs: 4,
+		CacheSizes: []int{1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10},
+	}).MissCurves[0]
+	adv := Prune(c)
 	// LU's curve has an early knee (one block) and a long flat tail: at
 	// least one size must be prunable.
 	if len(adv.Redundant) == 0 {

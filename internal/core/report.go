@@ -36,24 +36,213 @@ type ReportOptions struct {
 	SampleSeed uint64
 }
 
-// WithDefaults fills unset fields.
-func (o ReportOptions) WithDefaults() ReportOptions {
-	if len(o.Apps) == 0 {
-		o.Apps = Suite
+// request converts the options to the request they describe, once: unset
+// fields take the Request defaults, and AllAssocs selects Figure 3's four
+// associativities (Table 2 and the pruning advice stay four-way).
+func (o ReportOptions) request(kind string) Request {
+	r := Request{
+		Kind: kind, Apps: o.Apps, Procs: o.Procs, ProcList: o.ProcList,
+		Scale: ScaleName(o.Scale), CacheSizes: o.CacheSizes, LineSizes: o.LineSizes,
+		SampleRate: o.SampleRate, SampleSeed: o.SampleSeed,
 	}
-	if o.Procs == 0 {
-		o.Procs = 32
+	if o.AllAssocs {
+		r.Assocs = []int{1, 2, 4, memsys.FullyAssoc}
 	}
-	if len(o.ProcList) == 0 {
-		o.ProcList = []int{1, 2, 4, 8, 16, 32}
+	return r.withDefaults()
+}
+
+// kindReport selects what Report prints: every kind's sections plus the
+// report-only Figures 5 and 6. It is not a request kind.
+const kindReport = "report"
+
+// section is one table or figure of the characterization: the kind that
+// selects it, the computation that fills its Results fields (nil for a
+// section that only renders what an earlier one computed), and its text
+// rendering. A request kind is the set of sections carrying its name.
+type section struct {
+	kind    string
+	compute func(e *Engine, req Request, res *Results) error
+	render  func(w io.Writer, req Request, res *Results, plot bool)
+}
+
+// selected reports whether the section runs for req. A single kind runs
+// its own sections; results runs every kind's, and a report adds its own.
+// Both include the sampled estimate only at a positive SampleRate.
+func (s section) selected(req Request) bool {
+	switch req.Kind {
+	case s.kind:
+		return true
+	case KindResults, kindReport:
+		if s.kind == KindWorkingSetsSampled {
+			return req.SampleRate > 0
+		}
+		return s.kind != kindReport
 	}
-	if len(o.CacheSizes) == 0 {
-		o.CacheSizes = DefaultCacheSizes()
+	return false
+}
+
+// sections is the paper's evaluation in report order. Do, CollectResults
+// and Report all walk it; a new table or figure is a new entry.
+var sections = []section{
+	{KindTable1, (*Engine).table1, func(w io.Writer, req Request, res *Results, plot bool) {
+		fmt.Fprintln(w, "\n== Table 1: instruction breakdown ==")
+		RenderTable1(w, res.Table1)
+	}},
+	{KindSpeedups, (*Engine).speedups, func(w io.Writer, req Request, res *Results, plot bool) {
+		fmt.Fprintln(w, "\n== Figure 1: PRAM speedups ==")
+		RenderSpeedups(w, res.Speedups)
+		if plot {
+			var xs []string
+			for _, p := range req.ProcList {
+				xs = append(xs, fmt.Sprintf("%d", p))
+			}
+			var series []textplot.Series
+			for _, c := range res.Speedups {
+				if c.Failed == "" {
+					series = append(series, textplot.Series{Name: c.App, Values: c.Speedup})
+				}
+			}
+			fmt.Fprintln(w)
+			textplot.LineChart(w, "speedup vs processors", xs, series, 64, 16)
+		}
+	}},
+	{KindSync, (*Engine).syncProfiles, func(w io.Writer, req Request, res *Results, plot bool) {
+		fmt.Fprintf(w, "\n== Figure 2: time in synchronization (%d procs) ==\n", req.Procs)
+		RenderSyncProfiles(w, res.Sync)
+	}},
+	{KindWorkingSets, (*Engine).workingSets, func(w io.Writer, req Request, res *Results, plot bool) {
+		fmt.Fprintln(w, "\n== Figure 3: miss rate vs cache size and associativity ==")
+		RenderMissCurves(w, res.MissCurves)
+		if plot {
+			var xs []string
+			for _, cs := range req.CacheSizes {
+				xs = append(xs, fmt.Sprintf("%dK", cs/1024))
+			}
+			var series []textplot.Series
+			for _, c := range res.MissCurves {
+				if c.Assoc == 4 && c.Failed == "" {
+					series = append(series, textplot.Series{Name: c.App, Values: c.MissRate})
+				}
+			}
+			fmt.Fprintln(w)
+			textplot.LineChart(w, "miss rate (%) vs cache size, 4-way", xs, series, 64, 16)
+		}
+	}},
+	{KindWorkingSetsSampled, (*Engine).sampledSets, func(w io.Writer, req Request, res *Results, plot bool) {
+		fmt.Fprintf(w, "\n== Sampled working sets (SHARDS estimate, rate %g, fully associative) ==\n", req.SampleRate)
+		RenderSampledCurves(w, res.Sampled)
+	}},
+	{KindWorkingSets, (*Engine).table2, func(w io.Writer, req Request, res *Results, plot bool) {
+		fmt.Fprintln(w, "\n== Table 2: important working sets ==")
+		RenderTable2(w, res.Table2)
+		fmt.Fprintln(w, "\n== Operating-point pruning (§5 methodology) ==")
+		RenderPrune(w, res.PruneAdvice)
+	}},
+	{KindTraffic, func(e *Engine, req Request, res *Results) (err error) {
+		res.Traffic, err = e.trafficGroups(req)
+		return err
+	}, func(w io.Writer, req Request, res *Results, plot bool) {
+		fmt.Fprintln(w, "\n== Figure 4: traffic breakdown, 1 MB caches ==")
+		RenderTraffic(w, res.Traffic)
+	}},
+	{KindTraffic, nil, func(w io.Writer, req Request, res *Results, plot bool) {
+		fmt.Fprintln(w, "\n== Bandwidth needs (§6, per processor at 200M ops/s) ==")
+		RenderBandwidth(w, res.Traffic, 200e6)
+		if plot {
+			var rows []string
+			var bars [][]textplot.Segment
+			for _, pts := range res.Traffic {
+				last := pts[len(pts)-1]
+				if last.Failed != "" {
+					continue
+				}
+				rows = append(rows, fmt.Sprintf("%s@%d", last.App, last.Procs))
+				bars = append(bars, []textplot.Segment{
+					{Label: "rem.data", Value: last.RemoteShared + last.RemoteCold + last.RemoteCapacity + last.RemoteWriteback},
+					{Label: "rem.ovhd", Value: last.RemoteOverhead},
+					{Label: "local", Value: last.LocalData},
+				})
+			}
+			fmt.Fprintln(w)
+			textplot.StackedBars(w, "traffic breakdown (B/op) at max P", rows, bars, 48)
+		}
+	}},
+	{KindTable3, (*Engine).table3, func(w io.Writer, req Request, res *Results, plot bool) {
+		fmt.Fprintln(w, "\n== Table 3: growth of communication-to-computation ratio ==")
+		RenderTable3(w, res.Table3)
+	}},
+	{kindReport, func(e *Engine, req Request, res *Results) error {
+		req.Apps, req.CacheSize = []string{"ocean"}, 1<<20
+		small, err := e.trafficGroups(req)
+		if err != nil {
+			return err
+		}
+		req.Opts = map[string]int{"n": oceanBigN(req)}
+		big, err := e.trafficGroups(req)
+		res.figure5 = append(small, big...)
+		return err
+	}, func(w io.Writer, req Request, res *Results, plot bool) {
+		fmt.Fprintln(w, "\n== Figure 5: Ocean traffic at two problem sizes ==")
+		RenderTraffic(w, res.figure5)
+		fmt.Fprintf(w, "(second group: n=%d)\n", oceanBigN(req))
+	}},
+	{kindReport, func(e *Engine, req Request, res *Results) (err error) {
+		req.Apps, req.CacheSize = []string{"fft", "ocean", "radix", "raytrace"}, 64<<10
+		res.figure6, err = e.trafficGroups(req)
+		return err
+	}, func(w io.Writer, req Request, res *Results, plot bool) {
+		fmt.Fprintln(w, "\n== Figure 6: traffic with 64 KB caches (working set does not fit) ==")
+		RenderTraffic(w, res.figure6)
+	}},
+	{KindLineSize, (*Engine).lineSize, func(w io.Writer, req Request, res *Results, plot bool) {
+		fmt.Fprintln(w, "\n== Figure 7: miss decomposition vs line size (1 MB caches) ==")
+		RenderLineSizeMisses(w, res.LineSize)
+	}},
+	{KindLineSize, nil, func(w io.Writer, req Request, res *Results, plot bool) {
+		fmt.Fprintln(w, "\n== Figure 8: traffic vs line size (1 MB caches) ==")
+		RenderLineSizeTraffic(w, res.LineSize)
+	}},
+}
+
+// oceanBigN is Figure 5's larger Ocean grid.
+func oceanBigN(req Request) int {
+	if req.Scale == ScaleName(DefaultScale) {
+		return 128
 	}
-	if len(o.LineSizes) == 0 {
-		o.LineSizes = DefaultLineSizes()
+	return 64
+}
+
+// walk computes the sections req selects into res in table order,
+// handing each section to after once its data is in.
+func (e *Engine) walk(req Request, res *Results, after func(section)) error {
+	for _, s := range sections {
+		if !s.selected(req) {
+			continue
+		}
+		if s.compute != nil {
+			if err := s.compute(e, req, res); err != nil {
+				return err
+			}
+		}
+		after(s)
 	}
-	return o
+	return nil
+}
+
+// collect computes the sections req selects. A keep-going run that lost
+// experiments still returns its results, carrying the failure manifest,
+// with an ErrFailures-wrapped error: callers export the partial data and
+// use errors.Is for the exit status.
+func (e *Engine) collect(req Request) (*Results, error) {
+	res := &Results{Procs: req.Procs}
+	if err := e.walk(req, res, func(section) {}); err != nil {
+		return nil, err
+	}
+	if m := e.lost(); m != nil {
+		res.Failures = m.Failures
+		return res, m.err()
+	}
+	return res, nil
 }
 
 // Report runs the complete characterization — every table and figure of
@@ -70,195 +259,19 @@ func Report(w io.Writer, o ReportOptions) error {
 }
 
 // Report is the engine form of the package-level Report. The engine's
-// own options apply; o.EngineOptions is ignored.
+// own options apply; o.EngineOptions is ignored. Each section renders as
+// soon as it is computed, so the text streams section by section.
 func (e *Engine) Report(w io.Writer, o ReportOptions) error {
-	o = o.WithDefaults()
-
-	fmt.Fprintf(w, "SPLASH-2 characterization — %d processors, scale=%v\n\n", o.Procs, o.Scale)
-
-	fmt.Fprintln(w, "== Table 1: instruction breakdown ==")
-	t1, err := e.Table1(o.Apps, o.Procs, o.Scale)
-	if err != nil {
+	req := o.request(kindReport)
+	fmt.Fprintf(w, "SPLASH-2 characterization — %d processors, scale=%v\n", req.Procs, o.Scale)
+	res := &Results{Procs: req.Procs}
+	if err := e.walk(req, res, func(s section) { s.render(w, req, res, o.Plot) }); err != nil {
 		return err
 	}
-	RenderTable1(w, t1)
-
-	fmt.Fprintln(w, "\n== Figure 1: PRAM speedups ==")
-	sp, err := e.Speedups(o.Apps, o.ProcList, o.Scale)
-	if err != nil {
-		return err
-	}
-	RenderSpeedups(w, sp)
-	if o.Plot {
-		var xs []string
-		for _, p := range o.ProcList {
-			xs = append(xs, fmt.Sprintf("%d", p))
-		}
-		var series []textplot.Series
-		for _, c := range sp {
-			if c.Failed != "" {
-				continue
-			}
-			series = append(series, textplot.Series{Name: c.App, Values: c.Speedup})
-		}
-		fmt.Fprintln(w)
-		textplot.LineChart(w, "speedup vs processors", xs, series, 64, 16)
-	}
-
-	fmt.Fprintf(w, "\n== Figure 2: time in synchronization (%d procs) ==\n", o.Procs)
-	sync, err := e.SyncProfiles(o.Apps, o.Procs, o.Scale)
-	if err != nil {
-		return err
-	}
-	RenderSyncProfiles(w, sync)
-
-	fmt.Fprintln(w, "\n== Figure 3: miss rate vs cache size and associativity ==")
-	assocs := []int{4}
-	if o.AllAssocs {
-		assocs = []int{1, 2, 4, memsys.FullyAssoc}
-	}
-	ws, err := e.WorkingSets(o.Apps, o.Procs, o.CacheSizes, assocs, o.Scale)
-	if err != nil {
-		return err
-	}
-	RenderMissCurves(w, ws)
-
-	if o.Plot {
-		var xs []string
-		for _, cs := range o.CacheSizes {
-			xs = append(xs, fmt.Sprintf("%dK", cs/1024))
-		}
-		var series []textplot.Series
-		for _, c := range ws {
-			if c.Assoc == 4 && c.Failed == "" {
-				series = append(series, textplot.Series{Name: c.App, Values: c.MissRate})
-			}
-		}
-		fmt.Fprintln(w)
-		textplot.LineChart(w, "miss rate (%) vs cache size, 4-way", xs, series, 64, 16)
-	}
-
-	if o.SampleRate > 0 {
-		seed := o.SampleSeed
-		if seed == 0 {
-			seed = 1
-		}
-		fmt.Fprintf(w, "\n== Sampled working sets (SHARDS estimate, rate %g, fully associative) ==\n", o.SampleRate)
-		sw, err := e.WorkingSetsSampled(o.Apps, o.Procs, o.CacheSizes, o.SampleRate, seed, o.Scale)
-		if err != nil {
-			return err
-		}
-		RenderSampledCurves(w, sw)
-	}
-
-	fmt.Fprintln(w, "\n== Table 2: important working sets ==")
-	var fourWay []MissCurve
-	for _, c := range ws {
-		if c.Assoc == 4 {
-			fourWay = append(fourWay, c)
-		}
-	}
-	RenderTable2(w, Table2(fourWay))
-
-	fmt.Fprintln(w, "\n== Operating-point pruning (§5 methodology) ==")
-	var advice []PruneAdvice
-	for _, c := range fourWay {
-		if c.Failed != "" {
-			continue
-		}
-		advice = append(advice, Prune(c))
-	}
-	RenderPrune(w, advice)
-
-	fmt.Fprintln(w, "\n== Figure 4: traffic breakdown, 1 MB caches ==")
-	tr, err := e.TrafficSuite(o.Apps, o.ProcList, 1<<20, o.Scale)
-	if err != nil {
-		return err
-	}
-	RenderTraffic(w, tr)
-
-	fmt.Fprintln(w, "\n== Bandwidth needs (§6, per processor at 200M ops/s) ==")
-	RenderBandwidth(w, tr, 200e6)
-	if o.Plot {
-		var rows []string
-		var bars [][]textplot.Segment
-		for _, pts := range tr {
-			last := pts[len(pts)-1]
-			if last.Failed != "" {
-				continue
-			}
-			rows = append(rows, fmt.Sprintf("%s@%d", last.App, last.Procs))
-			bars = append(bars, []textplot.Segment{
-				{Label: "rem.data", Value: last.RemoteShared + last.RemoteCold + last.RemoteCapacity + last.RemoteWriteback},
-				{Label: "rem.ovhd", Value: last.RemoteOverhead},
-				{Label: "local", Value: last.LocalData},
-			})
-		}
-		fmt.Fprintln(w)
-		textplot.StackedBars(w, "traffic breakdown (B/op) at max P", rows, bars, 48)
-	}
-
-	fmt.Fprintln(w, "\n== Table 3: growth of communication-to-computation ratio ==")
-	lowP := o.ProcList[0]
-	if lowP < 2 && len(o.ProcList) > 1 {
-		lowP = o.ProcList[1]
-	}
-	t3, err := e.Table3(o.Apps, lowP, o.ProcList[len(o.ProcList)-1], o.Scale)
-	if err != nil {
-		return err
-	}
-	RenderTable3(w, t3)
-
-	fmt.Fprintln(w, "\n== Figure 5: Ocean traffic at two problem sizes ==")
-	oceanSmall, err := e.Traffic("ocean", o.ProcList, 1<<20, o.Scale, nil)
-	if err != nil {
-		return err
-	}
-	bigN := 64
-	if o.Scale == DefaultScale {
-		bigN = 128
-	}
-	oceanBig, err := e.Traffic("ocean", o.ProcList, 1<<20, o.Scale, map[string]int{"n": bigN})
-	if err != nil {
-		return err
-	}
-	RenderTraffic(w, [][]TrafficPoint{oceanSmall, oceanBig})
-	fmt.Fprintf(w, "(second group: n=%d)\n", bigN)
-
-	fmt.Fprintln(w, "\n== Figure 6: traffic with 64 KB caches (working set does not fit) ==")
-	small := []string{"fft", "ocean", "radix", "raytrace"}
-	tr64, err := e.TrafficSuite(small, o.ProcList, 64<<10, o.Scale)
-	if err != nil {
-		return err
-	}
-	RenderTraffic(w, tr64)
-
-	fmt.Fprintln(w, "\n== Figure 7: miss decomposition vs line size (1 MB caches) ==")
-	lsz, err := e.LineSizeSuite(o.Apps, o.Procs, 1<<20, o.LineSizes, o.Scale)
-	if err != nil {
-		return err
-	}
-	RenderLineSizeMisses(w, lsz)
-
-	fmt.Fprintln(w, "\n== Figure 8: traffic vs line size (1 MB caches) ==")
-	RenderLineSizeTraffic(w, lsz)
-
-	return e.finishReport(w, o)
-}
-
-// finishReport closes a keep-going run: when experiments were lost it
-// writes the failure manifest (to o.ManifestOut if set), summarizes the
-// damage in the report itself, and returns an ErrFailures-wrapped error
-// so callers can distinguish degraded completion from clean success.
-func (e *Engine) finishReport(w io.Writer, o ReportOptions) error {
-	if !e.keepGoing {
+	m := e.lost()
+	if m == nil {
 		return nil
 	}
-	fails := e.Failures()
-	if len(fails) == 0 {
-		return nil
-	}
-	m := NewFailureManifest(fails)
 	fmt.Fprintf(w, "\n== Failure manifest: %d experiment(s) lost ==\n", m.Count)
 	for _, rec := range m.Failures {
 		fmt.Fprintf(w, "  %s: %s\n", rec.Label, rec.Cause)
@@ -268,5 +281,23 @@ func (e *Engine) finishReport(w io.Writer, o ReportOptions) error {
 			return fmt.Errorf("core: writing failure manifest: %w", err)
 		}
 	}
-	return fmt.Errorf("core: %d experiment(s) lost: %w", m.Count, ErrFailures)
+	return m.err()
+}
+
+// CollectResults runs the full characterization and returns the raw data
+// (the machine-readable twin of Report).
+func CollectResults(o ReportOptions) (*Results, error) {
+	e, err := NewEngine(o.EngineOptions)
+	if err != nil {
+		return nil, err
+	}
+	defer e.Close()
+	return e.CollectResults(o)
+}
+
+// CollectResults is the engine form of the package-level CollectResults:
+// Do(results) on the engine itself. The engine's own options apply;
+// o.EngineOptions is ignored.
+func (e *Engine) CollectResults(o ReportOptions) (*Results, error) {
+	return e.collect(o.request(KindResults))
 }

@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -34,20 +34,22 @@ type Request struct {
 	// Scale names the problem sizes: "sweep" (default), "default" or
 	// "paper".
 	Scale string `json:"scale,omitempty"`
-	// CacheSizes are the Figure-3 sweep points (workingsets only);
+	// CacheSizes are the Figure-3 sweep points (workingsets,
+	// working-set-sampled and results);
 	// default 1 KB–1 MB powers of two.
 	CacheSizes []int `json:"cacheSizes,omitempty"`
-	// Assocs are the Figure-3 associativities (workingsets only);
+	// Assocs are the Figure-3 associativities (workingsets and results);
 	// 0 means fully associative. Default {4}.
 	Assocs []int `json:"assocs,omitempty"`
 	// CacheSize is the fixed cache capacity of traffic and linesize
-	// experiments; default 1 MB.
+	// experiments (and of results'); default 1 MB.
 	CacheSize int `json:"cacheSize,omitempty"`
-	// LineSizes are the Figure-7/8 sweep points (linesize only); default
+	// LineSizes are the Figure-7/8 sweep points (linesize and results); default
 	// 8 B–256 B powers of two.
 	LineSizes []int `json:"lineSizes,omitempty"`
 	// Opts are per-program option overrides applied on top of the scale's
-	// defaults (single-app requests only; ignored otherwise).
+	// defaults in every section of a single-app request; Canonical
+	// rejects them on a multi-app one.
 	Opts map[string]int `json:"opts,omitempty"`
 	// SampleRate is the spatial sampling rate of the sampled working-set
 	// estimator (working-set-sampled only); default 0.01, range (0, 1].
@@ -133,37 +135,44 @@ const (
 
 func isPow2(v int) bool { return v > 0 && v&(v-1) == 0 }
 
+// checkSizes validates a list field of power-of-two byte sizes in [lo, hi].
+func checkSizes(field, what string, sizes []int, lo, hi int) error {
+	if len(sizes) > maxReqListPoints {
+		return fmt.Errorf("core: %s has %d points (max %d)", field, len(sizes), maxReqListPoints)
+	}
+	for _, v := range sizes {
+		if !isPow2(v) || v < lo || v > hi {
+			return fmt.Errorf("core: %s %d not a power of two in [%d, %d]", what, v, lo, hi)
+		}
+	}
+	return nil
+}
+
 // Canonical validates the request and fills defaults, returning the
 // canonical form: two requests asking for the same experiment normalize
 // to identical values, so their Keys collide and splashd coalesces them.
 // Canonical is idempotent. Apps order is preserved (it orders the result
 // rows); ProcList is deduplicated and sorted.
 func (r Request) Canonical() (Request, error) {
-	switch r.Kind {
-	case KindTable1, KindSpeedups, KindSync, KindWorkingSets,
-		KindWorkingSetsSampled, KindTraffic, KindLineSize, KindTable3,
-		KindResults:
-	case "":
+	if r.Kind == "" {
 		return r, fmt.Errorf("core: request missing kind (want one of %s)", strings.Join(Kinds(), ", "))
-	default:
+	}
+	if !slices.Contains(Kinds(), r.Kind) {
 		return r, fmt.Errorf("core: unknown kind %q (want one of %s)", r.Kind, strings.Join(Kinds(), ", "))
 	}
 
-	if len(r.Apps) == 0 {
-		r.Apps = append([]string(nil), Suite...)
-	} else {
-		r.Apps = append([]string(nil), r.Apps...)
-		seen := make(map[string]bool, len(r.Apps))
-		for _, name := range r.Apps {
-			if _, err := apps.Get(name); err != nil {
-				return r, fmt.Errorf("core: %w", err)
-			}
-			if seen[name] {
-				return r, fmt.Errorf("core: duplicate app %q", name)
-			}
-			seen[name] = true
+	seen := make(map[string]bool, len(r.Apps))
+	for _, name := range r.Apps {
+		if _, err := apps.Get(name); err != nil {
+			return r, fmt.Errorf("core: %w", err)
 		}
+		if seen[name] {
+			return r, fmt.Errorf("core: duplicate app %q", name)
+		}
+		seen[name] = true
 	}
+	r = r.withDefaults()
+	r.Apps = append([]string(nil), r.Apps...)
 	if len(r.Opts) > 0 && len(r.Apps) != 1 {
 		return r, fmt.Errorf("core: opts require a single-app request (got %d apps)", len(r.Apps))
 	}
@@ -171,73 +180,38 @@ func (r Request) Canonical() (Request, error) {
 		return r, fmt.Errorf("core: too many opts (%d > %d)", len(r.Opts), maxReqOpts)
 	}
 
-	if r.Procs == 0 {
-		r.Procs = 32
-	}
 	if r.Procs < 1 || r.Procs > maxReqProcs {
 		return r, fmt.Errorf("core: procs %d out of range [1, %d]", r.Procs, maxReqProcs)
 	}
-	if len(r.ProcList) == 0 {
-		r.ProcList = []int{1, 2, 4, 8, 16, 32}
-	} else {
-		if len(r.ProcList) > maxReqListPoints {
-			return r, fmt.Errorf("core: procList has %d points (max %d)", len(r.ProcList), maxReqListPoints)
-		}
-		seen := make(map[int]bool, len(r.ProcList))
-		var list []int
-		for _, p := range r.ProcList {
-			if p < 1 || p > maxReqProcs {
-				return r, fmt.Errorf("core: procList entry %d out of range [1, %d]", p, maxReqProcs)
-			}
-			if !seen[p] {
-				seen[p] = true
-				list = append(list, p)
-			}
-		}
-		sort.Ints(list)
-		r.ProcList = list
+	if len(r.ProcList) > maxReqListPoints {
+		return r, fmt.Errorf("core: procList has %d points (max %d)", len(r.ProcList), maxReqListPoints)
 	}
+	for _, p := range r.ProcList {
+		if p < 1 || p > maxReqProcs {
+			return r, fmt.Errorf("core: procList entry %d out of range [1, %d]", p, maxReqProcs)
+		}
+	}
+	r.ProcList = slices.Clone(r.ProcList)
+	slices.Sort(r.ProcList)
+	r.ProcList = slices.Compact(r.ProcList)
 
 	if _, err := ParseScale(r.Scale); err != nil {
 		return r, err
 	}
-	if r.Scale == "" {
-		r.Scale = "sweep"
-	}
 
-	if len(r.CacheSizes) == 0 {
-		r.CacheSizes = DefaultCacheSizes()
-	} else if len(r.CacheSizes) > maxReqListPoints {
-		return r, fmt.Errorf("core: cacheSizes has %d points (max %d)", len(r.CacheSizes), maxReqListPoints)
+	if err := checkSizes("cacheSizes", "cache size", r.CacheSizes, 256, maxReqCacheBytes); err != nil {
+		return r, err
 	}
-	for _, cs := range r.CacheSizes {
-		if !isPow2(cs) || cs < 256 || cs > maxReqCacheBytes {
-			return r, fmt.Errorf("core: cache size %d not a power of two in [256, %d]", cs, maxReqCacheBytes)
-		}
-	}
-	if r.CacheSize == 0 {
-		r.CacheSize = 1 << 20
-	}
-	if !isPow2(r.CacheSize) || r.CacheSize < 256 || r.CacheSize > maxReqCacheBytes {
-		return r, fmt.Errorf("core: cache size %d not a power of two in [256, %d]", r.CacheSize, maxReqCacheBytes)
-	}
-	if len(r.Assocs) == 0 {
-		r.Assocs = []int{4}
+	if err := checkSizes("cacheSize", "cache size", []int{r.CacheSize}, 256, maxReqCacheBytes); err != nil {
+		return r, err
 	}
 	for _, a := range r.Assocs {
 		if a != 0 && (!isPow2(a) || a > 64) {
 			return r, fmt.Errorf("core: associativity %d not 0 (full) or a power of two ≤ 64", a)
 		}
 	}
-	if len(r.LineSizes) == 0 {
-		r.LineSizes = DefaultLineSizes()
-	} else if len(r.LineSizes) > maxReqListPoints {
-		return r, fmt.Errorf("core: lineSizes has %d points (max %d)", len(r.LineSizes), maxReqListPoints)
-	}
-	for _, ls := range r.LineSizes {
-		if !isPow2(ls) || ls < 8 || ls > maxReqLineBytes {
-			return r, fmt.Errorf("core: line size %d not a power of two in [8, %d]", ls, maxReqLineBytes)
-		}
+	if err := checkSizes("lineSizes", "line size", r.LineSizes, 8, maxReqLineBytes); err != nil {
+		return r, err
 	}
 	if r.SampleRate == 0 {
 		r.SampleRate = 0.01
@@ -245,14 +219,71 @@ func (r Request) Canonical() (Request, error) {
 	if r.SampleRate < 0 || r.SampleRate > 1 {
 		return r, fmt.Errorf("core: sample rate %v out of range (0, 1]", r.SampleRate)
 	}
-	if r.SampleSeed == 0 {
-		r.SampleSeed = 1
-	}
 	if r.TimeoutMillis < 0 {
 		return r, fmt.Errorf("core: negative timeoutMs %d", r.TimeoutMillis)
 	}
 	r.Opts = canonOpts(r.Opts)
 	return r, nil
+}
+
+// withDefaults fills the unset fields the sections read with the
+// defaults their doc comments name. SampleRate is the exception: a zero
+// rate keeps the sampled estimate out of a report and of results.
+func (r Request) withDefaults() Request {
+	if len(r.Apps) == 0 {
+		r.Apps = Suite
+	}
+	if r.Procs == 0 {
+		r.Procs = 32
+	}
+	if len(r.ProcList) == 0 {
+		r.ProcList = []int{1, 2, 4, 8, 16, 32}
+	}
+	if r.Scale == "" {
+		r.Scale = "sweep"
+	}
+	if len(r.CacheSizes) == 0 {
+		r.CacheSizes = DefaultCacheSizes()
+	}
+	if r.CacheSize == 0 {
+		r.CacheSize = 1 << 20
+	}
+	if len(r.Assocs) == 0 {
+		r.Assocs = []int{4}
+	}
+	if len(r.LineSizes) == 0 {
+		r.LineSizes = DefaultLineSizes()
+	}
+	if r.SampleSeed == 0 {
+		r.SampleSeed = 1
+	}
+	return r
+}
+
+// overrides returns one program's option overrides: the scale's problem
+// size with the request's Opts on top (Opts win). Every section takes
+// its overrides from here, so an opts-free request keys exactly as its
+// scale alone does.
+func (r Request) overrides(app string) map[string]int {
+	scale, _ := ParseScale(r.Scale)
+	if len(r.Opts) == 0 {
+		return scale.Overrides(app)
+	}
+	out := map[string]int{}
+	//splash:allow determinism key-wise merge map->map; iteration order cannot affect the merged result
+	for k, v := range scale.Overrides(app) {
+		out[k] = v
+	}
+	//splash:allow determinism key-wise merge map->map; iteration order cannot affect the merged result
+	for k, v := range r.Opts {
+		out[k] = v
+	}
+	return out
+}
+
+// trace is the identity of one program's recorded trace at req.Procs.
+func (r Request) trace(app string) traceIdent {
+	return traceIdent{App: app, Procs: r.Procs, Opts: canonOpts(r.overrides(app))}
 }
 
 // Deadline returns the request deadline as a duration (0 = none).
@@ -283,23 +314,6 @@ func (r Request) Key() runner.Key {
 // its copy is current.
 func (r Request) ETag() string { return `"` + r.Key().String() + `"` }
 
-// reportOptions shapes the canonical request into the options of the
-// full-characterization path (kind "results").
-func (r Request) reportOptions() ReportOptions {
-	scale, _ := ParseScale(r.Scale)
-	return ReportOptions{
-		Apps:       r.Apps,
-		Procs:      r.Procs,
-		ProcList:   r.ProcList,
-		Scale:      scale,
-		CacheSizes: r.CacheSizes,
-		LineSizes:  r.LineSizes,
-		// SampleRate/SampleSeed deliberately stay zero — "results" reports
-		// the exact curves; the sampled estimator is its own kind (or
-		// characterize -sample-rate).
-	}
-}
-
 // Do executes one request on a request-scoped view of the engine and
 // returns its results: the sections the kind selects, plus the failure
 // manifest of a keep-going request that lost experiments (then err wraps
@@ -323,71 +337,14 @@ func (e *Engine) Do(ctx context.Context, req Request, onProgress runner.Progress
 			defer cancel()
 		}
 	}
-	scale, _ := ParseScale(cr.Scale)
-	sc := e.Scoped(ScopeOptions{
+	if cr.Kind == KindResults {
+		// Results carry the exact curves; the sampled estimate is its own
+		// kind, or a report's SampleRate.
+		cr.SampleRate = 0
+	}
+	return e.Scoped(ScopeOptions{
 		Context:    ctx,
 		KeepGoing:  cr.KeepGoing,
 		OnProgress: onProgress,
-	})
-
-	if cr.Kind == KindResults {
-		return sc.CollectResults(cr.reportOptions())
-	}
-
-	res := &Results{Procs: cr.Procs}
-	switch cr.Kind {
-	case KindTable1:
-		res.Table1, err = sc.Table1(cr.Apps, cr.Procs, scale)
-	case KindSpeedups:
-		res.Speedups, err = sc.Speedups(cr.Apps, cr.ProcList, scale)
-	case KindSync:
-		res.Sync, err = sc.SyncProfiles(cr.Apps, cr.Procs, scale)
-	case KindWorkingSets:
-		res.MissCurves, err = sc.WorkingSets(cr.Apps, cr.Procs, cr.CacheSizes, cr.Assocs, scale)
-		if err == nil {
-			var fourWay []MissCurve
-			for _, c := range res.MissCurves {
-				if c.Assoc == 4 {
-					fourWay = append(fourWay, c)
-				}
-			}
-			res.Table2 = Table2(fourWay)
-			for _, c := range fourWay {
-				if c.Failed == "" {
-					res.PruneAdvice = append(res.PruneAdvice, Prune(c))
-				}
-			}
-		}
-	case KindWorkingSetsSampled:
-		res.Sampled, err = sc.WorkingSetsSampled(cr.Apps, cr.Procs, cr.CacheSizes, cr.SampleRate, cr.SampleSeed, scale)
-	case KindTraffic:
-		if len(cr.Apps) == 1 {
-			var pts []TrafficPoint
-			pts, err = sc.Traffic(cr.Apps[0], cr.ProcList, cr.CacheSize, scale, cr.Opts)
-			if err == nil {
-				res.Traffic = [][]TrafficPoint{pts}
-			}
-		} else {
-			res.Traffic, err = sc.TrafficSuite(cr.Apps, cr.ProcList, cr.CacheSize, scale)
-		}
-	case KindLineSize:
-		res.LineSize, err = sc.LineSizeSuite(cr.Apps, cr.Procs, cr.CacheSize, cr.LineSizes, scale)
-	case KindTable3:
-		lowP := cr.ProcList[0]
-		if lowP < 2 && len(cr.ProcList) > 1 {
-			lowP = cr.ProcList[1]
-		}
-		res.Table3, err = sc.Table3(cr.Apps, lowP, cr.ProcList[len(cr.ProcList)-1], scale)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if cr.KeepGoing {
-		if fails := sc.Failures(); len(fails) > 0 {
-			m := NewFailureManifest(fails)
-			res.Failures = m.Failures
-			return res, fmt.Errorf("core: %d experiment(s) lost: %w", m.Count, ErrFailures)
-		}
-	}
-	return res, nil
+	}).collect(cr)
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"splash2/internal/fault"
+	"splash2/internal/mach"
 	"splash2/internal/runner"
 )
 
@@ -121,38 +122,82 @@ func TestParseNamesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEngineDoMatchesDirectCalls pins the request dispatcher to the
-// underlying engine methods the CLI uses: byte-identical JSON is the
-// serve layer's core promise.
+// TestEngineDoMatchesDirectCalls pins the section table: each single
+// kind's sections deep-equal the same sections of Do(results), which is
+// what lets splashd answer any kind with the bytes the CLI would print.
 func TestEngineDoMatchesDirectCalls(t *testing.T) {
 	e, _ := NewEngine(EngineOptions{Workers: 4})
-	apps := []string{"fft", "lu"}
+	req := Request{
+		Apps: []string{"fft", "lu"}, Procs: 4, ProcList: []int{1, 4},
+		CacheSizes: []int{16 << 10, 64 << 10}, LineSizes: []int{32, 64},
+	}
+	do := func(kind string) reflect.Value {
+		req.Kind = kind
+		res, err := e.Do(context.Background(), req, nil)
+		if err != nil {
+			t.Fatalf("Do(%s): %v", kind, err)
+		}
+		return reflect.ValueOf(*res)
+	}
+	full := do(KindResults)
+	for _, kind := range Kinds() {
+		// results holds every kind but the sampled estimate.
+		if kind == KindResults || kind == KindWorkingSetsSampled {
+			continue
+		}
+		got, sections := do(kind), 0
+		for i := 0; i < got.NumField(); i++ {
+			f := got.Field(i)
+			if !f.CanInterface() || f.IsZero() || got.Type().Field(i).Name == "Procs" {
+				continue
+			}
+			sections++
+			if !reflect.DeepEqual(f.Interface(), full.Field(i).Interface()) {
+				t.Errorf("Do(%s).%s differs from Do(results)", kind, got.Type().Field(i).Name)
+			}
+		}
+		if sections == 0 {
+			t.Errorf("Do(%s) filled no section", kind)
+		}
+	}
+}
 
-	res, err := e.Do(context.Background(), Request{Kind: KindTable1, Apps: apps, Procs: 4, Scale: "default"}, nil)
+// TestRequestOptsReachEverySection: a single-app request's Opts reach the
+// runs of every kind, results included, through one override function.
+func TestRequestOptsReachEverySection(t *testing.T) {
+	e, _ := NewEngine(EngineOptions{Workers: 2})
+	req := Request{
+		Kind: KindTable1, Apps: []string{"fft"}, Procs: 4, ProcList: []int{1, 4},
+		CacheSizes: []int{16 << 10}, LineSizes: []int{64},
+	}
+	plain, err := e.Do(context.Background(), req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := e.Table1(apps, 4, DefaultScale)
+	req.Opts = map[string]int{"n": 4096}
+	withOpts, err := e.Do(context.Background(), req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res.Table1, want) {
-		t.Error("Do(table1) differs from Engine.Table1")
+	run, err := Run("fft", mach.Config{Procs: 4, MemModel: mach.CountOnly}, req.Opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Procs != 4 {
-		t.Errorf("res.Procs = %d", res.Procs)
+	got := withOpts.Table1[0].Instr
+	if got == plain.Table1[0].Instr {
+		t.Errorf("opts n=4096 left Instr at the default row's %d", got)
+	}
+	if want := mach.Aggregate(run.Stats.Procs).Instr; got != want {
+		t.Errorf("Do(table1, n=4096).Instr = %d, want %d from Run", got, want)
 	}
 
-	res, err = e.Do(context.Background(), Request{Kind: KindSpeedups, Apps: apps, ProcList: []int{1, 4}, Scale: "default"}, nil)
+	req.Kind = KindResults
+	all, err := e.Do(context.Background(), req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSp, err := e.Speedups(apps, []int{1, 4}, DefaultScale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Speedups, wantSp) {
-		t.Error("Do(speedups) differs from Engine.Speedups")
+	if !reflect.DeepEqual(all.Table1, withOpts.Table1) {
+		t.Error("Do(results) ignores opts")
 	}
 }
 

@@ -145,22 +145,19 @@ func RecordApp(app string, procs int, over map[string]int) (*memsys.Trace, mach.
 	return tr, m.Snapshot(), nil
 }
 
-// merged combines scale overrides with explicit ones (explicit wins).
-func merged(scale Scale, app string, over map[string]int) map[string]int {
-	out := map[string]int{}
-	//splash:allow determinism key-wise merge map->map; iteration order cannot affect the merged result
-	for k, v := range scale.Overrides(app) {
-		out[k] = v
-	}
-	//splash:allow determinism key-wise merge map->map; iteration order cannot affect the merged result
-	for k, v := range over {
-		out[k] = v
-	}
-	return out
-}
-
 // flopBased reports whether an app's traffic is normalized per FLOP.
 func flopBased(app string) bool {
 	a, err := apps.Get(app)
 	return err == nil && a.FlopBased
+}
+
+// opCount is the denominator of normalized traffic: the run's FLOPs for
+// a floating-point code, its instructions otherwise, and never zero.
+func opCount(perFlop bool, procs []mach.Counters) float64 {
+	a := mach.Aggregate(procs)
+	n := a.Instr
+	if perFlop {
+		n = a.Flops
+	}
+	return float64(max(n, 1))
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"os"
 	"strconv"
@@ -102,17 +103,16 @@ func TestWorkingSetsSampledEngine(t *testing.T) {
 	apps := []string{"fft", "radix"}
 	sizes := DefaultCacheSizes()
 
-	curves, err := WorkingSetsSampled(apps, 4, sizes, 1, 1, DefaultScale)
-	if err != nil {
-		t.Fatal(err)
+	req := Request{
+		Kind: KindWorkingSetsSampled, Apps: apps, Procs: 4, CacheSizes: sizes,
+		SampleRate: 1, SampleSeed: 1, Scale: "default",
 	}
+	curves := do(t, req).Sampled
 	if len(curves) != len(apps) {
 		t.Fatalf("curves = %d, want %d", len(curves), len(apps))
 	}
-	exact, err := WorkingSets(apps, 4, sizes, []int{memsys.FullyAssoc}, DefaultScale)
-	if err != nil {
-		t.Fatal(err)
-	}
+	req.Kind, req.Assocs = KindWorkingSets, []int{memsys.FullyAssoc}
+	exact := do(t, req).MissCurves
 	for i, c := range curves {
 		if c.App != apps[i] || c.Rate != 1 || c.EffRate != 1 || c.ExactLines != memsys.DefaultExactLines {
 			t.Errorf("curve %d identity: %+v", i, c)
@@ -129,10 +129,19 @@ func TestWorkingSetsSampledEngine(t *testing.T) {
 		}
 	}
 
-	if _, err := WorkingSetsSampled(apps, 4, sizes, 0, 1, DefaultScale); err == nil {
+	e, _ := NewEngine(EngineOptions{Workers: 1})
+	for _, rate := range []float64{-0.5, 1.5} {
+		req.Kind, req.SampleRate = KindWorkingSetsSampled, rate
+		if _, err := e.Do(context.Background(), req, nil); err == nil {
+			t.Errorf("rate %v accepted", rate)
+		}
+	}
+	// A report's rate skips Canonical; the section itself rejects it.
+	req.SampleRate = 0
+	if err := e.sampledSets(req, &Results{}); err == nil {
 		t.Error("rate 0 accepted")
 	}
-	if _, err := WorkingSetsSampled(apps, 4, sizes, 1.5, 1, DefaultScale); err == nil {
-		t.Error("rate 1.5 accepted")
+	if n := e.Counts().Executed; n != 0 {
+		t.Errorf("invalid rates executed %d jobs", n)
 	}
 }

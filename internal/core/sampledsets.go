@@ -47,51 +47,44 @@ type sampledSweep struct {
 	EffRate float64
 }
 
-// WorkingSetsSampled estimates each program's fully-associative
-// working-set curve by sampled reuse-distance analysis with 64-byte
-// lines on procs processors.
-func WorkingSetsSampled(appNames []string, procs int, cacheSizes []int, rate float64, seed uint64, scale Scale) ([]SampledCurve, error) {
-	return serialEngine().WorkingSetsSampled(appNames, procs, cacheSizes, rate, seed, scale)
-}
-
-// WorkingSetsSampled schedules one lazy record job per program feeding a
-// sampled sweep job, mirroring WorkingSets: a program whose estimate is
+// sampledSets estimates each program's fully-associative working-set
+// curve by sampled reuse-distance analysis with 64-byte lines on
+// req.Procs processors. It mirrors workingSets: one lazy record job per
+// program feeds a sampled sweep job, so a program whose estimate is
 // served from the result cache is never re-executed, and an uncached
 // estimate costs one sampled pass over the trace — a small fraction of
 // the exact pass's work at low rates.
-func (e *Engine) WorkingSetsSampled(appNames []string, procs int, cacheSizes []int, rate float64, seed uint64, scale Scale) ([]SampledCurve, error) {
+func (e *Engine) sampledSets(req Request, res *Results) error {
+	rate, seed := req.SampleRate, req.SampleSeed
 	if rate <= 0 || rate > 1 {
-		return nil, fmt.Errorf("core: sample rate %v out of range (0, 1]", rate)
+		return fmt.Errorf("core: sample rate %v out of range (0, 1]", rate)
 	}
 	g := e.newGraph()
-	sweeps := make(map[string]runner.Job[sampledSweep], len(appNames))
-	for _, name := range appNames {
-		id := traceIdent{App: name, Procs: procs, Opts: canonOpts(scale.Overrides(name))}
-		rec := e.recordJob(g, id)
-		sweeps[name] = e.sampledSweepJob(g, rec, id, cacheSizes, rate, seed)
+	sweeps := make([]runner.Job[sampledSweep], len(req.Apps))
+	for i, name := range req.Apps {
+		id := req.trace(name)
+		sweeps[i] = e.sampledSweepJob(g, e.recordJob(g, id), id, req.CacheSizes, rate, seed)
 	}
 	if err := g.Wait(e.ctx); err != nil {
-		return nil, err
+		return err
 	}
-	var out []SampledCurve
-	for _, name := range appNames {
-		sw, failed, err := degrade(e, sweeps[name])
+	for i, name := range req.Apps {
+		sw, failed, err := degrade(e, sweeps[i])
 		if err != nil {
-			return nil, err
+			return err
 		}
 		c := SampledCurve{
-			App: name, CacheSizes: cacheSizes,
+			App: name, CacheSizes: req.CacheSizes,
 			Rate: rate, SampleSeed: seed, ExactLines: memsys.DefaultExactLines,
+			Failed: failed,
 		}
-		if failed != "" {
-			c.Failed = failed
-		} else {
+		if failed == "" {
 			c.MissRate, c.BandLo, c.BandHi = sw.Miss, sw.Lo, sw.Hi
 			c.EffRate = sw.EffRate
 		}
-		out = append(out, c)
+		res.Sampled = append(res.Sampled, c)
 	}
-	return out, nil
+	return nil
 }
 
 // sampledSweepJob schedules one program's sampled working-set estimate

@@ -5,7 +5,6 @@ import (
 	"io"
 	"text/tabwriter"
 
-	"splash2/internal/mach"
 	"splash2/internal/runner"
 )
 
@@ -24,39 +23,31 @@ type SpeedupCurve struct {
 	Failed string `json:"failed,omitempty"`
 }
 
-// Speedups measures PRAM speedups for each program over procList.
-func Speedups(appNames []string, procList []int, scale Scale) ([]SpeedupCurve, error) {
-	return serialEngine().Speedups(appNames, procList, scale)
-}
-
-// Speedups schedules the program × processor-count grid as independent
-// jobs; curves are assembled in procList order once the graph completes.
-func (e *Engine) Speedups(appNames []string, procList []int, scale Scale) ([]SpeedupCurve, error) {
+// speedups schedules the program × processor-count grid as independent
+// jobs; curves are assembled in req.ProcList order once the graph
+// completes.
+func (e *Engine) speedups(req Request, res *Results) error {
 	g := e.newGraph()
-	jobs := make([][]runner.Job[*RunResult], len(appNames))
-	for ai, name := range appNames {
-		jobs[ai] = make([]runner.Job[*RunResult], len(procList))
-		for pi, p := range procList {
-			jobs[ai][pi] = e.runJob(g, name, mach.Config{Procs: p, MemModel: mach.CountOnly}, scale.Overrides(name))
-		}
+	jobs := make([][]runner.Job[*RunResult], len(req.ProcList))
+	for pi, p := range req.ProcList {
+		jobs[pi] = e.countRuns(g, req, p)
 	}
 	if err := g.Wait(e.ctx); err != nil {
-		return nil, err
+		return err
 	}
-	var out []SpeedupCurve
-	for ai, name := range appNames {
-		curve := SpeedupCurve{App: name, Procs: procList}
+	for ai, name := range req.Apps {
+		curve := SpeedupCurve{App: name, Procs: req.ProcList}
 		var t1 float64
-		for i, p := range procList {
-			res, failed, err := degrade(e, jobs[ai][i])
+		for i, p := range req.ProcList {
+			run, failed, err := degrade(e, jobs[i][ai])
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if failed != "" {
-				curve = SpeedupCurve{App: name, Procs: procList, Failed: failed}
+				curve = SpeedupCurve{App: name, Procs: req.ProcList, Failed: failed}
 				break
 			}
-			t := res.Stats.Time
+			t := run.Stats.Time
 			curve.Time = append(curve.Time, t)
 			if i == 0 {
 				// Baseline: the first point (normally p=1); if the sweep
@@ -65,9 +56,9 @@ func (e *Engine) Speedups(appNames []string, procList []int, scale Scale) ([]Spe
 			}
 			curve.Speedup = append(curve.Speedup, t1/float64(t))
 		}
-		out = append(out, curve)
+		res.Speedups = append(res.Speedups, curve)
 	}
-	return out, nil
+	return nil
 }
 
 // RenderSpeedups prints the curves as a table, one column per proc count.
@@ -112,37 +103,27 @@ type SyncProfile struct {
 	Failed string `json:"failed,omitempty"`
 }
 
-// SyncProfiles measures Figure 2 for every program.
-func SyncProfiles(appNames []string, procs int, scale Scale) ([]SyncProfile, error) {
-	return serialEngine().SyncProfiles(appNames, procs, scale)
-}
-
-// SyncProfiles schedules one count-only run per program. These jobs hash
-// identically to Table 1's at the same processor count, so within an
-// engine each program executes once for both.
-func (e *Engine) SyncProfiles(appNames []string, procs int, scale Scale) ([]SyncProfile, error) {
+// syncProfiles schedules one count-only run per program, the same jobs
+// as Table 1's.
+func (e *Engine) syncProfiles(req Request, res *Results) error {
 	g := e.newGraph()
-	jobs := make([]runner.Job[*RunResult], len(appNames))
-	for i, name := range appNames {
-		jobs[i] = e.runJob(g, name, mach.Config{Procs: procs, MemModel: mach.CountOnly}, scale.Overrides(name))
-	}
+	jobs := e.countRuns(g, req, req.Procs)
 	if err := g.Wait(e.ctx); err != nil {
-		return nil, err
+		return err
 	}
-	var out []SyncProfile
-	for i, name := range appNames {
-		res, failed, err := degrade(e, jobs[i])
+	for i, name := range req.Apps {
+		run, failed, err := degrade(e, jobs[i])
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if failed != "" {
-			out = append(out, SyncProfile{App: name, Failed: failed})
+			res.Sync = append(res.Sync, SyncProfile{App: name, Failed: failed})
 			continue
 		}
-		t := float64(res.Stats.Time)
+		t := float64(run.Stats.Time)
 		pr := SyncProfile{App: name, MinPct: 101}
 		var sum float64
-		for _, c := range res.Stats.Procs {
+		for _, c := range run.Stats.Procs {
 			pct := 0.0
 			if t > 0 {
 				pct = 100 * float64(c.SyncWait) / t
@@ -158,10 +139,10 @@ func (e *Engine) SyncProfiles(appNames []string, procs int, scale Scale) ([]Sync
 			pr.LocksTotal += c.Locks
 			pr.PausesTotal += c.Pauses
 		}
-		pr.AvgPct = sum / float64(len(res.Stats.Procs))
-		out = append(out, pr)
+		pr.AvgPct = sum / float64(len(run.Stats.Procs))
+		res.Sync = append(res.Sync, pr)
 	}
-	return out, nil
+	return nil
 }
 
 // RenderSyncProfiles prints the Figure-2 table.

@@ -30,36 +30,27 @@ type Table1Row struct {
 	Failed string `json:"failed,omitempty"`
 }
 
-// Table1 runs every program at its scale's problem size on procs
-// processors under the count-only memory model (PRAM timing is identical
-// and Table 1 needs no cache simulation).
-func Table1(appNames []string, procs int, scale Scale) ([]Table1Row, error) {
-	return serialEngine().Table1(appNames, procs, scale)
-}
-
-// Table1 schedules the per-program executions on the engine's worker
-// pool; runs are shared with Figures 1–2 through the result store.
-func (e *Engine) Table1(appNames []string, procs int, scale Scale) ([]Table1Row, error) {
+// table1 runs every program at its problem size on req.Procs processors
+// under the count-only memory model (PRAM timing is identical and Table 1
+// needs no cache simulation). The runs are shared with Figures 1–2
+// through the result store.
+func (e *Engine) table1(req Request, res *Results) error {
 	g := e.newGraph()
-	jobs := make([]runner.Job[*RunResult], len(appNames))
-	for i, name := range appNames {
-		jobs[i] = e.runJob(g, name, mach.Config{Procs: procs, MemModel: mach.CountOnly}, scale.Overrides(name))
-	}
+	jobs := e.countRuns(g, req, req.Procs)
 	if err := g.Wait(e.ctx); err != nil {
-		return nil, err
+		return err
 	}
-	var rows []Table1Row
-	for i, name := range appNames {
-		res, failed, err := degrade(e, jobs[i])
+	for i, name := range req.Apps {
+		run, failed, err := degrade(e, jobs[i])
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if failed != "" {
-			rows = append(rows, Table1Row{App: name, Failed: failed})
+			res.Table1 = append(res.Table1, Table1Row{App: name, Failed: failed})
 			continue
 		}
-		a := mach.Aggregate(res.Stats.Procs)
-		rows = append(rows, Table1Row{
+		a := mach.Aggregate(run.Stats.Procs)
+		res.Table1 = append(res.Table1, Table1Row{
 			App:             name,
 			Instr:           a.Instr,
 			Flops:           a.Flops,
@@ -67,12 +58,24 @@ func (e *Engine) Table1(appNames []string, procs int, scale Scale) ([]Table1Row,
 			Writes:          a.Writes,
 			SharedReads:     a.SharedReads,
 			SharedWrites:    a.SharedWrites,
-			BarriersPerProc: a.Barriers / uint64(procs),
+			BarriersPerProc: a.Barriers / uint64(req.Procs),
 			Locks:           a.Locks,
 			Pauses:          a.Pauses,
 		})
 	}
-	return rows, nil
+	return nil
+}
+
+// countRuns submits one count-only run per program at procs processors.
+// Table 1 and Figure 2 submit the same jobs, so within an engine each
+// program executes once for both; Figure 1 submits one set per
+// processor count.
+func (e *Engine) countRuns(g *runner.Graph, req Request, procs int) []runner.Job[*RunResult] {
+	jobs := make([]runner.Job[*RunResult], len(req.Apps))
+	for i, name := range req.Apps {
+		jobs[i] = e.runJob(g, name, mach.Config{Procs: procs, MemModel: mach.CountOnly}, req.overrides(name))
+	}
+	return jobs
 }
 
 // RenderTable1 prints the rows in the paper's column layout.

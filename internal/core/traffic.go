@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -39,92 +40,50 @@ func (t TrafficPoint) Remote() float64 {
 // Total returns total normalized traffic including local data.
 func (t TrafficPoint) Total() float64 { return t.Remote() + t.LocalData }
 
-// Traffic measures the breakdown for one program over processor counts at
-// a given cache size (1 MB for Figure 4, 64 KB for Figure 6, two problem
-// sizes for Figure 5).
-func Traffic(app string, procList []int, cacheSize int, scale Scale, over map[string]int) ([]TrafficPoint, error) {
-	return serialEngine().Traffic(app, procList, cacheSize, scale, over)
-}
-
-// Traffic schedules one full-memory run per processor count. Runs are
-// keyed by configuration, so Table 3 and Figure 5 reuse Figure 4's
-// executions within an engine.
-func (e *Engine) Traffic(app string, procList []int, cacheSize int, scale Scale, over map[string]int) ([]TrafficPoint, error) {
+// trafficGroups measures the traffic breakdown of every program over
+// req.ProcList at req.CacheSize (Figure 4). It schedules one full-memory
+// run per program and processor count, all in one graph, and normalizes
+// each program's runs into one group of points. Runs are keyed by
+// configuration, so Table 3 and Figures 5–6 reuse Figure 4's executions
+// within an engine.
+func (e *Engine) trafficGroups(req Request) ([][]TrafficPoint, error) {
 	g := e.newGraph()
-	jobs := e.trafficJobs(g, app, procList, cacheSize, scale, over)
-	if err := g.Wait(e.ctx); err != nil {
-		return nil, err
-	}
-	return e.trafficPoints(app, procList, cacheSize, jobs)
-}
-
-// trafficJobs submits the per-processor-count runs behind Traffic.
-func (e *Engine) trafficJobs(g *runner.Graph, app string, procList []int, cacheSize int, scale Scale, over map[string]int) []runner.Job[*RunResult] {
-	jobs := make([]runner.Job[*RunResult], len(procList))
-	for i, p := range procList {
-		cfg := mach.Config{Procs: p, CacheSize: cacheSize, Assoc: 4, LineSize: 64}
-		jobs[i] = e.runJob(g, app, cfg, merged(scale, app, over))
-	}
-	return jobs
-}
-
-// trafficPoints normalizes completed runs into Figure-4 breakdowns.
-func (e *Engine) trafficPoints(app string, procList []int, cacheSize int, jobs []runner.Job[*RunResult]) ([]TrafficPoint, error) {
-	var out []TrafficPoint
-	perFlop := flopBased(app)
-	for i, p := range procList {
-		res, failed, err := degrade(e, jobs[i])
-		if err != nil {
-			return nil, err
+	jobs := make([][]runner.Job[*RunResult], len(req.Apps))
+	for i, name := range req.Apps {
+		jobs[i] = make([]runner.Job[*RunResult], len(req.ProcList))
+		for pi, p := range req.ProcList {
+			cfg := mach.Config{Procs: p, CacheSize: req.CacheSize, Assoc: 4, LineSize: 64}
+			jobs[i][pi] = e.runJob(g, name, cfg, req.overrides(name))
 		}
-		if failed != "" {
-			out = append(out, TrafficPoint{App: app, Procs: p, CacheSize: cacheSize, PerFlop: perFlop, Failed: failed})
-			continue
-		}
-		agg := mach.Aggregate(res.Stats.Procs)
-		denom := float64(agg.Flops)
-		if !perFlop {
-			denom = float64(agg.Instr)
-		}
-		if denom == 0 {
-			denom = 1
-		}
-		tr := res.Stats.Mem.Traffic
-		out = append(out, TrafficPoint{
-			App: app, Procs: p, CacheSize: cacheSize, PerFlop: perFlop,
-			RemoteShared:    float64(tr.RemoteShared) / denom,
-			RemoteCold:      float64(tr.RemoteCold) / denom,
-			RemoteCapacity:  float64(tr.RemoteCapacity) / denom,
-			RemoteWriteback: float64(tr.RemoteWriteback) / denom,
-			RemoteOverhead:  float64(tr.RemoteOverhead) / denom,
-			LocalData:       float64(tr.LocalData) / denom,
-			TrueSharing:     float64(tr.TrueSharingData) / denom,
-		})
-	}
-	return out, nil
-}
-
-// TrafficSuite measures Figure 4 (or Figure 6) for several programs.
-func TrafficSuite(appNames []string, procList []int, cacheSize int, scale Scale) ([][]TrafficPoint, error) {
-	return serialEngine().TrafficSuite(appNames, procList, cacheSize, scale)
-}
-
-// TrafficSuite schedules the whole program × processor-count grid as one
-// graph so every point runs concurrently.
-func (e *Engine) TrafficSuite(appNames []string, procList []int, cacheSize int, scale Scale) ([][]TrafficPoint, error) {
-	g := e.newGraph()
-	jobs := make([][]runner.Job[*RunResult], len(appNames))
-	for i, name := range appNames {
-		jobs[i] = e.trafficJobs(g, name, procList, cacheSize, scale, nil)
 	}
 	if err := g.Wait(e.ctx); err != nil {
 		return nil, err
 	}
 	var out [][]TrafficPoint
-	for i, name := range appNames {
-		pts, err := e.trafficPoints(name, procList, cacheSize, jobs[i])
-		if err != nil {
-			return nil, err
+	for i, name := range req.Apps {
+		var pts []TrafficPoint
+		perFlop := flopBased(name)
+		for pi, p := range req.ProcList {
+			run, failed, err := degrade(e, jobs[i][pi])
+			if err != nil {
+				return nil, err
+			}
+			if failed != "" {
+				pts = append(pts, TrafficPoint{App: name, Procs: p, CacheSize: req.CacheSize, PerFlop: perFlop, Failed: failed})
+				continue
+			}
+			denom := opCount(perFlop, run.Stats.Procs)
+			tr := run.Stats.Mem.Traffic
+			pts = append(pts, TrafficPoint{
+				App: name, Procs: p, CacheSize: req.CacheSize, PerFlop: perFlop,
+				RemoteShared:    float64(tr.RemoteShared) / denom,
+				RemoteCold:      float64(tr.RemoteCold) / denom,
+				RemoteCapacity:  float64(tr.RemoteCapacity) / denom,
+				RemoteWriteback: float64(tr.RemoteWriteback) / denom,
+				RemoteOverhead:  float64(tr.RemoteOverhead) / denom,
+				LocalData:       float64(tr.LocalData) / denom,
+				TrueSharing:     float64(tr.TrueSharingData) / denom,
+			})
 		}
 		out = append(out, pts)
 	}
@@ -186,38 +145,37 @@ var table3Forms = map[string]string{
 	"water-sp":  "≈ (P/DS)^(2/3)",
 }
 
-// Table3 measures comm/comp at two processor counts and reports growth.
-func Table3(appNames []string, lowP, highP int, scale Scale) ([]Table3Row, error) {
-	return serialEngine().Table3(appNames, lowP, highP, scale)
-}
-
-// Table3 schedules the two-point traffic measurements for every
-// program; the runs hash identically to Figure 4's at the same counts,
-// so within an engine they are free.
-func (e *Engine) Table3(appNames []string, lowP, highP int, scale Scale) ([]Table3Row, error) {
-	groups, err := e.TrafficSuite(appNames, []int{lowP, highP}, 1<<20, scale)
-	if err != nil {
-		return nil, err
+// table3 measures comm/comp at two processor counts — the first of
+// req.ProcList above one and the last — with 1 MB caches, and reports the
+// growth. The runs hash identically to Figure 4's at the same counts, so
+// within an engine they are free.
+func (e *Engine) table3(req Request, res *Results) error {
+	lowP, highP := req.ProcList[0], req.ProcList[len(req.ProcList)-1]
+	if lowP < 2 && len(req.ProcList) > 1 {
+		lowP = req.ProcList[1]
 	}
-	var out []Table3Row
-	for i, name := range appNames {
+	req.ProcList, req.CacheSize = []int{lowP, highP}, 1<<20
+	groups, err := e.trafficGroups(req)
+	if err != nil {
+		return err
+	}
+	for i, name := range req.Apps {
 		pts := groups[i]
 		row := Table3Row{
 			App: name, AnalyticForm: table3Forms[name],
 			LowProcs: lowP, HighProcs: highP,
 		}
-		if failed := pts[0].Failed + pts[1].Failed; failed != "" {
-			row.Failed = firstNonEmpty(pts[0].Failed, pts[1].Failed)
-			out = append(out, row)
+		if row.Failed = cmp.Or(pts[0].Failed, pts[1].Failed); row.Failed != "" {
+			res.Table3 = append(res.Table3, row)
 			continue
 		}
 		row.RatioLow, row.RatioHigh = pts[0].TrueSharing, pts[1].TrueSharing
 		if row.RatioLow > 0 {
 			row.MeasuredGrow = row.RatioHigh / row.RatioLow
 		}
-		out = append(out, row)
+		res.Table3 = append(res.Table3, row)
 	}
-	return out, nil
+	return nil
 }
 
 // RenderTable3 prints Table 3.
@@ -233,14 +191,4 @@ func RenderTable3(w io.Writer, rows []Table3Row) {
 			r.App, r.AnalyticForm, r.RatioLow, r.LowProcs, r.RatioHigh, r.HighProcs, r.MeasuredGrow)
 	}
 	tw.Flush()
-}
-
-// firstNonEmpty returns the first non-empty string.
-func firstNonEmpty(ss ...string) string {
-	for _, s := range ss {
-		if s != "" {
-			return s
-		}
-	}
-	return ""
 }

@@ -33,44 +33,55 @@ func DefaultCacheSizes() []int {
 	return out
 }
 
-// WorkingSets sweeps cache size × associativity for each program with
-// 64-byte lines on procs processors (Figure 3). Each program executes
-// once; its recorded reference trace answers every sweep point so all
-// points see the identical stream (§2.2's comparability argument).
-func WorkingSets(appNames []string, procs int, cacheSizes []int, assocs []int, scale Scale) ([]MissCurve, error) {
-	return serialEngine().WorkingSets(appNames, procs, cacheSizes, assocs, scale)
-}
-
-// WorkingSets schedules one lazy record job per program feeding a single
-// fused sweep job, so a program whose grid is served from the result
-// cache is never re-executed at all, and an uncached grid costs one pass
-// over the trace per associativity instead of one replay per point.
-func (e *Engine) WorkingSets(appNames []string, procs int, cacheSizes []int, assocs []int, scale Scale) ([]MissCurve, error) {
+// workingSets sweeps cache size × associativity for each program with
+// 64-byte lines on req.Procs processors (Figure 3). It schedules one lazy
+// record job per program feeding a single fused sweep job, so a program
+// whose grid is served from the result cache is never re-executed at
+// all, and an uncached grid costs one pass over the trace per
+// associativity instead of one replay per point. Every point sees the
+// identical stream (§2.2's comparability argument).
+func (e *Engine) workingSets(req Request, res *Results) error {
 	g := e.newGraph()
-	sweeps := make(map[string]runner.Job[[][]float64], len(appNames))
-	for _, name := range appNames {
-		id := traceIdent{App: name, Procs: procs, Opts: canonOpts(scale.Overrides(name))}
-		rec := e.recordJob(g, id)
-		sweeps[name] = e.workingSetSweepJob(g, rec, id, cacheSizes, assocs)
+	sweeps := make([]runner.Job[[][]float64], len(req.Apps))
+	for i, name := range req.Apps {
+		id := req.trace(name)
+		sweeps[i] = e.workingSetSweepJob(g, e.recordJob(g, id), id, req.CacheSizes, req.Assocs)
 	}
 	if err := g.Wait(e.ctx); err != nil {
-		return nil, err
+		return err
 	}
-	var out []MissCurve
-	for _, name := range appNames {
-		grid, failed, err := degrade(e, sweeps[name])
+	for i, name := range req.Apps {
+		grid, failed, err := degrade(e, sweeps[i])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		for ai, assoc := range assocs {
-			if failed != "" {
-				out = append(out, MissCurve{App: name, Assoc: assoc, CacheSizes: cacheSizes, Failed: failed})
-				continue
+		for ai, assoc := range req.Assocs {
+			c := MissCurve{App: name, Assoc: assoc, CacheSizes: req.CacheSizes, Failed: failed}
+			if failed == "" {
+				c.MissRate = grid[ai]
 			}
-			out = append(out, MissCurve{App: name, Assoc: assoc, CacheSizes: cacheSizes, MissRate: grid[ai]})
+			res.MissCurves = append(res.MissCurves, c)
 		}
 	}
-	return out, nil
+	return nil
+}
+
+// table2 derives Table 2 and the §5 pruning advice from Figure 3's 4-way
+// curves; the other associativities enter neither.
+func (e *Engine) table2(req Request, res *Results) error {
+	var fourWay []MissCurve
+	for _, c := range res.MissCurves {
+		if c.Assoc == 4 {
+			fourWay = append(fourWay, c)
+		}
+	}
+	res.Table2 = Table2(fourWay)
+	for _, c := range fourWay {
+		if c.Failed == "" {
+			res.PruneAdvice = append(res.PruneAdvice, Prune(c))
+		}
+	}
+	return nil
 }
 
 // workingSetSweepJob schedules one program's whole Figure-3 grid as a

@@ -21,12 +21,23 @@
 //	st := m.Snapshot()
 //	fmt.Printf("miss rate %.2f%%\n", 100*st.Mem.MissRate())
 //
-// The higher-level experiment drivers (Table1, Speedups, WorkingSets,
-// Traffic, LineSizeSweep, Report) run whole parameter sweeps; see
-// cmd/characterize for the full reproduction. Each full-memory
-// experiment runs live, with the memory system simulated inline with
-// the program; the cache-size and line-size sweeps (Figures 3 and 7–8)
-// replay one recorded trace per program instead of re-executing it.
+// Every table and figure is one request kind. An Engine runs a Request —
+// which kind, over which programs and machine parameters — and returns
+// the Results sections that kind selects:
+//
+//	e, _ := splash2.NewEngine(splash2.EngineOptions{})
+//	defer e.Close()
+//	res, _ := e.Do(context.Background(), splash2.Request{
+//		Kind: splash2.KindTraffic, Apps: []string{"fft"}, Scale: "sweep",
+//	}, nil)
+//	fmt.Println(res.Traffic[0][0].Remote())
+//
+// Characterize prints the whole evaluation and CollectResults returns it
+// as data; see cmd/characterize for the full reproduction. Each
+// full-memory experiment runs live, with the memory system simulated
+// inline with the program; the cache-size and line-size sweeps (Figures 3
+// and 7–8) replay one recorded trace per program instead of re-executing
+// it.
 package splash2
 
 import (
@@ -98,8 +109,14 @@ func Build(name string, m *Machine, opts map[string]int) (Runner, error) {
 	return apps.BuildWithDefaults(name, m, opts)
 }
 
-// Experiment drivers (one per paper table/figure) and their results.
+// The experiment engine, its requests and their results.
 type (
+	// Engine schedules experiments over a worker pool, an in-memory memo
+	// and an optional on-disk result cache; see NewEngine.
+	Engine = core.Engine
+	// Request is one experiment spec: a kind plus its programs and
+	// machine parameters (see Engine.Do).
+	Request = core.Request
 	// RunResult is one program execution under one configuration.
 	RunResult = core.RunResult
 	// Table1Row is the instruction-breakdown row of one program.
@@ -154,9 +171,26 @@ type (
 	// exact-window width).
 	SampledOptions = memsys.SampledOptions
 	// SampledCurve is one program's estimated working-set curve with
-	// bands (see WorkingSetsSampled).
+	// bands (request kind KindWorkingSetsSampled).
 	SampledCurve = core.SampledCurve
 )
+
+// Request kinds: one per paper table or figure, plus the full bundle.
+const (
+	KindTable1             = core.KindTable1             // Table 1: instruction breakdown
+	KindSpeedups           = core.KindSpeedups           // Figure 1: PRAM speedups
+	KindSync               = core.KindSync               // Figure 2: synchronization profiles
+	KindWorkingSets        = core.KindWorkingSets        // Figure 3, Table 2 and pruning advice
+	KindWorkingSetsSampled = core.KindWorkingSetsSampled // Figure 3 by sampled reuse distances
+	KindTraffic            = core.KindTraffic            // Figure 4: traffic breakdowns
+	KindTable3             = core.KindTable3             // Table 3: comm-to-comp growth
+	KindLineSize           = core.KindLineSize           // Figures 7–8: line-size sweeps
+	KindResults            = core.KindResults            // every section above but the sampled one
+)
+
+// NewEngine creates an experiment engine; Close it when done so a
+// cache-backed run journal records a clean end.
+func NewEngine(o EngineOptions) (*Engine, error) { return core.NewEngine(o) }
 
 // DefaultExactLines is the default exact-window width of the sampled
 // estimator: capacities up to DefaultExactLines cache lines are answered
@@ -185,43 +219,8 @@ func RunProgramVerified(name string, cfg Config, opts map[string]int) (*RunResul
 	return core.RunVerified(name, cfg, opts)
 }
 
-// Table1 measures the instruction breakdown (paper Table 1).
-func Table1(appNames []string, procs int, scale Scale) ([]Table1Row, error) {
-	return core.Table1(appNames, procs, scale)
-}
-
-// Speedups measures PRAM speedups (paper Figure 1).
-func Speedups(appNames []string, procList []int, scale Scale) ([]SpeedupCurve, error) {
-	return core.Speedups(appNames, procList, scale)
-}
-
-// SyncProfiles measures synchronization time (paper Figure 2).
-func SyncProfiles(appNames []string, procs int, scale Scale) ([]SyncProfile, error) {
-	return core.SyncProfiles(appNames, procs, scale)
-}
-
-// WorkingSets sweeps miss rate vs cache size/associativity (Figure 3).
-func WorkingSets(appNames []string, procs int, cacheSizes, assocs []int, scale Scale) ([]MissCurve, error) {
-	return core.WorkingSets(appNames, procs, cacheSizes, assocs, scale)
-}
-
 // Table2 derives working-set rows from measured 4-way miss curves.
 func Table2(curves []MissCurve) []Table2Row { return core.Table2(curves) }
-
-// Traffic measures a program's traffic breakdown (Figures 4–6).
-func Traffic(app string, procList []int, cacheSize int, scale Scale, opts map[string]int) ([]TrafficPoint, error) {
-	return core.Traffic(app, procList, cacheSize, scale, opts)
-}
-
-// Table3 measures comm-to-comp growth between two processor counts.
-func Table3(appNames []string, lowP, highP int, scale Scale) ([]Table3Row, error) {
-	return core.Table3(appNames, lowP, highP, scale)
-}
-
-// LineSizeSweep measures spatial locality and false sharing (Figures 7–8).
-func LineSizeSweep(app string, procs, cacheSize int, lineSizes []int, scale Scale) ([]LineSizePoint, error) {
-	return core.LineSizeSweep(app, procs, cacheSize, lineSizes, scale)
-}
 
 // DefaultCacheSizes returns the paper's 1 KB–1 MB sweep points.
 func DefaultCacheSizes() []int { return core.DefaultCacheSizes() }
@@ -358,13 +357,6 @@ func SampledStackDistances(src TraceSource, lineSize, maxCacheSize int, opt Samp
 // never read from disk.
 func EpochWindow(src TraceSource, lo, hi uint64) (TraceSource, error) {
 	return memsys.EpochWindow(src, lo, hi)
-}
-
-// WorkingSetsSampled estimates each program's fully-associative
-// working-set curve by sampled reuse-distance analysis — the cheap,
-// banded preview of WorkingSets' exact sweep.
-func WorkingSetsSampled(appNames []string, procs int, cacheSizes []int, rate float64, seed uint64, scale Scale) ([]SampledCurve, error) {
-	return core.WorkingSetsSampled(appNames, procs, cacheSizes, rate, seed, scale)
 }
 
 // OpenTraceFile opens an on-disk v2 trace for out-of-core streaming:
