@@ -217,6 +217,49 @@ func TestReportSmoke(t *testing.T) {
 	}
 }
 
+// TestReportRunsOneGraph: a report is one job graph — one runner
+// summary line — in which every program point executes exactly once:
+// fft and lu at three processor counts, plus the ocean (both Figure-5
+// sizes), radix and raytrace points Figures 5–6 add, 18 in all.
+func TestReportRunsOneGraph(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full report is slow")
+	}
+	var out, progress bytes.Buffer
+	o := ReportOptions{
+		EngineOptions: EngineOptions{Progress: &progress},
+		Apps:          []string{"fft", "lu"},
+		Procs:         4,
+		ProcList:      []int{1, 2, 4},
+		Scale:         SweepScale,
+		CacheSizes:    []int{4 << 10, 64 << 10},
+		LineSizes:     []int{64},
+	}
+	if err := Report(&out, o); err != nil {
+		t.Fatal(err)
+	}
+	summaries, execs := 0, map[string]int{}
+	for _, line := range strings.Split(progress.String(), "\n") {
+		if strings.HasPrefix(line, "runner: ") {
+			summaries++
+		}
+		if _, label, ok := strings.Cut(line, "] exec "); ok {
+			execs[label]++
+		}
+	}
+	if summaries != 1 {
+		t.Errorf("report ran %d graphs, want 1", summaries)
+	}
+	if len(execs) != 18 {
+		t.Errorf("report executed %d program points, want 18: %v", len(execs), execs)
+	}
+	for label, n := range execs {
+		if n != 1 {
+			t.Errorf("exec %s ran %d times", label, n)
+		}
+	}
+}
+
 func TestPaperScaleOverridesExistForSuite(t *testing.T) {
 	for _, app := range Suite {
 		o := PaperScale.Overrides(app)

@@ -19,12 +19,15 @@ import (
 // scheduler in internal/runner. Every experiment is a job keyed by its
 // content (program, options, machine configuration, experiment kind), so
 // identical experiments run once per engine even when several figures
-// need them (Table 1 and Figure 2 share runs; Table 3 reuses Figure 4's
-// points; the Figure 3 and Figure 7–8 sweeps share one recorded trace
-// per program), and an optional on-disk cache carries results across
-// processes. PRAM timing makes each experiment deterministic regardless
-// of scheduling, so an Engine at any parallelism produces results
-// deep-equal to a single-worker engine's.
+// need them, and an optional on-disk cache carries results across
+// processes. A request runs as one job graph in which each program point
+// — (app, procs, opts) — executes once: that execution feeds every
+// memory configuration the request's sections ask of the point, and the
+// recorder when a sweep needs the trace (exec.go). Table 1 and Figures
+// 1–2 take its counters, Figures 4–6 and Table 3 its memory systems, and
+// the Figure 3 and Figure 7–8 sweeps its trace. PRAM timing makes each
+// experiment deterministic regardless of scheduling, so an Engine at any
+// parallelism produces results deep-equal to a single-worker engine's.
 type Engine struct {
 	r         *runner.Runner
 	ctx       context.Context
@@ -99,7 +102,7 @@ func (e *Engine) Scoped(o ScopeOptions) *Engine {
 }
 
 // newGraph starts a graph configured for this engine's scope. Every
-// engine method creates graphs through it.
+// request's batch creates its graph through it.
 func (e *Engine) newGraph() *runner.Graph {
 	g := e.r.NewGraph()
 	if e.scope != nil {
@@ -310,42 +313,10 @@ type recordOut struct {
 	Stats mach.Stats
 }
 
-// runJob schedules one full program execution (experiment kind "run").
-func (e *Engine) runJob(g *runner.Graph, app string, cfg mach.Config, over map[string]int) runner.Job[*RunResult] {
-	ident := runIdent{App: app, Opts: canonOpts(over), Mem: cfg.MemConfig(), MemModel: int(cfg.MemModel)}
-	return runner.Submit(g, runner.Spec{
-		Label: fmt.Sprintf("run %s p=%d cache=%dK/%d-way/%dB model=%d",
-			app, ident.Mem.Procs, ident.Mem.CacheSize/1024, ident.Mem.Assoc, ident.Mem.LineSize, cfg.MemModel),
-		Key: runner.KeyOf("run", ident),
-	}, func(ctx context.Context) (*RunResult, error) {
-		return Run(app, cfg, over)
-	})
-}
-
-// recordJob schedules one trace recording (kind "record"). It is lazy —
-// it runs only when an uncached replay demands the trace — and is never
-// written to the disk cache (traces are large; replay results are cached
-// instead), though it is memoized in memory so the Figure-3 and
-// Figure-7/8 sweeps share a single recording per program.
-func (e *Engine) recordJob(g *runner.Graph, id traceIdent) runner.Job[recordOut] {
-	if e.spillDir != "" {
-		return e.recordSpillJob(g, id)
-	}
-	return runner.Submit(g, runner.Spec{
-		Label:   fmt.Sprintf("record %s p=%d", id.App, id.Procs),
-		Key:     runner.KeyOf("record", id),
-		Lazy:    true,
-		NoStore: true,
-	}, func(ctx context.Context) (recordOut, error) {
-		tr, st, err := RecordApp(id.App, id.Procs, id.Opts)
-		return recordOut{Trace: tr, Stats: st}, err
-	})
-}
-
 // recordStatsJob schedules extraction of the recording run's counters
 // (kind "recordstats"). Unlike the trace itself these are small and
 // disk-cacheable, so a fully-cached line-size sweep never re-records.
-func (e *Engine) recordStatsJob(g *runner.Graph, rec runner.Job[recordOut], id traceIdent) runner.Job[mach.Stats] {
+func recordStatsJob(g *runner.Graph, rec runner.Job[recordOut], id traceIdent) runner.Job[mach.Stats] {
 	return runner.Submit(g, runner.Spec{
 		Label: fmt.Sprintf("recordstats %s p=%d", id.App, id.Procs),
 		Key:   runner.KeyOf("recordstats", id),

@@ -5,8 +5,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"splash2/internal/fault"
 	"splash2/internal/runner"
 )
 
@@ -158,5 +162,80 @@ func TestTraceSharedAcrossSweeps(t *testing.T) {
 	want := int64(2) // one fused lssweep + recordstats, no re-record
 	if delta != want {
 		t.Fatalf("line-size sweep executed %d jobs, want %d (recording not shared?)", delta, want)
+	}
+}
+
+// TestLeasesCoalesceExecutions: two engines (two processes' worth of
+// state) running the same cold request on one cache directory execute
+// each program point once between them. The exec job is stored and
+// leased like any experiment, so the loser of each key's lease waits for
+// the winner's entry instead of executing; an injected delay holds every
+// winner's lease open until both engines have contended.
+func TestLeasesCoalesceExecutions(t *testing.T) {
+	dir := t.TempDir()
+	req := Request{
+		Kind: KindResults, Apps: []string{"fft", "lu"}, Procs: 4, ProcList: []int{4},
+		CacheSizes: []int{16 << 10}, LineSizes: []int{64},
+	}
+	engines := make([]*Engine, 2)
+	results := make([]*Results, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range engines {
+		e, err := NewEngine(EngineOptions{
+			Workers: 4, CacheDir: dir,
+			Fault: fault.New(1, fault.Rule{Pattern: "job:exec *", Action: fault.Delay, Delay: 500 * time.Millisecond}),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines[i] = e
+	}
+	for i, e := range engines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = e.Do(context.Background(), req, nil)
+		}()
+	}
+	wg.Wait()
+	done, shared := map[string]int{}, map[string]int{}
+	for i, e := range engines {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		path := e.Journal().Path()
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		events, err := runner.ReadJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range events {
+			if !strings.HasPrefix(ev.Label, "exec ") {
+				continue
+			}
+			switch ev.Event {
+			case "job.done":
+				done[ev.Key]++
+			case "job.shared":
+				shared[ev.Key]++
+			}
+		}
+	}
+	if !reflect.DeepEqual(results[0], results[1]) {
+		t.Fatal("the two engines' results differ")
+	}
+	if len(done) != len(req.Apps) {
+		t.Fatalf("%d exec keys executed, want %d (one per program point): %v", len(done), len(req.Apps), done)
+	}
+	for key, n := range done {
+		if n != 1 || shared[key] != 1 {
+			t.Errorf("exec %s: executed %d times and shared %d times, want once each", key[:12], n, shared[key])
+		}
+	}
+	if c0, c1 := engines[0].Counts(), engines[1].Counts(); c0.LeaseShared+c1.LeaseShared < int64(len(done)) {
+		t.Errorf("lease counters report %d shared results, want at least %d", c0.LeaseShared+c1.LeaseShared, len(done))
 	}
 }

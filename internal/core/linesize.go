@@ -46,67 +46,65 @@ func (l LineSizePoint) TotalMissPct() float64 {
 func DefaultLineSizes() []int { return []int{8, 16, 32, 64, 128, 256} }
 
 // lineSize measures Figures 7–8: miss decomposition and traffic versus
-// line size at req.CacheSize for every program. Each program executes
-// once and its trace is replayed at every line size, keeping the
-// reference stream identical across the sweep. A program's lazy record
-// job feeds one fused all-line-sizes replay plus the small,
-// disk-cacheable recording counters needed for normalization, so a
-// fully-cached sweep never re-records the trace.
-func (e *Engine) lineSize(req Request, res *Results) error {
-	g := e.newGraph()
+// line size at req.CacheSize for every program. Each program's trace is
+// replayed at every line size, keeping the reference stream identical
+// across the sweep. A program's lazy record pick feeds one fused
+// all-line-sizes replay plus the small, disk-cacheable recording
+// counters needed for normalization, so a fully-cached sweep never
+// re-records the trace.
+func (b *batch) lineSize(req Request) fill {
 	sweeps := make([]runner.Job[[]memsys.Stats], len(req.Apps))
 	stats := make([]runner.Job[mach.Stats], len(req.Apps))
 	for i, name := range req.Apps {
 		id := req.trace(name)
-		rec := e.recordJob(g, id)
-		sweeps[i] = e.lineSizeSweepJob(g, rec, id, req)
-		stats[i] = e.recordStatsJob(g, rec, id)
+		rec := b.recordJob(id)
+		sweeps[i] = lineSizeSweepJob(b.g, rec, id, req)
+		stats[i] = recordStatsJob(b.g, rec, id)
 	}
-	if err := g.Wait(e.ctx); err != nil {
-		return err
+	return func(res *Results) error {
+		for i, name := range req.Apps {
+			perFlop := flopBased(name)
+			runStats, failed, err := degrade(b.e, stats[i])
+			if err != nil {
+				return err
+			}
+			sweep, sweepFailed, err := degrade(b.e, sweeps[i])
+			if err != nil {
+				return err
+			}
+			if failed = cmp.Or(failed, sweepFailed); failed != "" {
+				// A lost program contributes a single failed point.
+				res.LineSize = append(res.LineSize, []LineSizePoint{{App: name, PerFlop: perFlop, Failed: failed}})
+				continue
+			}
+			denom := opCount(perFlop, runStats.Procs)
+			var pts []LineSizePoint
+			for j, ls := range req.LineSizes {
+				agg := sweep[j].Aggregate()
+				refs := float64(max(agg.Refs(), 1))
+				tr := sweep[j].Traffic
+				pts = append(pts, LineSizePoint{
+					App: name, LineSize: ls, PerFlop: perFlop,
+					ColdPct:        100 * float64(agg.Misses[memsys.MissCold]) / refs,
+					CapacityPct:    100 * float64(agg.Misses[memsys.MissCapacity]) / refs,
+					TruePct:        100 * float64(agg.Misses[memsys.MissTrue]) / refs,
+					FalsePct:       100 * float64(agg.Misses[memsys.MissFalse]) / refs,
+					UpgradePct:     100 * float64(agg.Upgrades) / refs,
+					RemoteData:     float64(tr.RemoteShared+tr.RemoteCold+tr.RemoteCapacity+tr.RemoteWriteback) / denom,
+					RemoteOverhead: float64(tr.RemoteOverhead) / denom,
+					LocalData:      float64(tr.LocalData) / denom,
+				})
+			}
+			res.LineSize = append(res.LineSize, pts)
+		}
+		return nil
 	}
-	for i, name := range req.Apps {
-		perFlop := flopBased(name)
-		runStats, failed, err := degrade(e, stats[i])
-		if err != nil {
-			return err
-		}
-		sweep, sweepFailed, err := degrade(e, sweeps[i])
-		if err != nil {
-			return err
-		}
-		if failed = cmp.Or(failed, sweepFailed); failed != "" {
-			// A lost program contributes a single failed point.
-			res.LineSize = append(res.LineSize, []LineSizePoint{{App: name, PerFlop: perFlop, Failed: failed}})
-			continue
-		}
-		denom := opCount(perFlop, runStats.Procs)
-		var pts []LineSizePoint
-		for j, ls := range req.LineSizes {
-			agg := sweep[j].Aggregate()
-			refs := float64(max(agg.Refs(), 1))
-			tr := sweep[j].Traffic
-			pts = append(pts, LineSizePoint{
-				App: name, LineSize: ls, PerFlop: perFlop,
-				ColdPct:        100 * float64(agg.Misses[memsys.MissCold]) / refs,
-				CapacityPct:    100 * float64(agg.Misses[memsys.MissCapacity]) / refs,
-				TruePct:        100 * float64(agg.Misses[memsys.MissTrue]) / refs,
-				FalsePct:       100 * float64(agg.Misses[memsys.MissFalse]) / refs,
-				UpgradePct:     100 * float64(agg.Upgrades) / refs,
-				RemoteData:     float64(tr.RemoteShared+tr.RemoteCold+tr.RemoteCapacity+tr.RemoteWriteback) / denom,
-				RemoteOverhead: float64(tr.RemoteOverhead) / denom,
-				LocalData:      float64(tr.LocalData) / denom,
-			})
-		}
-		res.LineSize = append(res.LineSize, pts)
-	}
-	return nil
 }
 
 // lineSizeSweepJob schedules one program's whole line-size sweep as a
 // single fused replay (kind "lssweep"): the trace is decoded once, every
 // line size's system fed per reference.
-func (e *Engine) lineSizeSweepJob(g *runner.Graph, rec runner.Job[recordOut], id traceIdent, req Request) runner.Job[[]memsys.Stats] {
+func lineSizeSweepJob(g *runner.Graph, rec runner.Job[recordOut], id traceIdent, req Request) runner.Job[[]memsys.Stats] {
 	return runner.Submit(g, runner.Spec{
 		Label: fmt.Sprintf("lssweep %s %dK 4-way ×%d line sizes", id.App, req.CacheSize/1024, len(req.LineSizes)),
 		Key:   runner.KeyOf("lssweep", id, req.CacheSize, req.LineSizes),

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"splash2/internal/mach"
+	"splash2/internal/memsys"
 )
 
 // recordBytes records one app and serializes the trace.
@@ -91,6 +92,75 @@ func TestExecutionDeterministic(t *testing.T) {
 				}
 				if !reflect.DeepEqual(r.Stats.Procs, runs[0].Procs) || r.Stats.Time != runs[0].Time {
 					t.Fatalf("count-only run differs from the full-memory runs\n got %v\nwant %v", r.Stats, runs[0])
+				}
+			})
+		}
+	}
+}
+
+// TestTappedExecutionMatchesSeparateRuns: one execution feeding several
+// memory systems and the recorder measures exactly what the separate
+// runs it replaces measure. PRAM timing keeps the execution path
+// independent of what is attached (§2.2), so the counters and time equal
+// the count-only run's, each tap's statistics (hotspot peaks included)
+// equal a standalone full-memory run's, and the trace serializes to the
+// bytes RecordApp's does — the recorder merges by (epoch, processor,
+// index), so the extra quantum flushes of a machine with taps move no
+// event.
+func TestTappedExecutionMatchesSeparateRuns(t *testing.T) {
+	small := map[string]bool{"fft": true, "ocean": true, "radix": true, "raytrace": true}
+	v2 := func(tr *memsys.Trace) []byte {
+		var buf bytes.Buffer
+		if _, err := tr.WriteV2(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, app := range Suite {
+		for _, procs := range []int{1, 8, 32} {
+			t.Run(fmt.Sprintf("%s/P=%d", app, procs), func(t *testing.T) {
+				over := SweepScale.Overrides(app)
+				taps := []memsys.Config{{Procs: procs, CacheSize: 1 << 20, Assoc: 4, LineSize: 64}}
+				if small[app] {
+					taps = append(taps, memsys.Config{Procs: procs, CacheSize: 64 << 10, Assoc: 4, LineSize: 64})
+				}
+				record := procs == 32
+				x, _, err := execute(app, mach.Config{Procs: procs, MemModel: mach.CountOnly}, over, taps, record)
+				if err != nil {
+					t.Fatal(err)
+				}
+				count, err := Run(app, mach.Config{Procs: procs, MemModel: mach.CountOnly}, over)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(x.Stats, count.Stats) {
+					t.Fatalf("tapped counters differ from the count-only run\n got %v\nwant %v", x.Stats, count.Stats)
+				}
+				for i, mc := range taps {
+					full, err := Run(app, mach.Config{Procs: procs, CacheSize: mc.CacheSize, Assoc: mc.Assoc, LineSize: mc.LineSize}, over)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(x.Taps[i], full.Stats.Mem) {
+						t.Errorf("%dK tap differs from the standalone full-memory run\n got %+v\nwant %+v", mc.CacheSize/1024, x.Taps[i], full.Stats.Mem)
+					}
+				}
+				if !record {
+					return
+				}
+				tr, st, err := RecordApp(app, procs, over)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(x.Stats, st) {
+					t.Errorf("tapped counters differ from the recording run's")
+				}
+				tapped := x.trace.Load()
+				if !reflect.DeepEqual(tapped.Meta(), tr.Meta()) {
+					t.Errorf("tapped trace summary differs from RecordApp's\n got %+v\nwant %+v", tapped.Meta(), tr.Meta())
+				}
+				if !bytes.Equal(v2(tapped), v2(tr)) {
+					t.Errorf("tapped trace differs from RecordApp's")
 				}
 			})
 		}

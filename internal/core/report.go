@@ -56,14 +56,20 @@ func (o ReportOptions) request(kind string) Request {
 const kindReport = "report"
 
 // section is one table or figure of the characterization: the kind that
-// selects it, the computation that fills its Results fields (nil for a
-// section that only renders what an earlier one computed), and its text
-// rendering. A request kind is the set of sections carrying its name.
+// selects it, the submission of its jobs to the request's one graph (nil
+// for a section that only renders what an earlier one computed), and its
+// text rendering. A request kind is the set of sections carrying its
+// name.
 type section struct {
-	kind    string
-	compute func(e *Engine, req Request, res *Results) error
-	render  func(w io.Writer, req Request, res *Results, plot bool)
+	kind   string
+	submit func(b *batch, req Request) fill
+	render func(w io.Writer, req Request, res *Results, plot bool)
 }
+
+// fill reads a section's job results into res once the request's graph
+// has completed. Fills run in table order, so a section may derive from
+// an earlier one's fields (Table 2 from Figure 3's curves).
+type fill func(res *Results) error
 
 // selected reports whether the section runs for req. A single kind runs
 // its own sections; results runs every kind's, and a report adds its own.
@@ -84,11 +90,11 @@ func (s section) selected(req Request) bool {
 // sections is the paper's evaluation in report order. Do, CollectResults
 // and Report all walk it; a new table or figure is a new entry.
 var sections = []section{
-	{KindTable1, (*Engine).table1, func(w io.Writer, req Request, res *Results, plot bool) {
+	{KindTable1, (*batch).table1, func(w io.Writer, req Request, res *Results, plot bool) {
 		fmt.Fprintln(w, "\n== Table 1: instruction breakdown ==")
 		RenderTable1(w, res.Table1)
 	}},
-	{KindSpeedups, (*Engine).speedups, func(w io.Writer, req Request, res *Results, plot bool) {
+	{KindSpeedups, (*batch).speedups, func(w io.Writer, req Request, res *Results, plot bool) {
 		fmt.Fprintln(w, "\n== Figure 1: PRAM speedups ==")
 		RenderSpeedups(w, res.Speedups)
 		if plot {
@@ -106,11 +112,11 @@ var sections = []section{
 			textplot.LineChart(w, "speedup vs processors", xs, series, 64, 16)
 		}
 	}},
-	{KindSync, (*Engine).syncProfiles, func(w io.Writer, req Request, res *Results, plot bool) {
+	{KindSync, (*batch).syncProfiles, func(w io.Writer, req Request, res *Results, plot bool) {
 		fmt.Fprintf(w, "\n== Figure 2: time in synchronization (%d procs) ==\n", req.Procs)
 		RenderSyncProfiles(w, res.Sync)
 	}},
-	{KindWorkingSets, (*Engine).workingSets, func(w io.Writer, req Request, res *Results, plot bool) {
+	{KindWorkingSets, (*batch).workingSets, func(w io.Writer, req Request, res *Results, plot bool) {
 		fmt.Fprintln(w, "\n== Figure 3: miss rate vs cache size and associativity ==")
 		RenderMissCurves(w, res.MissCurves)
 		if plot {
@@ -128,19 +134,22 @@ var sections = []section{
 			textplot.LineChart(w, "miss rate (%) vs cache size, 4-way", xs, series, 64, 16)
 		}
 	}},
-	{KindWorkingSetsSampled, (*Engine).sampledSets, func(w io.Writer, req Request, res *Results, plot bool) {
+	{KindWorkingSetsSampled, (*batch).sampledSets, func(w io.Writer, req Request, res *Results, plot bool) {
 		fmt.Fprintf(w, "\n== Sampled working sets (SHARDS estimate, rate %g, fully associative) ==\n", req.SampleRate)
 		RenderSampledCurves(w, res.Sampled)
 	}},
-	{KindWorkingSets, (*Engine).table2, func(w io.Writer, req Request, res *Results, plot bool) {
+	{KindWorkingSets, (*batch).table2, func(w io.Writer, req Request, res *Results, plot bool) {
 		fmt.Fprintln(w, "\n== Table 2: important working sets ==")
 		RenderTable2(w, res.Table2)
 		fmt.Fprintln(w, "\n== Operating-point pruning (§5 methodology) ==")
 		RenderPrune(w, res.PruneAdvice)
 	}},
-	{KindTraffic, func(e *Engine, req Request, res *Results) (err error) {
-		res.Traffic, err = e.trafficGroups(req)
-		return err
+	{KindTraffic, func(b *batch, req Request) fill {
+		groups := b.trafficGroups(req)
+		return func(res *Results) (err error) {
+			res.Traffic, err = groups()
+			return err
+		}
 	}, func(w io.Writer, req Request, res *Results, plot bool) {
 		fmt.Fprintln(w, "\n== Figure 4: traffic breakdown, 1 MB caches ==")
 		RenderTraffic(w, res.Traffic)
@@ -167,34 +176,41 @@ var sections = []section{
 			textplot.StackedBars(w, "traffic breakdown (B/op) at max P", rows, bars, 48)
 		}
 	}},
-	{KindTable3, (*Engine).table3, func(w io.Writer, req Request, res *Results, plot bool) {
+	{KindTable3, (*batch).table3, func(w io.Writer, req Request, res *Results, plot bool) {
 		fmt.Fprintln(w, "\n== Table 3: growth of communication-to-computation ratio ==")
 		RenderTable3(w, res.Table3)
 	}},
-	{kindReport, func(e *Engine, req Request, res *Results) error {
+	{kindReport, func(b *batch, req Request) fill {
 		req.Apps, req.CacheSize = []string{"ocean"}, 1<<20
-		small, err := e.trafficGroups(req)
-		if err != nil {
+		small := b.trafficGroups(req)
+		req.Opts = map[string]int{"n": oceanBigN(req)}
+		big := b.trafficGroups(req)
+		return func(res *Results) error {
+			s, err := small()
+			if err != nil {
+				return err
+			}
+			l, err := big()
+			res.figure5 = append(s, l...)
 			return err
 		}
-		req.Opts = map[string]int{"n": oceanBigN(req)}
-		big, err := e.trafficGroups(req)
-		res.figure5 = append(small, big...)
-		return err
 	}, func(w io.Writer, req Request, res *Results, plot bool) {
 		fmt.Fprintln(w, "\n== Figure 5: Ocean traffic at two problem sizes ==")
 		RenderTraffic(w, res.figure5)
 		fmt.Fprintf(w, "(second group: n=%d)\n", oceanBigN(req))
 	}},
-	{kindReport, func(e *Engine, req Request, res *Results) (err error) {
+	{kindReport, func(b *batch, req Request) fill {
 		req.Apps, req.CacheSize = []string{"fft", "ocean", "radix", "raytrace"}, 64<<10
-		res.figure6, err = e.trafficGroups(req)
-		return err
+		groups := b.trafficGroups(req)
+		return func(res *Results) (err error) {
+			res.figure6, err = groups()
+			return err
+		}
 	}, func(w io.Writer, req Request, res *Results, plot bool) {
 		fmt.Fprintln(w, "\n== Figure 6: traffic with 64 KB caches (working set does not fit) ==")
 		RenderTraffic(w, res.figure6)
 	}},
-	{KindLineSize, (*Engine).lineSize, func(w io.Writer, req Request, res *Results, plot bool) {
+	{KindLineSize, (*batch).lineSize, func(w io.Writer, req Request, res *Results, plot bool) {
 		fmt.Fprintln(w, "\n== Figure 7: miss decomposition vs line size (1 MB caches) ==")
 		RenderLineSizeMisses(w, res.LineSize)
 	}},
@@ -212,37 +228,47 @@ func oceanBigN(req Request) int {
 	return 64
 }
 
-// walk computes the sections req selects into res in table order,
-// handing each section to after once its data is in.
-func (e *Engine) walk(req Request, res *Results, after func(section)) error {
+// compute runs the sections req selects as one graph: every section
+// submits its jobs, the graph runs once — so sections share program
+// executions and no section waits for another's stragglers — and the
+// fills then read the results in table order. It returns the selected
+// sections for rendering. A keep-going run that lost experiments still
+// returns its results, carrying the failure manifest, with an
+// ErrFailures-wrapped error: callers export the partial data and use
+// errors.Is for the exit status.
+func (e *Engine) compute(req Request) (*Results, []section, error) {
+	b := e.newBatch()
+	var selected []section
+	var fills []fill
 	for _, s := range sections {
 		if !s.selected(req) {
 			continue
 		}
-		if s.compute != nil {
-			if err := s.compute(e, req, res); err != nil {
-				return err
-			}
+		selected = append(selected, s)
+		if s.submit != nil {
+			fills = append(fills, s.submit(b, req))
 		}
-		after(s)
 	}
-	return nil
-}
-
-// collect computes the sections req selects. A keep-going run that lost
-// experiments still returns its results, carrying the failure manifest,
-// with an ErrFailures-wrapped error: callers export the partial data and
-// use errors.Is for the exit status.
-func (e *Engine) collect(req Request) (*Results, error) {
+	if err := b.wait(); err != nil {
+		return nil, nil, err
+	}
 	res := &Results{Procs: req.Procs}
-	if err := e.walk(req, res, func(section) {}); err != nil {
-		return nil, err
+	for _, f := range fills {
+		if err := f(res); err != nil {
+			return nil, nil, err
+		}
 	}
 	if m := e.lost(); m != nil {
 		res.Failures = m.Failures
-		return res, m.err()
+		return res, selected, m.err()
 	}
-	return res, nil
+	return res, selected, nil
+}
+
+// collect computes the sections req selects.
+func (e *Engine) collect(req Request) (*Results, error) {
+	res, _, err := e.compute(req)
+	return res, err
 }
 
 // Report runs the complete characterization — every table and figure of
@@ -259,29 +285,32 @@ func Report(w io.Writer, o ReportOptions) error {
 }
 
 // Report is the engine form of the package-level Report. The engine's
-// own options apply; o.EngineOptions is ignored. Each section renders as
-// soon as it is computed, so the text streams section by section.
+// own options apply; o.EngineOptions is ignored. Every section's jobs run
+// in one graph; the sections then render in table order.
 func (e *Engine) Report(w io.Writer, o ReportOptions) error {
 	req := o.request(kindReport)
 	fmt.Fprintf(w, "SPLASH-2 characterization — %d processors, scale=%v\n", req.Procs, o.Scale)
-	res := &Results{Procs: req.Procs}
-	if err := e.walk(req, res, func(s section) { s.render(w, req, res, o.Plot) }); err != nil {
+	res, selected, err := e.compute(req)
+	if res == nil {
 		return err
 	}
-	m := e.lost()
-	if m == nil {
+	for _, s := range selected {
+		s.render(w, req, res, o.Plot)
+	}
+	if err == nil {
 		return nil
 	}
-	fmt.Fprintf(w, "\n== Failure manifest: %d experiment(s) lost ==\n", m.Count)
-	for _, rec := range m.Failures {
+	fmt.Fprintf(w, "\n== Failure manifest: %d experiment(s) lost ==\n", len(res.Failures))
+	for _, rec := range res.Failures {
 		fmt.Fprintf(w, "  %s: %s\n", rec.Label, rec.Cause)
 	}
 	if o.ManifestOut != nil {
+		m := FailureManifest{Count: len(res.Failures), Failures: res.Failures}
 		if err := m.WriteJSON(o.ManifestOut); err != nil {
 			return fmt.Errorf("core: writing failure manifest: %w", err)
 		}
 	}
-	return m.err()
+	return err
 }
 
 // CollectResults runs the full characterization and returns the raw data

@@ -10,6 +10,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"splash2/internal/apps"
 	"splash2/internal/mach"
@@ -94,33 +95,23 @@ type RunResult struct {
 // Verification is skipped (sweeps run hundreds of configurations); the
 // test suite verifies every program separately.
 func Run(app string, cfg mach.Config, over map[string]int) (*RunResult, error) {
-	m, err := mach.New(cfg)
+	x, _, err := execute(app, cfg, over, nil, false)
 	if err != nil {
-		return nil, fmt.Errorf("core: %s: %w", app, err)
+		return nil, err
 	}
-	r, err := apps.BuildWithDefaults(app, m, over)
-	if err != nil {
-		return nil, fmt.Errorf("core: %s: %w", app, err)
-	}
-	r.Run(m)
-	return &RunResult{App: app, Cfg: cfg, Stats: m.Snapshot()}, nil
+	return &RunResult{App: app, Cfg: cfg, Stats: x.Stats}, nil
 }
 
 // RunVerified is Run plus the program's own correctness check.
 func RunVerified(app string, cfg mach.Config, over map[string]int) (*RunResult, error) {
-	m, err := mach.New(cfg)
+	x, prog, err := execute(app, cfg, over, nil, false)
 	if err != nil {
 		return nil, err
 	}
-	r, err := apps.BuildWithDefaults(app, m, over)
-	if err != nil {
+	if err := prog.Verify(); err != nil {
 		return nil, err
 	}
-	r.Run(m)
-	if err := r.Verify(); err != nil {
-		return nil, err
-	}
-	return &RunResult{App: app, Cfg: cfg, Stats: m.Snapshot()}, nil
+	return &RunResult{App: app, Cfg: cfg, Stats: x.Stats}, nil
 }
 
 // RecordApp executes one program under the count-only model while
@@ -131,18 +122,61 @@ func RunVerified(app string, cfg mach.Config, over map[string]int) (*RunResult, 
 // adopts PRAM timing for — and avoids re-executing the program at every
 // sweep point.
 func RecordApp(app string, procs int, over map[string]int) (*memsys.Trace, mach.Stats, error) {
-	m, err := mach.New(mach.Config{Procs: procs, MemModel: mach.CountOnly})
+	x, _, err := execute(app, mach.Config{Procs: procs, MemModel: mach.CountOnly}, over, nil, true)
 	if err != nil {
 		return nil, mach.Stats{}, err
 	}
-	r, err := apps.BuildWithDefaults(app, m, over)
+	return x.trace.Load(), x.Stats, nil
+}
+
+// execution is what one program execution produced: the machine's
+// counters and PRAM time, one memsys.Stats per tap, and — when recorded —
+// the reference trace, which never enters the result cache. Run,
+// RecordApp and the engine's exec jobs all execute through execute.
+type execution struct {
+	Stats mach.Stats     `json:"stats"`
+	Taps  []memsys.Stats `json:"taps"`
+	// trace is handed off once: the engine's record pick takes it, so
+	// a memoized execution does not pin the stream in memory.
+	trace atomic.Pointer[memsys.Trace]
+}
+
+// execute runs app once on a fresh machine configured by cfg, with one
+// memory system attached per taps entry and, if record, the recorder
+// capturing the reference stream. PRAM timing keeps the execution path
+// independent of what is attached (§2.2), so the counters equal a
+// count-only run's, each tap's statistics a standalone FullMem run's at
+// that configuration, and the trace RecordApp's
+// (TestTappedExecutionMatchesSeparateRuns). It also returns the built
+// program, for its correctness check.
+func execute(app string, cfg mach.Config, over map[string]int, taps []memsys.Config, record bool) (*execution, apps.Runner, error) {
+	m, err := mach.New(cfg)
 	if err != nil {
-		return nil, mach.Stats{}, err
+		return nil, nil, fmt.Errorf("core: %s: %w", app, err)
 	}
-	m.StartRecording()
-	r.Run(m)
-	tr := m.FinishRecording()
-	return tr, m.Snapshot(), nil
+	systems := make([]*memsys.System, len(taps))
+	for i, mc := range taps {
+		if systems[i], err = m.Attach(mc); err != nil {
+			return nil, nil, fmt.Errorf("core: %s: %w", app, err)
+		}
+	}
+	prog, err := apps.BuildWithDefaults(app, m, over)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: %s: %w", app, err)
+	}
+	if record {
+		m.StartRecording()
+	}
+	prog.Run(m)
+	x := &execution{}
+	if record {
+		x.trace.Store(m.FinishRecording())
+	}
+	x.Stats = m.Snapshot()
+	for _, sys := range systems {
+		x.Taps = append(x.Taps, sys.Stats())
+	}
+	return x, prog, nil
 }
 
 // flopBased reports whether an app's traffic is normalized per FLOP.

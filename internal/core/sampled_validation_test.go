@@ -138,7 +138,7 @@ func TestWorkingSetsSampledEngine(t *testing.T) {
 	}
 	// A report's rate skips Canonical; the section itself rejects it.
 	req.SampleRate = 0
-	if err := e.sampledSets(req, &Results{}); err == nil {
+	if err := e.newBatch().sampledSets(req)(&Results{}); err == nil {
 		t.Error("rate 0 accepted")
 	}
 	if n := e.Counts().Executed; n != 0 {

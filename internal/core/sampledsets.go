@@ -49,42 +49,40 @@ type sampledSweep struct {
 
 // sampledSets estimates each program's fully-associative working-set
 // curve by sampled reuse-distance analysis with 64-byte lines on
-// req.Procs processors. It mirrors workingSets: one lazy record job per
+// req.Procs processors. It mirrors workingSets: one lazy record pick per
 // program feeds a sampled sweep job, so a program whose estimate is
 // served from the result cache is never re-executed, and an uncached
 // estimate costs one sampled pass over the trace — a small fraction of
 // the exact pass's work at low rates.
-func (e *Engine) sampledSets(req Request, res *Results) error {
+func (b *batch) sampledSets(req Request) fill {
 	rate, seed := req.SampleRate, req.SampleSeed
 	if rate <= 0 || rate > 1 {
-		return fmt.Errorf("core: sample rate %v out of range (0, 1]", rate)
+		return func(*Results) error { return fmt.Errorf("core: sample rate %v out of range (0, 1]", rate) }
 	}
-	g := e.newGraph()
 	sweeps := make([]runner.Job[sampledSweep], len(req.Apps))
 	for i, name := range req.Apps {
 		id := req.trace(name)
-		sweeps[i] = e.sampledSweepJob(g, e.recordJob(g, id), id, req.CacheSizes, rate, seed)
+		sweeps[i] = b.e.sampledSweepJob(b.g, b.recordJob(id), id, req.CacheSizes, rate, seed)
 	}
-	if err := g.Wait(e.ctx); err != nil {
-		return err
+	return func(res *Results) error {
+		for i, name := range req.Apps {
+			sw, failed, err := degrade(b.e, sweeps[i])
+			if err != nil {
+				return err
+			}
+			c := SampledCurve{
+				App: name, CacheSizes: req.CacheSizes,
+				Rate: rate, SampleSeed: seed, ExactLines: memsys.DefaultExactLines,
+				Failed: failed,
+			}
+			if failed == "" {
+				c.MissRate, c.BandLo, c.BandHi = sw.Miss, sw.Lo, sw.Hi
+				c.EffRate = sw.EffRate
+			}
+			res.Sampled = append(res.Sampled, c)
+		}
+		return nil
 	}
-	for i, name := range req.Apps {
-		sw, failed, err := degrade(e, sweeps[i])
-		if err != nil {
-			return err
-		}
-		c := SampledCurve{
-			App: name, CacheSizes: req.CacheSizes,
-			Rate: rate, SampleSeed: seed, ExactLines: memsys.DefaultExactLines,
-			Failed: failed,
-		}
-		if failed == "" {
-			c.MissRate, c.BandLo, c.BandHi = sw.Miss, sw.Lo, sw.Hi
-			c.EffRate = sw.EffRate
-		}
-		res.Sampled = append(res.Sampled, c)
-	}
-	return nil
 }
 
 // sampledSweepJob schedules one program's sampled working-set estimate

@@ -23,42 +23,40 @@ type SpeedupCurve struct {
 	Failed string `json:"failed,omitempty"`
 }
 
-// speedups schedules the program × processor-count grid as independent
-// jobs; curves are assembled in req.ProcList order once the graph
+// speedups submits the program × processor-count grid of count-only
+// picks; curves are assembled in req.ProcList order once the graph
 // completes.
-func (e *Engine) speedups(req Request, res *Results) error {
-	g := e.newGraph()
+func (b *batch) speedups(req Request) fill {
 	jobs := make([][]runner.Job[*RunResult], len(req.ProcList))
 	for pi, p := range req.ProcList {
-		jobs[pi] = e.countRuns(g, req, p)
+		jobs[pi] = b.countRuns(req, p)
 	}
-	if err := g.Wait(e.ctx); err != nil {
-		return err
-	}
-	for ai, name := range req.Apps {
-		curve := SpeedupCurve{App: name, Procs: req.ProcList}
-		var t1 float64
-		for i, p := range req.ProcList {
-			run, failed, err := degrade(e, jobs[i][ai])
-			if err != nil {
-				return err
+	return func(res *Results) error {
+		for ai, name := range req.Apps {
+			curve := SpeedupCurve{App: name, Procs: req.ProcList}
+			var t1 float64
+			for i, p := range req.ProcList {
+				run, failed, err := degrade(b.e, jobs[i][ai])
+				if err != nil {
+					return err
+				}
+				if failed != "" {
+					curve = SpeedupCurve{App: name, Procs: req.ProcList, Failed: failed}
+					break
+				}
+				t := run.Stats.Time
+				curve.Time = append(curve.Time, t)
+				if i == 0 {
+					// Baseline: the first point (normally p=1); if the sweep
+					// starts above 1, assume ideal scaling up to it.
+					t1 = float64(t) * float64(p)
+				}
+				curve.Speedup = append(curve.Speedup, t1/float64(t))
 			}
-			if failed != "" {
-				curve = SpeedupCurve{App: name, Procs: req.ProcList, Failed: failed}
-				break
-			}
-			t := run.Stats.Time
-			curve.Time = append(curve.Time, t)
-			if i == 0 {
-				// Baseline: the first point (normally p=1); if the sweep
-				// starts above 1, assume ideal scaling up to it.
-				t1 = float64(t) * float64(p)
-			}
-			curve.Speedup = append(curve.Speedup, t1/float64(t))
+			res.Speedups = append(res.Speedups, curve)
 		}
-		res.Speedups = append(res.Speedups, curve)
+		return nil
 	}
-	return nil
 }
 
 // RenderSpeedups prints the curves as a table, one column per proc count.
@@ -103,46 +101,44 @@ type SyncProfile struct {
 	Failed string `json:"failed,omitempty"`
 }
 
-// syncProfiles schedules one count-only run per program, the same jobs
-// as Table 1's.
-func (e *Engine) syncProfiles(req Request, res *Results) error {
-	g := e.newGraph()
-	jobs := e.countRuns(g, req, req.Procs)
-	if err := g.Wait(e.ctx); err != nil {
-		return err
+// syncProfiles takes one count-only pick per program, the same jobs as
+// Table 1's.
+func (b *batch) syncProfiles(req Request) fill {
+	jobs := b.countRuns(req, req.Procs)
+	return func(res *Results) error {
+		for i, name := range req.Apps {
+			run, failed, err := degrade(b.e, jobs[i])
+			if err != nil {
+				return err
+			}
+			if failed != "" {
+				res.Sync = append(res.Sync, SyncProfile{App: name, Failed: failed})
+				continue
+			}
+			t := float64(run.Stats.Time)
+			pr := SyncProfile{App: name, MinPct: 101}
+			var sum float64
+			for _, c := range run.Stats.Procs {
+				pct := 0.0
+				if t > 0 {
+					pct = 100 * float64(c.SyncWait) / t
+				}
+				sum += pct
+				if pct < pr.MinPct {
+					pr.MinPct = pct
+				}
+				if pct > pr.MaxPct {
+					pr.MaxPct = pct
+				}
+				pr.BarriersTotal += c.Barriers
+				pr.LocksTotal += c.Locks
+				pr.PausesTotal += c.Pauses
+			}
+			pr.AvgPct = sum / float64(len(run.Stats.Procs))
+			res.Sync = append(res.Sync, pr)
+		}
+		return nil
 	}
-	for i, name := range req.Apps {
-		run, failed, err := degrade(e, jobs[i])
-		if err != nil {
-			return err
-		}
-		if failed != "" {
-			res.Sync = append(res.Sync, SyncProfile{App: name, Failed: failed})
-			continue
-		}
-		t := float64(run.Stats.Time)
-		pr := SyncProfile{App: name, MinPct: 101}
-		var sum float64
-		for _, c := range run.Stats.Procs {
-			pct := 0.0
-			if t > 0 {
-				pct = 100 * float64(c.SyncWait) / t
-			}
-			sum += pct
-			if pct < pr.MinPct {
-				pr.MinPct = pct
-			}
-			if pct > pr.MaxPct {
-				pr.MaxPct = pct
-			}
-			pr.BarriersTotal += c.Barriers
-			pr.LocksTotal += c.Locks
-			pr.PausesTotal += c.Pauses
-		}
-		pr.AvgPct = sum / float64(len(run.Stats.Procs))
-		res.Sync = append(res.Sync, pr)
-	}
-	return nil
 }
 
 // RenderSyncProfiles prints the Figure-2 table.

@@ -6,7 +6,6 @@ import (
 	"text/tabwriter"
 
 	"splash2/internal/mach"
-	"splash2/internal/runner"
 )
 
 // Table1Row is the instruction breakdown of one program (paper Table 1):
@@ -30,52 +29,38 @@ type Table1Row struct {
 	Failed string `json:"failed,omitempty"`
 }
 
-// table1 runs every program at its problem size on req.Procs processors
-// under the count-only memory model (PRAM timing is identical and Table 1
-// needs no cache simulation). The runs are shared with Figures 1–2
-// through the result store.
-func (e *Engine) table1(req Request, res *Results) error {
-	g := e.newGraph()
-	jobs := e.countRuns(g, req, req.Procs)
-	if err := g.Wait(e.ctx); err != nil {
-		return err
-	}
-	for i, name := range req.Apps {
-		run, failed, err := degrade(e, jobs[i])
-		if err != nil {
-			return err
+// table1 takes every program's counters at its problem size on
+// req.Procs processors (count-only picks: PRAM timing is identical and
+// Table 1 needs no cache simulation). The picks are shared with Figures
+// 1–2.
+func (b *batch) table1(req Request) fill {
+	jobs := b.countRuns(req, req.Procs)
+	return func(res *Results) error {
+		for i, name := range req.Apps {
+			run, failed, err := degrade(b.e, jobs[i])
+			if err != nil {
+				return err
+			}
+			if failed != "" {
+				res.Table1 = append(res.Table1, Table1Row{App: name, Failed: failed})
+				continue
+			}
+			a := mach.Aggregate(run.Stats.Procs)
+			res.Table1 = append(res.Table1, Table1Row{
+				App:             name,
+				Instr:           a.Instr,
+				Flops:           a.Flops,
+				Reads:           a.Reads,
+				Writes:          a.Writes,
+				SharedReads:     a.SharedReads,
+				SharedWrites:    a.SharedWrites,
+				BarriersPerProc: a.Barriers / uint64(req.Procs),
+				Locks:           a.Locks,
+				Pauses:          a.Pauses,
+			})
 		}
-		if failed != "" {
-			res.Table1 = append(res.Table1, Table1Row{App: name, Failed: failed})
-			continue
-		}
-		a := mach.Aggregate(run.Stats.Procs)
-		res.Table1 = append(res.Table1, Table1Row{
-			App:             name,
-			Instr:           a.Instr,
-			Flops:           a.Flops,
-			Reads:           a.Reads,
-			Writes:          a.Writes,
-			SharedReads:     a.SharedReads,
-			SharedWrites:    a.SharedWrites,
-			BarriersPerProc: a.Barriers / uint64(req.Procs),
-			Locks:           a.Locks,
-			Pauses:          a.Pauses,
-		})
+		return nil
 	}
-	return nil
-}
-
-// countRuns submits one count-only run per program at procs processors.
-// Table 1 and Figure 2 submit the same jobs, so within an engine each
-// program executes once for both; Figure 1 submits one set per
-// processor count.
-func (e *Engine) countRuns(g *runner.Graph, req Request, procs int) []runner.Job[*RunResult] {
-	jobs := make([]runner.Job[*RunResult], len(req.Apps))
-	for i, name := range req.Apps {
-		jobs[i] = e.runJob(g, name, mach.Config{Procs: procs, MemModel: mach.CountOnly}, req.overrides(name))
-	}
-	return jobs
 }
 
 // RenderTable1 prints the rows in the paper's column layout.

@@ -40,54 +40,53 @@ func (t TrafficPoint) Remote() float64 {
 // Total returns total normalized traffic including local data.
 func (t TrafficPoint) Total() float64 { return t.Remote() + t.LocalData }
 
-// trafficGroups measures the traffic breakdown of every program over
-// req.ProcList at req.CacheSize (Figure 4). It schedules one full-memory
-// run per program and processor count, all in one graph, and normalizes
-// each program's runs into one group of points. Runs are keyed by
-// configuration, so Table 3 and Figures 5–6 reuse Figure 4's executions
-// within an engine.
-func (e *Engine) trafficGroups(req Request) ([][]TrafficPoint, error) {
-	g := e.newGraph()
+// trafficGroups submits the traffic breakdown of every program over
+// req.ProcList at req.CacheSize (Figure 4): one full-memory pick per
+// program and processor count. The returned function normalizes each
+// program's runs into one group of points once the graph completes.
+// Picks are keyed by configuration, so Table 3 and Figures 5–6 share
+// Figure 4's, and every pick at one program point is served by that
+// point's one execution.
+func (b *batch) trafficGroups(req Request) func() ([][]TrafficPoint, error) {
 	jobs := make([][]runner.Job[*RunResult], len(req.Apps))
 	for i, name := range req.Apps {
 		jobs[i] = make([]runner.Job[*RunResult], len(req.ProcList))
 		for pi, p := range req.ProcList {
 			cfg := mach.Config{Procs: p, CacheSize: req.CacheSize, Assoc: 4, LineSize: 64}
-			jobs[i][pi] = e.runJob(g, name, cfg, req.overrides(name))
+			jobs[i][pi] = b.runJob(name, cfg, req.overrides(name))
 		}
 	}
-	if err := g.Wait(e.ctx); err != nil {
-		return nil, err
-	}
-	var out [][]TrafficPoint
-	for i, name := range req.Apps {
-		var pts []TrafficPoint
-		perFlop := flopBased(name)
-		for pi, p := range req.ProcList {
-			run, failed, err := degrade(e, jobs[i][pi])
-			if err != nil {
-				return nil, err
+	return func() ([][]TrafficPoint, error) {
+		var out [][]TrafficPoint
+		for i, name := range req.Apps {
+			var pts []TrafficPoint
+			perFlop := flopBased(name)
+			for pi, p := range req.ProcList {
+				run, failed, err := degrade(b.e, jobs[i][pi])
+				if err != nil {
+					return nil, err
+				}
+				if failed != "" {
+					pts = append(pts, TrafficPoint{App: name, Procs: p, CacheSize: req.CacheSize, PerFlop: perFlop, Failed: failed})
+					continue
+				}
+				denom := opCount(perFlop, run.Stats.Procs)
+				tr := run.Stats.Mem.Traffic
+				pts = append(pts, TrafficPoint{
+					App: name, Procs: p, CacheSize: req.CacheSize, PerFlop: perFlop,
+					RemoteShared:    float64(tr.RemoteShared) / denom,
+					RemoteCold:      float64(tr.RemoteCold) / denom,
+					RemoteCapacity:  float64(tr.RemoteCapacity) / denom,
+					RemoteWriteback: float64(tr.RemoteWriteback) / denom,
+					RemoteOverhead:  float64(tr.RemoteOverhead) / denom,
+					LocalData:       float64(tr.LocalData) / denom,
+					TrueSharing:     float64(tr.TrueSharingData) / denom,
+				})
 			}
-			if failed != "" {
-				pts = append(pts, TrafficPoint{App: name, Procs: p, CacheSize: req.CacheSize, PerFlop: perFlop, Failed: failed})
-				continue
-			}
-			denom := opCount(perFlop, run.Stats.Procs)
-			tr := run.Stats.Mem.Traffic
-			pts = append(pts, TrafficPoint{
-				App: name, Procs: p, CacheSize: req.CacheSize, PerFlop: perFlop,
-				RemoteShared:    float64(tr.RemoteShared) / denom,
-				RemoteCold:      float64(tr.RemoteCold) / denom,
-				RemoteCapacity:  float64(tr.RemoteCapacity) / denom,
-				RemoteWriteback: float64(tr.RemoteWriteback) / denom,
-				RemoteOverhead:  float64(tr.RemoteOverhead) / denom,
-				LocalData:       float64(tr.LocalData) / denom,
-				TrueSharing:     float64(tr.TrueSharingData) / denom,
-			})
+			out = append(out, pts)
 		}
-		out = append(out, pts)
+		return out, nil
 	}
-	return out, nil
 }
 
 // RenderTraffic prints breakdowns, one row per (app, procs).
@@ -147,35 +146,37 @@ var table3Forms = map[string]string{
 
 // table3 measures comm/comp at two processor counts — the first of
 // req.ProcList above one and the last — with 1 MB caches, and reports the
-// growth. The runs hash identically to Figure 4's at the same counts, so
-// within an engine they are free.
-func (e *Engine) table3(req Request, res *Results) error {
+// growth. The picks are Figure 4's at the same counts.
+func (b *batch) table3(req Request) fill {
 	lowP, highP := req.ProcList[0], req.ProcList[len(req.ProcList)-1]
 	if lowP < 2 && len(req.ProcList) > 1 {
 		lowP = req.ProcList[1]
 	}
 	req.ProcList, req.CacheSize = []int{lowP, highP}, 1<<20
-	groups, err := e.trafficGroups(req)
-	if err != nil {
-		return err
-	}
-	for i, name := range req.Apps {
-		pts := groups[i]
-		row := Table3Row{
-			App: name, AnalyticForm: table3Forms[name],
-			LowProcs: lowP, HighProcs: highP,
+	groups := b.trafficGroups(req)
+	return func(res *Results) error {
+		groups, err := groups()
+		if err != nil {
+			return err
 		}
-		if row.Failed = cmp.Or(pts[0].Failed, pts[1].Failed); row.Failed != "" {
+		for i, name := range req.Apps {
+			pts := groups[i]
+			row := Table3Row{
+				App: name, AnalyticForm: table3Forms[name],
+				LowProcs: lowP, HighProcs: highP,
+			}
+			if row.Failed = cmp.Or(pts[0].Failed, pts[1].Failed); row.Failed != "" {
+				res.Table3 = append(res.Table3, row)
+				continue
+			}
+			row.RatioLow, row.RatioHigh = pts[0].TrueSharing, pts[1].TrueSharing
+			if row.RatioLow > 0 {
+				row.MeasuredGrow = row.RatioHigh / row.RatioLow
+			}
 			res.Table3 = append(res.Table3, row)
-			continue
 		}
-		row.RatioLow, row.RatioHigh = pts[0].TrueSharing, pts[1].TrueSharing
-		if row.RatioLow > 0 {
-			row.MeasuredGrow = row.RatioHigh / row.RatioLow
-		}
-		res.Table3 = append(res.Table3, row)
+		return nil
 	}
-	return nil
 }
 
 // RenderTable3 prints Table 3.

@@ -34,54 +34,55 @@ func DefaultCacheSizes() []int {
 }
 
 // workingSets sweeps cache size × associativity for each program with
-// 64-byte lines on req.Procs processors (Figure 3). It schedules one lazy
-// record job per program feeding a single fused sweep job, so a program
+// 64-byte lines on req.Procs processors (Figure 3). It submits one lazy
+// record pick per program feeding a single fused sweep job, so a program
 // whose grid is served from the result cache is never re-executed at
 // all, and an uncached grid costs one pass over the trace per
 // associativity instead of one replay per point. Every point sees the
 // identical stream (§2.2's comparability argument).
-func (e *Engine) workingSets(req Request, res *Results) error {
-	g := e.newGraph()
+func (b *batch) workingSets(req Request) fill {
 	sweeps := make([]runner.Job[[][]float64], len(req.Apps))
 	for i, name := range req.Apps {
 		id := req.trace(name)
-		sweeps[i] = e.workingSetSweepJob(g, e.recordJob(g, id), id, req.CacheSizes, req.Assocs)
+		sweeps[i] = workingSetSweepJob(b.g, b.recordJob(id), id, req.CacheSizes, req.Assocs)
 	}
-	if err := g.Wait(e.ctx); err != nil {
-		return err
-	}
-	for i, name := range req.Apps {
-		grid, failed, err := degrade(e, sweeps[i])
-		if err != nil {
-			return err
-		}
-		for ai, assoc := range req.Assocs {
-			c := MissCurve{App: name, Assoc: assoc, CacheSizes: req.CacheSizes, Failed: failed}
-			if failed == "" {
-				c.MissRate = grid[ai]
+	return func(res *Results) error {
+		for i, name := range req.Apps {
+			grid, failed, err := degrade(b.e, sweeps[i])
+			if err != nil {
+				return err
 			}
-			res.MissCurves = append(res.MissCurves, c)
+			for ai, assoc := range req.Assocs {
+				c := MissCurve{App: name, Assoc: assoc, CacheSizes: req.CacheSizes, Failed: failed}
+				if failed == "" {
+					c.MissRate = grid[ai]
+				}
+				res.MissCurves = append(res.MissCurves, c)
+			}
 		}
+		return nil
 	}
-	return nil
 }
 
 // table2 derives Table 2 and the §5 pruning advice from Figure 3's 4-way
-// curves; the other associativities enter neither.
-func (e *Engine) table2(req Request, res *Results) error {
-	var fourWay []MissCurve
-	for _, c := range res.MissCurves {
-		if c.Assoc == 4 {
-			fourWay = append(fourWay, c)
+// curves; the other associativities enter neither. It submits nothing:
+// it runs after Figure 3's fill.
+func (b *batch) table2(req Request) fill {
+	return func(res *Results) error {
+		var fourWay []MissCurve
+		for _, c := range res.MissCurves {
+			if c.Assoc == 4 {
+				fourWay = append(fourWay, c)
+			}
 		}
-	}
-	res.Table2 = Table2(fourWay)
-	for _, c := range fourWay {
-		if c.Failed == "" {
-			res.PruneAdvice = append(res.PruneAdvice, Prune(c))
+		res.Table2 = Table2(fourWay)
+		for _, c := range fourWay {
+			if c.Failed == "" {
+				res.PruneAdvice = append(res.PruneAdvice, Prune(c))
+			}
 		}
+		return nil
 	}
-	return nil
 }
 
 // workingSetSweepJob schedules one program's whole Figure-3 grid as a
@@ -89,7 +90,7 @@ func (e *Engine) table2(req Request, res *Results) error {
 // from the recorded trace, one pass per associativity answering all
 // sizes at once — the inclusion pass for set-associative caches, the
 // stack-distance pass for fully associative ones.
-func (e *Engine) workingSetSweepJob(g *runner.Graph, rec runner.Job[recordOut], id traceIdent, cacheSizes, assocs []int) runner.Job[[][]float64] {
+func workingSetSweepJob(g *runner.Graph, rec runner.Job[recordOut], id traceIdent, cacheSizes, assocs []int) runner.Job[[][]float64] {
 	return runner.Submit(g, runner.Spec{
 		Label: fmt.Sprintf("wsweep %s %d sizes × %d assocs", id.App, len(cacheSizes), len(assocs)),
 		Key:   runner.KeyOf("wsweep", id, cacheSizes, assocs, 64),

@@ -521,7 +521,7 @@ func TestMidRunAllocationMatchesPreReserved(t *testing.T) {
 	run := func(preReserve bool) Stats {
 		m := MustNew(Config{Procs: procs, CacheSize: 1024, Assoc: 2, LineSize: 64})
 		if preReserve {
-			m.sys.Reserve(1 << 16)
+			m.systems[0].Reserve(1 << 16)
 		}
 		lineWords := m.LineSize() / WordBytes
 		sweep := func(p *Proc, base Addr) {
@@ -554,5 +554,109 @@ func TestMidRunAllocationMatchesPreReserved(t *testing.T) {
 	}
 	if got, want := run(false), run(true); !reflect.DeepEqual(got, want) {
 		t.Errorf("on-demand tables changed the measurement\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// tapProgram is a small program with contention, a measurement epoch, a
+// critical section and more references than a quantum, so a memory
+// system attached to it sees coherence traffic, resets and handoffs.
+func tapProgram(m *Machine) {
+	a := m.NewF64(512, true, Interleaved())
+	b := m.NewBarrier()
+	var l Lock
+	m.Run(func(p *Proc) {
+		for i := 0; i < 300; i++ {
+			a.Set(p, (i*7+p.ID*13)%512, 1)
+			a.Get(p, (i*5+p.ID)%512)
+		}
+		m.Epoch(p, b)
+		l.Acquire(p)
+		a.Add(p, 0, 2)
+		l.Release(p)
+		for i := 0; i < 2000; i++ {
+			a.Get(p, (i*11+p.ID*3)%512)
+		}
+	})
+}
+
+// TestAttachRejectsMismatchedSystems: a tap must share the machine's
+// processor count and line size — Alloc rounds to machine lines and the
+// home map indexes them — and a rejected tap leaves the machine as it was.
+func TestAttachRejectsMismatchedSystems(t *testing.T) {
+	for _, model := range []MemModel{CountOnly, FullMem} {
+		m := tinyMachine(t, 4, model)
+		for _, mc := range []memsys.Config{
+			{Procs: 2, CacheSize: 4096, Assoc: 2, LineSize: 64},
+			{Procs: 4, CacheSize: 4096, Assoc: 2, LineSize: 32},
+			{Procs: 8, CacheSize: 4096, Assoc: 2, LineSize: 128},
+		} {
+			if _, err := m.Attach(mc); err == nil {
+				t.Errorf("model %d: attached %d procs / %d B lines to a 4-proc 64 B-line machine", model, mc.Procs, mc.LineSize)
+			}
+		}
+		if want := map[MemModel]int{CountOnly: 0, FullMem: 1}[model]; len(m.systems) != want {
+			t.Fatalf("model %d: %d systems after rejected taps, want %d", model, len(m.systems), want)
+		}
+		if _, err := m.Attach(memsys.Config{Procs: 4, CacheSize: 2048, Assoc: 1, LineSize: 64}); err != nil {
+			t.Fatalf("model %d: matching tap rejected: %v", model, err)
+		}
+	}
+}
+
+// TestAttachedSystemsMatchFullMem: one execution feeding two attached
+// systems measures what two FullMem machines measure — counters and time
+// equal, each system's Stats deep-equal — and a FullMem machine with an
+// extra tap still snapshots exactly its own system.
+func TestAttachedSystemsMatchFullMem(t *testing.T) {
+	cfgA := Config{Procs: 4, CacheSize: 4096, Assoc: 2, LineSize: 64}
+	cfgB := Config{Procs: 4, CacheSize: 1024, Assoc: 1, LineSize: 64}
+	fullMem := func(cfg Config) Stats {
+		m := MustNew(cfg)
+		tapProgram(m)
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		return m.Snapshot()
+	}
+	wantA, wantB := fullMem(cfgA), fullMem(cfgB)
+	if reflect.DeepEqual(wantA.Mem, wantB.Mem) || wantB.Mem.Aggregate().TotalMisses() == 0 {
+		t.Fatal("the two configurations measure alike; the test would compare nothing")
+	}
+
+	m := MustNew(Config{Procs: 4, MemModel: CountOnly})
+	sysA, errA := m.Attach(cfgA.MemConfig())
+	sysB, errB := m.Attach(cfgB.MemConfig())
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
+	tapProgram(m)
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	st := m.Snapshot()
+	if len(st.Mem.Procs) != 0 {
+		t.Error("a count-only machine with taps snapshots memory stats")
+	}
+	if !reflect.DeepEqual(st.Procs, wantA.Procs) || st.Time != wantA.Time {
+		t.Errorf("tapped counters differ from the FullMem run\n got %v\nwant %v", st, wantA)
+	}
+	if got := sysA.Stats(); !reflect.DeepEqual(got, wantA.Mem) {
+		t.Errorf("tap A differs from its FullMem run\n got %+v\nwant %+v", got, wantA.Mem)
+	}
+	if got := sysB.Stats(); !reflect.DeepEqual(got, wantB.Mem) {
+		t.Errorf("tap B differs from its FullMem run\n got %+v\nwant %+v", got, wantB.Mem)
+	}
+
+	m = MustNew(cfgA)
+	sysB, err := m.Attach(cfgB.MemConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tapProgram(m)
+	if got := m.Snapshot(); !reflect.DeepEqual(got, wantA) {
+		t.Errorf("FullMem machine with a tap snapshots differently\n got %+v\nwant %+v", got, wantA)
+	}
+	if got := sysB.Stats(); !reflect.DeepEqual(got, wantB.Mem) {
+		t.Errorf("tap on a FullMem machine differs from its own FullMem run")
 	}
 }

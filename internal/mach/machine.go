@@ -69,7 +69,9 @@ func (c Config) MemConfig() memsys.Config {
 type Machine struct {
 	cfg    Config
 	memCfg memsys.Config
-	sys    *memsys.System // nil under CountOnly
+	// systems are the attached memory systems; every reference batch
+	// feeds each in turn. A FullMem machine's own system is systems[0].
+	systems []*memsys.System
 
 	// lineShift converts byte addresses to line indices (LineSize is a
 	// validated power of two).
@@ -101,13 +103,6 @@ func New(cfg Config) (*Machine, error) {
 	}
 	cfg.Procs = mc.Procs
 	m := &Machine{cfg: cfg, memCfg: mc, lineShift: uint(bits.TrailingZeros(uint(mc.LineSize)))}
-	if cfg.MemModel == FullMem {
-		sys, err := memsys.New(mc, m.homeOf)
-		if err != nil {
-			return nil, err
-		}
-		m.sys = sys
-	}
 	m.procs = make([]*Proc, cfg.Procs)
 	for i := range m.procs {
 		m.procs[i] = &Proc{ID: i, m: m, baton: make(chan struct{}, 1)}
@@ -115,7 +110,37 @@ func New(cfg Config) (*Machine, error) {
 	m.setCaptureFlags()
 	m.baseTime = make([]uint64, cfg.Procs)
 	m.base = make([]Counters, cfg.Procs)
+	if cfg.MemModel == FullMem {
+		if _, err := m.Attach(mc); err != nil {
+			return nil, err
+		}
+	}
 	return m, nil
+}
+
+// Attach adds a memory system with configuration mc to the machine: from
+// now on every reference batch feeds it, after the systems attached
+// before it. PRAM timing makes the execution path independent of the
+// attachments (§2.2), so one execution can measure several cache
+// configurations at once, each system's Stats equal to a standalone
+// FullMem run's. Attach before the program's first reference (before
+// building it) for the system to see the whole stream, and only while
+// processors are quiescent. The system must share the machine's
+// processor count and line size — allocation rounds to machine lines and
+// the home map indexes them — or Attach returns an error.
+func (m *Machine) Attach(mc memsys.Config) (*memsys.System, error) {
+	mc = mc.WithDefaults()
+	if mc.Procs != m.cfg.Procs || mc.LineSize != m.memCfg.LineSize {
+		return nil, fmt.Errorf("mach: cannot attach a %d-processor %d B-line memory system to a %d-processor %d B-line machine",
+			mc.Procs, mc.LineSize, m.cfg.Procs, m.memCfg.LineSize)
+	}
+	sys, err := memsys.New(mc, m.homeOf)
+	if err != nil {
+		return nil, err
+	}
+	m.systems = append(m.systems, sys)
+	m.setCaptureFlags()
+	return sys, nil
 }
 
 // MustNew is New for known-good configurations (tests, examples).
@@ -157,8 +182,8 @@ func (m *Machine) isShared(a Addr) bool {
 // phase runs (Radiosity) are covered by the memory system's geometric
 // on-demand growth at first touch.
 func (m *Machine) reserveAllocated() {
-	if m.sys != nil {
-		m.sys.Reserve(m.AllocatedWords())
+	for _, sys := range m.systems {
+		sys.Reserve(m.AllocatedWords())
 	}
 }
 
@@ -194,12 +219,12 @@ func (m *Machine) StartRecording() {
 }
 
 // setCaptureFlags refreshes each processor's reference-capture state
-// from the current memory-system/recorder attachment. Must be called
-// whenever either attachment changes, while processors are quiescent.
+// from the current memory-system/recorder attachments. Must be called
+// whenever an attachment changes, while processors are quiescent.
 func (m *Machine) setCaptureFlags() {
 	for _, p := range m.procs {
-		p.capture = m.sys != nil || m.rec != nil
-		p.wantTimes = m.sys != nil
+		p.capture = len(m.systems) > 0 || m.rec != nil
+		p.wantTimes = len(m.systems) > 0
 		p.evbase = uint64(p.ID) << 1
 		if p.capture && p.evbuf == nil {
 			p.evbuf = make([]uint64, 0, refBufCap)
@@ -231,15 +256,13 @@ func (m *Machine) FinishRecording() *memsys.Trace {
 	return tr
 }
 
-// ResetStats restarts measurement: memory-system counters are zeroed
-// (caches stay warm) and each processor's counter/clock baseline is
-// captured. It must be called while all processors are quiescent — use
-// Epoch from inside a parallel phase.
+// ResetStats restarts measurement: every memory system's counters are
+// zeroed (caches stay warm) and each processor's counter/clock baseline
+// is captured. It must be called while all processors are quiescent —
+// use Epoch from inside a parallel phase.
 func (m *Machine) ResetStats() {
 	m.flushAll()
-	if m.sys != nil {
-		m.sys.ResetStats()
-	}
+	m.resetSystems()
 	if m.rec != nil {
 		// The marker lands one epoch above everything recorded so far and
 		// ties with the next phase's events, where markers merge first.
@@ -258,9 +281,7 @@ func (m *Machine) ResetStats() {
 // every counter it reads is settled.
 func (m *Machine) Epoch(p *Proc, b *Barrier) {
 	b.wait(p, func(release, releaseEpoch uint64) {
-		if m.sys != nil {
-			m.sys.ResetStats()
-		}
+		m.resetSystems()
 		if m.rec != nil {
 			// Every participant flushed on arrival at an epoch below
 			// releaseEpoch and departs at releaseEpoch, where markers
@@ -275,10 +296,20 @@ func (m *Machine) Epoch(p *Proc, b *Barrier) {
 	})
 }
 
+// resetSystems zeroes every attached memory system's counters.
+func (m *Machine) resetSystems() {
+	for _, sys := range m.systems {
+		sys.ResetStats()
+	}
+}
+
 // Stats is a measurement snapshot relative to the last ResetStats.
 type Stats struct {
 	Procs []Counters
-	Mem   memsys.Stats // zero under CountOnly
+	// Mem is the FullMem machine's own memory system's statistics; zero
+	// under CountOnly. Systems added with Attach report through their
+	// own Stats.
+	Mem memsys.Stats
 	// Time is the PRAM execution time: the maximum logical clock advance
 	// over all processors since the last ResetStats.
 	Time uint64
@@ -293,18 +324,21 @@ func (m *Machine) Snapshot() Stats {
 			st.Time = d
 		}
 	}
-	if m.sys != nil {
-		st.Mem = m.sys.Stats()
+	if m.cfg.MemModel == FullMem {
+		st.Mem = m.systems[0].Stats()
 	}
 	return st
 }
 
-// CheckInvariants proxies the memory system's invariant checker (tests).
+// CheckInvariants proxies every attached memory system's invariant
+// checker (tests).
 func (m *Machine) CheckInvariants() error {
-	if m.sys == nil {
-		return nil
+	for _, sys := range m.systems {
+		if err := sys.CheckInvariants(); err != nil {
+			return err
+		}
 	}
-	return m.sys.CheckInvariants()
+	return nil
 }
 
 // Counters are the per-processor event counts behind Table 1.

@@ -25,8 +25,9 @@ type Proc struct {
 
 	// Batched reference capture (see internal/README.md, "Event ordering
 	// under batched capture"). References append to evbuf/tmbuf with no
-	// lock and no interface call; flushRefs drains both into the memory
-	// system (one lock per batch) and the recorder (private sub-stream)
+	// lock and no interface call; flushRefs drains both into every
+	// attached memory system (one lock per system per batch) and the
+	// recorder (private sub-stream)
 	// at buffer-full, at every synchronization point and baton handoff,
 	// and at phase ends.
 	// epoch is the processor's Lamport-style synchronization epoch: it
@@ -98,8 +99,8 @@ func (p *Proc) flushRefs() {
 	if len(p.evbuf) == 0 {
 		return
 	}
-	if p.m.sys != nil {
-		p.m.sys.AccessBatch(p.ID, p.evbuf, p.tmbuf)
+	for _, sys := range p.m.systems {
+		sys.AccessBatch(p.ID, p.evbuf, p.tmbuf)
 	}
 	if rec := p.m.rec; rec != nil {
 		// The recorder takes ownership of the batch (zero-copy chunk);

@@ -5,15 +5,17 @@
 // every experiment is deterministic under PRAM timing, so scheduling
 // order cannot change results. The runner exploits both properties:
 //
-//   - a job model with explicit dependencies, so a Figure-3 sweep is one
-//     lazy `record` job feeding N `replay` jobs off a shared trace
-//     instead of N full re-executions;
+//   - a job model with explicit dependencies, so one lazy program
+//     execution feeds every experiment that needs it — counters, several
+//     memory systems, the trace a Figure-3 sweep replays — instead of one
+//     re-execution each; an edge may be added after submission
+//     (Graph.Depend) for a dependency known only once the graph is built;
 //   - a worker pool (default runtime.GOMAXPROCS) with context
 //     cancellation, fail-fast error propagation, and live progress
 //     reporting;
 //   - a content-addressed result store: an in-memory memo deduplicates
-//     identical experiments within a run (Table 1 and Figure 2 share
-//     executions; Table 3 reuses Figure 4's points), and an optional
+//     identical experiments within a run (Table 1 and Figure 2 submit the
+//     same jobs; Table 3 reuses Figure 4's points), and an optional
 //     on-disk cache (Cache) makes re-running a characterization after
 //     changing one flag compute only the delta.
 package runner
@@ -26,6 +28,7 @@ import (
 	"io"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -302,6 +305,10 @@ func (h Job[T]) Result() (T, error) {
 	return v, nil
 }
 
+// Done reports whether the job has completed — at submission already
+// when its result was memoized by an earlier graph.
+func (h Job[T]) Done() bool { return h.j != nil && h.j.isDone() }
+
 // Spec describes a job being submitted.
 type Spec struct {
 	// Label identifies the job in progress output and errors.
@@ -440,6 +447,25 @@ func Submit[T any](g *Graph, spec Spec, run func(ctx context.Context) (T, error)
 	}
 	g.jobs = append(g.jobs, j)
 	return Job[T]{j}
+}
+
+// Depend makes j wait for dep as well: an edge added after j was
+// submitted, for a dependency whose identity is only known once the rest
+// of the graph is built (core's one execution per program point, whose
+// key names every configuration the graph's jobs ask of it). dep must
+// belong to the graph or be complete; a complete j, or an edge already
+// present, is left alone. Must be called before Wait.
+func (g *Graph) Depend(j, dep Handle) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.waited {
+		panic("runner: Depend after Wait")
+	}
+	jj, dj := j.raw(), dep.raw()
+	if jj.isDone() || slices.Contains(jj.deps, dj) {
+		return
+	}
+	jj.deps = append(jj.deps, dj)
 }
 
 // Wait resolves the graph (probing the cache for every demanded job,
