@@ -10,8 +10,7 @@
 //	trace record -app fft -p 32 -o fft.trace -format v1
 //	trace replay -i fft.sp2t -cache 65536 -assoc 2 -line 64
 //	trace replay -i fft.sp2t -sweep          # full Figure-3 cache sweep
-//	trace replay -i fft.sp2t -sweep -stream  # out-of-core: blocks stream from disk
-//	trace replay -i fft.sp2t -stream -window 1:2  # epochs 1-2 only; other blocks never decoded
+//	trace replay -i fft.sp2t -window 1:2     # epochs 1-2 only; other blocks never decoded
 //	trace info -i fft.sp2t                   # counts, bytes/reference, block shape
 //	trace convert -i fft.trace -o fft.sp2t   # v1 → v2 (and -to v1 for the reverse)
 //	trace verify -i fft.sp2t                 # decode every block, check the sidecar hash
@@ -20,15 +19,17 @@
 // Traces come in two formats: the flat v1 stream (one packed word per
 // event) and the columnar v2 container (delta-compressed per-processor
 // blocks plus an index footer; see internal/README.md). record writes
-// v2 by default; replay reads either, and with -stream replays a v2
-// container without ever materializing the event array.
+// v2 by default. replay sniffs the format: a v2 container streams from
+// disk block by block without ever materializing the event array, and a
+// v1 file decodes into memory. -window selects the synchronization
+// epochs stamped on v2 blocks, so it needs a v2 container.
 //
 // Replay can inject deterministic read faults to drill the decoder's
 // failure handling (a truncated stream fails with a descriptive error,
 // never a panic):
 //
 //	trace replay -i fft.trace -fault 'shortread(100)=trace.read'
-//	trace replay -i fft.sp2t -stream -fault 'error@3=trace.read.block:*'
+//	trace replay -i fft.sp2t -fault 'error@3=trace.read.block:*'
 //
 // Exit status: 0 — clean completion; 1 — usage error; 3 — runtime
 // error (unreadable input, corrupt container, failed simulation).
@@ -156,30 +157,17 @@ func record(args []string, stdout, stderr io.Writer) int {
 	return cli.ExitOK
 }
 
-// openSource opens a trace for replay: in-memory decode by default, or
-// an out-of-core TraceFile when stream is set (v2 containers only).
-// The caller owns the returned closer (a no-op for the in-memory path).
-func openSource(path string, stream bool, inj *splash2.FaultInjector) (splash2.TraceSource, io.Closer, error) {
-	if stream {
-		tf, err := memsys.OpenTraceFile(path, inj)
-		if err != nil {
-			return nil, nil, err
-		}
-		return tf, tf, nil
-	}
+// readTrace decodes a whole trace file, either format, into memory.
+func readTrace(path string, inj *splash2.FaultInjector) (*splash2.Trace, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer f.Close()
 	if err := inj.Do(nil, "trace.read"); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	tr, err := memsys.ReadTrace(inj.Reader("trace.read", f))
-	if err != nil {
-		return nil, nil, err
-	}
-	return tr, io.NopCloser(nil), nil
+	return memsys.ReadTrace(inj.Reader("trace.read", f))
 }
 
 func replay(args []string, stdout, stderr io.Writer) int {
@@ -191,8 +179,7 @@ func replay(args []string, stdout, stderr io.Writer) int {
 	line := fs.Int("line", 64, "line size in bytes")
 	procs := fs.Int("p", 0, "replay processors (default: trace's max + 1)")
 	sweep := fs.Bool("sweep", false, "replay the full 1K-1M cache-size sweep")
-	stream := fs.Bool("stream", false, "stream a v2 container from disk instead of decoding it into memory")
-	window := fs.String("window", "", `replay only epochs [start, start+len) as "start:len" (streaming skips out-of-range blocks)`)
+	window := fs.String("window", "", `replay only epochs [start, start+len) as "start:len" (v2 only; other blocks are never decoded)`)
 	faultSpec := fs.String("fault", "", `inject read faults: "action[(arg)][@nth]=trace.read;..."`)
 	faultSeed := fs.Int64("fault-seed", 1, "seed choosing the occurrence of @-nth fault rules")
 	if err := fs.Parse(args); err != nil {
@@ -212,18 +199,39 @@ func replay(args []string, stdout, stderr io.Writer) int {
 		inj = splash2.NewFaultInjector(*faultSeed, rules...)
 	}
 
-	src, closer, err := openSource(*in, *stream, inj)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	defer closer.Close()
+	var lo, n uint64
 	if *window != "" {
-		lo, n, err := parseWindow(*window)
-		if err != nil {
+		var err error
+		if lo, n, err = parseWindow(*window); err != nil {
 			fmt.Fprintln(stderr, "trace replay:", err)
 			return cli.ExitUsage
 		}
-		if src, err = memsys.EpochWindow(src, lo, lo+n-1); err != nil {
+	}
+	format, err := sniffFormat(*in)
+	if err != nil {
+		return fail(stderr, err)
+	}
+	// A v2 container streams from disk through its index; a v1 file
+	// decodes into memory.
+	var src splash2.TraceSource
+	if format == "v2" {
+		tf, err := memsys.OpenTraceFile(*in, inj)
+		if err != nil {
+			return fail(stderr, err)
+		}
+		defer tf.Close()
+		src = tf
+		if *window != "" {
+			if src, err = memsys.EpochWindow(tf, lo, lo+n-1); err != nil {
+				return fail(stderr, err)
+			}
+		}
+	} else {
+		if *window != "" {
+			fmt.Fprintf(stderr, "trace replay: -window selects the epochs stamped on v2 blocks, and %s is flat v1; convert it first (trace convert -i %s -o <out>.sp2t)\n", *in, *in)
+			return cli.ExitUsage
+		}
+		if src, err = readTrace(*in, inj); err != nil {
 			return fail(stderr, err)
 		}
 	}
@@ -344,12 +352,7 @@ func info(args []string, stdout, stderr io.Writer) int {
 	epochs := uint64(0)
 	switch format {
 	case "v1":
-		f, err := os.Open(*in)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		tr, err := memsys.ReadTrace(f)
-		f.Close()
+		tr, err := readTrace(*in, nil)
 		if err != nil {
 			return fail(stderr, err)
 		}
@@ -434,44 +437,15 @@ func convert(args []string, stdout, stderr io.Writer) int {
 		return fail(stderr, err)
 	}
 
-	var n int64
-	var events int
-	if from == "v2" && *to == "v1" {
-		// Out of core: stream blocks from the container straight into the
-		// flat encoding, never materializing the event array.
-		tf, err := splash2.OpenTraceFile(*in)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		defer tf.Close()
-		events = tf.Len()
-		f, err := os.Create(*out)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		n, err = tf.WriteTo(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fail(stderr, err)
-		}
-	} else {
-		f, err := os.Open(*in)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		tr, err := memsys.ReadTrace(f)
-		f.Close()
-		if err != nil {
-			return fail(stderr, err)
-		}
-		events = tr.Len()
-		if n, err = writeTrace(tr, *out, *to); err != nil {
-			return fail(stderr, err)
-		}
+	tr, err := readTrace(*in, nil)
+	if err != nil {
+		return fail(stderr, err)
+	}
+	n, err := writeTrace(tr, *out, *to)
+	if err != nil {
+		return fail(stderr, err)
 	}
 	fmt.Fprintf(stdout, "converted %s (%s, %d events) → %s (%s, %d bytes)\n",
-		*in, from, events, *out, *to, n)
+		*in, from, tr.Len(), *out, *to, n)
 	return cli.ExitOK
 }

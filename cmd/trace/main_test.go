@@ -39,9 +39,10 @@ func TestUsageErrors(t *testing.T) {
 		{"record"}, // -app and -o required
 		{"record", "-app", "fft", "-o", "x", "-format", "v3"},
 		{"record", "-badflag"},
-		{"replay"},             // -i required
-		{"info"},               // -i required
-		{"convert", "-i", "x"}, // -o required
+		{"replay"},                       // -i required
+		{"replay", "-i", "x", "-stream"}, // v2 always streams; the flag is gone
+		{"info"},                         // -i required
+		{"convert", "-i", "x"},           // -o required
 		{"convert", "-i", "x", "-o", "y", "-to", "v9"},
 	}
 	for _, args := range cases {
@@ -75,61 +76,85 @@ func TestRuntimeErrors(t *testing.T) {
 	}
 }
 
-// TestStreamReplayMatchesInMemory pins the out-of-core promise at the
-// CLI surface: replaying a v2 container with -stream prints exactly the
-// bytes of the in-memory replay, for both the single-configuration and
-// sweep paths.
+// convertTo converts a trace file with `trace convert` and returns the
+// output path.
+func convertTo(t *testing.T, in, out, to string) string {
+	t.Helper()
+	if code, _, stderr := runCLI(t, "convert", "-i", in, "-o", out, "-to", to); code != cli.ExitOK {
+		t.Fatalf("convert to %s exited %d: %s", to, code, stderr)
+	}
+	return out
+}
+
+// TestStreamReplayMatchesInMemory is the cross-format differential test
+// of replay: a v2 container, which streams from disk, prints exactly the
+// bytes its v1 conversion prints when decoded into memory, for both the
+// single-configuration and sweep paths.
 func TestStreamReplayMatchesInMemory(t *testing.T) {
-	v2 := recordTo(t, t.TempDir(), "v2")
+	dir := t.TempDir()
+	v2 := recordTo(t, dir, "v2")
+	v1 := convertTo(t, v2, filepath.Join(dir, "fft.flat"), "v1")
 
 	for _, extra := range [][]string{
 		{"-cache", "16384", "-assoc", "2"},
 		{"-sweep"},
+		{"-sweep", "-assoc", "0"},
 	} {
-		mem := append([]string{"replay", "-i", v2}, extra...)
-		str := append(append([]string{"replay", "-i", v2}, extra...), "-stream")
-		code, memOut, stderr := runCLI(t, mem...)
+		code, memOut, stderr := runCLI(t, append([]string{"replay", "-i", v1}, extra...)...)
 		if code != cli.ExitOK {
-			t.Fatalf("in-memory replay exited %d: %s", code, stderr)
+			t.Fatalf("v1 replay exited %d: %s", code, stderr)
 		}
-		code, strOut, stderr := runCLI(t, str...)
+		code, strOut, stderr := runCLI(t, append([]string{"replay", "-i", v2}, extra...)...)
 		if code != cli.ExitOK {
-			t.Fatalf("streaming replay exited %d: %s", code, stderr)
+			t.Fatalf("v2 replay exited %d: %s", code, stderr)
 		}
 		if memOut != strOut {
-			t.Errorf("streaming replay diverges for %q:\n got %s\nwant %s", extra, strOut, memOut)
+			t.Errorf("streamed v2 replay diverges from in-memory v1 for %q:\n got %s\nwant %s", extra, strOut, memOut)
 		}
 	}
 }
 
-// TestReplayWindow: -window restricts replay to an epoch range, agrees
-// between in-memory and streaming paths, differs from the full replay,
-// and rejects malformed ranges.
+// TestReplayWindow: -window restricts a v2 replay to the epochs stamped
+// on its blocks — exactly the references the index lists for them —
+// differs from the full replay, and rejects malformed ranges.
 func TestReplayWindow(t *testing.T) {
-	v2 := recordTo(t, t.TempDir(), "v2")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "fft.sp2t")
+	if code, _, stderr := runCLI(t, "record", "-app", "fft", "-p", "4", "-opt", "n=1024", "-o", path); code != cli.ExitOK {
+		t.Fatalf("record exited %d: %s", code, stderr)
+	}
+	tf, err := splash2.OpenTraceFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	index := tf.Index()
+	tf.Close()
 
-	args := []string{"replay", "-i", v2, "-cache", "16384", "-assoc", "2", "-window", "0:1"}
-	code, memOut, stderr := runCLI(t, args...)
-	if code != cli.ExitOK {
-		t.Fatalf("windowed replay exited %d: %s", code, stderr)
-	}
-	code, strOut, stderr := runCLI(t, append(args, "-stream")...)
-	if code != cli.ExitOK {
-		t.Fatalf("windowed streaming replay exited %d: %s", code, stderr)
-	}
-	if memOut != strOut {
-		t.Errorf("windowed streaming replay diverges:\n got %s\nwant %s", strOut, memOut)
-	}
-	code, fullOut, stderr := runCLI(t, "replay", "-i", v2, "-cache", "16384", "-assoc", "2")
+	code, fullOut, stderr := runCLI(t, "replay", "-i", path)
 	if code != cli.ExitOK {
 		t.Fatalf("full replay exited %d: %s", code, stderr)
 	}
-	if fullOut == memOut {
-		t.Errorf("epoch window 0:1 replayed the same references as the full trace:\n%s", memOut)
+	for _, w := range [][2]uint64{{0, 1}, {1, 1}, {1, 3}} {
+		var want uint64
+		for _, b := range index {
+			if !b.Marker && b.Epoch >= w[0] && b.Epoch < w[0]+w[1] {
+				want += uint64(b.Events)
+			}
+		}
+		code, out, stderr := runCLI(t, "replay", "-i", path, "-window", fmt.Sprintf("%d:%d", w[0], w[1]))
+		if code != cli.ExitOK {
+			t.Fatalf("-window %d:%d exited %d: %s", w[0], w[1], code, stderr)
+		}
+		if prefix := fmt.Sprintf("replayed %d references ", want); !strings.HasPrefix(out, prefix) {
+			t.Errorf("-window %d:%d: want %q, got %s", w[0], w[1], prefix, out)
+		}
+		if out == fullOut {
+			t.Errorf("-window %d:%d replayed the same references as the full trace:\n%s", w[0], w[1], out)
+		}
 	}
 
 	for _, bad := range []string{"nope", "1", "1:0", "-2:3", ":"} {
-		if code, _, _ := runCLI(t, "replay", "-i", v2, "-window", bad); code != cli.ExitUsage {
+		if code, _, _ := runCLI(t, "replay", "-i", path, "-window", bad); code != cli.ExitUsage {
 			t.Errorf("-window %q exited %d, want %d", bad, code, cli.ExitUsage)
 		}
 	}
@@ -174,15 +199,16 @@ func TestSweepMatchesPerSizeReplay(t *testing.T) {
 	}
 }
 
-// TestStreamReplayRejectsV1 gives the v1-specific guidance rather than
-// a generic magic error.
+// TestStreamReplayRejectsV1: an epoch window needs the epochs a v2
+// container stamps on its blocks, so -window on a flat v1 trace is a
+// usage error that points at trace convert.
 func TestStreamReplayRejectsV1(t *testing.T) {
 	v1 := recordTo(t, t.TempDir(), "v1")
-	code, _, stderr := runCLI(t, "replay", "-i", v1, "-stream")
-	if code != cli.ExitRuntime {
-		t.Fatalf("streaming a v1 trace exited %d, want %d", code, cli.ExitRuntime)
+	code, _, stderr := runCLI(t, "replay", "-i", v1, "-window", "0:1")
+	if code != cli.ExitUsage {
+		t.Fatalf("-window on a v1 trace exited %d, want %d", code, cli.ExitUsage)
 	}
-	if !strings.Contains(stderr, "convert") {
+	if !strings.Contains(stderr, "trace convert") {
 		t.Errorf("error does not point at trace convert: %s", stderr)
 	}
 }
@@ -271,11 +297,12 @@ func TestInfoReportsBothFormats(t *testing.T) {
 }
 
 // TestStreamFaultInjection drills the block-read fault point from the
-// CLI: an injected error surfaces as a descriptive runtime failure.
+// CLI: an injected error in a streamed v2 replay surfaces as a
+// descriptive runtime failure.
 func TestStreamFaultInjection(t *testing.T) {
 	v2 := recordTo(t, t.TempDir(), "v2")
 	code, _, stderr := runCLI(t,
-		"replay", "-i", v2, "-stream", "-fault", "error@2=trace.read.block:*")
+		"replay", "-i", v2, "-fault", "error@2=trace.read.block:*")
 	if code != cli.ExitRuntime {
 		t.Fatalf("fault-injected replay exited %d, want %d (stderr: %s)", code, cli.ExitRuntime, stderr)
 	}

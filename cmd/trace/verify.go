@@ -117,12 +117,7 @@ func verifyContainer(path string) (string, error) {
 	if format == "v1" {
 		// Flat streams have no per-block structure: a full decode is the
 		// strongest check available.
-		f, err := os.Open(path)
-		if err != nil {
-			return "", err
-		}
-		tr, err := memsys.ReadTrace(f)
-		f.Close()
+		tr, err := readTrace(path, nil)
 		if err != nil {
 			return "", err
 		}

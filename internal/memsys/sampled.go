@@ -302,7 +302,6 @@ func SampledStackDistances(src TraceSource, lineSize, maxCacheSize int, opt Samp
 	if nproc > 64 {
 		return nil, fmt.Errorf("memsys: at most 64 processors supported (sharer bitset), trace has %d", nproc)
 	}
-	lines := uint64(meta.MaxAddr)>>shift + 1
 
 	// all short-circuits the hash test when every line is tracked.
 	all := opt.Rate >= 1
@@ -327,35 +326,46 @@ func SampledStackDistances(src TraceSource, lineSize, maxCacheSize int, opt Samp
 		}
 	}
 	var wins []*exactWindow
-	var winHolders []uint64
 	if opt.ExactLines > 0 {
 		wins = make([]*exactWindow, nproc)
 		for p := range wins {
 			wins[p] = newExactWindow(opt.ExactLines)
 		}
-		winHolders = make([]uint64, lines) // line -> bitset of procs holding it in-window
 		sp.wins = wins
 		sp.exactLines = wins[0].w
 		sp.windowWhole = true
 	}
 	stacks := make([]sdStack, nproc)
 	for p := 0; p < nproc; p++ {
-		l := make([]int64, lines)
-		for i := range l {
-			l[i] = slotNever
-		}
 		// A processor's slot clock never passes its reference count, so a
 		// short stream gets a tree that never needs compacting.
 		capHint := sdInitialCap
 		if p < len(meta.ProcRefs) && meta.ProcRefs[p] < sdInitialCap {
 			capHint = int(meta.ProcRefs[p]) + 1
 		}
-		stacks[p] = sdStack{tree: make(fenwick, capHint), last: l}
+		stacks[p] = sdStack{tree: make(fenwick, capHint)}
 		sp.procs[p].hist = make([]uint64, maxLines+1)
 	}
-	holders := make([]uint64, lines) // line -> bitset of stack-resident procs
+	// The line tables — each stack's last, holders (line -> bitset of
+	// stack-resident procs) and winHolders (line -> bitset of procs
+	// holding it in-window) — are sized by the first block for
+	// meta.addrHint and grow with the addresses the stream shows (see
+	// ReplayMulti).
+	var holders, winHolders []uint64
+	hint := meta.addrHint()
 
 	err := src.blocks(func(events []uint64) error {
+		if line := uint64(max(blockMaxAddr(events), hint)) >> shift; line >= uint64(len(holders)) {
+			holders = grow(holders, line, 0)
+			for q := range stacks {
+				stacks[q].last = grow(stacks[q].last, line, slotNever)
+			}
+			if wins != nil {
+				winHolders = grow(winHolders, line, 0)
+			}
+		}
+		// The loop reads locals, not the captured variables.
+		holders, winHolders := holders, winHolders
 		for _, e := range events {
 			if e == resetMarker {
 				for p := range sp.procs {
@@ -372,14 +382,10 @@ func SampledStackDistances(src TraceSource, lineSize, maxCacheSize int, opt Samp
 			}
 			p := int(e >> 1 & 0x7f)
 			line := (e >> 8) >> shift
-			// These fire only for streams whose index footer understates
-			// the ranges the blocks actually use (a lying or corrupt v2
-			// file); an in-memory trace's meta is exact.
+			// This fires only for a summary that understates the
+			// processors the blocks use.
 			if p >= nproc {
 				return fmt.Errorf("memsys: corrupt trace: processor %d beyond declared maximum %d", p, meta.MaxProc)
-			}
-			if line >= lines {
-				return fmt.Errorf("memsys: corrupt trace: address %#x beyond declared maximum %#x", e>>8, uint64(meta.MaxAddr))
 			}
 			write := e&1 == 1
 

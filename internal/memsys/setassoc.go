@@ -116,8 +116,6 @@ func SetAssocSweep(src TraceSource, lineSize, assoc int, cacheSizes []int) (*Set
 	}
 	shift := uint(bits.TrailingZeros(uint(lineSize)))
 	k := len(sizes)
-	maxWords := uint64(meta.MaxAddr)/WordBytes + 1
-	lines := uint64(meta.MaxAddr)>>shift + 1
 
 	sp := &SetAssocProfile{
 		profile: profile{lineSize: lineSize, procs: make([]stackCounts, nproc)},
@@ -131,20 +129,26 @@ func SetAssocSweep(src TraceSource, lineSize, assoc int, cacheSizes []int) (*Set
 		sets := cs / lineSize / assoc
 		levels[c] = setLevel{setMask: uint64(sets - 1), sets: sets, ways: make([]uint64, nproc*sets*assoc)}
 	}
-	// state[p][line] packs p's last access stamp above the line's level.
-	state := make([][]uint64, nproc)
-	for p := range state {
-		st := make([]uint64, lines)
-		for i := range st {
-			st[i] = uint64(k)
-		}
-		state[p] = st
+	for p := range sp.procs {
 		sp.procs[p].hist = make([]uint64, k)
 	}
+	// state[p][line] packs p's last access stamp above the line's level;
+	// sharers[line] holds the procs that touched it since the last
+	// foreign write. The first block sizes both for meta.addrHint, and
+	// they grow with the addresses the stream shows (see ReplayMulti).
+	state := make([][]uint64, nproc)
+	var sharers []uint64
+	hint := meta.addrHint()
 	clock := make([]uint64, nproc)
-	sharers := make([]uint64, lines) // line -> procs that touched it since the last foreign write
 
 	err := src.blocks(func(events []uint64) error {
+		if line := uint64(max(blockMaxAddr(events), hint)) >> shift; line >= uint64(len(sharers)) {
+			sharers = grow(sharers, line, 0)
+			for q := range state {
+				state[q] = grow(state[q], line, uint64(k))
+			}
+		}
+		sharers := sharers // the loop reads a local, not the captured variable
 		for _, e := range events {
 			if e == resetMarker {
 				for p := range sp.procs {
@@ -153,15 +157,10 @@ func SetAssocSweep(src TraceSource, lineSize, assoc int, cacheSizes []int) (*Set
 				continue
 			}
 			p := int(e >> 1 & 0x7f)
-			// These fire only for streams whose index footer understates
-			// the ranges the blocks actually use (a lying or corrupt v2
-			// file); an in-memory trace's meta is exact. They mirror
-			// ReplayMulti's, message for message.
+			// This fires only for a summary that understates the
+			// processors the blocks use; it mirrors ReplayMulti's.
 			if p >= nproc {
 				return fmt.Errorf("memsys: corrupt trace: processor %d beyond declared maximum %d", p, meta.MaxProc)
-			}
-			if Addr(e>>8).Word() >= maxWords {
-				return fmt.Errorf("memsys: corrupt trace: address %#x beyond declared maximum %#x", e>>8, uint64(meta.MaxAddr))
 			}
 			line := (e >> 8) >> shift
 			write := e&1 == 1

@@ -117,8 +117,8 @@ func (s *System) Config() Config { return s.cfg }
 
 // Reserve pre-sizes internal tables, exactly, for an address space of the
 // given number of words. Callers that know the address range up front
-// (mach at phase entry, trace replay from the trace's MaxAddr) reserve
-// once; references beyond the reserved range grow the tables on demand.
+// (mach at phase entry) reserve once; references beyond the reserved
+// range grow the tables on demand.
 func (s *System) Reserve(words uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -233,8 +233,8 @@ func (s *System) useExternalWords() { s.extWords = true }
 // replayAccessExt is the single-threaded replay entry point. Trace
 // replay owns its System exclusively, so it skips the global mutex, and
 // the word's packed write history (seq<<7 | writer+1, 0 = never written)
-// arrives precomputed from one pass over the stream. Reserve must
-// already cover the trace's address range. State transitions are
+// arrives precomputed from one pass over the stream. The tables must
+// already cover the address (ReplayMulti grows them). State transitions are
 // identical to access with now==0.
 func (s *System) replayAccessExt(p int, a Addr, write bool, lw uint64) {
 	s.seq++

@@ -1,6 +1,7 @@
 package memsys
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -82,6 +83,14 @@ type TraceMeta struct {
 
 // Len returns the total stream length in events, markers included.
 func (m TraceMeta) Len() int { return int(m.Refs + m.Markers) }
+
+// addrHint is the highest address a replay pass sizes its tables for
+// at the first block: MaxAddr, capped at one word per reference. A
+// TraceFile proves its footer's MaxAddr only when a pass ends, and
+// every reference it counts is backed by a byte of file, so an
+// overstated maximum cannot demand tables the blocks do not back.
+// Passes grow past the hint as the stream shows higher addresses.
+func (m TraceMeta) addrHint() Addr { return min(m.MaxAddr, Addr(m.Refs*WordBytes)) }
 
 // TraceSource is a replayable reference stream: either an in-memory
 // Trace or an out-of-core TraceFile streaming a v2 container from disk.
@@ -419,6 +428,30 @@ func minProcs(maxProc int, homes []int32) int {
 	return need
 }
 
+// grow extends a table indexed by word or line so that it covers index
+// i, with new entries set to fill. Growth is geometric (at least 1.5×),
+// so a stream touching ascending addresses re-copies it O(log n) times.
+func grow[T any](table []T, i uint64, fill T) []T {
+	n := max(i+1, uint64(len(table))+uint64(len(table))/2)
+	out := make([]T, n)
+	copy(out, table)
+	for j := len(table); j < len(out); j++ {
+		out[j] = fill
+	}
+	return out
+}
+
+// blockMaxAddr returns the largest address among a block's events (a
+// reset marker carries address 0): one scan per block lets a pass size
+// its tables before its per-event loop runs.
+func blockMaxAddr(events []uint64) Addr {
+	var m uint64
+	for _, e := range events {
+		m = max(m, e>>8)
+	}
+	return Addr(m)
+}
+
 // replayBlockSize is the event-block granularity of in-memory replay:
 // each system consumes a whole block before the next system starts it,
 // so its cache and directory state stay hot, and the per-block lastWrite
@@ -480,9 +513,7 @@ func ReplayMulti(src TraceSource, cfgs []Config) ([]Stats, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Pre-size tables from the stream's address range.
 		sys.useExternalWords()
-		sys.Reserve(uint64(meta.MaxAddr)/WordBytes + 1)
 		systems[i] = sys
 	}
 
@@ -493,7 +524,10 @@ func ReplayMulti(src TraceSource, cfgs []Config) ([]Stats, error) {
 	// word before event i as seq<<7 | writer+1, 0 when never written.
 	// The words table persists across blocks (it is O(address space),
 	// like every system's own tables); the lastWrite buffer is O(block).
-	words := make([]uint64, uint64(meta.MaxAddr)/WordBytes+1)
+	// The first block sizes it, and every system's tables, for
+	// meta.addrHint; they grow with the addresses the stream shows.
+	hint := meta.addrHint()
+	var words []uint64
 	var seq uint64
 	var lw []uint64
 
@@ -540,6 +574,13 @@ func ReplayMulti(src TraceSource, cfgs []Config) ([]Stats, error) {
 	}
 
 	err := src.blocks(func(events []uint64) error {
+		if w := max(blockMaxAddr(events), hint).Word(); w >= uint64(len(words)) {
+			words = grow(words, w, 0)
+			for _, sys := range systems {
+				sys.growWords(uint64(len(words)))
+			}
+		}
+		words := words // the loop reads a local, not the captured variable
 		if cap(lw) < len(events) {
 			lw = make([]uint64, len(events))
 		}
@@ -549,16 +590,12 @@ func ReplayMulti(src TraceSource, cfgs []Config) ([]Stats, error) {
 				b[i] = 0
 				continue
 			}
-			// Bounds defenses fire only for streams whose index footer
-			// understates the ranges the blocks actually use (a lying or
-			// corrupt v2 file); an in-memory trace's meta is exact.
+			// The processor defense fires only for a summary that
+			// understates the processors the blocks use.
 			if p := int(e >> 1 & 0x7f); p > meta.MaxProc {
 				return fmt.Errorf("memsys: corrupt trace: processor %d beyond declared maximum %d", p, meta.MaxProc)
 			}
 			w := Addr(e >> 8).Word()
-			if w >= uint64(len(words)) {
-				return fmt.Errorf("memsys: corrupt trace: address %#x beyond declared maximum %#x", e>>8, uint64(meta.MaxAddr))
-			}
 			seq++
 			b[i] = words[w]
 			if e&1 == 1 {
@@ -681,7 +718,18 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	case traceMagic:
 		return readTraceV1(r)
 	case traceMagicV2:
-		return readTraceV2(r)
+		// A v2 container is parsed one way: buffer it (as many bytes as
+		// the input really holds) and decode it through TraceFile.
+		var buf bytes.Buffer
+		buf.Write(binary.LittleEndian.AppendUint32(nil, magic))
+		if _, err := buf.ReadFrom(r); err != nil {
+			return nil, fmt.Errorf("memsys: trace truncated reading v2 container: %w", err)
+		}
+		tf, err := NewTraceFile(bytes.NewReader(buf.Bytes()), int64(buf.Len()), nil)
+		if err != nil {
+			return nil, err
+		}
+		return tf.load()
 	}
 	return nil, fmt.Errorf("memsys: bad trace magic %#x (want %#x or %#x)", magic, traceMagic, traceMagicV2)
 }

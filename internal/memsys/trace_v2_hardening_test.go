@@ -3,6 +3,9 @@ package memsys
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -41,9 +44,11 @@ func v2Layout(t testing.TB, good []byte) (index []BlockInfo, footerOff int64) {
 	return tf.Index(), tf.footerOff
 }
 
-// TestReadTraceV2CorruptInputs mirrors the v1 corruption table for the
-// sequential v2 decoder: every mutation must yield a descriptive error
-// — never a panic, never an allocation the file's bytes don't back.
+// TestReadTraceV2CorruptInputs mirrors the v1 corruption table for v2
+// input, through both ways in — ReadTrace, and OpenTraceFile plus a
+// full streaming pass — which share one reader and so one standard:
+// every mutation must yield the same descriptive error on both, never a
+// panic, never an allocation the file's bytes don't back.
 func TestReadTraceV2CorruptInputs(t *testing.T) {
 	good := hardeningTraceV2(t)
 	index, footerOff := v2Layout(t, good)
@@ -105,15 +110,42 @@ func TestReadTraceV2CorruptInputs(t *testing.T) {
 			b[len(b)-1] ^= 0xff
 		}), "index magic"},
 		{"truncated trailer", good[:len(good)-4], "trailer"},
+		{"procRefs swapped", lyingFooterV2(t, good, func(m *TraceMeta) {
+			m.ProcRefs[0], m.ProcRefs[1] = m.ProcRefs[1], m.ProcRefs[0]
+		}), "index footer counts 1 references for processor 0, blocks hold 3"},
+		{"footer processor count overstated", lyingFooterV2(t, good, func(m *TraceMeta) {
+			m.MaxProc++
+			m.ProcRefs = append(m.ProcRefs, 0)
+		}), "processors"},
+		{"footer maxAddr overstated", lyingFooterV2(t, good, func(m *TraceMeta) {
+			m.MaxAddr = 1 << 40
+		}), "maximum address"},
 	}
-	for _, tc := range cases {
+	dir := t.TempDir()
+	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := ReadTrace(bytes.NewReader(tc.data))
 			if err == nil {
 				t.Fatal("ReadTrace accepted corrupt v2 input")
 			}
 			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %q does not mention %q", err, tc.want)
+				t.Fatalf("ReadTrace error %q does not mention %q", err, tc.want)
+			}
+
+			path := filepath.Join(dir, strconv.Itoa(i)+".sp2t")
+			if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			tf, err := OpenTraceFile(path, nil)
+			if err == nil {
+				defer tf.Close()
+				err = tf.blocks(func([]uint64) error { return nil })
+			}
+			if err == nil {
+				t.Fatal("OpenTraceFile and a full stream accepted corrupt v2 input")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("OpenTraceFile+stream error %q does not mention %q", err, tc.want)
 			}
 		})
 	}
@@ -269,9 +301,41 @@ func TestTraceFileCorruptBlocks(t *testing.T) {
 	}
 }
 
-// FuzzReadTraceV2 throws arbitrary bytes at both v2 decoders: they must
-// agree on acceptance, never panic, and any accepted container must
-// re-serialize to an equivalent stream.
+// TestOverstatedMaxAddrFailsEachPass: a 5-event container whose footer
+// claims addresses up to 1<<40 must fail every streaming pass as a
+// corrupt trace — none may size its tables from the claim (that would
+// exhaust memory before the first block).
+func TestOverstatedMaxAddrFailsEachPass(t *testing.T) {
+	tf := openV2(t, lyingFooterV2(t, hardeningTraceV2(t), func(m *TraceMeta) { m.MaxAddr = 1 << 40 }))
+	passes := map[string]func() error{
+		"ReplayMulti": func() error {
+			_, err := ReplayMulti(tf, []Config{{Procs: 4, CacheSize: 2048, Assoc: 2, LineSize: 64}})
+			return err
+		},
+		"StackDistances": func() error {
+			_, err := StackDistances(tf, 64, 4096)
+			return err
+		},
+		"SampledStackDistances": func() error {
+			_, err := SampledStackDistances(tf, 64, 4096, SampledOptions{Rate: 0.5, ExactLines: 8})
+			return err
+		},
+		"SetAssocSweep": func() error {
+			_, err := SetAssocSweep(tf, 64, 2, []int{2048, 256})
+			return err
+		},
+	}
+	for name, pass := range passes {
+		if err := pass(); err == nil || !strings.Contains(err.Error(), "corrupt trace") {
+			t.Errorf("%s over an overstated maximum address: error %v, want a corrupt trace", name, err)
+		}
+	}
+}
+
+// FuzzReadTraceV2 throws arbitrary bytes at the v2 reader: ReadTrace
+// and a full TraceFile stream must agree on acceptance (they are one
+// reader), never panic, and any accepted container must stream the
+// loaded events and re-serialize to an equivalent stream.
 func FuzzReadTraceV2(f *testing.F) {
 	good := hardeningTraceV2(f)
 	f.Add(good)
@@ -283,29 +347,26 @@ func FuzzReadTraceV2(f *testing.F) {
 	f.Add([]byte{0x33, 0x4c, 0x50, 0x53}) // v2 magic alone
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 || binary.LittleEndian.Uint32(data) != traceMagicV2 {
+			return // not v2; FuzzReadTrace covers v1
+		}
 		tr, err := ReadTrace(bytes.NewReader(data))
-		if err != nil {
-			// The sequential decoder verifies the footer summary against
-			// a full decode; the random-access reader by design cannot
-			// (that would defeat random access), so it may stream a
-			// container whose footer merely overstates a bound. It must
-			// still never panic, and anything it streams must match the
-			// block count its own footer promised.
-			tf, ferr := NewTraceFile(bytes.NewReader(data), int64(len(data)), nil)
-			if ferr != nil {
-				return
-			}
-			n := 0
-			if serr := tf.blocks(func(ev []uint64) error {
-				n += len(ev)
+		var streamed []uint64
+		tf, ferr := NewTraceFile(bytes.NewReader(data), int64(len(data)), nil)
+		if ferr == nil {
+			ferr = tf.blocks(func(ev []uint64) error {
+				streamed = append(streamed, ev...)
 				return nil
-			}); serr == nil && n != tf.Len() {
-				t.Fatalf("TraceFile streamed %d events, its footer promises %d", n, tf.Len())
-			}
+			})
+		}
+		if (err == nil) != (ferr == nil) {
+			t.Fatalf("ReadTrace error %v, TraceFile stream error %v", err, ferr)
+		}
+		if err != nil {
 			return
 		}
-		if len(data) == 0 || binary.LittleEndian.Uint32(data) != traceMagicV2 {
-			return // accepted as v1; covered by FuzzReadTrace
+		if !bytes.Equal(u64Bytes(streamed), u64Bytes(tr.events)) {
+			t.Fatal("TraceFile streams a different event sequence")
 		}
 		// Re-serialize and decode again: the stream must survive.
 		var buf bytes.Buffer
@@ -318,21 +379,6 @@ func FuzzReadTraceV2(f *testing.F) {
 		}
 		if !bytes.Equal(eventWords(tr2), eventWords(tr)) {
 			t.Fatal("v2 round trip changed the event stream")
-		}
-		// The random-access reader must agree with the sequential one.
-		tf, ferr := NewTraceFile(bytes.NewReader(data), int64(len(data)), nil)
-		if ferr != nil {
-			t.Fatalf("sequential decode accepted but TraceFile rejected: %v", ferr)
-		}
-		var streamed []uint64
-		if err := tf.blocks(func(ev []uint64) error {
-			streamed = append(streamed, ev...)
-			return nil
-		}); err != nil {
-			t.Fatalf("sequential decode accepted but streaming failed: %v", err)
-		}
-		if !bytes.Equal(u64Bytes(streamed), u64Bytes(tr.events)) {
-			t.Fatal("TraceFile streams a different event sequence")
 		}
 	})
 }

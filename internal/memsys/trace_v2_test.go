@@ -151,9 +151,10 @@ func TestV2CompressesBelowHalfOfV1(t *testing.T) {
 	}
 }
 
-// TestTraceFileMatchesInMemory: every consumer — ReplayMulti,
-// StackDistances, WriteTo — must produce identical results whether the
-// source is the in-memory Trace or the out-of-core TraceFile.
+// TestTraceFileMatchesInMemory: ReplayMulti and StackDistances must
+// produce identical results whether the source is the in-memory Trace
+// or the out-of-core TraceFile, and the container loaded back through
+// ReadTrace must serialize to the original's flat v1 bytes.
 func TestTraceFileMatchesInMemory(t *testing.T) {
 	tr := buildSharingTrace(5, 4, 9000, true)
 	tf := openV2(t, writeV2Bytes(t, tr))
@@ -194,15 +195,19 @@ func TestTraceFileMatchesInMemory(t *testing.T) {
 		t.Fatal("streaming StackDistances diverges from in-memory")
 	}
 
+	loaded, err := ReadTrace(bytes.NewReader(writeV2Bytes(t, tr)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var memV1, fileV1 bytes.Buffer
 	if _, err := tr.WriteTo(&memV1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tf.WriteTo(&fileV1); err != nil {
+	if _, err := loaded.WriteTo(&fileV1); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(memV1.Bytes(), fileV1.Bytes()) {
-		t.Fatal("TraceFile.WriteTo diverges from the in-memory v1 bytes")
+		t.Fatal("the loaded container's v1 bytes diverge from the in-memory trace's")
 	}
 }
 
@@ -242,8 +247,9 @@ func TestTraceFileDecodeBlockIndependence(t *testing.T) {
 	}
 }
 
-// TestTraceFileWindow: a (proc, epoch) window must hold exactly that
-// processor's references from those epochs, in stream order.
+// TestTraceFileWindow: an epoch window, filtered here to one
+// processor, must hold exactly that processor's references from those
+// epochs, in stream order, and no reset marker.
 func TestTraceFileWindow(t *testing.T) {
 	rec := NewRecorder(64)
 	// Epoch 0: procs 0 and 1; epoch 1 (after the marker): procs 0 and 2.
@@ -269,22 +275,21 @@ func TestTraceFileWindow(t *testing.T) {
 		{proc: 3, lo: 0, hi: ^uint64(0), wantAddrs: nil},
 	}
 	for _, tc := range cases {
-		w, err := tf.Window(tc.proc, tc.lo, tc.hi)
+		w, err := EpochWindow(tf, tc.lo, tc.hi)
 		if err != nil {
-			t.Fatalf("Window(%d, %d, %d): %v", tc.proc, tc.lo, tc.hi, err)
+			t.Fatalf("EpochWindow(%d, %d): %v", tc.lo, tc.hi, err)
 		}
 		var got []Addr
-		for _, e := range w.events {
+		for _, e := range collectEvents(t, w) {
 			if e == resetMarker {
-				t.Fatalf("Window(%d, %d, %d) contains a reset marker", tc.proc, tc.lo, tc.hi)
+				t.Fatalf("EpochWindow(%d, %d) contains a reset marker", tc.lo, tc.hi)
 			}
-			if p := int(e >> 1 & 0x7f); p != tc.proc {
-				t.Fatalf("Window(%d, %d, %d) contains processor %d", tc.proc, tc.lo, tc.hi, p)
+			if p := int(e >> 1 & 0x7f); p == tc.proc {
+				got = append(got, Addr(e>>8))
 			}
-			got = append(got, Addr(e>>8))
 		}
 		if !reflect.DeepEqual(got, tc.wantAddrs) {
-			t.Errorf("Window(%d, %d, %d) = %v, want %v", tc.proc, tc.lo, tc.hi, got, tc.wantAddrs)
+			t.Errorf("processor %d in EpochWindow(%d, %d) = %v, want %v", tc.proc, tc.lo, tc.hi, got, tc.wantAddrs)
 		}
 	}
 }

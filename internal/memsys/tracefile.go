@@ -1,7 +1,6 @@
 package memsys
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -13,19 +12,20 @@ import (
 	"splash2/internal/fault"
 )
 
-// TraceFile is an out-of-core view of a v2 trace container: the header
-// and index footer are parsed at open, the event blocks stay on disk.
-// It implements TraceSource, so ReplayMulti and StackDistances stream
-// it block by block with O(block buffer) peak memory — a multi-gigabyte
-// paper-scale trace replays without ever materializing the stream. The
-// footer also enables random access: DecodeBlock and Window decode any
-// (processor, epoch) region without touching the prefix.
+// TraceFile is an out-of-core view of a v2 trace container, and the one
+// reader of v2 bytes: the header and index footer are parsed at open,
+// the event blocks stay on disk. It implements TraceSource, so
+// ReplayMulti and StackDistances stream it block by block with O(block
+// buffer) peak memory — a multi-gigabyte paper-scale trace replays
+// without ever materializing the stream. The footer also enables random
+// access: DecodeBlock and EpochWindow decode any block or epoch range
+// without touching the prefix. ReadTrace decodes a v2 input by opening
+// it here and loading every block.
 //
 // A TraceFile is safe for concurrent readers of distinct blocks
-// (DecodeBlock and Window allocate their own buffers; the underlying
-// ReaderAt must be concurrency-safe, as *os.File is); the streaming
-// blocks pass reuses one buffer and is single-consumer like any
-// TraceSource.
+// (DecodeBlock allocates its own buffers; the underlying ReaderAt must
+// be concurrency-safe, as *os.File is); the streaming blocks pass reuses
+// one buffer and is single-consumer like any TraceSource.
 type TraceFile struct {
 	r      io.ReaderAt
 	size   int64
@@ -86,12 +86,15 @@ func OpenTraceFile(path string, inj *fault.Injector) (*TraceFile, error) {
 // NewTraceFile parses the header and index footer of a v2 container
 // held by any ReaderAt (a file, an mmap, a byte slice). The input is
 // untrusted: a corrupt or lying footer yields a descriptive error,
-// never a panic or an allocation beyond the file's own size.
+// never a panic or an allocation beyond the file's own size. Every
+// summary the footer states is checked against its own block entries
+// except the largest address, which only a full decode can prove; a
+// whole-stream pass fails when the blocks end on a different maximum.
 func NewTraceFile(r io.ReaderAt, size int64, inj *fault.Injector) (*TraceFile, error) {
 	// Smallest legal file: 16-byte header, end tag, 7-byte empty footer,
 	// 12-byte trailer.
 	if size < 16+1+7+12 {
-		return nil, fmt.Errorf("memsys: trace truncated: %d bytes is smaller than an empty v2 container", size)
+		return nil, fmt.Errorf("memsys: trace truncated: %d bytes is smaller than an empty v2 container (header, end tag, footer, trailer)", size)
 	}
 	hr := inj.Reader("trace.read", io.NewSectionReader(r, 0, size))
 	var fixed [16]byte
@@ -123,7 +126,7 @@ func NewTraceFile(r io.ReaderAt, size int64, inj *fault.Injector) (*TraceFile, e
 		return nil, fmt.Errorf("memsys: trace truncated reading trailer: %w", err)
 	}
 	if magic := binary.LittleEndian.Uint32(trailer[8:12]); magic != traceIndexMagic {
-		return nil, fmt.Errorf("memsys: corrupt trace: bad index magic %#x (want %#x)", magic, traceIndexMagic)
+		return nil, fmt.Errorf("memsys: corrupt trace: bad index magic %#x in trailer (want %#x)", magic, traceIndexMagic)
 	}
 	footerLen := binary.LittleEndian.Uint64(trailer[0:8])
 	// Compare in the unsigned domain: a footer length with the top bit
@@ -169,6 +172,9 @@ func NewTraceFile(r io.ReaderAt, size int64, inj *fault.Injector) (*TraceFile, e
 	if end[0] != v2TagEnd {
 		return nil, fmt.Errorf("memsys: corrupt trace: block sequence ends with tag %d (want %d)", end[0], v2TagEnd)
 	}
+	if err := checkSummary(foot, index); err != nil {
+		return nil, err
+	}
 
 	maxProc := 0
 	if foot.nprocs > 0 {
@@ -188,6 +194,32 @@ func NewTraceFile(r io.ReaderAt, size int64, inj *fault.Injector) (*TraceFile, e
 		homeLineSize: int(lineSize), homes: homes,
 		meta: meta, index: index, footerOff: footerOff,
 	}, nil
+}
+
+// checkSummary holds the footer's processor count and per-processor
+// reference counts to its own block entries (the index alone, no block
+// decoded), and an empty stream to a zero address maximum.
+func checkSummary(foot v2Footer, index []BlockInfo) error {
+	var procRefs [maxTraceProcs]uint64
+	nprocs := 0
+	for _, b := range index {
+		if !b.Marker {
+			procRefs[b.Proc] += uint64(b.Events)
+			nprocs = max(nprocs, b.Proc+1)
+		}
+	}
+	if foot.nprocs != nprocs {
+		return fmt.Errorf("memsys: corrupt trace: index footer says %d processors, its blocks name %d", foot.nprocs, nprocs)
+	}
+	for p, n := range foot.procRefs {
+		if n != procRefs[p] {
+			return fmt.Errorf("memsys: corrupt trace: index footer counts %d references for processor %d, blocks hold %d", n, p, procRefs[p])
+		}
+	}
+	if nprocs == 0 && foot.maxAddr != 0 {
+		return fmt.Errorf("memsys: corrupt trace: index footer says maximum address %#x for a stream with no references", uint64(foot.maxAddr))
+	}
+	return nil
 }
 
 // Close releases the underlying file (no-op for a TraceFile built over
@@ -216,67 +248,79 @@ func (tf *TraceFile) Index() []BlockInfo {
 	return append([]BlockInfo(nil), tf.index...)
 }
 
-// decodeBlockInto reads and decodes block i, appending its packed
-// events to dst (raw is a reusable scratch buffer). The block's own
-// header must agree with the index footer entry — a block that lies
-// about its contents is reported, not trusted.
-func (tf *TraceFile) decodeBlockInto(i int, raw []byte, dst []uint64) (events []uint64, rawOut []byte, err error) {
+// blockReader decodes blocks of one TraceFile, reusing one read buffer
+// and keeping the largest address decoded so far.
+type blockReader struct {
+	tf      *TraceFile
+	raw     []byte
+	maxAddr Addr
+}
+
+// decode reads and decodes block i, appending its packed events to dst.
+// The block's own header must agree with the index footer entry — a
+// block that lies about its contents is reported, not trusted.
+func (br *blockReader) decode(i int, dst []uint64) ([]uint64, error) {
+	tf := br.tf
 	info := tf.index[i]
 	if err := tf.inj.Do(context.Background(), "trace.read.block:"+strconv.Itoa(i)); err != nil {
-		return dst, raw, err
+		return dst, err
 	}
-	if cap(raw) < int(info.Size) {
-		raw = make([]byte, info.Size)
+	if cap(br.raw) < int(info.Size) {
+		br.raw = make([]byte, info.Size)
 	}
-	buf := raw[:info.Size]
+	buf := br.raw[:info.Size]
 	if _, err := tf.r.ReadAt(buf, info.Offset); err != nil {
-		return dst, raw, fmt.Errorf("memsys: trace truncated reading block %d (%d bytes at offset %d): %w", i, info.Size, info.Offset, err)
+		return dst, fmt.Errorf("memsys: trace truncated reading block %d (%d bytes at offset %d): %w", i, info.Size, info.Offset, err)
 	}
 	buf = tf.inj.Data("trace.read.block:"+strconv.Itoa(i), buf)
-	br := bytes.NewReader(buf)
-	tag, err := br.ReadByte()
+	r := bytes.NewReader(buf)
+	tag, err := r.ReadByte()
 	if err != nil {
-		return dst, raw, fmt.Errorf("memsys: trace truncated reading block %d tag: %w", i, err)
+		return dst, fmt.Errorf("memsys: trace truncated reading block %d tag: %w", i, err)
+	}
+	if tag != v2TagEvents && tag != v2TagMarker {
+		return dst, fmt.Errorf("memsys: corrupt trace: unknown block tag %d (block %d)", tag, i)
 	}
 	if info.Marker {
 		if tag != v2TagMarker {
-			return dst, raw, fmt.Errorf("memsys: corrupt trace: block %d has tag %d, index footer says marker", i, tag)
+			return dst, fmt.Errorf("memsys: corrupt trace: block %d has tag %d, index footer says marker", i, tag)
 		}
-		epoch, err := readUvarint(br, "marker epoch")
+		epoch, err := readUvarint(r, "marker epoch")
 		if err != nil {
-			return dst, raw, err
+			return dst, err
 		}
 		if epoch != info.Epoch {
-			return dst, raw, fmt.Errorf("memsys: corrupt trace: block %d records epoch %d, index footer says %d", i, epoch, info.Epoch)
+			return dst, fmt.Errorf("memsys: corrupt trace: block %d records epoch %d, index footer says %d", i, epoch, info.Epoch)
 		}
-		if br.Len() != 0 {
-			return dst, raw, fmt.Errorf("memsys: corrupt trace: marker block %d has %d trailing bytes", i, br.Len())
+		if r.Len() != 0 {
+			return dst, fmt.Errorf("memsys: corrupt trace: marker block %d has %d trailing bytes", i, r.Len())
 		}
-		return append(dst, resetMarker), raw, nil
+		return append(dst, resetMarker), nil
 	}
 	if tag != v2TagEvents {
-		return dst, raw, fmt.Errorf("memsys: corrupt trace: block %d has tag %d, index footer says events", i, tag)
+		return dst, fmt.Errorf("memsys: corrupt trace: block %d has tag %d, index footer says events", i, tag)
 	}
-	proc, epoch, count, payloadLen, err := readV2EventsHeader(br, 0)
+	proc, epoch, count, payloadLen, err := readV2EventsHeader(r)
 	if err != nil {
-		return dst, raw, err
+		return dst, err
 	}
 	if proc != info.Proc || epoch != info.Epoch || count != info.Events {
-		return dst, raw, fmt.Errorf("memsys: corrupt trace: block %d header (proc=%d epoch=%d events=%d) disagrees with index footer (proc=%d epoch=%d events=%d)",
+		return dst, fmt.Errorf("memsys: corrupt trace: block %d header (proc=%d epoch=%d events=%d) disagrees with index footer (proc=%d epoch=%d events=%d)",
 			i, proc, epoch, count, info.Proc, info.Epoch, info.Events)
 	}
-	if br.Len() != payloadLen {
-		return dst, raw, fmt.Errorf("memsys: corrupt trace: block %d payload length %d, %d bytes remain after header", i, payloadLen, br.Len())
+	if r.Len() != payloadLen {
+		return dst, fmt.Errorf("memsys: corrupt trace: block %d payload length %d, %d bytes remain after header", i, payloadLen, r.Len())
 	}
-	payload := buf[len(buf)-br.Len():]
+	payload := buf[len(buf)-r.Len():]
 	events, maxA, err := decodeV2Payload(payload, proc, count, dst)
 	if err != nil {
-		return dst, raw, err
+		return dst, err
 	}
 	if maxA > tf.meta.MaxAddr {
-		return dst, raw, fmt.Errorf("memsys: corrupt trace: block %d address %#x beyond footer maximum %#x", i, uint64(maxA), uint64(tf.meta.MaxAddr))
+		return dst, fmt.Errorf("memsys: corrupt trace: block %d address %#x beyond footer maximum %#x", i, uint64(maxA), uint64(tf.meta.MaxAddr))
 	}
-	return events, raw, nil
+	br.maxAddr = max(br.maxAddr, maxA)
+	return events, nil
 }
 
 // DecodeBlock decodes block i independently — no prefix decode, one
@@ -285,76 +329,34 @@ func (tf *TraceFile) DecodeBlock(i int) ([]uint64, error) {
 	if i < 0 || i >= len(tf.index) {
 		return nil, fmt.Errorf("memsys: block %d out of range (trace has %d)", i, len(tf.index))
 	}
-	events, _, err := tf.decodeBlockInto(i, nil, nil)
-	return events, err
+	return (&blockReader{tf: tf}).decode(i, nil)
 }
 
-// Window extracts one processor's references within an epoch range
-// [epochLo, epochHi] as a fresh in-memory Trace (same home map), using
-// the index footer to decode only the matching blocks — random access
-// with no prefix decode. Reset markers are not included.
-func (tf *TraceFile) Window(proc int, epochLo, epochHi uint64) (*Trace, error) {
-	out := &Trace{homeLineSize: tf.homeLineSize, homes: append([]int32(nil), tf.homes...)}
-	var raw []byte
-	for i := range tf.index {
-		info := tf.index[i]
-		if info.Marker || info.Proc != proc || info.Epoch < epochLo || info.Epoch > epochHi {
-			continue
+// load decodes every block into an in-memory Trace whose span structure
+// comes from the index: ReadTrace's v2 path.
+func (tf *TraceFile) load() (*Trace, error) {
+	// The open holds every footer block entry to at least a byte per
+	// event, so Len is backed by the file's own bytes.
+	tr := &Trace{homeLineSize: tf.homeLineSize, homes: tf.homes, events: make([]uint64, 0, tf.Len())}
+	for _, b := range tf.index {
+		sp := traceSpan{epoch: b.Epoch, proc: b.Proc, n: b.Events}
+		if b.Marker {
+			sp.proc = spanMarker
 		}
-		var err error
-		out.events, raw, err = tf.decodeBlockInto(i, raw, out.events)
-		if err != nil {
-			return nil, err
-		}
-		if k := len(out.spans) - 1; k >= 0 && out.spans[k].epoch == info.Epoch {
-			out.spans[k].n += info.Events
+		if k := len(tr.spans) - 1; k >= 0 && sp.proc != spanMarker && tr.spans[k].proc == sp.proc && tr.spans[k].epoch == sp.epoch {
+			tr.spans[k].n += sp.n
 		} else {
-			out.spans = append(out.spans, traceSpan{epoch: info.Epoch, proc: proc, n: info.Events})
+			tr.spans = append(tr.spans, sp)
 		}
 	}
-	return out, nil
-}
-
-// WriteTo serializes the stream in flat v1 format, block by block —
-// the byte-identical output of the equivalent in-memory Trace.WriteTo.
-// It makes a TraceFile digestable wherever a result digest or a v2→v1
-// conversion needs the canonical flat bytes, still with O(block
-// buffer) peak memory.
-func (tf *TraceFile) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var n int64
-	write := func(v any) error {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-		n += int64(binary.Size(v))
+	if err := tf.blocks(func(events []uint64) error {
+		tr.events = append(tr.events, events...)
 		return nil
+	}); err != nil {
+		return nil, err
 	}
-	if err := write(uint32(traceMagic)); err != nil {
-		return n, err
-	}
-	if err := write(uint32(tf.homeLineSize)); err != nil {
-		return n, err
-	}
-	if err := write(uint64(len(tf.homes))); err != nil {
-		return n, err
-	}
-	if err := write(tf.homes); err != nil {
-		return n, err
-	}
-	if err := write(uint64(tf.Len())); err != nil {
-		return n, err
-	}
-	err := tf.blocks(func(events []uint64) error {
-		return write(events)
-	})
-	if err != nil {
-		return n, err
-	}
-	if err := bw.Flush(); err != nil {
-		return n, err
-	}
-	return n, nil
+	tr.metaOnce.Do(func() { tr.meta = tf.meta })
+	return tr, nil
 }
 
 // decodeAhead is the depth of the streaming decode pipeline: how many
@@ -377,7 +379,9 @@ type decodedBlock struct {
 // with simulation; blocks are delivered in index order from a fixed
 // pool of reused buffers, so the consumer observes the exact event
 // sequence of a serial decode loop and peak memory stays independent
-// of trace length.
+// of trace length. A whole pass is also what proves the footer's
+// largest address: the stream fails as corrupt when its blocks end on a
+// different maximum.
 func (tf *TraceFile) blocks(yield func(events []uint64) error) error {
 	if len(tf.index) == 0 {
 		return nil
@@ -401,7 +405,7 @@ func (tf *TraceFile) blocks(yield func(events []uint64) error) error {
 	defer close(stop)
 	go func() {
 		defer close(out)
-		var raw []byte
+		br := blockReader{tf: tf}
 		for i := range tf.index {
 			var buf []uint64
 			select {
@@ -409,8 +413,10 @@ func (tf *TraceFile) blocks(yield func(events []uint64) error) error {
 			case <-stop:
 				return
 			}
-			events, r, err := tf.decodeBlockInto(i, raw, buf[:0])
-			raw = r
+			events, err := br.decode(i, buf[:0])
+			if err == nil && i == len(tf.index)-1 && br.maxAddr != tf.meta.MaxAddr {
+				err = fmt.Errorf("memsys: corrupt trace: blocks end with maximum address %#x, index footer says %#x", uint64(br.maxAddr), uint64(tf.meta.MaxAddr))
+			}
 			select {
 			case out <- decodedBlock{events: events, err: err}:
 			case <-stop:

@@ -37,10 +37,11 @@ import (
 //
 // Blocks decode independently: each header carries everything the
 // payload needs, so a reader can decode blocks in parallel or decode
-// only a (proc, epoch) window selected from the footer. The trailer is
+// only an epoch window selected from the footer. The trailer is
 // fixed-size, so a ReaderAt finds the footer without scanning, and the
 // footer's per-block sizes turn into absolute offsets by prefix sum —
-// random access with no prefix decode (see TraceFile). Epochs are
+// random access with no prefix decode. TraceFile is the one reader of
+// these bytes; ReadTrace decodes a v2 input through it. Epochs are
 // nondecreasing across blocks (the recorder's merge order), which is
 // why the footer stores deltas.
 //
@@ -94,6 +95,13 @@ func v2MaxPayload(count int) int {
 // header fields, payload) for validating untrusted footer entries.
 func v2MaxBlockSize(count int) int64 {
 	return int64(2 + 3*binary.MaxVarintLen64 + v2MaxPayload(count))
+}
+
+// v2MinBlockSize is the smallest events block that can hold count
+// events: five header bytes, the write bitmap and at least one byte per
+// address. It makes every event a footer claims cost a byte of file.
+func v2MinBlockSize(count int) int64 {
+	return int64(5 + (count+7)/8 + count)
 }
 
 // v2Block describes one encoded block — the unit of the index footer.
@@ -327,9 +335,9 @@ func readUvarint(s io.ByteReader, what string) (uint64, error) {
 }
 
 // readV2EventsHeader reads and validates the header fields of an events
-// block (after the tag): proc, epoch, count, payloadLen. Shared by the
-// sequential decoder and TraceFile's per-block decode.
-func readV2EventsHeader(s io.ByteReader, prevEpoch uint64) (proc int, epoch uint64, count, payloadLen int, err error) {
+// block (after the tag): proc, epoch, count, payloadLen. TraceFile's
+// block decode checks them against the index footer.
+func readV2EventsHeader(s io.ByteReader) (proc int, epoch uint64, count, payloadLen int, err error) {
 	b, err := s.ReadByte()
 	if err != nil {
 		return 0, 0, 0, 0, fmt.Errorf("memsys: trace truncated reading block processor: %w", err)
@@ -341,9 +349,6 @@ func readV2EventsHeader(s io.ByteReader, prevEpoch uint64) (proc int, epoch uint
 	epoch, err = readUvarint(s, "block epoch")
 	if err != nil {
 		return 0, 0, 0, 0, err
-	}
-	if epoch < prevEpoch {
-		return 0, 0, 0, 0, fmt.Errorf("memsys: corrupt trace: block epoch %d after epoch %d (must be nondecreasing)", epoch, prevEpoch)
 	}
 	c, err := readUvarint(s, "block event count")
 	if err != nil {
@@ -375,8 +380,9 @@ type v2Footer struct {
 }
 
 // parseV2Footer reads the footer from an untrusted stream. Counts are
-// cross-validated (blocks against refs+markers) so a lying footer
-// cannot demand allocations beyond what its own byte stream backs.
+// cross-validated (blocks against refs+markers, each block's events
+// against its size) so a lying footer cannot demand allocations beyond
+// what its own byte stream backs.
 func parseV2Footer(s io.ByteReader) (v2Footer, error) {
 	var f v2Footer
 	version, err := readUvarint(s, "footer version")
@@ -486,7 +492,7 @@ func parseV2Footer(s io.ByteReader) (v2Footer, error) {
 		min := int64(2)
 		var max int64 = 1 + binary.MaxVarintLen64
 		if !b.marker {
-			min = 6
+			min = v2MinBlockSize(b.events)
 			max = v2MaxBlockSize(b.events)
 		}
 		if b.size < min || b.size > max {
@@ -499,168 +505,4 @@ func parseV2Footer(s io.ByteReader) (v2Footer, error) {
 			events, markers, f.refs, f.markers)
 	}
 	return f, nil
-}
-
-// byteCounter counts bytes consumed from a buffered stream, so the
-// sequential v2 decoder can check the footer's claimed block sizes
-// against what it actually read.
-type byteCounter struct {
-	br *bufio.Reader
-	n  int64
-}
-
-func (c *byteCounter) ReadByte() (byte, error) {
-	b, err := c.br.ReadByte()
-	if err == nil {
-		c.n++
-	}
-	return b, err
-}
-
-func (c *byteCounter) Read(p []byte) (int, error) {
-	n, err := c.br.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// readTraceV2 decodes the v2 body following the magic (sequential,
-// whole-trace; see TraceFile for out-of-core streaming). The input is
-// untrusted: every header field is bounds-checked before allocation,
-// and the index footer must agree with the blocks actually decoded.
-func readTraceV2(r io.Reader) (*Trace, error) {
-	c := &byteCounter{br: bufio.NewReader(r), n: 4} // magic already consumed
-
-	var fixed [12]byte
-	if _, err := io.ReadFull(c, fixed[:]); err != nil {
-		return nil, fmt.Errorf("memsys: trace truncated reading header: %w", err)
-	}
-	lineSize := binary.LittleEndian.Uint32(fixed[0:4])
-	if lineSize == 0 || lineSize > maxHomeLineSize {
-		return nil, fmt.Errorf("memsys: corrupt trace: home line size %d out of range (1..%d)", lineSize, maxHomeLineSize)
-	}
-	nh := binary.LittleEndian.Uint64(fixed[4:12])
-	homes, err := readChunked[int32](c, nh, "home map")
-	if err != nil {
-		return nil, err
-	}
-	firstBlockOff := c.n
-
-	var events []uint64
-	var spans []traceSpan
-	var blocks []v2Block
-	var payload []byte
-	var procRefs [maxTraceProcs]uint64
-	meta := TraceMeta{HomeLineSize: int(lineSize)}
-	var prevEpoch uint64
-	for {
-		start := c.n
-		tag, err := c.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("memsys: trace truncated reading block tag: %w", err)
-		}
-		if tag == v2TagEnd {
-			break
-		}
-		switch tag {
-		case v2TagEvents:
-			proc, epoch, count, payloadLen, err := readV2EventsHeader(c, prevEpoch)
-			if err != nil {
-				return nil, err
-			}
-			prevEpoch = epoch
-			if cap(payload) < payloadLen {
-				payload = make([]byte, payloadLen)
-			}
-			buf := payload[:payloadLen]
-			if _, err := io.ReadFull(c, buf); err != nil {
-				return nil, fmt.Errorf("memsys: trace truncated reading block payload (%d bytes wanted): %w", payloadLen, err)
-			}
-			var maxA Addr
-			events, maxA, err = decodeV2Payload(buf, proc, count, events)
-			if err != nil {
-				return nil, err
-			}
-			if maxA > meta.MaxAddr {
-				meta.MaxAddr = maxA
-			}
-			if proc > meta.MaxProc {
-				meta.MaxProc = proc
-			}
-			meta.Refs += uint64(count)
-			procRefs[proc] += uint64(count)
-			if k := len(spans) - 1; k >= 0 && spans[k].proc == proc && spans[k].epoch == epoch {
-				spans[k].n += count
-			} else {
-				spans = append(spans, traceSpan{epoch: epoch, proc: proc, n: count})
-			}
-			blocks = append(blocks, v2Block{proc: proc, epoch: epoch, events: count, size: c.n - start})
-		case v2TagMarker:
-			epoch, err := readUvarint(c, "marker epoch")
-			if err != nil {
-				return nil, err
-			}
-			if epoch < prevEpoch {
-				return nil, fmt.Errorf("memsys: corrupt trace: marker epoch %d after epoch %d (must be nondecreasing)", epoch, prevEpoch)
-			}
-			prevEpoch = epoch
-			events = append(events, resetMarker)
-			meta.Markers++
-			spans = append(spans, traceSpan{epoch: epoch, proc: spanMarker, n: 1})
-			blocks = append(blocks, v2Block{marker: true, epoch: epoch, events: 1, size: c.n - start})
-		default:
-			return nil, fmt.Errorf("memsys: corrupt trace: unknown block tag %d", tag)
-		}
-	}
-
-	f, err := parseV2Footer(c)
-	if err != nil {
-		return nil, err
-	}
-	footerLen := c.n - firstBlockOff
-	for _, b := range blocks {
-		footerLen -= b.size
-	}
-	footerLen-- // end tag
-	if f.firstBlockOff != firstBlockOff {
-		return nil, fmt.Errorf("memsys: corrupt trace: index footer says blocks start at %d, header ends at %d", f.firstBlockOff, firstBlockOff)
-	}
-	wantProcs := 0
-	if meta.Refs > 0 {
-		wantProcs = meta.MaxProc + 1
-	}
-	if f.nprocs != wantProcs || f.maxAddr != meta.MaxAddr || f.refs != meta.Refs || f.markers != meta.Markers {
-		return nil, fmt.Errorf("memsys: corrupt trace: index footer summary (procs=%d maxAddr=%#x refs=%d markers=%d) disagrees with blocks (procs=%d maxAddr=%#x refs=%d markers=%d)",
-			f.nprocs, uint64(f.maxAddr), f.refs, f.markers, wantProcs, uint64(meta.MaxAddr), meta.Refs, meta.Markers)
-	}
-	for p := 0; p < f.nprocs; p++ {
-		if f.procRefs[p] != procRefs[p] {
-			return nil, fmt.Errorf("memsys: corrupt trace: index footer counts %d references for processor %d, blocks hold %d", f.procRefs[p], p, procRefs[p])
-		}
-	}
-	if len(f.blocks) != len(blocks) {
-		return nil, fmt.Errorf("memsys: corrupt trace: index footer lists %d blocks, file holds %d", len(f.blocks), len(blocks))
-	}
-	for i, b := range blocks {
-		if f.blocks[i] != b {
-			return nil, fmt.Errorf("memsys: corrupt trace: index footer entry %d %+v disagrees with block %+v", i, f.blocks[i], b)
-		}
-	}
-	var trailer [12]byte
-	if _, err := io.ReadFull(c, trailer[:]); err != nil {
-		return nil, fmt.Errorf("memsys: trace truncated reading trailer: %w", err)
-	}
-	if got := binary.LittleEndian.Uint64(trailer[0:8]); got != uint64(footerLen) {
-		return nil, fmt.Errorf("memsys: corrupt trace: trailer footer length %d, footer occupies %d bytes", got, footerLen)
-	}
-	if got := binary.LittleEndian.Uint32(trailer[8:12]); got != traceIndexMagic {
-		return nil, fmt.Errorf("memsys: corrupt trace: bad index magic %#x (want %#x)", got, traceIndexMagic)
-	}
-
-	if meta.Refs > 0 {
-		meta.ProcRefs = append([]uint64(nil), procRefs[:meta.MaxProc+1]...)
-	}
-	meta.MinProcs = minProcs(meta.MaxProc, homes)
-	tr := &Trace{homeLineSize: int(lineSize), homes: homes, events: events, spans: spans}
-	tr.metaOnce.Do(func() { tr.meta = meta })
-	return tr, nil
 }

@@ -22,45 +22,58 @@ func collectEvents(t *testing.T, src TraceSource) []uint64 {
 	return out
 }
 
-// TestEpochWindowEquivalence: the in-memory and streaming epoch-window
-// views must yield the identical marker-free event subsequence, with
-// matching metadata, over traces from both recorder paths.
+// spanWindow is EpochWindow's test oracle: the marker-free events of
+// the epochs [lo, hi], selected by the span structure of the in-memory
+// trace ReadTrace loads from the same container.
+func spanWindow(tr *Trace, lo, hi uint64) []uint64 {
+	var out []uint64
+	pos := 0
+	for _, sp := range tr.spans {
+		if sp.proc != spanMarker && sp.epoch >= lo && sp.epoch <= hi {
+			out = append(out, tr.events[pos:pos+sp.n]...)
+		}
+		pos += sp.n
+	}
+	return out
+}
+
+// TestEpochWindowEquivalence: the streaming epoch window must yield
+// exactly the marker-free events the span oracle selects, with matching
+// metadata, over traces from both recorder paths.
 func TestEpochWindowEquivalence(t *testing.T) {
 	traces := map[string]*Trace{
-		"single-event": buildSharingTrace(9, 4, 20000, true), // spans == nil: marker-scan path
-		"batched":      buildBatchedTrace(10, 4, 20000, 4),   // spans != nil: span path
+		"single-event": buildSharingTrace(9, 4, 20000, true), // spans derived by WriteV2
+		"batched":      buildBatchedTrace(10, 4, 20000, 4),   // spans recorded
 	}
 	for name, tr := range traces {
-		tf := openV2(t, writeV2Bytes(t, tr))
+		data := writeV2Bytes(t, tr)
+		tf := openV2(t, data)
+		loaded, err := ReadTrace(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
 		epochs := tr.Meta().Markers + 1
 		for _, rng := range [][2]uint64{{0, 0}, {1, 1}, {0, ^uint64(0)}, {1, 2}, {epochs, epochs + 3}} {
-			memWin, err := EpochWindow(tr, rng[0], rng[1])
+			win, err := EpochWindow(tf, rng[0], rng[1])
 			if err != nil {
 				t.Fatal(err)
 			}
-			fileWin, err := EpochWindow(tf, rng[0], rng[1])
-			if err != nil {
-				t.Fatal(err)
+			want := spanWindow(loaded, rng[0], rng[1])
+			got := collectEvents(t, win)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s window %v: streaming view yields %d events, span oracle %d (or order differs)",
+					name, rng, len(got), len(want))
 			}
-			memEvents := collectEvents(t, memWin)
-			fileEvents := collectEvents(t, fileWin)
-			if !reflect.DeepEqual(memEvents, fileEvents) {
-				t.Fatalf("%s window %v: in-memory view yields %d events, streaming view %d (or order differs)",
-					name, rng, len(memEvents), len(fileEvents))
-			}
-			for _, e := range memEvents {
+			for _, e := range got {
 				if e == resetMarker {
 					t.Fatalf("%s window %v contains a reset marker", name, rng)
 				}
 			}
-			if got := memWin.Meta().Refs; got != uint64(len(memEvents)) {
-				t.Fatalf("%s window %v: meta says %d refs, stream has %d", name, rng, got, len(memEvents))
+			if n := win.Meta().Refs; n != uint64(len(want)) {
+				t.Fatalf("%s window %v: meta says %d refs, stream has %d", name, rng, n, len(want))
 			}
-			if memWin.Meta().Refs != fileWin.Meta().Refs {
-				t.Fatalf("%s window %v: meta refs differ (%d vs %d)", name, rng, memWin.Meta().Refs, fileWin.Meta().Refs)
-			}
-			if rng[0] >= epochs && len(memEvents) != 0 {
-				t.Fatalf("%s window %v beyond last epoch yields %d events", name, rng, len(memEvents))
+			if rng[0] >= epochs && len(got) != 0 {
+				t.Fatalf("%s window %v beyond last epoch yields %d events", name, rng, len(got))
 			}
 		}
 	}
@@ -101,17 +114,11 @@ func TestEpochWindowSkipsBlocks(t *testing.T) {
 	}
 }
 
-// TestEpochWindowValidation: empty ranges and unsupported sources.
+// TestEpochWindowValidation: an inverted range is rejected. (A window
+// of a window no longer compiles: EpochWindow takes a *TraceFile.)
 func TestEpochWindowValidation(t *testing.T) {
-	tr := buildSharingTrace(1, 2, 500, false)
-	if _, err := EpochWindow(tr, 3, 2); err == nil {
+	tf := openV2(t, writeV2Bytes(t, buildSharingTrace(1, 2, 500, false)))
+	if _, err := EpochWindow(tf, 3, 2); err == nil {
 		t.Fatal("inverted epoch range accepted")
-	}
-	win, err := EpochWindow(tr, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := EpochWindow(win, 0, 0); err == nil {
-		t.Fatal("windowing a window accepted (not a Trace or TraceFile)")
 	}
 }

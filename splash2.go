@@ -155,7 +155,7 @@ type (
 	// TraceMeta is the one-pass stream summary of a TraceSource.
 	TraceMeta = memsys.TraceMeta
 	// TraceFile is an out-of-core v2 trace opened for block streaming
-	// and (proc, epoch) random access (see OpenTraceFile).
+	// and epoch-window random access (see OpenTraceFile, EpochWindow).
 	TraceFile = memsys.TraceFile
 	// MemConfig configures a memory system for trace replay.
 	MemConfig = memsys.Config
@@ -351,12 +351,12 @@ func SampledStackDistances(src TraceSource, lineSize, maxCacheSize int, opt Samp
 	return memsys.SampledStackDistances(src, lineSize, maxCacheSize, opt)
 }
 
-// EpochWindow restricts a recorded stream to an epoch range [lo, hi]:
-// the returned view replays only those epochs' references. A TraceFile
-// view selects blocks through the index, so out-of-range blocks are
-// never read from disk.
-func EpochWindow(src TraceSource, lo, hi uint64) (TraceSource, error) {
-	return memsys.EpochWindow(src, lo, hi)
+// EpochWindow restricts a v2 trace to the synchronization epochs
+// [lo, hi] stamped on its blocks: the returned view replays only those
+// epochs' references, reset markers excluded. Blocks are selected
+// through the index, so out-of-range blocks are never read from disk.
+func EpochWindow(tf *TraceFile, lo, hi uint64) (TraceSource, error) {
+	return memsys.EpochWindow(tf, lo, hi)
 }
 
 // OpenTraceFile opens an on-disk v2 trace for out-of-core streaming:
