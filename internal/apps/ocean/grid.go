@@ -19,6 +19,8 @@ type Grid struct {
 	// boundary rows/cols attach to the adjacent edge band.
 	rowStart []int // global start row of each band (len pr+1, in 0..n+2)
 	colStart []int
+	rowBand  []int32          // band of each row 0..n+1
+	colBand  []int32          // band of each column 0..n+1
 	subs     []*mach.F64Array // pr*pc subgrids, row-major by (bi,bj)
 	widths   []int            // columns per band
 }
@@ -32,6 +34,8 @@ func NewGrid(m *mach.Machine, n, pr, pc int) (*Grid, error) {
 	g := &Grid{n: n, pr: pr, pc: pc}
 	g.rowStart = bandStarts(n, pr)
 	g.colStart = bandStarts(n, pc)
+	g.rowBand = bandTable(n, pr)
+	g.colBand = bandTable(n, pc)
 	g.widths = make([]int, pc)
 	for j := 0; j < pc; j++ {
 		g.widths[j] = g.colStart[j+1] - g.colStart[j]
@@ -61,21 +65,26 @@ func bandStarts(n, parts int) []int {
 }
 
 func (g *Grid) locate(i, j int) (sub *mach.F64Array, off int) {
-	bi := bandOf(g.rowStart, i)
-	bj := bandOf(g.colStart, j)
+	if uint(i) >= uint(len(g.rowBand)) || uint(j) >= uint(len(g.colBand)) {
+		panic(fmt.Sprintf("ocean: index (%d,%d) outside grid", i, j))
+	}
+	bi, bj := int(g.rowBand[i]), int(g.colBand[j])
 	w := g.widths[bj]
 	off = (i-g.rowStart[bi])*w + (j - g.colStart[bj])
 	return g.subs[bi*g.pc+bj], off
 }
 
-func bandOf(starts []int, x int) int {
-	// Bands are near-uniform; locate by division then adjust.
-	for b := 0; b < len(starts)-1; b++ {
-		if x >= starts[b] && x < starts[b+1] {
-			return b
-		}
+// bandTable maps each index 0..n+1 to its band among the parts bands of
+// bandStarts. Those bands are uniform apart from the boundary rows the
+// edge bands take, so the band of x is one division; locate reads it
+// from the table because a division on every access measured slower
+// than a linear scan of the band starts.
+func bandTable(n, parts int) []int32 {
+	t := make([]int32, n+2)
+	for x := range t {
+		t[x] = int32(min(max(x-1, 0)/(n/parts), parts-1))
 	}
-	panic(fmt.Sprintf("ocean: index %d outside grid", x))
+	return t
 }
 
 // Get loads cell (i,j) through the memory system.

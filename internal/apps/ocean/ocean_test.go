@@ -213,3 +213,48 @@ func TestColumnPartitionAblation(t *testing.T) {
 		t.Fatalf("column strips communicate less than square subgrids: %d <= %d", columns, square)
 	}
 }
+
+// linearBand is the reference band search: the band whose start ≤ x <
+// its successor's start, -1 when x is outside 0..n+1.
+func linearBand(starts []int, x int) int {
+	for b := 0; b+1 < len(starts); b++ {
+		if starts[b] <= x && x < starts[b+1] {
+			return b
+		}
+	}
+	return -1
+}
+
+// TestGridLocateMatchesLinearSearch checks locate's O(1) band arithmetic
+// against a linear search at every index of several grids, boundary rows
+// and columns included, and that an index outside the grid panics.
+func TestGridLocateMatchesLinearSearch(t *testing.T) {
+	m := machine(4)
+	for _, dims := range [][3]int{{8, 2, 2}, {16, 4, 2}, {12, 3, 4}, {8, 1, 8}, {16, 1, 1}, {30, 5, 3}} {
+		n, pr, pc := dims[0], dims[1], dims[2]
+		g, err := NewGrid(m, n, pr, pc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i <= n+1; i++ {
+			for j := 0; j <= n+1; j++ {
+				bi, bj := linearBand(g.rowStart, i), linearBand(g.colStart, j)
+				wantOff := (i-g.rowStart[bi])*g.widths[bj] + j - g.colStart[bj]
+				sub, off := g.locate(i, j)
+				if sub != g.subs[bi*pc+bj] || off != wantOff {
+					t.Fatalf("n=%d %d×%d: locate(%d,%d) = (subgrid %p, %d), want subgrid (%d,%d) at %d", n, pr, pc, i, j, sub, off, bi, bj, wantOff)
+				}
+			}
+		}
+		for _, ij := range [][2]int{{-1, 0}, {n + 2, 0}, {0, -1}, {0, n + 2}} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("n=%d %d×%d: locate(%d,%d) outside the grid did not panic", n, pr, pc, ij[0], ij[1])
+					}
+				}()
+				g.locate(ij[0], ij[1])
+			}()
+		}
+	}
+}

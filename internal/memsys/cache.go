@@ -27,35 +27,47 @@ func (s LineState) String() string {
 	return "?"
 }
 
-// way is one entry of a set-associative cache set, packed to 16 bytes so
-// a 4-way set is exactly one 64-byte cache line. tag is (line+1)<<2 with
-// the Illinois state in the low two bits; 0 means invalid. Valid lines
-// are never in state Invalid, so the probe loop needs one masked compare
-// per way instead of a line match plus a state check.
-type way struct {
-	tag   uint64 // (line+1)<<2 | state, 0 = invalid
-	stamp uint64 // LRU timestamp; higher = more recently used
-}
-
-// wayTag packs a line and state into a way tag.
-func wayTag(line uint64, st LineState) uint64 { return (line+1)<<2 | uint64(st) }
+// Codes in the low two bits of a (processor, line) row word: the line's
+// history in that processor's cache.
+const (
+	histNone    = 0 // never cached by this processor
+	histPresent = 1
+	histEvicted = 2
+	histInval   = 3
+	histMask    = 3
+)
 
 // fnode is one entry of a fully associative cache's LRU list.
 type fnode struct {
 	line       uint64
-	state      LineState
 	prev, next *fnode
 }
 
 // cache models one processor's single-level cache with LRU replacement.
-// Set-associative caches keep per-way LRU timestamps; fully associative
-// caches keep an exact LRU list over a hash index.
+// Its state is row, one word per line of the address space:
+//
+//	row[line] = stamp<<4 | state<<2 | code
+//
+// code is the line's history: histNone, histPresent, histEvicted or
+// histInval. While the line is present, state is its Illinois state and,
+// in a set-associative cache, stamp is its LRU timestamp (higher = more
+// recently used). Once the line is lost, the upper bits hold the
+// System's seq at the loss, which classify reads. A hit reads and
+// rewrites that one word.
+//
+// A set-associative cache keeps slots only to choose victims: set i
+// occupies slots[i*ways : (i+1)*ways], and a slot holds line+1, 0 when
+// never filled. A slot whose line is not present is a hole, and no set
+// names a line twice. A fully associative cache orders its lines with
+// an exact LRU list over a hash index instead.
 type cache struct {
+	row   []uint64
+	stamp uint64
+
 	ways    int
 	sets    int
 	setMask uint64 // sets-1 when sets is a power of two, else 0 (use modulo)
-	entries []way  // set i occupies entries[i*ways : (i+1)*ways]
-	stamp   uint64
+	slots   []uint64
 
 	full  bool
 	cap   int
@@ -64,6 +76,8 @@ type cache struct {
 	tail  *fnode // least recently used
 }
 
+// newCache makes an empty cache whose row covers no line; the owner
+// sizes row for its address space.
 func newCache(cfg Config) *cache {
 	c := &cache{full: cfg.Assoc == FullyAssoc}
 	if c.full {
@@ -76,179 +90,154 @@ func newCache(cfg Config) *cache {
 	if c.sets&(c.sets-1) == 0 {
 		c.setMask = uint64(c.sets - 1)
 	}
-	c.entries = make([]way, c.sets*c.ways)
+	c.slots = make([]uint64, c.sets*c.ways)
 	return c
 }
 
 // lookup returns the state of line, touching it for LRU. Invalid means miss.
 func (c *cache) lookup(line uint64) LineState {
+	h := c.row[line]
+	if h&histMask != histPresent {
+		return Invalid
+	}
 	if c.full {
-		n := c.index[line]
-		if n == nil {
-			return Invalid
-		}
-		c.moveToFront(n)
-		return n.state
+		c.moveToFront(c.index[line])
+	} else {
+		c.stamp++
+		c.row[line] = c.stamp<<4 | h&0xf
 	}
-	set := c.set(line)
-	want := (line + 1) << 2
-	for i := range set {
-		if set[i].tag&^3 == want {
-			c.stamp++
-			set[i].stamp = c.stamp
-			return LineState(set[i].tag & 3)
-		}
-	}
-	return Invalid
+	return LineState(h >> 2 & 3)
 }
 
 // peek returns the state of line without touching LRU.
 func (c *cache) peek(line uint64) LineState {
-	if c.full {
-		if n := c.index[line]; n != nil {
-			return n.state
-		}
-		return Invalid
-	}
-	set := c.set(line)
-	want := (line + 1) << 2
-	for i := range set {
-		if set[i].tag&^3 == want {
-			return LineState(set[i].tag & 3)
-		}
+	if h := c.row[line]; h&histMask == histPresent {
+		return LineState(h >> 2 & 3)
 	}
 	return Invalid
 }
 
 // setState changes the state of a resident line. The line must be present.
 func (c *cache) setState(line uint64, st LineState) {
-	if c.full {
-		c.index[line].state = st
-		return
+	h := c.row[line]
+	if h&histMask != histPresent {
+		panic("memsys: setState on non-resident line")
 	}
-	set := c.set(line)
-	want := (line + 1) << 2
-	for i := range set {
-		if set[i].tag&^3 == want {
-			set[i].tag = want | uint64(st)
-			return
-		}
-	}
-	panic("memsys: setState on non-resident line")
+	c.row[line] = h&^(3<<2) | uint64(st)<<2
 }
 
-// invalidate drops line from the cache if present.
-func (c *cache) invalidate(line uint64) {
-	if c.full {
-		if n := c.index[line]; n != nil {
-			c.unlink(n)
-			delete(c.index, line)
-		}
+// lose drops line if it is present and leaves h, the loss's seq<<4 above
+// its history code, in its row. A slot that names the line becomes a
+// hole. A line that is not present keeps its history.
+func (c *cache) lose(line, h uint64) {
+	if c.row[line]&histMask != histPresent {
 		return
 	}
-	set := c.set(line)
-	want := (line + 1) << 2
-	for i := range set {
-		if set[i].tag&^3 == want {
-			set[i].tag = 0
-			return
-		}
+	c.row[line] = h
+	if c.full {
+		c.unlink(c.index[line])
+		delete(c.index, line)
 	}
 }
 
-// insert places line with the given state, evicting the LRU victim of its
-// set if necessary. It reports the victim line and state when an eviction
-// of a valid line occurred.
-func (c *cache) insert(line uint64, st LineState) (victim uint64, vstate LineState, evicted bool) {
+// insert places line with the given state, evicting the LRU line of its
+// set if necessary; the victim's row keeps lost. It reports the victim
+// line and state when a present line was evicted.
+//
+// A set-associative insert takes, in one scan of the set, the slot that
+// still names the line (left by an earlier loss), else the first hole,
+// else the present line with the smallest stamp.
+func (c *cache) insert(line uint64, st LineState, lost uint64) (victim uint64, vstate LineState, evicted bool) {
+	if c.lookup(line) != Invalid { // re-insert after upgrade path
+		c.setState(line, st)
+		return 0, Invalid, false
+	}
 	if c.full {
-		if n := c.index[line]; n != nil { // re-insert after upgrade path
-			n.state = st
-			c.moveToFront(n)
-			return 0, Invalid, false
-		}
 		if len(c.index) >= c.cap {
 			v := c.tail
 			c.unlink(v)
 			delete(c.index, v.line)
-			victim, vstate, evicted = v.line, v.state, true
+			victim, vstate, evicted = v.line, c.peek(v.line), true
+			c.row[v.line] = lost
 		}
-		n := &fnode{line: line, state: st}
+		n := &fnode{line: line}
 		c.pushFront(n)
 		c.index[line] = n
+		c.row[line] = uint64(st)<<2 | histPresent
 		return victim, vstate, evicted
 	}
 
 	set := c.set(line)
-	want := (line + 1) << 2
-	for i := range set {
-		if set[i].tag&^3 == want {
-			set[i].tag = want | uint64(st)
-			c.stamp++
-			set[i].stamp = c.stamp
-			return 0, Invalid, false
-		}
-	}
-	// Prefer an invalid slot, else evict the LRU valid slot.
-	slot := -1
-	for i := range set {
-		if set[i].tag == 0 {
+	want := line + 1
+	slot, hole, lru := -1, -1, 0
+	oldest := ^uint64(0)
+	for i, v := range set {
+		if v == want {
 			slot = i
 			break
 		}
-	}
-	if slot == -1 {
-		oldest := ^uint64(0)
-		for i := range set {
-			if set[i].stamp < oldest {
-				oldest = set[i].stamp
-				slot = i
-			}
+		var h uint64
+		if v != 0 {
+			h = c.row[v-1]
 		}
-		victim, vstate, evicted = set[slot].tag>>2-1, LineState(set[slot].tag&3), true
+		if h&histMask != histPresent {
+			if hole < 0 {
+				hole = i
+			}
+		} else if h>>4 < oldest {
+			oldest, lru = h>>4, i
+		}
+	}
+	switch {
+	case slot >= 0:
+	case hole >= 0:
+		slot = hole
+	default:
+		slot = lru
+		victim = set[slot] - 1
+		vstate, evicted = c.peek(victim), true
+		c.row[victim] = lost
 	}
 	c.stamp++
-	set[slot] = way{tag: wayTag(line, st), stamp: c.stamp}
+	set[slot] = want
+	c.row[line] = c.stamp<<4 | uint64(st)<<2 | histPresent
 	return victim, vstate, evicted
 }
 
-// resident returns the number of valid lines (used by invariant tests).
+// resident returns the number of present lines (used by invariant tests).
 func (c *cache) resident() int {
-	if c.full {
-		return len(c.index)
-	}
 	n := 0
-	for i := range c.entries {
-		if c.entries[i].tag != 0 {
-			n++
-		}
-	}
+	c.forEach(func(uint64, LineState) { n++ })
 	return n
 }
 
-// forEach visits every valid line (used by invariant tests).
+// forEach visits every present line through the LRU structure rather
+// than the row (used by invariant tests).
 func (c *cache) forEach(f func(line uint64, st LineState)) {
 	if c.full {
 		//splash:allow determinism feeds the order-independent invariant checker (bitset aggregation), never results or traces
-		for l, n := range c.index {
-			f(l, n.state)
+		for l := range c.index {
+			f(l, c.peek(l))
 		}
 		return
 	}
-	for i := range c.entries {
-		if t := c.entries[i].tag; t != 0 {
-			f(t>>2-1, LineState(t&3))
+	for _, v := range c.slots {
+		if v != 0 {
+			if st := c.peek(v - 1); st != Invalid {
+				f(v-1, st)
+			}
 		}
 	}
 }
 
-func (c *cache) set(line uint64) []way {
+func (c *cache) set(line uint64) []uint64 {
 	var s int
 	if c.setMask != 0 || c.sets == 1 {
 		s = int(line & c.setMask)
 	} else {
 		s = int(line % uint64(c.sets))
 	}
-	return c.entries[s*c.ways : (s+1)*c.ways]
+	return c.slots[s*c.ways : (s+1)*c.ways]
 }
 
 func (c *cache) moveToFront(n *fnode) {

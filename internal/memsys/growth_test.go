@@ -34,8 +34,8 @@ func TestTableGrowthGeometric(t *testing.T) {
 	// Reserve stays exact, and on-demand growth past it is still geometric.
 	s = testSys(t, 1024, 2)
 	s.Reserve(1000)
-	if len(s.words) != 1000 || len(s.dir) != 125 || len(s.hist[3]) != 125 {
-		t.Fatalf("Reserve(1000): %d words, %d dir, %d hist lines", len(s.words), len(s.dir), len(s.hist[3]))
+	if len(s.words) != 1000 || len(s.dir) != 125 || len(s.caches[3].row) != 125 {
+		t.Fatalf("Reserve(1000): %d words, %d dir, %d row lines", len(s.words), len(s.dir), len(s.caches[3].row))
 	}
 	s.Access(0, Addr(1000*WordBytes), false)
 	if len(s.words) < 1500 {

@@ -29,19 +29,14 @@ type wordInfo struct {
 	writer int8
 }
 
-// Per-processor line history codes packed into the low bits of a seq stamp.
-const (
-	histNone    = 0 // never cached by this processor
-	histPresent = 1
-	histEvicted = 2
-	histInval   = 3
-	histMask    = 3
-)
-
 // System simulates the multiprocessor memory system. All methods are safe
 // for concurrent use by the processor goroutines; every reference is
 // processed atomically under one lock, which is correct under PRAM timing
 // (the interleaving of references, not their latency, is all that matters).
+// Its address-indexed tables are the word write history, the directory
+// and one row per processor, which is both that processor's cache (state
+// and LRU stamp of each present line) and the history of each lost line
+// that miss classification reads.
 type System struct {
 	cfg  Config
 	home HomeFn
@@ -52,10 +47,9 @@ type System struct {
 	lineShift uint
 
 	mu     sync.Mutex
-	caches []*cache
+	caches []*cache // each cache's row is its processor's line history
 	dir    []dirEntry
 	words  []wordInfo
-	hist   [][]uint64 // [proc][line] packed history
 	seq    uint64
 
 	// Trace replay precomputes the word write history once for a whole
@@ -100,7 +94,6 @@ func New(cfg Config, home HomeFn) (*System, error) {
 	s := &System{cfg: cfg, home: home}
 	s.lineShift = uint(bits.TrailingZeros(uint(cfg.LineSize)))
 	s.caches = make([]*cache, cfg.Procs)
-	s.hist = make([][]uint64, cfg.Procs)
 	for i := range s.caches {
 		s.caches[i] = newCache(cfg)
 	}
@@ -147,8 +140,8 @@ func (s *System) growWords(words uint64) {
 	s.growLines(words)
 }
 
-// growLines sizes the line-granular tables (directory, per-processor
-// history) for an address space of the given number of words.
+// growLines sizes the line-granular tables (directory, every cache's
+// row) for an address space of the given number of words.
 func (s *System) growLines(words uint64) {
 	lines := (words*WordBytes + uint64(s.cfg.LineSize) - 1) / uint64(s.cfg.LineSize)
 	if uint64(len(s.dir)) < lines {
@@ -158,10 +151,10 @@ func (s *System) growLines(words uint64) {
 		}
 		copy(nd, s.dir)
 		s.dir = nd
-		for p := range s.hist {
-			nh := make([]uint64, lines)
-			copy(nh, s.hist[p])
-			s.hist[p] = nh
+		for _, c := range s.caches {
+			nr := make([]uint64, lines)
+			copy(nr, c.row)
+			c.row = nr
 		}
 	}
 }
@@ -325,11 +318,11 @@ func (s *System) recordWrite(p int, word uint64) {
 
 // classify determines the miss kind per the extended [DSR+93] scheme.
 func (s *System) classify(p int, line, word uint64) MissKind {
-	h := s.hist[p][line]
+	h := s.caches[p].row[line]
 	if h == histNone {
 		return MissCold
 	}
-	lostTime := h >> 2
+	lostTime := h >> 4
 	wi := s.curWord
 	if !s.extWords {
 		wi = s.words[word]
@@ -369,11 +362,8 @@ func (s *System) invalidateSharers(p int, line uint64, d *dirEntry, home int) {
 		// Without replacement hints the sharer list can be stale: the
 		// invalidation and acknowledgment messages are still sent (that is
 		// the cost the hints avoid) but a departed copy has nothing to
-		// invalidate and its loss history must not be rewritten.
-		if s.caches[q].peek(line) != Invalid {
-			s.caches[q].invalidate(line)
-			s.hist[q][line] = s.seq<<2 | histInval
-		}
+		// invalidate, and lose leaves its loss history as it is.
+		s.caches[q].lose(line, s.seq<<4|histInval)
 		if q != home {
 			s.traffic.RemoteOverhead += ob // invalidation
 		}
@@ -410,8 +400,7 @@ func (s *System) fill(p int, line uint64, kind MissKind, write bool) {
 			s.traffic.RemoteOverhead += ob // data header
 			if write {
 				// Ownership migrates; memory stays stale.
-				s.caches[q].invalidate(line)
-				s.hist[q][line] = s.seq<<2 | histInval
+				s.caches[q].lose(line, s.seq<<4|histInval)
 				d.sharers = 1 << uint(p)
 				d.owner = int8(p)
 				newState = Modified
@@ -435,8 +424,7 @@ func (s *System) fill(p int, line uint64, kind MissKind, write bool) {
 				s.traffic.RemoteOverhead += ob // downgrade ack owner→home
 			}
 			if write {
-				s.caches[q].invalidate(line)
-				s.hist[q][line] = s.seq<<2 | histInval
+				s.caches[q].lose(line, s.seq<<4|histInval)
 				d.sharers = 1 << uint(p)
 				d.owner = int8(p)
 				newState = Modified
@@ -468,8 +456,7 @@ func (s *System) fill(p int, line uint64, kind MissKind, write bool) {
 		s.memoryData(p, home, kind, ls, ob)
 	}
 
-	s.hist[p][line] = s.seq<<2 | histPresent
-	victim, vstate, evicted := s.caches[p].insert(line, newState)
+	victim, vstate, evicted := s.caches[p].insert(line, newState, s.seq<<4|histEvicted)
 	if evicted {
 		s.evict(p, victim, vstate)
 	}
@@ -506,7 +493,8 @@ func (s *System) addData(kind MissKind, n uint64, remote bool) {
 	}
 }
 
-// evict handles replacement of a victim line from p's cache.
+// evict accounts the replacement of a victim line from p's cache, whose
+// row insert has already marked evicted.
 func (s *System) evict(p int, line uint64, vstate LineState) {
 	home := s.home(line)
 	d := &s.dir[line]
@@ -539,7 +527,6 @@ func (s *System) evict(p int, line uint64, vstate LineState) {
 			}
 		}
 	}
-	s.hist[p][line] = s.seq<<2 | histEvicted
 }
 
 // Stats returns a snapshot of all counters.
@@ -590,6 +577,15 @@ func (s *System) CheckInvariants() error {
 	holders := make([]uint64, lines) // line -> bitset of holding caches
 	dirty := make([]uint64, lines)   // line -> bitset of M/E holders
 	for p, c := range s.caches {
+		present := 0
+		for _, h := range c.row {
+			if h&histMask == histPresent {
+				present++
+			}
+		}
+		if n := c.resident(); n != present {
+			return fmt.Errorf("cache %d: %d lines present in its row, %d held by its sets or LRU list", p, present, n)
+		}
 		var err error
 		c.forEach(func(line uint64, st LineState) {
 			if err != nil {

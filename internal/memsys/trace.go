@@ -545,31 +545,30 @@ func ReplayMulti(src TraceSource, cfgs []Config) ([]Stats, error) {
 
 	// Persistent workers over system shards: every worker replays each
 	// block into its own systems, with a barrier per block so the shared
-	// block and lastWrite buffers can be reused for the next one. Per
-	// system the stream is still processed strictly in order, so results
-	// are unchanged by the sharding.
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(systems) {
-		workers = len(systems)
-	}
+	// block and lastWrite buffers can be reused for the next one. System
+	// i goes to worker i mod W: a sweep lists its configurations in order
+	// of size, and its miss-heavy small caches or short lines would share
+	// one worker if the shards were contiguous. Per system the stream is
+	// still processed strictly in order, so results are unchanged by the
+	// sharding.
+	workers := min(runtime.GOMAXPROCS(0), len(systems))
 	type blockWork struct{ events, lw []uint64 }
 	var chans []chan blockWork
 	var wg sync.WaitGroup
 	if workers > 1 {
-		chunk := (len(systems) + workers - 1) / workers
-		for lo := 0; lo < len(systems); lo += chunk {
-			hi := lo + chunk
-			if hi > len(systems) {
-				hi = len(systems)
+		for w := range workers {
+			var subset []*System
+			for i := w; i < len(systems); i += workers {
+				subset = append(subset, systems[i])
 			}
 			ch := make(chan blockWork)
 			chans = append(chans, ch)
-			go func(subset []*System) {
-				for w := range ch {
-					replayBlock(subset, w.events, w.lw)
+			go func() {
+				for work := range ch {
+					replayBlock(subset, work.events, work.lw)
 					wg.Done()
 				}
-			}(systems[lo:hi])
+			}()
 		}
 	}
 

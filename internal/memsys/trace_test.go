@@ -2,6 +2,7 @@ package memsys
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -203,4 +204,89 @@ func TestRecorderRejectsHugeProcIDs(t *testing.T) {
 		}
 	}()
 	NewRecorder(64).Record(127, 0, false)
+}
+
+// TestGeneratedTraceLiveMatchesReplay: on generated traces, a live
+// System fed batch by batch through AccessBatch, Replay and one fused
+// ReplayMulti give equal per-processor Stats and Traffic, at every
+// associativity 1/2/4/8, line size 8/64/256 and with replacement hints
+// on and off. The live system's protocol invariants are checked after
+// every batch.
+func TestGeneratedTraceLiveMatchesReplay(t *testing.T) {
+	const procs = 4
+	var cfgs []Config
+	for _, assoc := range []int{1, 2, 4, 8} {
+		for _, ls := range []int{8, 64, 256} {
+			for _, noHints := range []bool{false, true} {
+				cfgs = append(cfgs, Config{Procs: procs, CacheSize: 16 * ls, Assoc: assoc, LineSize: ls,
+					OverheadBytes: 8, NoReplacementHints: noHints})
+			}
+		}
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		// Batches as mach flushes them: one processor's run of references
+		// over a hot shared region and its own private region, with a
+		// measurement reset between two batches now and then.
+		rng := rand.New(rand.NewSource(seed))
+		rec := NewRecorder(64)
+		type batch struct {
+			p      int
+			events []uint64
+			reset  bool
+		}
+		var batches []batch
+		for refs := 0; refs < 3000; {
+			b := batch{p: rng.Intn(procs), reset: rng.Intn(40) == 0}
+			if b.reset {
+				rec.RecordReset()
+			}
+			for range 1 + rng.Intn(64) {
+				a := Addr(rng.Intn(1024)) &^ 7
+				if rng.Intn(2) == 0 {
+					a = Addr(8192+b.p*4096+rng.Intn(4096)) &^ 7
+				}
+				w := rng.Intn(3) == 0
+				rec.Record(b.p, a, w)
+				b.events = append(b.events, traceEvent(b.p, a, w))
+			}
+			refs += len(b.events)
+			batches = append(batches, b)
+		}
+		homes := make([]int32, 64)
+		for i := range homes {
+			homes[i] = int32(i % procs)
+		}
+		tr := rec.Finish(homes)
+
+		multi, err := ReplayMulti(tr, cfgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, cfg := range cfgs {
+			what := fmt.Sprintf("seed %d, assoc %d, line %d, no hints %v", seed, cfg.Assoc, cfg.LineSize, cfg.NoReplacementHints)
+			live, err := New(cfg, tr.HomeFn(cfg.LineSize))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, b := range batches {
+				if b.reset {
+					live.ResetStats()
+				}
+				live.AccessBatch(b.p, b.events, make([]uint64, len(b.events)))
+				if err := live.CheckInvariants(); err != nil {
+					t.Fatalf("%s: after batch %d: %v", what, j, err)
+				}
+			}
+			single, err := Replay(tr, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := live.Stats()
+			for name, got := range map[string]Stats{"Replay": single, "ReplayMulti": multi[i]} {
+				if !reflect.DeepEqual(got.Procs, want.Procs) || got.Traffic != want.Traffic {
+					t.Fatalf("%s: %s diverges from the live system:\n got %+v\nwant %+v", what, name, got, want)
+				}
+			}
+		}
+	}
 }
