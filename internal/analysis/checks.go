@@ -78,7 +78,7 @@ func ChecksWith(cfg Config) []*Check {
 		{Name: "procflow", Doc: "*mach.Proc must not be stored in globals/structs or captured across goroutine spawns", Run: runProcflow},
 		{Name: "determinism", Doc: "no wall-clock reads, global math/rand, or map-order iteration in result-producing packages", Run: cfg.runDeterminism},
 		{Name: "faultpoints", Doc: "fault injection labels must be literals from the job:/cache.get:/cache.put:/trace.read[.footer|.block:]/lease.acquire:/journal.append/sample.estimate: taxonomy", Run: runFaultpoints},
-		{Name: "tracecapture", Doc: "per-reference memsys entry points (Recorder.Record*, System.Access*) are reserved for internal/mach's batched capture path", Run: runTracecapture},
+		{Name: "tracecapture", Doc: "memsys entry points that take references (Recorder.RecordBatch/RecordResetAt, Feed.Batch) are reserved for internal/mach's batched capture path", Run: runTracecapture},
 		{Name: "locks", Doc: "flow-sensitive lockset analysis over mach.Lock: unpaired Release, double Acquire, and locks held across barrier-like rendezvous", Run: runLocks},
 		{Name: "ctxflow", Doc: "request paths must thread the caller's context.Context; context.Background/TODO on any path detaches cancellation, deadlines and fault scoping", Run: cfg.runCtxflow},
 		{Name: "durability", Doc: "error results of journal/lease/cache/rename/Close-on-writable-file operations must be checked on every path", Run: runDurability},
@@ -354,15 +354,17 @@ func (cfg Config) runDeterminism(pass *Pass) {
 // ---------------------------------------------------------------------------
 // tracecapture
 
-// captureMethods are the per-reference memsys entry points, by receiver
-// type: recording and live simulation must flow through internal/mach's
-// batched per-processor buffers (Proc.Read/Write), which stamp events
-// with synchronization epochs. A direct call from application or driver
-// code would produce events outside any epoch order — breaking both the
-// byte-determinism of recordings and the one-lock-per-batch fast path.
+// captureMethods are the memsys entry points that take references, by
+// receiver type: recording and live simulation must flow through
+// internal/mach's batched per-processor buffers (Proc.Read/Write), which
+// stamp events with synchronization epochs and flush them while the
+// processor holds the logical-time baton. A direct call from application
+// or driver code would produce events outside any epoch order, breaking
+// the byte-determinism of recordings and the one-flusher-at-a-time
+// contract that lets the feed and the recorder run without locks.
 var captureMethods = map[string]map[string]bool{
-	"Recorder": {"Record": true, "RecordReset": true, "RecordBatch": true, "RecordResetAt": true},
-	"System":   {"Access": true, "AccessAt": true, "AccessBatch": true},
+	"Recorder": {"RecordBatch": true, "RecordResetAt": true},
+	"Feed":     {"Batch": true},
 }
 
 // runTracecapture flags selections of the per-reference capture methods

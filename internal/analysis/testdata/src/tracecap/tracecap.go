@@ -1,5 +1,5 @@
 // Package tracecap seeds trace-capture violations: application/driver
-// code calling the per-reference memsys entry points directly, which
+// code handing references straight to the memsys entry points, which
 // bypasses internal/mach's batched epoch-stamped capture path. The
 // `// want <check>` markers are the golden diagnostics asserted by
 // analysis_test.go.
@@ -9,32 +9,30 @@ import "splash2/internal/memsys"
 
 // record stands in for app code writing straight into a recorder.
 func record(rec *memsys.Recorder, a memsys.Addr) {
-	rec.Record(0, a, true)                     // want tracecapture
-	rec.RecordReset()                          // want tracecapture
 	rec.RecordBatch(1, 3, []uint64{uint64(a)}) // want tracecapture
 	rec.RecordResetAt(4)                       // want tracecapture
 }
 
-// simulate stands in for driver code poking the memory system per event.
-func simulate(sys *memsys.System, a memsys.Addr) {
-	sys.Access(0, a, false)                      // want tracecapture
-	sys.AccessAt(1, a, true, 7)                  // want tracecapture
-	sys.AccessBatch(2, []uint64{8}, []uint64{1}) // want tracecapture
+// simulate stands in for driver code feeding the memory systems itself.
+func simulate(feed *memsys.Feed) error {
+	return feed.Batch([]uint64{8}, []uint64{1}) // want tracecapture
 }
 
 // methodValue escapes via a bound method, not a call.
-func methodValue(sys *memsys.System) func(int, memsys.Addr, bool) (bool, memsys.MissKind) {
-	return sys.Access // want tracecapture
+func methodValue(feed *memsys.Feed) func([]uint64, []uint64) error {
+	return feed.Batch // want tracecapture
 }
 
 // suppressed shows a justified tooling escape.
 func suppressed(rec *memsys.Recorder) {
 	//splash:allow tracecapture fixture: deliberate single-event tooling write with a reason
-	rec.Record(0, 8, false)
+	rec.RecordBatch(0, 0, []uint64{8})
 }
 
 // replayIsClean: the replay entry points are not per-reference capture
-// and stay legal everywhere.
-func replayIsClean(tr *memsys.Trace, cfg memsys.Config) (memsys.Stats, error) {
+// and stay legal everywhere, and so is sizing or resetting a feed.
+func replayIsClean(tr *memsys.Trace, cfg memsys.Config, feed *memsys.Feed) (memsys.Stats, error) {
+	feed.Reserve(64)
+	feed.ResetStats()
 	return memsys.Replay(tr, cfg)
 }

@@ -521,7 +521,7 @@ func TestMidRunAllocationMatchesPreReserved(t *testing.T) {
 	run := func(preReserve bool) Stats {
 		m := MustNew(Config{Procs: procs, CacheSize: 1024, Assoc: 2, LineSize: 64})
 		if preReserve {
-			m.systems[0].Reserve(1 << 16)
+			m.feed.Reserve(1 << 16)
 		}
 		lineWords := m.LineSize() / WordBytes
 		sweep := func(p *Proc, base Addr) {
@@ -594,8 +594,8 @@ func TestAttachRejectsMismatchedSystems(t *testing.T) {
 				t.Errorf("model %d: attached %d procs / %d B lines to a 4-proc 64 B-line machine", model, mc.Procs, mc.LineSize)
 			}
 		}
-		if want := map[MemModel]int{CountOnly: 0, FullMem: 1}[model]; len(m.systems) != want {
-			t.Fatalf("model %d: %d systems after rejected taps, want %d", model, len(m.systems), want)
+		if want := map[MemModel]int{CountOnly: 0, FullMem: 1}[model]; len(m.feed.Systems()) != want {
+			t.Fatalf("model %d: %d systems after rejected taps, want %d", model, len(m.feed.Systems()), want)
 		}
 		if _, err := m.Attach(memsys.Config{Procs: 4, CacheSize: 2048, Assoc: 1, LineSize: 64}); err != nil {
 			t.Fatalf("model %d: matching tap rejected: %v", model, err)

@@ -69,9 +69,9 @@ func (c Config) MemConfig() memsys.Config {
 type Machine struct {
 	cfg    Config
 	memCfg memsys.Config
-	// systems are the attached memory systems; every reference batch
-	// feeds each in turn. A FullMem machine's own system is systems[0].
-	systems []*memsys.System
+	// feed drives the attached memory systems; every reference batch
+	// feeds each in turn. A FullMem machine's own system is the first.
+	feed *memsys.Feed
 
 	// lineShift converts byte addresses to line indices (LineSize is a
 	// validated power of two).
@@ -102,7 +102,7 @@ func New(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	cfg.Procs = mc.Procs
-	m := &Machine{cfg: cfg, memCfg: mc, lineShift: uint(bits.TrailingZeros(uint(mc.LineSize)))}
+	m := &Machine{cfg: cfg, memCfg: mc, lineShift: uint(bits.TrailingZeros(uint(mc.LineSize))), feed: memsys.NewFeed(cfg.Procs - 1)}
 	m.procs = make([]*Proc, cfg.Procs)
 	for i := range m.procs {
 		m.procs[i] = &Proc{ID: i, m: m, baton: make(chan struct{}, 1)}
@@ -138,7 +138,7 @@ func (m *Machine) Attach(mc memsys.Config) (*memsys.System, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.systems = append(m.systems, sys)
+	m.feed.Add(sys)
 	m.setCaptureFlags()
 	return sys, nil
 }
@@ -176,15 +176,13 @@ func (m *Machine) isShared(a Addr) bool {
 	return line < uint64(len(m.shared)) && m.shared[line]
 }
 
-// reserveAllocated sizes the memory system's tables exactly to the
+// reserveAllocated sizes the memory systems' tables exactly to the
 // allocation high-water mark. Run and RunOne call it on entry, so all of
 // a setup's allocations cost one table build; allocations made while a
 // phase runs (Radiosity) are covered by the memory system's geometric
 // on-demand growth at first touch.
 func (m *Machine) reserveAllocated() {
-	for _, sys := range m.systems {
-		sys.Reserve(m.AllocatedWords())
-	}
+	m.feed.Reserve(m.AllocatedWords())
 }
 
 // epochFork is the fork half of a phase's fork-join synchronization:
@@ -223,8 +221,8 @@ func (m *Machine) StartRecording() {
 // whenever an attachment changes, while processors are quiescent.
 func (m *Machine) setCaptureFlags() {
 	for _, p := range m.procs {
-		p.capture = len(m.systems) > 0 || m.rec != nil
-		p.wantTimes = len(m.systems) > 0
+		p.wantTimes = len(m.feed.Systems()) > 0
+		p.capture = p.wantTimes || m.rec != nil
 		p.evbase = uint64(p.ID) << 1
 		if p.capture && p.evbuf == nil {
 			p.evbuf = make([]uint64, 0, refBufCap)
@@ -262,7 +260,7 @@ func (m *Machine) FinishRecording() *memsys.Trace {
 // use Epoch from inside a parallel phase.
 func (m *Machine) ResetStats() {
 	m.flushAll()
-	m.resetSystems()
+	m.feed.ResetStats()
 	if m.rec != nil {
 		// The marker lands one epoch above everything recorded so far and
 		// ties with the next phase's events, where markers merge first.
@@ -281,7 +279,7 @@ func (m *Machine) ResetStats() {
 // every counter it reads is settled.
 func (m *Machine) Epoch(p *Proc, b *Barrier) {
 	b.wait(p, func(release, releaseEpoch uint64) {
-		m.resetSystems()
+		m.feed.ResetStats()
 		if m.rec != nil {
 			// Every participant flushed on arrival at an epoch below
 			// releaseEpoch and departs at releaseEpoch, where markers
@@ -294,13 +292,6 @@ func (m *Machine) Epoch(p *Proc, b *Barrier) {
 			m.base[i] = q.c
 		}
 	})
-}
-
-// resetSystems zeroes every attached memory system's counters.
-func (m *Machine) resetSystems() {
-	for _, sys := range m.systems {
-		sys.ResetStats()
-	}
 }
 
 // Stats is a measurement snapshot relative to the last ResetStats.
@@ -325,7 +316,7 @@ func (m *Machine) Snapshot() Stats {
 		}
 	}
 	if m.cfg.MemModel == FullMem {
-		st.Mem = m.systems[0].Stats()
+		st.Mem = m.feed.Systems()[0].Stats()
 	}
 	return st
 }
@@ -333,7 +324,7 @@ func (m *Machine) Snapshot() Stats {
 // CheckInvariants proxies every attached memory system's invariant
 // checker (tests).
 func (m *Machine) CheckInvariants() error {
-	for _, sys := range m.systems {
+	for _, sys := range m.feed.Systems() {
 		if err := sys.CheckInvariants(); err != nil {
 			return err
 		}

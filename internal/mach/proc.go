@@ -1,8 +1,9 @@
 package mach
 
 // refBufCap is the per-processor reference buffer size. Large enough to
-// amortize the memory-system lock to one acquisition per 256 references,
-// small enough that a buffer is a few KiB of L1-resident state.
+// amortize a flush — one pass of the write history, then one loop per
+// memory system — over 256 references, small enough that a buffer is a
+// few KiB of L1-resident state.
 const refBufCap = 256
 
 // Proc is one simulated processor. All methods must be called only from
@@ -25,11 +26,10 @@ type Proc struct {
 
 	// Batched reference capture (see internal/README.md, "Event ordering
 	// under batched capture"). References append to evbuf/tmbuf with no
-	// lock and no interface call; flushRefs drains both into every
-	// attached memory system (one lock per system per batch) and the
-	// recorder (private sub-stream)
-	// at buffer-full, at every synchronization point and baton handoff,
-	// and at phase ends.
+	// interface call; flushRefs drains both into the machine's feed (every
+	// attached memory system) and the recorder (private sub-stream) at
+	// buffer-full, at every synchronization point and baton handoff, and
+	// at phase ends.
 	// epoch is the processor's Lamport-style synchronization epoch: it
 	// strictly increases across every release→acquire edge the processor
 	// participates in, which is what lets the recorder merge per-proc
@@ -90,7 +90,7 @@ func (p *Proc) tick() {
 	}
 }
 
-// flushRefs drains the reference buffer into the memory system and the
+// flushRefs drains the reference buffer into the memory systems and the
 // recorder. Must be called (directly or via a sync point) before any
 // epoch change — recorded events are stamped with the epoch at flush
 // time — before handing over the baton, and before any code reads
@@ -99,8 +99,8 @@ func (p *Proc) flushRefs() {
 	if len(p.evbuf) == 0 {
 		return
 	}
-	for _, sys := range p.m.systems {
-		sys.AccessBatch(p.ID, p.evbuf, p.tmbuf)
+	if err := p.m.feed.Batch(p.evbuf, p.tmbuf); err != nil {
+		panic(err) // unreachable: processor ids are below the feed's bound
 	}
 	if rec := p.m.rec; rec != nil {
 		// The recorder takes ownership of the batch (zero-copy chunk);

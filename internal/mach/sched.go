@@ -118,7 +118,7 @@ func (m *Machine) next() *Proc {
 // (EXPERIMENTS.md, "Logical-time execution").
 func (m *Machine) quantumEnd(p *Proc) uint64 {
 	end := never
-	if len(m.systems) == 0 {
+	if len(m.feed.Systems()) == 0 {
 		return end
 	}
 	for _, q := range m.procs {

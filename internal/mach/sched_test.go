@@ -184,7 +184,7 @@ func TestHandoffFlushesReferences(t *testing.T) {
 		for i := 0; i < 4*quantum; i++ {
 			if last != p.ID {
 				last = p.ID
-				if got := m.systems[0].Stats().Procs[other.ID].Reads; got != other.c.Reads {
+				if got := m.feed.Systems()[0].Stats().Procs[other.ID].Reads; got != other.c.Reads {
 					t.Errorf("processor %d took the baton with %d of processor %d's %d reads in the memory system",
 						p.ID, got, other.ID, other.c.Reads)
 					return

@@ -6,20 +6,35 @@ import (
 	"testing"
 )
 
+// feedOf returns a feed driving the testSys system s alone.
+func feedOf(s *refSys) *Feed {
+	f := NewFeed(s.cfg.Procs - 1)
+	f.Add(s.System)
+	return f
+}
+
 // TestTableGrowthGeometric: first touches of ascending addresses beyond
 // the reserved range re-make the tables O(log n) times, not once per
 // touch, and each re-make is at least 1.5× the last.
 func TestTableGrowthGeometric(t *testing.T) {
 	const lines = 4000
-	var s *System
+	var s *refSys
+	var f *Feed
+	ev := make([]uint64, 1)
 	touch := func() {
 		s = testSys(t, 1024, 2)
+		f = feedOf(s)
 		for l := uint64(0); l < lines; l++ {
-			s.Access(int(l%4), addrOfLine(l), true)
+			ev[0] = traceEvent(int(l%4), addrOfLine(l), true)
+			if err := f.Batch(ev, nil); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	// One re-make is 2 + Procs tables; 1.5× growth from one line to 4 000
-	// is 21 re-makes (log1.5 4000 ≈ 20.5), against 4 000 for exact growth.
+	// One re-make is 2 + Procs tables (the feed's write history, the
+	// directory and each processor's row); 1.5× growth from one line to
+	// 4 000 is 21 re-makes (log1.5 4000 ≈ 20.5), against 4 000 for exact
+	// growth.
 	allocs := testing.AllocsPerRun(1, touch)
 	if limit := float64(30 * (2 + 4)); allocs > limit {
 		t.Errorf("ascending first touches made %.0f allocations, want at most %.0f", allocs, limit)
@@ -33,22 +48,26 @@ func TestTableGrowthGeometric(t *testing.T) {
 
 	// Reserve stays exact, and on-demand growth past it is still geometric.
 	s = testSys(t, 1024, 2)
-	s.Reserve(1000)
-	if len(s.words) != 1000 || len(s.dir) != 125 || len(s.caches[3].row) != 125 {
-		t.Fatalf("Reserve(1000): %d words, %d dir, %d row lines", len(s.words), len(s.dir), len(s.caches[3].row))
+	f = feedOf(s)
+	f.Reserve(1000)
+	if len(f.words) != 1000 || len(s.dir) != 125 || len(s.caches[3].row) != 125 {
+		t.Fatalf("Reserve(1000): %d words, %d dir, %d row lines", len(f.words), len(s.dir), len(s.caches[3].row))
 	}
-	s.Access(0, Addr(1000*WordBytes), false)
-	if len(s.words) < 1500 {
-		t.Errorf("growth past a reservation of 1000 words reached only %d", len(s.words))
+	if err := f.Batch([]uint64{traceEvent(0, Addr(1000*WordBytes), false)}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(f.words) < 1500 || uint64(len(s.dir))*64 < uint64(len(f.words))*WordBytes {
+		t.Errorf("growth past a reservation of 1000 words reached only %d words, %d dir lines", len(f.words), len(s.dir))
 	}
 }
 
 // TestOnDemandGrowthMatchesReserved feeds one generated reference stream
 // — whose address range doubles halfway, as when a program allocates and
-// first-touches in the middle of a Run — to a system reserved for the
+// first-touches in the middle of a Run — through a feed reserved for the
 // whole range up front, one reserved for the first half only, and one
-// never reserved. Table sizing must be invisible: identical Stats and
-// clean invariants.
+// never reserved, each driving one system, and reference by reference
+// to a system driven from the map oracle. Table sizing must be
+// invisible: identical Stats and clean invariants.
 func TestOnDemandGrowthMatchesReserved(t *testing.T) {
 	const (
 		procs     = 8
@@ -63,10 +82,15 @@ func TestOnDemandGrowthMatchesReserved(t *testing.T) {
 		}
 		return s
 	}
-	full, half, none := newSys(), newSys(), newSys()
+	feeds := make([]*Feed, 3)
+	for i := range feeds {
+		feeds[i] = NewFeed(procs - 1)
+		feeds[i].Add(newSys())
+	}
+	full, half := feeds[0], feeds[1]
 	full.Reserve(2 * halfWords)
 	half.Reserve(halfWords)
-	systems := []*System{full, half, none}
+	ref := oracle(newSys())
 
 	rng := rand.New(rand.NewSource(7))
 	var clock [procs]uint64
@@ -76,7 +100,7 @@ func TestOnDemandGrowthMatchesReserved(t *testing.T) {
 			span = 2 * halfWords
 		}
 		p := rng.Intn(procs)
-		// A batch as mach flushes it, or one direct reference.
+		// A batch as mach flushes it.
 		n := 1 + rng.Intn(64)
 		events := make([]uint64, n)
 		times := make([]uint64, n)
@@ -89,26 +113,28 @@ func TestOnDemandGrowthMatchesReserved(t *testing.T) {
 			}
 			times[j] = clock[p]
 		}
-		for _, s := range systems {
-			if n == 1 {
-				s.AccessAt(p, Addr(events[0]>>8), events[0]&1 == 1, times[0])
-			} else {
-				s.AccessBatch(p, events, times)
+		for _, f := range feeds {
+			if err := f.Batch(events, times); err != nil {
+				t.Fatal(err)
 			}
+		}
+		for j, e := range events {
+			ref.AccessAt(p, Addr(e>>8), e&1 == 1, times[j])
 		}
 		i += n
 	}
 
-	want := full.Stats()
-	for i, s := range systems {
+	want := ref.Stats()
+	for i, f := range feeds {
+		s := f.Systems()[0]
 		if err := s.CheckInvariants(); err != nil {
-			t.Errorf("system %d: %v", i, err)
+			t.Errorf("feed %d: %v", i, err)
 		}
 		if got := s.Stats(); !reflect.DeepEqual(got, want) {
-			t.Errorf("system %d: stats differ from the pre-reserved system\n got %+v\nwant %+v", i, got, want)
+			t.Errorf("feed %d: stats differ from the oracle-driven system\n got %+v\nwant %+v", i, got, want)
 		}
 	}
 	if len(full.words) != 2*halfWords {
-		t.Errorf("pre-reserved system re-sized its tables: %d words", len(full.words))
+		t.Errorf("pre-reserved feed re-sized its tables: %d words", len(full.words))
 	}
 }

@@ -16,15 +16,15 @@ type sdEvent struct {
 }
 
 func sdBuild(evs []sdEvent) *Trace {
-	rec := NewRecorder(64)
+	var events []uint64
 	for _, e := range evs {
 		if e.reset {
-			rec.RecordReset()
+			events = append(events, resetMarker)
 			continue
 		}
-		rec.Record(e.p, Addr(e.line*64), e.write)
+		events = append(events, traceEvent(e.p, Addr(e.line*64), e.write))
 	}
-	return rec.Finish(make([]int32, 64))
+	return flatTrace(events, make([]int32, 64))
 }
 
 // sdCheck compares StackDistances against fully-associative Replay at

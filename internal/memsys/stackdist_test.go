@@ -10,7 +10,7 @@ import (
 // (so coherence invalidations are frequent) and optional epoch resets.
 func buildSharingTrace(seed int64, procs, events int, resets bool) *Trace {
 	rng := rand.New(rand.NewSource(seed))
-	rec := NewRecorder(64)
+	var evs []uint64
 	for i := 0; i < events; i++ {
 		// Mix a small hot shared region with a larger per-processor region
 		// so both invalidations and deep stack distances occur.
@@ -21,16 +21,16 @@ func buildSharingTrace(seed int64, procs, events int, resets bool) *Trace {
 		} else {
 			a = Addr(8192+p*4096+rng.Intn(4096)) &^ 7
 		}
-		rec.Record(p, a, rng.Intn(3) == 0)
+		evs = append(evs, traceEvent(p, a, rng.Intn(3) == 0))
 		if resets && i > 0 && i%(events/3+1) == 0 {
-			rec.RecordReset()
+			evs = append(evs, resetMarker)
 		}
 	}
 	homes := make([]int32, 64)
 	for i := range homes {
 		homes[i] = int32(i % procs)
 	}
-	return rec.Finish(homes)
+	return flatTrace(evs, homes)
 }
 
 // stackSizes are the fully-associative capacities the equivalence tests

@@ -3,15 +3,14 @@ package memsys
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 )
 
 // HomeFn maps a cache line index to the node whose local memory holds it.
 // Data placement (§2.2: "data are distributed among the processing nodes
 // according to the guidelines stated in each application") is decided by
 // the allocator in package mach and communicated to memsys through this
-// function. It is called with the system's internal lock held and must not
-// call back into the System.
+// function. It is called while a reference is being processed and must
+// not call back into the System.
 type HomeFn func(line uint64) int
 
 // dirEntry is one full-map directory entry. sharers is the exact set of
@@ -22,21 +21,13 @@ type dirEntry struct {
 	owner   int8
 }
 
-// wordInfo records the last writer of a word and when the write happened,
-// for true/false sharing classification. time==0 means never written.
-type wordInfo struct {
-	time   uint64
-	writer int8
-}
-
-// System simulates the multiprocessor memory system. All methods are safe
-// for concurrent use by the processor goroutines; every reference is
-// processed atomically under one lock, which is correct under PRAM timing
-// (the interleaving of references, not their latency, is all that matters).
-// Its address-indexed tables are the word write history, the directory
-// and one row per processor, which is both that processor's cache (state
-// and LRU stamp of each present line) and the history of each lost line
-// that miss classification reads.
+// System simulates the multiprocessor memory system. References reach it
+// only through a Feed, which keeps the word write history for all the
+// systems it drives and hands each reference over with its word's last
+// write; a System is not safe for concurrent use. Its address-indexed
+// tables are the directory and one row per processor, which is both that
+// processor's cache (state and LRU stamp of each present line) and the
+// history of each lost line that miss classification reads.
 type System struct {
 	cfg  Config
 	home HomeFn
@@ -46,18 +37,11 @@ type System struct {
 	// hottest path).
 	lineShift uint
 
-	mu     sync.Mutex
 	caches []*cache // each cache's row is its processor's line history
 	dir    []dirEntry
-	words  []wordInfo
-	seq    uint64
-
-	// Trace replay precomputes the word write history once for a whole
-	// multi-configuration sweep (it depends only on the event stream, never
-	// on cache parameters): when extWords is set, classify reads the
-	// caller-provided curWord instead of s.words, and s.words stays empty.
-	extWords bool
-	curWord  wordInfo
+	// seq counts references; it moves in step with the feeding Feed's, so
+	// loss stamps compare with the write history the feed hands over.
+	seq uint64
 
 	procs   []ProcStats
 	traffic Traffic
@@ -74,8 +58,7 @@ type System struct {
 	nodeWinID  []uint64
 
 	// accessTime is the requestor's logical clock for the access being
-	// processed (set under the lock; seq is used when no clock is known,
-	// e.g. trace replay).
+	// processed (seq when no clock is known, e.g. trace replay).
 	accessTime uint64
 }
 
@@ -108,38 +91,6 @@ func New(cfg Config, home HomeFn) (*System, error) {
 // Config returns the configuration in effect (with defaults applied).
 func (s *System) Config() Config { return s.cfg }
 
-// Reserve pre-sizes internal tables, exactly, for an address space of the
-// given number of words. Callers that know the address range up front
-// (mach at phase entry) reserve once; references beyond the reserved
-// range grow the tables on demand.
-func (s *System) Reserve(words uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.growWords(words)
-}
-
-// growFor makes the tables cover word, which lies beyond them. Growth is
-// geometric (at least 1.5×) so that first touches of ascending addresses
-// — allocations made while a phase runs — re-copy the tables O(log n)
-// times rather than once per touch.
-func (s *System) growFor(word uint64) {
-	need := word + 1
-	if g := uint64(len(s.words)); need < g+g/2 {
-		need = g + g/2
-	}
-	s.growWords(need)
-}
-
-// growWords sizes every table for exactly the given number of words.
-func (s *System) growWords(words uint64) {
-	if uint64(len(s.words)) < words && !s.extWords {
-		nw := make([]wordInfo, words)
-		copy(nw, s.words)
-		s.words = nw
-	}
-	s.growLines(words)
-}
-
 // growLines sizes the line-granular tables (directory, every cache's
 // row) for an address space of the given number of words.
 func (s *System) growLines(words uint64) {
@@ -159,87 +110,18 @@ func (s *System) growLines(words uint64) {
 	}
 }
 
-// Access simulates one memory reference by processor p to byte address a.
-// It returns the miss kind and whether the reference hit in the cache.
-// The global sequence number stands in for the requestor clock in hotspot
-// windowing; use AccessAt when the requestor's logical time is known.
-func (s *System) Access(p int, a Addr, write bool) (hit bool, kind MissKind) {
-	return s.access(p, a, write, 0)
-}
-
-// AccessAt is Access with the requestor's logical clock, which makes the
-// per-node hotspot windows deterministic for deterministic programs.
-func (s *System) AccessAt(p int, a Addr, write bool, now uint64) (hit bool, kind MissKind) {
-	return s.access(p, a, write, now)
-}
-
-// AccessBatch simulates a batch of references by processor p, taking the
-// global lock once for the whole batch instead of once per reference.
-// events uses the trace packing (addr<<8 | proc<<1 | write, proc must
-// equal p); times carries the requestor's logical clock per event (0
-// falls back to the global sequence number, as in Access). This is the
-// flush target of internal/mach's per-processor reference buffers; the
-// state transitions per event are exactly those of AccessAt.
-func (s *System) AccessBatch(p int, events []uint64, times []uint64) {
-	if len(events) == 0 {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, e := range events {
-		a := Addr(e >> 8)
-		word := a.Word()
-		if word >= uint64(len(s.words)) {
-			s.growFor(word)
-		}
-		s.seq++
-		now := times[i]
-		if now == 0 {
-			now = s.seq
-		}
-		s.accessTime = now
-		s.accessCore(p, uint64(a)>>s.lineShift, word, e&1 == 1)
-	}
-}
-
-func (s *System) access(p int, a Addr, write bool, now uint64) (hit bool, kind MissKind) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
-	word := a.Word()
-	if word >= uint64(len(s.words)) {
-		s.growFor(word)
-	}
+// access simulates one reference by processor p to byte address a and
+// returns whether it hit and, on a miss, its kind. lastWrite is the
+// packed last write to a's word before this reference (seq<<7 |
+// writer+1, 0 when never written) and now the requestor's logical clock
+// (0: seq stands in). The tables must cover a; the Feed sizes them.
+func (s *System) access(p int, a Addr, write bool, lastWrite, now uint64) (hit bool, kind MissKind) {
 	s.seq++
 	if now == 0 {
 		now = s.seq
 	}
 	s.accessTime = now
-	return s.accessCore(p, uint64(a)>>s.lineShift, word, write)
-}
-
-// useExternalWords switches the system to precomputed word-history mode:
-// the per-system words table is never allocated and classify consumes the
-// packed last-write value handed to each replayAccessExt call instead.
-func (s *System) useExternalWords() { s.extWords = true }
-
-// replayAccessExt is the single-threaded replay entry point. Trace
-// replay owns its System exclusively, so it skips the global mutex, and
-// the word's packed write history (seq<<7 | writer+1, 0 = never written)
-// arrives precomputed from one pass over the stream. The tables must
-// already cover the address (ReplayMulti grows them). State transitions are
-// identical to access with now==0.
-func (s *System) replayAccessExt(p int, a Addr, write bool, lw uint64) {
-	s.seq++
-	s.accessTime = s.seq
-	s.curWord = wordInfo{time: lw >> 7, writer: int8(lw&0x7f) - 1}
-	s.accessCore(p, uint64(a)>>s.lineShift, a.Word(), write)
-}
-
-// accessCore is the protocol engine shared by the locked and replay entry
-// points. The caller has sized the tables, advanced seq, and set
-// accessTime; it must hold mu or own the System exclusively.
-func (s *System) accessCore(p int, line, word uint64, write bool) (hit bool, kind MissKind) {
+	line := uint64(a) >> s.lineShift
 	st := &s.procs[p]
 	if write {
 		st.Writes++
@@ -250,16 +132,12 @@ func (s *System) accessCore(p int, line, word uint64, write bool) (hit bool, kin
 	c := s.caches[p]
 	switch state := c.lookup(line); state {
 	case Modified:
-		if write {
-			s.recordWrite(p, word)
-		}
 		return true, 0
 	case Exclusive:
 		if write {
 			// Illinois silent upgrade: the directory already records p as
 			// owner, memory becomes stale without any message.
 			c.setState(line, Modified)
-			s.recordWrite(p, word)
 		}
 		return true, 0
 	case Shared:
@@ -267,17 +145,13 @@ func (s *System) accessCore(p int, line, word uint64, write bool) (hit bool, kin
 			return true, 0
 		}
 		s.upgrade(p, line)
-		s.recordWrite(p, word)
 		return true, 0
 	}
 
 	// Miss path.
-	kind = s.classify(p, line, word)
+	kind = s.classify(p, line, lastWrite)
 	st.Misses[kind]++
 	s.fill(p, line, kind, write)
-	if write {
-		s.recordWrite(p, word)
-	}
 	return false, kind
 }
 
@@ -306,30 +180,17 @@ func (s *System) serve(node int, n uint64) {
 	s.nodeWindow[node] += n
 }
 
-// recordWrite stamps the word's last writer for sharing classification.
-// In external-words mode the history was precomputed for the whole
-// stream, so there is nothing to record.
-func (s *System) recordWrite(p int, word uint64) {
-	if s.extWords {
-		return
-	}
-	s.words[word] = wordInfo{time: s.seq, writer: int8(p)}
-}
-
-// classify determines the miss kind per the extended [DSR+93] scheme.
-func (s *System) classify(p int, line, word uint64) MissKind {
+// classify determines the miss kind per the extended [DSR+93] scheme;
+// lastWrite is the missing word's packed last write.
+func (s *System) classify(p int, line, lastWrite uint64) MissKind {
 	h := s.caches[p].row[line]
 	if h == histNone {
 		return MissCold
 	}
 	lostTime := h >> 4
-	wi := s.curWord
-	if !s.extWords {
-		wi = s.words[word]
-	}
 	// A write by another processor can only happen while this processor
 	// does not hold the line, so comparing against the loss time is exact.
-	if wi.time != 0 && int(wi.writer) != p && wi.time >= lostTime {
+	if lastWrite != 0 && int(lastWrite&0x7f)-1 != p && lastWrite>>7 >= lostTime {
 		return MissTrue
 	}
 	if h&histMask == histInval {
@@ -531,8 +392,6 @@ func (s *System) evict(p int, line uint64, vstate LineState) {
 
 // Stats returns a snapshot of all counters.
 func (s *System) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.rollWindow()
 	out := Stats{
 		Procs:      make([]ProcStats, len(s.procs)),
@@ -548,14 +407,6 @@ func (s *System) Stats() Stats {
 // warm — used to "start measurements after initialization and cold start"
 // for applications that run many time-steps (§2.2).
 func (s *System) ResetStats() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.resetStatsLocked()
-}
-
-// resetStatsLocked is ResetStats for callers that hold mu or own the
-// System exclusively (trace replay).
-func (s *System) resetStatsLocked() {
 	for i := range s.procs {
 		s.procs[i] = ProcStats{}
 	}
@@ -571,8 +422,6 @@ func (s *System) resetStatsLocked() {
 // directory; it is used by tests and returns a descriptive error on the
 // first violation found.
 func (s *System) CheckInvariants() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	lines := uint64(len(s.dir))
 	holders := make([]uint64, lines) // line -> bitset of holding caches
 	dirty := make([]uint64, lines)   // line -> bitset of M/E holders

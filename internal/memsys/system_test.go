@@ -6,9 +6,36 @@ import (
 	"testing/quick"
 )
 
+// refSys drives one System reference by reference, keeping the word
+// write history in a map: a naive last-writer oracle for what a Feed
+// hands each reference, independent of the feed's packed table.
+type refSys struct {
+	*System
+	last map[uint64]uint64 // word → seq<<7 | writer+1
+}
+
+func oracle(s *System) *refSys { return &refSys{System: s, last: map[uint64]uint64{}} }
+
+// Access simulates one reference with the requestor clock unknown.
+func (s *refSys) Access(p int, a Addr, write bool) (hit bool, kind MissKind) {
+	return s.AccessAt(p, a, write, 0)
+}
+
+// AccessAt simulates one reference at requestor clock now (0: the
+// sequence number stands in).
+func (s *refSys) AccessAt(p int, a Addr, write bool, now uint64) (hit bool, kind MissKind) {
+	w := a.Word()
+	s.growLines(w + 1)
+	hit, kind = s.access(p, a, write, s.last[w], now)
+	if write {
+		s.last[w] = s.seq<<7 | uint64(p+1)
+	}
+	return hit, kind
+}
+
 // testSys builds a small system: 4 procs, tiny caches, 64B lines, homes
 // assigned round-robin by line.
-func testSys(t *testing.T, cacheSize int, assoc int) *System {
+func testSys(t *testing.T, cacheSize int, assoc int) *refSys {
 	t.Helper()
 	s, err := New(Config{
 		Procs: 4, CacheSize: cacheSize, Assoc: assoc, LineSize: 64, OverheadBytes: 8,
@@ -16,7 +43,7 @@ func testSys(t *testing.T, cacheSize int, assoc int) *System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return oracle(s)
 }
 
 func addrOfLine(line uint64) Addr { return Addr(line * 64) }
@@ -255,7 +282,7 @@ func TestProtocolInvariantsProperty(t *testing.T) {
 	f := func(seed int64, assocSel, sizeSel uint8) bool {
 		assocs := []int{1, 2, 4, FullyAssoc}
 		sizes := []int{256, 512, 1024}
-		s, err := New(Config{
+		sys, err := New(Config{
 			Procs:     4,
 			CacheSize: sizes[int(sizeSel)%len(sizes)],
 			Assoc:     assocs[int(assocSel)%len(assocs)],
@@ -264,6 +291,7 @@ func TestProtocolInvariantsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		s := oracle(sys)
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < 2000; i++ {
 			p := rng.Intn(4)
@@ -281,11 +309,12 @@ func TestProtocolInvariantsProperty(t *testing.T) {
 // per-proc reads+writes equals issued references.
 func TestAccountingConservationProperty(t *testing.T) {
 	f := func(seed int64) bool {
-		s, err := New(Config{Procs: 4, CacheSize: 512, Assoc: 2, LineSize: 64, OverheadBytes: 8},
+		sys, err := New(Config{Procs: 4, CacheSize: 512, Assoc: 2, LineSize: 64, OverheadBytes: 8},
 			func(line uint64) int { return int(line % 4) })
 		if err != nil {
 			return false
 		}
+		s := oracle(sys)
 		rng := rand.New(rand.NewSource(seed))
 		issued := make([]uint64, 4)
 		misses := uint64(0)
@@ -317,11 +346,12 @@ func TestAccountingConservationProperty(t *testing.T) {
 // traffic can ever occur.
 func TestUniprocessorHasNoSharingProperty(t *testing.T) {
 	f := func(seed int64) bool {
-		s, err := New(Config{Procs: 1, CacheSize: 512, Assoc: 2, LineSize: 64, OverheadBytes: 8},
+		sys, err := New(Config{Procs: 1, CacheSize: 512, Assoc: 2, LineSize: 64, OverheadBytes: 8},
 			func(line uint64) int { return 0 })
 		if err != nil {
 			return false
 		}
+		s := oracle(sys)
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < 1000; i++ {
 			s.Access(0, Addr(rng.Intn(64*64))&^7, rng.Intn(2) == 0)
@@ -349,11 +379,12 @@ func TestLRUInclusionProperty(t *testing.T) {
 		}
 		var prev uint64 = ^uint64(0)
 		for _, size := range []int{512, 1024, 2048, 4096} {
-			s, err := New(Config{Procs: 1, CacheSize: size, Assoc: FullyAssoc, LineSize: 64, OverheadBytes: 8},
+			sys, err := New(Config{Procs: 1, CacheSize: size, Assoc: FullyAssoc, LineSize: 64, OverheadBytes: 8},
 				func(line uint64) int { return 0 })
 			if err != nil {
 				return false
 			}
+			s := oracle(sys)
 			for _, a := range trace {
 				s.Access(0, a, false)
 			}

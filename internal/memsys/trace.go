@@ -25,12 +25,11 @@ type Trace struct {
 	// events packs one access per entry: addr<<8 | proc<<1 | write.
 	events []uint64
 
-	// spans is the per-processor run structure of events, when known: the
-	// batched recorder's merge produces one span per (epoch, processor)
-	// run and the v2 decoder one per block, so the columnar v2 writer can
-	// emit epoch-stamped blocks without rediscovering the runs. nil for
-	// traces recorded through the serialized single-event path, where
-	// WriteV2 derives runs (and reset-marker eras as epochs) by scanning.
+	// spans is the per-processor run structure of events: the recorder's
+	// merge produces one span per (epoch, processor) run, the v2 decoder
+	// one per block, and the v1 decoder derives runs (and reset-marker
+	// eras as epochs) by one scan, so the columnar v2 writer emits
+	// epoch-stamped blocks without rediscovering the runs.
 	spans []traceSpan
 
 	// Home map of the recording machine, at its line granularity.
@@ -129,7 +128,7 @@ func (t *Trace) decode(i int) (proc int, a Addr, write bool) {
 	return int(e >> 1 & 0x7f), Addr(e >> 8), e&1 == 1
 }
 
-// Len returns the number of recorded references.
+// Len returns the stream length in events, reset markers included.
 func (t *Trace) Len() int { return len(t.events) }
 
 // homeFn adapts a recorded home map to any replay line size: the home of
@@ -161,46 +160,33 @@ type epochRun struct {
 	n     int
 }
 
-// procStream is one processor's private event sub-stream. Exactly one
-// goroutine (the simulated processor) appends to it, so no lock guards
-// the hot path. Storage is a chunk list of caller-donated batch buffers
-// — RecordBatch takes ownership instead of copying, so capture does no
-// per-event copy and no growth-doubling churn; runs carry the
-// sync-epoch stamps the deterministic merge in Finish orders by.
+// procStream is one processor's private event sub-stream. Only its
+// processor appends to it, so no lock guards the hot path. Storage is a
+// chunk list of caller-donated batch buffers — RecordBatch takes
+// ownership instead of copying, so capture does no per-event copy and no
+// growth-doubling churn; runs carry the sync-epoch stamps the
+// deterministic merge in Finish orders by.
 type procStream struct {
 	chunks [][]uint64
 	runs   []epochRun
 }
 
-// Recorder accumulates a Trace. It supports two capture paths:
-//
-//   - Record/RecordReset serialize single events under a mutex, in call
-//     order — the recorded interleaving is exactly the caller's
-//     interleaving (tools and tests drive this path).
-//   - RecordBatch/RecordResetAt append whole per-processor batches to
-//     lock-free sub-streams stamped with synchronization epochs; Finish
-//     merges them into one legal global order deterministically (by
-//     epoch, then processor, then local index), so recording the same
-//     deterministic program is byte-identical across runs and
-//     GOMAXPROCS settings. internal/mach's batched flush path drives
-//     this.
-//
-// The two paths must not be mixed on one Recorder; Finish panics if
-// both were used.
+// Recorder accumulates a Trace. RecordBatch/RecordResetAt append whole
+// per-processor batches to private sub-streams stamped with
+// synchronization epochs; Finish merges them into one legal global order
+// deterministically (by epoch, then processor, then local index), so
+// recording the same deterministic program is byte-identical across runs
+// and GOMAXPROCS settings. internal/mach's batched flush path drives it.
 type Recorder struct {
-	mu      sync.Mutex
-	tr      Trace
-	streams []procStream
-	markers []uint64 // sync epochs of batched reset markers, nondecreasing
+	homeLineSize int
+	streams      []procStream
+	markers      []uint64 // sync epochs of reset markers, nondecreasing
 }
 
 // NewRecorder creates a recorder for a machine whose home map has the
 // given line granularity.
 func NewRecorder(homeLineSize int) *Recorder {
-	return &Recorder{
-		tr:      Trace{homeLineSize: homeLineSize},
-		streams: make([]procStream, maxTraceProcs),
-	}
+	return &Recorder{homeLineSize: homeLineSize, streams: make([]procStream, maxTraceProcs)}
 }
 
 // checkProc bounds-checks a processor id against the trace encoding.
@@ -211,30 +197,14 @@ func checkProc(proc int) {
 	}
 }
 
-// Record appends one access, serialized in call order.
-func (r *Recorder) Record(proc int, a Addr, write bool) {
-	checkProc(proc)
-	r.mu.Lock()
-	r.tr.events = append(r.tr.events, traceEvent(proc, a, write))
-	r.mu.Unlock()
-}
-
-// RecordReset appends a measurement-reset marker (epoch boundary) to the
-// serialized single-event stream.
-func (r *Recorder) RecordReset() {
-	r.mu.Lock()
-	r.tr.events = append(r.tr.events, resetMarker)
-	r.mu.Unlock()
-}
-
 // RecordBatch appends a batch of packed events (traceEvent encoding,
 // all by proc) recorded within the given synchronization epoch to the
-// processor's private sub-stream. It takes no lock: each simulated
-// processor flushes only its own sub-stream, and quiescence at Finish
-// is the caller's contract (internal/mach flushes every buffer at
-// phase ends before finishing). Epochs must be nondecreasing per
-// processor. The recorder takes ownership of the events slice — the
-// caller must hand over a buffer it will not touch again.
+// processor's private sub-stream. Each simulated processor flushes only
+// its own sub-stream, and quiescence at Finish is the caller's contract
+// (internal/mach flushes every buffer at phase ends before finishing).
+// Epochs must be nondecreasing per processor. The recorder takes
+// ownership of the events slice — the caller must hand over a buffer it
+// will not touch again.
 func (r *Recorder) RecordBatch(proc int, epoch uint64, events []uint64) {
 	checkProc(proc)
 	if len(events) == 0 {
@@ -256,9 +226,7 @@ func (r *Recorder) RecordBatch(proc int, epoch uint64, events []uint64) {
 // blocked (Machine.Epoch runs it inside the barrier, ResetStats between
 // phases) — with epochs nondecreasing across calls.
 func (r *Recorder) RecordResetAt(epoch uint64) {
-	r.mu.Lock()
 	r.markers = append(r.markers, epoch)
-	r.mu.Unlock()
 }
 
 // mergeRun is one sortable span of the deterministic merge: a span of
@@ -353,36 +321,13 @@ func (r *Recorder) mergeBatches() ([]uint64, []traceSpan) {
 	return out, spans
 }
 
-// batchedLocked reports whether the lock-free batched capture path was
-// used. It is derived from the sub-stream and marker state rather than
-// set by RecordBatch, which must not write any shared scalar (it runs
-// concurrently on every processor goroutine).
-func (r *Recorder) batchedLocked() bool {
-	if len(r.markers) > 0 {
-		return true
-	}
-	for p := range r.streams {
-		if len(r.streams[p].runs) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// Finish attaches the home map and returns the completed trace. The
-// recorder must not be used afterwards.
+// Finish merges the sub-streams, attaches the home map and returns the
+// completed trace. The recorder must not be used afterwards.
 func (r *Recorder) Finish(homes []int32) *Trace {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.batchedLocked() {
-		if len(r.tr.events) > 0 {
-			panic("memsys: Recorder mixed Record/RecordReset with the batched capture path")
-		}
-		r.tr.events, r.tr.spans = r.mergeBatches()
-		r.streams = nil
-	}
-	r.tr.homes = append([]int32(nil), homes...)
-	return &r.tr
+	tr := &Trace{homeLineSize: r.homeLineSize, homes: append([]int32(nil), homes...)}
+	tr.events, tr.spans = r.mergeBatches()
+	r.streams = nil
+	return tr
 }
 
 // Meta returns the stream summary, computing the one-pass scan on first
@@ -485,26 +430,24 @@ func Replay(src TraceSource, cfg Config) (Stats, error) {
 
 // ReplayMulti feeds the stream through one fresh memory system per
 // configuration in a single fused pass: event decode, reset handling and
-// the address-range summary happen once for the whole sweep instead of
-// once per configuration, and every reference enters each system through
-// the lock-free single-threaded path. The stream is consumed block by
-// block with the per-word write history computed incrementally per
-// block, so peak memory is O(block buffer + address space) — never
-// O(trace) — and a multi-gigabyte TraceFile replays out-of-core on a
-// small box. When several CPUs are available the systems are sharded
-// across them — each system is still driven by exactly one goroutine
-// over the read-only stream, so the statistics are unchanged by the
-// sharding. Configurations may differ in any parameter, line size
-// included. The returned statistics are, position by position, exactly
-// what per-configuration Replay calls would produce (the systems share
-// nothing but the decoded stream).
+// the per-word write history happen once for the whole sweep instead of
+// once per configuration — one Feed drives every system. The stream is
+// consumed block by block, so peak memory is O(block buffer + address
+// space) — never O(trace) — and a multi-gigabyte TraceFile replays
+// out-of-core on a small box. When several CPUs are available the
+// systems are sharded across them — each system is still driven by
+// exactly one goroutine over the read-only stream, so the statistics are
+// unchanged by the sharding. Configurations may differ in any parameter,
+// line size included. The returned statistics are, position by position,
+// exactly what per-configuration Replay calls would produce (the systems
+// share nothing but the decoded stream and its write history).
 func ReplayMulti(src TraceSource, cfgs []Config) ([]Stats, error) {
 	if len(cfgs) == 0 {
 		return nil, nil
 	}
 	meta := src.Meta()
-	systems := make([]*System, len(cfgs))
-	for i, cfg := range cfgs {
+	feed := NewFeed(meta.MaxProc)
+	for _, cfg := range cfgs {
 		cfg = cfg.WithDefaults()
 		if cfg.Procs < meta.MinProcs {
 			return nil, fmt.Errorf("memsys: trace needs ≥ %d processors, replay machine has %d", meta.MinProcs, cfg.Procs)
@@ -513,35 +456,12 @@ func ReplayMulti(src TraceSource, cfgs []Config) ([]Stats, error) {
 		if err != nil {
 			return nil, err
 		}
-		sys.useExternalWords()
-		systems[i] = sys
+		feed.Add(sys)
 	}
-
-	// The per-word write history that drives true/false-sharing
-	// classification is a property of the stream alone — every system
-	// advances seq identically — so compute it once per block for the
-	// whole sweep: lastWrite[i] packs the most recent write to event i's
-	// word before event i as seq<<7 | writer+1, 0 when never written.
-	// The words table persists across blocks (it is O(address space),
-	// like every system's own tables); the lastWrite buffer is O(block).
-	// The first block sizes it, and every system's tables, for
-	// meta.addrHint; they grow with the addresses the stream shows.
-	hint := meta.addrHint()
-	var words []uint64
-	var seq uint64
-	var lw []uint64
-
-	replayBlock := func(subset []*System, events, lw []uint64) {
-		for _, sys := range subset {
-			for i, e := range events {
-				if e == resetMarker {
-					sys.resetStatsLocked()
-					continue
-				}
-				sys.replayAccessExt(int(e>>1&0x7f), Addr(e>>8), e&1 == 1, lw[i])
-			}
-		}
-	}
+	// The tables start sized for meta.addrHint and grow with the
+	// addresses the stream shows.
+	feed.Reserve(uint64(meta.addrHint().Word()) + 1)
+	systems := feed.Systems()
 
 	// Persistent workers over system shards: every worker replays each
 	// block into its own systems, with a barrier per block so the shared
@@ -565,7 +485,7 @@ func ReplayMulti(src TraceSource, cfgs []Config) ([]Stats, error) {
 			chans = append(chans, ch)
 			go func() {
 				for work := range ch {
-					replayBlock(subset, work.events, work.lw)
+					drive(subset, work.events, work.lw, nil)
 					wg.Done()
 				}
 			}()
@@ -573,41 +493,16 @@ func ReplayMulti(src TraceSource, cfgs []Config) ([]Stats, error) {
 	}
 
 	err := src.blocks(func(events []uint64) error {
-		if w := max(blockMaxAddr(events), hint).Word(); w >= uint64(len(words)) {
-			words = grow(words, w, 0)
-			for _, sys := range systems {
-				sys.growWords(uint64(len(words)))
-			}
-		}
-		words := words // the loop reads a local, not the captured variable
-		if cap(lw) < len(events) {
-			lw = make([]uint64, len(events))
-		}
-		b := lw[:len(events)]
-		for i, e := range events {
-			if e == resetMarker {
-				b[i] = 0
-				continue
-			}
-			// The processor defense fires only for a summary that
-			// understates the processors the blocks use.
-			if p := int(e >> 1 & 0x7f); p > meta.MaxProc {
-				return fmt.Errorf("memsys: corrupt trace: processor %d beyond declared maximum %d", p, meta.MaxProc)
-			}
-			w := Addr(e >> 8).Word()
-			seq++
-			b[i] = words[w]
-			if e&1 == 1 {
-				words[w] = seq<<7 | (e>>1&0x7f + 1)
-			}
-		}
 		if chans == nil {
-			replayBlock(systems, events, b)
-			return nil
+			return feed.Batch(events, nil)
+		}
+		lw, err := feed.history(events)
+		if err != nil {
+			return err
 		}
 		wg.Add(len(chans))
 		for _, ch := range chans {
-			ch <- blockWork{events, b}
+			ch <- blockWork{events, lw}
 		}
 		wg.Wait()
 		return nil
@@ -758,7 +653,7 @@ func readTraceV1(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Trace{homeLineSize: int(lineSize), homes: homes, events: events}, nil
+	return &Trace{homeLineSize: int(lineSize), homes: homes, events: events, spans: deriveSpans(events)}, nil
 }
 
 // MaxProc returns the highest processor id appearing in the trace.

@@ -2,6 +2,7 @@ package memsys
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -11,8 +12,8 @@ import (
 // with the enforced limit.
 func TestRecorderProcLimit(t *testing.T) {
 	rec := NewRecorder(64)
-	rec.Record(0, 8, false)
-	rec.Record(126, 16, true) // highest legal id
+	rec.RecordBatch(0, 0, []uint64{traceEvent(0, 8, false)})
+	rec.RecordBatch(126, 0, []uint64{traceEvent(126, 16, true)}) // highest legal id
 	if got := rec.Finish(nil).MaxProc(); got != 126 {
 		t.Fatalf("MaxProc=%d, want 126", got)
 	}
@@ -32,7 +33,7 @@ func TestRecorderProcLimit(t *testing.T) {
 					t.Fatalf("panic message %q does not state the real limit", msg)
 				}
 			}()
-			NewRecorder(64).Record(proc, 0, false)
+			NewRecorder(64).RecordBatch(proc, 0, []uint64{0})
 		}()
 	}
 }
@@ -122,36 +123,20 @@ func TestRecordBatchSameEpochRunsKeepOrder(t *testing.T) {
 	}
 }
 
-// Mixing the serialized and batched capture paths is a programming error
-// and must fail loudly at Finish, not silently interleave.
-func TestRecorderMixedPathsPanic(t *testing.T) {
-	rec := NewRecorder(64)
-	rec.Record(0, 8, false)
-	rec.RecordBatch(1, 1, []uint64{traceEvent(1, 16, false)})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for mixed Record/RecordBatch use")
-		}
-	}()
-	rec.Finish(nil)
-}
-
-// AccessBatch must produce exactly the statistics of per-event AccessAt
-// calls in the same order.
-func TestAccessBatchMatchesAccessAt(t *testing.T) {
+// A Feed batch must produce exactly the statistics of the same
+// references fed one by one from the map oracle, hotspot windows
+// included (both see the same requestor clocks).
+func TestFeedBatchMatchesOracle(t *testing.T) {
 	cfg := Config{Procs: 4, CacheSize: 1024, Assoc: 2, LineSize: 64}
 	mk := func() *System {
-		s, err := New(cfg, func(uint64) int { return 0 })
+		s, err := New(cfg, func(line uint64) int { return int(line % 3) })
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s
 	}
-	single, batched := mk(), mk()
 
-	// A per-processor access schedule with sharing and write-backs; the
-	// global interleaving (round-robin by processor) is identical on both
-	// systems, only the entry point differs.
+	// A per-processor access schedule with sharing and write-backs.
 	perProc := make([][]uint64, 4)
 	times := make([][]uint64, 4)
 	for p := 0; p < 4; p++ {
@@ -164,43 +149,40 @@ func TestAccessBatchMatchesAccessAt(t *testing.T) {
 			times[p] = append(times[p], now)
 		}
 	}
-	// single: batches of one event; batched: one call per processor run
-	// of 50 events. Both present the same per-proc order; the global
-	// orders differ (both legal), so compare per-processor counters and
-	// protocol invariants rather than global-order-dependent stats.
-	for p := 0; p < 4; p++ {
-		for i, e := range perProc[p] {
-			single.AccessAt(p, Addr(e>>8), e&1 == 1, times[p][i])
+	// Two global orders: each processor's run in batches of 50, and a
+	// round-robin interleave in batches of one.
+	for _, batch := range []int{50, 1} {
+		ref := oracle(mk())
+		f := NewFeed(cfg.Procs - 1)
+		f.Add(mk())
+		feedRun := func(p, lo int) {
+			if err := f.Batch(perProc[p][lo:lo+batch], times[p][lo:lo+batch]); err != nil {
+				t.Fatal(err)
+			}
+			for i := lo; i < lo+batch; i++ {
+				e := perProc[p][i]
+				ref.AccessAt(p, Addr(e>>8), e&1 == 1, times[p][i])
+			}
 		}
-		for lo := 0; lo < len(perProc[p]); lo += 50 {
-			batched.AccessBatch(p, perProc[p][lo:lo+50], times[p][lo:lo+50])
+		if batch == 1 {
+			for i := 0; i < 200; i++ {
+				for p := 0; p < 4; p++ {
+					feedRun(p, i)
+				}
+			}
+		} else {
+			for p := 0; p < 4; p++ {
+				for lo := 0; lo < 200; lo += batch {
+					feedRun(p, lo)
+				}
+			}
 		}
-	}
-	ss, bs := single.Stats(), batched.Stats()
-	for p := 0; p < 4; p++ {
-		if ss.Procs[p].Reads != bs.Procs[p].Reads || ss.Procs[p].Writes != bs.Procs[p].Writes {
-			t.Fatalf("proc %d reads/writes differ: single %+v batched %+v", p, ss.Procs[p], bs.Procs[p])
+		fed := f.Systems()[0]
+		if err := fed.CheckInvariants(); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if err := batched.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Same interleaving presented to both entry points must agree on
-	// everything, including miss classification: drive a second pair in
-	// identical global order with batch size 1 vs AccessAt.
-	s2, b2 := mk(), mk()
-	for i := 0; i < 200; i++ {
-		for p := 0; p < 4; p++ {
-			e := perProc[p][i]
-			s2.AccessAt(p, Addr(e>>8), e&1 == 1, times[p][i])
-			b2.AccessBatch(p, perProc[p][i:i+1], times[p][i:i+1])
-		}
-	}
-	st2, bt2 := s2.Stats(), b2.Stats()
-	for p := 0; p < 4; p++ {
-		if st2.Procs[p] != bt2.Procs[p] {
-			t.Fatalf("proc %d stats differ under identical interleaving:\nAccessAt:    %+v\nAccessBatch: %+v", p, st2.Procs[p], bt2.Procs[p])
+		if got, want := fed.Stats(), ref.Stats(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("batches of %d: feed diverges from the oracle\n got %+v\nwant %+v", batch, got, want)
 		}
 	}
 }

@@ -10,12 +10,12 @@ import (
 // hardeningTrace builds a small valid trace and its serialized bytes.
 func hardeningTrace(t testing.TB) (*Trace, []byte) {
 	t.Helper()
-	rec := NewRecorder(64)
-	rec.Record(0, 0x1000, false)
-	rec.Record(1, 0x1040, true)
-	rec.RecordReset()
-	rec.Record(2, 0x2000, false)
-	tr := rec.Finish([]int32{0, 1, 2, 3})
+	tr := flatTrace([]uint64{
+		traceEvent(0, 0x1000, false),
+		traceEvent(1, 0x1040, true),
+		resetMarker,
+		traceEvent(2, 0x2000, false),
+	}, []int32{0, 1, 2, 3})
 	var buf bytes.Buffer
 	if _, err := tr.WriteTo(&buf); err != nil {
 		t.Fatal(err)

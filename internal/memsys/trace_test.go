@@ -9,17 +9,24 @@ import (
 	"testing/quick"
 )
 
+// flatTrace builds the trace a v1 file holding events decodes to: a
+// 64-byte home granularity, and spans derived by one scan with the
+// reset markers as epoch boundaries.
+func flatTrace(events []uint64, homes []int32) *Trace {
+	return &Trace{homeLineSize: 64, homes: homes, events: events, spans: deriveSpans(events)}
+}
+
 func buildTrace(seed int64, procs, events int) *Trace {
 	rng := rand.New(rand.NewSource(seed))
-	rec := NewRecorder(64)
-	for i := 0; i < events; i++ {
-		rec.Record(rng.Intn(procs), Addr(rng.Intn(4096))&^7, rng.Intn(3) == 0)
+	evs := make([]uint64, events)
+	for i := range evs {
+		evs[i] = traceEvent(rng.Intn(procs), Addr(rng.Intn(4096))&^7, rng.Intn(3) == 0)
 	}
 	homes := make([]int32, 64)
 	for i := range homes {
 		homes[i] = int32(i % procs)
 	}
-	return rec.Finish(homes)
+	return flatTrace(evs, homes)
 }
 
 func TestTraceRoundTripSerialization(t *testing.T) {
@@ -61,18 +68,19 @@ func TestReadTraceRejectsGarbage(t *testing.T) {
 }
 
 // Property: replaying a trace through a memory system produces exactly the
-// same statistics as feeding the same accesses directly.
+// same statistics as feeding the same accesses one by one from the map
+// oracle.
 func TestReplayEquivalenceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		const procs = 4
 		rng := rand.New(rand.NewSource(seed))
-		rec := NewRecorder(64)
+		var events []uint64
 		homes := make([]int32, 64)
 		for i := range homes {
 			homes[i] = int32(i % procs)
 		}
 		cfg := Config{Procs: procs, CacheSize: 2048, Assoc: 2, LineSize: 64, OverheadBytes: 8}
-		direct, err := New(cfg, func(line uint64) int {
+		sys, err := New(cfg, func(line uint64) int {
 			if line < uint64(len(homes)) {
 				return int(homes[line])
 			}
@@ -81,18 +89,19 @@ func TestReplayEquivalenceProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		direct := oracle(sys)
 		for i := 0; i < 1200; i++ {
 			p := rng.Intn(procs)
 			a := Addr(rng.Intn(64*48)) &^ 7
 			w := rng.Intn(3) == 0
 			direct.Access(p, a, w)
-			rec.Record(p, a, w)
+			events = append(events, traceEvent(p, a, w))
 			if i == 600 {
 				direct.ResetStats()
-				rec.RecordReset()
+				events = append(events, resetMarker)
 			}
 		}
-		tr := rec.Finish(homes)
+		tr := flatTrace(events, homes)
 		replayed, err := Replay(tr, cfg)
 		if err != nil {
 			return false
@@ -189,8 +198,8 @@ func TestReplayRejectsTooFewProcs(t *testing.T) {
 
 func TestTraceMaxProcSkipsMarkers(t *testing.T) {
 	rec := NewRecorder(64)
-	rec.Record(3, 0, false)
-	rec.RecordReset()
+	rec.RecordBatch(3, 0, []uint64{traceEvent(3, 0, false)})
+	rec.RecordResetAt(1)
 	tr := rec.Finish(nil)
 	if got := tr.MaxProc(); got != 3 {
 		t.Fatalf("MaxProc=%d, want 3", got)
@@ -203,15 +212,16 @@ func TestRecorderRejectsHugeProcIDs(t *testing.T) {
 			t.Fatal("no panic for proc 127")
 		}
 	}()
-	NewRecorder(64).Record(127, 0, false)
+	NewRecorder(64).RecordBatch(127, 0, []uint64{0})
 }
 
-// TestGeneratedTraceLiveMatchesReplay: on generated traces, a live
-// System fed batch by batch through AccessBatch, Replay and one fused
-// ReplayMulti give equal per-processor Stats and Traffic, at every
-// associativity 1/2/4/8, line size 8/64/256 and with replacement hints
-// on and off. The live system's protocol invariants are checked after
-// every batch.
+// TestGeneratedTraceLiveMatchesReplay: on generated traces, a system
+// fed reference by reference from a naive map of last writers (the
+// oracle, independent of the Feed that live capture and replay share),
+// Replay and one fused ReplayMulti give equal per-processor Stats and
+// Traffic, at every associativity 1/2/4/8, line size 8/64/256 and with
+// replacement hints on and off. The oracle-driven system's protocol
+// invariants are checked after every batch.
 func TestGeneratedTraceLiveMatchesReplay(t *testing.T) {
 	const procs = 4
 	var cfgs []Config
@@ -226,7 +236,9 @@ func TestGeneratedTraceLiveMatchesReplay(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		// Batches as mach flushes them: one processor's run of references
 		// over a hot shared region and its own private region, with a
-		// measurement reset between two batches now and then.
+		// measurement reset between two batches now and then. Each batch
+		// is recorded in an epoch of its own, so the merged trace is the
+		// batches' call order.
 		rng := rand.New(rand.NewSource(seed))
 		rec := NewRecorder(64)
 		type batch struct {
@@ -235,20 +247,19 @@ func TestGeneratedTraceLiveMatchesReplay(t *testing.T) {
 			reset  bool
 		}
 		var batches []batch
-		for refs := 0; refs < 3000; {
+		for refs, epoch := 0, uint64(1); refs < 3000; epoch++ {
 			b := batch{p: rng.Intn(procs), reset: rng.Intn(40) == 0}
 			if b.reset {
-				rec.RecordReset()
+				rec.RecordResetAt(epoch)
 			}
 			for range 1 + rng.Intn(64) {
 				a := Addr(rng.Intn(1024)) &^ 7
 				if rng.Intn(2) == 0 {
 					a = Addr(8192+b.p*4096+rng.Intn(4096)) &^ 7
 				}
-				w := rng.Intn(3) == 0
-				rec.Record(b.p, a, w)
-				b.events = append(b.events, traceEvent(b.p, a, w))
+				b.events = append(b.events, traceEvent(b.p, a, rng.Intn(3) == 0))
 			}
+			rec.RecordBatch(b.p, epoch, append([]uint64(nil), b.events...))
 			refs += len(b.events)
 			batches = append(batches, b)
 		}
@@ -264,15 +275,18 @@ func TestGeneratedTraceLiveMatchesReplay(t *testing.T) {
 		}
 		for i, cfg := range cfgs {
 			what := fmt.Sprintf("seed %d, assoc %d, line %d, no hints %v", seed, cfg.Assoc, cfg.LineSize, cfg.NoReplacementHints)
-			live, err := New(cfg, tr.HomeFn(cfg.LineSize))
+			sys, err := New(cfg, tr.HomeFn(cfg.LineSize))
 			if err != nil {
 				t.Fatal(err)
 			}
+			live := oracle(sys)
 			for j, b := range batches {
 				if b.reset {
 					live.ResetStats()
 				}
-				live.AccessBatch(b.p, b.events, make([]uint64, len(b.events)))
+				for _, e := range b.events {
+					live.Access(b.p, Addr(e>>8), e&1 == 1)
+				}
 				if err := live.CheckInvariants(); err != nil {
 					t.Fatalf("%s: after batch %d: %v", what, j, err)
 				}
@@ -284,7 +298,7 @@ func TestGeneratedTraceLiveMatchesReplay(t *testing.T) {
 			want := live.Stats()
 			for name, got := range map[string]Stats{"Replay": single, "ReplayMulti": multi[i]} {
 				if !reflect.DeepEqual(got.Procs, want.Procs) || got.Traffic != want.Traffic {
-					t.Fatalf("%s: %s diverges from the live system:\n got %+v\nwant %+v", what, name, got, want)
+					t.Fatalf("%s: %s diverges from the oracle-driven system:\n got %+v\nwant %+v", what, name, got, want)
 				}
 			}
 		}

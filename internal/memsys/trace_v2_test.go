@@ -62,20 +62,10 @@ func buildBatchedTrace(seed int64, procs, events, epochs int) *Trace {
 	return rec.Finish(homes)
 }
 
-// wantSpans is the span structure a decoder must reconstruct: the
-// recorded spans when the batched path supplied them, else the derived
-// runs of the flat stream.
-func wantSpans(tr *Trace) []traceSpan {
-	if tr.spans != nil {
-		return tr.spans
-	}
-	return deriveSpans(tr.events)
-}
-
 // TestWriteV2RoundTrip: encode → decode must reproduce the event
 // stream, home map, span structure and cached meta exactly — for both
-// the batched-path trace (spans recorded) and the serialized-path trace
-// (spans derived).
+// a recorded trace (spans from the merge) and a flat trace (spans
+// derived, as a v1 file's are).
 func TestWriteV2RoundTrip(t *testing.T) {
 	traces := []*Trace{
 		buildBatchedTrace(11, 4, 24000, 3), // runs > v2BlockCap: blocks split
@@ -96,7 +86,7 @@ func TestWriteV2RoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(tr.Meta(), back.Meta()) {
 			t.Fatalf("trace %d: v2 round trip changed the meta:\n got %+v\nwant %+v", i, back.Meta(), tr.Meta())
 		}
-		if !reflect.DeepEqual(wantSpans(tr), back.spans) {
+		if !reflect.DeepEqual(tr.spans, back.spans) {
 			t.Fatalf("trace %d: v2 round trip changed the span structure", i)
 		}
 	}
@@ -251,15 +241,15 @@ func TestTraceFileDecodeBlockIndependence(t *testing.T) {
 // processor, must hold exactly that processor's references from those
 // epochs, in stream order, and no reset marker.
 func TestTraceFileWindow(t *testing.T) {
-	rec := NewRecorder(64)
 	// Epoch 0: procs 0 and 1; epoch 1 (after the marker): procs 0 and 2.
-	rec.Record(0, 0x100, false)
-	rec.Record(1, 0x200, true)
-	rec.Record(0, 0x140, false)
-	rec.RecordReset()
-	rec.Record(2, 0x300, false)
-	rec.Record(0, 0x180, true)
-	tr := rec.Finish([]int32{0, 1, 2, 3})
+	tr := flatTrace([]uint64{
+		traceEvent(0, 0x100, false),
+		traceEvent(1, 0x200, true),
+		traceEvent(0, 0x140, false),
+		resetMarker,
+		traceEvent(2, 0x300, false),
+		traceEvent(0, 0x180, true),
+	}, []int32{0, 1, 2, 3})
 	tf := openV2(t, writeV2Bytes(t, tr))
 
 	cases := []struct {

@@ -114,10 +114,9 @@ type v2Block struct {
 }
 
 // deriveSpans reconstructs the (epoch, proc) run structure of a flat
-// event stream that was recorded without epoch stamps (the serialized
-// Record path, or a v1 file): runs break at processor changes, and
-// reset markers open a new era numbered like the batched recorder does
-// — the marker sorts with the epoch that follows it.
+// event stream that carries no epoch stamps (a v1 file): runs break at
+// processor changes, and reset markers open a new era numbered like the
+// recorder does — the marker sorts with the epoch that follows it.
 func deriveSpans(events []uint64) []traceSpan {
 	var spans []traceSpan
 	var era uint64
@@ -203,12 +202,12 @@ func appendV2Footer(buf []byte, firstBlockOff int64, m TraceMeta, blocks []v2Blo
 	return buf
 }
 
-// WriteV2 serializes the trace in the columnar v2 container. Traces
-// recorded through the batched path carry their (epoch, proc) run
-// structure from the merge, so the blocks are emitted directly from the
-// already-block-shaped sub-streams; otherwise the runs are derived by
-// one scan. ReadTrace accepts both formats; a v2→v1→v2 round trip is
-// byte-identical.
+// WriteV2 serializes the trace in the columnar v2 container. Every
+// trace carries its (epoch, proc) run structure — from the recorder's
+// merge, the v2 index, or a scan of a v1 stream — so the blocks are
+// emitted directly from the spans. ReadTrace accepts both formats; a
+// v2→v1→v2 round trip is byte-identical for traces whose epochs are the
+// reset-marker eras a v1 scan derives.
 func (t *Trace) WriteV2(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
 	var n int64
@@ -225,14 +224,10 @@ func (t *Trace) WriteV2(w io.Writer) (int64, error) {
 	n += int64(len(hdr))
 	firstBlockOff := n
 
-	spans := t.spans
-	if spans == nil {
-		spans = deriveSpans(t.events)
-	}
 	var blocks []v2Block
 	var buf, scratch []byte
 	pos := 0
-	for _, sp := range spans {
+	for _, sp := range t.spans {
 		if sp.proc == spanMarker {
 			buf = append(buf[:0], v2TagMarker)
 			buf = binary.AppendUvarint(buf, sp.epoch)

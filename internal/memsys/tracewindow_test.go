@@ -42,8 +42,8 @@ func spanWindow(tr *Trace, lo, hi uint64) []uint64 {
 // metadata, over traces from both recorder paths.
 func TestEpochWindowEquivalence(t *testing.T) {
 	traces := map[string]*Trace{
-		"single-event": buildSharingTrace(9, 4, 20000, true), // spans derived by WriteV2
-		"batched":      buildBatchedTrace(10, 4, 20000, 4),   // spans recorded
+		"flat":    buildSharingTrace(9, 4, 20000, true), // spans derived, as from a v1 file
+		"batched": buildBatchedTrace(10, 4, 20000, 4),   // spans recorded
 	}
 	for name, tr := range traces {
 		data := writeV2Bytes(t, tr)
