@@ -92,7 +92,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		procs      = fs.Int("p", 32, "processors for fixed-count experiments")
 		procList   = fs.String("plist", "1,2,4,8,16,32", "processor counts for scaling sweeps")
 		scaleName  = fs.String("scale", "sweep", `problem sizes: "sweep", "default" or "paper"`)
-		spill      = fs.Bool("spill-traces", false, "stream recorded traces to on-disk v2 containers and replay out of core")
+		spill      = fs.Bool("spill-traces", false, "keep each recording's v2 bytes in an on-disk container instead of in memory")
 		allAssocs  = fs.Bool("all-assocs", false, "Figure 3 with all associativities")
 		sampleRate = fs.Float64("sample-rate", 0, "add the SHARDS-sampled working-set estimate at this rate, (0, 1] (0 = off)")
 		sampleSeed = fs.Uint64("sample-seed", 1, "spatial-hash seed of the sampled estimator")

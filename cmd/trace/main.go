@@ -21,7 +21,7 @@
 // blocks plus an index footer; see internal/README.md). record writes
 // v2 by default. replay sniffs the format: a v2 container streams from
 // disk block by block without ever materializing the event array, and a
-// v1 file decodes into memory. -window selects the synchronization
+// v1 file is encoded into a v2 container in memory. -window selects the synchronization
 // epochs stamped on v2 blocks, so it needs a v2 container.
 //
 // Replay can inject deterministic read faults to drill the decoder's
@@ -157,7 +157,8 @@ func record(args []string, stdout, stderr io.Writer) int {
 	return cli.ExitOK
 }
 
-// readTrace decodes a whole trace file, either format, into memory.
+// readTrace reads a whole trace file, either format, into an in-memory
+// v2 container.
 func readTrace(path string, inj *splash2.FaultInjector) (*splash2.Trace, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -211,8 +212,8 @@ func replay(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(stderr, err)
 	}
-	// A v2 container streams from disk through its index; a v1 file
-	// decodes into memory.
+	// A v2 container streams from disk through its index; a v1 file is
+	// encoded into memory.
 	var src splash2.TraceSource
 	if format == "v2" {
 		tf, err := memsys.OpenTraceFile(*in, inj)

@@ -142,13 +142,12 @@ type EngineOptions struct {
 	// execution and cache I/O; nil disables injection.
 	Fault *fault.Injector
 
-	// SpillTraces makes record jobs stream each recorded trace to an
-	// on-disk columnar v2 container and replay it out of core through a
-	// memsys.TraceFile, instead of holding the flat event stream in
-	// memory — the difference between "fits" and "doesn't" for
-	// paper-scale inputs. Spilled traces are content-addressed under
-	// CacheDir/traces (a temporary directory when the cache is off) and
-	// reused across processes after an integrity check.
+	// SpillTraces makes record jobs write each recording's v2 bytes to
+	// an on-disk container and replay it from the file, instead of
+	// holding the bytes in memory while the recording is memoized.
+	// Spilled traces are content-addressed under CacheDir/traces (a
+	// temporary directory when the cache is off) and reused across
+	// processes after an integrity check.
 	SpillTraces bool
 
 	// LeaseTTL configures cross-process work leases on the cache (on by
@@ -305,11 +304,11 @@ type traceIdent struct {
 	Opts  map[string]int `json:"opts"`
 }
 
-// recordOut bundles what a record job produces: the reference stream —
-// an in-memory *memsys.Trace, or a *memsys.TraceFile streaming a
-// spilled v2 container out of core — plus the recording run's counters.
+// recordOut bundles what a record job produces: the recording — its v2
+// bytes in memory, or in a spilled container on disk — plus the
+// recording run's counters.
 type recordOut struct {
-	Trace memsys.TraceSource
+	Trace *memsys.Trace
 	Stats mach.Stats
 }
 

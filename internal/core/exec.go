@@ -61,6 +61,7 @@ type execIdent struct {
 type execPoint struct {
 	id     execIdent
 	record bool
+	spill  string // with trace spilling on, the record pick's key
 	picks  []runner.Handle
 	job    runner.Job[*execution]
 }
@@ -135,16 +136,20 @@ func (b *batch) countRuns(req Request, procs int) []runner.Job[*RunResult] {
 // one trace per program. It takes the trace its point's execution
 // recorded; an execution served from the cache, from another process's
 // lease or from an earlier graph carries none, and the pick records on
-// its own. With trace spilling on, the recordv2 job consults the spilled
-// container first and records independently instead.
+// its own. With trace spilling on (kind "recordv2") only where the bytes
+// live changes: the execution spills them (see wait), and a pick that
+// must record serves an earlier run's verified container if it can.
 func (b *batch) recordJob(id traceIdent) runner.Job[recordOut] {
-	if b.e.spillDir != "" {
-		return b.e.recordSpillJob(b.g, id)
+	e := b.e
+	kind := "record"
+	if e.spillDir != "" {
+		kind = "recordv2"
 	}
+	key := runner.KeyOf(kind, id)
 	var pt *execPoint // as in runJob
 	j := runner.Submit(b.g, runner.Spec{
-		Label:   fmt.Sprintf("record %s p=%d", id.App, id.Procs),
-		Key:     runner.KeyOf("record", id),
+		Label:   fmt.Sprintf("%s %s p=%d", kind, id.App, id.Procs),
+		Key:     key,
 		Lazy:    true,
 		NoStore: true,
 	}, func(ctx context.Context) (recordOut, error) {
@@ -155,12 +160,21 @@ func (b *batch) recordJob(id traceIdent) runner.Job[recordOut] {
 		if tr := x.trace.Swap(nil); tr != nil {
 			return recordOut{Trace: tr, Stats: x.Stats}, nil
 		}
-		tr, st, err := RecordApp(id.App, id.Procs, id.Opts)
-		return recordOut{Trace: tr, Stats: st}, err
+		record := func() (recordOut, error) {
+			tr, st, err := RecordApp(id.App, id.Procs, id.Opts)
+			return recordOut{Trace: tr, Stats: st}, err
+		}
+		if e.spillDir != "" {
+			return e.spill(key.String(), record)
+		}
+		return record()
 	})
 	if !j.Done() {
 		pt = b.point(id.App, mach.Config{Procs: id.Procs, MemModel: mach.CountOnly}, id.Opts)
 		pt.record = true
+		if e.spillDir != "" {
+			pt.spill = key.String()
+		}
 		pt.picks = append(pt.picks, j)
 	}
 	return j
@@ -168,8 +182,11 @@ func (b *batch) recordJob(id traceIdent) runner.Job[recordOut] {
 
 // wait completes the plan — one lazy, stored and leased exec job per
 // point that has pending picks, each pick depending on it — and runs the
-// graph. Afterwards it drops any trace no pick took (its replays were
-// served from the cache), so memoized executions never pin a stream.
+// graph. With trace spilling on, an execution spills its recording
+// before it returns: a pick waits for a worker behind every execution
+// already queued, and the recordings would pile up in memory meanwhile.
+// Afterwards wait drops any trace no pick took (its replays were served
+// from the cache), so memoized executions never pin one.
 func (b *batch) wait() error {
 	for _, pt := range b.order {
 		if len(pt.picks) == 0 {
@@ -177,14 +194,24 @@ func (b *batch) wait() error {
 		}
 		slices.SortFunc(pt.id.Taps, compareConfigs)
 		pt.id.Taps = slices.Compact(pt.id.Taps)
-		id, record := pt.id, pt.record
+		id, record, spill := pt.id, pt.record, pt.spill
 		pt.job = runner.Submit(b.g, runner.Spec{
 			Label: execLabel(id, record),
 			Key:   runner.KeyOf("exec", id),
 			Lazy:  true,
 		}, func(ctx context.Context) (*execution, error) {
 			x, _, err := execute(id.App, mach.Config{Procs: id.Procs, LineSize: id.LineSize, MemModel: mach.CountOnly}, id.Opts, id.Taps, record)
-			return x, err
+			if err != nil || spill == "" {
+				return x, err
+			}
+			out, err := b.e.spill(spill, func() (recordOut, error) {
+				return recordOut{Trace: x.trace.Load(), Stats: x.Stats}, nil
+			})
+			if err != nil {
+				return nil, err
+			}
+			x.trace.Store(out.Trace)
+			return x, nil
 		})
 		for _, p := range pt.picks {
 			b.g.Depend(p, pt.job)
@@ -196,7 +223,9 @@ func (b *batch) wait() error {
 			continue
 		}
 		if x, xerr := pt.job.Result(); xerr == nil {
-			x.trace.Store(nil)
+			if tr := x.trace.Swap(nil); tr != nil {
+				tr.Close()
+			}
 		}
 	}
 	return err

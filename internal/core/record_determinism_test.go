@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -11,7 +13,7 @@ import (
 	"splash2/internal/memsys"
 )
 
-// recordBytes records one app and serializes the trace.
+// recordBytes records one app and returns the recording's v2 bytes.
 func recordBytes(t *testing.T, app string, procs int, over map[string]int) []byte {
 	t.Helper()
 	tr, _, err := RecordApp(app, procs, over)
@@ -19,10 +21,42 @@ func recordBytes(t *testing.T, app string, procs int, over map[string]int) []byt
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
+	if _, err := tr.WriteV2(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// TestRecordingV2Golden pins every program's recording, byte for byte,
+// across commits: the SHA-256 of its v2 container at sweep scale and
+// P=8. A change to capture, the recorder's merge order or the block
+// encoding moves a digest; such a change must say why and re-pin.
+func TestRecordingV2Golden(t *testing.T) {
+	golden := map[string]string{
+		"barnes":    "d3cc5ccfcd618158320fa7b03d85d00b462c9ac403c6aaf364ee7283ccedfc0f",
+		"cholesky":  "51797a9a8dca253ce4f86b948acde6a97f80bef2e19c198a1f2a26180f248fdb",
+		"fft":       "56d662db26dac2dab8f66815e888fc3b805334743496d8106601d4b37fde7cf4",
+		"fmm":       "90911109722c5e58344e829937887b5be2a226742f6823a9e3d05085da723e1b",
+		"lu":        "946e1e3a16e709cdc7852f0cb17c02397f534907ae0fc84755830cd6343ad195",
+		"ocean":     "f2057df9e40b26a9c84ed6ea84539ac7dbf49406c4aa21d0f5b4cad4f3532658",
+		"radiosity": "6f99e70878f6742e9b80fc09d441cf1b714cf63aac1f915b5c91a872d6aa142d",
+		"radix":     "a928706e647798470b8c0e26ee7c810691b4ffb587036d57fb82d55bad6147bc",
+		"raytrace":  "3a2c6a670ad37fe7e7ccd2acdc8375ddaaae648533cc48b6dc23e8a7aaf7d91a",
+		"volrend":   "de543e8b6e870e3b3830fd989a6e244f2a35c85afa6b9c6994acbe5c20febca7",
+		"water-nsq": "e740a4af0e5cc0476a80d113a5785b84754b65283d3b66728d2c0209e1493219",
+		"water-sp":  "da5f0583a69ca1f000d87f4c1dc62bc59d5c9af7328d178b620f8fbe8b40722b",
+	}
+	if len(golden) != len(Suite) {
+		t.Fatalf("%d golden digests for %d programs", len(golden), len(Suite))
+	}
+	for _, app := range Suite {
+		t.Run(app, func(t *testing.T) {
+			sum := sha256.Sum256(recordBytes(t, app, 8, SweepScale.Overrides(app)))
+			if got := hex.EncodeToString(sum[:]); got != golden[app] {
+				t.Fatalf("recording's v2 container has SHA-256 %s, pinned %s", got, golden[app])
+			}
+		})
+	}
 }
 
 // underGOMAXPROCS runs f twice at GOMAXPROCS=1 and twice at GOMAXPROCS=2,

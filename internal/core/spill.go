@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -14,17 +13,15 @@ import (
 
 	"splash2/internal/mach"
 	"splash2/internal/memsys"
-	"splash2/internal/runner"
 )
 
-// Trace spilling: with EngineOptions.SpillTraces, a record job streams
-// the recorded reference stream into an on-disk columnar v2 container
-// and hands its consumers an out-of-core memsys.TraceFile instead of
-// the in-memory event array. Replay jobs (Figure 3, Figure 7–8)
-// consume TraceSource and stream block by block, so the
-// engine's peak memory for a sweep drops from O(trace) to O(block
-// buffer) — the difference between running paper-scale inputs on a
-// small box or not at all.
+// Trace spilling: a recording is its v2 bytes, and with
+// EngineOptions.SpillTraces those bytes go to an on-disk container as
+// soon as the execution that recorded them finishes; the record pick
+// hands its consumers a memsys.Trace over the file instead of over
+// memory. Replay jobs (Figure 3, Figure 7–8) stream block by block
+// either way, so spilling only decides whether a memoized recording
+// holds its encoded bytes in memory while its sweeps run.
 //
 // Spilled containers are content-addressed by the trace identity (the
 // same key space as every derived replay, SuiteVersion included), so a
@@ -100,38 +97,6 @@ func (e *Engine) spillPaths(key string) (trace, sidecar string) {
 	return base + ".sp2t", base + ".sp2t.json"
 }
 
-// recordSpillJob schedules one trace recording that spills to disk
-// (kind "recordv2"). Like recordJob it is lazy and never enters the
-// result cache itself — the container on disk *is* the cached artifact.
-func (e *Engine) recordSpillJob(g *runner.Graph, id traceIdent) runner.Job[recordOut] {
-	key := runner.KeyOf("recordv2", id)
-	name := key.String()
-	return runner.Submit(g, runner.Spec{
-		Label:   fmt.Sprintf("recordv2 %s p=%d", id.App, id.Procs),
-		Key:     key,
-		Lazy:    true,
-		NoStore: true,
-	}, func(ctx context.Context) (recordOut, error) {
-		if out, ok := e.loadSpilled(name); ok {
-			return out, nil
-		}
-		tr, st, err := RecordApp(id.App, id.Procs, id.Opts)
-		if err != nil {
-			return recordOut{}, err
-		}
-		if err := e.writeSpilled(name, tr, st); err != nil {
-			return recordOut{}, err
-		}
-		out, ok := e.loadSpilled(name)
-		if !ok {
-			// A concurrent writer replaced the pair between our renames;
-			// fall back to the trace in hand.
-			return recordOut{Trace: tr, Stats: st}, nil
-		}
-		return out, nil
-	})
-}
-
 // loadSpilled opens a previously spilled container after verifying its
 // sidecar hash. Any inconsistency — missing files, corrupt JSON, hash
 // mismatch, unreadable container — reads as a miss, never an error:
@@ -166,47 +131,72 @@ func (e *Engine) loadSpilled(key string) (recordOut, bool) {
 	return recordOut{Trace: tf, Stats: sc.Stats}, true
 }
 
-// writeSpilled streams the trace into a v2 container plus sidecar,
+// spill serves the verified container of key if an earlier run left
+// one. Otherwise it writes the v2 bytes of the recording record returns
+// and their SHA-256 to the container and sidecar paths of key,
 // atomically (tmp + rename, container first so a sidecar never
-// describes a missing file).
-func (e *Engine) writeSpilled(key string, tr *memsys.Trace, st mach.Stats) error {
-	tracePath, sidecarPath := e.spillPaths(key)
-	f, err := os.CreateTemp(e.spillDir, key+".tmp*")
+// describes a missing file), and serves a Trace over the file, so the
+// recording leaves memory. The container never enters the result
+// cache; it is the cached artifact.
+func (e *Engine) spill(key string, record func() (recordOut, error)) (recordOut, error) {
+	if out, ok := e.loadSpilled(key); ok {
+		return out, nil
+	}
+	rec, err := record()
 	if err != nil {
+		return recordOut{}, err
+	}
+	if err := e.writeSpilled(key, rec); err != nil {
+		return recordOut{}, err
+	}
+	out, ok := e.loadSpilled(key)
+	if !ok {
+		// A concurrent writer replaced the pair between our renames, or
+		// a read fault struck; serve the recording in hand.
+		return rec, nil
+	}
+	return out, nil
+}
+
+// writeSpilled writes the container and sidecar of spill.
+func (e *Engine) writeSpilled(key string, rec recordOut) error {
+	tracePath, sidecarPath := e.spillPaths(key)
+	h := sha256.New()
+	if err := e.writeAtomic(tracePath, key+".tmp*", func(w io.Writer) error {
+		_, err := rec.Trace.WriteV2(io.MultiWriter(w, h))
+		return err
+	}); err != nil {
 		return fmt.Errorf("core: spilling trace: %w", err)
 	}
-	h := sha256.New()
-	_, werr := tr.WriteV2(io.MultiWriter(f, h))
-	cerr := f.Close()
-	if werr == nil {
-		werr = cerr
+	raw, err := json.Marshal(spillSidecar{TraceSum: hex.EncodeToString(h.Sum(nil)), Stats: rec.Stats})
+	if err == nil {
+		err = e.writeAtomic(sidecarPath, key+".json.tmp*", func(w io.Writer) error {
+			_, err := w.Write(raw)
+			return err
+		})
 	}
-	if werr == nil {
-		werr = os.Rename(f.Name(), tracePath)
-	}
-	if werr != nil {
-		os.Remove(f.Name())
-		return fmt.Errorf("core: spilling trace: %w", werr)
-	}
-	raw, err := json.Marshal(spillSidecar{TraceSum: hex.EncodeToString(h.Sum(nil)), Stats: st})
 	if err != nil {
 		return fmt.Errorf("core: spilling trace sidecar: %w", err)
-	}
-	sf, err := os.CreateTemp(e.spillDir, key+".json.tmp*")
-	if err != nil {
-		return fmt.Errorf("core: spilling trace sidecar: %w", err)
-	}
-	_, werr = sf.Write(raw)
-	cerr = sf.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(sf.Name(), sidecarPath)
-	}
-	if werr != nil {
-		os.Remove(sf.Name())
-		return fmt.Errorf("core: spilling trace sidecar: %w", werr)
 	}
 	return nil
+}
+
+// writeAtomic writes path through a temporary file of the spill
+// directory, renamed into place only when every write succeeded.
+func (e *Engine) writeAtomic(path, pattern string, write func(io.Writer) error) error {
+	f, err := os.CreateTemp(e.spillDir, pattern)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }

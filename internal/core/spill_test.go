@@ -88,7 +88,7 @@ func TestSpillReuseAndCorruptionFallback(t *testing.T) {
 
 	// Drop only the result cache (its two-character shard directories),
 	// keeping the traces/ containers: the re-run must demand the record
-	// jobs again and serve them from disk (writeSpilled goes through
+	// jobs again and serve them from disk (spill goes through
 	// tmp+rename, so a rewrite would change the mtime).
 	dropResultCache := func() {
 		ents, err := os.ReadDir(dir)
@@ -144,7 +144,8 @@ func TestSpillReuseAndCorruptionFallback(t *testing.T) {
 // TestChaosSpilledTraceFaults drives spilled characterizations through
 // faults on the trace-read points ("trace.read", "trace.read.footer",
 // "trace.read.block:<i>"). Open- and footer-level faults strike inside
-// loadSpilled, which must degrade to re-recording — zero failures.
+// loadSpilled, which must degrade to the recording in memory — zero
+// failures.
 // Block-level faults strike mid-replay inside sweep jobs, so keep-going
 // loses those experiments; either way every surviving row must be
 // byte-identical to the fault-free run.

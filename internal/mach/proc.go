@@ -1,9 +1,11 @@
 package mach
 
 // refBufCap is the per-processor reference buffer size. Large enough to
-// amortize a flush — one pass of the write history, then one loop per
-// memory system — over 256 references, small enough that a buffer is a
-// few KiB of L1-resident state.
+// amortize a flush — one pass of the write history, one loop per memory
+// system, and a copy into the recorder's pending run — over 256
+// references, small enough that a buffer is a few KiB of L1-resident
+// state. Every consumer copies or consumes the batch during the flush,
+// so the buffer is reused.
 const refBufCap = 256
 
 // Proc is one simulated processor. All methods must be called only from
@@ -27,13 +29,13 @@ type Proc struct {
 	// Batched reference capture (see internal/README.md, "Event ordering
 	// under batched capture"). References append to evbuf/tmbuf with no
 	// interface call; flushRefs drains both into the machine's feed (every
-	// attached memory system) and the recorder (private sub-stream) at
+	// attached memory system) and the recorder (its pending run) at
 	// buffer-full, at every synchronization point and baton handoff, and
 	// at phase ends.
 	// epoch is the processor's Lamport-style synchronization epoch: it
 	// strictly increases across every release→acquire edge the processor
-	// participates in, which is what lets the recorder merge per-proc
-	// sub-streams into one deterministic legal global order.
+	// participates in, which is what lets the recorder order per-proc
+	// runs into one deterministic legal global order.
 	epoch uint64
 	evbuf []uint64 // packed addr<<8 | proc<<1 | write
 	tmbuf []uint64 // requestor logical clock per event
@@ -103,13 +105,9 @@ func (p *Proc) flushRefs() {
 		panic(err) // unreachable: processor ids are below the feed's bound
 	}
 	if rec := p.m.rec; rec != nil {
-		// The recorder takes ownership of the batch (zero-copy chunk);
-		// start a fresh buffer instead of truncating.
 		rec.RecordBatch(p.ID, p.epoch, p.evbuf)
-		p.evbuf = make([]uint64, 0, refBufCap)
-	} else {
-		p.evbuf = p.evbuf[:0]
 	}
+	p.evbuf = p.evbuf[:0]
 	p.tmbuf = p.tmbuf[:0]
 }
 

@@ -277,7 +277,7 @@ type SampledProfile struct {
 // estimated miss count and a jackknife confidence band. Measurement-
 // reset markers zero the counters while leaving every stack warm,
 // exactly like System.ResetStats. The stream is consumed block by
-// block, so a TraceFile profiles out of core; the pass is deterministic
+// block, so a trace on disk profiles out of core; the pass is deterministic
 // for a fixed seed.
 func SampledStackDistances(src TraceSource, lineSize, maxCacheSize int, opt SampledOptions) (*SampledProfile, error) {
 	if lineSize < WordBytes || lineSize&(lineSize-1) != 0 {
@@ -295,8 +295,7 @@ func SampledStackDistances(src TraceSource, lineSize, maxCacheSize int, opt Samp
 	shift := uint(bits.TrailingZeros(uint(lineSize)))
 	maxLines := maxCacheSize / lineSize
 
-	// The stream summary is cached on an in-memory trace and free from
-	// the index footer of a TraceFile.
+	// The stream summary is free from the index footer.
 	meta := src.Meta()
 	nproc := meta.MaxProc + 1
 	if nproc > 64 {

@@ -94,8 +94,8 @@ type SetAssocProfile struct {
 // power-of-two number of sets. Per processor, the counts equal Replay's
 // at each size, with or without replacement hints. Measurement-reset
 // markers zero the counters while leaving every cache warm, exactly like
-// System.ResetStats. The stream is consumed block by block, so a
-// TraceFile is profiled out of core.
+// System.ResetStats. The stream is consumed block by block, so a trace
+// on disk is profiled out of core.
 func SetAssocSweep(src TraceSource, lineSize, assoc int, cacheSizes []int) (*SetAssocProfile, error) {
 	if assoc < 1 {
 		return nil, fmt.Errorf("memsys: SetAssocSweep needs assoc ≥ 1, got %d (StackDistances answers fully associative caches)", assoc)

@@ -303,8 +303,8 @@ func (st *sdStack) compact() {
 // markers zero the counters while leaving every stack warm, exactly like
 // System.ResetStats. The stream is consumed block by block with slot-
 // compacted trees, so peak memory is O(block buffer + address space) —
-// a TraceFile profiles out of core, and the result is bit-identical to
-// the in-memory pass.
+// a trace on disk profiles out of core, and the result is bit-identical
+// to the in-memory pass.
 func StackDistances(src TraceSource, lineSize, maxCacheSize int) (*StackProfile, error) {
 	sp, err := SampledStackDistances(src, lineSize, maxCacheSize, SampledOptions{Rate: 1})
 	if err != nil {

@@ -1,13 +1,17 @@
 package memsys
 
 import (
+	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
+
+	"splash2/internal/fault"
 )
 
 // Trace is a recorded global reference interleaving — processor, address,
@@ -21,45 +25,40 @@ import (
 // streams across a whole Figure-3 sweep, and is an order of magnitude
 // faster than re-running the program, exactly like driving the cache
 // simulator from a reference generator (Tango-Lite).
+//
+// A Trace is a v2 container (tracev2.go) behind an io.ReaderAt: the
+// bytes a Recorder encoded, held in memory, or a file opened with
+// OpenTraceFile. The header and index footer are parsed when it is
+// opened; the event blocks stay encoded, and every pass decodes them as
+// it streams, so ReplayMulti and StackDistances hold O(block buffer),
+// never the stream — a multi-gigabyte paper-scale trace replays from
+// disk. The footer also enables random access: DecodeBlock and
+// EpochWindow decode any block or epoch range without touching the
+// prefix.
+//
+// A Trace is safe for concurrent use: every pass and DecodeBlock call
+// keeps its own buffers, over a ReaderAt that must be concurrency-safe,
+// as *bytes.Reader and *os.File are. Replay jobs share one recording.
 type Trace struct {
-	// events packs one access per entry: addr<<8 | proc<<1 | write.
-	events []uint64
+	r      io.ReaderAt
+	size   int64
+	closer io.Closer
+	inj    *fault.Injector
 
-	// spans is the per-processor run structure of events: the recorder's
-	// merge produces one span per (epoch, processor) run, the v2 decoder
-	// one per block, and the v1 decoder derives runs (and reset-marker
-	// eras as epochs) by one scan, so the columnar v2 writer emits
-	// epoch-stamped blocks without rediscovering the runs.
-	spans []traceSpan
-
-	// Home map of the recording machine, at its line granularity.
 	homeLineSize int
 	homes        []int32
-
-	// One-pass stream summary (max processor, address range, per-proc
-	// reference counts), computed lazily and cached: MaxProc, ReplayMulti
-	// and StackDistances all consult it, and traces are shared read-only
-	// across concurrent replay jobs, so the scan must run at most once.
-	metaOnce sync.Once
-	meta     TraceMeta
+	meta         TraceMeta
+	index        []BlockInfo
+	footerOff    int64
 }
 
-// traceSpan is one maximal run of consecutive events issued by a single
-// processor within one synchronization epoch (proc == spanMarker flags a
-// measurement-reset marker, n == 1).
-type traceSpan struct {
-	epoch uint64
-	proc  int
-	n     int
-}
-
-// spanMarker is the traceSpan proc value of a reset-marker span.
-const spanMarker = -1
+// TraceFile is the name a Trace opened over a file goes by
+// (OpenTraceFile, NewTraceFile); it is the same type.
+type TraceFile = Trace
 
 // TraceMeta is the one-pass summary of a reference stream: everything a
-// replay needs to pre-size its tables without walking the events. For an
-// in-memory Trace it is computed once and cached; a v2 trace file stores
-// it in the index footer, so no decode pass is needed at all.
+// replay needs to pre-size its tables without walking the events. A v2
+// container stores it in the index footer, so no decode pass is needed.
 type TraceMeta struct {
 	// HomeLineSize is the home-map granularity of the recording machine.
 	HomeLineSize int
@@ -85,23 +84,23 @@ func (m TraceMeta) Len() int { return int(m.Refs + m.Markers) }
 
 // addrHint is the highest address a replay pass sizes its tables for
 // at the first block: MaxAddr, capped at one word per reference. A
-// TraceFile proves its footer's MaxAddr only when a pass ends, and
+// Trace proves its footer's MaxAddr only when a pass ends, and
 // every reference it counts is backed by a byte of file, so an
 // overstated maximum cannot demand tables the blocks do not back.
 // Passes grow past the hint as the stream shows higher addresses.
 func (m TraceMeta) addrHint() Addr { return min(m.MaxAddr, Addr(m.Refs*WordBytes)) }
 
-// TraceSource is a replayable reference stream: either an in-memory
-// Trace or an out-of-core TraceFile streaming a v2 container from disk.
-// ReplayMulti and StackDistances consume sources block by block, so
-// their peak memory is O(block buffer + address space), never O(trace).
+// TraceSource is a replayable reference stream: a Trace, or an epoch
+// window of one (EpochWindow). ReplayMulti and StackDistances consume
+// sources block by block, so their peak memory is O(block buffer +
+// address space), never O(trace).
 //
 // The blocks method is unexported on purpose: a source must uphold
 // in-package invariants (events yielded in exact recorded order, buffers
 // valid only until the callback returns), so only memsys types implement
 // it.
 type TraceSource interface {
-	// Meta returns the stream summary (cheap: cached or footer-backed).
+	// Meta returns the stream summary (cheap: footer-backed).
 	Meta() TraceMeta
 	// HomeFn adapts the recorded home map to a replay line size.
 	HomeFn(lineSize int) HomeFn
@@ -123,14 +122,6 @@ func traceEvent(proc int, a Addr, write bool) uint64 {
 // resetMarker flags an epoch boundary in the stream.
 const resetMarker = uint64(127) << 1
 
-func (t *Trace) decode(i int) (proc int, a Addr, write bool) {
-	e := t.events[i]
-	return int(e >> 1 & 0x7f), Addr(e >> 8), e&1 == 1
-}
-
-// Len returns the stream length in events, reset markers included.
-func (t *Trace) Len() int { return len(t.events) }
-
 // homeFn adapts a recorded home map to any replay line size: the home of
 // a byte address is looked up at the recording granularity.
 func homeFn(homes []int32, homeLineSize, lineSize int) HomeFn {
@@ -143,50 +134,34 @@ func homeFn(homes []int32, homeLineSize, lineSize int) HomeFn {
 	}
 }
 
-// HomeFn adapts the recorded home map to any replay line size.
-func (t *Trace) HomeFn(lineSize int) HomeFn {
-	return homeFn(t.homes, t.homeLineSize, lineSize)
-}
-
 // maxTraceProcs is the number of processor ids a trace can carry: the
 // packed encoding has 7 bits for the processor, and id 127 is reserved
 // as the measurement-reset marker, leaving ids 0..126.
 const maxTraceProcs = 127
 
-// epochRun is one contiguous span of a processor sub-stream recorded
-// within a single synchronization epoch.
-type epochRun struct {
-	epoch uint64
-	n     int
-}
-
-// procStream is one processor's private event sub-stream. Only its
-// processor appends to it, so no lock guards the hot path. Storage is a
-// chunk list of caller-donated batch buffers — RecordBatch takes
-// ownership instead of copying, so capture does no per-event copy and no
-// growth-doubling churn; runs carry the sync-epoch stamps the
-// deterministic merge in Finish orders by.
-type procStream struct {
-	chunks [][]uint64
-	runs   []epochRun
-}
-
-// Recorder accumulates a Trace. RecordBatch/RecordResetAt append whole
-// per-processor batches to private sub-streams stamped with
-// synchronization epochs; Finish merges them into one legal global order
-// deterministically (by epoch, then processor, then local index), so
-// recording the same deterministic program is byte-identical across runs
-// and GOMAXPROCS settings. internal/mach's batched flush path drives it.
+// Recorder captures a Trace as v2 bytes, encoding as it goes. Each
+// processor keeps one pending run — its events of one synchronization
+// epoch not yet encoded, at most v2BlockCap — and encodes it as an
+// events block when the run fills or the processor's epoch moves on.
+// Finish orders the blocks and reset markers into one legal global
+// order deterministically (by epoch, then processor, markers first),
+// so recording the same deterministic program is byte-identical across
+// runs and GOMAXPROCS settings. internal/mach's batched flush path
+// drives it; its baton serializes the calls.
 type Recorder struct {
 	homeLineSize int
-	streams      []procStream
-	markers      []uint64 // sync epochs of reset markers, nondecreasing
+	runs         []v2Run // the pending run of each processor id
+	enc          v2Enc
 }
 
 // NewRecorder creates a recorder for a machine whose home map has the
 // given line granularity.
 func NewRecorder(homeLineSize int) *Recorder {
-	return &Recorder{homeLineSize: homeLineSize, streams: make([]procStream, maxTraceProcs)}
+	r := &Recorder{homeLineSize: homeLineSize, runs: make([]v2Run, maxTraceProcs)}
+	for p := range r.runs {
+		r.runs[p].proc = p
+	}
+	return r
 }
 
 // checkProc bounds-checks a processor id against the trace encoding.
@@ -199,24 +174,22 @@ func checkProc(proc int) {
 
 // RecordBatch appends a batch of packed events (traceEvent encoding,
 // all by proc) recorded within the given synchronization epoch to the
-// processor's private sub-stream. Each simulated processor flushes only
-// its own sub-stream, and quiescence at Finish is the caller's contract
-// (internal/mach flushes every buffer at phase ends before finishing).
-// Epochs must be nondecreasing per processor. The recorder takes
-// ownership of the events slice — the caller must hand over a buffer it
-// will not touch again.
+// processor's pending run. The events are copied, so the caller keeps
+// its buffer. Each simulated processor flushes only its own events, and
+// quiescence at Finish is the caller's contract (internal/mach flushes
+// every buffer at phase ends before finishing). Epochs must be
+// nondecreasing per processor.
 func (r *Recorder) RecordBatch(proc int, epoch uint64, events []uint64) {
 	checkProc(proc)
 	if len(events) == 0 {
 		return
 	}
-	st := &r.streams[proc]
-	if k := len(st.runs) - 1; k >= 0 && st.runs[k].epoch == epoch {
-		st.runs[k].n += len(events)
-	} else {
-		st.runs = append(st.runs, epochRun{epoch: epoch, n: len(events)})
+	run := &r.runs[proc]
+	if run.epoch != epoch {
+		r.enc.flush(run)
+		run.epoch = epoch
 	}
-	st.chunks = append(st.chunks, events)
+	r.enc.add(run, events)
 }
 
 // RecordResetAt records a measurement-reset marker at a synchronization
@@ -226,139 +199,35 @@ func (r *Recorder) RecordBatch(proc int, epoch uint64, events []uint64) {
 // blocked (Machine.Epoch runs it inside the barrier, ResetStats between
 // phases) — with epochs nondecreasing across calls.
 func (r *Recorder) RecordResetAt(epoch uint64) {
-	r.markers = append(r.markers, epoch)
+	r.enc.marker(epoch)
 }
 
-// mergeRun is one sortable span of the deterministic merge: a span of
-// a processor sub-stream starting at chunk ci offset off, or a reset
-// marker (proc == -1, n == 0).
-type mergeRun struct {
-	epoch   uint64
-	proc    int
-	ci, off int
-	n       int
-}
-
-// mergeBatches flattens the per-processor sub-streams and reset markers
-// into one legal global event order: by sync epoch, then processor id
-// (markers first), then local index. Cross-processor order inside one
-// epoch is a choice — any order is legal there, because an epoch by
-// construction contains no release→acquire edge — and this fixed choice
-// is what makes recordings byte-identical across runs. Alongside the
-// flat stream it returns the (epoch, proc) span structure — the merged
-// runs are exactly the column blocks of the v2 container, so WriteV2
-// can emit them without rediscovery.
-func (r *Recorder) mergeBatches() ([]uint64, []traceSpan) {
-	var runs []mergeRun
-	total := 0
-	for _, e := range r.markers {
-		runs = append(runs, mergeRun{epoch: e, proc: -1})
-		total++
-	}
-	for p := range r.streams {
-		st := &r.streams[p]
-		// The chunk list concatenates in run-list (arrival) order, so a
-		// walk in that order pins each run's starting chunk position
-		// before the sort below rearranges the runs.
-		ci, off := 0, 0
-		for _, run := range st.runs {
-			runs = append(runs, mergeRun{epoch: run.epoch, proc: p, ci: ci, off: off, n: run.n})
-			for skip := run.n; skip > 0; {
-				take := len(st.chunks[ci]) - off
-				if take > skip {
-					take = skip
-				}
-				off += take
-				skip -= take
-				if off == len(st.chunks[ci]) {
-					ci++
-					off = 0
-				}
-			}
-		}
-		for _, ch := range st.chunks {
-			total += len(ch)
-		}
-	}
-	// Stable sort keeps a processor's same-epoch runs (multiple
-	// buffer-full flushes between sync points) in append order.
-	sort.SliceStable(runs, func(i, j int) bool {
-		if runs[i].epoch != runs[j].epoch {
-			return runs[i].epoch < runs[j].epoch
-		}
-		return runs[i].proc < runs[j].proc
-	})
-	out := make([]uint64, 0, total)
-	var spans []traceSpan
-	for _, run := range runs {
-		if run.proc < 0 {
-			out = append(out, resetMarker)
-			spans = append(spans, traceSpan{epoch: run.epoch, proc: spanMarker, n: 1})
-			continue
-		}
-		if k := len(spans) - 1; k >= 0 && spans[k].proc == run.proc && spans[k].epoch == run.epoch {
-			spans[k].n += run.n
-		} else {
-			spans = append(spans, traceSpan{epoch: run.epoch, proc: run.proc, n: run.n})
-		}
-		st := &r.streams[run.proc]
-		ci, off := run.ci, run.off
-		for n := run.n; n > 0; {
-			ch := st.chunks[ci]
-			take := len(ch) - off
-			if take > n {
-				take = n
-			}
-			out = append(out, ch[off:off+take]...)
-			off += take
-			n -= take
-			if off == len(ch) {
-				ci++
-				off = 0
-			}
-		}
-	}
-	return out, spans
-}
-
-// Finish merges the sub-streams, attaches the home map and returns the
-// completed trace. The recorder must not be used afterwards.
+// Finish encodes the pending runs, orders every block by (epoch,
+// processor) — markers first, and a processor's blocks of one epoch in
+// recording order — attaches the home map and returns the recording.
+// Cross-processor order inside one epoch is a choice: any order is legal
+// there, because an epoch by construction contains no release→acquire
+// edge, and this fixed one makes recordings byte-identical across runs.
+// The recorder must not be used afterwards.
 func (r *Recorder) Finish(homes []int32) *Trace {
-	tr := &Trace{homeLineSize: r.homeLineSize, homes: append([]int32(nil), homes...)}
-	tr.events, tr.spans = r.mergeBatches()
-	r.streams = nil
-	return tr
-}
-
-// Meta returns the stream summary, computing the one-pass scan on first
-// use and caching it (the trace is immutable once handed out, and may be
-// consulted by many replay jobs concurrently).
-func (t *Trace) Meta() TraceMeta {
-	t.metaOnce.Do(func() {
-		m := TraceMeta{HomeLineSize: t.homeLineSize}
-		var procRefs [maxTraceProcs + 1]uint64
-		for _, e := range t.events {
-			if e == resetMarker {
-				m.Markers++
-				continue
-			}
-			m.Refs++
-			p := int(e >> 1 & 0x7f)
-			procRefs[p]++
-			if p > m.MaxProc {
-				m.MaxProc = p
-			}
-			if a := Addr(e >> 8); a > m.MaxAddr {
-				m.MaxAddr = a
-			}
+	for p := range r.runs {
+		r.enc.flush(&r.runs[p])
+	}
+	r.runs = nil
+	key := func(b v2Block) int {
+		if b.marker {
+			return -1
 		}
-		if m.Refs > 0 {
-			m.ProcRefs = append([]uint64(nil), procRefs[:m.MaxProc+1]...)
-		}
-		m.MinProcs = minProcs(m.MaxProc, t.homes)
-		t.meta = m
+		return b.proc
+	}
+	slices.SortStableFunc(r.enc.blocks, func(a, b v2Block) int {
+		return cmp.Or(cmp.Compare(a.epoch, b.epoch), cmp.Compare(key(a), key(b)))
 	})
-	return t.meta
+	tr, err := r.enc.container(r.homeLineSize, homes)
+	if err != nil {
+		panic(fmt.Sprintf("memsys: recorder built an unreadable container: %v", err))
+	}
+	return tr
 }
 
 // minProcs returns the processor count a stream demands of a replay
@@ -397,26 +266,13 @@ func blockMaxAddr(events []uint64) Addr {
 	return Addr(m)
 }
 
-// replayBlockSize is the event-block granularity of in-memory replay:
-// each system consumes a whole block before the next system starts it,
-// so its cache and directory state stay hot, and the per-block lastWrite
+// replayBlockSize is the event granularity of replay: Trace.blocks
+// coalesces consecutive container blocks into yields of up to this many
+// events. Each system consumes a whole yield before the next system
+// starts it, so its cache and directory state stay hot, ReplayMulti's
+// workers meet at one barrier per yield, and the per-yield lastWrite
 // buffer stays small enough to live in L2.
 const replayBlockSize = 4096
-
-// blocks yields the in-memory event stream in replayBlockSize chunks
-// (no copy — the yielded slices alias the trace).
-func (t *Trace) blocks(yield func(events []uint64) error) error {
-	for lo := 0; lo < len(t.events); lo += replayBlockSize {
-		hi := lo + replayBlockSize
-		if hi > len(t.events) {
-			hi = len(t.events)
-		}
-		if err := yield(t.events[lo:hi]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // Replay feeds the stream through a fresh memory system with the given
 // configuration and returns the resulting statistics.
@@ -433,7 +289,7 @@ func Replay(src TraceSource, cfg Config) (Stats, error) {
 // the per-word write history happen once for the whole sweep instead of
 // once per configuration — one Feed drives every system. The stream is
 // consumed block by block, so peak memory is O(block buffer + address
-// space) — never O(trace) — and a multi-gigabyte TraceFile replays
+// space) — never O(trace) — and a multi-gigabyte trace on disk replays
 // out-of-core on a small box. When several CPUs are available the
 // systems are sharded across them — each system is still driven by
 // exactly one goroutine over the read-only stream, so the statistics are
@@ -526,36 +382,37 @@ const traceMagic = 0x53504c32 // "SPL2"
 
 // WriteTo serializes the trace in the flat v1 format (little-endian
 // binary): magic, line size, home count, homes, event count, events —
-// 8 bytes per event. It implements io.WriterTo. WriteV2 produces the
-// compact columnar container instead; ReadTrace accepts both.
+// 8 bytes per event, decoded from the blocks in stream order. It
+// implements io.WriterTo. WriteV2 copies the compact v2 container
+// instead; ReadTrace accepts both.
 func (t *Trace) WriteTo(w io.Writer) (int64, error) {
+	bw := bufio.NewWriter(w)
+	buf := binary.LittleEndian.AppendUint32(nil, traceMagic)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(t.homeLineSize))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(t.homes)))
+	for _, h := range t.homes {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(h))
+	}
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(t.Len()))
 	var n int64
-	write := func(v any) error {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
+	write := func(b []byte) error {
+		k, err := bw.Write(b)
+		n += int64(k)
+		return err
+	}
+	if err := write(buf); err != nil {
+		return n, err
+	}
+	if err := t.blocks(func(events []uint64) error {
+		buf = buf[:0]
+		for _, e := range events {
+			buf = binary.LittleEndian.AppendUint64(buf, e)
 		}
-		n += int64(binary.Size(v))
-		return nil
-	}
-	if err := write(uint32(traceMagic)); err != nil {
+		return write(buf)
+	}); err != nil {
 		return n, err
 	}
-	if err := write(uint32(t.homeLineSize)); err != nil {
-		return n, err
-	}
-	if err := write(uint64(len(t.homes))); err != nil {
-		return n, err
-	}
-	if err := write(t.homes); err != nil {
-		return n, err
-	}
-	if err := write(uint64(len(t.events))); err != nil {
-		return n, err
-	}
-	if err := write(t.events); err != nil {
-		return n, err
-	}
-	return n, nil
+	return n, bw.Flush()
 }
 
 // maxHomeLineSize bounds the recorded home-map granularity a trace file
@@ -602,7 +459,9 @@ func readChunked[T any](r io.Reader, n uint64, what string) ([]T, error) {
 // ReadTrace deserializes a trace written by WriteTo or WriteV2, sniffing
 // the version from the magic. The input is treated as untrusted:
 // truncated or corrupt files yield a descriptive error, never a panic or
-// an unbounded allocation.
+// an unbounded allocation. A v2 input is decoded once in full before it
+// is returned, so every block has been proved; a v1 input is encoded to
+// v2 as it is read.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	var magic uint32
 	if err := binary.Read(r, binary.LittleEndian, &magic); err != nil {
@@ -612,23 +471,29 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	case traceMagic:
 		return readTraceV1(r)
 	case traceMagicV2:
-		// A v2 container is parsed one way: buffer it (as many bytes as
-		// the input really holds) and decode it through TraceFile.
+		// Buffer as many bytes as the input really holds.
 		var buf bytes.Buffer
 		buf.Write(binary.LittleEndian.AppendUint32(nil, magic))
 		if _, err := buf.ReadFrom(r); err != nil {
 			return nil, fmt.Errorf("memsys: trace truncated reading v2 container: %w", err)
 		}
-		tf, err := NewTraceFile(bytes.NewReader(buf.Bytes()), int64(buf.Len()), nil)
+		tr, err := NewTraceFile(bytes.NewReader(buf.Bytes()), int64(buf.Len()), nil)
 		if err != nil {
 			return nil, err
 		}
-		return tf.load()
+		if err := tr.blocks(func([]uint64) error { return nil }); err != nil {
+			return nil, err
+		}
+		return tr, nil
 	}
 	return nil, fmt.Errorf("memsys: bad trace magic %#x (want %#x or %#x)", magic, traceMagic, traceMagicV2)
 }
 
-// readTraceV1 decodes the flat v1 body following the magic.
+// readTraceV1 decodes the flat v1 body following the magic, encoding
+// the events in file order through the recorder's block encoder. A v1
+// stream carries no epochs: runs break at processor changes, and each
+// reset marker opens a new era, numbered as the recorder numbers epochs
+// — the marker sorts with the era that follows it.
 func readTraceV1(r io.Reader) (*Trace, error) {
 	var lineSize uint32
 	if err := binary.Read(r, binary.LittleEndian, &lineSize); err != nil {
@@ -649,14 +514,42 @@ func readTraceV1(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	events, err := readChunked[uint64](r, ne, "events")
-	if err != nil {
-		return nil, err
+	var enc v2Enc
+	var run v2Run
+	var era uint64
+	// Read in bounded chunks, so a corrupt count produces a truncation
+	// error instead of a gigantic up-front allocation.
+	chunk := make([]uint64, min(ne, 1<<16))
+	for read := uint64(0); read < ne; {
+		events := chunk[:min(ne-read, uint64(len(chunk)))]
+		if err := binary.Read(r, binary.LittleEndian, events); err != nil {
+			return nil, fmt.Errorf("memsys: trace truncated reading events (%d of %d decoded): %w", read, ne, err)
+		}
+		for i := 0; i < len(events); {
+			if events[i] == resetMarker {
+				enc.flush(&run)
+				era++
+				enc.marker(era)
+				i++
+				continue
+			}
+			p := int(events[i] >> 1 & 0x7f)
+			if p >= maxTraceProcs {
+				return nil, fmt.Errorf("memsys: corrupt trace: event %d is by processor %d, the reset-marker id", read+uint64(i), p)
+			}
+			j := i + 1
+			for j < len(events) && events[j] != resetMarker && int(events[j]>>1&0x7f) == p {
+				j++
+			}
+			if p != run.proc || era != run.epoch {
+				enc.flush(&run)
+				run.proc, run.epoch = p, era
+			}
+			enc.add(&run, events[i:j])
+			i = j
+		}
+		read += uint64(len(events))
 	}
-	return &Trace{homeLineSize: int(lineSize), homes: homes, events: events, spans: deriveSpans(events)}, nil
-}
-
-// MaxProc returns the highest processor id appearing in the trace.
-func (t *Trace) MaxProc() int {
-	return t.Meta().MaxProc
+	enc.flush(&run)
+	return enc.container(int(lineSize), homes)
 }

@@ -14,7 +14,7 @@ func TestRecorderProcLimit(t *testing.T) {
 	rec := NewRecorder(64)
 	rec.RecordBatch(0, 0, []uint64{traceEvent(0, 8, false)})
 	rec.RecordBatch(126, 0, []uint64{traceEvent(126, 16, true)}) // highest legal id
-	if got := rec.Finish(nil).MaxProc(); got != 126 {
+	if got := rec.Finish(nil).Meta().MaxProc; got != 126 {
 		t.Fatalf("MaxProc=%d, want 126", got)
 	}
 	for _, proc := range []int{127, 128, -1} {
@@ -93,15 +93,10 @@ func TestRecordBatchMergeOrder(t *testing.T) {
 	rec.RecordBatch(0, 1, []uint64{e0})
 	rec.RecordBatch(1, 1, []uint64{e1})
 	rec.RecordResetAt(1)
-	tr := rec.Finish(nil)
+	got := collectEvents(t, rec.Finish(nil))
 	want := []uint64{resetMarker, e0, e1, e2}
-	if len(tr.events) != len(want) {
-		t.Fatalf("got %d events, want %d", len(tr.events), len(want))
-	}
-	for i := range want {
-		if tr.events[i] != want[i] {
-			t.Fatalf("event %d = %#x, want %#x", i, tr.events[i], want[i])
-		}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("got events %#x, want %#x", got, want)
 	}
 }
 
@@ -114,12 +109,9 @@ func TestRecordBatchSameEpochRunsKeepOrder(t *testing.T) {
 	c := traceEvent(0, 24, false)
 	rec.RecordBatch(0, 5, []uint64{a})
 	rec.RecordBatch(0, 5, []uint64{b, c})
-	tr := rec.Finish(nil)
-	want := []uint64{a, b, c}
-	for i := range want {
-		if tr.events[i] != want[i] {
-			t.Fatalf("event %d = %#x, want %#x", i, tr.events[i], want[i])
-		}
+	got := collectEvents(t, rec.Finish(nil))
+	if want := []uint64{a, b, c}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("got events %#x, want %#x", got, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package memsys
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -10,10 +11,20 @@ import (
 )
 
 // flatTrace builds the trace a v1 file holding events decodes to: a
-// 64-byte home granularity, and spans derived by one scan with the
+// 64-byte home granularity, runs broken at processor changes and the
 // reset markers as epoch boundaries.
 func flatTrace(events []uint64, homes []int32) *Trace {
-	return &Trace{homeLineSize: 64, homes: homes, events: events, spans: deriveSpans(events)}
+	var v1 bytes.Buffer
+	for _, v := range []any{uint32(traceMagic), uint32(64), uint64(len(homes)), homes, uint64(len(events)), events} {
+		if err := binary.Write(&v1, binary.LittleEndian, v); err != nil {
+			panic(err)
+		}
+	}
+	tr, err := ReadTrace(&v1)
+	if err != nil {
+		panic(err)
+	}
+	return tr
 }
 
 func buildTrace(seed int64, procs, events int) *Trace {
@@ -46,10 +57,8 @@ func TestTraceRoundTripSerialization(t *testing.T) {
 	if back.Len() != tr.Len() || back.homeLineSize != tr.homeLineSize {
 		t.Fatalf("round trip mismatch: %d/%d events", back.Len(), tr.Len())
 	}
-	for i := range tr.events {
-		if tr.events[i] != back.events[i] {
-			t.Fatalf("event %d differs", i)
-		}
+	if !reflect.DeepEqual(collectEvents(t, tr), collectEvents(t, back)) {
+		t.Fatal("round trip changed the event stream")
 	}
 	for i := range tr.homes {
 		if tr.homes[i] != back.homes[i] {
@@ -201,7 +210,7 @@ func TestTraceMaxProcSkipsMarkers(t *testing.T) {
 	rec.RecordBatch(3, 0, []uint64{traceEvent(3, 0, false)})
 	rec.RecordResetAt(1)
 	tr := rec.Finish(nil)
-	if got := tr.MaxProc(); got != 3 {
+	if got := tr.Meta().MaxProc; got != 3 {
 		t.Fatalf("MaxProc=%d, want 3", got)
 	}
 }

@@ -3,8 +3,11 @@ package memsys
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -365,7 +368,7 @@ func FuzzReadTraceV2(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if !bytes.Equal(u64Bytes(streamed), u64Bytes(tr.events)) {
+		if !bytes.Equal(u64Bytes(streamed), eventWords(t, tr)) {
 			t.Fatal("TraceFile streams a different event sequence")
 		}
 		// Re-serialize and decode again: the stream must survive.
@@ -377,13 +380,13 @@ func FuzzReadTraceV2(f *testing.F) {
 		if rerr != nil {
 			t.Fatalf("re-serialized v2 trace rejected: %v", rerr)
 		}
-		if !bytes.Equal(eventWords(tr2), eventWords(tr)) {
+		if !bytes.Equal(eventWords(t, tr2), eventWords(t, tr)) {
 			t.Fatal("v2 round trip changed the event stream")
 		}
 	})
 }
 
-func eventWords(tr *Trace) []byte { return u64Bytes(tr.events) }
+func eventWords(t testing.TB, tr *Trace) []byte { return u64Bytes(collectEvents(t, tr)) }
 
 func u64Bytes(events []uint64) []byte {
 	out := make([]byte, 0, 8*len(events))
@@ -391,4 +394,140 @@ func u64Bytes(events []uint64) []byte {
 		out = binary.LittleEndian.AppendUint64(out, e)
 	}
 	return out
+}
+
+// decodeV2PayloadRef is decodeV2Payload's reference: the plain loop —
+// one varint call per address, the 56-bit bound checked on every
+// address, the write bit read per event.
+func decodeV2PayloadRef(payload []byte, proc, count int, dst []uint64) ([]uint64, Addr, error) {
+	nb := (count + 7) / 8
+	if len(payload) < nb {
+		return dst, 0, errors.New("bitmap")
+	}
+	bitmap, rest := payload[:nb], payload[nb:]
+	var addr uint64
+	var maxA Addr
+	for i := 0; i < count; i++ {
+		if i == 0 {
+			v, n := binary.Uvarint(rest)
+			if n <= 0 {
+				return dst, 0, errors.New("base varint")
+			}
+			rest, addr = rest[n:], v
+		} else {
+			d, n := binary.Varint(rest)
+			if n <= 0 {
+				return dst, 0, errors.New("delta varint")
+			}
+			rest, addr = rest[n:], uint64(int64(addr)+d)
+		}
+		if addr > maxTraceAddr {
+			return dst, 0, errors.New("56-bit")
+		}
+		e := addr<<8 | uint64(proc)<<1
+		if bitmap[i/8]&(1<<(i%8)) != 0 {
+			e |= 1
+		}
+		dst = append(dst, e)
+		maxA = max(maxA, Addr(addr))
+	}
+	if len(rest) != 0 {
+		return dst, 0, errors.New("trailing")
+	}
+	return dst, maxA, nil
+}
+
+// TestDecodeV2PayloadMatchesReference: on generated payloads — 1-byte
+// and multi-byte deltas, negative deltas, pad bits set in the last
+// bitmap byte, an address past 56 bits, trailing bytes, truncations,
+// non-minimal and overlong varints, wrong counts and random byte flips —
+// the decoder must accept exactly the payloads the reference accepts,
+// with the same events and maximum.
+func TestDecodeV2PayloadMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	type input struct {
+		name    string
+		payload []byte
+		count   int
+	}
+	var inputs []input
+	add := func(name string, payload []byte, count int) {
+		inputs = append(inputs, input{name, payload, count})
+	}
+	gen := func(n int, stride func() int64) []uint64 {
+		events := make([]uint64, n)
+		addr := int64(1 << 20)
+		for i := range events {
+			events[i] = uint64(addr)<<8 | uint64(rng.Intn(2))
+			addr = max(addr+stride(), 0)
+		}
+		return events
+	}
+	strides := map[string]func() int64{
+		"1-byte deltas":     func() int64 { return int64(rng.Intn(64)) - 32 },
+		"multi-byte deltas": func() int64 { return int64(rng.Intn(1<<24)) - 1<<23 },
+		"negative deltas":   func() int64 { return -int64(rng.Intn(200)) },
+		"mixed deltas": func() int64 {
+			if rng.Intn(4) == 0 {
+				return int64(rng.Intn(1 << 30))
+			}
+			return int64(rng.Intn(16)) * 8
+		},
+	}
+	for name, stride := range strides {
+		for _, n := range []int{1, 7, 8, 9, 100, 4096} {
+			_, p, _ := appendV2Events(nil, nil, 3, 0, gen(n, stride))
+			p = append([]byte(nil), p...)
+			add(name, p, n)
+			if n%8 != 0 {
+				padded := append([]byte(nil), p...)
+				padded[(n+7)/8-1] |= 0xff << (n % 8)
+				add(name+", pad bits set", padded, n)
+			}
+			add(name+", trailing byte", append(append([]byte(nil), p...), 0x02), n)
+			add(name+", truncated", p[:len(p)-1], n)
+			add(name+", count+1", p, n+1)
+			add(name+", count-1", p, n-1)
+			for range 8 {
+				flipped := append([]byte(nil), p...)
+				flipped[rng.Intn(len(flipped))] ^= byte(1 + rng.Intn(255))
+				add(name+", byte flipped", flipped, n)
+			}
+		}
+	}
+	past56 := func(base uint64, deltas ...int64) []byte {
+		p := []byte{0}
+		p = binary.AppendUvarint(p, base)
+		for _, d := range deltas {
+			p = binary.AppendVarint(p, d)
+		}
+		return p
+	}
+	add("largest address", past56(maxTraceAddr, -8, 8), 3)
+	add("base past 56 bits", past56(maxTraceAddr+1, -8), 2)
+	add("delta past 56 bits", past56(maxTraceAddr-8, 16, -16), 3)
+	add("delta below zero", past56(8, -16, 16), 3)
+	add("empty payload", nil, 1)
+	add("non-minimal 2-byte delta", []byte{0, 8, 0x80, 0x00}, 2)
+	add("non-minimal 3-byte delta", []byte{0, 8, 0x90, 0x80, 0x00}, 2)
+	add("overlong delta", append([]byte{0, 8}, bytes.Repeat([]byte{0xff}, 10)...), 2)
+
+	accepted := 0
+	for _, in := range inputs {
+		want, wantMax, wantErr := decodeV2PayloadRef(in.payload, 3, in.count, nil)
+		got, gotMax, gotErr := decodeV2Payload(in.payload, 3, in.count, nil)
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("%s (count %d): reference error %v, decoder error %v", in.name, in.count, wantErr, gotErr)
+		}
+		if wantErr != nil {
+			continue
+		}
+		accepted++
+		if !reflect.DeepEqual(got, want) || gotMax != wantMax {
+			t.Fatalf("%s (count %d): decoder yields other events or maximum (%#x, reference %#x)", in.name, in.count, gotMax, wantMax)
+		}
+	}
+	if accepted == 0 || accepted == len(inputs) {
+		t.Fatalf("%d of %d inputs accepted; the generator covers only one side", accepted, len(inputs))
+	}
 }

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -63,9 +66,9 @@ func buildBatchedTrace(seed int64, procs, events, epochs int) *Trace {
 }
 
 // TestWriteV2RoundTrip: encode → decode must reproduce the event
-// stream, home map, span structure and cached meta exactly — for both
-// a recorded trace (spans from the merge) and a flat trace (spans
-// derived, as a v1 file's are).
+// stream, home map, block index and meta exactly — for both a recorded
+// trace (blocks from the merge) and a flat trace (blocks in file order,
+// as a v1 file's are).
 func TestWriteV2RoundTrip(t *testing.T) {
 	traces := []*Trace{
 		buildBatchedTrace(11, 4, 24000, 3), // runs > v2BlockCap: blocks split
@@ -77,7 +80,7 @@ func TestWriteV2RoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(tr.events, back.events) {
+		if !reflect.DeepEqual(collectEvents(t, tr), collectEvents(t, back)) {
 			t.Fatalf("trace %d: v2 round trip changed the event stream", i)
 		}
 		if !reflect.DeepEqual(tr.homes, back.homes) || tr.homeLineSize != back.homeLineSize {
@@ -86,15 +89,15 @@ func TestWriteV2RoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(tr.Meta(), back.Meta()) {
 			t.Fatalf("trace %d: v2 round trip changed the meta:\n got %+v\nwant %+v", i, back.Meta(), tr.Meta())
 		}
-		if !reflect.DeepEqual(tr.spans, back.spans) {
-			t.Fatalf("trace %d: v2 round trip changed the span structure", i)
+		if !reflect.DeepEqual(tr.Index(), back.Index()) {
+			t.Fatalf("trace %d: v2 round trip changed the block index", i)
 		}
 	}
 }
 
 // TestWriteV2RoundTripProperty extends the round trip over random
-// traces, including the flat path (spans derived, not recorded) and a
-// second v2 generation: v2 → v1 → v2 must be byte-identical.
+// traces, including the flat path (blocks in file order, not recorded)
+// and a second v2 generation: v2 → v1 → v2 must be byte-identical.
 func TestWriteV2RoundTripProperty(t *testing.T) {
 	f := func(seed int64, resets bool) bool {
 		tr := buildSharingTrace(seed, 4, 3000, resets)
@@ -104,11 +107,11 @@ func TestWriteV2RoundTripProperty(t *testing.T) {
 			t.Log(err)
 			return false
 		}
-		if !reflect.DeepEqual(tr.events, back.events) {
+		if !reflect.DeepEqual(collectEvents(t, tr), collectEvents(t, back)) {
 			return false
 		}
-		// Strip to a flat stream (v1 bytes) and regenerate: the derived
-		// spans must reproduce the container byte for byte.
+		// Strip to a flat stream (v1 bytes) and regenerate: the file-order
+		// encoding must reproduce the container byte for byte.
 		var v1 bytes.Buffer
 		if _, err := back.WriteTo(&v1); err != nil {
 			t.Log(err)
@@ -142,12 +145,20 @@ func TestV2CompressesBelowHalfOfV1(t *testing.T) {
 }
 
 // TestTraceFileMatchesInMemory: ReplayMulti and StackDistances must
-// produce identical results whether the source is the in-memory Trace
-// or the out-of-core TraceFile, and the container loaded back through
-// ReadTrace must serialize to the original's flat v1 bytes.
+// produce identical results whether the trace's bytes are in memory or
+// in a file, and the container loaded back through ReadTrace must
+// serialize to the original's flat v1 bytes.
 func TestTraceFileMatchesInMemory(t *testing.T) {
 	tr := buildSharingTrace(5, 4, 9000, true)
-	tf := openV2(t, writeV2Bytes(t, tr))
+	path := filepath.Join(t.TempDir(), "t.sp2t")
+	if err := os.WriteFile(path, writeV2Bytes(t, tr), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tf, err := OpenTraceFile(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tf.Close()
 
 	if !reflect.DeepEqual(tf.Meta(), tr.Meta()) {
 		t.Fatalf("TraceFile meta %+v, in-memory %+v", tf.Meta(), tr.Meta())
@@ -225,7 +236,7 @@ func TestTraceFileDecodeBlockIndependence(t *testing.T) {
 	for _, ev := range rebuilt {
 		events = append(events, ev...)
 	}
-	if !reflect.DeepEqual(events, tr.events) {
+	if !reflect.DeepEqual(events, collectEvents(t, tr)) {
 		t.Fatal("block-wise decode does not reassemble the stream")
 	}
 
@@ -375,8 +386,8 @@ func TestStreamingReplayPeakAllocation(t *testing.T) {
 func TestStreamingDecodeAheadByteIdentical(t *testing.T) {
 	tr := buildSharingTrace(11, 4, 50000, true)
 	tf := openV2(t, writeV2Bytes(t, tr))
-	if len(tf.index) <= decodeAhead {
-		t.Fatalf("trace has %d blocks; need more than the decode-ahead depth %d", len(tf.index), decodeAhead)
+	if tf.Len() <= decodeAhead*replayBlockSize {
+		t.Fatalf("trace has %d events; need more yields than the decode-ahead depth %d", tf.Len(), decodeAhead)
 	}
 	var want []uint64
 	for i := range tf.index {
@@ -416,4 +427,50 @@ func TestStreamingDecodeAheadByteIdentical(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("yield called %d times after erroring on the first", calls)
 	}
+}
+
+// TestConcurrentPassesShareOneTrace: the working-set and line-size
+// sweeps run ReplayMulti, SetAssocSweep and StackDistances at once over
+// one memoized in-memory recording. Each pass decodes the shared bytes
+// with buffers of its own, so concurrent passes must equal serial ones
+// (run under -race, this also checks they share no mutable state).
+func TestConcurrentPassesShareOneTrace(t *testing.T) {
+	tr := buildBatchedTrace(21, 4, 40000, 3)
+	cfgs := []Config{
+		{Procs: 4, CacheSize: 2048, Assoc: 2, LineSize: 64, OverheadBytes: 8},
+		{Procs: 4, CacheSize: 8192, Assoc: FullyAssoc, LineSize: 64, OverheadBytes: 8},
+		{Procs: 4, CacheSize: 4096, Assoc: 4, LineSize: 32, OverheadBytes: 8},
+	}
+	sizes := []int{1 << 10, 4 << 10, 16 << 10}
+	passes := []func() (any, error){
+		func() (any, error) { return ReplayMulti(tr, cfgs) },
+		func() (any, error) { return SetAssocSweep(tr, 64, 2, sizes) },
+		func() (any, error) { return StackDistances(tr, 64, 16<<10) },
+	}
+	want := make([]any, len(passes))
+	for i, pass := range passes {
+		var err error
+		if want[i], err = pass(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const copies = 2
+	var wg sync.WaitGroup
+	for i, pass := range passes {
+		for range copies {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got, err := pass()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("pass %d run concurrently differs from its serial run", i)
+				}
+			}()
+		}
+	}
+	wg.Wait()
 }

@@ -12,33 +12,6 @@ import (
 	"splash2/internal/fault"
 )
 
-// TraceFile is an out-of-core view of a v2 trace container, and the one
-// reader of v2 bytes: the header and index footer are parsed at open,
-// the event blocks stay on disk. It implements TraceSource, so
-// ReplayMulti and StackDistances stream it block by block with O(block
-// buffer) peak memory — a multi-gigabyte paper-scale trace replays
-// without ever materializing the stream. The footer also enables random
-// access: DecodeBlock and EpochWindow decode any block or epoch range
-// without touching the prefix. ReadTrace decodes a v2 input by opening
-// it here and loading every block.
-//
-// A TraceFile is safe for concurrent readers of distinct blocks
-// (DecodeBlock allocates its own buffers; the underlying ReaderAt must
-// be concurrency-safe, as *os.File is); the streaming blocks pass reuses
-// one buffer and is single-consumer like any TraceSource.
-type TraceFile struct {
-	r      io.ReaderAt
-	size   int64
-	closer io.Closer
-	inj    *fault.Injector
-
-	homeLineSize int
-	homes        []int32
-	meta         TraceMeta
-	index        []BlockInfo
-	footerOff    int64
-}
-
 // BlockInfo describes one block of a v2 container, as recorded in the
 // index footer: what it holds and where its bytes live.
 type BlockInfo struct {
@@ -57,11 +30,11 @@ type BlockInfo struct {
 	Size int64
 }
 
-// OpenTraceFile opens an on-disk v2 trace for out-of-core streaming.
-// The injector (nil for none) supplies the chaos suite's fault points:
+// OpenTraceFile opens an on-disk v2 trace for out-of-core streaming;
+// Close releases the file. The injector (nil for none) supplies the chaos suite's fault points:
 // "trace.read" covers the open and header read, "trace.read.footer" the
 // index footer, and "trace.read.block:<i>" each block decode.
-func OpenTraceFile(path string, inj *fault.Injector) (*TraceFile, error) {
+func OpenTraceFile(path string, inj *fault.Injector) (*Trace, error) {
 	if err := inj.Do(context.Background(), "trace.read"); err != nil {
 		return nil, err
 	}
@@ -83,14 +56,14 @@ func OpenTraceFile(path string, inj *fault.Injector) (*TraceFile, error) {
 	return tf, nil
 }
 
-// NewTraceFile parses the header and index footer of a v2 container
-// held by any ReaderAt (a file, an mmap, a byte slice). The input is
+// NewTraceFile opens the v2 container held by any ReaderAt (a file, an
+// mmap, a byte slice), parsing its header and index footer. The input is
 // untrusted: a corrupt or lying footer yields a descriptive error,
 // never a panic or an allocation beyond the file's own size. Every
 // summary the footer states is checked against its own block entries
 // except the largest address, which only a full decode can prove; a
 // whole-stream pass fails when the blocks end on a different maximum.
-func NewTraceFile(r io.ReaderAt, size int64, inj *fault.Injector) (*TraceFile, error) {
+func NewTraceFile(r io.ReaderAt, size int64, inj *fault.Injector) (*Trace, error) {
 	// Smallest legal file: 16-byte header, end tag, 7-byte empty footer,
 	// 12-byte trailer.
 	if size < 16+1+7+12 {
@@ -189,7 +162,7 @@ func NewTraceFile(r io.ReaderAt, size int64, inj *fault.Injector) (*TraceFile, e
 		Markers:      foot.markers,
 		ProcRefs:     foot.procRefs,
 	}
-	return &TraceFile{
+	return &Trace{
 		r: r, size: size, inj: inj,
 		homeLineSize: int(lineSize), homes: homes,
 		meta: meta, index: index, footerOff: footerOff,
@@ -222,9 +195,9 @@ func checkSummary(foot v2Footer, index []BlockInfo) error {
 	return nil
 }
 
-// Close releases the underlying file (no-op for a TraceFile built over
+// Close releases the underlying file (no-op for a Trace built over
 // a caller-owned ReaderAt).
-func (tf *TraceFile) Close() error {
+func (tf *Trace) Close() error {
 	if tf.closer == nil {
 		return nil
 	}
@@ -233,25 +206,25 @@ func (tf *TraceFile) Close() error {
 
 // Meta returns the stream summary straight from the index footer — no
 // decode pass.
-func (tf *TraceFile) Meta() TraceMeta { return tf.meta }
+func (tf *Trace) Meta() TraceMeta { return tf.meta }
 
 // Len returns the total stream length in events, markers included.
-func (tf *TraceFile) Len() int { return int(tf.meta.Refs + tf.meta.Markers) }
+func (tf *Trace) Len() int { return int(tf.meta.Refs + tf.meta.Markers) }
 
 // HomeFn adapts the recorded home map to a replay line size.
-func (tf *TraceFile) HomeFn(lineSize int) HomeFn {
+func (tf *Trace) HomeFn(lineSize int) HomeFn {
 	return homeFn(tf.homes, tf.homeLineSize, lineSize)
 }
 
 // Index returns the block index (a copy).
-func (tf *TraceFile) Index() []BlockInfo {
+func (tf *Trace) Index() []BlockInfo {
 	return append([]BlockInfo(nil), tf.index...)
 }
 
-// blockReader decodes blocks of one TraceFile, reusing one read buffer
+// blockReader decodes blocks of one Trace, reusing one read buffer
 // and keeping the largest address decoded so far.
 type blockReader struct {
-	tf      *TraceFile
+	tf      *Trace
 	raw     []byte
 	maxAddr Addr
 }
@@ -325,79 +298,53 @@ func (br *blockReader) decode(i int, dst []uint64) ([]uint64, error) {
 
 // DecodeBlock decodes block i independently — no prefix decode, one
 // bounded read — returning its packed events (a fresh slice).
-func (tf *TraceFile) DecodeBlock(i int) ([]uint64, error) {
+func (tf *Trace) DecodeBlock(i int) ([]uint64, error) {
 	if i < 0 || i >= len(tf.index) {
 		return nil, fmt.Errorf("memsys: block %d out of range (trace has %d)", i, len(tf.index))
 	}
 	return (&blockReader{tf: tf}).decode(i, nil)
 }
 
-// load decodes every block into an in-memory Trace whose span structure
-// comes from the index: ReadTrace's v2 path.
-func (tf *TraceFile) load() (*Trace, error) {
-	// The open holds every footer block entry to at least a byte per
-	// event, so Len is backed by the file's own bytes.
-	tr := &Trace{homeLineSize: tf.homeLineSize, homes: tf.homes, events: make([]uint64, 0, tf.Len())}
-	for _, b := range tf.index {
-		sp := traceSpan{epoch: b.Epoch, proc: b.Proc, n: b.Events}
-		if b.Marker {
-			sp.proc = spanMarker
-		}
-		if k := len(tr.spans) - 1; k >= 0 && sp.proc != spanMarker && tr.spans[k].proc == sp.proc && tr.spans[k].epoch == sp.epoch {
-			tr.spans[k].n += sp.n
-		} else {
-			tr.spans = append(tr.spans, sp)
-		}
-	}
-	if err := tf.blocks(func(events []uint64) error {
-		tr.events = append(tr.events, events...)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	tr.metaOnce.Do(func() { tr.meta = tf.meta })
-	return tr, nil
-}
-
 // decodeAhead is the depth of the streaming decode pipeline: how many
-// decoded blocks may sit between the decoder and the consumer. Peak
-// memory stays bounded by (decodeAhead+1) decoded blocks plus one
+// decoded yields may sit between the decoder and the consumer. Peak
+// memory stays bounded by (decodeAhead+1) decoded yields plus one
 // encoded block, independent of trace length.
 const decodeAhead = 4
 
-// decodedBlock carries one decoded block (or the error that stopped
-// the decoder) from the decode goroutine to the consumer.
+// decodedBlock carries one decoded yield (or the error that stopped the
+// decoder) from the decode goroutine to the consumer.
 type decodedBlock struct {
 	events []uint64
 	err    error
 }
 
-// blocks streams the whole file in index order — the TraceSource
-// contract ReplayMulti, StackDistances and the sampled pass consume.
-// Decoding runs one block ahead of the consumer on a separate
-// goroutine (bounded by decodeAhead), overlapping DecodeBlock work
-// with simulation; blocks are delivered in index order from a fixed
-// pool of reused buffers, so the consumer observes the exact event
-// sequence of a serial decode loop and peak memory stays independent
-// of trace length. A whole pass is also what proves the footer's
-// largest address: the stream fails as corrupt when its blocks end on a
-// different maximum.
-func (tf *TraceFile) blocks(yield func(events []uint64) error) error {
+// blocks streams the whole trace in index order — the TraceSource
+// contract ReplayMulti, StackDistances and the sampled pass consume,
+// and the one decode path of in-memory and on-disk traces alike.
+// Consecutive blocks are coalesced into yields of up to replayBlockSize
+// events (a longer block is a yield of its own), so a consumer's
+// per-yield work does not depend on how short the recorded runs are.
+// Decoding runs ahead of the consumer on a separate goroutine (bounded
+// by decodeAhead), overlapping decode work with simulation; yields are
+// delivered in index order from a fixed pool of reused buffers, so the
+// consumer observes the exact event sequence of a serial decode loop and
+// peak memory stays independent of trace length. A whole pass is also
+// what proves the footer's largest address: the stream fails as corrupt
+// when its blocks end on a different maximum.
+func (tf *Trace) blocks(yield func(events []uint64) error) error {
 	if len(tf.index) == 0 {
 		return nil
 	}
-	// Size the buffer pool to the largest block in the index so decode
-	// appends never reallocate mid-stream.
-	maxEvents := 1
+	// Size the buffer pool to the largest yield, so decode appends never
+	// reallocate mid-stream.
+	capEvents := replayBlockSize
 	for i := range tf.index {
-		if n := int(tf.index[i].Events); n > maxEvents {
-			maxEvents = n
-		}
+		capEvents = max(capEvents, tf.index[i].Events)
 	}
 	out := make(chan decodedBlock, decodeAhead)
 	free := make(chan []uint64, decodeAhead+1)
 	for i := 0; i < decodeAhead+1; i++ {
-		free <- make([]uint64, 0, maxEvents)
+		free <- make([]uint64, 0, capEvents)
 	}
 	// stop tells the decoder an early consumer exit (yield error)
 	// abandoned the stream; closing it unblocks any pending send.
@@ -405,27 +352,42 @@ func (tf *TraceFile) blocks(yield func(events []uint64) error) error {
 	defer close(stop)
 	go func() {
 		defer close(out)
-		br := blockReader{tf: tf}
-		for i := range tf.index {
-			var buf []uint64
+		send := func(db decodedBlock) bool {
 			select {
-			case buf = <-free:
+			case out <- db:
+				return db.err == nil
 			case <-stop:
-				return
+				return false
 			}
-			events, err := br.decode(i, buf[:0])
+		}
+		br := blockReader{tf: tf}
+		var buf []uint64
+		for i, info := range tf.index {
+			if buf != nil && len(buf)+info.Events > cap(buf) {
+				if !send(decodedBlock{events: buf}) {
+					return
+				}
+				buf = nil
+			}
+			if buf == nil {
+				select {
+				case buf = <-free:
+				case <-stop:
+					return
+				}
+				buf = buf[:0]
+			}
+			var err error
+			buf, err = br.decode(i, buf)
 			if err == nil && i == len(tf.index)-1 && br.maxAddr != tf.meta.MaxAddr {
 				err = fmt.Errorf("memsys: corrupt trace: blocks end with maximum address %#x, index footer says %#x", uint64(br.maxAddr), uint64(tf.meta.MaxAddr))
 			}
-			select {
-			case out <- decodedBlock{events: events, err: err}:
-			case <-stop:
-				return
-			}
 			if err != nil {
+				send(decodedBlock{err: err})
 				return
 			}
 		}
+		send(decodedBlock{events: buf})
 	}()
 	for db := range out {
 		if db.err != nil {

@@ -1,10 +1,11 @@
 package memsys
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // This file implements the columnar v2 trace container. The flat v1
@@ -40,9 +41,10 @@ import (
 // only an epoch window selected from the footer. The trailer is
 // fixed-size, so a ReaderAt finds the footer without scanning, and the
 // footer's per-block sizes turn into absolute offsets by prefix sum —
-// random access with no prefix decode. TraceFile is the one reader of
-// these bytes; ReadTrace decodes a v2 input through it. Epochs are
-// nondecreasing across blocks (the recorder's merge order), which is
+// random access with no prefix decode. A recording is these bytes: the
+// Recorder encodes them as it captures, a v1 import encodes them in file
+// order, and Trace is their one reader, in memory or on disk. Epochs
+// are nondecreasing across blocks (the recorder's merge order), which is
 // why the footer stores deltas.
 //
 // Forward compatibility: the footer leads with a version; readers must
@@ -109,46 +111,152 @@ type v2Block struct {
 	marker bool
 	proc   int
 	epoch  uint64
-	events int   // 1 for a marker
-	size   int64 // encoded bytes, tag included
+	events int    // 1 for a marker
+	size   int64  // encoded bytes, tag included
+	data   []byte // the encoded block, while an encoder holds it
 }
 
-// deriveSpans reconstructs the (epoch, proc) run structure of a flat
-// event stream that carries no epoch stamps (a v1 file): runs break at
-// processor changes, and reset markers open a new era numbered like the
-// recorder does — the marker sorts with the epoch that follows it.
-func deriveSpans(events []uint64) []traceSpan {
-	var spans []traceSpan
-	var era uint64
-	for _, e := range events {
-		if e == resetMarker {
-			era++
-			spans = append(spans, traceSpan{epoch: era, proc: spanMarker, n: 1})
-			continue
+// v2Run is one processor's run of events within one epoch that is not
+// yet encoded: at most v2BlockCap events.
+type v2Run struct {
+	proc   int
+	epoch  uint64
+	events []uint64
+}
+
+// v2Enc encodes events blocks and markers, keeping each block's bytes
+// in an allocation of its own size, so a long recording never regrows
+// one buffer, together with its index entry and the stream summary the
+// footer states. Both ways a
+// recording is made go through it: the Recorder, which orders the
+// blocks by (epoch, processor) at Finish, and the v1 import, which
+// keeps them in file order.
+type v2Enc struct {
+	blocks       []v2Block
+	buf, scratch []byte
+	procRefs     [maxTraceProcs]uint64
+	maxAddr      Addr
+}
+
+// add appends events to a pending run, encoding it as a block each time
+// it reaches v2BlockCap.
+func (e *v2Enc) add(run *v2Run, events []uint64) {
+	for len(events) > 0 {
+		if run.events == nil {
+			run.events = make([]uint64, 0, v2BlockCap)
 		}
-		p := int(e >> 1 & 0x7f)
-		if k := len(spans) - 1; k >= 0 && spans[k].proc == p && spans[k].epoch == era {
-			spans[k].n++
-		} else {
-			spans = append(spans, traceSpan{epoch: era, proc: p, n: 1})
+		take := min(v2BlockCap-len(run.events), len(events))
+		run.events = append(run.events, events[:take]...)
+		events = events[take:]
+		if len(run.events) == v2BlockCap {
+			e.flush(run)
 		}
 	}
-	return spans
 }
 
-// appendV2Events encodes one events block. Addresses delta-encode
-// against the block's own first address only, so the block decodes with
-// no context from its predecessors.
-func appendV2Events(buf, scratch []byte, proc int, epoch uint64, events []uint64) (out, outScratch []byte) {
+// flush encodes a pending run as one events block and empties it.
+func (e *v2Enc) flush(run *v2Run) {
+	if len(run.events) == 0 {
+		return
+	}
+	var maxA Addr
+	e.buf, e.scratch, maxA = appendV2Events(e.buf[:0], e.scratch, run.proc, run.epoch, run.events)
+	e.blocks = append(e.blocks, v2Block{proc: run.proc, epoch: run.epoch, events: len(run.events),
+		size: int64(len(e.buf)), data: bytes.Clone(e.buf)})
+	e.procRefs[run.proc] += uint64(len(run.events))
+	e.maxAddr = max(e.maxAddr, maxA)
+	run.events = run.events[:0]
+}
+
+// marker encodes a measurement-reset marker block.
+func (e *v2Enc) marker(epoch uint64) {
+	data := binary.AppendUvarint([]byte{v2TagMarker}, epoch)
+	e.blocks = append(e.blocks, v2Block{marker: true, epoch: epoch, events: 1, size: int64(len(data)), data: data})
+}
+
+// container lays the encoded blocks out, in the order of e.blocks,
+// between the header and the index footer, and opens the result as an
+// in-memory Trace. The blocks are not copied: the container reads
+// through to them. The encoder is emptied.
+func (e *v2Enc) container(homeLineSize int, homes []int32) (*Trace, error) {
+	var m TraceMeta
+	for p, n := range e.procRefs {
+		if n > 0 {
+			m.MaxProc = p
+		}
+		m.Refs += n
+	}
+	if m.Refs > 0 {
+		m.ProcRefs = e.procRefs[:m.MaxProc+1]
+	}
+	m.MaxAddr = e.maxAddr
+	head := binary.LittleEndian.AppendUint32(nil, traceMagicV2)
+	head = binary.LittleEndian.AppendUint32(head, uint32(homeLineSize))
+	head = binary.LittleEndian.AppendUint64(head, uint64(len(homes)))
+	for _, h := range homes {
+		head = binary.LittleEndian.AppendUint32(head, uint32(h))
+	}
+	parts := [][]byte{head}
+	for _, b := range e.blocks {
+		if b.marker {
+			m.Markers++
+		}
+		parts = append(parts, b.data)
+	}
+	footer := appendV2Footer([]byte{v2TagEnd}, int64(len(head)), m, e.blocks)
+	footer = binary.LittleEndian.AppendUint64(footer, uint64(len(footer)-1))
+	parts = append(parts, binary.LittleEndian.AppendUint32(footer, traceIndexMagic))
+	*e = v2Enc{}
+	r := newSegments(parts)
+	return NewTraceFile(r, r.size(), nil)
+}
+
+// segments reads byte slices laid end to end as one io.ReaderAt, so an
+// in-memory container keeps each block where the encoder put it.
+type segments struct {
+	parts [][]byte
+	offs  []int64 // offs[i] is where parts[i] starts; the last entry is the size
+}
+
+func newSegments(parts [][]byte) *segments {
+	s := &segments{parts: parts, offs: make([]int64, len(parts)+1)}
+	for i, p := range parts {
+		s.offs[i+1] = s.offs[i] + int64(len(p))
+	}
+	return s
+}
+
+func (s *segments) size() int64 { return s.offs[len(s.parts)] }
+
+// ReadAt implements io.ReaderAt; it is safe for concurrent use.
+func (s *segments) ReadAt(p []byte, off int64) (int, error) {
+	if off < 0 {
+		return 0, fmt.Errorf("memsys: negative offset %d", off)
+	}
+	// The part holding off: the last whose start is at or before it.
+	i, _ := slices.BinarySearch(s.offs, off+1)
+	n := 0
+	for i--; n < len(p) && i < len(s.parts); i++ {
+		n += copy(p[n:], s.parts[i][off+int64(n)-s.offs[i]:])
+	}
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+// appendV2Events encodes one events block and returns it with the
+// block's largest address. Addresses delta-encode against the block's
+// own first address only, so the block decodes with no context from its
+// predecessors.
+func appendV2Events(buf, scratch []byte, proc int, epoch uint64, events []uint64) (out, outScratch []byte, maxA Addr) {
 	payload := scratch[:0]
 	nb := (len(events) + 7) / 8
 	for i := 0; i < nb; i++ {
 		payload = append(payload, 0)
 	}
 	for i, e := range events {
-		if e&1 == 1 {
-			payload[i/8] |= 1 << (i % 8)
-		}
+		payload[i>>3] |= byte(e&1) << (i & 7)
 	}
 	var prev uint64
 	for i, e := range events {
@@ -159,13 +267,14 @@ func appendV2Events(buf, scratch []byte, proc int, epoch uint64, events []uint64
 			payload = binary.AppendVarint(payload, int64(a)-int64(prev))
 		}
 		prev = a
+		maxA = max(maxA, Addr(a))
 	}
 	buf = append(buf, v2TagEvents, byte(proc))
 	buf = binary.AppendUvarint(buf, epoch)
 	buf = binary.AppendUvarint(buf, uint64(len(events)))
 	buf = binary.AppendUvarint(buf, uint64(len(payload)))
 	buf = append(buf, payload...)
-	return buf, payload
+	return buf, payload, maxA
 }
 
 // appendV2Footer encodes the index footer (everything between the end
@@ -202,80 +311,20 @@ func appendV2Footer(buf []byte, firstBlockOff int64, m TraceMeta, blocks []v2Blo
 	return buf
 }
 
-// WriteV2 serializes the trace in the columnar v2 container. Every
-// trace carries its (epoch, proc) run structure — from the recorder's
-// merge, the v2 index, or a scan of a v1 stream — so the blocks are
-// emitted directly from the spans. ReadTrace accepts both formats; a
-// v2→v1→v2 round trip is byte-identical for traces whose epochs are the
-// reset-marker eras a v1 scan derives.
+// WriteV2 writes the trace's v2 container. A trace is its container, so
+// this is a byte copy; ReadTrace accepts the result.
 func (t *Trace) WriteV2(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var n int64
-	hdr := make([]byte, 0, 16+4*len(t.homes))
-	hdr = binary.LittleEndian.AppendUint32(hdr, traceMagicV2)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(t.homeLineSize))
-	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(t.homes)))
-	for _, h := range t.homes {
-		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(h))
-	}
-	if _, err := bw.Write(hdr); err != nil {
-		return n, err
-	}
-	n += int64(len(hdr))
-	firstBlockOff := n
-
-	var blocks []v2Block
-	var buf, scratch []byte
-	pos := 0
-	for _, sp := range t.spans {
-		if sp.proc == spanMarker {
-			buf = append(buf[:0], v2TagMarker)
-			buf = binary.AppendUvarint(buf, sp.epoch)
-			blocks = append(blocks, v2Block{marker: true, epoch: sp.epoch, events: 1, size: int64(len(buf))})
-			if _, err := bw.Write(buf); err != nil {
-				return n, err
-			}
-			n += int64(len(buf))
-			pos += sp.n
-			continue
-		}
-		for done := 0; done < sp.n; {
-			take := sp.n - done
-			if take > v2BlockCap {
-				take = v2BlockCap
-			}
-			buf, scratch = appendV2Events(buf[:0], scratch, sp.proc, sp.epoch, t.events[pos+done:pos+done+take])
-			blocks = append(blocks, v2Block{proc: sp.proc, epoch: sp.epoch, events: take, size: int64(len(buf))})
-			if _, err := bw.Write(buf); err != nil {
-				return n, err
-			}
-			n += int64(len(buf))
-			done += take
-		}
-		pos += sp.n
-	}
-	if err := bw.WriteByte(v2TagEnd); err != nil {
-		return n, err
-	}
-	n++
-
-	footer := appendV2Footer(buf[:0], firstBlockOff, t.Meta(), blocks)
-	if _, err := bw.Write(footer); err != nil {
-		return n, err
-	}
-	n += int64(len(footer))
-	trailer := binary.LittleEndian.AppendUint64(nil, uint64(len(footer)))
-	trailer = binary.LittleEndian.AppendUint32(trailer, traceIndexMagic)
-	if _, err := bw.Write(trailer); err != nil {
-		return n, err
-	}
-	n += int64(len(trailer))
-	return n, bw.Flush()
+	return io.Copy(w, io.NewSectionReader(t.r, 0, t.size))
 }
 
 // decodeV2Payload decodes one events-block payload, appending the
 // packed events to dst. The payload must be exactly consumed. Returns
-// the grown slice and the block's largest address.
+// the grown slice and the block's largest address. Deltas of up to
+// three bytes — all but a handful in recorded traces, whose deltas are
+// one, two and three bytes long in about equal shares — are decoded
+// inline, the write bitmap is applied in a pass of its own, and the
+// 56-bit bound is checked once, on the block's largest address: an
+// address past it is rejected wherever it occurs.
 func decodeV2Payload(payload []byte, proc, count int, dst []uint64) ([]uint64, Addr, error) {
 	nb := (count + 7) / 8
 	if len(payload) < nb {
@@ -283,40 +332,49 @@ func decodeV2Payload(payload []byte, proc, count int, dst []uint64) ([]uint64, A
 	}
 	bitmap := payload[:nb]
 	rest := payload[nb:]
-	var addr uint64
-	var maxA Addr
-	for i := 0; i < count; i++ {
-		if i == 0 {
+	dst = slices.Grow(dst, count)
+	out := dst[len(dst) : len(dst)+count]
+	base := uint64(proc) << 1
+	var addr, maxA uint64
+	if count > 0 {
+		v, n := binary.Uvarint(rest)
+		if n <= 0 {
+			return dst, 0, fmt.Errorf("memsys: corrupt trace: block base address varint truncated or overlong")
+		}
+		rest = rest[n:]
+		addr, maxA = v, v
+		out[0] = addr<<8 | base
+	}
+	for i := 1; i < count; i++ {
+		var ux uint64 // the zigzag-encoded delta
+		switch {
+		case len(rest) > 0 && rest[0] < 0x80:
+			ux, rest = uint64(rest[0]), rest[1:]
+		case len(rest) > 1 && rest[1] < 0x80:
+			ux, rest = uint64(rest[0]&0x7f)|uint64(rest[1])<<7, rest[2:]
+		case len(rest) > 2 && rest[2] < 0x80:
+			ux, rest = uint64(rest[0]&0x7f)|uint64(rest[1]&0x7f)<<7|uint64(rest[2])<<14, rest[3:]
+		default:
 			v, n := binary.Uvarint(rest)
-			if n <= 0 {
-				return dst, 0, fmt.Errorf("memsys: corrupt trace: block base address varint truncated or overlong")
-			}
-			rest = rest[n:]
-			addr = v
-		} else {
-			d, n := binary.Varint(rest)
 			if n <= 0 {
 				return dst, 0, fmt.Errorf("memsys: corrupt trace: address delta varint truncated or overlong (event %d of %d)", i, count)
 			}
-			rest = rest[n:]
-			addr = uint64(int64(addr) + d)
+			ux, rest = v, rest[n:]
 		}
-		if addr > maxTraceAddr {
-			return dst, 0, fmt.Errorf("memsys: corrupt trace: address %#x exceeds the 56-bit event encoding", addr)
-		}
-		e := addr<<8 | uint64(proc)<<1
-		if bitmap[i/8]&(1<<(i%8)) != 0 {
-			e |= 1
-		}
-		dst = append(dst, e)
-		if Addr(addr) > maxA {
-			maxA = Addr(addr)
-		}
+		addr += uint64(int64(ux>>1) ^ -int64(ux&1))
+		maxA = max(maxA, addr)
+		out[i] = addr<<8 | base
+	}
+	if maxA > maxTraceAddr {
+		return dst, 0, fmt.Errorf("memsys: corrupt trace: address %#x exceeds the 56-bit event encoding", maxA)
 	}
 	if len(rest) != 0 {
 		return dst, 0, fmt.Errorf("memsys: corrupt trace: block payload has %d bytes beyond its %d events", len(rest), count)
 	}
-	return dst, maxA, nil
+	for i := range out {
+		out[i] |= uint64(bitmap[i>>3] >> (i & 7) & 1)
+	}
+	return dst[:len(dst)+count], Addr(maxA), nil
 }
 
 // readUvarint reads one varint field from an untrusted stream,
@@ -330,8 +388,8 @@ func readUvarint(s io.ByteReader, what string) (uint64, error) {
 }
 
 // readV2EventsHeader reads and validates the header fields of an events
-// block (after the tag): proc, epoch, count, payloadLen. TraceFile's
-// block decode checks them against the index footer.
+// block (after the tag): proc, epoch, count, payloadLen. Trace's block
+// decode checks them against the index footer.
 func readV2EventsHeader(s io.ByteReader) (proc int, epoch uint64, count, payloadLen int, err error) {
 	b, err := s.ReadByte()
 	if err != nil {

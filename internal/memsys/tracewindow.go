@@ -7,9 +7,9 @@ import "fmt"
 // blocks, all processors. Blocks are selected through the index footer,
 // so out-of-range blocks are never read or decoded — a sub-window replay
 // costs I/O proportional to the window, not the trace. Reset markers are
-// not part of the view. A flat v1 stream carries no epochs; convert it
-// to v2 first.
-func EpochWindow(tf *TraceFile, lo, hi uint64) (TraceSource, error) {
+// not part of the view. A trace read from a flat v1 stream carries its
+// reset-marker eras as epochs, not synchronization epochs.
+func EpochWindow(tf *Trace, lo, hi uint64) (TraceSource, error) {
 	if lo > hi {
 		return nil, fmt.Errorf("memsys: epoch window [%d, %d] is empty", lo, hi)
 	}
@@ -35,7 +35,7 @@ func EpochWindow(tf *TraceFile, lo, hi uint64) (TraceSource, error) {
 // windowedFile is an epoch-range view of a v2 container: Meta comes
 // from the index footer, blocks from decoding only the in-range ones.
 type windowedFile struct {
-	tf     *TraceFile
+	tf     *Trace
 	lo, hi uint64
 	meta   TraceMeta
 }

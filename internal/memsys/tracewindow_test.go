@@ -10,7 +10,7 @@ import (
 )
 
 // collectEvents drains a source's block stream into one flat slice.
-func collectEvents(t *testing.T, src TraceSource) []uint64 {
+func collectEvents(t testing.TB, src TraceSource) []uint64 {
 	t.Helper()
 	var out []uint64
 	if err := src.blocks(func(events []uint64) error {
@@ -23,16 +23,18 @@ func collectEvents(t *testing.T, src TraceSource) []uint64 {
 }
 
 // spanWindow is EpochWindow's test oracle: the marker-free events of
-// the epochs [lo, hi], selected by the span structure of the in-memory
+// the epochs [lo, hi], decoded block by block from the index of the
 // trace ReadTrace loads from the same container.
-func spanWindow(tr *Trace, lo, hi uint64) []uint64 {
+func spanWindow(t *testing.T, tr *Trace, lo, hi uint64) []uint64 {
 	var out []uint64
-	pos := 0
-	for _, sp := range tr.spans {
-		if sp.proc != spanMarker && sp.epoch >= lo && sp.epoch <= hi {
-			out = append(out, tr.events[pos:pos+sp.n]...)
+	for i, b := range tr.Index() {
+		if !b.Marker && b.Epoch >= lo && b.Epoch <= hi {
+			events, err := tr.DecodeBlock(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, events...)
 		}
-		pos += sp.n
 	}
 	return out
 }
@@ -58,7 +60,7 @@ func TestEpochWindowEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := spanWindow(loaded, rng[0], rng[1])
+			want := spanWindow(t, loaded, rng[0], rng[1])
 			got := collectEvents(t, win)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s window %v: streaming view yields %d events, span oracle %d (or order differs)",

@@ -147,15 +147,17 @@ type (
 	// PruneAdvice is the §5 operating-point recommendation for one program.
 	PruneAdvice = core.PruneAdvice
 	// Trace is a recorded reference stream replayable through any cache
-	// configuration (see RecordTrace / ReplayTrace).
+	// configuration (see RecordTrace / ReplayTrace): a v2 container, in
+	// memory or on disk, streamed block by block.
 	Trace = memsys.Trace
-	// TraceSource is a replayable reference stream: an in-memory *Trace
-	// or an out-of-core *TraceFile streaming a v2 container from disk.
+	// TraceSource is a replayable reference stream: a *Trace, or an
+	// epoch window of one (see EpochWindow).
 	TraceSource = memsys.TraceSource
 	// TraceMeta is the one-pass stream summary of a TraceSource.
 	TraceMeta = memsys.TraceMeta
-	// TraceFile is an out-of-core v2 trace opened for block streaming
-	// and epoch-window random access (see OpenTraceFile, EpochWindow).
+	// TraceFile is a Trace opened over a file for block streaming and
+	// epoch-window random access (see OpenTraceFile, EpochWindow); it is
+	// the same type as Trace.
 	TraceFile = memsys.TraceFile
 	// MemConfig configures a memory system for trace replay.
 	MemConfig = memsys.Config
