@@ -119,8 +119,7 @@ func New(cfg Config) (*Machine, error) {
 }
 
 // Attach adds a memory system with configuration mc to the machine: from
-// now on every reference batch feeds it, after the systems attached
-// before it. PRAM timing makes the execution path independent of the
+// now on every reference batch feeds it. PRAM timing makes the execution path independent of the
 // attachments (§2.2), so one execution can measure several cache
 // configurations at once, each system's Stats equal to a standalone
 // FullMem run's. Attach before the program's first reference (before

@@ -51,9 +51,11 @@ type fnode struct {
 // code is the line's history: histNone, histPresent, histEvicted or
 // histInval. While the line is present, state is its Illinois state and,
 // in a set-associative cache, stamp is its LRU timestamp (higher = more
-// recently used). Once the line is lost, the upper bits hold the
-// System's seq at the loss, which classify reads. A hit reads and
-// rewrites that one word.
+// recently used), read from lru's row: a cache in a smaller member of an
+// inclusion chain (see Feed) uses the stamps of the same processor's
+// cache in the chain's largest member and leaves its own unread. Once
+// the line is lost, the upper bits hold the feed's seq at the loss,
+// which classify reads. A hit reads and rewrites that one word.
 //
 // A set-associative cache keeps slots only to choose victims: set i
 // occupies slots[i*ways : (i+1)*ways], and a slot holds line+1, 0 when
@@ -63,6 +65,7 @@ type fnode struct {
 type cache struct {
 	row   []uint64
 	stamp uint64
+	lru   *cache // holds this cache's LRU stamps; itself unless chained
 
 	ways    int
 	sets    int
@@ -80,6 +83,7 @@ type cache struct {
 // sizes row for its address space.
 func newCache(cfg Config) *cache {
 	c := &cache{full: cfg.Assoc == FullyAssoc}
+	c.lru = c
 	if c.full {
 		c.cap = cfg.lines()
 		c.index = make(map[uint64]*fnode, c.cap)
@@ -107,6 +111,13 @@ func (c *cache) lookup(line uint64) LineState {
 		c.row[line] = c.stamp<<4 | h&0xf
 	}
 	return LineState(h >> 2 & 3)
+}
+
+// touch moves a present line to the front of a set-associative cache's
+// LRU order, as a hit does.
+func (c *cache) touch(line uint64) {
+	c.stamp++
+	c.row[line] = c.stamp<<4 | c.row[line]&0xf
 }
 
 // peek returns the state of line without touching LRU.
@@ -168,6 +179,7 @@ func (c *cache) insert(line uint64, st LineState, lost uint64) (victim uint64, v
 	}
 
 	set := c.set(line)
+	stamps := c.lru.row
 	want := line + 1
 	slot, hole, lru := -1, -1, 0
 	oldest := ^uint64(0)
@@ -184,8 +196,8 @@ func (c *cache) insert(line uint64, st LineState, lost uint64) (victim uint64, v
 			if hole < 0 {
 				hole = i
 			}
-		} else if h>>4 < oldest {
-			oldest, lru = h>>4, i
+		} else if t := stamps[v-1] >> 4; t < oldest {
+			oldest, lru = t, i
 		}
 	}
 	switch {

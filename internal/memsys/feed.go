@@ -1,6 +1,10 @@
 package memsys
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // Feed drives a set of memory systems through one reference stream, the
 // only way references enter a System. It owns what the stream alone
@@ -14,9 +18,45 @@ import "fmt"
 // logical-time execution exactly one simulated processor flushes at a
 // time, which PRAM timing makes legal (§2.2: the interleaving of
 // references, not their latency, is all the memory system observes).
+//
+// # Inclusion chains
+//
+// The feed drives its systems as inclusion chains. Systems that are set-
+// associative, alike in every parameter but CacheSize, and attached
+// before the feed's first reference form one chain, smallest first, when
+// each member's set count is a multiple of the previous member's; any
+// other system is a chain of one. Processor p's cache in a member then
+// holds every line p's cache in each smaller member holds: setassoc.go
+// proves this set inclusion, invalidations included, for set counts that
+// double, and its argument only uses that each set of the larger cache
+// maps into one set of the smaller, which line%sets indexing gives
+// whenever one set count is a multiple of the other.
+//
+// A reference by p to line L walks the chain from its smallest member and
+// stops at the first member that hits it with a read, or with a write to
+// a line p holds Modified there: every larger member hits it too and
+// changes nothing but LRU order and its read and write counts. Inclusion
+// gives the hits, and a read hit changes no state. For a write, say p
+// holds L Modified in member j. Only p's own write makes a line
+// Modified, so p has held L Modified in member j since its last write to
+// L, which left p Modified at every size. No other processor referenced
+// L since: in member j a foreign read would have downgraded p to Shared
+// and a foreign write would have invalidated it. In a larger member,
+// then, only p's reads touched L since that write, and p holds L there
+// by inclusion: still Modified, so the write hits silently.
+//
+// So the chain keeps each of those in one place. The smallest member
+// sees every reference, and every member's Stats report its read and
+// write counts. The largest member's caches hold the LRU stamps, and a
+// smaller member reads them there to pick a victim (cache.lru); a walk
+// that stops below the largest member stamps the line there, so the
+// stamps, too, see every reference. A stamp orders p's last references
+// to its lines, so on the lines a smaller member holds, all of which the
+// largest holds too, its stamps give the order the member's own would.
 type Feed struct {
-	systems []*System
-	maxProc int // highest processor id a batch may carry
+	systems []*System // in the order added
+	heads   []*System // the smallest member of each chain
+	maxProc int       // highest processor id a batch may carry
 
 	// words packs the last write to each word as seq<<7 | writer+1, 0
 	// when never written; seq counts references (markers excluded). A
@@ -30,14 +70,64 @@ type Feed struct {
 // maxProc.
 func NewFeed(maxProc int) *Feed { return &Feed{maxProc: maxProc} }
 
-// Add attaches a system: from now on every batch feeds it, after the
-// systems added before it. Its tables are sized to the feed's, and its
-// sequence number joins the feed's, so the losses it stamps compare
-// with the shared write history.
+// Add attaches a system: from now on every batch feeds it. Its tables
+// are sized to the feed's. Before the first reference every system is
+// empty, so Add rebuilds the chains from all the systems attached so
+// far; afterwards the system is a chain of one.
 func (f *Feed) Add(sys *System) {
-	sys.seq = f.seq
 	sys.growLines(uint64(len(f.words)))
 	f.systems = append(f.systems, sys)
+	if f.seq > 0 {
+		f.heads = append(f.heads, sys)
+		return
+	}
+	// Largest first, each system joins the first chain whose smallest
+	// member nests over it, so the chains do not depend on the order of
+	// Add calls, and a size whose set count divides no larger one's, such
+	// as 48 KB among powers of two, stays a chain of one.
+	bySize := slices.Clone(f.systems)
+	slices.SortStableFunc(bySize, func(a, b *System) int { return cmp.Compare(b.cfg.CacheSize, a.cfg.CacheSize) })
+	var chains [][]*System
+	for _, s := range bySize {
+		i := slices.IndexFunc(chains, func(ch []*System) bool { return nests(s.cfg, ch[0].cfg) })
+		if i < 0 {
+			chains = append(chains, []*System{s})
+		} else {
+			chains[i] = slices.Insert(chains[i], 0, s)
+		}
+	}
+	f.heads = f.heads[:0]
+	for _, ch := range chains {
+		link(ch)
+		f.heads = append(f.heads, ch[0])
+	}
+}
+
+// link makes empty systems, smallest first, one inclusion chain: each
+// hands the references it does not stop to the next, counts its reads
+// and writes in the first, and takes its LRU stamps from the last.
+func link(chain []*System) {
+	top := chain[len(chain)-1]
+	for i, s := range chain {
+		s.first, s.next = chain[0], nil
+		if i+1 < len(chain) {
+			s.next = chain[i+1]
+		}
+		for p, c := range s.caches {
+			c.lru = top.caches[p]
+		}
+	}
+}
+
+// nests reports whether a system with configuration big can follow one
+// with configuration small in an inclusion chain: both set-associative,
+// alike but for CacheSize, and big's set count a multiple of small's.
+func nests(small, big Config) bool {
+	if small.Assoc == FullyAssoc || big.sets()%small.sets() != 0 {
+		return false
+	}
+	small.CacheSize = big.CacheSize
+	return small == big
 }
 
 // Systems returns the attached systems in the order they were added.
@@ -84,11 +174,12 @@ func (f *Feed) Batch(events, times []uint64) error {
 	if len(f.systems) == 0 {
 		return nil
 	}
+	seq := f.seq
 	lw, err := f.history(events)
 	if err != nil {
 		return err
 	}
-	drive(f.systems, events, lw, times)
+	drive(f.heads, events, lw, times, seq)
 	return nil
 }
 
@@ -126,21 +217,27 @@ func (f *Feed) history(events []uint64) ([]uint64, error) {
 	return lw, nil
 }
 
-// drive hands a batch whose write history is known to each system in
-// turn, a whole batch per system so its tables stay hot. The systems'
-// tables must cover the batch (history grows them).
-func drive(systems []*System, events, lw, times []uint64) {
-	for _, sys := range systems {
+// drive hands a batch whose write history is known to each chain in
+// turn, a whole batch per chain so its members' tables stay hot; heads
+// are the chains' first members. seq is the feed's reference count
+// before the batch. The systems' tables must cover the batch (history
+// grows them).
+func drive(heads []*System, events, lw, times []uint64, seq uint64) {
+	for _, head := range heads {
+		seq := seq
 		for i, e := range events {
 			if e == resetMarker {
-				sys.ResetStats()
+				for s := head; s != nil; s = s.next {
+					s.ResetStats()
+				}
 				continue
 			}
-			var now uint64
-			if times != nil {
+			seq++
+			now := seq
+			if times != nil && times[i] != 0 {
 				now = times[i]
 			}
-			sys.access(int(e>>1&0x7f), Addr(e>>8), e&1 == 1, lw[i], now)
+			head.access(e, lw[i], seq, now)
 		}
 	}
 }

@@ -39,12 +39,14 @@ type System struct {
 
 	caches []*cache // each cache's row is its processor's line history
 	dir    []dirEntry
-	// seq counts references; it moves in step with the feeding Feed's, so
-	// loss stamps compare with the write history the feed hands over.
-	seq uint64
 
 	procs   []ProcStats
 	traffic Traffic
+
+	// The system's inclusion chain (see Feed): next is the next larger
+	// member, nil for the largest, and first the smallest, which sees
+	// every reference and so holds the reads and writes Stats reports.
+	next, first *System
 
 	// Per-node service counters for hotspot analysis (§3: the FFT's
 	// staggered transposes exist to avoid memory hotspotting): total data
@@ -58,7 +60,8 @@ type System struct {
 	nodeWinID  []uint64
 
 	// accessTime is the requestor's logical clock for the access being
-	// processed (seq when no clock is known, e.g. trace replay).
+	// processed (the feed's seq when no clock is known, e.g. trace
+	// replay).
 	accessTime uint64
 }
 
@@ -81,6 +84,7 @@ func New(cfg Config, home HomeFn) (*System, error) {
 		s.caches[i] = newCache(cfg)
 	}
 	s.procs = make([]ProcStats, cfg.Procs)
+	s.first = s
 	s.nodeServed = make([]uint64, cfg.Procs)
 	s.nodePeak = make([]uint64, cfg.Procs)
 	s.nodeWindow = make([]uint64, cfg.Procs)
@@ -110,18 +114,17 @@ func (s *System) growLines(words uint64) {
 	}
 }
 
-// access simulates one reference by processor p to byte address a and
-// returns whether it hit and, on a miss, its kind. lastWrite is the
-// packed last write to a's word before this reference (seq<<7 |
-// writer+1, 0 when never written) and now the requestor's logical clock
-// (0: seq stands in). The tables must cover a; the Feed sizes them.
-func (s *System) access(p int, a Addr, write bool, lastWrite, now uint64) (hit bool, kind MissKind) {
-	s.seq++
-	if now == 0 {
-		now = s.seq
-	}
+// access simulates reference seq of the feed's stream, packed as a
+// trace event, and hands it on to the next member of the system's
+// inclusion chain unless it stops here: a read hit or a write hit on a
+// Modified line, which would change nothing in a larger member but LRU
+// order and counts (see Feed). lastWrite is the packed last write to the reference's word
+// before it (seq<<7 | writer+1, 0 when never written) and now the
+// requestor's logical clock. The tables must cover the reference; the
+// Feed sizes them.
+func (s *System) access(e, lastWrite, seq, now uint64) {
 	s.accessTime = now
-	line := uint64(a) >> s.lineShift
+	p, line, write := int(e>>1&0x7f), e>>8>>s.lineShift, e&1 == 1
 	st := &s.procs[p]
 	if write {
 		st.Writes++
@@ -130,29 +133,26 @@ func (s *System) access(p int, a Addr, write bool, lastWrite, now uint64) (hit b
 	}
 
 	c := s.caches[p]
-	switch state := c.lookup(line); state {
-	case Modified:
-		return true, 0
-	case Exclusive:
-		if write {
-			// Illinois silent upgrade: the directory already records p as
-			// owner, memory becomes stale without any message.
-			c.setState(line, Modified)
+	switch state := c.lookup(line); {
+	case state == Modified || state != Invalid && !write:
+		if s.next != nil {
+			c.lru.touch(line) // the stamp the larger members read
 		}
-		return true, 0
-	case Shared:
-		if !write {
-			return true, 0
-		}
-		s.upgrade(p, line)
-		return true, 0
+		return
+	case state == Exclusive:
+		// Illinois silent upgrade: the directory already records p as
+		// owner, memory becomes stale without any message.
+		c.setState(line, Modified)
+	case state == Shared:
+		s.upgrade(p, line, seq)
+	default:
+		kind := s.classify(p, line, lastWrite)
+		st.Misses[kind]++
+		s.fill(p, line, kind, write, seq)
 	}
-
-	// Miss path.
-	kind = s.classify(p, line, lastWrite)
-	st.Misses[kind]++
-	s.fill(p, line, kind, write)
-	return false, kind
+	if s.next != nil {
+		s.next.access(e, lastWrite, seq, now)
+	}
 }
 
 // rollWindow folds every node's open window into its peak.
@@ -201,22 +201,23 @@ func (s *System) classify(p int, line, lastWrite uint64) MissKind {
 
 // upgrade handles a write hit to a Shared line: invalidate all other
 // sharers through the home directory, no data transfer.
-func (s *System) upgrade(p int, line uint64) {
+func (s *System) upgrade(p int, line, seq uint64) {
 	home := s.home(line)
 	d := &s.dir[line]
 	s.procs[p].Upgrades++
 	if home != p {
 		s.traffic.RemoteOverhead += uint64(s.cfg.OverheadBytes) // upgrade request
 	}
-	s.invalidateSharers(p, line, d, home)
+	s.invalidateSharers(p, line, d, home, seq)
 	d.sharers = 1 << uint(p)
 	d.owner = int8(p)
 	s.caches[p].setState(line, Modified)
 }
 
 // invalidateSharers sends invalidations to every sharer other than p.
-// Invalidations travel home→sharer and acknowledgments sharer→requestor.
-func (s *System) invalidateSharers(p int, line uint64, d *dirEntry, home int) {
+// Invalidations travel home→sharer and acknowledgments sharer→requestor;
+// the losses are stamped with seq, the invalidating reference's.
+func (s *System) invalidateSharers(p int, line uint64, d *dirEntry, home int, seq uint64) {
 	ob := uint64(s.cfg.OverheadBytes)
 	for rem := d.sharers &^ (1 << uint(p)); rem != 0; rem &= rem - 1 {
 		q := bits.TrailingZeros64(rem)
@@ -224,7 +225,7 @@ func (s *System) invalidateSharers(p int, line uint64, d *dirEntry, home int) {
 		// invalidation and acknowledgment messages are still sent (that is
 		// the cost the hints avoid) but a departed copy has nothing to
 		// invalidate, and lose leaves its loss history as it is.
-		s.caches[q].lose(line, s.seq<<4|histInval)
+		s.caches[q].lose(line, seq<<4|histInval)
 		if q != home {
 			s.traffic.RemoteOverhead += ob // invalidation
 		}
@@ -234,8 +235,9 @@ func (s *System) invalidateSharers(p int, line uint64, d *dirEntry, home int) {
 
 // fill services a miss: obtains the line (from home memory or a remote
 // dirty cache), adjusts directory and peer cache states, accounts traffic,
-// inserts the line, and handles the victim.
-func (s *System) fill(p int, line uint64, kind MissKind, write bool) {
+// inserts the line, and handles the victim. seq is the missing
+// reference's, which stamps the losses it causes.
+func (s *System) fill(p int, line uint64, kind MissKind, write bool, seq uint64) {
 	home := s.home(line)
 	d := &s.dir[line]
 	ob := uint64(s.cfg.OverheadBytes)
@@ -261,7 +263,7 @@ func (s *System) fill(p int, line uint64, kind MissKind, write bool) {
 			s.traffic.RemoteOverhead += ob // data header
 			if write {
 				// Ownership migrates; memory stays stale.
-				s.caches[q].lose(line, s.seq<<4|histInval)
+				s.caches[q].lose(line, seq<<4|histInval)
 				d.sharers = 1 << uint(p)
 				d.owner = int8(p)
 				newState = Modified
@@ -285,7 +287,7 @@ func (s *System) fill(p int, line uint64, kind MissKind, write bool) {
 				s.traffic.RemoteOverhead += ob // downgrade ack owner→home
 			}
 			if write {
-				s.caches[q].lose(line, s.seq<<4|histInval)
+				s.caches[q].lose(line, seq<<4|histInval)
 				d.sharers = 1 << uint(p)
 				d.owner = int8(p)
 				newState = Modified
@@ -301,7 +303,7 @@ func (s *System) fill(p int, line uint64, kind MissKind, write bool) {
 	default:
 		// Clean: data comes from home memory.
 		if write {
-			s.invalidateSharers(p, line, d, home)
+			s.invalidateSharers(p, line, d, home, seq)
 			d.sharers = 1 << uint(p)
 			d.owner = int8(p)
 			newState = Modified
@@ -317,7 +319,7 @@ func (s *System) fill(p int, line uint64, kind MissKind, write bool) {
 		s.memoryData(p, home, kind, ls, ob)
 	}
 
-	victim, vstate, evicted := s.caches[p].insert(line, newState, s.seq<<4|histEvicted)
+	victim, vstate, evicted := s.caches[p].insert(line, newState, seq<<4|histEvicted)
 	if evicted {
 		s.evict(p, victim, vstate)
 	}
@@ -400,6 +402,9 @@ func (s *System) Stats() Stats {
 		NodePeak:   append([]uint64(nil), s.nodePeak...),
 	}
 	copy(out.Procs, s.procs)
+	for p, st := range s.first.procs {
+		out.Procs[p].Reads, out.Procs[p].Writes = st.Reads, st.Writes
+	}
 	return out
 }
 

@@ -12,6 +12,7 @@ import (
 type refSys struct {
 	*System
 	last map[uint64]uint64 // word → seq<<7 | writer+1
+	seq  uint64            // references so far, counted as a Feed counts them
 }
 
 func oracle(s *System) *refSys { return &refSys{System: s, last: map[uint64]uint64{}} }
@@ -26,11 +27,21 @@ func (s *refSys) Access(p int, a Addr, write bool) (hit bool, kind MissKind) {
 func (s *refSys) AccessAt(p int, a Addr, write bool, now uint64) (hit bool, kind MissKind) {
 	w := a.Word()
 	s.growLines(w + 1)
-	hit, kind = s.access(p, a, write, s.last[w], now)
+	s.seq++
+	if now == 0 {
+		now = s.seq
+	}
+	before := s.procs[p].Misses
+	s.access(traceEvent(p, a, write), s.last[w], s.seq, now)
 	if write {
 		s.last[w] = s.seq<<7 | uint64(p+1)
 	}
-	return hit, kind
+	for k, n := range s.procs[p].Misses {
+		if n != before[k] {
+			return false, MissKind(k)
+		}
+	}
+	return true, 0
 }
 
 // testSys builds a small system: 4 procs, tiny caches, 64B lines, homes

@@ -268,8 +268,8 @@ func blockMaxAddr(events []uint64) Addr {
 
 // replayBlockSize is the event granularity of replay: Trace.blocks
 // coalesces consecutive container blocks into yields of up to this many
-// events. Each system consumes a whole yield before the next system
-// starts it, so its cache and directory state stay hot, ReplayMulti's
+// events. Each inclusion chain consumes a whole yield before the next
+// chain starts it, so its cache and directory state stay hot, ReplayMulti's
 // workers meet at one barrier per yield, and the per-yield lastWrite
 // buffer stays small enough to live in L2.
 const replayBlockSize = 4096
@@ -290,13 +290,14 @@ func Replay(src TraceSource, cfg Config) (Stats, error) {
 // once per configuration — one Feed drives every system. The stream is
 // consumed block by block, so peak memory is O(block buffer + address
 // space) — never O(trace) — and a multi-gigabyte trace on disk replays
-// out-of-core on a small box. When several CPUs are available the
-// systems are sharded across them — each system is still driven by
-// exactly one goroutine over the read-only stream, so the statistics are
-// unchanged by the sharding. Configurations may differ in any parameter,
-// line size included. The returned statistics are, position by position,
-// exactly what per-configuration Replay calls would produce (the systems
-// share nothing but the decoded stream and its write history).
+// out-of-core on a small box. Configurations may differ in any
+// parameter, line size included; those that differ only in cache size
+// replay as one inclusion chain (see Feed). When several CPUs are
+// available the chains are sharded across them — each chain is still
+// driven by exactly one goroutine over the read-only stream, so the
+// statistics are unchanged by the sharding. The returned statistics are,
+// position by position, exactly what per-configuration Replay calls
+// would produce.
 func ReplayMulti(src TraceSource, cfgs []Config) ([]Stats, error) {
 	if len(cfgs) == 0 {
 		return nil, nil
@@ -317,31 +318,32 @@ func ReplayMulti(src TraceSource, cfgs []Config) ([]Stats, error) {
 	// The tables start sized for meta.addrHint and grow with the
 	// addresses the stream shows.
 	feed.Reserve(uint64(meta.addrHint().Word()) + 1)
-	systems := feed.Systems()
 
-	// Persistent workers over system shards: every worker replays each
-	// block into its own systems, with a barrier per block so the shared
-	// block and lastWrite buffers can be reused for the next one. System
-	// i goes to worker i mod W: a sweep lists its configurations in order
-	// of size, and its miss-heavy small caches or short lines would share
-	// one worker if the shards were contiguous. Per system the stream is
-	// still processed strictly in order, so results are unchanged by the
-	// sharding.
-	workers := min(runtime.GOMAXPROCS(0), len(systems))
-	type blockWork struct{ events, lw []uint64 }
+	// Persistent workers over chain shards: every worker replays each
+	// block into its own chains, with a barrier per block so the shared
+	// block and lastWrite buffers can be reused for the next one. Chain i
+	// goes to worker i mod W, so configurations a sweep lists in order
+	// that cannot chain, such as its line sizes, spread over the workers.
+	// A chain is driven by exactly one goroutine, strictly in stream
+	// order, so results are unchanged by the sharding.
+	workers := min(runtime.GOMAXPROCS(0), len(feed.heads))
+	type blockWork struct {
+		events, lw []uint64
+		seq        uint64
+	}
 	var chans []chan blockWork
 	var wg sync.WaitGroup
 	if workers > 1 {
 		for w := range workers {
 			var subset []*System
-			for i := w; i < len(systems); i += workers {
-				subset = append(subset, systems[i])
+			for i := w; i < len(feed.heads); i += workers {
+				subset = append(subset, feed.heads[i])
 			}
 			ch := make(chan blockWork)
 			chans = append(chans, ch)
 			go func() {
 				for work := range ch {
-					drive(subset, work.events, work.lw, nil)
+					drive(subset, work.events, work.lw, nil, work.seq)
 					wg.Done()
 				}
 			}()
@@ -352,13 +354,14 @@ func ReplayMulti(src TraceSource, cfgs []Config) ([]Stats, error) {
 		if chans == nil {
 			return feed.Batch(events, nil)
 		}
+		seq := feed.seq
 		lw, err := feed.history(events)
 		if err != nil {
 			return err
 		}
 		wg.Add(len(chans))
 		for _, ch := range chans {
-			ch <- blockWork{events, lw}
+			ch <- blockWork{events, lw, seq}
 		}
 		wg.Wait()
 		return nil
@@ -371,7 +374,7 @@ func ReplayMulti(src TraceSource, cfgs []Config) ([]Stats, error) {
 	}
 
 	out := make([]Stats, len(cfgs))
-	for i, sys := range systems {
+	for i, sys := range feed.Systems() {
 		out[i] = sys.Stats()
 	}
 	return out, nil
