@@ -44,7 +44,11 @@
 // damage, and the process exits with status 2 instead of 0.
 //
 // Exit status: 0 — clean completion; 1 — usage error; 2 — completed
-// with failures (-keep-going); 3 — runtime error.
+// with failures (-keep-going); 3 — runtime error. The flags describe one
+// request, and core.Request.Canonical validates it exactly as splashd
+// validates a query: an unknown or duplicate program, a processor count
+// outside [1, 64] or a sample rate outside (0, 1] exits 1 before any
+// experiment runs.
 //
 // Results are cached on disk under <user cache dir>/splash2 (override
 // with -cache-dir), keyed by program, options, machine configuration and
@@ -55,6 +59,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -66,6 +71,7 @@ import (
 
 	"splash2"
 	"splash2/internal/cli"
+	"splash2/internal/core"
 )
 
 // Exit statuses (shared with splashd via internal/cli): clean
@@ -87,6 +93,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("characterize", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	engineOptions := cli.EngineFlags(fs)
 	var (
 		appsFlag   = fs.String("apps", "", "comma-separated subset (default: full suite)")
 		procs      = fs.Int("p", 32, "processors for fixed-count experiments")
@@ -98,96 +105,54 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sampleSeed = fs.Uint64("sample-seed", 1, "spatial-hash seed of the sampled estimator")
 		plot       = fs.Bool("plot", false, "render ASCII charts alongside the tables")
 		format     = fs.String("format", "text", `output format: "text", "json" or "csv"`)
-		workers    = fs.Int("j", 0, "experiment-level parallelism (0 = GOMAXPROCS)")
-		cacheDir   = fs.String("cache-dir", "", "result cache directory (default: <user cache dir>/splash2)")
-		noCache    = fs.Bool("no-cache", false, "disable the on-disk result cache")
-		progress   = fs.Bool("progress", false, "live per-experiment progress on stderr")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file on exit")
 
-		resume       = fs.Bool("resume", false, "reclaim crashed runs in the cache dir (report dead journals, sweep stale leases/temps) before running")
-		deadline     = fs.Duration("deadline", 0, "whole-run deadline; doomed work is cancelled promptly (0 = none)")
-		leaseTTL     = fs.Duration("lease-ttl", splash2.DefaultLeaseTTL, "cross-process work-lease expiry; concurrent runs sharing the cache dir coalesce jobs (0 disables)")
-		noJournal    = fs.Bool("no-journal", false, "disable the durable run journal under <cache-dir>/journal")
-		keepGoing    = fs.Bool("keep-going", false, "complete past failed experiments (exit 2, FAILED placeholders)")
-		timeout      = fs.Duration("timeout", 0, "per-experiment attempt timeout (0 = none)")
-		retries      = fs.Int("retries", 0, "extra attempts for transiently failing experiments")
-		retryBackoff = fs.Duration("retry-backoff", 0, "first-retry delay, doubling per retry (0 = default)")
-		failuresOut  = fs.String("failures", "", "write the JSON failure manifest to this file (-keep-going)")
-		faultSpec    = fs.String("fault", "", `inject deterministic faults: "action[(arg)][@nth]=pattern;..."`)
-		faultSeed    = fs.Int64("fault-seed", 1, "seed choosing the occurrence of @-nth fault rules")
+		resume      = fs.Bool("resume", false, "reclaim crashed runs in the cache dir (report dead journals, sweep stale leases/temps) before running")
+		deadline    = fs.Duration("deadline", 0, "whole-run deadline; doomed work is cancelled promptly (0 = none)")
+		keepGoing   = fs.Bool("keep-going", false, "complete past failed experiments (exit 2, FAILED placeholders)")
+		failuresOut = fs.String("failures", "", "write the JSON failure manifest to this file (-keep-going)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return exitUsage
 	}
-
-	o := splash2.ReportOptions{
-		EngineOptions: splash2.EngineOptions{
-			Workers: *workers, KeepGoing: *keepGoing, Timeout: *timeout, Retries: *retries,
-			RetryBackoff: *retryBackoff, SpillTraces: *spill, Deadline: *deadline, NoJournal: *noJournal,
-		},
-		Procs: *procs, AllAssocs: *allAssocs, Plot: *plot,
-		SampleRate: *sampleRate, SampleSeed: *sampleSeed,
-	}
-	if *sampleRate < 0 || *sampleRate > 1 {
-		fmt.Fprintf(stderr, "characterize: -sample-rate %v out of range (0, 1]\n", *sampleRate)
+	eo, err := engineOptions()
+	if err != nil {
+		fmt.Fprintln(stderr, "characterize:", err)
 		return exitUsage
 	}
-	if *leaseTTL <= 0 {
-		o.LeaseTTL = -1 // user asked for no leases
-	} else {
-		o.LeaseTTL = *leaseTTL
+	eo.KeepGoing, eo.SpillTraces = *keepGoing, *spill
+	if *deadline > 0 {
+		ctx, cancel := context.WithTimeout(context.Background(), *deadline)
+		defer cancel()
+		eo.Context = ctx
+	}
+	o := splash2.ReportOptions{
+		EngineOptions: eo, Procs: *procs, AllAssocs: *allAssocs, Plot: *plot,
+		SampleRate: *sampleRate, SampleSeed: *sampleSeed,
 	}
 	if *appsFlag != "" {
 		o.Apps = strings.Split(*appsFlag, ",")
 	}
-	var err error
 	if o.ProcList, err = cli.ParseProcList(*procList); err != nil {
 		fmt.Fprintln(stderr, "characterize:", err)
 		return exitUsage
 	}
-	if o.Scale, err = cli.ParseScale(*scaleName); err != nil {
+	if o.Scale, err = core.ParseScale(*scaleName); err != nil {
 		fmt.Fprintln(stderr, "characterize:", err)
 		return exitUsage
-	}
-	switch {
-	case *noCache:
-		if *cacheDir != "" {
-			fmt.Fprintln(stderr, "characterize: -no-cache and -cache-dir are mutually exclusive")
-			return exitUsage
-		}
-	case *cacheDir != "":
-		o.CacheDir = *cacheDir
-	default:
-		dir, err := splash2.DefaultCacheDir()
-		if err != nil {
-			fmt.Fprintln(stderr, "characterize: no user cache dir, running uncached:", err)
-		} else {
-			o.CacheDir = dir
-		}
 	}
 	if *resume {
 		if o.CacheDir == "" {
 			fmt.Fprintln(stderr, "characterize: -resume requires a cache directory")
 			return exitUsage
 		}
-		rep, err := splash2.Resume(o.CacheDir, *leaseTTL)
+		rep, err := splash2.Resume(o.CacheDir, o.LeaseTTL)
 		if err != nil {
 			fmt.Fprintln(stderr, "characterize:", err)
 			return exitRuntime
 		}
 		rep.Render(stderr)
-	}
-	if *progress {
-		o.Progress = stderr
-	}
-	if *faultSpec != "" {
-		rules, err := splash2.ParseFaultRules(*faultSpec)
-		if err != nil {
-			fmt.Fprintln(stderr, "characterize:", err)
-			return exitUsage
-		}
-		o.Fault = splash2.NewFaultInjector(*faultSeed, rules...)
 	}
 	// The manifest is buffered and written to -failures only when the run
 	// actually lost experiments, so a clean run leaves no empty file.

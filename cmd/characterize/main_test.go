@@ -2,13 +2,19 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"splash2"
+	"splash2/internal/core"
+	"splash2/internal/serve"
 )
 
 // chaosArgs is a small, fast characterization every exit-code test
@@ -122,5 +128,56 @@ func TestCleanRunWritesNoManifestFile(t *testing.T) {
 	}
 	if _, err := os.Stat(manifestPath); !os.IsNotExist(err) {
 		t.Fatalf("clean run left a manifest file (stat err: %v)", err)
+	}
+}
+
+// TestFrontEndsRejectAlike runs one table of invalid specs through both
+// front ends. Both validate with core.Request.Canonical, so each spec
+// is a usage error before any job runs: characterize exits 1 without a
+// single progress line, and splashd answers 400 without submitting a
+// job.
+func TestFrontEndsRejectAlike(t *testing.T) {
+	cases := []struct {
+		name  string
+		args  []string // characterize flags
+		query string   // the same spec as splashd query parameters
+	}{
+		{"unknown app", []string{"-apps", "bogus"}, "apps=bogus"},
+		{"duplicate app", []string{"-apps", "fft,fft"}, "apps=fft,fft"},
+		{"procs 65", []string{"-apps", "fft", "-p", "65"}, "apps=fft&procs=65"},
+		{"plist 0", []string{"-apps", "fft", "-plist", "0"}, "apps=fft&plist=0"},
+		{"plist 100", []string{"-apps", "fft", "-plist", "100"}, "apps=fft&plist=100"},
+		{"sample rate 2", []string{"-apps", "fft", "-sample-rate", "2"}, "apps=fft&sampleRate=2"},
+		{"sample rate NaN", []string{"-apps", "fft", "-sample-rate", "NaN"}, "apps=fft&sampleRate=NaN"},
+		{"unknown scale", []string{"-apps", "fft", "-scale", "huge"}, "apps=fft&scale=huge"},
+	}
+
+	engine, err := core.NewEngine(core.EngineOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer engine.Close()
+	ts := httptest.NewServer(serve.New(context.Background(), engine, serve.Options{}).Handler())
+	defer ts.Close()
+
+	for _, tc := range cases {
+		args := append([]string{"-no-cache", "-progress", "-format", "json"}, tc.args...)
+		code, _, stderr := runCLI(t, args...)
+		if code != exitUsage || strings.Contains(stderr, "[1/") {
+			t.Errorf("%s: characterize exited %d, want %d before any job (stderr: %s)", tc.name, code, exitUsage, stderr)
+		}
+
+		resp, err := http.Get(ts.URL + "/v1/experiments?kind=results&" + tc.query)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: splashd answered %d %q, want 400", tc.name, resp.StatusCode, body)
+		}
+	}
+	if n := engine.Counts().Submitted; n != 0 {
+		t.Errorf("splashd submitted %d jobs for invalid specs, want 0", n)
 	}
 }

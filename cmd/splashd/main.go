@@ -48,6 +48,10 @@
 // experiment once fleet-wide; every run appends a durable journal under
 // <cache-dir>/journal for `characterize -resume` crash forensics.
 //
+// Requests are validated by core.Request.Canonical, the same validator
+// characterize's flags pass through, so a spec characterize rejects with
+// exit 1 is answered 400 here.
+//
 // Exit status: 0 — clean shutdown; 1 — usage error; 3 — runtime error.
 package main
 
@@ -64,7 +68,6 @@ import (
 	"syscall"
 	"time"
 
-	"splash2"
 	"splash2/internal/cli"
 	"splash2/internal/core"
 	"splash2/internal/serve"
@@ -79,27 +82,13 @@ func main() {
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("splashd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	engineOptions := cli.EngineFlags(fs)
 	var (
-		addr     = fs.String("addr", ":8095", "listen address")
-		workers  = fs.Int("j", 0, "experiment-level parallelism (0 = GOMAXPROCS)")
-		cacheDir = fs.String("cache-dir", "", "result cache directory (default: <user cache dir>/splash2)")
-		noCache  = fs.Bool("no-cache", false, "disable the on-disk result cache")
-		progress = fs.Bool("progress", false, "live per-experiment progress on stderr")
-
-		maxInflight = fs.Int("max-inflight", 4, "experiments executing concurrently")
-		maxQueue    = fs.Int("max-queue", 16, "experiments queued behind the executing ones")
-		perClient   = fs.Int("per-client", 8, "concurrent requests per client")
-
-		leaseTTL  = fs.Duration("lease-ttl", splash2.DefaultLeaseTTL, "cross-process work-lease expiry; concurrent processes sharing the cache dir coalesce jobs (0 disables)")
-		noJournal = fs.Bool("no-journal", false, "disable the durable run journal under <cache-dir>/journal")
-
-		timeout      = fs.Duration("timeout", 0, "per-experiment attempt timeout (0 = none)")
-		retries      = fs.Int("retries", 0, "extra attempts for transiently failing experiments")
-		retryBackoff = fs.Duration("retry-backoff", 0, "first-retry delay, doubling per retry (0 = default)")
+		addr         = fs.String("addr", ":8095", "listen address")
+		maxInflight  = fs.Int("max-inflight", 4, "experiments executing concurrently")
+		maxQueue     = fs.Int("max-queue", 16, "experiments queued behind the executing ones")
+		perClient    = fs.Int("per-client", 8, "concurrent requests per client")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for live experiments")
-
-		faultSpec = fs.String("fault", "", `inject deterministic faults: "action[(arg)][@nth]=pattern;..."`)
-		faultSeed = fs.Int64("fault-seed", 1, "seed choosing the occurrence of @-nth fault rules")
 	)
 	if err := fs.Parse(args); err != nil {
 		return cli.ExitUsage
@@ -108,45 +97,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "splashd: unexpected argument %q\n", fs.Arg(0))
 		return cli.ExitUsage
 	}
-
-	eo := core.EngineOptions{
-		Workers: *workers,
-		Context: ctx,
-		Timeout: *timeout, Retries: *retries, RetryBackoff: *retryBackoff,
-		NoJournal: *noJournal,
+	eo, err := engineOptions()
+	if err != nil {
+		fmt.Fprintln(stderr, "splashd:", err)
+		return cli.ExitUsage
 	}
-	if *leaseTTL <= 0 {
-		eo.LeaseTTL = -1 // user asked for no leases
-	} else {
-		eo.LeaseTTL = *leaseTTL
-	}
-	switch {
-	case *noCache:
-		if *cacheDir != "" {
-			fmt.Fprintln(stderr, "splashd: -no-cache and -cache-dir are mutually exclusive")
-			return cli.ExitUsage
-		}
-	case *cacheDir != "":
-		eo.CacheDir = *cacheDir
-	default:
-		dir, err := splash2.DefaultCacheDir()
-		if err != nil {
-			fmt.Fprintln(stderr, "splashd: no user cache dir, running uncached:", err)
-		} else {
-			eo.CacheDir = dir
-		}
-	}
-	if *progress {
-		eo.Progress = stderr
-	}
-	if *faultSpec != "" {
-		rules, err := splash2.ParseFaultRules(*faultSpec)
-		if err != nil {
-			fmt.Fprintln(stderr, "splashd:", err)
-			return cli.ExitUsage
-		}
-		eo.Fault = splash2.NewFaultInjector(*faultSeed, rules...)
-	}
+	eo.Context = ctx
 
 	engine, err := core.NewEngine(eo)
 	if err != nil {

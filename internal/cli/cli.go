@@ -1,18 +1,22 @@
 // Package cli holds the conventions shared by the repository's
 // command-line entry points (characterize, splashd): the process exit
-// taxonomy and the flag-value parsers both binaries accept. Keeping them
-// in one place pins the contract — scripts driving either binary see
-// the same exit codes and the same flag grammar.
+// taxonomy, the engine flags both binaries register and the flag-value
+// parsers both accept. Keeping them in one place pins the contract —
+// scripts driving either binary see the same exit codes and the same
+// flag grammar.
 package cli
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"sort"
 	"strconv"
 	"strings"
 
 	"splash2/internal/core"
+	"splash2/internal/fault"
+	"splash2/internal/runner"
 )
 
 // Exit statuses shared by every binary: clean completion, bad usage,
@@ -26,14 +30,16 @@ const (
 )
 
 // ExitCode maps a run's terminal error to the exit taxonomy: nil is
-// clean, core.ErrFailures (a keep-going run that lost experiments but
-// delivered results) is degraded, anything else is a runtime error.
-// Usage errors never reach this point — they are detected before a run
-// starts.
+// clean, core.ErrInvalidRequest (a request Canonical rejected before
+// any job ran) is a usage error, core.ErrFailures (a keep-going run that
+// lost experiments but delivered results) is degraded, anything else is
+// a runtime error.
 func ExitCode(err error) int {
 	switch {
 	case err == nil:
 		return ExitOK
+	case errors.Is(err, core.ErrInvalidRequest):
+		return ExitUsage
 	case errors.Is(err, core.ErrFailures):
 		return ExitDegraded
 	default:
@@ -66,5 +72,60 @@ func ParseProcList(s string) ([]int, error) {
 	return out, nil
 }
 
-// ParseScale resolves a -scale flag value.
-func ParseScale(name string) (core.Scale, error) { return core.ParseScale(name) }
+// EngineFlags registers on fs the engine flags characterize and splashd
+// share: -j, -cache-dir, -no-cache, -progress, -lease-ttl, -no-journal,
+// -timeout, -retries, -retry-backoff, -fault and -fault-seed. Call the
+// returned function after fs.Parse; it resolves them into engine
+// options, or returns a usage error. Progress lines and the note that
+// no default cache directory exists go to fs.Output().
+func EngineFlags(fs *flag.FlagSet) func() (core.EngineOptions, error) {
+	var (
+		workers      = fs.Int("j", 0, "experiment-level parallelism (0 = GOMAXPROCS)")
+		cacheDir     = fs.String("cache-dir", "", "result cache directory (default: <user cache dir>/splash2)")
+		noCache      = fs.Bool("no-cache", false, "disable the on-disk result cache")
+		progress     = fs.Bool("progress", false, "live per-experiment progress on stderr")
+		leaseTTL     = fs.Duration("lease-ttl", runner.DefaultLeaseTTL, "cross-process work-lease expiry; concurrent processes sharing the cache dir coalesce jobs (0 disables)")
+		noJournal    = fs.Bool("no-journal", false, "disable the durable run journal under <cache-dir>/journal")
+		timeout      = fs.Duration("timeout", 0, "per-experiment attempt timeout (0 = none)")
+		retries      = fs.Int("retries", 0, "extra attempts for transiently failing experiments")
+		retryBackoff = fs.Duration("retry-backoff", 0, "first-retry delay, doubling per retry (0 = default)")
+		faultSpec    = fs.String("fault", "", `inject deterministic faults: "action[(arg)][@nth]=pattern;..."`)
+		faultSeed    = fs.Int64("fault-seed", 1, "seed choosing the occurrence of @-nth fault rules")
+	)
+	return func() (core.EngineOptions, error) {
+		o := core.EngineOptions{
+			Workers: *workers, NoJournal: *noJournal,
+			Timeout: *timeout, Retries: *retries, RetryBackoff: *retryBackoff,
+			LeaseTTL: *leaseTTL,
+		}
+		if *leaseTTL <= 0 {
+			o.LeaseTTL = -1 // the user asked for no leases
+		}
+		switch {
+		case *noCache:
+			if *cacheDir != "" {
+				return o, errors.New("-no-cache and -cache-dir are mutually exclusive")
+			}
+		case *cacheDir != "":
+			o.CacheDir = *cacheDir
+		default:
+			dir, err := core.DefaultCacheDir()
+			if err != nil {
+				fmt.Fprintf(fs.Output(), "%s: no user cache dir, running uncached: %v\n", fs.Name(), err)
+			} else {
+				o.CacheDir = dir
+			}
+		}
+		if *progress {
+			o.Progress = fs.Output()
+		}
+		if *faultSpec != "" {
+			rules, err := fault.Parse(*faultSpec)
+			if err != nil {
+				return o, err
+			}
+			o.Fault = fault.New(*faultSeed, rules...)
+		}
+		return o, nil
+	}
+}

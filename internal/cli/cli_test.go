@@ -2,9 +2,12 @@ package cli
 
 import (
 	"errors"
+	"flag"
 	"fmt"
+	"io"
 	"reflect"
 	"testing"
+	"time"
 
 	"splash2/internal/core"
 )
@@ -32,6 +35,7 @@ func TestExitCode(t *testing.T) {
 		{nil, ExitOK},
 		{core.ErrFailures, ExitDegraded},
 		{fmt.Errorf("3 lost: %w", core.ErrFailures), ExitDegraded},
+		{fmt.Errorf("wrapped: %w", core.ErrInvalidRequest), ExitUsage},
 		{errors.New("disk on fire"), ExitRuntime},
 	}
 	for _, tc := range cases {
@@ -41,11 +45,34 @@ func TestExitCode(t *testing.T) {
 	}
 }
 
-func TestParseDelegates(t *testing.T) {
-	if s, err := ParseScale("paper"); err != nil || s != core.PaperScale {
-		t.Errorf("ParseScale(paper) = %v, %v", s, err)
+// TestEngineFlags: the shared engine flags resolve into EngineOptions —
+// a non-positive -lease-ttl disables leases, -progress writes to the
+// flag set's output — and the -no-cache/-cache-dir exclusion and a bad
+// -fault rule are usage errors.
+func TestEngineFlags(t *testing.T) {
+	parse := func(args ...string) (core.EngineOptions, error) {
+		t.Helper()
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		resolve := EngineFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return resolve()
 	}
-	if _, err := ParseScale("huge"); err == nil {
-		t.Error("ParseScale accepted huge")
+	o, err := parse("-j", "3", "-no-cache", "-lease-ttl", "0", "-progress", "-fault", "error=job:*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.Workers != 3 || o.CacheDir != "" || o.LeaseTTL != -1 || o.Progress != io.Discard || o.Fault == nil {
+		t.Errorf("options = %+v", o)
+	}
+	if o, err := parse("-cache-dir", "/x", "-lease-ttl", "5s"); err != nil || o.CacheDir != "/x" || o.LeaseTTL != 5*time.Second {
+		t.Errorf("options = %+v, %v", o, err)
+	}
+	for _, args := range [][]string{{"-no-cache", "-cache-dir", "/x"}, {"-no-cache", "-fault", "explode=job:*"}} {
+		if _, err := parse(args...); err == nil {
+			t.Errorf("%q accepted", args)
+		}
 	}
 }

@@ -31,8 +31,7 @@ import (
 type Engine struct {
 	r         *runner.Runner
 	ctx       context.Context
-	cancel    context.CancelFunc // releases the engine deadline (root only)
-	journal   *runner.Journal    // durable run journal (root only)
+	journal   *runner.Journal // durable run journal (root only)
 	keepGoing bool
 	spillDir  string // non-empty: record jobs spill v2 traces here
 	fault     *fault.Injector
@@ -125,6 +124,7 @@ type EngineOptions struct {
 	// Progress receives live job-completion lines; nil disables them.
 	Progress io.Writer
 	// Context cancels in-flight experiment graphs; nil means Background.
+	// A whole-run deadline is a Context with a deadline.
 	Context context.Context
 
 	// KeepGoing runs every graph to completion past failed experiments:
@@ -161,10 +161,6 @@ type EngineOptions struct {
 	// CacheDir/journal/<runID>.jsonl — the crash-forensics record that
 	// `characterize -resume` reads back.
 	NoJournal bool
-	// Deadline bounds the whole engine run: jobs past it are cancelled
-	// promptly (distinct from Timeout, which bounds one attempt).
-	// 0 disables.
-	Deadline time.Duration
 }
 
 // NewEngine creates an engine. It fails only when the cache or journal
@@ -196,10 +192,6 @@ func NewEngine(o EngineOptions) (*Engine, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var cancel context.CancelFunc
-	if o.Deadline > 0 {
-		ctx, cancel = context.WithTimeout(ctx, o.Deadline)
-	}
 	var spillDir string
 	if o.SpillTraces {
 		spillDir = filepath.Join(os.TempDir(), "splash2-spill")
@@ -207,9 +199,6 @@ func NewEngine(o EngineOptions) (*Engine, error) {
 			spillDir = filepath.Join(o.CacheDir, "traces")
 		}
 		if err := os.MkdirAll(spillDir, 0o777); err != nil {
-			if cancel != nil {
-				cancel()
-			}
 			return nil, fmt.Errorf("core: opening trace spill directory: %w", err)
 		}
 		sweepSpillOrphans(spillDir, spillOrphanAge)
@@ -218,7 +207,6 @@ func NewEngine(o EngineOptions) (*Engine, error) {
 		spillDir: spillDir,
 		fault:    o.Fault,
 		journal:  journal,
-		cancel:   cancel,
 		r: runner.New(runner.Options{
 			Workers:      o.Workers,
 			Cache:        cache,
@@ -236,18 +224,14 @@ func NewEngine(o EngineOptions) (*Engine, error) {
 }
 
 // Close ends the engine run cleanly: the run journal gets its run.end
-// event (a journal without one is, by definition, a crashed run) and the
-// engine deadline's resources are released. Safe on a Scoped view and
-// safe to call more than once; experiments already in flight are not
-// interrupted by Close itself.
+// event (a journal without one is, by definition, a crashed run). Safe
+// on a Scoped view and safe to call more than once; experiments already
+// in flight are not interrupted by Close itself.
 func (e *Engine) Close() error {
 	var err error
 	if e.journal != nil {
 		err = e.journal.Close(e.r.Counts())
 		e.journal = nil
-	}
-	if e.cancel != nil {
-		e.cancel()
 	}
 	return err
 }

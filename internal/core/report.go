@@ -36,19 +36,30 @@ type ReportOptions struct {
 	SampleSeed uint64
 }
 
-// request converts the options to the request they describe, once: unset
-// fields take the Request defaults, and AllAssocs selects Figure 3's four
-// associativities (Table 2 and the pruning advice stay four-way).
-func (o ReportOptions) request(kind string) Request {
+// request converts the options to the request they describe, once, and
+// validates it with Canonical: unset fields take the Request defaults,
+// and AllAssocs selects Figure 3's four associativities (Table 2 and the
+// pruning advice stay four-way). The report kind is private, so the
+// request canonicalizes as results and takes kind afterwards; a zero
+// SampleRate keeps the sampled estimate out of a report and of results.
+func (o ReportOptions) request(kind string) (Request, error) {
 	r := Request{
-		Kind: kind, Apps: o.Apps, Procs: o.Procs, ProcList: o.ProcList,
+		Kind: KindResults, Apps: o.Apps, Procs: o.Procs, ProcList: o.ProcList,
 		Scale: ScaleName(o.Scale), CacheSizes: o.CacheSizes, LineSizes: o.LineSizes,
 		SampleRate: o.SampleRate, SampleSeed: o.SampleSeed,
 	}
 	if o.AllAssocs {
 		r.Assocs = []int{1, 2, 4, memsys.FullyAssoc}
 	}
-	return r.withDefaults()
+	cr, err := r.Canonical()
+	if err != nil {
+		return cr, err
+	}
+	if o.SampleRate == 0 {
+		cr.SampleRate = 0
+	}
+	cr.Kind = kind
+	return cr, nil
 }
 
 // kindReport selects what Report prints: every kind's sections plus the
@@ -288,7 +299,10 @@ func Report(w io.Writer, o ReportOptions) error {
 // own options apply; o.EngineOptions is ignored. Every section's jobs run
 // in one graph; the sections then render in table order.
 func (e *Engine) Report(w io.Writer, o ReportOptions) error {
-	req := o.request(kindReport)
+	req, err := o.request(kindReport)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(w, "SPLASH-2 characterization — %d processors, scale=%v\n", req.Procs, o.Scale)
 	res, selected, err := e.compute(req)
 	if res == nil {
@@ -328,5 +342,9 @@ func CollectResults(o ReportOptions) (*Results, error) {
 // Do(results) on the engine itself. The engine's own options apply;
 // o.EngineOptions is ignored.
 func (e *Engine) CollectResults(o ReportOptions) (*Results, error) {
-	return e.collect(o.request(KindResults))
+	req, err := o.request(KindResults)
+	if err != nil {
+		return nil, err
+	}
+	return e.collect(req)
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -106,7 +108,7 @@ func ParseScale(name string) (Scale, error) {
 	case "paper":
 		return PaperScale, nil
 	}
-	return 0, fmt.Errorf("core: unknown scale %q (want sweep, default or paper)", name)
+	return 0, invalid("unknown scale %q (want sweep, default or paper)", name)
 }
 
 // ScaleName is ParseScale's inverse.
@@ -119,6 +121,16 @@ func ScaleName(s Scale) string {
 	default:
 		return "sweep"
 	}
+}
+
+// ErrInvalidRequest marks a request that Canonical rejects. Every front
+// end maps it to its usage error: characterize exits 1 and splashd
+// answers 400.
+var ErrInvalidRequest = errors.New("core: invalid request")
+
+// invalid formats one reason a request is rejected.
+func invalid(format string, args ...any) error {
+	return fmt.Errorf("%w: %s", ErrInvalidRequest, fmt.Sprintf(format, args...))
 }
 
 // Request validation bounds. These are admission sanity limits for a
@@ -138,11 +150,11 @@ func isPow2(v int) bool { return v > 0 && v&(v-1) == 0 }
 // checkSizes validates a list field of power-of-two byte sizes in [lo, hi].
 func checkSizes(field, what string, sizes []int, lo, hi int) error {
 	if len(sizes) > maxReqListPoints {
-		return fmt.Errorf("core: %s has %d points (max %d)", field, len(sizes), maxReqListPoints)
+		return invalid("%s has %d points (max %d)", field, len(sizes), maxReqListPoints)
 	}
 	for _, v := range sizes {
 		if !isPow2(v) || v < lo || v > hi {
-			return fmt.Errorf("core: %s %d not a power of two in [%d, %d]", what, v, lo, hi)
+			return invalid("%s %d not a power of two in [%d, %d]", what, v, lo, hi)
 		}
 	}
 	return nil
@@ -151,113 +163,98 @@ func checkSizes(field, what string, sizes []int, lo, hi int) error {
 // Canonical validates the request and fills defaults, returning the
 // canonical form: two requests asking for the same experiment normalize
 // to identical values, so their Keys collide and splashd coalesces them.
-// Canonical is idempotent. Apps order is preserved (it orders the result
-// rows); ProcList is deduplicated and sorted.
+// It is the only request validator — characterize's flags and splashd's
+// bodies and queries all pass through it — and its errors wrap
+// ErrInvalidRequest. Canonical is idempotent. Apps order is preserved
+// (it orders the result rows); ProcList is deduplicated and sorted.
 func (r Request) Canonical() (Request, error) {
 	if r.Kind == "" {
-		return r, fmt.Errorf("core: request missing kind (want one of %s)", strings.Join(Kinds(), ", "))
+		return r, invalid("request missing kind (want one of %s)", strings.Join(Kinds(), ", "))
 	}
 	if !slices.Contains(Kinds(), r.Kind) {
-		return r, fmt.Errorf("core: unknown kind %q (want one of %s)", r.Kind, strings.Join(Kinds(), ", "))
+		return r, invalid("unknown kind %q (want one of %s)", r.Kind, strings.Join(Kinds(), ", "))
 	}
 
 	seen := make(map[string]bool, len(r.Apps))
 	for _, name := range r.Apps {
 		if _, err := apps.Get(name); err != nil {
-			return r, fmt.Errorf("core: %w", err)
+			return r, fmt.Errorf("%w: %w", ErrInvalidRequest, err)
 		}
 		if seen[name] {
-			return r, fmt.Errorf("core: duplicate app %q", name)
+			return r, invalid("duplicate app %q", name)
 		}
 		seen[name] = true
 	}
-	r = r.withDefaults()
-	r.Apps = append([]string(nil), r.Apps...)
+	if len(r.Apps) == 0 {
+		r.Apps = Suite
+	}
+	r.Apps = slices.Clone(r.Apps)
 	if len(r.Opts) > 0 && len(r.Apps) != 1 {
-		return r, fmt.Errorf("core: opts require a single-app request (got %d apps)", len(r.Apps))
+		return r, invalid("opts require a single-app request (got %d apps)", len(r.Apps))
 	}
 	if len(r.Opts) > maxReqOpts {
-		return r, fmt.Errorf("core: too many opts (%d > %d)", len(r.Opts), maxReqOpts)
+		return r, invalid("too many opts (%d > %d)", len(r.Opts), maxReqOpts)
 	}
 
+	r.Procs = cmp.Or(r.Procs, 32)
 	if r.Procs < 1 || r.Procs > maxReqProcs {
-		return r, fmt.Errorf("core: procs %d out of range [1, %d]", r.Procs, maxReqProcs)
+		return r, invalid("procs %d out of range [1, %d]", r.Procs, maxReqProcs)
+	}
+	if len(r.ProcList) == 0 {
+		r.ProcList = []int{1, 2, 4, 8, 16, 32}
 	}
 	if len(r.ProcList) > maxReqListPoints {
-		return r, fmt.Errorf("core: procList has %d points (max %d)", len(r.ProcList), maxReqListPoints)
+		return r, invalid("procList has %d points (max %d)", len(r.ProcList), maxReqListPoints)
 	}
 	for _, p := range r.ProcList {
 		if p < 1 || p > maxReqProcs {
-			return r, fmt.Errorf("core: procList entry %d out of range [1, %d]", p, maxReqProcs)
+			return r, invalid("procList entry %d out of range [1, %d]", p, maxReqProcs)
 		}
 	}
 	r.ProcList = slices.Clone(r.ProcList)
 	slices.Sort(r.ProcList)
 	r.ProcList = slices.Compact(r.ProcList)
 
+	r.Scale = cmp.Or(r.Scale, "sweep")
 	if _, err := ParseScale(r.Scale); err != nil {
 		return r, err
 	}
 
-	if err := checkSizes("cacheSizes", "cache size", r.CacheSizes, 256, maxReqCacheBytes); err != nil {
-		return r, err
-	}
-	if err := checkSizes("cacheSize", "cache size", []int{r.CacheSize}, 256, maxReqCacheBytes); err != nil {
-		return r, err
-	}
-	for _, a := range r.Assocs {
-		if a != 0 && (!isPow2(a) || a > 64) {
-			return r, fmt.Errorf("core: associativity %d not 0 (full) or a power of two ≤ 64", a)
-		}
-	}
-	if err := checkSizes("lineSizes", "line size", r.LineSizes, 8, maxReqLineBytes); err != nil {
-		return r, err
-	}
-	if r.SampleRate == 0 {
-		r.SampleRate = 0.01
-	}
-	if r.SampleRate < 0 || r.SampleRate > 1 {
-		return r, fmt.Errorf("core: sample rate %v out of range (0, 1]", r.SampleRate)
-	}
-	if r.TimeoutMillis < 0 {
-		return r, fmt.Errorf("core: negative timeoutMs %d", r.TimeoutMillis)
-	}
-	r.Opts = canonOpts(r.Opts)
-	return r, nil
-}
-
-// withDefaults fills the unset fields the sections read with the
-// defaults their doc comments name. SampleRate is the exception: a zero
-// rate keeps the sampled estimate out of a report and of results.
-func (r Request) withDefaults() Request {
-	if len(r.Apps) == 0 {
-		r.Apps = Suite
-	}
-	if r.Procs == 0 {
-		r.Procs = 32
-	}
-	if len(r.ProcList) == 0 {
-		r.ProcList = []int{1, 2, 4, 8, 16, 32}
-	}
-	if r.Scale == "" {
-		r.Scale = "sweep"
-	}
 	if len(r.CacheSizes) == 0 {
 		r.CacheSizes = DefaultCacheSizes()
 	}
-	if r.CacheSize == 0 {
-		r.CacheSize = 1 << 20
+	if err := checkSizes("cacheSizes", "cache size", r.CacheSizes, 256, maxReqCacheBytes); err != nil {
+		return r, err
+	}
+	r.CacheSize = cmp.Or(r.CacheSize, 1<<20)
+	if err := checkSizes("cacheSize", "cache size", []int{r.CacheSize}, 256, maxReqCacheBytes); err != nil {
+		return r, err
 	}
 	if len(r.Assocs) == 0 {
 		r.Assocs = []int{4}
 	}
+	for _, a := range r.Assocs {
+		if a != 0 && (!isPow2(a) || a > 64) {
+			return r, invalid("associativity %d not 0 (full) or a power of two ≤ 64", a)
+		}
+	}
 	if len(r.LineSizes) == 0 {
 		r.LineSizes = DefaultLineSizes()
 	}
-	if r.SampleSeed == 0 {
-		r.SampleSeed = 1
+	if err := checkSizes("lineSizes", "line size", r.LineSizes, 8, maxReqLineBytes); err != nil {
+		return r, err
 	}
-	return r
+	r.SampleRate = cmp.Or(r.SampleRate, 0.01)
+	// Written so that NaN, which compares false, is rejected too.
+	if !(r.SampleRate > 0 && r.SampleRate <= 1) {
+		return r, invalid("sample rate %v out of range (0, 1]", r.SampleRate)
+	}
+	r.SampleSeed = cmp.Or(r.SampleSeed, 1)
+	if r.TimeoutMillis < 0 {
+		return r, invalid("negative timeoutMs %d", r.TimeoutMillis)
+	}
+	r.Opts = canonOpts(r.Opts)
+	return r, nil
 }
 
 // overrides returns one program's option overrides: the scale's problem

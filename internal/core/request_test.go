@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -68,10 +69,17 @@ func TestRequestCanonicalRejects(t *testing.T) {
 		{"line huge", Request{Kind: KindLineSize, LineSizes: []int{1 << 20}}, "power of two"},
 		{"assoc npo2", Request{Kind: KindWorkingSets, Assocs: []int{3}}, "associativity"},
 		{"opts multi-app", Request{Kind: KindTraffic, Opts: map[string]int{"m": 8}}, "single-app"},
+		{"rate high", Request{Kind: KindWorkingSetsSampled, SampleRate: 2}, "sample rate"},
+		{"rate NaN", Request{Kind: KindWorkingSetsSampled, SampleRate: math.NaN()}, "sample rate"},
+		{"rate +Inf", Request{Kind: KindWorkingSetsSampled, SampleRate: math.Inf(1)}, "sample rate"},
 	}
 	for _, tc := range bad {
-		if _, err := tc.req.Canonical(); err == nil || !strings.Contains(err.Error(), tc.want) {
+		_, err := tc.req.Canonical()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want contains %q", tc.name, err, tc.want)
+		}
+		if !errors.Is(err, ErrInvalidRequest) {
+			t.Errorf("%s: err = %v, want it to wrap ErrInvalidRequest", tc.name, err)
 		}
 	}
 }

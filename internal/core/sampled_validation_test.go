@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"errors"
+	"io"
 	"math"
 	"os"
 	"strconv"
@@ -98,7 +100,7 @@ func TestSampledErrorEnvelopeSuite(t *testing.T) {
 // TestWorkingSetsSampledEngine drills the wsweep-sampled job through the
 // engine: curves come back banded and percent-scaled, a rate-1 run
 // reproduces the exact fully-associative sweep bit for bit, and invalid
-// rates are rejected before any job is scheduled.
+// rates are rejected before any job is scheduled, on every path.
 func TestWorkingSetsSampledEngine(t *testing.T) {
 	apps := []string{"fft", "radix"}
 	sizes := DefaultCacheSizes()
@@ -130,18 +132,21 @@ func TestWorkingSetsSampledEngine(t *testing.T) {
 	}
 
 	e, _ := NewEngine(EngineOptions{Workers: 1})
-	for _, rate := range []float64{-0.5, 1.5} {
+	for _, rate := range []float64{-0.5, 1.5, math.NaN()} {
 		req.Kind, req.SampleRate = KindWorkingSetsSampled, rate
-		if _, err := e.Do(context.Background(), req, nil); err == nil {
-			t.Errorf("rate %v accepted", rate)
+		if _, err := e.Do(context.Background(), req, nil); !errors.Is(err, ErrInvalidRequest) {
+			t.Errorf("Do at rate %v: err = %v, want ErrInvalidRequest", rate, err)
+		}
+		// A report's rate goes through the same Canonical.
+		o := ReportOptions{Apps: apps, Procs: 4, SampleRate: rate}
+		if _, err := e.CollectResults(o); !errors.Is(err, ErrInvalidRequest) {
+			t.Errorf("CollectResults at rate %v: err = %v, want ErrInvalidRequest", rate, err)
+		}
+		if err := e.Report(io.Discard, o); !errors.Is(err, ErrInvalidRequest) {
+			t.Errorf("Report at rate %v: err = %v, want ErrInvalidRequest", rate, err)
 		}
 	}
-	// A report's rate skips Canonical; the section itself rejects it.
-	req.SampleRate = 0
-	if err := e.newBatch().sampledSets(req)(&Results{}); err == nil {
-		t.Error("rate 0 accepted")
-	}
-	if n := e.Counts().Executed; n != 0 {
-		t.Errorf("invalid rates executed %d jobs", n)
+	if n := e.Counts().Submitted; n != 0 {
+		t.Errorf("invalid rates submitted %d jobs", n)
 	}
 }

@@ -56,9 +56,6 @@ type sampledSweep struct {
 // the exact pass's work at low rates.
 func (b *batch) sampledSets(req Request) fill {
 	rate, seed := req.SampleRate, req.SampleSeed
-	if rate <= 0 || rate > 1 {
-		return func(*Results) error { return fmt.Errorf("core: sample rate %v out of range (0, 1]", rate) }
-	}
 	sweeps := make([]runner.Job[sampledSweep], len(req.Apps))
 	for i, name := range req.Apps {
 		id := req.trace(name)

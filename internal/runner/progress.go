@@ -39,21 +39,41 @@ type ProgressEvent struct {
 // sink must be fast and must not block — buffer or drop instead.
 type ProgressFunc func(ProgressEvent)
 
-// progress fans one graph's completion notifications out to the
-// configured line writer (normally stderr) and event sinks. Only
-// executed jobs are reported; cache and memo hits appear in the summary
-// instead. The mutex serializes both the writer and the sinks, so
-// subscribers observe events in completion order.
+// textProgress is the sink behind Options.Progress: one line per
+// executed job and a per-graph summary line, written to w.
+func textProgress(w io.Writer, workers int) ProgressFunc {
+	return func(ev ProgressEvent) {
+		switch ev.Status {
+		case "done":
+			fmt.Fprintf(w, "[%d/%d] %s\n", ev.Done, ev.Total, ev.Label)
+		case "failed":
+			fmt.Fprintf(w, "[%d/%d] FAIL %s: %s\n", ev.Done, ev.Total, ev.Label, ev.Cause)
+		case "skipped":
+			fmt.Fprintf(w, "[%d/%d] SKIP %s (dependency %s failed)\n", ev.Done, ev.Total, ev.Label, ev.Cause)
+		case "summary":
+			fmt.Fprintf(w, "runner: %d jobs — %d executed, %d served from cache/memo (workers=%d)",
+				ev.Jobs, ev.Executed, ev.Served, workers)
+			if ev.Failed > 0 || ev.Skipped > 0 {
+				fmt.Fprintf(w, "; %d failed, %d skipped", ev.Failed, ev.Skipped)
+			}
+			fmt.Fprintln(w)
+		}
+	}
+}
+
+// progress fans one graph's completion notifications out to its sinks.
+// Only executed jobs are reported; cache and memo hits appear in the
+// summary instead. The mutex serializes the sinks, so subscribers
+// observe events in completion order.
 type progress struct {
 	mu    sync.Mutex
-	w     io.Writer
 	fns   []ProgressFunc
 	total int
 	done  int
 }
 
-func newProgress(w io.Writer, fns []ProgressFunc, total int) *progress {
-	return &progress{w: w, fns: fns, total: total}
+func newProgress(fns []ProgressFunc, total int) *progress {
+	return &progress{fns: fns, total: total}
 }
 
 // emit dispatches ev to every sink; the caller holds p.mu.
@@ -63,69 +83,30 @@ func (p *progress) emit(ev ProgressEvent) {
 	}
 }
 
-func (p *progress) jobDone(label string) {
-	if p.w == nil && len(p.fns) == 0 {
+// job reports one executed job's completion: status is "done", "failed"
+// (cause is the failure text without the label prefix) or "skipped"
+// (cause is the failed dependency; keep-going mode only).
+func (p *progress) job(status, label, cause string) {
+	if len(p.fns) == 0 {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.done++
-	if p.w != nil {
-		fmt.Fprintf(p.w, "[%d/%d] %s\n", p.done, p.total, label)
-	}
-	p.emit(ProgressEvent{Status: "done", Label: label, Done: p.done, Total: p.total})
+	p.emit(ProgressEvent{Status: status, Label: label, Done: p.done, Total: p.total, Cause: cause})
 }
 
-// jobFailed reports a job that exhausted its attempts; the cause is the
-// failure text without the label prefix.
-func (p *progress) jobFailed(label, cause string) {
-	if p.w == nil && len(p.fns) == 0 {
+// summary emits the per-graph report event. needed is how many jobs the
+// graph had to run (failures included); the rest were served from the
+// cache or the memo.
+func (p *progress) summary(jobs, needed, executed, failed, skipped int) {
+	if len(p.fns) == 0 {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.done++
-	if p.w != nil {
-		fmt.Fprintf(p.w, "[%d/%d] FAIL %s: %s\n", p.done, p.total, label, cause)
-	}
-	p.emit(ProgressEvent{Status: "failed", Label: label, Done: p.done, Total: p.total, Cause: cause})
-}
-
-// jobSkipped reports a job never run because dependency dep failed
-// (keep-going mode only).
-func (p *progress) jobSkipped(label, dep string) {
-	if p.w == nil && len(p.fns) == 0 {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.done++
-	if p.w != nil {
-		fmt.Fprintf(p.w, "[%d/%d] SKIP %s (dependency %s failed)\n", p.done, p.total, label, dep)
-	}
-	p.emit(ProgressEvent{Status: "skipped", Label: label, Done: p.done, Total: p.total, Cause: dep})
-}
-
-// summary emits the per-graph report line and event. needed is how many
-// jobs the graph had to run (failures included); the rest were served
-// from the cache or the memo.
-func (p *progress) summary(jobs, needed, executed, failed, skipped, workers int) {
-	if p.w == nil && len(p.fns) == 0 {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	served := jobs - needed
-	if p.w != nil {
-		fmt.Fprintf(p.w, "runner: %d jobs — %d executed, %d served from cache/memo (workers=%d)",
-			jobs, executed, served, workers)
-		if failed > 0 || skipped > 0 {
-			fmt.Fprintf(p.w, "; %d failed, %d skipped", failed, skipped)
-		}
-		fmt.Fprintln(p.w)
-	}
 	p.emit(ProgressEvent{
 		Status: "summary", Done: p.done, Total: p.total,
-		Jobs: jobs, Executed: executed, Served: served, Failed: failed, Skipped: skipped,
+		Jobs: jobs, Executed: executed, Served: jobs - needed, Failed: failed, Skipped: skipped,
 	})
 }

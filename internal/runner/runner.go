@@ -44,12 +44,12 @@ type Options struct {
 	// Cache is the on-disk result store; nil disables it.
 	Cache *Cache
 	// Progress receives one line per executed job plus a per-graph
-	// summary; nil disables reporting.
+	// summary, the text form of the progress events; nil disables it.
 	Progress io.Writer
-	// OnProgress receives the structured form of the Progress lines for
-	// every graph; nil disables it. Per-graph sinks are added with
-	// Graph.OnProgress (splashd streams one request's events without
-	// seeing its neighbours').
+	// OnProgress receives the progress events of every graph; nil
+	// disables it. Per-graph sinks are added with Graph.OnProgress
+	// (splashd streams one request's events without seeing its
+	// neighbours').
 	OnProgress ProgressFunc
 
 	// KeepGoing runs graphs to completion past failed jobs instead of
@@ -121,6 +121,9 @@ type Counts struct {
 // be treated as immutable by every consumer.
 type Runner struct {
 	opts Options
+	// fns are the progress sinks every graph starts with: the Progress
+	// lines, then OnProgress.
+	fns []ProgressFunc
 	// sem is the worker pool shared by every graph: concurrent graphs
 	// multiplex the same Workers slots instead of multiplying them, so a
 	// daemon running many requests at once cannot oversubscribe the host.
@@ -152,6 +155,12 @@ func New(opts Options) *Runner {
 		opts: opts,
 		sem:  make(chan struct{}, opts.Workers),
 		memo: map[Key]any{},
+	}
+	if opts.Progress != nil {
+		r.fns = append(r.fns, textProgress(opts.Progress, opts.Workers))
+	}
+	if opts.OnProgress != nil {
+		r.fns = append(r.fns, opts.OnProgress)
 	}
 	if ls := opts.Cache.leaseManager(); ls != nil {
 		ls.takeovers = func(ctx context.Context, key string) {
@@ -352,11 +361,7 @@ type Graph struct {
 // NewGraph starts an empty job graph with the Runner's failure policy
 // and progress sinks.
 func (r *Runner) NewGraph() *Graph {
-	g := &Graph{r: r, byKey: map[Key]*job{}, keepGoing: r.opts.KeepGoing}
-	if r.opts.OnProgress != nil {
-		g.fns = append(g.fns, r.opts.OnProgress)
-	}
-	return g
+	return &Graph{r: r, byKey: map[Key]*job{}, keepGoing: r.opts.KeepGoing, fns: slices.Clone(r.fns)}
 }
 
 // SetKeepGoing overrides the Runner's KeepGoing policy for this graph:
@@ -534,7 +539,7 @@ func (g *Graph) resolve(ctx context.Context) []*job {
 // instead of cancelling the graph.
 func (g *Graph) execute(parent context.Context, need []*job) error {
 	if len(need) == 0 {
-		newProgress(g.r.opts.Progress, g.fns, 0).summary(len(g.jobs), 0, 0, 0, 0, g.r.opts.Workers)
+		newProgress(g.fns, 0).summary(len(g.jobs), 0, 0, 0, 0)
 		return parent.Err()
 	}
 	ctx, cancel := context.WithCancel(parent)
@@ -554,7 +559,7 @@ func (g *Graph) execute(parent context.Context, need []*job) error {
 		executed, failed, skipped atomic.Int64
 	)
 	keep := g.keepGoing
-	prog := newProgress(g.r.opts.Progress, g.fns, len(need))
+	prog := newProgress(g.fns, len(need))
 	for _, j := range need {
 		wg.Add(1)
 		go func(j *job) {
@@ -584,7 +589,7 @@ func (g *Graph) execute(parent context.Context, need []*job) error {
 						skipped.Add(1)
 						g.r.recordFailure(g, je)
 						g.r.opts.Journal.JobFail(ctx, je)
-						prog.jobSkipped(j.label, d.label)
+						prog.job("skipped", j.label, d.label)
 						j.complete(nil, je)
 						return
 					}
@@ -620,7 +625,7 @@ func (g *Graph) execute(parent context.Context, need []*job) error {
 				failed.Add(1)
 				g.r.recordFailure(g, je)
 				g.r.opts.Journal.JobFail(ctx, je)
-				prog.jobFailed(j.label, je.Cause())
+				prog.job("failed", j.label, je.Cause())
 				j.complete(nil, je)
 				if !keep {
 					fail(je)
@@ -636,7 +641,7 @@ func (g *Graph) execute(parent context.Context, need []*job) error {
 			} else {
 				g.r.opts.Journal.JobDone(ctx, j.label, keyStr(j.key), j.attempts)
 			}
-			prog.jobDone(j.label)
+			prog.job("done", j.label, "")
 		}(j)
 	}
 	wg.Wait()
@@ -646,7 +651,7 @@ func (g *Graph) execute(parent context.Context, need []*job) error {
 	if err := parent.Err(); err != nil {
 		return err
 	}
-	prog.summary(len(g.jobs), len(need), int(executed.Load()), int(failed.Load()), int(skipped.Load()), g.r.opts.Workers)
+	prog.summary(len(g.jobs), len(need), int(executed.Load()), int(failed.Load()), int(skipped.Load()))
 	return nil
 }
 

@@ -109,6 +109,29 @@ func TestExperimentBadRequests(t *testing.T) {
 	}
 }
 
+// TestQueryRejectsInvalidSpec: a query that parses but describes an
+// invalid request is a 400 with a body naming the cause — a non-finite
+// sample rate (JSON cannot encode it, so it would have no Key) and the
+// private report kind included.
+func TestQueryRejectsInvalidSpec(t *testing.T) {
+	_, ts := newTestServer(t, core.EngineOptions{}, Options{})
+	for q, want := range map[string]string{
+		"kind=working-set-sampled&apps=fft&sampleRate=NaN": "sample rate",
+		"kind=working-set-sampled&apps=fft&sampleRate=Inf": "sample rate",
+		"kind=report&apps=fft":                             "unknown kind",
+	} {
+		resp, err := http.Get(ts.URL + "/v1/experiments?" + q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), want) {
+			t.Errorf("%s: status %d body %q, want 400 naming %q", q, resp.StatusCode, body, want)
+		}
+	}
+}
+
 // TestUnknownParametersRejected pins both request forms to the fields
 // the handler reads: a GET query naming anything else, a retired name
 // such as mode included, is a 400 that names the parameter, as is a POST
@@ -147,8 +170,8 @@ func TestUnknownParametersRejected(t *testing.T) {
 		"scale": "sweep", "cacheSize": "65536", "sampleRate": "0.5",
 		"sampleSeed": "3", "keepGoing": "1", "deadline": "30s", "stream": "1",
 	}
-	if len(allowed) != len(queryParams) {
-		t.Errorf("handler accepts %d query parameters, test covers %d", len(queryParams), len(allowed))
+	if len(allowed) != len(queryFields) {
+		t.Errorf("handler accepts %d query parameters, test covers %d", len(queryFields), len(allowed))
 	}
 	for name, v := range allowed {
 		if code, body := get(base + "&" + name + "=" + v); code != http.StatusNotModified {

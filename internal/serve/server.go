@@ -435,17 +435,47 @@ func etagMatch(header, etag string) bool {
 	return false
 }
 
-// queryParams are the names a GET request may carry: exactly those
-// parseRequest and wantsStream read. Like unknown POST fields, anything
-// else is rejected rather than silently answered with defaults.
-var queryParams = map[string]bool{
-	"kind": true, "apps": true, "procs": true, "plist": true, "scale": true,
-	"cacheSize": true, "sampleRate": true, "sampleSeed": true,
-	"keepGoing": true, "deadline": true, "stream": true,
+// queryFields maps each name a GET request may carry to its parser
+// into the request; an empty value leaves the field unset. The keys are
+// the accepted names: like unknown POST fields, anything else is
+// rejected rather than silently answered with defaults. Canonical then
+// validates the request a query describes exactly as it validates a
+// body.
+var queryFields = map[string]func(req *core.Request, v string) error{
+	"kind":      func(req *core.Request, v string) error { req.Kind = v; return nil },
+	"apps":      func(req *core.Request, v string) error { req.Apps = strings.Split(v, ","); return nil },
+	"scale":     func(req *core.Request, v string) error { req.Scale = v; return nil },
+	"procs":     func(req *core.Request, v string) (err error) { req.Procs, err = strconv.Atoi(v); return err },
+	"plist":     func(req *core.Request, v string) (err error) { req.ProcList, err = cli.ParseProcList(v); return err },
+	"cacheSize": func(req *core.Request, v string) (err error) { req.CacheSize, err = strconv.Atoi(v); return err },
+	"sampleRate": func(req *core.Request, v string) (err error) {
+		req.SampleRate, err = strconv.ParseFloat(v, 64)
+		return err
+	},
+	"sampleSeed": func(req *core.Request, v string) (err error) {
+		req.SampleSeed, err = strconv.ParseUint(v, 10, 64)
+		return err
+	},
+	"keepGoing": func(req *core.Request, v string) error { req.KeepGoing = v == "1" || v == "true"; return nil },
+	"deadline":  setDeadline,
+	"stream":    func(*core.Request, string) error { return nil }, // read by wantsStream
+}
+
+// setDeadline parses a request deadline given as a Go duration ("30s",
+// "2m"): the deadline query parameter or the X-Splashd-Deadline header.
+func setDeadline(req *core.Request, v string) error {
+	d, err := time.ParseDuration(v)
+	if err == nil && d < 0 {
+		err = errors.New("negative deadline")
+	}
+	req.TimeoutMillis = d.Milliseconds()
+	return err
 }
 
 // parseRequest decodes an experiment spec from a POST JSON body or GET
-// query parameters.
+// query parameters, then applies the X-Splashd-Deadline header. The
+// header wins over a body or query deadline: it is the transport-level
+// knob a proxy or impatient client sets without rewriting the spec.
 func parseRequest(r *http.Request) (core.Request, error) {
 	var req core.Request
 	if r.Method == http.MethodPost {
@@ -454,76 +484,29 @@ func parseRequest(r *http.Request) (core.Request, error) {
 		if err := dec.Decode(&req); err != nil {
 			return req, fmt.Errorf("bad request body: %v", err)
 		}
-		return req, applyDeadlineHeader(r, &req)
-	}
-	q := r.URL.Query()
-	var unknown []string
-	for name := range q {
-		if !queryParams[name] {
-			unknown = append(unknown, strconv.Quote(name))
+	} else {
+		q := r.URL.Query()
+		var names, unknown []string
+		for name := range q {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			if queryFields[name] == nil {
+				unknown = append(unknown, strconv.Quote(name))
+			}
+		}
+		if len(unknown) > 0 {
+			return req, fmt.Errorf("unknown query parameter %s", strings.Join(unknown, ", "))
+		}
+		for _, name := range names {
+			if v := q.Get(name); v != "" && queryFields[name](&req, v) != nil {
+				return req, fmt.Errorf("bad %s %q", name, v)
+			}
 		}
 	}
-	if len(unknown) > 0 {
-		sort.Strings(unknown)
-		return req, fmt.Errorf("unknown query parameter %s", strings.Join(unknown, ", "))
+	if v := r.Header.Get(headerDeadline); v != "" && setDeadline(&req, v) != nil {
+		return req, fmt.Errorf("bad %s %q", headerDeadline, v)
 	}
-	req.Kind = q.Get("kind")
-	if v := q.Get("apps"); v != "" {
-		req.Apps = strings.Split(v, ",")
-	}
-	var err error
-	if v := q.Get("procs"); v != "" {
-		if req.Procs, err = strconv.Atoi(v); err != nil {
-			return req, fmt.Errorf("bad procs %q", v)
-		}
-	}
-	if v := q.Get("plist"); v != "" {
-		if req.ProcList, err = cli.ParseProcList(v); err != nil {
-			return req, err
-		}
-	}
-	req.Scale = q.Get("scale")
-	if v := q.Get("cacheSize"); v != "" {
-		if req.CacheSize, err = strconv.Atoi(v); err != nil {
-			return req, fmt.Errorf("bad cacheSize %q", v)
-		}
-	}
-	if v := q.Get("sampleRate"); v != "" {
-		if req.SampleRate, err = strconv.ParseFloat(v, 64); err != nil {
-			return req, fmt.Errorf("bad sampleRate %q", v)
-		}
-	}
-	if v := q.Get("sampleSeed"); v != "" {
-		if req.SampleSeed, err = strconv.ParseUint(v, 10, 64); err != nil {
-			return req, fmt.Errorf("bad sampleSeed %q", v)
-		}
-	}
-	if v := q.Get("keepGoing"); v == "1" || v == "true" {
-		req.KeepGoing = true
-	}
-	if v := q.Get("deadline"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil || d < 0 {
-			return req, fmt.Errorf("bad deadline %q", v)
-		}
-		req.TimeoutMillis = d.Milliseconds()
-	}
-	return req, applyDeadlineHeader(r, &req)
-}
-
-// applyDeadlineHeader folds the X-Splashd-Deadline header into the
-// request. The header wins over a body/query deadline: it is the
-// transport-level knob a proxy or impatient client sets without
-// rewriting the experiment spec.
-func applyDeadlineHeader(r *http.Request, req *core.Request) error {
-	v := r.Header.Get(headerDeadline)
-	if v == "" {
-		return nil
-	}
-	d, err := time.ParseDuration(v)
-	if err != nil || d < 0 {
-		return fmt.Errorf("bad %s %q", headerDeadline, v)
-	}
-	req.TimeoutMillis = d.Milliseconds()
-	return nil
+	return req, nil
 }
