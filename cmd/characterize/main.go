@@ -21,8 +21,7 @@
 // Fault tolerance:
 //
 //	characterize -keep-going          # complete past failed experiments
-//	characterize -timeout 5m          # bound each experiment attempt
-//	characterize -retries 2           # retry transiently failing experiments
+//	characterize -timeout 5m          # bound each experiment
 //	characterize -failures fail.json  # write the JSON failure manifest
 //	characterize -fault 'error@2=job:run fft*' -fault-seed 7   # chaos drill
 //

@@ -10,7 +10,7 @@
 //	splashd -j 8 -cache-dir /var/cache/splash2
 //	splashd -no-cache                # memo only, nothing on disk
 //	splashd -max-inflight 4 -max-queue 16 -per-client 8
-//	splashd -timeout 5m -retries 2   # per-experiment fault policy
+//	splashd -timeout 5m              # per-experiment timeout
 //	splashd -drain-timeout 30s       # graceful SIGTERM budget
 //	splashd -lease-ttl 10s           # cross-process work-lease expiry (0 disables)
 //	splashd -no-journal              # skip the durable run journal

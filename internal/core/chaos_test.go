@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -290,50 +289,6 @@ func checkChaosRun(t *testing.T, inj *fault.Injector, res *Results, err error, c
 		if !expect[label] {
 			t.Errorf("manifest lists %q, but no fault was injected there", label)
 		}
-	}
-}
-
-// TestChaosTransientRetryRecovers: a transient injected error with
-// retries enabled must recover completely — zero failures, results
-// deep-equal to the fault-free run, and the retry visible in Counts.
-func TestChaosTransientRetryRecovers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos suite runs full characterizations")
-	}
-	clean := chaosClean(t)
-	for _, seed := range chaosSeeds(t) {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			inj := fault.New(seed, fault.Rule{
-				Pattern: "job:*", Action: fault.Error, Transient: true, Nth: -8,
-			})
-			e, err := NewEngine(EngineOptions{
-				Workers:      4,
-				KeepGoing:    true,
-				Retries:      3,
-				RetryBackoff: time.Millisecond,
-				Fault:        inj,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := e.CollectResults(engineTestOptions())
-			if err != nil {
-				t.Fatalf("transient fault was not retried away: %v", err)
-			}
-			if len(inj.Fired()) == 0 {
-				t.Fatal("no fault fired; the case tested nothing")
-			}
-			c := e.Counts()
-			if c.Retried == 0 {
-				t.Fatalf("counts report no retries: %+v", c)
-			}
-			if c.Failed != 0 || c.Skipped != 0 {
-				t.Fatalf("recovered run reports failures: %+v", c)
-			}
-			if !reflect.DeepEqual(res, clean) {
-				t.Fatalf("recovered results diverge from the clean run:\n got %+v\nwant %+v", res, clean)
-			}
-		})
 	}
 }
 

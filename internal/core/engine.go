@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"splash2/internal/fault"
-	"splash2/internal/mach"
 	"splash2/internal/memsys"
 	"splash2/internal/runner"
 )
@@ -131,13 +130,8 @@ type EngineOptions struct {
 	// sections render FAILED(...) placeholders for lost rows and the
 	// failures accumulate for the end-of-run manifest (Failures).
 	KeepGoing bool
-	// Timeout bounds each experiment attempt; 0 disables.
+	// Timeout bounds each experiment; 0 disables.
 	Timeout time.Duration
-	// Retries grants extra attempts to transiently failing experiments.
-	Retries int
-	// RetryBackoff is the first-retry delay (doubling per retry);
-	// ≤ 0 selects the scheduler default.
-	RetryBackoff time.Duration
 	// Fault is the deterministic fault injector threaded through job
 	// execution and cache I/O; nil disables injection.
 	Fault *fault.Injector
@@ -208,15 +202,13 @@ func NewEngine(o EngineOptions) (*Engine, error) {
 		fault:    o.Fault,
 		journal:  journal,
 		r: runner.New(runner.Options{
-			Workers:      o.Workers,
-			Cache:        cache,
-			Progress:     o.Progress,
-			KeepGoing:    o.KeepGoing,
-			Timeout:      o.Timeout,
-			Retries:      o.Retries,
-			RetryBackoff: o.RetryBackoff,
-			Fault:        o.Fault,
-			Journal:      journal,
+			Workers:   o.Workers,
+			Cache:     cache,
+			Progress:  o.Progress,
+			KeepGoing: o.KeepGoing,
+			Timeout:   o.Timeout,
+			Fault:     o.Fault,
+			Journal:   journal,
 		}),
 		ctx:       ctx,
 		keepGoing: o.KeepGoing,
@@ -242,7 +234,7 @@ func (e *Engine) Close() error {
 func (e *Engine) Journal() *runner.Journal { return e.journal }
 
 // Counts returns the engine's cumulative scheduling counters (jobs
-// executed, cache hits, memo hits, retries, failures, skips).
+// executed, cache hits, memo hits, failures, skips).
 func (e *Engine) Counts() runner.Counts { return e.r.Counts() }
 
 // MemoStats reports the engine's long-lived state sizes (memo entries,
@@ -286,26 +278,4 @@ type traceIdent struct {
 	App   string         `json:"app"`
 	Procs int            `json:"procs"`
 	Opts  map[string]int `json:"opts"`
-}
-
-// recordOut bundles what a record job produces: the recording — its v2
-// bytes in memory, or in a spilled container on disk — plus the
-// recording run's counters.
-type recordOut struct {
-	Trace *memsys.Trace
-	Stats mach.Stats
-}
-
-// recordStatsJob schedules extraction of the recording run's counters
-// (kind "recordstats"). Unlike the trace itself these are small and
-// disk-cacheable, so a fully-cached line-size sweep never re-records.
-func recordStatsJob(g *runner.Graph, rec runner.Job[recordOut], id traceIdent) runner.Job[mach.Stats] {
-	return runner.Submit(g, runner.Spec{
-		Label: fmt.Sprintf("recordstats %s p=%d", id.App, id.Procs),
-		Key:   runner.KeyOf("recordstats", id),
-		Deps:  []runner.Handle{rec},
-	}, func(ctx context.Context) (mach.Stats, error) {
-		out, err := rec.Result()
-		return out.Stats, err
-	})
 }

@@ -23,8 +23,8 @@ import (
 var engineTestApps = []string{"fft", "lu", "radix", "barnes"}
 
 // engineTestOptions is a small but complete characterization: every
-// experiment kind (run, record, recordstats, and the wsweep and lssweep
-// replays) is exercised.
+// experiment kind (run, record, and the wsweep and lssweep replays) is
+// exercised.
 func engineTestOptions() ReportOptions {
 	return ReportOptions{
 		Apps:       engineTestApps,
@@ -139,8 +139,9 @@ func TestDiskCacheSurvivesCorruption(t *testing.T) {
 // TestTraceSharedAcrossSweeps: the Figure-3 and Figure-7/8 sweeps must
 // share one recorded trace per program within an engine. After a
 // working-set sweep, a line-size sweep over fresh configurations executes
-// only its own fused sweep plus the recording-counters job — the trace
-// recording itself is served from the in-memory memo.
+// only its own fused sweep plus the count-only run pick that normalises
+// it — the trace recording, and the execution that pick reads, are
+// served from the in-memory memo.
 func TestTraceSharedAcrossSweeps(t *testing.T) {
 	e, err := NewEngine(EngineOptions{Workers: 2})
 	if err != nil {
@@ -159,7 +160,7 @@ func TestTraceSharedAcrossSweeps(t *testing.T) {
 	}
 	delta := e.Counts().Executed - before
 
-	want := int64(2) // one fused lssweep + recordstats, no re-record
+	want := int64(2) // one fused lssweep + the run pick, no re-record or re-execution
 	if delta != want {
 		t.Fatalf("line-size sweep executed %d jobs, want %d (recording not shared?)", delta, want)
 	}

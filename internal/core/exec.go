@@ -139,7 +139,7 @@ func (b *batch) countRuns(req Request, procs int) []runner.Job[*RunResult] {
 // its own. With trace spilling on (kind "recordv2") only where the bytes
 // live changes: the execution spills them (see wait), and a pick that
 // must record serves an earlier run's verified container if it can.
-func (b *batch) recordJob(id traceIdent) runner.Job[recordOut] {
+func (b *batch) recordJob(id traceIdent) runner.Job[*memsys.Trace] {
 	e := b.e
 	kind := "record"
 	if e.spillDir != "" {
@@ -152,17 +152,17 @@ func (b *batch) recordJob(id traceIdent) runner.Job[recordOut] {
 		Key:     key,
 		Lazy:    true,
 		NoStore: true,
-	}, func(ctx context.Context) (recordOut, error) {
+	}, func(ctx context.Context) (*memsys.Trace, error) {
 		x, err := pt.job.Result()
 		if err != nil {
-			return recordOut{}, err
+			return nil, err
 		}
 		if tr := x.trace.Swap(nil); tr != nil {
-			return recordOut{Trace: tr, Stats: x.Stats}, nil
+			return tr, nil
 		}
-		record := func() (recordOut, error) {
-			tr, st, err := RecordApp(id.App, id.Procs, id.Opts)
-			return recordOut{Trace: tr, Stats: st}, err
+		record := func() (*memsys.Trace, error) {
+			tr, _, err := RecordApp(id.App, id.Procs, id.Opts)
+			return tr, err
 		}
 		if e.spillDir != "" {
 			return e.spill(key.String(), record)
@@ -204,13 +204,13 @@ func (b *batch) wait() error {
 			if err != nil || spill == "" {
 				return x, err
 			}
-			out, err := b.e.spill(spill, func() (recordOut, error) {
-				return recordOut{Trace: x.trace.Load(), Stats: x.Stats}, nil
+			tr, err := b.e.spill(spill, func() (*memsys.Trace, error) {
+				return x.trace.Load(), nil
 			})
 			if err != nil {
 				return nil, err
 			}
-			x.trace.Store(out.Trace)
+			x.trace.Store(tr)
 			return x, nil
 		})
 		for _, p := range pt.picks {

@@ -158,11 +158,11 @@ func (r *Results) WriteCSV(w io.Writer) error {
 	}
 
 	if len(r.Failures) > 0 {
-		if err := section("failures", []string{"label", "key", "attempts", "panicked", "timedOut", "skipped", "cause"}); err != nil {
+		if err := section("failures", []string{"label", "key", "panicked", "timedOut", "skipped", "cause"}); err != nil {
 			return err
 		}
 		for _, rec := range r.Failures {
-			if err := cw.Write([]string{rec.Label, rec.Key, d(rec.Attempts), strconv.FormatBool(rec.Panicked), strconv.FormatBool(rec.TimedOut), strconv.FormatBool(rec.Skipped), rec.Cause}); err != nil {
+			if err := cw.Write([]string{rec.Label, rec.Key, strconv.FormatBool(rec.Panicked), strconv.FormatBool(rec.TimedOut), strconv.FormatBool(rec.Skipped), rec.Cause}); err != nil {
 				return err
 			}
 		}

@@ -23,8 +23,6 @@ type FailureRecord struct {
 	Label string `json:"label"`
 	// Key is the experiment's content address ("" for uncacheable jobs).
 	Key string `json:"key,omitempty"`
-	// Attempts is how many times the job ran before giving up.
-	Attempts int `json:"attempts,omitempty"`
 	// Panicked, TimedOut and Skipped classify the failure; Skipped means
 	// the experiment never ran because a dependency failed.
 	Panicked bool `json:"panicked,omitempty"`
@@ -55,7 +53,6 @@ func NewFailureManifest(fails []*runner.JobError) FailureManifest {
 		recs = append(recs, FailureRecord{
 			Label:    je.Label,
 			Key:      je.Key,
-			Attempts: je.Attempts,
 			Panicked: je.Panicked,
 			TimedOut: je.TimedOut,
 			Skipped:  je.Skipped,

@@ -7,7 +7,6 @@ import (
 	"io"
 	"text/tabwriter"
 
-	"splash2/internal/mach"
 	"splash2/internal/memsys"
 	"splash2/internal/runner"
 )
@@ -49,22 +48,21 @@ func DefaultLineSizes() []int { return []int{8, 16, 32, 64, 128, 256} }
 // line size at req.CacheSize for every program. Each program's trace is
 // replayed at every line size, keeping the reference stream identical
 // across the sweep. A program's lazy record pick feeds one fused
-// all-line-sizes replay plus the small, disk-cacheable recording
-// counters needed for normalization, so a fully-cached sweep never
-// re-records the trace.
+// all-line-sizes replay; the traffic is normalised by the counters of
+// the count-only run at req.Procs (Table 1's pick, served by the same
+// point's execution), so a fully-cached sweep never re-records the
+// trace.
 func (b *batch) lineSize(req Request) fill {
 	sweeps := make([]runner.Job[[]memsys.Stats], len(req.Apps))
-	stats := make([]runner.Job[mach.Stats], len(req.Apps))
+	runs := b.countRuns(req, req.Procs)
 	for i, name := range req.Apps {
 		id := req.trace(name)
-		rec := b.recordJob(id)
-		sweeps[i] = lineSizeSweepJob(b.g, rec, id, req)
-		stats[i] = recordStatsJob(b.g, rec, id)
+		sweeps[i] = lineSizeSweepJob(b.g, b.recordJob(id), id, req)
 	}
 	return func(res *Results) error {
 		for i, name := range req.Apps {
 			perFlop := flopBased(name)
-			runStats, failed, err := degrade(b.e, stats[i])
+			run, failed, err := degrade(b.e, runs[i])
 			if err != nil {
 				return err
 			}
@@ -77,7 +75,7 @@ func (b *batch) lineSize(req Request) fill {
 				res.LineSize = append(res.LineSize, []LineSizePoint{{App: name, PerFlop: perFlop, Failed: failed}})
 				continue
 			}
-			denom := opCount(perFlop, runStats.Procs)
+			denom := opCount(perFlop, run.Stats.Procs)
 			var pts []LineSizePoint
 			for j, ls := range req.LineSizes {
 				agg := sweep[j].Aggregate()
@@ -104,13 +102,13 @@ func (b *batch) lineSize(req Request) fill {
 // lineSizeSweepJob schedules one program's whole line-size sweep as a
 // single fused replay (kind "lssweep"): the trace is decoded once, every
 // line size's system fed per reference.
-func lineSizeSweepJob(g *runner.Graph, rec runner.Job[recordOut], id traceIdent, req Request) runner.Job[[]memsys.Stats] {
+func lineSizeSweepJob(g *runner.Graph, rec runner.Job[*memsys.Trace], id traceIdent, req Request) runner.Job[[]memsys.Stats] {
 	return runner.Submit(g, runner.Spec{
 		Label: fmt.Sprintf("lssweep %s %dK 4-way ×%d line sizes", id.App, req.CacheSize/1024, len(req.LineSizes)),
 		Key:   runner.KeyOf("lssweep", id, req.CacheSize, req.LineSizes),
 		Deps:  []runner.Handle{rec},
 	}, func(ctx context.Context) ([]memsys.Stats, error) {
-		out, err := rec.Result()
+		tr, err := rec.Result()
 		if err != nil {
 			return nil, err
 		}
@@ -118,7 +116,7 @@ func lineSizeSweepJob(g *runner.Graph, rec runner.Job[recordOut], id traceIdent,
 		for i, ls := range req.LineSizes {
 			cfgs[i] = memsys.Config{Procs: req.Procs, CacheSize: req.CacheSize, Assoc: 4, LineSize: ls}
 		}
-		return memsys.ReplayMulti(out.Trace, cfgs)
+		return memsys.ReplayMulti(tr, cfgs)
 	})
 }
 

@@ -88,7 +88,7 @@ func (b *batch) sampledSets(req Request) fill {
 // the sampling rate, seed and exact-window width — estimates at
 // different rates are different results and must not collide in the
 // cache.
-func (e *Engine) sampledSweepJob(g *runner.Graph, rec runner.Job[recordOut], id traceIdent, cacheSizes []int, rate float64, seed uint64) runner.Job[sampledSweep] {
+func (e *Engine) sampledSweepJob(g *runner.Graph, rec runner.Job[*memsys.Trace], id traceIdent, cacheSizes []int, rate float64, seed uint64) runner.Job[sampledSweep] {
 	return runner.Submit(g, runner.Spec{
 		Label: fmt.Sprintf("wsweep-sampled %s %d sizes @ %g", id.App, len(cacheSizes), rate),
 		Key:   runner.KeyOf("wsweep-sampled", id, cacheSizes, 64, math.Float64bits(rate), seed, memsys.DefaultExactLines),
@@ -98,7 +98,7 @@ func (e *Engine) sampledSweepJob(g *runner.Graph, rec runner.Job[recordOut], id 
 		if err := e.fault.Do(ctx, "sample.estimate:"+id.App); err != nil {
 			return sw, err
 		}
-		out, err := rec.Result()
+		tr, err := rec.Result()
 		if err != nil {
 			return sw, err
 		}
@@ -108,7 +108,7 @@ func (e *Engine) sampledSweepJob(g *runner.Graph, rec runner.Job[recordOut], id 
 				maxSize = cs
 			}
 		}
-		sp, err := memsys.SampledStackDistances(out.Trace, 64, maxSize, memsys.SampledOptions{
+		sp, err := memsys.SampledStackDistances(tr, 64, maxSize, memsys.SampledOptions{
 			Rate: rate, Seed: seed, ExactLines: memsys.DefaultExactLines,
 		})
 		if err != nil {

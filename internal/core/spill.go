@@ -11,7 +11,6 @@ import (
 	"strings"
 	"time"
 
-	"splash2/internal/mach"
 	"splash2/internal/memsys"
 )
 
@@ -87,8 +86,6 @@ func sweepSpillOrphans(dir string, age time.Duration) (removed []string) {
 type spillSidecar struct {
 	// TraceSum is the hex SHA-256 of the container file.
 	TraceSum string `json:"traceSum"`
-	// Stats are the recording run's counters (the recordstats source).
-	Stats mach.Stats `json:"stats"`
 }
 
 // spillPaths returns the container and sidecar paths for a trace key.
@@ -101,34 +98,34 @@ func (e *Engine) spillPaths(key string) (trace, sidecar string) {
 // sidecar hash. Any inconsistency — missing files, corrupt JSON, hash
 // mismatch, unreadable container — reads as a miss, never an error:
 // spilling must degrade to re-recording.
-func (e *Engine) loadSpilled(key string) (recordOut, bool) {
+func (e *Engine) loadSpilled(key string) (*memsys.Trace, bool) {
 	tracePath, sidecarPath := e.spillPaths(key)
 	raw, err := os.ReadFile(sidecarPath)
 	if err != nil {
-		return recordOut{}, false
+		return nil, false
 	}
 	var sc spillSidecar
 	if err := json.Unmarshal(raw, &sc); err != nil {
-		return recordOut{}, false
+		return nil, false
 	}
 	f, err := os.Open(tracePath)
 	if err != nil {
-		return recordOut{}, false
+		return nil, false
 	}
 	h := sha256.New()
 	if _, err := io.Copy(h, f); err != nil {
 		f.Close()
-		return recordOut{}, false
+		return nil, false
 	}
 	f.Close()
 	if hex.EncodeToString(h.Sum(nil)) != sc.TraceSum {
-		return recordOut{}, false
+		return nil, false
 	}
 	tf, err := memsys.OpenTraceFile(tracePath, e.fault)
 	if err != nil {
-		return recordOut{}, false
+		return nil, false
 	}
-	return recordOut{Trace: tf, Stats: sc.Stats}, true
+	return tf, true
 }
 
 // spill serves the verified container of key if an earlier run left
@@ -138,16 +135,16 @@ func (e *Engine) loadSpilled(key string) (recordOut, bool) {
 // describes a missing file), and serves a Trace over the file, so the
 // recording leaves memory. The container never enters the result
 // cache; it is the cached artifact.
-func (e *Engine) spill(key string, record func() (recordOut, error)) (recordOut, error) {
+func (e *Engine) spill(key string, record func() (*memsys.Trace, error)) (*memsys.Trace, error) {
 	if out, ok := e.loadSpilled(key); ok {
 		return out, nil
 	}
 	rec, err := record()
 	if err != nil {
-		return recordOut{}, err
+		return nil, err
 	}
 	if err := e.writeSpilled(key, rec); err != nil {
-		return recordOut{}, err
+		return nil, err
 	}
 	out, ok := e.loadSpilled(key)
 	if !ok {
@@ -158,17 +155,17 @@ func (e *Engine) spill(key string, record func() (recordOut, error)) (recordOut,
 	return out, nil
 }
 
-// writeSpilled writes the container and sidecar of spill.
-func (e *Engine) writeSpilled(key string, rec recordOut) error {
+// writeSpilled writes the container and sidecar of tr.
+func (e *Engine) writeSpilled(key string, tr *memsys.Trace) error {
 	tracePath, sidecarPath := e.spillPaths(key)
 	h := sha256.New()
 	if err := e.writeAtomic(tracePath, key+".tmp*", func(w io.Writer) error {
-		_, err := rec.Trace.WriteV2(io.MultiWriter(w, h))
+		_, err := tr.WriteV2(io.MultiWriter(w, h))
 		return err
 	}); err != nil {
 		return fmt.Errorf("core: spilling trace: %w", err)
 	}
-	raw, err := json.Marshal(spillSidecar{TraceSum: hex.EncodeToString(h.Sum(nil)), Stats: rec.Stats})
+	raw, err := json.Marshal(spillSidecar{TraceSum: hex.EncodeToString(h.Sum(nil))})
 	if err == nil {
 		err = e.writeAtomic(sidecarPath, key+".json.tmp*", func(w io.Writer) error {
 			_, err := w.Write(raw)

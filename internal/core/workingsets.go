@@ -90,17 +90,17 @@ func (b *batch) table2(req Request) fill {
 // from the recorded trace, one pass per associativity answering all
 // sizes at once — the inclusion pass for set-associative caches, the
 // stack-distance pass for fully associative ones.
-func workingSetSweepJob(g *runner.Graph, rec runner.Job[recordOut], id traceIdent, cacheSizes, assocs []int) runner.Job[[][]float64] {
+func workingSetSweepJob(g *runner.Graph, rec runner.Job[*memsys.Trace], id traceIdent, cacheSizes, assocs []int) runner.Job[[][]float64] {
 	return runner.Submit(g, runner.Spec{
 		Label: fmt.Sprintf("wsweep %s %d sizes × %d assocs", id.App, len(cacheSizes), len(assocs)),
 		Key:   runner.KeyOf("wsweep", id, cacheSizes, assocs, 64),
 		Deps:  []runner.Handle{rec},
 	}, func(ctx context.Context) ([][]float64, error) {
-		out, err := rec.Result()
+		tr, err := rec.Result()
 		if err != nil {
 			return nil, err
 		}
-		return workingSetMissRates(out.Trace, cacheSizes, assocs)
+		return workingSetMissRates(tr, cacheSizes, assocs)
 	})
 }
 

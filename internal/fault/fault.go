@@ -83,9 +83,6 @@ type Rule struct {
 	// nth match only, 0 fires on every match, and -k fires on one
 	// seed-chosen occurrence within the first k matches.
 	Nth int
-	// Transient marks injected errors as retryable: the scheduler's
-	// retry-with-backoff policy applies to them.
-	Transient bool
 	// Delay is the stall applied by Delay rules.
 	Delay time.Duration
 	// Keep is the byte count ShortRead rules truncate to.
@@ -96,21 +93,12 @@ type Rule struct {
 type InjectedError struct {
 	// Op is the operation the error was injected at.
 	Op string
-	// IsTransient mirrors Rule.Transient.
-	IsTransient bool
 }
 
 // Error describes the injection.
 func (e *InjectedError) Error() string {
-	if e.IsTransient {
-		return fmt.Sprintf("injected transient fault at %s", e.Op)
-	}
 	return fmt.Sprintf("injected fault at %s", e.Op)
 }
-
-// Transient reports whether the scheduler should retry the operation (the
-// runner detects this method without importing this package).
-func (e *InjectedError) Transient() bool { return e.IsTransient }
 
 // Firing records one rule application.
 type Firing struct {
@@ -243,11 +231,9 @@ func (i *Injector) Do(ctx context.Context, op string) error {
 	}
 	fired := i.evaluate(op, func(a Action) bool { return a != ShortRead })
 	var delay time.Duration
-	doPanic := false
-	doCrash := false
-	var errRule *Rule
-	for idx := range fired {
-		switch ru := fired[idx]; ru.Action {
+	doPanic, doCrash, doErr := false, false, false
+	for _, ru := range fired {
+		switch ru.Action {
 		case Delay:
 			if ru.Delay > delay {
 				delay = ru.Delay
@@ -257,9 +243,7 @@ func (i *Injector) Do(ctx context.Context, op string) error {
 		case Crash:
 			doCrash = true
 		case Error:
-			if errRule == nil {
-				errRule = &fired[idx]
-			}
+			doErr = true
 		}
 	}
 	if doCrash {
@@ -278,8 +262,8 @@ func (i *Injector) Do(ctx context.Context, op string) error {
 	if doPanic {
 		panic(fmt.Sprintf("fault: injected panic at %s (seed %d)", op, i.seed))
 	}
-	if errRule != nil {
-		return &InjectedError{Op: op, IsTransient: errRule.Transient}
+	if doErr {
+		return &InjectedError{Op: op}
 	}
 	return nil
 }
@@ -326,9 +310,9 @@ func (i *Injector) Reader(op string, r io.Reader) io.Reader {
 //	spec  = rule *(";" rule)
 //	rule  = action ["(" arg ")"] ["@" nth] "=" pattern
 //
-// Actions: "error", "terror" (transient error), "panic", "delay" (arg:
-// duration), "shortread" (arg: bytes to keep) and "crash" (hard process
-// kill — see Crash). nth follows Rule.Nth.
+// Actions: "error", "panic", "delay" (arg: duration), "shortread" (arg:
+// bytes to keep) and "crash" (hard process kill — see Crash). nth
+// follows Rule.Nth.
 // Example: "error=job:run fft*;delay(50ms)@2=job:wsweep*".
 func Parse(spec string) ([]Rule, error) {
 	var rules []Rule
@@ -362,9 +346,6 @@ func Parse(spec string) ([]Rule, error) {
 		switch action {
 		case "error":
 			ru.Action = Error
-		case "terror":
-			ru.Action = Error
-			ru.Transient = true
 		case "panic":
 			ru.Action = Panic
 		case "delay":

@@ -38,8 +38,8 @@ func TestErrorRuleNthOccurrence(t *testing.T) {
 	if !errors.As(err, &ie) {
 		t.Fatalf("second occurrence did not fire: %v", err)
 	}
-	if ie.Transient() {
-		t.Fatal("non-transient rule produced transient error")
+	if ie.Op != "job:run lu" {
+		t.Fatalf("InjectedError.Op = %q", ie.Op)
 	}
 	if err := inj.Do(ctx, "job:run fft"); err != nil {
 		t.Fatalf("third occurrence fired: %v", err)
@@ -53,12 +53,12 @@ func TestErrorRuleNthOccurrence(t *testing.T) {
 	}
 }
 
-func TestEveryOccurrenceAndTransient(t *testing.T) {
-	inj := New(1, Rule{Pattern: "job:x", Action: Error, Transient: true})
+func TestEveryOccurrence(t *testing.T) {
+	inj := New(1, Rule{Pattern: "job:x", Action: Error})
 	for i := 0; i < 3; i++ {
 		err := inj.Do(context.Background(), "job:x")
 		var ie *InjectedError
-		if !errors.As(err, &ie) || !ie.Transient() {
+		if !errors.As(err, &ie) {
 			t.Fatalf("occurrence %d: %v", i, err)
 		}
 	}
@@ -141,13 +141,13 @@ func TestSeededOccurrenceIsDeterministic(t *testing.T) {
 }
 
 func TestParse(t *testing.T) {
-	rules, err := Parse("error=job:run fft*; terror@2=cache.get:*;panic=job:boom;delay(50ms)@-4=job:slow*;shortread(16)=trace.read")
+	rules, err := Parse("error=job:run fft*; error@2=cache.get:*;panic=job:boom;delay(50ms)@-4=job:slow*;shortread(16)=trace.read")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []Rule{
 		{Pattern: "job:run fft*", Action: Error},
-		{Pattern: "cache.get:*", Action: Error, Transient: true, Nth: 2},
+		{Pattern: "cache.get:*", Action: Error, Nth: 2},
 		{Pattern: "job:boom", Action: Panic},
 		{Pattern: "job:slow*", Action: Delay, Delay: 50 * time.Millisecond, Nth: -4},
 		{Pattern: "trace.read", Action: ShortRead, Keep: 16},
@@ -161,7 +161,7 @@ func TestParse(t *testing.T) {
 		}
 	}
 
-	for _, bad := range []string{"", "error", "bogus=x", "delay=x", "delay(zzz)=x", "shortread(-1)=x", "error@x=y"} {
+	for _, bad := range []string{"", "error", "bogus=x", "delay=x", "delay(zzz)=x", "shortread(-1)=x", "error@x=y", "terror@2=cache.get:*"} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted", bad)
 		}

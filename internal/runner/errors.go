@@ -5,10 +5,10 @@ import (
 	"fmt"
 )
 
-// ErrTimeout marks a job attempt that exceeded Options.Timeout. The
-// attempt's goroutine is abandoned (it keeps running until it observes
-// its context), but the worker slot is reclaimed immediately, so a
-// wedged job can never hang the pool.
+// ErrTimeout marks a job that exceeded Options.Timeout. The job fails at
+// once, so a wedged job cannot hang its graph; its abandoned body keeps
+// running until it returns (it may never read its context) and holds its
+// worker slot until then, so the pool is never oversubscribed.
 var ErrTimeout = errors.New("job timed out")
 
 // JobError is the structured failure of one job: instead of crashing or
@@ -21,13 +21,11 @@ type JobError struct {
 	Label string `json:"label"`
 	// Key is the job's content address in hex ("" for uncacheable jobs).
 	Key string `json:"key,omitempty"`
-	// Attempts is how many times the job ran (> 1 after retries).
-	Attempts int `json:"attempts,omitempty"`
 	// Panicked reports that the job's function panicked; Stack holds the
 	// recovered goroutine stack.
 	Panicked bool   `json:"panicked,omitempty"`
 	Stack    string `json:"stack,omitempty"`
-	// TimedOut reports that the last attempt exceeded the job timeout.
+	// TimedOut reports that the job exceeded Options.Timeout.
 	TimedOut bool `json:"timedOut,omitempty"`
 	// Skipped reports that the job never ran because a dependency failed;
 	// Err names the failed dependency.
@@ -39,14 +37,10 @@ type JobError struct {
 // Error formats as "label: cause" (the FAILED-cell text); stacks are kept
 // out of the message and available via the Stack field.
 func (e *JobError) Error() string {
-	switch {
-	case e.Skipped:
+	if e.Skipped {
 		return fmt.Sprintf("%s: skipped: %v", e.Label, e.Err)
-	case e.TimedOut && e.Attempts > 1:
-		return fmt.Sprintf("%s: %v (attempt %d)", e.Label, e.Err, e.Attempts)
-	default:
-		return fmt.Sprintf("%s: %v", e.Label, e.Err)
 	}
+	return fmt.Sprintf("%s: %v", e.Label, e.Err)
 }
 
 // Unwrap exposes the cause to errors.Is / errors.As.
@@ -58,34 +52,6 @@ func (e *JobError) Cause() string {
 		return ""
 	}
 	return e.Err.Error()
-}
-
-// transientError marks an error as retryable.
-type transientError struct{ err error }
-
-func (t transientError) Error() string { return t.err.Error() }
-func (t transientError) Unwrap() error { return t.err }
-
-// Transient wraps err so the scheduler retries the job (bounded by
-// Options.Retries, with exponential backoff). Jobs report transient
-// failures — contended files, flaky I/O — by returning Transient(err).
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return transientError{err}
-}
-
-// IsTransient reports whether err is marked retryable: wrapped by
-// Transient, or carrying a `Transient() bool` method (the fault
-// injector's errors do, without importing this package).
-func IsTransient(err error) bool {
-	var t transientError
-	if errors.As(err, &t) {
-		return true
-	}
-	var m interface{ Transient() bool }
-	return errors.As(err, &m) && m.Transient()
 }
 
 // keyStr renders a key for JobError ("" for the zero key).

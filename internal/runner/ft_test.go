@@ -20,9 +20,6 @@ func ftRunner(t *testing.T, opts Options) *Runner {
 	if opts.Workers == 0 {
 		opts.Workers = 4
 	}
-	if opts.RetryBackoff == 0 {
-		opts.RetryBackoff = time.Millisecond
-	}
 	return New(opts)
 }
 
@@ -115,56 +112,44 @@ func TestTimeoutAbandonsWedgedJob(t *testing.T) {
 	}
 }
 
-func TestRetryTransientRecovers(t *testing.T) {
-	r := ftRunner(t, Options{Retries: 3})
+// TestTimedOutBodyKeepsWorkerSlot: a job abandoned at its timeout fails
+// with ErrTimeout at once, but its body — which ignores its context, as
+// every mach execution and memsys pass does — keeps the worker slot until
+// it returns, so abandoned bodies never run more than Workers at once.
+func TestTimedOutBodyKeepsWorkerSlot(t *testing.T) {
+	const workers, jobs = 1, 4
+	r := ftRunner(t, Options{Workers: workers, Timeout: 10 * time.Millisecond, KeepGoing: true})
 	g := r.NewGraph()
-	var calls atomic.Int64
-	j := Submit(g, Spec{Label: "flaky"}, func(ctx context.Context) (int, error) {
-		if calls.Add(1) < 3 {
-			return 0, Transient(fmt.Errorf("flaky I/O"))
-		}
-		return 99, nil
-	})
+	var running, peak atomic.Int64
+	var hs []Job[int]
+	for i := 0; i < jobs; i++ {
+		hs = append(hs, Submit(g, Spec{Label: fmt.Sprintf("slow%d", i)}, func(ctx context.Context) (int, error) {
+			n := running.Add(1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			time.Sleep(100 * time.Millisecond) // ignores ctx
+			running.Add(-1)
+			return 0, nil
+		}))
+	}
 	if err := g.Wait(context.Background()); err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
-	if v, err := j.Result(); err != nil || v != 99 {
-		t.Fatalf("Result = %v, %v", v, err)
+	for _, h := range hs {
+		if _, err := h.Result(); !errors.Is(err, ErrTimeout) {
+			t.Fatalf("job error = %v, want ErrTimeout", err)
+		}
 	}
-	if calls.Load() != 3 {
-		t.Fatalf("job ran %d times, want 3", calls.Load())
+	if p := peak.Load(); p > workers {
+		t.Fatalf("%d bodies ran at once, want ≤ %d workers", p, workers)
 	}
-	if c := r.Counts(); c.Retried != 2 || c.Failed != 0 || c.Executed != 1 {
-		t.Fatalf("Counts = %+v", c)
-	}
-}
-
-func TestRetryExhausted(t *testing.T) {
-	r := ftRunner(t, Options{Retries: 2})
-	g := r.NewGraph()
-	var calls atomic.Int64
-	Submit(g, Spec{Label: "doomed"}, func(ctx context.Context) (int, error) {
-		calls.Add(1)
-		return 0, Transient(errors.New("still down"))
-	})
-	err := g.Wait(context.Background())
-	var je *JobError
-	if !errors.As(err, &je) {
-		t.Fatalf("Wait error = %v", err)
-	}
-	if je.Attempts != 3 {
-		t.Fatalf("Attempts = %d, want 3", je.Attempts)
-	}
-	if calls.Load() != 3 {
-		t.Fatalf("job ran %d times, want 3", calls.Load())
-	}
-	if c := r.Counts(); c.Retried != 2 || c.Failed != 1 {
+	if c := r.Counts(); c.TimedOut != jobs || c.Failed != jobs {
 		t.Fatalf("Counts = %+v", c)
 	}
 }
 
 func TestPermanentErrorNotRetried(t *testing.T) {
-	r := ftRunner(t, Options{Retries: 5})
+	r := ftRunner(t, Options{})
 	g := r.NewGraph()
 	var calls atomic.Int64
 	Submit(g, Spec{Label: "fatal"}, func(ctx context.Context) (int, error) {
@@ -176,9 +161,6 @@ func TestPermanentErrorNotRetried(t *testing.T) {
 	}
 	if calls.Load() != 1 {
 		t.Fatalf("permanent failure retried: %d calls", calls.Load())
-	}
-	if c := r.Counts(); c.Retried != 0 {
-		t.Fatalf("Counts.Retried = %d, want 0", c.Retried)
 	}
 }
 
@@ -223,17 +205,11 @@ func TestKeepGoingSkipsDependents(t *testing.T) {
 }
 
 func TestFaultInjectionAtJobPoint(t *testing.T) {
-	inj := fault.New(3,
-		fault.Rule{Pattern: "job:victim", Action: fault.Error},
-		fault.Rule{Pattern: "job:flaky", Action: fault.Error, Transient: true, Nth: 1},
-	)
-	r := ftRunner(t, Options{KeepGoing: true, Retries: 2, Fault: inj})
+	inj := fault.New(3, fault.Rule{Pattern: "job:victim", Action: fault.Error})
+	r := ftRunner(t, Options{KeepGoing: true, Fault: inj})
 	g := r.NewGraph()
 	victim := Submit(g, Spec{Label: "victim"}, func(ctx context.Context) (int, error) {
 		return 1, nil
-	})
-	flaky := Submit(g, Spec{Label: "flaky"}, func(ctx context.Context) (int, error) {
-		return 2, nil
 	})
 	if err := g.Wait(context.Background()); err != nil {
 		t.Fatalf("Wait: %v", err)
@@ -242,16 +218,11 @@ func TestFaultInjectionAtJobPoint(t *testing.T) {
 	if _, err := victim.Result(); !errors.As(err, &ie) {
 		t.Fatalf("victim error = %v, want InjectedError", err)
 	}
-	// The transient injected error fires once (Nth: 1), then the retry
-	// succeeds: fault-injected flakiness heals through the retry policy.
-	if v, err := flaky.Result(); err != nil || v != 2 {
-		t.Fatalf("flaky = %v, %v", v, err)
-	}
-	if c := r.Counts(); c.Retried != 1 || c.Failed != 1 {
+	if c := r.Counts(); c.Failed != 1 {
 		t.Fatalf("Counts = %+v", c)
 	}
-	if n := len(inj.Fired()); n != 2 {
-		t.Fatalf("injector fired %d times, want 2", n)
+	if n := len(inj.Fired()); n != 1 {
+		t.Fatalf("injector fired %d times, want 1", n)
 	}
 }
 

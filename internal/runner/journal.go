@@ -50,8 +50,6 @@ type JournalEvent struct {
 	Label string `json:"label,omitempty"`
 	// Key is the job's content address for job.* and lease events.
 	Key string `json:"key,omitempty"`
-	// Attempts is the attempt count consumed by a finished/failed job.
-	Attempts int `json:"attempts,omitempty"`
 	// Cause is the failure cause for job.fail/job.skip.
 	Cause string `json:"cause,omitempty"`
 	// FaultOp names the injected fault behind a failure, when one fired.
@@ -176,23 +174,23 @@ func (j *Journal) append(ctx context.Context, ev JournalEvent) {
 	j.appended++
 }
 
-// JobStart records that a job's attempt loop began.
+// JobStart records that a job began executing.
 func (j *Journal) JobStart(ctx context.Context, label, key string) {
 	j.append(ctx, JournalEvent{Event: "job.start", Label: label, Key: key})
 }
 
 // JobDone records a job that completed successfully.
-func (j *Journal) JobDone(ctx context.Context, label, key string, attempts int) {
-	j.append(ctx, JournalEvent{Event: "job.done", Label: label, Key: key, Attempts: attempts})
+func (j *Journal) JobDone(ctx context.Context, label, key string) {
+	j.append(ctx, JournalEvent{Event: "job.done", Label: label, Key: key})
 }
 
-// JobFail records a job that exhausted its attempts. When the cause was
+// JobFail records a job that failed or was skipped. When the cause was
 // an injected fault the fault operation is recorded too.
 func (j *Journal) JobFail(ctx context.Context, je *JobError) {
 	if j == nil || je == nil {
 		return
 	}
-	ev := JournalEvent{Event: "job.fail", Label: je.Label, Key: je.Key, Attempts: je.Attempts, Cause: je.Cause()}
+	ev := JournalEvent{Event: "job.fail", Label: je.Label, Key: je.Key, Cause: je.Cause()}
 	if je.Skipped {
 		ev.Event = "job.skip"
 	}

@@ -22,9 +22,9 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatal("journal has empty identity")
 	}
 	j.JobStart(nil, "fft", "aa11")
-	j.JobDone(nil, "fft", "aa11", 1)
+	j.JobDone(nil, "fft", "aa11")
 	j.JobStart(nil, "lu", "bb22")
-	j.JobFail(nil, &JobError{Label: "lu", Key: "bb22", Attempts: 3, Err: errors.New("boom")})
+	j.JobFail(nil, &JobError{Label: "lu", Key: "bb22", Err: errors.New("boom")})
 	j.JobStart(nil, "radix", "cc33")
 	j.JobShared(nil, "radix", "cc33")
 	j.LeaseTakeover(nil, "dd44")
@@ -70,7 +70,7 @@ func TestJournalFailEventDetail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.JobFail(nil, &JobError{Label: "fft", Key: "aa", Attempts: 1,
+	j.JobFail(nil, &JobError{Label: "fft", Key: "aa",
 		Err: &fault.InjectedError{Op: "cache.put:aa"}})
 	j.JobFail(nil, &JobError{Label: "lu", Skipped: true, Err: errors.New("dependency fft: boom")})
 	j.Close(Counts{})
@@ -210,7 +210,7 @@ func TestJournalAppendFaultIsBestEffort(t *testing.T) {
 	j.SetFault(fault.New(1, rules...))
 	before := j.Appended()
 	j.JobStart(nil, "fft", "aa")
-	j.JobDone(nil, "fft", "aa", 1)
+	j.JobDone(nil, "fft", "aa")
 	if got := j.Appended(); got != before {
 		t.Errorf("Appended grew to %d despite injected append faults", got)
 	}
@@ -234,7 +234,7 @@ func TestJournalNilSafety(t *testing.T) {
 	var j *Journal
 	j.SetFault(nil)
 	j.JobStart(nil, "x", "y")
-	j.JobDone(nil, "x", "y", 1)
+	j.JobDone(nil, "x", "y")
 	j.JobFail(nil, &JobError{Label: "x"})
 	j.JobShared(nil, "x", "y")
 	j.LeaseTakeover(nil, "y")

@@ -12,7 +12,8 @@
 //     (Graph.Depend) for a dependency known only once the graph is built;
 //   - a worker pool (default runtime.GOMAXPROCS) with context
 //     cancellation, fail-fast error propagation, and live progress
-//     reporting;
+//     reporting; a job runs once, since a deterministic experiment that
+//     failed would fail the same way on every retry;
 //   - a content-addressed result store: an in-memory memo deduplicates
 //     identical experiments within a run (Table 1 and Figure 2 submit the
 //     same jobs; Table 3 reuses Figure 4's points), and an optional
@@ -45,12 +46,9 @@ type Options struct {
 	Cache *Cache
 	// Progress receives one line per executed job plus a per-graph
 	// summary, the text form of the progress events; nil disables it.
+	// Per-graph sinks are added with Graph.OnProgress (splashd streams
+	// one request's events without seeing its neighbours').
 	Progress io.Writer
-	// OnProgress receives the progress events of every graph; nil
-	// disables it. Per-graph sinks are added with Graph.OnProgress
-	// (splashd streams one request's events without seeing its
-	// neighbours').
-	OnProgress ProgressFunc
 
 	// KeepGoing runs graphs to completion past failed jobs instead of
 	// failing fast: dependents of a failure are skipped (completing with
@@ -58,17 +56,11 @@ type Options struct {
 	// Wait returns nil unless the context was cancelled. Callers then
 	// inspect per-job errors and degrade their output.
 	KeepGoing bool
-	// Timeout bounds each job attempt; 0 disables. A timed-out attempt
-	// is abandoned (its goroutine runs on until it observes its context)
-	// and the job fails with ErrTimeout, so a wedged job cannot hang the
-	// pool.
+	// Timeout bounds each job's run; 0 disables. A timed-out job fails
+	// with ErrTimeout at once, so a wedged job cannot hang its graph's
+	// Wait; its body keeps its worker slot until it returns, so abandoned
+	// bodies cannot oversubscribe the pool either.
 	Timeout time.Duration
-	// Retries is the number of extra attempts granted to jobs that
-	// report transient failures (see Transient); 0 disables retry.
-	Retries int
-	// RetryBackoff is the delay before the first retry, doubling per
-	// subsequent retry; ≤ 0 selects 50ms.
-	RetryBackoff time.Duration
 	// Fault is the deterministic fault injector threaded through job
 	// execution and cache I/O; nil disables injection.
 	Fault *fault.Injector
@@ -88,14 +80,11 @@ type Counts struct {
 	CacheHits int64
 	// MemoHits counts jobs served from the in-memory memo.
 	MemoHits int64
-	// Retried counts extra attempts after transient failures.
-	Retried int64
-	// Failed counts jobs that exhausted their attempts (panics and
-	// timeouts included).
+	// Failed counts jobs that failed (panics and timeouts included).
 	Failed int64
 	// Skipped counts jobs never run because a dependency failed.
 	Skipped int64
-	// TimedOut counts attempts abandoned at the job timeout.
+	// TimedOut counts jobs abandoned at the job timeout.
 	TimedOut int64
 	// LeaseAcquired counts jobs executed under a held cross-process
 	// lease (leases enabled, this process won the key).
@@ -122,13 +111,15 @@ type Counts struct {
 type Runner struct {
 	opts Options
 	// fns are the progress sinks every graph starts with: the Progress
-	// lines, then OnProgress.
+	// lines, when set.
 	fns []ProgressFunc
 	// sem is the worker pool shared by every graph: concurrent graphs
 	// multiplex the same Workers slots instead of multiplying them, so a
 	// daemon running many requests at once cannot oversubscribe the host.
-	// Jobs acquire a slot only when their dependencies are complete, so
-	// the shared semaphore cannot deadlock a dependency chain.
+	// A slot is held until the job's body returns, even when the job was
+	// abandoned at its timeout or by cancellation. Jobs acquire a slot
+	// only when their dependencies are complete, so the shared semaphore
+	// cannot deadlock a dependency chain.
 	sem chan struct{}
 
 	memoMu sync.Mutex
@@ -139,7 +130,7 @@ type Runner struct {
 	failuresLost int64
 
 	submitted, executed, cacheHits, memoHits   atomic.Int64
-	retried, failed, skipped, timedOut         atomic.Int64
+	failed, skipped, timedOut                  atomic.Int64
 	leaseAcquired, leaseShared, leaseTakeovers atomic.Int64
 }
 
@@ -148,9 +139,6 @@ func New(opts Options) *Runner {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.RetryBackoff <= 0 {
-		opts.RetryBackoff = 50 * time.Millisecond
-	}
 	r := &Runner{
 		opts: opts,
 		sem:  make(chan struct{}, opts.Workers),
@@ -158,9 +146,6 @@ func New(opts Options) *Runner {
 	}
 	if opts.Progress != nil {
 		r.fns = append(r.fns, textProgress(opts.Progress, opts.Workers))
-	}
-	if opts.OnProgress != nil {
-		r.fns = append(r.fns, opts.OnProgress)
 	}
 	if ls := opts.Cache.leaseManager(); ls != nil {
 		ls.takeovers = func(ctx context.Context, key string) {
@@ -181,7 +166,6 @@ func (r *Runner) Counts() Counts {
 		Executed:  r.executed.Load(),
 		CacheHits: r.cacheHits.Load(),
 		MemoHits:  r.memoHits.Load(),
-		Retried:   r.retried.Load(),
 		Failed:    r.failed.Load(),
 		Skipped:   r.skipped.Load(),
 		TimedOut:  r.timedOut.Load(),
@@ -266,8 +250,8 @@ type job struct {
 	result any
 	err    error
 
-	visited  bool // resolve-phase mark
-	attempts int  // attempts consumed (written by the scheduler only)
+	visited bool          // resolve-phase mark
+	body    chan struct{} // closed when the body returns; nil until it starts
 }
 
 func (j *job) complete(v any, err error) {
@@ -533,10 +517,10 @@ func (g *Graph) resolve(ctx context.Context) []*job {
 
 // execute runs the needed jobs: one goroutine per job waiting on its
 // dependencies, gated by the Runner-wide semaphore of Workers slots
-// (shared with every other graph in flight). Each job runs through
-// attempt (panic recovery, timeout, transient retry); under the graph's
-// keep-going policy a failure is recorded and its dependents are skipped
-// instead of cancelling the graph.
+// (shared with every other graph in flight). Each job runs once through
+// runOnce (panic recovery, timeout); under the graph's keep-going policy
+// a failure is recorded and its dependents are skipped instead of
+// cancelling the graph.
 func (g *Graph) execute(parent context.Context, need []*job) error {
 	if len(need) == 0 {
 		newProgress(g.fns, 0).summary(len(g.jobs), 0, 0, 0, 0)
@@ -604,7 +588,7 @@ func (g *Graph) execute(parent context.Context, need []*job) error {
 				j.complete(nil, ctx.Err())
 				return
 			}
-			defer func() { <-sem }()
+			defer g.r.releaseSlot(j)
 			if ctx.Err() != nil {
 				j.complete(nil, ctx.Err())
 				return
@@ -639,7 +623,7 @@ func (g *Graph) execute(parent context.Context, need []*job) error {
 			if shared {
 				g.r.opts.Journal.JobShared(ctx, j.label, keyStr(j.key))
 			} else {
-				g.r.opts.Journal.JobDone(ctx, j.label, keyStr(j.key), j.attempts)
+				g.r.opts.Journal.JobDone(ctx, j.label, keyStr(j.key))
 			}
 			prog.job("done", j.label, "")
 		}(j)
@@ -697,12 +681,11 @@ func (g *Graph) runLeased(ctx context.Context, j *job) (v any, shared bool, err 
 	}
 }
 
-// runStored runs a job's attempt loop and, on success, stores the result
-// in the on-disk cache (best-effort). Storing here — inside the lease
-// window rather than after it — is what makes cross-process hand-off
-// race-free.
+// runStored runs a job and, on success, stores the result in the on-disk
+// cache (best-effort). Storing here — inside the lease window rather
+// than after it — is what makes cross-process hand-off race-free.
 func (g *Graph) runStored(ctx context.Context, j *job) (any, error) {
-	v, err := g.attempt(ctx, j)
+	v, err := g.runOnce(ctx, j)
 	if err == nil && !j.key.IsZero() && !j.noStore && g.r.opts.Cache != nil {
 		if data, merr := json.Marshal(v); merr == nil {
 			// A failed Put must not fail the job: lease waiters detect the
@@ -713,36 +696,12 @@ func (g *Graph) runStored(ctx context.Context, j *job) (any, error) {
 	return v, err
 }
 
-// attempt runs a job up to 1+Retries times. Only failures marked
-// Transient are retried (with exponential backoff from RetryBackoff);
-// panics, timeouts and permanent errors consume the job immediately.
-func (g *Graph) attempt(ctx context.Context, j *job) (any, error) {
-	maxAttempts := 1 + g.r.opts.Retries
-	for att := 1; ; att++ {
-		j.attempts = att
-		v, err := g.runOnce(ctx, j)
-		if err == nil || ctx.Err() != nil {
-			return v, err
-		}
-		if att >= maxAttempts || errors.Is(err, ErrTimeout) || !IsTransient(err) {
-			return v, err
-		}
-		g.r.retried.Add(1)
-		backoff := g.r.opts.RetryBackoff << (att - 1)
-		select {
-		case <-time.After(backoff):
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-}
-
-// runOnce executes a single attempt on its own goroutine so that a panic
+// runOnce executes the job's body on its own goroutine so that a panic
 // (the job's own, or an injected one) is recovered into a JobError and a
-// timeout can abandon the attempt without stalling the worker. The
-// outcome channel is buffered: an abandoned attempt's goroutine delivers
-// its result and exits instead of leaking, as soon as the job observes
-// its context.
+// timeout or cancellation can abandon the body without stalling the
+// graph. The outcome channel is buffered: an abandoned body delivers its
+// result and exits when it returns, and only then frees its worker slot
+// (releaseSlot).
 func (g *Graph) runOnce(ctx context.Context, j *job) (any, error) {
 	rctx, rcancel := ctx, context.CancelFunc(func() {})
 	if g.r.opts.Timeout > 0 {
@@ -755,22 +714,25 @@ func (g *Graph) runOnce(ctx context.Context, j *job) (any, error) {
 		err error
 	}
 	ch := make(chan outcome, 1)
+	j.body = make(chan struct{})
 	go func() {
+		var o outcome
 		defer func() {
 			if p := recover(); p != nil {
-				ch <- outcome{err: &JobError{
+				o = outcome{err: &JobError{
 					Panicked: true,
 					Stack:    string(debug.Stack()),
 					Err:      fmt.Errorf("panic: %v", p),
 				}}
 			}
+			// Closed before delivery, so a job that is not abandoned
+			// finds its body done when it frees the slot.
+			close(j.body)
+			ch <- o
 		}()
-		if err := g.r.opts.Fault.Do(rctx, "job:"+j.label); err != nil {
-			ch <- outcome{err: err}
-			return
+		if o.err = g.r.opts.Fault.Do(rctx, "job:"+j.label); o.err == nil {
+			o.v, o.err = j.run(rctx)
 		}
-		v, err := j.run(rctx)
-		ch <- outcome{v: v, err: err}
 	}()
 	select {
 	case o := <-ch:
@@ -790,8 +752,8 @@ func (g *Graph) runOnce(ctx context.Context, j *job) (any, error) {
 	}
 }
 
-// normalizeTimeout classifies an attempt error caused by the attempt's
-// own deadline as ErrTimeout. A job that observes its context and
+// normalizeTimeout classifies a job error caused by the job's own
+// deadline as ErrTimeout. A job that observes its context and
 // returns the deadline error races the scheduler's timeout branch; both
 // paths must classify the failure identically.
 func (g *Graph) normalizeTimeout(ctx, rctx context.Context, err error) error {
@@ -802,21 +764,38 @@ func (g *Graph) normalizeTimeout(ctx, rctx context.Context, err error) error {
 	return fmt.Errorf("%w after %v", ErrTimeout, g.r.opts.Timeout)
 }
 
-// asJobError converts an attempt's error into the job's structured
-// failure record. Panic JobErrors built inside runOnce are adopted;
+// releaseSlot frees j's worker slot: at once, or, when j's body was
+// abandoned at its timeout or by cancellation and is still running, as
+// soon as the body returns. Abandoned bodies (no mach execution or memsys
+// pass reads its context) therefore count against Workers until they
+// really stop.
+func (r *Runner) releaseSlot(j *job) {
+	if j.body != nil {
+		select {
+		case <-j.body:
+		default:
+			go func() {
+				<-j.body
+				<-r.sem
+			}()
+			return
+		}
+	}
+	<-r.sem
+}
+
+// asJobError converts a job's error into its structured failure record. Panic JobErrors built inside runOnce are adopted;
 // everything else is wrapped.
 func asJobError(j *job, err error) *JobError {
 	var je *JobError
 	if errors.As(err, &je) && je.Panicked && je.Label == "" {
 		je.Label = j.label
 		je.Key = keyStr(j.key)
-		je.Attempts = j.attempts
 		return je
 	}
 	return &JobError{
 		Label:    j.label,
 		Key:      keyStr(j.key),
-		Attempts: j.attempts,
 		TimedOut: errors.Is(err, ErrTimeout),
 		Err:      err,
 	}

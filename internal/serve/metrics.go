@@ -75,7 +75,6 @@ type Metrics struct {
 		Executed     int64   `json:"executed"`
 		CacheHits    int64   `json:"cacheHits"`
 		MemoHits     int64   `json:"memoHits"`
-		Retries      int64   `json:"retries"`
 		Failures     int64   `json:"failures"`
 		Skipped      int64   `json:"skipped"`
 		HitRatio     float64 `json:"hitRatio"` // (cache+memo) / (cache+memo+executed)

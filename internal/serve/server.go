@@ -189,7 +189,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.Engine.Executed = c.Executed
 	m.Engine.CacheHits = c.CacheHits
 	m.Engine.MemoHits = c.MemoHits
-	m.Engine.Retries = c.Retried
 	m.Engine.Failures = c.Failed
 	m.Engine.Skipped = c.Skipped
 	if served := c.CacheHits + c.MemoHits; served+c.Executed > 0 {
