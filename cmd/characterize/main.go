@@ -29,8 +29,7 @@
 //
 //	characterize -resume              # reclaim a crashed run, then re-run (cache hits are the resume)
 //	characterize -deadline 10m        # whole-run deadline; doomed work cancelled promptly
-//	characterize -lease-ttl 10s      # cross-process work-lease expiry (0 disables leases)
-//	characterize -no-journal          # skip the durable run journal
+//	characterize -lease-ttl 10s       # cross-process work-lease expiry (0 disables leases)
 //
 // Runs that share a cache directory hold per-experiment work leases, so
 // two concurrent processes execute each expensive job once and the loser

@@ -13,7 +13,6 @@
 //	splashd -timeout 5m              # per-experiment timeout
 //	splashd -drain-timeout 30s       # graceful SIGTERM budget
 //	splashd -lease-ttl 10s           # cross-process work-lease expiry (0 disables)
-//	splashd -no-journal              # skip the durable run journal
 //	splashd -progress                # per-experiment progress on stderr
 //	splashd -fault 'error@2=job:run fft*' -fault-seed 7   # chaos drill
 //

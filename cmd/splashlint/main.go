@@ -11,16 +11,12 @@
 //	splashlint ./...                  # whole repository
 //	splashlint ./internal/apps/...    # one subtree
 //	splashlint -checks accounting,procflow ./...
-//	splashlint -checks dataflow ./...  # a check group
 //	splashlint -format json ./...     # machine-readable findings
 //	splashlint -format sarif ./...    # SARIF 2.1.0 (CI annotations)
 //	splashlint -list                  # describe the checks
 //
-// The -checks flag accepts check names and the two group aliases:
-// "syntactic" (the per-node checks) and "dataflow" (the CFG-based
-// flow-sensitive checks). -result-cache DIR caches a full run keyed by
-// the module's source bytes, so a -checks matrix re-uses one
-// type-checked run instead of loading the tree per matrix job.
+// The -checks flag accepts a comma-separated list of check names; only
+// a run of every check judges unused suppression directives.
 //
 // A finding is suppressed by a directive on its line or the line above:
 //
@@ -57,16 +53,6 @@ const (
 	exitInternal = 3
 )
 
-// checkGroups are the -checks aliases the CI matrix splits on. The
-// syntactic checks walk the AST per node; the dataflow checks solve
-// per-function fixed points over the CFG. TestCheckGroupsCoverAllChecks
-// pins the union to the full registry so a new check cannot silently
-// fall out of the matrix.
-var checkGroups = map[string][]string{
-	"syntactic": {"accounting", "procflow", "determinism", "faultpoints", "tracecapture"},
-	"dataflow":  {"ctxflow", "durability", "epochs", "locks", "timetaint"},
-}
-
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -75,14 +61,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("splashlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		jsonOut   = fs.Bool("json", false, "shorthand for -format json")
-		format    = fs.String("format", "", `output format: "text" (default), "json", or "sarif"`)
-		checkList = fs.String("checks", "", "comma-separated checks or groups to run (default: all; groups: syntactic, dataflow)")
+		format    = fs.String("format", "text", `output format: "text", "json", or "sarif"`)
+		checkList = fs.String("checks", "", "comma-separated checks to run (default: all)")
 		list      = fs.Bool("list", false, "list the available checks and exit")
-		cacheDir  = fs.String("result-cache", "", "directory caching full-run results keyed by module source (shares one type-checked run across -checks invocations)")
 	)
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: splashlint [-format text|json|sarif] [-checks c1,c2] [-result-cache dir] packages...\n")
+		fmt.Fprintf(stderr, "usage: splashlint [-format text|json|sarif] [-checks c1,c2] packages...\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -90,12 +74,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	switch *format {
-	case "":
-		if *jsonOut {
-			*format = "json"
-		} else {
-			*format = "text"
-		}
 	case "text", "json", "sarif":
 	default:
 		fmt.Fprintf(stderr, "splashlint: unknown format %q (want text, json, or sarif)\n", *format)
@@ -112,7 +90,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	checks := all
 	subset := *checkList != ""
-	selected := make(map[string]bool)
 	if subset {
 		byName := make(map[string]*analysis.Check, len(all))
 		names := make([]string, 0, len(all))
@@ -122,23 +99,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		sort.Strings(names)
 		checks = nil
+		selected := make(map[string]bool)
 		for _, name := range strings.Split(*checkList, ",") {
 			name = strings.TrimSpace(name)
-			expanded := []string{name}
-			if group, ok := checkGroups[name]; ok {
-				expanded = group
+			c, ok := byName[name]
+			if !ok {
+				fmt.Fprintf(stderr, "splashlint: unknown check %q; available: %s\n", name, strings.Join(names, ", "))
+				return exitUsage
 			}
-			for _, n := range expanded {
-				c, ok := byName[n]
-				if !ok {
-					fmt.Fprintf(stderr, "splashlint: unknown check %q; available: %s; groups: dataflow, syntactic\n",
-						n, strings.Join(names, ", "))
-					return exitUsage
-				}
-				if !selected[n] {
-					selected[n] = true
-					checks = append(checks, c)
-				}
+			if !selected[name] {
+				selected[name] = true
+				checks = append(checks, c)
 			}
 		}
 	}
@@ -160,28 +131,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return exitInternal
 	}
 
-	var (
-		diags    []analysis.Diagnostic
-		pkgCount int
-	)
-	if *cacheDir != "" {
-		diags, pkgCount, err = cachedRun(loader, *cacheDir, patterns)
-		if err == nil && subset {
-			diags = filterCachedDiags(diags, selected)
-		}
-	} else {
-		var pkgs []*analysis.Package
-		pkgs, err = loader.Load(patterns...)
-		if err == nil {
-			diags = analysis.Run(loader.Fset(), pkgs, analysis.Options{
-				Checks: checks,
-				// With a check subset, directives for the skipped checks
-				// are trivially unused; only a full run can judge them.
-				KeepUnusedAllows: subset,
-			})
-			pkgCount = len(pkgs)
-		}
-	}
+	pkgs, err := loader.Load(patterns...)
 	if err != nil {
 		var noPkgs *analysis.NoPackagesError
 		if errors.As(err, &noPkgs) {
@@ -192,6 +142,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "splashlint: %v\n", err)
 		return exitInternal
 	}
+	diags := analysis.Run(loader.Fset(), pkgs, analysis.Options{
+		Checks: checks,
+		// With a check subset, directives for the skipped checks are
+		// trivially unused; only a full run can judge them.
+		KeepUnusedAllows: subset,
+	})
 
 	// Report paths relative to the working directory (clickable, stable
 	// across checkouts).
@@ -220,27 +176,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if len(diags) > 0 {
-		fmt.Fprintf(stderr, "splashlint: %d finding(s) in %d package(s)\n", len(diags), pkgCount)
+		fmt.Fprintf(stderr, "splashlint: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))
 		return exitFindings
 	}
 	return exitOK
-}
-
-// filterCachedDiags projects a cached full run onto a -checks subset:
-// findings of the selected checks survive, and so do malformed- and
-// duplicate-directive findings (they are properties of the source, not
-// of which checks ran). Unused-directive findings are dropped — with a
-// subset, a directive for a skipped check is trivially unused, matching
-// the uncached KeepUnusedAllows behavior.
-func filterCachedDiags(diags []analysis.Diagnostic, selected map[string]bool) []analysis.Diagnostic {
-	out := diags[:0:0]
-	for _, d := range diags {
-		switch {
-		case selected[d.Check]:
-			out = append(out, d)
-		case d.Check == "directive" && !strings.HasPrefix(d.Message, "unused splash:allow"):
-			out = append(out, d)
-		}
-	}
-	return out
 }

@@ -3,13 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
-
-	"splash2/internal/analysis"
 )
 
 // fixture is a seeded-violation package (analyzer testdata), relative
@@ -50,7 +45,7 @@ func TestExitFindingsOnSeededViolations(t *testing.T) {
 }
 
 func TestJSONOutput(t *testing.T) {
-	code, stdout, _ := runLint(t, "-json", fixture)
+	code, stdout, _ := runLint(t, "-format", "json", fixture)
 	if code != exitFindings {
 		t.Fatalf("exit = %d, want %d", code, exitFindings)
 	}
@@ -118,51 +113,10 @@ func TestUnknownCheckListsAvailable(t *testing.T) {
 	if code != exitUsage {
 		t.Fatalf("exit = %d, want %d", code, exitUsage)
 	}
-	for _, want := range []string{"unknown check \"bogus\"", "available:", "accounting", "locks", "timetaint", "dataflow", "syntactic"} {
+	for _, want := range []string{"unknown check \"bogus\"", "available:", "accounting", "locks", "timetaint"} {
 		if !strings.Contains(stderr, want) {
 			t.Errorf("stderr missing %q:\n%s", want, stderr)
 		}
-	}
-}
-
-// TestCheckGroupsCoverAllChecks pins the -checks group aliases to the
-// full registry: a new check must be placed in exactly one group, or
-// the CI matrix would silently stop running it.
-func TestCheckGroupsCoverAllChecks(t *testing.T) {
-	grouped := make(map[string]string)
-	for group, names := range checkGroups {
-		for _, n := range names {
-			if prev, dup := grouped[n]; dup {
-				t.Errorf("check %q is in groups %q and %q", n, prev, group)
-			}
-			grouped[n] = group
-		}
-	}
-	var all, inGroups []string
-	for _, c := range analysis.DefaultChecks() {
-		all = append(all, c.Name)
-	}
-	for n := range grouped {
-		inGroups = append(inGroups, n)
-	}
-	sort.Strings(all)
-	sort.Strings(inGroups)
-	if strings.Join(all, ",") != strings.Join(inGroups, ",") {
-		t.Fatalf("groups cover %v, registry has %v", inGroups, all)
-	}
-}
-
-// TestCheckGroupAlias: "-checks dataflow" must expand to the
-// flow-sensitive checks (and exit clean over a package with only
-// syntactic seeds and no dataflow ones).
-func TestCheckGroupAlias(t *testing.T) {
-	code, stdout, stderr := runLint(t, "-checks", "dataflow", cleanPkg)
-	if code != exitOK {
-		t.Fatalf("exit = %d, want %d (stdout=%q stderr=%q)", code, exitOK, stdout, stderr)
-	}
-	code, stdout, _ = runLint(t, "-checks", "syntactic", fixture)
-	if code != exitFindings || !strings.Contains(stdout, "accounting:") {
-		t.Fatalf("syntactic group over the accounting fixture: exit=%d stdout=%q", code, stdout)
 	}
 }
 
@@ -231,47 +185,6 @@ func TestSARIFOutput(t *testing.T) {
 		if loc.ArtifactLocation.URI == "" || strings.Contains(loc.ArtifactLocation.URI, "\\") || loc.Region.StartLine <= 0 {
 			t.Fatalf("unusable location: %+v", loc)
 		}
-	}
-}
-
-// TestResultCache: the second run over an unchanged tree must serve
-// from the cache (one entry on disk) and report identical findings;
-// a subset run against the same cache projects the full run.
-func TestResultCache(t *testing.T) {
-	dir := t.TempDir()
-	code1, out1, _ := runLint(t, "-result-cache", dir, fixture)
-	if code1 != exitFindings {
-		t.Fatalf("first run: exit = %d, want %d", code1, exitFindings)
-	}
-	entries, err := filepath.Glob(filepath.Join(dir, "splashlint-*.json"))
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("cache entries = %v (err %v), want exactly 1", entries, err)
-	}
-	// Poison the cached entry's mtime-independence by re-running: same
-	// tree, same key, so the stored diagnostics must be replayed as-is.
-	code2, out2, _ := runLint(t, "-result-cache", dir, fixture)
-	if code2 != exitFindings || out2 != out1 {
-		t.Fatalf("cached replay diverged: exit=%d\nfirst:\n%s\nsecond:\n%s", code2, out1, out2)
-	}
-	// The accounting fixture has no procflow findings; the projection
-	// must also drop the unused-allow judgments, like an uncached subset.
-	code3, out3, stderr3 := runLint(t, "-result-cache", dir, "-checks", "procflow", fixture)
-	if code3 != exitOK || out3 != "" {
-		t.Fatalf("cached subset: exit=%d stdout=%q stderr=%q", code3, out3, stderr3)
-	}
-	// An uncached subset over the same package must agree with the
-	// cached projection.
-	code4, out4, _ := runLint(t, "-checks", "procflow", fixture)
-	if code4 != code3 || out4 != out3 {
-		t.Fatalf("cached and uncached subset disagree: %d/%q vs %d/%q", code3, out3, code4, out4)
-	}
-	// A corrupt entry is a miss, not a failure.
-	if err := os.WriteFile(entries[0], []byte("not json"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	code5, out5, _ := runLint(t, "-result-cache", dir, fixture)
-	if code5 != exitFindings || out5 != out1 {
-		t.Fatalf("run after corrupting the cache: exit=%d, findings diverged", code5)
 	}
 }
 

@@ -246,7 +246,7 @@ func replay(args []string, stdout, stderr io.Writer) int {
 		if p < meta.MinProcs {
 			return fail(stderr, fmt.Errorf("trace needs ≥ %d processors, replay machine has %d", meta.MinProcs, p))
 		}
-		rate, err := sweepRates(src, *assoc, *line)
+		rate, err := memsys.SweepMissRates(src, *line, *assoc, splash2.DefaultCacheSizes())
 		if err != nil {
 			return fail(stderr, err)
 		}
@@ -275,26 +275,6 @@ func replay(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "traffic    local %d B, remote %d B (overhead %d B)\n",
 		st.Traffic.LocalData, st.Traffic.Remote(), st.Traffic.RemoteOverhead)
 	return cli.ExitOK
-}
-
-// sweepRates answers the whole Figure-3 cache-size sweep from one pass
-// over the stream: the inclusion pass for set-associative caches, the
-// stack-distance pass for fully associative ones (assoc 0). Each rate is
-// bit-identical to replaying that cache size on its own.
-func sweepRates(src splash2.TraceSource, assoc, line int) (func(cacheSize int) (float64, error), error) {
-	sizes := splash2.DefaultCacheSizes()
-	if assoc == memsys.FullyAssoc {
-		sp, err := memsys.StackDistances(src, line, sizes[len(sizes)-1])
-		if err != nil {
-			return nil, err
-		}
-		return sp.MissRate, nil
-	}
-	sp, err := memsys.SetAssocSweep(src, line, assoc, sizes)
-	if err != nil {
-		return nil, err
-	}
-	return sp.MissRate, nil
 }
 
 // parseWindow parses the -window epoch range "start:len".

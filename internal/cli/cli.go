@@ -73,11 +73,11 @@ func ParseProcList(s string) ([]int, error) {
 }
 
 // EngineFlags registers on fs the engine flags characterize and splashd
-// share: -j, -cache-dir, -no-cache, -progress, -lease-ttl, -no-journal,
-// -timeout, -fault and -fault-seed. Call the returned function after
-// fs.Parse; it resolves them into engine options, or returns a usage
-// error. Progress lines and the note that no default cache directory
-// exists go to fs.Output().
+// share: -j, -cache-dir, -no-cache, -progress, -lease-ttl, -timeout,
+// -fault and -fault-seed. Call the returned function after fs.Parse; it
+// resolves them into engine options, or returns a usage error. Progress
+// lines and the note that no default cache directory exists go to
+// fs.Output().
 func EngineFlags(fs *flag.FlagSet) func() (core.EngineOptions, error) {
 	var (
 		workers   = fs.Int("j", 0, "experiment-level parallelism (0 = GOMAXPROCS)")
@@ -85,16 +85,12 @@ func EngineFlags(fs *flag.FlagSet) func() (core.EngineOptions, error) {
 		noCache   = fs.Bool("no-cache", false, "disable the on-disk result cache")
 		progress  = fs.Bool("progress", false, "live per-experiment progress on stderr")
 		leaseTTL  = fs.Duration("lease-ttl", runner.DefaultLeaseTTL, "cross-process work-lease expiry; concurrent processes sharing the cache dir coalesce jobs (0 disables)")
-		noJournal = fs.Bool("no-journal", false, "disable the durable run journal under <cache-dir>/journal")
 		timeout   = fs.Duration("timeout", 0, "per-experiment timeout (0 = none)")
 		faultSpec = fs.String("fault", "", `inject deterministic faults: "action[(arg)][@nth]=pattern;..."`)
 		faultSeed = fs.Int64("fault-seed", 1, "seed choosing the occurrence of @-nth fault rules")
 	)
 	return func() (core.EngineOptions, error) {
-		o := core.EngineOptions{
-			Workers: *workers, NoJournal: *noJournal,
-			Timeout: *timeout, LeaseTTL: *leaseTTL,
-		}
+		o := core.EngineOptions{Workers: *workers, Timeout: *timeout, LeaseTTL: *leaseTTL}
 		if *leaseTTL <= 0 {
 			o.LeaseTTL = -1 // the user asked for no leases
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -74,5 +75,15 @@ func TestEngineFlags(t *testing.T) {
 		if _, err := parse(args...); err == nil {
 			t.Errorf("%q accepted", args)
 		}
+	}
+
+	// The shared flag set is exactly this: adding or dropping an engine
+	// flag changes both binaries and must edit this list.
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	EngineFlags(fs)
+	var names []string
+	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	if got, want := strings.Join(names, " "), "cache-dir fault fault-seed j lease-ttl no-cache progress timeout"; got != want {
+		t.Errorf("engine flags = %s, want %s", got, want)
 	}
 }

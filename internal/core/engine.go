@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -33,7 +34,10 @@ type Engine struct {
 	journal   *runner.Journal // durable run journal (root only)
 	keepGoing bool
 	spillDir  string // non-empty: record jobs spill v2 traces here
-	fault     *fault.Injector
+	// privateSpill is the spill directory an uncached root engine made
+	// for itself; Close removes it.
+	privateSpill string
+	fault        *fault.Injector
 
 	// Request scope (nil on a root engine): Scoped views share r — and
 	// with it the worker pool, memo and cache — but carry their own
@@ -118,7 +122,10 @@ type EngineOptions struct {
 	// Workers is the experiment-level parallelism; ≤ 0 selects
 	// runtime.GOMAXPROCS(0).
 	Workers int
-	// CacheDir roots the on-disk result cache; empty disables it.
+	// CacheDir roots the on-disk result cache and the durable run
+	// journal: each engine run appends its job lifecycle to
+	// CacheDir/journal/<runID>.jsonl, the crash-forensics record that
+	// `characterize -resume` reads back. Empty disables both.
 	CacheDir string
 	// Progress receives live job-completion lines; nil disables them.
 	Progress io.Writer
@@ -139,9 +146,10 @@ type EngineOptions struct {
 	// SpillTraces makes record jobs write each recording's v2 bytes to
 	// an on-disk container and replay it from the file, instead of
 	// holding the bytes in memory while the recording is memoized.
-	// Spilled traces are content-addressed under CacheDir/traces (a
-	// temporary directory when the cache is off) and reused across
-	// processes after an integrity check.
+	// Spilled traces are content-addressed under CacheDir/traces and
+	// reused across processes after an integrity check. Without a cache
+	// directory the engine spills into a private temporary directory
+	// that Close removes, so nothing is shared.
 	SpillTraces bool
 
 	// LeaseTTL configures cross-process work leases on the cache (on by
@@ -150,11 +158,6 @@ type EngineOptions struct {
 	// processes sharing one cache directory; a crashed holder's lease
 	// expires after the TTL and is taken over, never deadlocked on.
 	LeaseTTL time.Duration
-	// NoJournal disables the durable run journal. With a cache directory
-	// set, each engine run otherwise appends its job lifecycle to
-	// CacheDir/journal/<runID>.jsonl — the crash-forensics record that
-	// `characterize -resume` reads back.
-	NoJournal bool
 }
 
 // NewEngine creates an engine. It fails only when the cache or journal
@@ -173,34 +176,37 @@ func NewEngine(o EngineOptions) (*Engine, error) {
 		if o.LeaseTTL >= 0 {
 			cache.EnableLeases(o.LeaseTTL)
 		}
-		if !o.NoJournal {
-			j, err := runner.OpenJournal(runner.JournalDir(o.CacheDir))
-			if err != nil {
-				return nil, err
-			}
-			j.SetFault(o.Fault)
-			journal = j
+		j, err := runner.OpenJournal(runner.JournalDir(o.CacheDir))
+		if err != nil {
+			return nil, err
 		}
+		j.SetFault(o.Fault)
+		journal = j
 	}
 	ctx := o.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var spillDir string
-	if o.SpillTraces {
-		spillDir = filepath.Join(os.TempDir(), "splash2-spill")
-		if o.CacheDir != "" {
-			spillDir = filepath.Join(o.CacheDir, "traces")
-		}
+	var spillDir, privateSpill string
+	switch {
+	case o.SpillTraces && o.CacheDir != "":
+		spillDir = filepath.Join(o.CacheDir, "traces")
 		if err := os.MkdirAll(spillDir, 0o777); err != nil {
 			return nil, fmt.Errorf("core: opening trace spill directory: %w", err)
 		}
 		sweepSpillOrphans(spillDir, spillOrphanAge)
+	case o.SpillTraces:
+		dir, err := os.MkdirTemp("", "splash2-spill-")
+		if err != nil {
+			return nil, fmt.Errorf("core: opening trace spill directory: %w", err)
+		}
+		spillDir, privateSpill = dir, dir
 	}
 	return &Engine{
-		spillDir: spillDir,
-		fault:    o.Fault,
-		journal:  journal,
+		spillDir:     spillDir,
+		privateSpill: privateSpill,
+		fault:        o.Fault,
+		journal:      journal,
 		r: runner.New(runner.Options{
 			Workers:   o.Workers,
 			Cache:     cache,
@@ -216,20 +222,25 @@ func NewEngine(o EngineOptions) (*Engine, error) {
 }
 
 // Close ends the engine run cleanly: the run journal gets its run.end
-// event (a journal without one is, by definition, a crashed run). Safe
-// on a Scoped view and safe to call more than once; experiments already
-// in flight are not interrupted by Close itself.
+// event (a journal without one is, by definition, a crashed run), and
+// an uncached engine's private spill directory is removed. Safe on a
+// Scoped view and safe to call more than once; experiments already in
+// flight are not interrupted by Close itself.
 func (e *Engine) Close() error {
 	var err error
 	if e.journal != nil {
 		err = e.journal.Close(e.r.Counts())
 		e.journal = nil
 	}
+	if e.privateSpill != "" {
+		err = errors.Join(err, os.RemoveAll(e.privateSpill))
+		e.privateSpill = ""
+	}
 	return err
 }
 
 // Journal returns the engine's durable run journal, or nil when
-// journaling is disabled (no cache directory, NoJournal, or a Scoped
+// journaling is disabled (no cache directory, or a Scoped
 // view — scopes share the root engine's journal through the runner).
 func (e *Engine) Journal() *runner.Journal { return e.journal }
 

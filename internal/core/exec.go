@@ -237,7 +237,6 @@ func compareConfigs(a, b memsys.Config) int {
 		cmp.Compare(a.CacheSize, b.CacheSize),
 		cmp.Compare(a.Assoc, b.Assoc),
 		cmp.Compare(a.LineSize, b.LineSize),
-		cmp.Compare(a.OverheadBytes, b.OverheadBytes),
 		cmp.Compare(a.Procs, b.Procs),
 		compareBool(a.NoReplacementHints, b.NoReplacementHints),
 	)

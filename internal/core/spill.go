@@ -24,8 +24,9 @@ import (
 //
 // Spilled containers are content-addressed by the trace identity (the
 // same key space as every derived replay, SuiteVersion included), so a
-// later process reuses a spilled trace the way it reuses cached replay
-// results. A reused file must be *verified*, not trusted: a sidecar
+// later process on the same cache directory reuses a spilled trace the
+// way it reuses cached replay results; an uncached engine spills into a
+// private directory that lives as long as it does. A reused file must be *verified*, not trusted: a sidecar
 // JSON carries the recording run's counters plus the container's
 // SHA-256, and a reader that finds a mismatched hash (concurrent writer,
 // torn update, corruption) re-records instead of replaying the wrong

@@ -49,6 +49,58 @@ func TestSpillTracesMatchInMemory(t *testing.T) {
 	}
 }
 
+// TestUncachedSpillIsPrivate: an engine that spills without a cache
+// directory spills into a directory of its own, which no other engine
+// shares and a Scoped view's Close leaves alone, and the root engine's
+// Close removes it with every container in it.
+func TestUncachedSpillIsPrivate(t *testing.T) {
+	var dirs []string
+	for range 2 {
+		e, err := NewEngine(EngineOptions{Workers: 2, SpillTraces: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		info, err := os.Stat(e.spillDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if perm := info.Mode().Perm(); perm != 0o700 {
+			t.Errorf("spill directory %s has mode %v, want 0700", e.spillDir, perm)
+		}
+		dirs = append(dirs, e.spillDir)
+	}
+	if dirs[0] == dirs[1] {
+		t.Fatalf("two uncached engines share spill directory %s", dirs[0])
+	}
+
+	e, err := NewEngine(EngineOptions{Workers: 2, SpillTraces: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := e.spillDir
+	if _, err := e.CollectResults(engineTestOptions()); err != nil {
+		t.Fatal(err)
+	}
+	if paths, _ := filepath.Glob(filepath.Join(dir, "*.sp2t")); len(paths) == 0 {
+		t.Fatal("no spilled containers written; the run tested nothing")
+	}
+	if err := e.Scoped(ScopeOptions{}).Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(dir); err != nil {
+		t.Fatalf("a Scoped view's Close touched the root's spill directory: %v", err)
+	}
+	for range 2 {
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("spill directory %s survives Close (stat error %v)", dir, err)
+	}
+}
+
 // TestSpillReuseAndCorruptionFallback: a later engine over the same
 // cache directory reuses a verified spilled container instead of
 // re-recording (same inode, untouched bytes), while a corrupted

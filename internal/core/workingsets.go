@@ -108,33 +108,18 @@ func workingSetSweepJob(g *runner.Graph, rec runner.Job[*memsys.Trace], id trace
 // Figure-3 sweep: grid[ai][ci] is the percentage miss rate with 64-byte
 // lines at assocs[ai], cacheSizes[ci] — bit-identical, point by point,
 // to replaying each configuration separately. Each associativity costs
-// one pass over the stream that answers every size at once: the
-// inclusion pass (memsys.SetAssocSweep) for set-associative caches, the
-// stack-distance pass for fully associative ones. The stream may be in
-// memory or an out-of-core TraceFile; both passes consume it block by
-// block.
+// one pass over the stream that answers every size at once
+// (memsys.SweepMissRates). The stream may be in memory or an
+// out-of-core TraceFile; both passes consume it block by block.
 func workingSetMissRates(tr memsys.TraceSource, cacheSizes, assocs []int) ([][]float64, error) {
 	rates := make(map[int]func(cacheSize int) (float64, error), len(assocs))
 	grid := make([][]float64, len(assocs))
 	for ai, assoc := range assocs {
 		rate, ok := rates[assoc]
 		if !ok {
-			if assoc == memsys.FullyAssoc {
-				maxSize := 0
-				for _, cs := range cacheSizes {
-					maxSize = max(maxSize, cs)
-				}
-				sp, err := memsys.StackDistances(tr, 64, maxSize)
-				if err != nil {
-					return nil, err
-				}
-				rate = sp.MissRate
-			} else {
-				sp, err := memsys.SetAssocSweep(tr, 64, assoc, cacheSizes)
-				if err != nil {
-					return nil, err
-				}
-				rate = sp.MissRate
+			var err error
+			if rate, err = memsys.SweepMissRates(tr, 64, assoc, cacheSizes); err != nil {
+				return nil, err
 			}
 			rates[assoc] = rate
 		}

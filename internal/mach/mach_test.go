@@ -27,7 +27,7 @@ func TestDefaultsApplied(t *testing.T) {
 		t.Fatalf("procs=%d", cfg.Procs)
 	}
 	mc := m.memCfg
-	if mc.CacheSize != memsys.DefaultCacheSize || mc.LineSize != 64 || mc.OverheadBytes != 8 {
+	if mc.CacheSize != memsys.DefaultCacheSize || mc.LineSize != 64 {
 		t.Fatalf("defaults not applied: %+v", mc)
 	}
 }

@@ -43,12 +43,11 @@ const (
 
 // Config describes a simulated machine.
 type Config struct {
-	Procs         int
-	CacheSize     int
-	Assoc         int // memsys.FullyAssoc (0) = fully associative
-	LineSize      int
-	OverheadBytes int
-	MemModel      MemModel
+	Procs     int
+	CacheSize int
+	Assoc     int // memsys.FullyAssoc (0) = fully associative
+	LineSize  int
+	MemModel  MemModel
 	// NoReplacementHints disables §2.2 replacement hints (ablation).
 	NoReplacementHints bool
 }
@@ -60,7 +59,6 @@ func (c Config) MemConfig() memsys.Config {
 		CacheSize:          c.CacheSize,
 		Assoc:              c.Assoc,
 		LineSize:           c.LineSize,
-		OverheadBytes:      c.OverheadBytes,
 		NoReplacementHints: c.NoReplacementHints,
 	}.WithDefaults()
 }

@@ -9,7 +9,7 @@ import (
 )
 
 func cacheCfg(size, assoc, line int) Config {
-	return Config{Procs: 1, CacheSize: size, Assoc: assoc, LineSize: line, OverheadBytes: 8}
+	return Config{Procs: 1, CacheSize: size, Assoc: assoc, LineSize: line}
 }
 
 // testCacheLines is the address space, in lines, of every test cache.

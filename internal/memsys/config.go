@@ -3,13 +3,17 @@ package memsys
 import "fmt"
 
 // Default machine parameters from the paper (§2.2, §5, §6): 1 MB 4-way
-// set-associative caches with 64-byte lines, 8-byte overhead packets.
+// set-associative caches with 64-byte lines.
 const (
 	DefaultCacheSize = 1 << 20
 	DefaultAssoc     = 4
 	DefaultLineSize  = 64
-	DefaultOverhead  = 8
 )
+
+// OverheadBytes is the size of every overhead packet — requests,
+// invalidations, acknowledgments, replacement hints, and headers for
+// data transfers — on the paper's machine (§2.2, §6).
+const OverheadBytes = 8
 
 // Config describes one simulated memory system.
 type Config struct {
@@ -21,10 +25,6 @@ type Config struct {
 	Assoc int
 	// LineSize is the cache line size in bytes (power of two, ≥ WordBytes).
 	LineSize int
-	// OverheadBytes is the size of every overhead packet: requests,
-	// invalidations, acknowledgments, replacement hints, and headers for
-	// data transfers.
-	OverheadBytes int
 	// NoReplacementHints disables the replacement hints of §2.2 for
 	// Shared-line evictions (ablation): the home's sharer list goes stale
 	// and later invalidating actions send spurious invalidations.
@@ -46,9 +46,6 @@ func (c Config) WithDefaults() Config {
 	if c.LineSize == 0 {
 		c.LineSize = DefaultLineSize
 	}
-	if c.OverheadBytes == 0 {
-		c.OverheadBytes = DefaultOverhead
-	}
 	return c
 }
 
@@ -67,8 +64,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("memsys: Assoc must be ≥ 0, got %d", c.Assoc)
 	case c.Assoc > 0 && (c.CacheSize/c.LineSize)%c.Assoc != 0:
 		return fmt.Errorf("memsys: %d lines not divisible into %d-way sets", c.CacheSize/c.LineSize, c.Assoc)
-	case c.OverheadBytes <= 0:
-		return fmt.Errorf("memsys: OverheadBytes must be positive, got %d", c.OverheadBytes)
 	}
 	return nil
 }

@@ -32,7 +32,7 @@ func chainLen(f *Feed, sys *System) int {
 // duplicated; and a chain with gaps next to configurations that must
 // stay chains of one: a 48 KB 4-way cache (192 sets, dividing no other
 // size's), a fully associative one, ones differing in line size,
-// associativity, hints or overhead, and one added after the feed's first
+// associativity or hints, and one added after the feed's first
 // reference. Every member's protocol invariants are checked after every
 // batch.
 func TestInclusionChainMatchesSingleReplays(t *testing.T) {
@@ -47,8 +47,8 @@ func TestInclusionChainMatchesSingleReplays(t *testing.T) {
 		members []member
 		late    *Config // added after the first batch
 	}
-	cfg := func(size, assoc, ls, overhead int, noHints bool) Config {
-		return Config{Procs: procs, CacheSize: size, Assoc: assoc, LineSize: ls, OverheadBytes: overhead, NoReplacementHints: noHints}
+	cfg := func(size, assoc, ls int, noHints bool) Config {
+		return Config{Procs: procs, CacheSize: size, Assoc: assoc, LineSize: ls, NoReplacementHints: noHints}
 	}
 	var sweeps []sweep
 	for _, assoc := range []int{1, 2, 4, 8} {
@@ -56,23 +56,22 @@ func TestInclusionChainMatchesSingleReplays(t *testing.T) {
 			for _, noHints := range []bool{false, true} {
 				sw := sweep{name: fmt.Sprintf("%d-way, %d B lines, no hints %v", assoc, ls, noHints), ls: ls}
 				for _, sets := range []int{8, 1, 32, 2, 8} {
-					sw.members = append(sw.members, member{cfg: cfg(sets*assoc*ls, assoc, ls, 8, noHints)})
+					sw.members = append(sw.members, member{cfg: cfg(sets*assoc*ls, assoc, ls, noHints)})
 				}
 				sweeps = append(sweeps, sw)
 			}
 		}
 	}
-	late := cfg(16<<10, 4, 64, 8, false)
+	late := cfg(16<<10, 4, 64, false)
 	sweeps = append(sweeps, sweep{name: "gaps and singles", ls: 64, late: &late, members: []member{
-		{cfg: cfg(64<<10, 4, 64, 8, false)},
-		{cfg: cfg(1<<10, 4, 64, 8, false)},
-		{cfg: cfg(4<<10, 4, 64, 8, false)},
-		{cfg: cfg(48<<10, 4, 64, 8, false), single: true},
-		{cfg: cfg(4<<10, FullyAssoc, 64, 8, false), single: true},
-		{cfg: cfg(2<<10, 4, 32, 8, false), single: true},
-		{cfg: cfg(2<<10, 2, 64, 8, false), single: true},
-		{cfg: cfg(2<<10, 4, 64, 8, true), single: true},
-		{cfg: cfg(2<<10, 4, 64, 16, false), single: true},
+		{cfg: cfg(64<<10, 4, 64, false)},
+		{cfg: cfg(1<<10, 4, 64, false)},
+		{cfg: cfg(4<<10, 4, 64, false)},
+		{cfg: cfg(48<<10, 4, 64, false), single: true},
+		{cfg: cfg(4<<10, FullyAssoc, 64, false), single: true},
+		{cfg: cfg(2<<10, 4, 32, false), single: true},
+		{cfg: cfg(2<<10, 2, 64, false), single: true},
+		{cfg: cfg(2<<10, 4, 64, true), single: true},
 	}})
 
 	for seed := int64(1); seed <= 2; seed++ {
@@ -130,7 +129,7 @@ func TestInclusionChainMatchesSingleReplays(t *testing.T) {
 				var lateSys *System
 				twinFeed := NewFeed(procs - 1)
 				if sw.late != nil {
-					placeholder, err := New(cfg(1<<10, FullyAssoc, 64, 8, false), tr.HomeFn(64))
+					placeholder, err := New(cfg(1<<10, FullyAssoc, 64, false), tr.HomeFn(64))
 					if err != nil {
 						t.Fatal(err)
 					}

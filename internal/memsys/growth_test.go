@@ -75,7 +75,7 @@ func TestOnDemandGrowthMatchesReserved(t *testing.T) {
 		refs      = 40000
 	)
 	newSys := func() *System {
-		s, err := New(Config{Procs: procs, CacheSize: 1024, Assoc: 2, LineSize: 64, OverheadBytes: 8},
+		s, err := New(Config{Procs: procs, CacheSize: 1024, Assoc: 2, LineSize: 64},
 			func(line uint64) int { return int(line % procs) })
 		if err != nil {
 			t.Fatal(err)

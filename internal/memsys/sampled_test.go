@@ -41,7 +41,7 @@ func sampledFingerprint(t *testing.T, sp *SampledProfile, sizes []int) []uint64 
 // fully-associative LRU coherence simulation at one cache size.
 func replayFullyAssoc(t *testing.T, src TraceSource, procs, lineSize, cacheSize int) Stats {
 	t.Helper()
-	st, err := Replay(src, Config{Procs: procs, CacheSize: cacheSize, Assoc: FullyAssoc, LineSize: lineSize, OverheadBytes: 8})
+	st, err := Replay(src, Config{Procs: procs, CacheSize: cacheSize, Assoc: FullyAssoc, LineSize: lineSize})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,7 +106,7 @@ func SetAssocSweep(src TraceSource, lineSize, assoc int, cacheSizes []int) (*Set
 	slices.Sort(sizes)
 	sizes = slices.Compact(sizes)
 	for _, cs := range sizes {
-		cfg := Config{Procs: nproc, CacheSize: cs, Assoc: assoc, LineSize: lineSize, OverheadBytes: DefaultOverhead}
+		cfg := Config{Procs: nproc, CacheSize: cs, Assoc: assoc, LineSize: lineSize}
 		if err := cfg.Validate(); err != nil {
 			return nil, err
 		}
@@ -275,4 +275,28 @@ func (sp *SetAssocProfile) MissRate(cacheSize int) (float64, error) {
 		return 0, err
 	}
 	return sp.missRate(i), nil
+}
+
+// SweepMissRates answers a cache-size sweep at one associativity — a
+// Figure 3 working-set curve — from one pass over the stream: the
+// stack-distance pass for fully associative caches, SetAssocSweep
+// otherwise. The returned function gives misses per reference at any
+// size in cacheSizes, bit-identical to replaying that size on its own.
+func SweepMissRates(src TraceSource, lineSize, assoc int, cacheSizes []int) (func(cacheSize int) (float64, error), error) {
+	if assoc == FullyAssoc {
+		maxSize := 0
+		for _, cs := range cacheSizes {
+			maxSize = max(maxSize, cs)
+		}
+		sp, err := StackDistances(src, lineSize, maxSize)
+		if err != nil {
+			return nil, err
+		}
+		return sp.MissRate, nil
+	}
+	sp, err := SetAssocSweep(src, lineSize, assoc, cacheSizes)
+	if err != nil {
+		return nil, err
+	}
+	return sp.MissRate, nil
 }

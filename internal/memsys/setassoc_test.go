@@ -81,7 +81,7 @@ func TestSetAssocSweepMatchesReplayMulti(t *testing.T) {
 				for _, noHints := range []bool{false, true} {
 					cfgs := make([]Config, len(sizes))
 					for i, cs := range sizes {
-						cfgs[i] = Config{Procs: procs, CacheSize: cs, Assoc: assoc, LineSize: ls, OverheadBytes: 8, NoReplacementHints: noHints}
+						cfgs[i] = Config{Procs: procs, CacheSize: cs, Assoc: assoc, LineSize: ls, NoReplacementHints: noHints}
 					}
 					stats, err := ReplayMulti(src, cfgs)
 					if err != nil {
@@ -146,7 +146,7 @@ func TestSetAssocSweepUnderstatedRanges(t *testing.T) {
 // too; an empty trace profiles to zero.
 func TestSetAssocSweepValidation(t *testing.T) {
 	tr := buildSharingTrace(1, 2, 200, false)
-	want := Config{Procs: 2, CacheSize: 256, Assoc: 8, LineSize: 64, OverheadBytes: 8}.Validate()
+	want := Config{Procs: 2, CacheSize: 256, Assoc: 8, LineSize: 64}.Validate()
 	if want == nil {
 		t.Fatal("Config.Validate accepted 4 lines in 8-way sets")
 	}

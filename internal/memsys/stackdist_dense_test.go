@@ -38,7 +38,7 @@ func sdCheck(t *testing.T, evs []sdEvent, maxLines int) string {
 		t.Fatal(err)
 	}
 	for c := 1; c <= maxLines; c++ {
-		st, err := Replay(tr, Config{Procs: 8, CacheSize: c * 64, Assoc: FullyAssoc, LineSize: 64, OverheadBytes: 8})
+		st, err := Replay(tr, Config{Procs: 8, CacheSize: c * 64, Assoc: FullyAssoc, LineSize: 64})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -52,7 +52,7 @@ func TestStackDistanceMatchesReplayProperty(t *testing.T) {
 			return false
 		}
 		for _, cs := range stackSizes {
-			st, err := Replay(tr, Config{Procs: procs, CacheSize: cs, Assoc: FullyAssoc, LineSize: 64, OverheadBytes: 8})
+			st, err := Replay(tr, Config{Procs: procs, CacheSize: cs, Assoc: FullyAssoc, LineSize: 64})
 			if err != nil {
 				t.Log(err)
 				return false
@@ -93,7 +93,7 @@ func TestStackDistanceRefsMatchReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Replay(tr, Config{Procs: 4, CacheSize: 1 << 20, Assoc: FullyAssoc, LineSize: 64, OverheadBytes: 8})
+	st, err := Replay(tr, Config{Procs: 4, CacheSize: 1 << 20, Assoc: FullyAssoc, LineSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestStackDistanceAcrossLineSizes(t *testing.T) {
 		}
 		for _, lines := range []int{2, 16, 256} {
 			cs := lines * ls
-			st, err := Replay(tr, Config{Procs: 4, CacheSize: cs, Assoc: FullyAssoc, LineSize: ls, OverheadBytes: 8})
+			st, err := Replay(tr, Config{Procs: 4, CacheSize: cs, Assoc: FullyAssoc, LineSize: ls})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -206,7 +206,7 @@ func (s *System) upgrade(p int, line, seq uint64) {
 	d := &s.dir[line]
 	s.procs[p].Upgrades++
 	if home != p {
-		s.traffic.RemoteOverhead += uint64(s.cfg.OverheadBytes) // upgrade request
+		s.traffic.RemoteOverhead += OverheadBytes // upgrade request
 	}
 	s.invalidateSharers(p, line, d, home, seq)
 	d.sharers = 1 << uint(p)
@@ -218,7 +218,6 @@ func (s *System) upgrade(p int, line, seq uint64) {
 // Invalidations travel home→sharer and acknowledgments sharer→requestor;
 // the losses are stamped with seq, the invalidating reference's.
 func (s *System) invalidateSharers(p int, line uint64, d *dirEntry, home int, seq uint64) {
-	ob := uint64(s.cfg.OverheadBytes)
 	for rem := d.sharers &^ (1 << uint(p)); rem != 0; rem &= rem - 1 {
 		q := bits.TrailingZeros64(rem)
 		// Without replacement hints the sharer list can be stale: the
@@ -227,9 +226,9 @@ func (s *System) invalidateSharers(p int, line uint64, d *dirEntry, home int, se
 		// invalidate, and lose leaves its loss history as it is.
 		s.caches[q].lose(line, seq<<4|histInval)
 		if q != home {
-			s.traffic.RemoteOverhead += ob // invalidation
+			s.traffic.RemoteOverhead += OverheadBytes // invalidation
 		}
-		s.traffic.RemoteOverhead += ob // acknowledgment (q != p by construction)
+		s.traffic.RemoteOverhead += OverheadBytes // acknowledgment (q != p by construction)
 	}
 }
 
@@ -240,11 +239,10 @@ func (s *System) invalidateSharers(p int, line uint64, d *dirEntry, home int, se
 func (s *System) fill(p int, line uint64, kind MissKind, write bool, seq uint64) {
 	home := s.home(line)
 	d := &s.dir[line]
-	ob := uint64(s.cfg.OverheadBytes)
 	ls := uint64(s.cfg.LineSize)
 
 	if home != p {
-		s.traffic.RemoteOverhead += ob // request to home
+		s.traffic.RemoteOverhead += OverheadBytes // request to home
 	}
 
 	var newState LineState
@@ -254,13 +252,13 @@ func (s *System) fill(p int, line uint64, kind MissKind, write bool, seq uint64)
 		q := int(d.owner)
 		qstate := s.caches[q].peek(line)
 		if q != home {
-			s.traffic.RemoteOverhead += ob // forward home→owner
+			s.traffic.RemoteOverhead += OverheadBytes // forward home→owner
 		}
 		if qstate == Modified {
 			// Cache-to-cache transfer q→p (q != p always on a miss).
 			s.addData(kind, ls, true)
 			s.serve(q, ls)
-			s.traffic.RemoteOverhead += ob // data header
+			s.traffic.RemoteOverhead += OverheadBytes // data header
 			if write {
 				// Ownership migrates; memory stays stale.
 				s.caches[q].lose(line, seq<<4|histInval)
@@ -271,7 +269,7 @@ func (s *System) fill(p int, line uint64, kind MissKind, write bool, seq uint64)
 				// Sharing writeback q→home brings memory up to date.
 				if q != home {
 					s.traffic.RemoteWriteback += ls
-					s.traffic.RemoteOverhead += ob // writeback header
+					s.traffic.RemoteOverhead += OverheadBytes // writeback header
 				} else {
 					s.traffic.LocalData += ls
 				}
@@ -284,7 +282,7 @@ func (s *System) fill(p int, line uint64, kind MissKind, write bool, seq uint64)
 		} else {
 			// Owner holds it Exclusive (clean): memory is valid.
 			if q != home {
-				s.traffic.RemoteOverhead += ob // downgrade ack owner→home
+				s.traffic.RemoteOverhead += OverheadBytes // downgrade ack owner→home
 			}
 			if write {
 				s.caches[q].lose(line, seq<<4|histInval)
@@ -298,7 +296,7 @@ func (s *System) fill(p int, line uint64, kind MissKind, write bool, seq uint64)
 				d.owner = -1
 				newState = Shared
 			}
-			s.memoryData(p, home, kind, ls, ob)
+			s.memoryData(p, home, kind, ls)
 		}
 	default:
 		// Clean: data comes from home memory.
@@ -316,7 +314,7 @@ func (s *System) fill(p int, line uint64, kind MissKind, write bool, seq uint64)
 			d.sharers |= 1 << uint(p)
 			newState = Shared
 		}
-		s.memoryData(p, home, kind, ls, ob)
+		s.memoryData(p, home, kind, ls)
 	}
 
 	victim, vstate, evicted := s.caches[p].insert(line, newState, seq<<4|histEvicted)
@@ -326,11 +324,11 @@ func (s *System) fill(p int, line uint64, kind MissKind, write bool, seq uint64)
 }
 
 // memoryData accounts the line transfer home→p.
-func (s *System) memoryData(p, home int, kind MissKind, ls, ob uint64) {
+func (s *System) memoryData(p, home int, kind MissKind, ls uint64) {
 	s.serve(home, ls)
 	if home != p {
 		s.addData(kind, ls, true)
-		s.traffic.RemoteOverhead += ob // data header
+		s.traffic.RemoteOverhead += OverheadBytes // data header
 	} else {
 		s.addData(kind, ls, false)
 	}
@@ -361,7 +359,6 @@ func (s *System) addData(kind MissKind, n uint64, remote bool) {
 func (s *System) evict(p int, line uint64, vstate LineState) {
 	home := s.home(line)
 	d := &s.dir[line]
-	ob := uint64(s.cfg.OverheadBytes)
 	ls := uint64(s.cfg.LineSize)
 
 	switch vstate {
@@ -370,7 +367,7 @@ func (s *System) evict(p int, line uint64, vstate LineState) {
 		d.owner = -1
 		if home != p {
 			s.traffic.RemoteWriteback += ls
-			s.traffic.RemoteOverhead += ob // writeback header
+			s.traffic.RemoteOverhead += OverheadBytes // writeback header
 		} else {
 			s.traffic.LocalData += ls
 		}
@@ -378,7 +375,7 @@ func (s *System) evict(p int, line uint64, vstate LineState) {
 		d.sharers &^= 1 << uint(p)
 		d.owner = -1
 		if home != p {
-			s.traffic.RemoteOverhead += ob // clean-exclusive notification
+			s.traffic.RemoteOverhead += OverheadBytes // clean-exclusive notification
 		}
 	case Shared:
 		// Replacement hint keeps the home's sharer list exact (§2.2);
@@ -386,7 +383,7 @@ func (s *System) evict(p int, line uint64, vstate LineState) {
 		if !s.cfg.NoReplacementHints {
 			d.sharers &^= 1 << uint(p)
 			if home != p {
-				s.traffic.RemoteOverhead += ob
+				s.traffic.RemoteOverhead += OverheadBytes
 			}
 		}
 	}

@@ -49,7 +49,7 @@ func (s *refSys) AccessAt(p int, a Addr, write bool, now uint64) (hit bool, kind
 func testSys(t *testing.T, cacheSize int, assoc int) *refSys {
 	t.Helper()
 	s, err := New(Config{
-		Procs: 4, CacheSize: cacheSize, Assoc: assoc, LineSize: 64, OverheadBytes: 8,
+		Procs: 4, CacheSize: cacheSize, Assoc: assoc, LineSize: 64,
 	}, func(line uint64) int { return int(line % 4) })
 	if err != nil {
 		t.Fatal(err)
@@ -271,10 +271,10 @@ func TestResetStatsKeepsCachesWarm(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Procs: -1},
-		{Procs: 65, CacheSize: 1024, LineSize: 64, OverheadBytes: 8},
-		{Procs: 2, CacheSize: 1000, LineSize: 64, OverheadBytes: 8},
-		{Procs: 2, CacheSize: 1024, LineSize: 48, OverheadBytes: 8},
-		{Procs: 2, CacheSize: 1024, LineSize: 64, Assoc: 3, OverheadBytes: 8},
+		{Procs: 65, CacheSize: 1024, LineSize: 64},
+		{Procs: 2, CacheSize: 1000, LineSize: 64},
+		{Procs: 2, CacheSize: 1024, LineSize: 48},
+		{Procs: 2, CacheSize: 1024, LineSize: 64, Assoc: 3},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -297,7 +297,7 @@ func TestProtocolInvariantsProperty(t *testing.T) {
 			Procs:     4,
 			CacheSize: sizes[int(sizeSel)%len(sizes)],
 			Assoc:     assocs[int(assocSel)%len(assocs)],
-			LineSize:  64, OverheadBytes: 8,
+			LineSize:  64,
 		}, func(line uint64) int { return int(line % 4) })
 		if err != nil {
 			return false
@@ -320,7 +320,7 @@ func TestProtocolInvariantsProperty(t *testing.T) {
 // per-proc reads+writes equals issued references.
 func TestAccountingConservationProperty(t *testing.T) {
 	f := func(seed int64) bool {
-		sys, err := New(Config{Procs: 4, CacheSize: 512, Assoc: 2, LineSize: 64, OverheadBytes: 8},
+		sys, err := New(Config{Procs: 4, CacheSize: 512, Assoc: 2, LineSize: 64},
 			func(line uint64) int { return int(line % 4) })
 		if err != nil {
 			return false
@@ -357,7 +357,7 @@ func TestAccountingConservationProperty(t *testing.T) {
 // traffic can ever occur.
 func TestUniprocessorHasNoSharingProperty(t *testing.T) {
 	f := func(seed int64) bool {
-		sys, err := New(Config{Procs: 1, CacheSize: 512, Assoc: 2, LineSize: 64, OverheadBytes: 8},
+		sys, err := New(Config{Procs: 1, CacheSize: 512, Assoc: 2, LineSize: 64},
 			func(line uint64) int { return 0 })
 		if err != nil {
 			return false
@@ -390,7 +390,7 @@ func TestLRUInclusionProperty(t *testing.T) {
 		}
 		var prev uint64 = ^uint64(0)
 		for _, size := range []int{512, 1024, 2048, 4096} {
-			sys, err := New(Config{Procs: 1, CacheSize: size, Assoc: FullyAssoc, LineSize: 64, OverheadBytes: 8},
+			sys, err := New(Config{Procs: 1, CacheSize: size, Assoc: FullyAssoc, LineSize: 64},
 				func(line uint64) int { return 0 })
 			if err != nil {
 				return false

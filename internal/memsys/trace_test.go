@@ -88,7 +88,7 @@ func TestReplayEquivalenceProperty(t *testing.T) {
 		for i := range homes {
 			homes[i] = int32(i % procs)
 		}
-		cfg := Config{Procs: procs, CacheSize: 2048, Assoc: 2, LineSize: 64, OverheadBytes: 8}
+		cfg := Config{Procs: procs, CacheSize: 2048, Assoc: 2, LineSize: 64}
 		sys, err := New(cfg, func(line uint64) int {
 			if line < uint64(len(homes)) {
 				return int(homes[line])
@@ -137,11 +137,11 @@ func TestReplayEquivalenceProperty(t *testing.T) {
 // and invalidation-heavy sharing in the stream.
 func TestReplayMultiMatchesReplayProperty(t *testing.T) {
 	cfgs := []Config{
-		{Procs: 4, CacheSize: 2048, Assoc: 2, LineSize: 64, OverheadBytes: 8},
-		{Procs: 4, CacheSize: 2048, Assoc: 1, LineSize: 64, OverheadBytes: 8},
-		{Procs: 4, CacheSize: 4096, Assoc: FullyAssoc, LineSize: 64, OverheadBytes: 8},
-		{Procs: 4, CacheSize: 1024, Assoc: 4, LineSize: 16, OverheadBytes: 8},
-		{Procs: 4, CacheSize: 8192, Assoc: 2, LineSize: 256, OverheadBytes: 8},
+		{Procs: 4, CacheSize: 2048, Assoc: 2, LineSize: 64},
+		{Procs: 4, CacheSize: 2048, Assoc: 1, LineSize: 64},
+		{Procs: 4, CacheSize: 4096, Assoc: FullyAssoc, LineSize: 64},
+		{Procs: 4, CacheSize: 1024, Assoc: 4, LineSize: 16},
+		{Procs: 4, CacheSize: 8192, Assoc: 2, LineSize: 256},
 	}
 	f := func(seed int64, withResets bool) bool {
 		tr := buildSharingTrace(seed, 4, 2000, withResets)
@@ -174,8 +174,8 @@ func TestReplayMultiEmptyAndInvalid(t *testing.T) {
 		t.Fatalf("empty config list: %v, %v", out, err)
 	}
 	_, err := ReplayMulti(tr, []Config{
-		{Procs: 4, CacheSize: 2048, Assoc: 2, LineSize: 64, OverheadBytes: 8},
-		{Procs: 2, CacheSize: 2048, Assoc: 2, LineSize: 64, OverheadBytes: 8},
+		{Procs: 4, CacheSize: 2048, Assoc: 2, LineSize: 64},
+		{Procs: 2, CacheSize: 2048, Assoc: 2, LineSize: 64},
 	})
 	if err == nil {
 		t.Fatal("undersized machine accepted in fused sweep")
@@ -186,7 +186,7 @@ func TestReplayAcrossLineSizes(t *testing.T) {
 	tr := buildTrace(7, 4, 2000)
 	var prevRefs uint64
 	for _, ls := range []int{16, 64, 256} {
-		st, err := Replay(tr, Config{Procs: 4, CacheSize: 4096, Assoc: 2, LineSize: ls, OverheadBytes: 8})
+		st, err := Replay(tr, Config{Procs: 4, CacheSize: 4096, Assoc: 2, LineSize: ls})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +200,7 @@ func TestReplayAcrossLineSizes(t *testing.T) {
 
 func TestReplayRejectsTooFewProcs(t *testing.T) {
 	tr := buildTrace(3, 8, 100)
-	if _, err := Replay(tr, Config{Procs: 2, CacheSize: 2048, Assoc: 2, LineSize: 64, OverheadBytes: 8}); err == nil {
+	if _, err := Replay(tr, Config{Procs: 2, CacheSize: 2048, Assoc: 2, LineSize: 64}); err == nil {
 		t.Fatal("trace with 8 processors replayed on 2")
 	}
 }
@@ -238,7 +238,7 @@ func TestGeneratedTraceLiveMatchesReplay(t *testing.T) {
 		for _, ls := range []int{8, 64, 256} {
 			for _, noHints := range []bool{false, true} {
 				cfgs = append(cfgs, Config{Procs: procs, CacheSize: 16 * ls, Assoc: assoc, LineSize: ls,
-					OverheadBytes: 8, NoReplacementHints: noHints})
+					NoReplacementHints: noHints})
 			}
 		}
 	}

@@ -293,7 +293,7 @@ func TestTraceFileCorruptBlocks(t *testing.T) {
 			}
 			// The streaming consumers must surface the same failure
 			// instead of replaying garbage.
-			cfg := Config{Procs: 4, CacheSize: 2048, Assoc: 2, LineSize: 64, OverheadBytes: 8}
+			cfg := Config{Procs: 4, CacheSize: 2048, Assoc: 2, LineSize: 64}
 			if _, err := Replay(tf, cfg); err == nil {
 				t.Fatal("streaming replay accepted a corrupt block")
 			}

@@ -168,9 +168,9 @@ func TestTraceFileMatchesInMemory(t *testing.T) {
 	}
 
 	cfgs := []Config{
-		{Procs: 4, CacheSize: 2048, Assoc: 2, LineSize: 64, OverheadBytes: 8},
-		{Procs: 4, CacheSize: 4096, Assoc: FullyAssoc, LineSize: 64, OverheadBytes: 8},
-		{Procs: 4, CacheSize: 8192, Assoc: 4, LineSize: 32, OverheadBytes: 8},
+		{Procs: 4, CacheSize: 2048, Assoc: 2, LineSize: 64},
+		{Procs: 4, CacheSize: 4096, Assoc: FullyAssoc, LineSize: 64},
+		{Procs: 4, CacheSize: 8192, Assoc: 4, LineSize: 32},
 	}
 	memStats, err := ReplayMulti(tr, cfgs)
 	if err != nil {
@@ -324,7 +324,7 @@ func TestStreamingReplayPeakAllocation(t *testing.T) {
 	tr := rec.Finish(make([]int32, 64))
 	data := writeV2Bytes(t, tr)
 	tf := openV2(t, data)
-	cfg := []Config{{Procs: 4, CacheSize: 2048, Assoc: 2, LineSize: 64, OverheadBytes: 8}}
+	cfg := []Config{{Procs: 4, CacheSize: 2048, Assoc: 2, LineSize: 64}}
 
 	// Warm up once (lazy pools, machine construction paths), then
 	// measure the cumulative allocation of a full streaming replay.
@@ -437,9 +437,9 @@ func TestStreamingDecodeAheadByteIdentical(t *testing.T) {
 func TestConcurrentPassesShareOneTrace(t *testing.T) {
 	tr := buildBatchedTrace(21, 4, 40000, 3)
 	cfgs := []Config{
-		{Procs: 4, CacheSize: 2048, Assoc: 2, LineSize: 64, OverheadBytes: 8},
-		{Procs: 4, CacheSize: 8192, Assoc: FullyAssoc, LineSize: 64, OverheadBytes: 8},
-		{Procs: 4, CacheSize: 4096, Assoc: 4, LineSize: 32, OverheadBytes: 8},
+		{Procs: 4, CacheSize: 2048, Assoc: 2, LineSize: 64},
+		{Procs: 4, CacheSize: 8192, Assoc: FullyAssoc, LineSize: 64},
+		{Procs: 4, CacheSize: 4096, Assoc: 4, LineSize: 32},
 	}
 	sizes := []int{1 << 10, 4 << 10, 16 << 10}
 	passes := []func() (any, error){
