@@ -31,9 +31,11 @@
 //
 // Responses carry a deterministic ETag (the request's content address):
 // repeat a request with If-None-Match to get 304 without any execution.
-// Identical concurrent requests coalesce onto one execution; saturation
-// sheds load with 429 + Retry-After. SIGINT/SIGTERM stops accepting
-// work, drains live flights up to -drain-timeout, then exits.
+// Identical concurrent requests coalesce onto one execution, and once it
+// has finished cleanly its rendered bytes answer every repeat without
+// engine work; saturation sheds load with 429 + Retry-After.
+// SIGINT/SIGTERM stops accepting work, drains live flights up to
+// -drain-timeout, then exits.
 //
 // Clients may bound a request with a deadline — the timeoutMs body
 // field, the deadline query parameter ("30s", "2m"), or the

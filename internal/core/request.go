@@ -304,12 +304,12 @@ func (r Request) Key() runner.Key {
 	return runner.KeyOf("request", cr)
 }
 
-// ETag renders the request key as a strong HTTP entity tag. Because
-// experiments are deterministic and the key folds in the suite version,
-// a response's ETag changes exactly when its body could: a client
-// revalidating with If-None-Match needs no execution at all to be told
-// its copy is current.
-func (r Request) ETag() string { return `"` + r.Key().String() + `"` }
+// ETag renders a request key (Request.Key) as a strong HTTP entity tag.
+// Because experiments are deterministic and the key folds in the suite
+// version, a response's ETag changes exactly when its body could: a
+// client revalidating with If-None-Match needs no execution at all to be
+// told its copy is current.
+func ETag(key runner.Key) string { return `"` + key.String() + `"` }
 
 // Do executes one request on a request-scoped view of the engine and
 // returns its results: the sections the kind selects, plus the failure

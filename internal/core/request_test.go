@@ -92,9 +92,6 @@ func TestRequestKeyStability(t *testing.T) {
 	if a.Key() != b.Key() {
 		t.Error("equivalent requests hash differently")
 	}
-	if a.ETag() != b.ETag() {
-		t.Error("equivalent requests carry different ETags")
-	}
 	// Any semantic difference must change the key.
 	c := Request{Kind: KindSpeedups, ProcList: []int{1, 2, 8}}
 	if a.Key() == c.Key() {
@@ -104,8 +101,8 @@ func TestRequestKeyStability(t *testing.T) {
 	if a.Key() == d.Key() {
 		t.Error("scale change did not change key")
 	}
-	if tag := a.ETag(); !strings.HasPrefix(tag, `"`) || !strings.HasSuffix(tag, `"`) {
-		t.Errorf("ETag %q not a quoted strong validator", tag)
+	if tag := ETag(a.Key()); tag != `"`+a.Key().String()+`"` {
+		t.Errorf("ETag %q is not the key as a quoted strong validator", tag)
 	}
 }
 

@@ -320,3 +320,59 @@ func TestCacheSharedAcrossConcurrentGraphs(t *testing.T) {
 		t.Fatalf("shared entry 0 = %v, %v", v, ok)
 	}
 }
+
+// TestConcurrentGraphsAdoptOneValue: two graphs that execute the same key
+// at once — neither found it in the memo — end up with one value. The
+// bodies return different values on purpose (a deterministic experiment
+// would not), so the test sees which one each graph completes with: the
+// first memoized, in both graphs, in a dependent reading it, and in a
+// later graph served from the memo.
+func TestConcurrentGraphsAdoptOneValue(t *testing.T) {
+	r := New(Options{Workers: 2})
+	k := KeyOf("adopt", 1)
+	var started sync.WaitGroup
+	started.Add(2)
+	type outcome struct{ shared, dependent int }
+	outs := make([]outcome, 2)
+	var wg sync.WaitGroup
+	for i := range outs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g := r.NewGraph()
+			shared := Submit(g, Spec{Label: "shared", Key: k}, func(context.Context) (int, error) {
+				started.Done()
+				started.Wait() // both graphs are executing the key
+				return 100 + i, nil
+			})
+			dep := Submit(g, Spec{Label: "dependent", Deps: []Handle{shared}}, func(context.Context) (int, error) {
+				return shared.Result()
+			})
+			if err := g.Wait(context.Background()); err != nil {
+				t.Error(err)
+				return
+			}
+			outs[i].shared, _ = shared.Result()
+			outs[i].dependent, _ = dep.Result()
+		}()
+	}
+	wg.Wait()
+
+	g := r.NewGraph()
+	later := Submit(g, Spec{Label: "later", Key: k}, func(context.Context) (int, error) {
+		t.Error("a memoized key executed again")
+		return 0, nil
+	})
+	if err := g.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	memo, _ := later.Result()
+	for i, o := range outs {
+		if o.shared != memo || o.dependent != memo {
+			t.Errorf("graph %d completed with %d (dependent read %d); the memo holds %d", i, o.shared, o.dependent, memo)
+		}
+	}
+	if c := r.Counts(); c.Executed != 4 || c.MemoHits != 1 {
+		t.Errorf("executed = %d, memo hits = %d; want 4 (the key twice, two dependents) and 1", c.Executed, c.MemoHits)
+	}
+}

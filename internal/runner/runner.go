@@ -107,7 +107,9 @@ type Counts struct {
 // Wait on independent graphs at once. All graphs share one worker pool
 // (the Workers semaphore), one memo, one cache and one set of counters;
 // memoized result values are shared by reference across graphs and must
-// be treated as immutable by every consumer.
+// be treated as immutable by every consumer. A key has one value: the
+// first one memoized, which a concurrent graph that executed the same
+// key adopts in place of its own (memoPut).
 type Runner struct {
 	opts Options
 	// fns are the progress sinks every graph starts with: the Progress
@@ -230,10 +232,21 @@ func (r *Runner) memoGet(k Key) (any, bool) {
 	return v, ok
 }
 
-func (r *Runner) memoPut(k Key, v any) {
+// memoPut memoizes v under k and returns the value the memo holds for
+// k from now on: v, unless another graph memoized k first — two
+// concurrent graphs can both execute a key neither found in the memo —
+// in which case v is dropped and the earlier value returned. Every job
+// completes with what memoPut returns, so each key has one value for the
+// life of the Runner: a graph that computed it cold and every later
+// graph served from the memo see the same thing.
+func (r *Runner) memoPut(k Key, v any) any {
 	r.memoMu.Lock()
+	defer r.memoMu.Unlock()
+	if old, ok := r.memo[k]; ok {
+		return old
+	}
 	r.memo[k] = v
-	r.memoMu.Unlock()
+	return v
 }
 
 // job is the untyped scheduling unit.
@@ -497,8 +510,7 @@ func (g *Graph) resolve(ctx context.Context) []*job {
 		if !j.noStore && g.r.opts.Cache != nil && !j.key.IsZero() {
 			if v, ok := g.r.opts.Cache.Get(ctx, j.key, j.decode); ok {
 				g.r.cacheHits.Add(1)
-				g.r.memoPut(j.key, v)
-				j.complete(v, nil)
+				j.complete(g.r.memoPut(j.key, v), nil)
 				return
 			}
 		}
@@ -616,10 +628,10 @@ func (g *Graph) execute(parent context.Context, need []*job) error {
 				}
 				return
 			}
-			j.complete(v, nil)
 			if !j.key.IsZero() {
-				g.r.memoPut(j.key, v)
+				v = g.r.memoPut(j.key, v)
 			}
+			j.complete(v, nil)
 			if shared {
 				g.r.opts.Journal.JobShared(ctx, j.label, keyStr(j.key))
 			} else {

@@ -9,12 +9,12 @@ import (
 	"splash2/internal/runner"
 )
 
-// flight is one in-progress experiment execution, shared by every
-// request that asked for the same canonical experiment while it ran.
-// Requests are content-addressed (core.Request.Key), so "the same
-// experiment" is exact: any two requests with equal keys would produce
-// byte-identical responses, which is what makes handing one request's
-// result to another correct.
+// flight is one experiment execution, live or finished, shared by every
+// request that asked for the same canonical experiment. Requests are
+// content-addressed (core.Request.Key), so "the same experiment" is
+// exact: any two requests with equal keys would produce byte-identical
+// responses, which is what makes handing one request's result to another
+// correct — while the flight runs, and after it finished cleanly.
 type flight struct {
 	key  string
 	done chan struct{} // closed when body/err are final
@@ -24,10 +24,14 @@ type flight struct {
 	// flight from a live one.
 	ctx context.Context
 
+	// retained is set, under coalescer.mu, when the flight finished
+	// cleanly and stays registered to answer every later request for its
+	// key.
+	retained bool
+
 	// Results, final under done.
 	body     []byte // the rendered JSON response (Results.WriteJSON bytes)
-	etag     string
-	degraded int // failed experiments carried in the body's manifest
+	degraded int    // failed experiments carried in the body's manifest
 	err      error
 
 	// Progress fan-out to streaming subscribers.
@@ -71,17 +75,23 @@ func (f *flight) publish(ev runner.ProgressEvent) {
 	}
 }
 
-// coalescer deduplicates concurrent identical requests onto single
-// executions (singleflight keyed by the request's content address) and
-// bounds how many executions the daemon accepts at once: up to inflight
-// flights run on the engine while up to queue more wait for a slot;
-// beyond that join refuses and the caller sheds load with 429.
+// coalescer deduplicates identical requests onto single executions
+// (singleflight keyed by the request's content address) and bounds how
+// many executions the daemon accepts at once: up to inflight flights run
+// on the engine while up to queue more wait for a slot; beyond that join
+// refuses and the caller sheds load with 429.
 //
 // Flights are keyed by the same hash as the result cache, so the
 // admission pipeline composes: a repeated request hits, in order, the
-// HTTP validator (ETag, no work at all), a live flight (shares an
-// in-progress execution), the engine memo/disk cache (re-serves a
-// completed one), and only then real execution.
+// HTTP validator (ETag, no work at all), a live or finished flight
+// (shares an execution or the bytes it rendered), the engine memo/disk
+// cache (re-serves completed jobs), and only then real execution.
+//
+// A flight that finished cleanly stays registered for as long as the
+// daemon runs, while the bodies held fit under maxRetainedBytes. One that
+// failed, was cancelled, ran out its deadline, came back degraded or
+// finished with the bodies held at the cap is forgotten, so the next
+// request for its key starts afresh.
 type coalescer struct {
 	engine *core.Engine
 
@@ -93,42 +103,56 @@ type coalescer struct {
 	active  int // flights admitted and not yet finished
 
 	// Cumulative counters (metrics).
-	started   int64 // flights that ran (leaders)
-	coalesced int64 // requests served by joining an existing flight
-	rejected  int64 // joins refused because the pipeline was full
+	started       int64 // flights that ran (leaders)
+	coalesced     int64 // requests served by joining an existing flight
+	rejected      int64 // joins refused because the pipeline was full
+	retained      int   // finished flights held
+	retainedBytes int64 // sum of their bodies
+	retainLimit   int64 // cap on retainedBytes (maxRetainedBytes)
 
 	// hookFlightStart, when non-nil, runs in the flight goroutine before
 	// the engine call. Tests use it to hold flights open deterministically.
 	hookFlightStart func(key string)
 }
 
+// maxRetainedBytes caps the bodies finished flights hold. The memo does
+// not bound them: a request key hashes every field of the canonical
+// request, read by its kind or not (a sampleSeed on a Table 1 request,
+// the order of its apps), so a client can mint distinct keys whose
+// flights the memo serves in milliseconds without adding an entry. Past
+// the cap a clean flight is forgotten like a degraded one, and the
+// flights already held keep answering.
+const maxRetainedBytes = 32 << 20
+
 func newCoalescer(engine *core.Engine, inflight, queue int) *coalescer {
 	return &coalescer{
-		engine:  engine,
-		slots:   make(chan struct{}, inflight),
-		limit:   inflight + queue,
-		flights: make(map[string]*flight),
+		engine:      engine,
+		slots:       make(chan struct{}, inflight),
+		limit:       inflight + queue,
+		flights:     make(map[string]*flight),
+		retainLimit: maxRetainedBytes,
 	}
 }
 
-// join returns the flight computing req, starting one if none is live.
-// ok=false means the daemon is saturated (inflight + queued flights at
-// the cap) and the caller must shed the request; joining an existing
-// flight always succeeds — it adds no load. A flight whose context has
-// already expired is not live even while it is still registered (its
-// goroutine has yet to notice): joining it would hand a patient client
-// the impatient leader's 504, so a fresh flight replaces it under the
-// same key.
+// join returns the flight for req, whose content address is key: a
+// finished or live one, else a fresh one. ok=false means the daemon is
+// saturated (inflight + queued flights at the cap) and the caller must
+// shed the request; joining an existing flight always succeeds — it adds
+// no load. A flight whose context has already expired is not live even
+// while it is still registered (its goroutine has yet to notice):
+// joining it would hand a patient client the impatient leader's 504, so
+// a fresh flight replaces it under the same key. A retained flight is
+// joinable whatever its context says: that context is cancelled as soon
+// as the flight finishes.
 //
 // The flight runs detached on ctx (the server's base context, not any
 // one request's): a client disconnecting mid-flight never cancels an
 // execution other clients share — and since results are cached, even a
 // flight every client abandoned completes into cache warmth rather than
 // wasted work.
-func (c *coalescer) join(ctx context.Context, req core.Request) (*flight, bool) {
-	key := req.Key().String()
+func (c *coalescer) join(ctx context.Context, req core.Request, key string) (*flight, bool) {
 	c.mu.Lock()
-	if f, live := c.flights[key]; live && f.ctx.Err() == nil {
+	if f, ok := c.flights[key]; ok && (f.retained || f.ctx.Err() == nil) {
 		c.coalesced++
 		c.mu.Unlock()
 		return f, true
@@ -147,7 +171,7 @@ func (c *coalescer) join(ctx context.Context, req core.Request) (*flight, bool) 
 	if d := req.Deadline(); d > 0 {
 		fctx, cancel = context.WithTimeout(ctx, d)
 	}
-	f := &flight{key: key, etag: req.ETag(), done: make(chan struct{}), ctx: fctx}
+	f := &flight{key: key, done: make(chan struct{}), ctx: fctx}
 	c.flights[key] = f
 	c.active++
 	c.started++
@@ -162,13 +186,22 @@ func (c *coalescer) join(ctx context.Context, req core.Request) (*flight, bool) 
 
 // run executes one flight: wait for an execution slot, run the request
 // through a scoped engine view with progress streaming to subscribers,
-// render the response bytes once, finish.
+// render the response bytes once, finish. Only a clean result that fits
+// under the retention cap is retained; any other outcome unregisters the
+// flight.
 func (c *coalescer) run(req core.Request, f *flight) {
 	ctx := f.ctx
+	clean := false
 	defer func() {
 		c.mu.Lock()
 		if c.flights[f.key] == f { // a fresh flight may have replaced a doomed one
-			delete(c.flights, f.key)
+			if clean && c.retainedBytes+int64(len(f.body)) <= c.retainLimit {
+				f.retained = true
+				c.retained++
+				c.retainedBytes += int64(len(f.body))
+			} else {
+				delete(c.flights, f.key)
+			}
 		}
 		c.active--
 		c.mu.Unlock()
@@ -201,6 +234,7 @@ func (c *coalescer) run(req core.Request, f *flight) {
 	}
 	f.body = buf.Bytes()
 	f.degraded = len(res.Failures)
+	clean = err == nil && f.degraded == 0
 }
 
 // counts snapshots the coalescer's cumulative and instantaneous state.
@@ -208,6 +242,14 @@ func (c *coalescer) counts() (started, coalesced, rejected int64, active, execut
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.started, c.coalesced, c.rejected, c.active, len(c.slots)
+}
+
+// retention reports how many finished flights are held and the sum of
+// their body sizes.
+func (c *coalescer) retention() (n int, size int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.retained, c.retainedBytes
 }
 
 // idle reports whether no flights are live (used by drain).

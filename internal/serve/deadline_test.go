@@ -75,17 +75,15 @@ func TestDeadlineExceededReturns504(t *testing.T) {
 // deadline has expired is still registered (held before its engine call),
 // a follow-up request for the same experiment must start a fresh flight
 // and succeed, not inherit the doomed flight's 504 — and the doomed
-// flight's exit must not unregister its replacement.
+// flight's exit must not unregister its replacement, which finished
+// cleanly and answers every later request for the key.
 func TestPatientRequestDoesNotJoinDoomedFlight(t *testing.T) {
 	s, ts := newTestServer(t, core.EngineOptions{}, Options{})
-	gate, hold := make(chan struct{}), make(chan struct{})
+	gate := make(chan struct{})
 	var flights atomic.Int32
 	s.co.hookFlightStart = func(string) {
-		switch flights.Add(1) {
-		case 1:
+		if flights.Add(1) == 1 {
 			<-gate // the doomed flight
-		case 3:
-			<-hold // its second replacement, below
 		}
 	}
 
@@ -115,23 +113,26 @@ func TestPatientRequestDoesNotJoinDoomedFlight(t *testing.T) {
 		t.Fatalf("follow-up while the doomed flight is held = %d, want 200", resp.StatusCode)
 	}
 
-	// Hold a third flight open and let the doomed one exit under it.
-	third, ok := s.co.join(s.baseCtx, creq)
-	if !ok || third == doomed {
-		t.Fatalf("join after the doomed flight = %v (ok=%v), want a fresh flight", third, ok)
+	// The replacement is finished and registered; let the doomed flight
+	// exit under it.
+	replacement, ok := s.co.join(s.baseCtx, creq, key)
+	if !ok || replacement == doomed {
+		t.Fatalf("join after the doomed flight = %v (ok=%v), want its replacement", replacement, ok)
 	}
 	close(gate)
 	<-doomed.done
 	s.co.mu.Lock()
 	registered := s.co.flights[key]
 	s.co.mu.Unlock()
-	if registered != third {
+	if registered != replacement {
 		t.Error("the doomed flight's exit unregistered its replacement")
 	}
-	close(hold)
-	<-third.done
-	if third.err != nil {
-		t.Errorf("replacement flight failed: %v", third.err)
+	<-replacement.done
+	if replacement.err != nil {
+		t.Errorf("replacement flight failed: %v", replacement.err)
+	}
+	if n := flights.Load(); n != 2 {
+		t.Errorf("%d flights reached the engine, want 2 (the doomed one and its replacement)", n)
 	}
 	if !s.BeginDrain(10 * time.Second) {
 		t.Error("drain wedged")

@@ -45,15 +45,15 @@ func TestLoadCoalescedSweeps(t *testing.T) {
 		t.Fatalf("bad test geometry: %d clients over %d shapes", clients, len(shapes))
 	}
 
-	// The drill asserts overlap (flights ≪ requests), so each shape's
-	// first flight must stay open until the slowest clients have sent
-	// their requests. The engine keeps getting faster while 240
-	// concurrent connects on a small host spread arrivals over hundreds
-	// of milliseconds, so without a floor a shape fragments into many
-	// short memo-served flights and the count says nothing about
-	// coalescing. A deterministic delay on first job execution (memoized
-	// reruns don't re-execute, so only the cold flights are held) pins
-	// the overlap window without changing any result bytes.
+	// The drill is about overlap, so each shape's first flight should
+	// stay open while the clients send their requests. The engine keeps
+	// getting faster while 240 concurrent connects on a small host spread
+	// arrivals over hundreds of milliseconds, so without a floor most
+	// clients would join an already finished flight and the drill would
+	// say little about joining live ones under contention. A
+	// deterministic delay on first job execution (memoized reruns don't
+	// re-execute, so only the cold flights are held) widens the overlap
+	// window without changing any result bytes.
 	inj := fault.New(1, fault.Rule{Pattern: "job:*", Action: fault.Delay, Delay: 150 * time.Millisecond})
 	s, ts := newTestServer(t, core.EngineOptions{Workers: 4, Fault: inj}, Options{
 		MaxInflight: 2,
@@ -101,16 +101,14 @@ func TestLoadCoalescedSweeps(t *testing.T) {
 		}
 	}
 
-	// Coalescing did its job: the flight count is a tiny fraction of the
-	// request count. (It may exceed len(shapes): a request arriving after
-	// its shape's flight finished starts a new flight — which the memo
-	// then serves without re-executing.)
+	// Coalescing did its job: one flight per shape. A request arriving
+	// after its shape's flight finished joins the finished flight.
 	started, coalesced, rejected, _, _ := s.co.counts()
 	if rejected != 0 {
 		t.Errorf("%d requests shed; the queue should have absorbed all leaders", rejected)
 	}
-	if started >= int64(clients)/4 {
-		t.Errorf("flights = %d for %d requests; coalescing is not working", started, clients)
+	if started != int64(len(shapes)) {
+		t.Errorf("flights = %d for %d shapes and %d requests; coalescing is not working", started, len(shapes), clients)
 	}
 	if started+coalesced != int64(clients) {
 		t.Errorf("flights(%d) + coalesced(%d) != requests(%d)", started, coalesced, clients)
@@ -140,7 +138,7 @@ func TestLoadCoalescedSweeps(t *testing.T) {
 	// and the engine schedules nothing new.
 	before := s.engine.Counts().Submitted
 	for i, shape := range shapes {
-		resp := postJSON(t, ts.URL, shape, map[string]string{"If-None-Match": shape.ETag()})
+		resp := postJSON(t, ts.URL, shape, map[string]string{"If-None-Match": core.ETag(shape.Key())})
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotModified {
 			t.Errorf("revalidation of shape %d = %d, want 304", i, resp.StatusCode)

@@ -77,7 +77,7 @@ type Metrics struct {
 		MemoHits     int64   `json:"memoHits"`
 		Failures     int64   `json:"failures"`
 		Skipped      int64   `json:"skipped"`
-		HitRatio     float64 `json:"hitRatio"` // (cache+memo) / (cache+memo+executed)
+		HitRatio     float64 `json:"hitRatio"` // (cache+memo) / (cache+memo+executed), of requests that reach the engine
 		MemoEntries  int     `json:"memoEntries"`
 		FailureLog   int     `json:"failureLog"`
 		FailuresLost int64   `json:"failuresLost"`
@@ -103,11 +103,14 @@ type Metrics struct {
 		Exceeded int64 `json:"exceeded"` // requests answered 504
 	} `json:"deadlines"`
 
-	// Coalescing: flights started vs. requests that joined one.
+	// Coalescing: flights started vs. requests that joined one, live or
+	// finished, and what the finished flights held for repeats cost.
 	Coalescing struct {
-		Flights   int64 `json:"flights"`
-		Coalesced int64 `json:"coalesced"`
-		Rejected  int64 `json:"rejected"`
+		Flights       int64 `json:"flights"`
+		Coalesced     int64 `json:"coalesced"`
+		Rejected      int64 `json:"rejected"`
+		Retained      int   `json:"retained"`      // finished flights held
+		RetainedBytes int64 `json:"retainedBytes"` // sum of their bodies
 	} `json:"coalescing"`
 
 	// Queue: instantaneous admission state.

@@ -197,13 +197,13 @@ func TestUnknownParametersRejected(t *testing.T) {
 func TestIfNoneMatchSkipsExecution(t *testing.T) {
 	s, ts := newTestServer(t, core.EngineOptions{}, Options{})
 	req := smallReq()
-	resp := postJSON(t, ts.URL, req, map[string]string{"If-None-Match": req.ETag()})
+	resp := postJSON(t, ts.URL, req, map[string]string{"If-None-Match": core.ETag(req.Key())})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotModified {
 		t.Fatalf("status %d, want 304", resp.StatusCode)
 	}
-	if got := resp.Header.Get("ETag"); got != req.ETag() {
-		t.Errorf("ETag = %q, want %q", got, req.ETag())
+	if got := resp.Header.Get("ETag"); got != core.ETag(req.Key()) {
+		t.Errorf("ETag = %q, want %q", got, core.ETag(req.Key()))
 	}
 	if c := s.engine.Counts(); c.Submitted != 0 {
 		t.Errorf("revalidation submitted %d jobs, want 0", c.Submitted)
@@ -230,8 +230,8 @@ func TestExperimentRoundTripAndETag(t *testing.T) {
 		t.Errorf("Content-Type = %q", ct)
 	}
 	etag := resp.Header.Get("ETag")
-	if etag != req.ETag() {
-		t.Errorf("ETag = %q, want %q", etag, req.ETag())
+	if etag != core.ETag(req.Key()) {
+		t.Errorf("ETag = %q, want %q", etag, core.ETag(req.Key()))
 	}
 	var res core.Results
 	if err := json.Unmarshal(body, &res); err != nil {
@@ -626,11 +626,15 @@ func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, core.EngineOptions{}, Options{})
 	// One real request so the counters move.
 	resp := postJSON(t, ts.URL, smallReq(), nil)
-	io.Copy(io.Discard, resp.Body)
+	first, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	// And one warm twin: every job memo-served.
-	resp = postJSON(t, ts.URL, smallReq(), nil)
-	io.Copy(io.Discard, resp.Body)
+	// And one warm twin: Figure 2 submits the same count-only runs as
+	// Table 1, so its jobs are memo-served (a repeat of the first request
+	// would be answered by its retained flight and never reach the engine).
+	twin := smallReq()
+	twin.Kind = core.KindSync
+	resp = postJSON(t, ts.URL, twin, nil)
+	second, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 
 	mresp, err := http.Get(ts.URL + "/metrics")
@@ -653,6 +657,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if m.Coalescing.Flights != 2 {
 		t.Errorf("flights = %d, want 2", m.Coalescing.Flights)
+	}
+	if m.Coalescing.Retained != 2 {
+		t.Errorf("retained = %d, want 2", m.Coalescing.Retained)
+	}
+	if want := int64(len(first) + len(second)); m.Coalescing.RetainedBytes != want {
+		t.Errorf("retainedBytes = %d, want %d (both bodies)", m.Coalescing.RetainedBytes, want)
 	}
 	ep, ok := m.Endpoints["experiments"]
 	if !ok || ep.Count != 2 {
@@ -770,7 +780,7 @@ func TestSampledExperiment(t *testing.T) {
 // TestBodiesIndependentOfFlightOrder: cold traffic and table3 requests
 // for radiosity share its lock- and steal-ordered full-memory runs, and
 // whichever flight happens to execute them, every daemon answers each
-// kind with the same bytes — cold, and warm from the memo afterwards.
+// kind with the same bytes — cold, and on every repeat afterwards.
 func TestBodiesIndependentOfFlightOrder(t *testing.T) {
 	kinds := []string{core.KindTraffic, core.KindTable3}
 	bodies := map[string][][]byte{}

@@ -6,9 +6,11 @@
 //   - Requests are canonicalized and content-addressed (core.Request.Key),
 //     so the response ETag is known before any work happens. A client
 //     revalidating with If-None-Match gets 304 with zero execution.
-//   - Concurrent identical requests coalesce onto a single execution
-//     (singleflight keyed by the same hash as the result cache); each
-//     extra client costs a subscription, not a simulation.
+//   - Identical requests coalesce onto a single flight, live or finished
+//     (singleflight keyed by the same hash as the result cache): while it
+//     runs each extra client costs a subscription, not a simulation, and
+//     once it finished cleanly a repeat is answered from the bytes it
+//     rendered, with no engine work at all.
 //   - Admission control bounds the pipeline: a fixed number of executing
 //     flights, a bounded queue behind them, a per-client concurrency cap.
 //     Beyond those, requests shed with 429 + Retry-After rather than
@@ -31,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -51,7 +54,7 @@ type Options struct {
 	MaxInflight int
 	// MaxQueue bounds flights admitted but waiting for an execution slot
 	// (≤ 0 selects 16). Requests beyond MaxInflight+MaxQueue shed with
-	// 429 unless they coalesce onto a live flight.
+	// 429 unless they coalesce onto a live or finished flight.
 	MaxQueue int
 	// PerClient bounds one client's concurrent requests (≤ 0 selects 8).
 	PerClient int
@@ -213,6 +216,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.Coalescing.Flights = started
 	m.Coalescing.Coalesced = coalesced
 	m.Coalescing.Rejected = rejected
+	m.Coalescing.Retained, m.Coalescing.RetainedBytes = s.co.retention()
 	m.Queue.Active = active
 	m.Queue.Executing = executing
 	if q := active - executing; q > 0 {
@@ -263,7 +267,8 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	req, err := parseRequest(r)
+	query := r.URL.Query()
+	req, err := parseRequest(r, query)
 	if err != nil {
 		http.Error(w, "splashd: "+err.Error(), http.StatusBadRequest)
 		return
@@ -277,8 +282,10 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	// Revalidation first: the ETag is the content address of the
 	// canonical request, and results are deterministic, so a matching
 	// If-None-Match means the client's copy is current — no admission,
-	// no execution, no bytes.
-	etag := creq.ETag()
+	// no execution, no bytes. The key is hashed once and names the
+	// flight too.
+	k := creq.Key()
+	etag := core.ETag(k)
 	w.Header().Set("ETag", etag)
 	if etagMatch(r.Header.Get("If-None-Match"), etag) {
 		w.WriteHeader(http.StatusNotModified)
@@ -301,14 +308,14 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	f, ok := s.co.join(s.baseCtx, creq)
+	f, ok := s.co.join(s.baseCtx, creq, k.String())
 	if !ok {
 		w.Header().Set("Retry-After", "2")
 		http.Error(w, "splashd: at capacity", http.StatusTooManyRequests)
 		return
 	}
 
-	if wantsStream(r) {
+	if wantsStream(r, query) {
 		s.streamFlight(w, r, f)
 		return
 	}
@@ -407,9 +414,10 @@ func (s *Server) streamFlight(w http.ResponseWriter, r *http.Request, f *flight)
 	}
 }
 
-// wantsStream reports whether the client asked for SSE.
-func wantsStream(r *http.Request) bool {
-	if r.URL.Query().Get("stream") == "1" {
+// wantsStream reports whether the client asked for SSE; query is the
+// request's parsed URL query.
+func wantsStream(r *http.Request, query url.Values) bool {
+	if query.Get("stream") == "1" {
 		return true
 	}
 	return strings.Contains(r.Header.Get("Accept"), "text/event-stream")
@@ -471,11 +479,11 @@ func setDeadline(req *core.Request, v string) error {
 	return err
 }
 
-// parseRequest decodes an experiment spec from a POST JSON body or GET
-// query parameters, then applies the X-Splashd-Deadline header. The
+// parseRequest decodes an experiment spec from a POST JSON body or the
+// GET query parameters q, then applies the X-Splashd-Deadline header. The
 // header wins over a body or query deadline: it is the transport-level
 // knob a proxy or impatient client sets without rewriting the spec.
-func parseRequest(r *http.Request) (core.Request, error) {
+func parseRequest(r *http.Request, q url.Values) (core.Request, error) {
 	var req core.Request
 	if r.Method == http.MethodPost {
 		dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
@@ -484,7 +492,6 @@ func parseRequest(r *http.Request) (core.Request, error) {
 			return req, fmt.Errorf("bad request body: %v", err)
 		}
 	} else {
-		q := r.URL.Query()
 		var names, unknown []string
 		for name := range q {
 			names = append(names, name)
