@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 )
 
 // This file holds the one invalidation-aware Mattson pass over a trace
@@ -135,12 +136,12 @@ type exactWindow struct {
 	hist  []uint64 // hist[d]: exact hits at depth d (d slots above)
 }
 
-func newExactWindow(w int) *exactWindow {
+func newExactWindow(w int) exactWindow {
 	capPow := 1
 	for capPow < w {
 		capPow <<= 1
 	}
-	return &exactWindow{win: make([]uint64, capPow), mask: capPow - 1, w: capPow, hist: make([]uint64, capPow)}
+	return exactWindow{win: make([]uint64, capPow), mask: capPow - 1, w: capPow, hist: make([]uint64, capPow)}
 }
 
 func (ew *exactWindow) at(d int) uint64 { return ew.win[(ew.head+d)&ew.mask] }
@@ -278,8 +279,16 @@ type SampledProfile struct {
 // reset markers zero the counters while leaving every stack warm,
 // exactly like System.ResetStats. The stream is consumed block by
 // block, so a trace on disk profiles out of core; the pass is deterministic
-// for a fixed seed.
+// for a fixed seed. When several CPUs are available the processors are
+// sharded across them (see sdShard); the profile is the same for any
+// number of shards.
 func SampledStackDistances(src TraceSource, lineSize, maxCacheSize int, opt SampledOptions) (*SampledProfile, error) {
+	return sampledPass(src, lineSize, maxCacheSize, opt, runtime.GOMAXPROCS(0))
+}
+
+// sampledPass is SampledStackDistances over min(workers, processors)
+// shards, processor p going to shard p mod W.
+func sampledPass(src TraceSource, lineSize, maxCacheSize int, opt SampledOptions, workers int) (*SampledProfile, error) {
 	if lineSize < WordBytes || lineSize&(lineSize-1) != 0 {
 		return nil, fmt.Errorf("memsys: line size must be a power of two ≥ %d, got %d", WordBytes, lineSize)
 	}
@@ -314,194 +323,305 @@ func SampledStackDistances(src TraceSource, lineSize, maxCacheSize int, opt Samp
 		rate = float64(threshold) * 0x1p-64
 	}
 
-	sp := &SampledProfile{
-		profile: profile{lineSize: lineSize, maxLines: maxLines, procs: make([]stackCounts, nproc)},
-		rate:    rate,
-		exact:   all,
+	workers = min(workers, nproc)
+	shards := make([]*sdShard, workers)
+	for w := range shards {
+		sh := &sdShard{
+			shift: shift, maxLines: maxLines, nproc: nproc, hint: meta.addrHint(),
+			all: all, threshold: threshold, seed: opt.Seed,
+			window: opt.ExactLines > 0, windowWhole: true,
+		}
+		for p := range sh.local {
+			sh.local[p] = -1
+		}
+		// One spare element keeps whatever the allocator places next
+		// off the cache lines of this shard's per-event counters.
+		sh.procs = make([]sdProc, 0, nproc/workers+2)
+		for p := w; p < nproc; p += workers {
+			sh.local[p] = int8(len(sh.procs))
+			// A processor's slot clock never passes its reference count, so a
+			// short stream gets a tree that never needs compacting.
+			capHint := sdInitialCap
+			if p < len(meta.ProcRefs) && meta.ProcRefs[p] < sdInitialCap {
+				capHint = int(meta.ProcRefs[p]) + 1
+			}
+			pr := sdProc{
+				counts: stackCounts{hist: make([]uint64, maxLines+1)},
+				stack:  sdStack{tree: make(fenwick, capHint)},
+			}
+			if sh.window {
+				pr.win = newExactWindow(opt.ExactLines)
+			}
+			sh.procs = append(sh.procs, pr)
+		}
+		if !all { // an exact pass has no band to jackknife
+			for k := range sh.strata {
+				sh.strata[k].hist = make([]uint64, maxLines+1)
+			}
+		}
+		shards[w] = sh
 	}
-	if !all { // an exact pass has no band to jackknife
-		for k := range sp.strata {
-			sp.strata[k].hist = make([]uint64, maxLines+1)
-		}
-	}
-	var wins []*exactWindow
-	if opt.ExactLines > 0 {
-		wins = make([]*exactWindow, nproc)
-		for p := range wins {
-			wins[p] = newExactWindow(opt.ExactLines)
-		}
-		sp.wins = wins
-		sp.exactLines = wins[0].w
-		sp.windowWhole = true
-	}
-	stacks := make([]sdStack, nproc)
-	for p := 0; p < nproc; p++ {
-		// A processor's slot clock never passes its reference count, so a
-		// short stream gets a tree that never needs compacting.
-		capHint := sdInitialCap
-		if p < len(meta.ProcRefs) && meta.ProcRefs[p] < sdInitialCap {
-			capHint = int(meta.ProcRefs[p]) + 1
-		}
-		stacks[p] = sdStack{tree: make(fenwick, capHint)}
-		sp.procs[p].hist = make([]uint64, maxLines+1)
-	}
-	// The line tables — each stack's last, holders (line -> bitset of
-	// stack-resident procs) and winHolders (line -> bitset of procs
-	// holding it in-window) — are sized by the first block for
-	// meta.addrHint and grow with the addresses the stream shows (see
-	// ReplayMulti).
-	var holders, winHolders []uint64
-	hint := meta.addrHint()
-
-	err := src.blocks(func(events []uint64) error {
-		if line := uint64(max(blockMaxAddr(events), hint)) >> shift; line >= uint64(len(holders)) {
-			holders = grow(holders, line, 0)
-			for q := range stacks {
-				stacks[q].last = grow(stacks[q].last, line, slotNever)
-			}
-			if wins != nil {
-				winHolders = grow(winHolders, line, 0)
-			}
-		}
-		// The loop reads locals, not the captured variables.
-		holders, winHolders := holders, winHolders
-		for _, e := range events {
-			if e == resetMarker {
-				for p := range sp.procs {
-					sp.procs[p].reset()
-				}
-				for k := range sp.strata {
-					sp.strata[k].reset()
-				}
-				for _, ew := range wins {
-					clear(ew.hist)
-				}
-				sp.sampledRefs = 0
-				continue
-			}
-			p := int(e >> 1 & 0x7f)
-			line := (e >> 8) >> shift
-			// This fires only for a summary that understates the
-			// processors the blocks use.
-			if p >= nproc {
-				return fmt.Errorf("memsys: corrupt trace: processor %d beyond declared maximum %d", p, meta.MaxProc)
-			}
-			write := e&1 == 1
-
-			c := &sp.procs[p]
-			if write {
-				c.writes++
-			} else {
-				c.reads++
-			}
-
-			// Exact small-capacity window: every event updates the true
-			// top-W stack slots; an unsampled event's full cost is this
-			// plus the counters above and the hash-and-compare below.
-			if wins != nil {
-				ew := wins[p]
-				if winHolders[line]>>uint(p)&1 == 1 {
-					ew.reference(line)
-				} else {
-					if dropped, ok := ew.insert(line); ok {
-						winHolders[dropped] &^= 1 << uint(p)
-						sp.windowWhole = false
-					}
-					winHolders[line] |= 1 << uint(p)
-				}
-				if write {
-					for rem := winHolders[line] &^ (1 << uint(p)); rem != 0; rem &= rem - 1 {
-						wins[bits.TrailingZeros64(rem)].invalidate(line)
-					}
-					winHolders[line] = 1 << uint(p)
-				}
-			}
-
-			// The spatial sampling gate, and the hash stratum of a line
-			// that passes it (none when every line is tracked).
-			var sc *stackCounts
-			if !all {
-				z := sampleHash(line, opt.Seed)
-				if z >= threshold {
-					continue
-				}
-				sc = &sp.strata[z&(sampleStrata-1)]
-			}
-			sp.sampledRefs++
-
-			st := &stacks[p]
-			slot := st.last[line]
-			st.ensureSlot()
-			st.clock++
-			now := st.clock
-			switch slot {
-			case slotNever, slotInval:
-				c.always++
-				if sc != nil {
-					sc.always++
-				}
-				// The line enters every cache; the insertion fills the
-				// frontmost freed slot, if an invalidation left one.
-				if len(st.holes) > 0 {
-					st.tree.add(st.holes.popMax(), -1)
-				}
-			default:
-				// Compaction may have renumbered the slot read above.
-				cur := int(st.last[line])
-				// Depth = stack slots (resident lines AND holes) above this
-				// one; hit in any cache of more than depth lines.
-				dEst := uint64(st.tree.sum(now-1) - st.tree.sum(cur))
-				// Scale the sampled depth to the estimated true-distance
-				// domain: floor(d·2^64/threshold) = floor(d/rate), computed
-				// in integers so the pass is exactly reproducible. With
-				// every line tracked the depth is already true.
-				if !all {
-					if dEst < threshold {
-						dEst, _ = bits.Div64(dEst, 0, threshold)
-					} else {
-						dEst = uint64(maxLines)
-					}
-				}
-				d := int(min(dEst, uint64(maxLines)))
-				c.hist[d]++
-				if sc != nil {
-					sc.hist[d]++
-				}
-				if len(st.holes) > 0 && st.holes[0] > cur {
-					// A hole sits above the line: caches that missed fill their
-					// freed slot, so the topmost hole migrates down to the old
-					// position (which stays occupied, now as a hole).
-					st.tree.add(st.holes.popMax(), -1)
-					st.holes.push(cur)
-				} else {
-					st.tree.add(cur, -1)
-				}
-			}
-			st.tree.add(now, 1)
-			st.last[line] = int64(now)
-			holders[line] |= 1 << uint(p)
-
-			if write {
-				// Illinois-MESI: after any write the writer is the sole holder —
-				// every other resident copy leaves its stack, its slot staying
-				// behind as a hole (see stackdist.go). Every event on a sampled
-				// line is seen (sampling is per line), so the invalidation
-				// pattern within a sampled subset matches the full one
-				// reference for reference.
-				for rem := holders[line] &^ (1 << uint(p)); rem != 0; rem &= rem - 1 {
-					q := bits.TrailingZeros64(rem)
-					stacks[q].holes.push(int(stacks[q].last[line]))
-					stacks[q].last[line] = slotInval
-				}
-				holders[line] = 1 << uint(p)
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	if err := fanOut(src, workers, nil, func(w int, events []uint64) error {
+		return shards[w].feed(events)
+	}); err != nil {
 		return nil, err
 	}
+
+	// Merge: each processor's counts and window come from its shard; the
+	// strata, sampled-reference count and whole-window flag add up, into
+	// the first shard's strata.
+	sp := &SampledProfile{
+		profile:     profile{lineSize: lineSize, maxLines: maxLines, procs: make([]stackCounts, nproc)},
+		rate:        rate,
+		exact:       all,
+		windowWhole: opt.ExactLines > 0,
+		strata:      shards[0].strata,
+	}
+	if opt.ExactLines > 0 {
+		sp.wins = make([]*exactWindow, nproc)
+		sp.exactLines = shards[0].procs[0].win.w
+	}
+	for w, sh := range shards {
+		for lp := range sh.procs {
+			p := w + lp*workers
+			sp.procs[p] = sh.procs[lp].counts
+			if sp.wins != nil {
+				win := sh.procs[lp].win
+				sp.wins[p] = &win
+			}
+		}
+		sp.sampledRefs += sh.sampledRefs
+		sp.windowWhole = sp.windowWhole && sh.windowWhole
+		if w > 0 {
+			for k := range sp.strata {
+				sp.strata[k].always += sh.strata[k].always
+				for d, n := range sh.strata[k].hist {
+					sp.strata[k].hist[d] += n
+				}
+			}
+		}
+	}
 	return sp, nil
+}
+
+// sdShard is one worker's share of the pass: a subset of the processors,
+// with everything they alone determine held in slices of the shard's
+// own — their counts, stacks and exact windows, the presence bitsets
+// (bit i is the shard's i-th processor), and the strata, sampled-
+// reference count and whole-window flag of their references. Every
+// shard reads every event. A processor's state changes only on its own
+// references and on another processor's writes to a line it holds, so
+// a shard updates its processors fully and, for any other processor's
+// write, invalidates its own holders of the line; the presence bits say
+// which, and stack bits exist only on sampled lines, so a foreign event
+// costs no hash. Which other processors hold the line, and in what
+// order they are invalidated, does not change a shard's processors, so
+// every processor ends exactly as the unsharded pass leaves it, and the
+// merged strata, sums of per-processor counts, equal the unsharded
+// ones.
+type sdShard struct {
+	// Read-only settings of the pass.
+	shift     uint
+	maxLines  int
+	nproc     int
+	hint      Addr
+	all       bool
+	threshold uint64
+	seed      uint64
+	window    bool
+	local     [64]int8 // processor id -> index in procs, -1 when another shard's
+
+	procs []sdProc
+	// holders maps a line to the bitset of the shard's processors holding
+	// it on their stacks (sampled lines only); winHolders to those holding
+	// it in their exact windows.
+	holders, winHolders []uint64
+	strata              [sampleStrata]stackCounts
+	sampledRefs         uint64
+	windowWhole         bool
+}
+
+// sdProc is one processor's state in the pass.
+type sdProc struct {
+	counts stackCounts
+	stack  sdStack
+	win    exactWindow
+}
+
+// feed runs one yield of the stream through the shard.
+func (sh *sdShard) feed(events []uint64) error {
+	shift := sh.shift
+	// The line tables — each stack's last, holders and winHolders — are
+	// sized by the first block for the stream summary's addrHint and grow
+	// with the addresses the stream shows (see ReplayMulti).
+	if line := uint64(max(blockMaxAddr(events), sh.hint)) >> shift; line >= uint64(len(sh.holders)) {
+		sh.holders = grow(sh.holders, line, 0)
+		for lp := range sh.procs {
+			sh.procs[lp].stack.last = grow(sh.procs[lp].stack.last, line, slotNever)
+		}
+		if sh.window {
+			sh.winHolders = grow(sh.winHolders, line, 0)
+		}
+	}
+	// The loop reads locals, not the shard's fields.
+	holders, winHolders, procs := sh.holders, sh.winHolders, sh.procs
+	all, threshold, seed, window, maxLines := sh.all, sh.threshold, sh.seed, sh.window, sh.maxLines
+	for _, e := range events {
+		if e == resetMarker {
+			sh.reset()
+			continue
+		}
+		p := int(e >> 1 & 0x7f)
+		line := (e >> 8) >> shift
+		// This fires only for a summary that understates the
+		// processors the blocks use.
+		if p >= sh.nproc {
+			return fmt.Errorf("memsys: corrupt trace: processor %d beyond declared maximum %d", p, sh.nproc-1)
+		}
+		write := e&1 == 1
+		lp := int(sh.local[p])
+		if write {
+			// Illinois-MESI: after any write the writer is the sole holder —
+			// every other resident copy leaves its window and its stack, its
+			// stack slot staying behind as a hole (see stackdist.go). Every
+			// event on a sampled line is seen (sampling is per line), so the
+			// invalidation pattern within a sampled subset matches the full
+			// one reference for reference. Invalidating before the writer's
+			// own update changes nothing: the writer keeps its bits, and no
+			// other processor's state feeds that update.
+			var keep uint64
+			if lp >= 0 {
+				keep = 1 << uint(lp)
+			}
+			sh.invalidate(line, keep)
+		}
+		if lp < 0 {
+			continue
+		}
+		bit := uint64(1) << uint(lp)
+		pr := &procs[lp]
+		c := &pr.counts
+		if write {
+			c.writes++
+		} else {
+			c.reads++
+		}
+
+		// Exact small-capacity window: every event updates the true
+		// top-W stack slots; an unsampled event's full cost is this
+		// plus the counters above and the hash-and-compare below.
+		if window {
+			if winHolders[line]&bit != 0 {
+				pr.win.reference(line)
+			} else {
+				if dropped, ok := pr.win.insert(line); ok {
+					winHolders[dropped] &^= bit
+					sh.windowWhole = false
+				}
+				winHolders[line] |= bit
+			}
+		}
+
+		// The spatial sampling gate, and the hash stratum of a line
+		// that passes it (none when every line is tracked).
+		var sc *stackCounts
+		if !all {
+			z := sampleHash(line, seed)
+			if z >= threshold {
+				continue
+			}
+			sc = &sh.strata[z&(sampleStrata-1)]
+		}
+		sh.sampledRefs++
+
+		st := &pr.stack
+		slot := st.last[line]
+		st.ensureSlot()
+		st.clock++
+		now := st.clock
+		from := 0 // the slot whose count moves to now, 0 for none
+		switch slot {
+		case slotNever, slotInval:
+			c.always++
+			if sc != nil {
+				sc.always++
+			}
+			// The line enters every cache; the insertion fills the
+			// frontmost freed slot, if an invalidation left one.
+			if len(st.holes) > 0 {
+				from = st.holes.popMax()
+			}
+		default:
+			// Compaction may have renumbered the slot read above.
+			cur := int(st.last[line])
+			// Depth = stack slots (resident lines AND holes) above this
+			// one; hit in any cache of more than depth lines.
+			dEst := uint64(st.tree.between(cur, now-1))
+			// Scale the sampled depth to the estimated true-distance
+			// domain: floor(d·2^64/threshold) = floor(d/rate), computed
+			// in integers so the pass is exactly reproducible. With
+			// every line tracked the depth is already true.
+			if !all {
+				if dEst < threshold {
+					dEst, _ = bits.Div64(dEst, 0, threshold)
+				} else {
+					dEst = uint64(maxLines)
+				}
+			}
+			d := int(min(dEst, uint64(maxLines)))
+			c.hist[d]++
+			if sc != nil {
+				sc.hist[d]++
+			}
+			if len(st.holes) > 0 && st.holes[0] > cur {
+				// A hole sits above the line: caches that missed fill their
+				// freed slot, so the topmost hole migrates down to the old
+				// position (which stays occupied, now as a hole).
+				from = st.holes.popMax()
+				st.holes.push(cur)
+			} else {
+				from = cur
+			}
+		}
+		if from > 0 {
+			st.tree.move(from, now)
+		} else {
+			st.tree.add(now, 1)
+		}
+		st.last[line] = int64(now)
+		holders[line] |= bit
+	}
+	return nil
+}
+
+// invalidate removes line from the window and the stack of every one of
+// the shard's processors that holds it, except those in keep.
+func (sh *sdShard) invalidate(line, keep uint64) {
+	if sh.window {
+		for rem := sh.winHolders[line] &^ keep; rem != 0; rem &= rem - 1 {
+			sh.procs[bits.TrailingZeros64(rem)].win.invalidate(line)
+		}
+		sh.winHolders[line] &= keep
+	}
+	for rem := sh.holders[line] &^ keep; rem != 0; rem &= rem - 1 {
+		st := &sh.procs[bits.TrailingZeros64(rem)].stack
+		st.holes.push(int(st.last[line]))
+		st.last[line] = slotInval
+	}
+	sh.holders[line] &= keep
+}
+
+// reset zeroes the shard's counters at a measurement-reset marker,
+// leaving every stack and window warm.
+func (sh *sdShard) reset() {
+	for lp := range sh.procs {
+		sh.procs[lp].counts.reset()
+		clear(sh.procs[lp].win.hist)
+	}
+	for k := range sh.strata {
+		sh.strata[k].reset()
+	}
+	sh.sampledRefs = 0
 }
 
 // Rate returns the realized sampling rate of the pass.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -137,6 +138,42 @@ func TestSampledDeterministicAcrossGOMAXPROCS(t *testing.T) {
 				if got[j] != want[j] {
 					t.Fatalf("GOMAXPROCS=%d: fingerprint word %d differs", gmp, j)
 				}
+			}
+		}
+	}
+}
+
+// TestSampledShardsMatchOneWorker: the processor-sharded pass must leave
+// every part of the profile — per-processor counts, strata, window
+// histograms, the whole-window flag and the sampled-reference count —
+// exactly as one worker does, for shard counts that split 8 processors
+// evenly and unevenly, over more than one yield with reset markers. At
+// 8-byte lines the windows overflow.
+func TestSampledShardsMatchOneWorker(t *testing.T) {
+	tr := buildSharingTrace(31, 8, replayBlockSize+replayBlockSize/8, true)
+	cases := []struct {
+		name     string
+		lineSize int
+		opt      SampledOptions
+	}{
+		{"rate1", 64, SampledOptions{Rate: 1}},
+		{"rate0.01+window", 8, SampledOptions{Rate: 0.01, Seed: 3, ExactLines: DefaultExactLines}},
+	}
+	for _, tc := range cases {
+		want, err := sampledPass(tr, tc.lineSize, 64<<10, tc.opt, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.SampledRefs() == 0 || (tc.opt.ExactLines > 0 && want.windowWhole) {
+			t.Fatalf("%s: trace too small to exercise the pass (sampled %d, whole window %v)", tc.name, want.SampledRefs(), want.windowWhole)
+		}
+		for _, w := range []int{2, 3, 5, 8} {
+			got, err := sampledPass(tr, tc.lineSize, 64<<10, tc.opt, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: %d shards differ from one worker", tc.name, w)
 			}
 		}
 	}

@@ -159,7 +159,8 @@ type StackProfile struct{ profile }
 
 // fenwick is a binary indexed tree over access-slot indices, counting
 // which slots currently mark a stack-resident line. It gives O(log n)
-// depth queries under the arbitrary deletions coherence causes.
+// depth queries under the arbitrary deletions coherence causes. Slot 0
+// is never used.
 type fenwick []int32
 
 func (f fenwick) add(i int, v int32) {
@@ -168,12 +169,46 @@ func (f fenwick) add(i int, v int32) {
 	}
 }
 
-func (f fenwick) sum(i int) int32 {
+// between returns the count in slots lo+1..hi (lo ≤ hi): the prefix sum
+// to hi minus the prefix sum to lo. The two query walks (i -= i&-i)
+// share their tail once they reach a common index, where the sums
+// cancel, so each walks only until they meet: O(log(hi−lo)) for nearby
+// slots rather than two walks of the whole tree height.
+func (f fenwick) between(lo, hi int) int32 {
 	var s int32
-	for ; i > 0; i -= i & -i {
-		s += f[i]
+	for hi != lo {
+		if hi > lo {
+			s += f[hi]
+			hi &= hi - 1
+		} else {
+			s -= f[lo]
+			lo &= lo - 1
+		}
 	}
 	return s
+}
+
+// move shifts one count from slot from to slot to: add(from, -1) then
+// add(to, +1). The two update walks (i += i&-i) merge at a common index
+// and coincide from there on, where the −1 and +1 cancel, so each walks
+// only until they meet or both have left the tree. The smaller index
+// steps: the walks meet at an index no smaller than either.
+func (f fenwick) move(from, to int) {
+	for from != to {
+		if from < to {
+			if from >= len(f) {
+				return
+			}
+			f[from]--
+			from += from & -from
+		} else {
+			if to >= len(f) {
+				return
+			}
+			f[to]++
+			to += to & -to
+		}
+	}
 }
 
 // holeHeap is a max-heap of stack slot indices holding invalidation

@@ -1,6 +1,7 @@
 package memsys
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -146,5 +147,69 @@ func TestStackDistancesValidation(t *testing.T) {
 	}
 	if _, err := sp.MissRate(96); err == nil {
 		t.Fatal("non-multiple cache size accepted")
+	}
+}
+
+// TestFenwickWalks holds the early-stopping walks to a naive count
+// array: between against a difference of prefix sums, move against a
+// decrement and an increment, on random operations and on the paths
+// that need their stopping rules — walks that merge only at the top of
+// the tree, and a destination whose walk leaves the tree first.
+func TestFenwickWalks(t *testing.T) {
+	check := func(what string, f fenwick, naive []int32) {
+		t.Helper()
+		for lo := 0; lo < len(f); lo++ {
+			var want int32
+			for hi := lo; hi < len(f); hi++ {
+				if hi > lo {
+					want += naive[hi]
+				}
+				if got := f.between(lo, hi); got != want {
+					t.Fatalf("%s: between(%d, %d) = %d, want %d", what, lo, hi, got, want)
+				}
+			}
+		}
+	}
+	fill := func(n int, rng *rand.Rand) (fenwick, []int32) {
+		f, naive := make(fenwick, n), make([]int32, n)
+		for i := 1; i < n; i++ {
+			v := int32(rng.Intn(3))
+			f.add(i, v)
+			naive[i] = v
+		}
+		return f, naive
+	}
+	rng := rand.New(rand.NewSource(1))
+
+	// Slots 7 and 9 first share index 16, the root of a 17-slot tree; in
+	// a 13-slot tree the walk from 12 leaves at 16 while the walk from 1
+	// still updates 2, 4 and 8; in an 11-slot tree both walks from 3 and
+	// 10 leave before they meet.
+	for _, tc := range []struct{ n, from, to int }{
+		{17, 7, 9}, {17, 9, 7}, {17, 1, 16}, {13, 1, 12}, {13, 12, 1}, {11, 3, 10}, {8, 5, 5},
+	} {
+		f, naive := fill(tc.n, rng)
+		f.move(tc.from, tc.to)
+		naive[tc.from]--
+		naive[tc.to]++
+		check(fmt.Sprintf("move(%d, %d) in %d slots", tc.from, tc.to, tc.n), f, naive)
+	}
+
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + rng.Intn(70)
+		f, naive := fill(n, rng)
+		for op := 0; op < 50; op++ {
+			i, j := 1+rng.Intn(n-1), 1+rng.Intn(n-1)
+			if rng.Intn(2) == 0 {
+				v := int32(rng.Intn(5) - 2)
+				f.add(i, v)
+				naive[i] += v
+			} else {
+				f.move(i, j)
+				naive[i]--
+				naive[j]++
+			}
+		}
+		check(fmt.Sprintf("trial %d (%d slots)", trial, n), f, naive)
 	}
 }

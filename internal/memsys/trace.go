@@ -269,10 +269,11 @@ func blockMaxAddr(events []uint64) Addr {
 // replayBlockSize is the event granularity of replay: Trace.blocks
 // coalesces consecutive container blocks into yields of up to this many
 // events. Each inclusion chain consumes a whole yield before the next
-// chain starts it, so its cache and directory state stay hot, ReplayMulti's
-// workers meet at one barrier per yield, and the per-yield lastWrite
-// buffer stays small enough to live in L2.
-const replayBlockSize = 4096
+// chain starts it, so its cache and directory state stay hot; the
+// workers of a parallel pass (fanOut) meet at one barrier per yield, so
+// a large yield keeps the barriers rare; and the per-yield lastWrite
+// buffer (8 bytes an event, 512 KB) still fits in L2.
+const replayBlockSize = 65536
 
 // Replay feeds the stream through a fresh memory system with the given
 // configuration and returns the resulting statistics.
@@ -319,56 +320,27 @@ func ReplayMulti(src TraceSource, cfgs []Config) ([]Stats, error) {
 	// addresses the stream shows.
 	feed.Reserve(uint64(meta.addrHint().Word()) + 1)
 
-	// Persistent workers over chain shards: every worker replays each
-	// block into its own chains, with a barrier per block so the shared
-	// block and lastWrite buffers can be reused for the next one. Chain i
-	// goes to worker i mod W, so configurations a sweep lists in order
-	// that cannot chain, such as its line sizes, spread over the workers.
-	// A chain is driven by exactly one goroutine, strictly in stream
-	// order, so results are unchanged by the sharding.
+	// Chain i goes to worker i mod W, so configurations a sweep lists in
+	// order that cannot chain, such as its line sizes, spread over the
+	// workers. The write history of a yield is computed once, before the
+	// workers start it. A chain is driven by exactly one goroutine,
+	// strictly in stream order, so results are unchanged by the sharding.
 	workers := min(runtime.GOMAXPROCS(0), len(feed.heads))
-	type blockWork struct {
-		events, lw []uint64
-		seq        uint64
+	shards := make([][]*System, workers)
+	for i, head := range feed.heads {
+		shards[i%workers] = append(shards[i%workers], head)
 	}
-	var chans []chan blockWork
-	var wg sync.WaitGroup
-	if workers > 1 {
-		for w := range workers {
-			var subset []*System
-			for i := w; i < len(feed.heads); i += workers {
-				subset = append(subset, feed.heads[i])
-			}
-			ch := make(chan blockWork)
-			chans = append(chans, ch)
-			go func() {
-				for work := range ch {
-					drive(subset, work.events, work.lw, nil, work.seq)
-					wg.Done()
-				}
-			}()
-		}
-	}
-
-	err := src.blocks(func(events []uint64) error {
-		if chans == nil {
-			return feed.Batch(events, nil)
-		}
-		seq := feed.seq
-		lw, err := feed.history(events)
-		if err != nil {
-			return err
-		}
-		wg.Add(len(chans))
-		for _, ch := range chans {
-			ch <- blockWork{events, lw, seq}
-		}
-		wg.Wait()
+	var lw []uint64
+	var seq uint64
+	err := fanOut(src, workers, func(events []uint64) error {
+		seq = feed.seq
+		var err error
+		lw, err = feed.history(events)
+		return err
+	}, func(w int, events []uint64) error {
+		drive(shards[w], events, lw, nil, seq)
 		return nil
 	})
-	for _, ch := range chans {
-		close(ch)
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -378,6 +350,54 @@ func ReplayMulti(src TraceSource, cfgs []Config) ([]Stats, error) {
 		out[i] = sys.Stats()
 	}
 	return out, nil
+}
+
+// fanOut streams src through workers shards of a pass, the one worker
+// pool of memsys's parallel passes. For each yield it runs pre (when not
+// nil) on the calling goroutine, then work(w, events) for every w in
+// [0, workers) — worker 0 on the calling goroutine, the others on
+// persistent goroutines — and moves to the next yield only when all have
+// returned: one barrier per yield, after which the stream may reuse the
+// yield's buffers. With one worker everything runs inline. The first
+// error, in worker order, ends the stream.
+func fanOut(src TraceSource, workers int, pre func(events []uint64) error, work func(w int, events []uint64) error) error {
+	errs := make([]error, workers)
+	chans := make([]chan []uint64, workers-1)
+	var wg sync.WaitGroup
+	for i := range chans {
+		ch := make(chan []uint64)
+		chans[i] = ch
+		go func() {
+			for events := range ch {
+				errs[i+1] = work(i+1, events)
+				wg.Done()
+			}
+		}()
+	}
+	defer func() {
+		for _, ch := range chans {
+			close(ch)
+		}
+	}()
+	return src.blocks(func(events []uint64) error {
+		if pre != nil {
+			if err := pre(events); err != nil {
+				return err
+			}
+		}
+		wg.Add(len(chans))
+		for _, ch := range chans {
+			ch <- events
+		}
+		errs[0] = work(0, events)
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // traceMagic identifies the flat v1 serialized format.

@@ -299,13 +299,14 @@ func TestTraceFileWindow(t *testing.T) {
 // heap allocation during a TraceFile replay must be a small fraction of
 // the trace's own in-memory footprint — O(block buffer), not O(trace).
 func TestStreamingReplayPeakAllocation(t *testing.T) {
-	// 400k events in recorder-shaped per-processor runs over a bounded
-	// address range (64 KB per processor), so the replay's O(address
-	// space) tables stay far below the trace's own ~3.2 MB footprint and
-	// any O(trace) allocation stands out.
+	// 48 yields of events in recorder-shaped per-processor runs over a
+	// bounded address range (64 KB per processor), so the replay's
+	// O(address space) tables and its O(yield) decode buffers stay far
+	// below the trace's own 8-bytes-an-event footprint and any O(trace)
+	// allocation stands out.
 	rng := rand.New(rand.NewSource(42))
 	rec := NewRecorder(64)
-	const events = 400_000
+	const events = 48 * replayBlockSize
 	const procs, epochs = 4, 4
 	perProc := events / epochs / procs
 	for e := 0; e < epochs; e++ {
@@ -384,7 +385,7 @@ func TestStreamingReplayPeakAllocation(t *testing.T) {
 // serial block-by-block decode — same events, same order, markers
 // included — and propagate an early consumer exit without deadlock.
 func TestStreamingDecodeAheadByteIdentical(t *testing.T) {
-	tr := buildSharingTrace(11, 4, 50000, true)
+	tr := buildSharingTrace(11, 4, (decodeAhead+1)*replayBlockSize, true)
 	tf := openV2(t, writeV2Bytes(t, tr))
 	if tf.Len() <= decodeAhead*replayBlockSize {
 		t.Fatalf("trace has %d events; need more yields than the decode-ahead depth %d", tf.Len(), decodeAhead)

@@ -48,20 +48,30 @@ func (w *windowedFile) holds(info BlockInfo) bool {
 	return !info.Marker && info.Epoch >= w.lo && info.Epoch <= w.hi
 }
 
+// blocks decodes the in-range blocks inline, coalescing consecutive
+// ones into yields of up to replayBlockSize events as Trace.blocks
+// does, so a parallel pass meets its workers once per yield, not once
+// per recorded block.
 func (w *windowedFile) blocks(yield func(events []uint64) error) error {
 	br := blockReader{tf: w.tf}
-	var events []uint64
+	events := make([]uint64, 0, min(replayBlockSize, w.meta.Len()))
 	for i, info := range w.tf.index {
 		if !w.holds(info) {
 			continue
 		}
-		var err error
-		if events, err = br.decode(i, events[:0]); err != nil {
-			return err
+		if len(events) > 0 && len(events)+info.Events > replayBlockSize {
+			if err := yield(events); err != nil {
+				return err
+			}
+			events = events[:0]
 		}
-		if err := yield(events); err != nil {
+		var err error
+		if events, err = br.decode(i, events); err != nil {
 			return err
 		}
 	}
-	return nil
+	if len(events) == 0 {
+		return nil
+	}
+	return yield(events)
 }
