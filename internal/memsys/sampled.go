@@ -25,12 +25,17 @@ import (
 //
 // Distances scale by the inverse rate: a sampled stack distance d
 // corresponds to an estimated true distance d/R, because the sampled
-// stack holds an R-fraction of the resident lines. The histogram is
-// accumulated directly in the estimated (true-distance) domain at
-// index floor(d/R). For an integer capacity C, floor(d/R) ≥ C iff
-// d/R ≥ C, so querying the estimated-domain histogram selects exactly
-// the same samples as thresholding the raw sampled distances — and at
-// R = 1 the index is d itself: StackDistances is this pass at R = 1.
+// stack holds an R-fraction of the resident lines. The histograms stay
+// in the raw sampled domain, at index min(d, ⌈maxLines·R⌉), and a
+// query converts its capacity instead: with R = T/2^64 for the
+// threshold T, floor(d·2^64/T) ≥ C iff d ≥ ⌈C·T/2^64⌉ for every
+// capacity C ≤ maxLines, so summing the raw histogram from ⌈C·T/2^64⌉
+// selects exactly the samples whose estimated distance reaches C. Each
+// histogram is ⌈R·maxLines⌉+1 counters rather than maxLines+1 (1 312
+// instead of 131 073 at 1 %, 8-byte lines and 1 MB), and a sample costs
+// no division. At R = 1 the conversion is the identity, so
+// StackDistances is this pass at R = 1 with the histograms indexed by
+// true distance.
 //
 // Each sample carries weight 1/R (estimating R·N references from N
 // samples). R is constant over a pass, so the pass accumulates unit
@@ -247,12 +252,15 @@ func (ew *exactWindow) invalidate(line uint64) {
 // of the tracked lines, and per-stratum aggregates from which the
 // estimated miss count of a fully-associative LRU cache of any profiled
 // size — and a 95% confidence band on its miss ratio — follow in
-// O(maxLines) per query.
+// O(R·maxLines) per query.
 type SampledProfile struct {
 	profile
 	// rate is the realized sampling rate, threshold/2^64; every tracked
 	// count is divided by it at query time.
 	rate float64
+	// threshold is the hash threshold T behind rate; rawDepth converts a
+	// capacity to the raw sampled-distance index the histograms use.
+	threshold uint64
 	// exact flags a pass that tracked every line (rate 1): estimates
 	// equal StackDistances' counts and bands collapse.
 	exact       bool
@@ -322,12 +330,15 @@ func sampledPass(src TraceSource, lineSize, maxCacheSize int, opt SampledOptions
 		}
 		rate = float64(threshold) * 0x1p-64
 	}
+	// Raw sampled distances at or past rawMax reach every answerable
+	// capacity; they share the histograms' last counter.
+	rawMax := rawDepth(maxLines, threshold)
 
 	workers = min(workers, nproc)
 	shards := make([]*sdShard, workers)
 	for w := range shards {
 		sh := &sdShard{
-			shift: shift, maxLines: maxLines, nproc: nproc, hint: meta.addrHint(),
+			shift: shift, rawMax: rawMax, nproc: nproc, hint: meta.addrHint(),
 			all: all, threshold: threshold, seed: opt.Seed,
 			window: opt.ExactLines > 0, windowWhole: true,
 		}
@@ -346,7 +357,7 @@ func sampledPass(src TraceSource, lineSize, maxCacheSize int, opt SampledOptions
 				capHint = int(meta.ProcRefs[p]) + 1
 			}
 			pr := sdProc{
-				counts: stackCounts{hist: make([]uint64, maxLines+1)},
+				counts: stackCounts{hist: make([]uint64, rawMax+1)},
 				stack:  sdStack{tree: make(fenwick, capHint)},
 			}
 			if sh.window {
@@ -356,7 +367,7 @@ func sampledPass(src TraceSource, lineSize, maxCacheSize int, opt SampledOptions
 		}
 		if !all { // an exact pass has no band to jackknife
 			for k := range sh.strata {
-				sh.strata[k].hist = make([]uint64, maxLines+1)
+				sh.strata[k].hist = make([]uint64, rawMax+1)
 			}
 		}
 		shards[w] = sh
@@ -373,6 +384,7 @@ func sampledPass(src TraceSource, lineSize, maxCacheSize int, opt SampledOptions
 	sp := &SampledProfile{
 		profile:     profile{lineSize: lineSize, maxLines: maxLines, procs: make([]stackCounts, nproc)},
 		rate:        rate,
+		threshold:   threshold,
 		exact:       all,
 		windowWhole: opt.ExactLines > 0,
 		strata:      shards[0].strata,
@@ -422,7 +434,7 @@ func sampledPass(src TraceSource, lineSize, maxCacheSize int, opt SampledOptions
 type sdShard struct {
 	// Read-only settings of the pass.
 	shift     uint
-	maxLines  int
+	rawMax    int // last histogram index (see rawDepth)
 	nproc     int
 	hint      Addr
 	all       bool
@@ -465,7 +477,7 @@ func (sh *sdShard) feed(events []uint64) error {
 	}
 	// The loop reads locals, not the shard's fields.
 	holders, winHolders, procs := sh.holders, sh.winHolders, sh.procs
-	all, threshold, seed, window, maxLines := sh.all, sh.threshold, sh.seed, sh.window, sh.maxLines
+	all, threshold, seed, window, rawMax := sh.all, sh.threshold, sh.seed, sh.window, sh.rawMax
 	for _, e := range events {
 		if e == resetMarker {
 			sh.reset()
@@ -555,20 +567,9 @@ func (sh *sdShard) feed(events []uint64) error {
 			// Compaction may have renumbered the slot read above.
 			cur := int(st.last[line])
 			// Depth = stack slots (resident lines AND holes) above this
-			// one; hit in any cache of more than depth lines.
-			dEst := uint64(st.tree.between(cur, now-1))
-			// Scale the sampled depth to the estimated true-distance
-			// domain: floor(d·2^64/threshold) = floor(d/rate), computed
-			// in integers so the pass is exactly reproducible. With
-			// every line tracked the depth is already true.
-			if !all {
-				if dEst < threshold {
-					dEst, _ = bits.Div64(dEst, 0, threshold)
-				} else {
-					dEst = uint64(maxLines)
-				}
-			}
-			d := int(min(dEst, uint64(maxLines)))
+			// one, counted in the sampled stack; queries scale it (see
+			// rawDepth).
+			d := min(int(st.tree.between(cur, now-1)), rawMax)
 			c.hist[d]++
 			if sc != nil {
 				sc.hist[d]++
@@ -624,6 +625,18 @@ func (sh *sdShard) reset() {
 	sh.sampledRefs = 0
 }
 
+// rawDepth is the first raw sampled depth whose estimated distance
+// reaches capLines lines at hash threshold T: ⌈capLines·T/2^64⌉, the
+// histogram index a query of capLines sums from. At T = 2^64−1 (every
+// line tracked) it is capLines itself.
+func rawDepth(capLines int, threshold uint64) int {
+	hi, lo := bits.Mul64(uint64(capLines), threshold)
+	if lo != 0 {
+		hi++
+	}
+	return int(hi)
+}
+
 // Rate returns the realized sampling rate of the pass.
 func (sp *SampledProfile) Rate() float64 { return sp.rate }
 
@@ -659,7 +672,7 @@ func (sp *SampledProfile) EstProcMisses(p, cacheSize int) (float64, error) {
 		}
 		return float64(c.reads + c.writes - hits), nil
 	}
-	return float64(c.misses(capLines)) / sp.rate, nil
+	return float64(c.misses(rawDepth(capLines, sp.threshold))) / sp.rate, nil
 }
 
 // EstMisses returns the estimated total miss count across processors
@@ -718,8 +731,9 @@ func (sp *SampledProfile) Band(cacheSize int) (lo, hi float64, err error) {
 	const n = float64(sampleStrata)
 	var m [sampleStrata]float64
 	var total float64
+	raw := rawDepth(capLines, sp.threshold)
 	for k := range m {
-		m[k] = float64(sp.strata[k].misses(capLines)) / sp.rate
+		m[k] = float64(sp.strata[k].misses(raw)) / sp.rate
 		total += m[k]
 	}
 	var loo [sampleStrata]float64

@@ -1,6 +1,9 @@
 package memsys
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
@@ -160,7 +163,7 @@ func TestSampledShardsMatchOneWorker(t *testing.T) {
 		{"rate0.01+window", 8, SampledOptions{Rate: 0.01, Seed: 3, ExactLines: DefaultExactLines}},
 	}
 	for _, tc := range cases {
-		want, err := sampledPass(tr, tc.lineSize, 64<<10, tc.opt, 1)
+		want, err := sampledPass(tr, tc.lineSize, 1<<20, tc.opt, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,13 +171,90 @@ func TestSampledShardsMatchOneWorker(t *testing.T) {
 			t.Fatalf("%s: trace too small to exercise the pass (sampled %d, whole window %v)", tc.name, want.SampledRefs(), want.windowWhole)
 		}
 		for _, w := range []int{2, 3, 5, 8} {
-			got, err := sampledPass(tr, tc.lineSize, 64<<10, tc.opt, w)
+			got, err := sampledPass(tr, tc.lineSize, 1<<20, tc.opt, w)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%s: %d shards differ from one worker", tc.name, w)
 			}
+		}
+	}
+}
+
+// pinnedCacheSizes are core.DefaultCacheSizes, the paper's 1 KB–1 MB
+// sweep points (memsys cannot import core).
+var pinnedCacheSizes = []int{1 << 10, 2 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10, 256 << 10, 512 << 10, 1 << 20}
+
+// buildWideTrace is a shared-memory trace whose reuse distances spread
+// over the whole 1 KB–1 MB sweep at 8-byte lines: half the references
+// go to a small shared region (invalidations), half to a processor's
+// private 256 KB region under a power-law, so most reuse is near and
+// some is deep. A reset marker falls after each third of the events.
+func buildWideTrace(seed int64, procs, events int) *Trace {
+	rng := rand.New(rand.NewSource(seed))
+	var evs []uint64
+	for i := 0; i < events; i++ {
+		p := rng.Intn(procs)
+		var a Addr
+		if rng.Intn(2) == 0 {
+			a = Addr(rng.Intn(4096)) &^ 7
+		} else {
+			u := rng.Float64()
+			a = Addr(1<<16+p<<18) + Addr(u*u*u*u*(1<<18))&^7
+		}
+		evs = append(evs, traceEvent(p, a, rng.Intn(3) == 0))
+		if i > 0 && i%(events/3+1) == 0 {
+			evs = append(evs, resetMarker)
+		}
+	}
+	homes := make([]int32, 64)
+	for i := range homes {
+		homes[i] = int32(i % procs)
+	}
+	return flatTrace(evs, homes)
+}
+
+// TestSampledEstimatesPinned pins every sampled-profile answer the
+// working-set figures read — EstMisses, EstProcMisses, EstMissRate and
+// Band at each sweep point — at 8-byte lines, two seeds, with and
+// without the exact window, over a generated 8-processor trace with
+// reset markers. The digests were taken from the pass that histogrammed
+// in the estimated-distance domain; any change of layout must keep the
+// answers bit for bit.
+func TestSampledEstimatesPinned(t *testing.T) {
+	tr := buildWideTrace(17, 8, 48000)
+	cases := []struct {
+		opt  SampledOptions
+		want string
+	}{
+		{SampledOptions{Rate: 0.01, Seed: 1, ExactLines: 64}, "7bada60aa1b130f8"},
+		{SampledOptions{Rate: 0.01, Seed: 2, ExactLines: 64}, "f681b3f63bf7ace8"},
+		{SampledOptions{Rate: 0.1, Seed: 1}, "1b04d16874892796"},
+		{SampledOptions{Rate: 0.1, Seed: 2}, "731949dc401748f8"},
+	}
+	for _, tc := range cases {
+		sp, err := SampledStackDistances(tr, 8, 1<<20, tc.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sp.windowWhole {
+			t.Fatalf("%+v: every stack fitted its window, so the sampled estimate is never read", tc.opt)
+		}
+		words := sampledFingerprint(t, sp, pinnedCacheSizes)
+		for _, cs := range pinnedCacheSizes {
+			m, err := sp.EstMisses(cs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			words = append(words, math.Float64bits(m))
+		}
+		h := sha256.New()
+		for _, w := range words {
+			binary.Write(h, binary.LittleEndian, w)
+		}
+		if got := hex.EncodeToString(h.Sum(nil))[:16]; got != tc.want {
+			t.Errorf("%+v: answers digest to %s, want %s", tc.opt, got, tc.want)
 		}
 	}
 }

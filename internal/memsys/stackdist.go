@@ -69,9 +69,10 @@ type stackCounts struct {
 	// the tracked lines: misses at every capacity.
 	always uint64
 	// hist[d] counts tracked re-references that found their line at
-	// (estimated true) stack depth d: hits in any cache of more than d
-	// lines. hist[maxLines] aggregates depths ≥ maxLines, which miss at
-	// every answerable capacity.
+	// stack depth d: hits in any cache of more than d lines. The last
+	// counter aggregates the depths that miss at every answerable
+	// capacity. A sampled pass counts raw sampled depths (see
+	// rawDepth); an exact one, true depths up to maxLines.
 	hist []uint64
 }
 

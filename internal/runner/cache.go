@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -128,15 +129,21 @@ func sweepStaleTmp(dir string) {
 	sweepTmp(dir, staleTmpAge)
 }
 
-// sweepTmp removes temp artifacts older than age under dir.
+// sweepTmp removes temp artifacts older than age under dir. It lists
+// the directories and stats only the temp names: a finished entry costs
+// its line in a directory listing, not an lstat.
 func sweepTmp(dir string, age time.Duration) (removed []string) {
 	now := time.Now()
-	filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
-		if err != nil || info.IsDir() {
+	filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
 			return nil
 		}
-		name := info.Name()
+		name := d.Name()
 		if !strings.Contains(name, ".tmp") && !strings.Contains(name, ".reap-") {
+			return nil
+		}
+		info, err := d.Info()
+		if err != nil {
 			return nil
 		}
 		if now.Sub(info.ModTime()) > age {

@@ -92,6 +92,14 @@ func (f *flight) publish(ev runner.ProgressEvent) {
 // failed, was cancelled, ran out its deadline, came back degraded or
 // finished with the bodies held at the cap is forgotten, so the next
 // request for its key starts afresh.
+//
+// A retained flight can also be found by the raw forms of the requests
+// it answered (appendRequestForm): a repeat of a form is one map read
+// here, with no parse, Canonical or key hash in front of it. Aliases are
+// kept beside the flights they name, in this structure, and a retained
+// flight is never unregistered, so an alias cannot outlive its flight.
+// Aliases have a budget of their own (aliasOverhead) and never count
+// against body retention.
 type coalescer struct {
 	engine *core.Engine
 
@@ -100,7 +108,8 @@ type coalescer struct {
 
 	mu      sync.Mutex
 	flights map[string]*flight
-	active  int // flights admitted and not yet finished
+	aliases map[string]alias // raw request form -> the retained flight it named
+	active  int              // flights admitted and not yet finished
 
 	// Cumulative counters (metrics).
 	started       int64 // flights that ran (leaders)
@@ -108,7 +117,8 @@ type coalescer struct {
 	rejected      int64 // joins refused because the pipeline was full
 	retained      int   // finished flights held
 	retainedBytes int64 // sum of their bodies
-	retainLimit   int64 // cap on retainedBytes (maxRetainedBytes)
+	aliasBytes    int64 // sum of the aliases' charges
+	retainLimit   int64 // cap on retainedBytes, and on retainedBytes + aliasBytes
 
 	// hookFlightStart, when non-nil, runs in the flight goroutine before
 	// the engine call. Tests use it to hold flights open deterministically.
@@ -122,7 +132,23 @@ type coalescer struct {
 // flights the memo serves in milliseconds without adding an entry. Past
 // the cap a clean flight is forgotten like a degraded one, and the
 // flights already held keep answering.
+//
+// Aliases are bounded by the same figure from the other side: one is
+// held only while bodies and aliases together fit under it, so a flood
+// of distinct raw forms (deadline=1s, 2s, …) cannot grow the daemon
+// past twice the cap, and never crowds out a body.
 const maxRetainedBytes = 32 << 20
+
+// aliasOverhead is what an alias is charged beyond its form's bytes: its
+// map entry and the string and pointer words it holds.
+const aliasOverhead = 64
+
+// alias is a retained flight as a raw request form names it, with the
+// ETag its requests answer with.
+type alias struct {
+	f    *flight
+	etag string
+}
 
 func newCoalescer(engine *core.Engine, inflight, queue int) *coalescer {
 	return &coalescer{
@@ -130,6 +156,7 @@ func newCoalescer(engine *core.Engine, inflight, queue int) *coalescer {
 		slots:       make(chan struct{}, inflight),
 		limit:       inflight + queue,
 		flights:     make(map[string]*flight),
+		aliases:     make(map[string]alias),
 		retainLimit: maxRetainedBytes,
 	}
 }
@@ -182,6 +209,41 @@ func (c *coalescer) join(ctx context.Context, req core.Request, key string) (*fl
 		c.run(req, f)
 	}()
 	return f, true
+}
+
+// lookup returns the retained flight a raw request form was answered
+// from, if it has an alias. The form is only read: the map index does
+// not copy it.
+func (c *coalescer) lookup(form []byte) (alias, bool) {
+	c.mu.Lock()
+	a, ok := c.aliases[string(form)]
+	c.mu.Unlock()
+	return a, ok
+}
+
+// hit counts a request answered from a flight lookup found: a join of a
+// finished flight like any other.
+func (c *coalescer) hit() {
+	c.mu.Lock()
+	c.coalesced++
+	c.mu.Unlock()
+}
+
+// alias lets form find f from now on, answered with etag, if f is
+// retained and the alias fits: bodies and aliases together stay under
+// retainLimit.
+func (c *coalescer) alias(form []byte, f *flight, etag string) {
+	charge := int64(len(form)) + aliasOverhead
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !f.retained || c.retainedBytes+c.aliasBytes+charge > c.retainLimit {
+		return
+	}
+	if _, ok := c.aliases[string(form)]; ok {
+		return
+	}
+	c.aliases[string(form)] = alias{f: f, etag: etag}
+	c.aliasBytes += charge
 }
 
 // run executes one flight: wait for an execution slot, run the request
@@ -250,6 +312,14 @@ func (c *coalescer) retention() (n int, size int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.retained, c.retainedBytes
+}
+
+// aliasing reports how many raw request forms name a retained flight and
+// the sum of their charges.
+func (c *coalescer) aliasing() (n int, size int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.aliases), c.aliasBytes
 }
 
 // idle reports whether no flights are live (used by drain).

@@ -104,13 +104,16 @@ type Metrics struct {
 	} `json:"deadlines"`
 
 	// Coalescing: flights started vs. requests that joined one, live or
-	// finished, and what the finished flights held for repeats cost.
+	// finished (by key or by raw form), and what the finished flights and
+	// their aliases held for repeats cost.
 	Coalescing struct {
 		Flights       int64 `json:"flights"`
 		Coalesced     int64 `json:"coalesced"`
 		Rejected      int64 `json:"rejected"`
 		Retained      int   `json:"retained"`      // finished flights held
 		RetainedBytes int64 `json:"retainedBytes"` // sum of their bodies
+		Aliases       int   `json:"aliases"`       // raw request forms naming a held flight
+		AliasBytes    int64 `json:"aliasBytes"`    // their forms plus a fixed overhead each
 	} `json:"coalescing"`
 
 	// Queue: instantaneous admission state.

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -134,10 +135,10 @@ func TestQueryRejectsInvalidSpec(t *testing.T) {
 
 // TestUnknownParametersRejected pins both request forms to the fields
 // the handler reads: a GET query naming anything else, a retired name
-// such as mode included, is a 400 that names the parameter, as is a POST
-// body carrying an unknown field. Every name the handler does read is
-// accepted (If-None-Match: * answers 304 once the request canonicalizes,
-// so nothing executes).
+// such as mode included, or naming a field twice, is a 400 that names the
+// parameter, as is a POST body carrying an unknown field. Every name the
+// handler does read is accepted once (If-None-Match: * answers 304 once
+// the request canonicalizes, so nothing executes).
 func TestUnknownParametersRejected(t *testing.T) {
 	_, ts := newTestServer(t, core.EngineOptions{}, Options{})
 	get := func(q string) (int, string) {
@@ -157,7 +158,7 @@ func TestUnknownParametersRejected(t *testing.T) {
 	}
 
 	base := "kind=table1&apps=fft&procs=2"
-	for _, bad := range []string{"mode=live", "prcos=8"} {
+	for _, bad := range []string{"mode=live", "prcos=8", "kind=sync", "procs=2"} {
 		code, body := get(base + "&" + bad)
 		name := strings.SplitN(bad, "=", 2)[0]
 		if code != http.StatusBadRequest || !strings.Contains(body, `"`+name+`"`) {
@@ -174,7 +175,9 @@ func TestUnknownParametersRejected(t *testing.T) {
 		t.Errorf("handler accepts %d query parameters, test covers %d", len(queryFields), len(allowed))
 	}
 	for name, v := range allowed {
-		if code, body := get(base + "&" + name + "=" + v); code != http.StatusNotModified {
+		q := url.Values{"kind": {"table1"}, "apps": {"fft"}, "procs": {"2"}}
+		q.Set(name, v)
+		if code, body := get(q.Encode()); code != http.StatusNotModified {
 			t.Errorf("%s=%s: status %d body %q, want 304", name, v, code, body)
 		}
 	}

@@ -10,7 +10,10 @@
 //     (singleflight keyed by the same hash as the result cache): while it
 //     runs each extra client costs a subscription, not a simulation, and
 //     once it finished cleanly a repeat is answered from the bytes it
-//     rendered, with no engine work at all.
+//     rendered, with no engine work at all. A repeat of a request form it
+//     already answered (the same method, raw query, deadline header and
+//     POST body) is found by those bytes before anything parses them:
+//     one map read, no Canonical and no key hash.
 //   - Admission control bounds the pipeline: a fixed number of executing
 //     flights, a bounded queue behind them, a per-client concurrency cap.
 //     Beyond those, requests shed with 429 + Retry-After rather than
@@ -27,7 +30,9 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -217,6 +222,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.Coalescing.Coalesced = coalesced
 	m.Coalescing.Rejected = rejected
 	m.Coalescing.Retained, m.Coalescing.RetainedBytes = s.co.retention()
+	m.Coalescing.Aliases, m.Coalescing.AliasBytes = s.co.aliasing()
 	m.Queue.Active = active
 	m.Queue.Executing = executing
 	if q := active - executing; q > 0 {
@@ -267,8 +273,41 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
+	var body []byte
+	if r.Method == http.MethodPost {
+		var err error
+		if body, err = io.ReadAll(io.LimitReader(r.Body, maxBodyBytes)); err != nil {
+			http.Error(w, "splashd: "+badBody(err).Error(), http.StatusBadRequest)
+			return
+		}
+	}
+
+	// A repeated request form is answered by the retained flight it was
+	// answered from before: its bytes are everything parseRequest,
+	// Canonical and Key read, so there is nothing to derive again. The
+	// form does not hold the Accept header, so an SSE request never takes
+	// this path (no stream is ever aliased).
+	var buf [256]byte
+	form := appendRequestForm(buf[:0], r, body)
+	sse := strings.Contains(r.Header.Get("Accept"), "text/event-stream")
+	if a, ok := s.co.lookup(form); ok && !sse {
+		w.Header().Set("ETag", a.etag)
+		if etagMatch(r.Header.Get("If-None-Match"), a.etag) {
+			w.WriteHeader(http.StatusNotModified)
+			return
+		}
+		release, ok := s.admit(w, r)
+		if !ok {
+			return
+		}
+		defer release()
+		s.co.hit()
+		s.writeResult(w, a.f)
+		return
+	}
+
 	query := r.URL.Query()
-	req, err := parseRequest(r, query)
+	req, err := parseRequest(r, query, body)
 	if err != nil {
 		http.Error(w, "splashd: "+err.Error(), http.StatusBadRequest)
 		return
@@ -292,18 +331,8 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if s.isDraining() {
-		w.Header().Set("Connection", "close")
-		http.Error(w, "splashd: draining", http.StatusServiceUnavailable)
-		return
-	}
-
-	// Per-client cap covers the whole request lifetime, subscriptions
-	// included; the flight pipeline cap is applied inside join.
-	release, ok := s.adm.acquire(clientID(r))
+	release, ok := s.admit(w, r)
 	if !ok {
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "splashd: client concurrency limit", http.StatusTooManyRequests)
 		return
 	}
 	defer release()
@@ -315,7 +344,7 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if wantsStream(r, query) {
+	if sse || query.Get("stream") == "1" {
 		s.streamFlight(w, r, f)
 		return
 	}
@@ -343,6 +372,44 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeResult(w, f)
+	if f.err == nil && f.degraded == 0 {
+		s.co.alias(form, f, etag)
+	}
+}
+
+// admit turns away a request the daemon will not answer now: 503 while
+// draining, 429 when its client is at the per-client cap, which covers
+// the whole request lifetime, subscriptions included (the flight
+// pipeline cap is applied inside join). On ok the caller holds a place
+// under the cap until it calls release.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request) (release func(), ok bool) {
+	if s.isDraining() {
+		w.Header().Set("Connection", "close")
+		http.Error(w, "splashd: draining", http.StatusServiceUnavailable)
+		return nil, false
+	}
+	if release, ok = s.adm.acquire(clientID(r)); !ok {
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, "splashd: client concurrency limit", http.StatusTooManyRequests)
+	}
+	return release, ok
+}
+
+// appendRequestForm appends r's raw form to dst: what parseRequest reads
+// from it, and so all its answer depends on. That is the method, the raw
+// query, the X-Splashd-Deadline header and, for a POST, the body bytes
+// read. The method is an HTTP token, so a NUL ends it; the query and
+// the header each carry their length in front; the body runs to the end.
+// Two requests with equal forms parse to the same request.
+func appendRequestForm(dst []byte, r *http.Request, body []byte) []byte {
+	dst = append(dst, r.Method...)
+	dst = append(dst, 0)
+	dst = binary.AppendUvarint(dst, uint64(len(r.URL.RawQuery)))
+	dst = append(dst, r.URL.RawQuery...)
+	deadline := r.Header.Get(headerDeadline)
+	dst = binary.AppendUvarint(dst, uint64(len(deadline)))
+	dst = append(dst, deadline...)
+	return append(dst, body...)
 }
 
 // writeResult renders a finished flight as the non-streaming response.
@@ -414,15 +481,6 @@ func (s *Server) streamFlight(w http.ResponseWriter, r *http.Request, f *flight)
 	}
 }
 
-// wantsStream reports whether the client asked for SSE; query is the
-// request's parsed URL query.
-func wantsStream(r *http.Request, query url.Values) bool {
-	if query.Get("stream") == "1" {
-		return true
-	}
-	return strings.Contains(r.Header.Get("Accept"), "text/event-stream")
-}
-
 // etagMatch implements If-None-Match for strong validators: a list of
 // quoted tags or the wildcard.
 func etagMatch(header, etag string) bool {
@@ -465,7 +523,7 @@ var queryFields = map[string]func(req *core.Request, v string) error{
 	},
 	"keepGoing": func(req *core.Request, v string) error { req.KeepGoing = v == "1" || v == "true"; return nil },
 	"deadline":  setDeadline,
-	"stream":    func(*core.Request, string) error { return nil }, // read by wantsStream
+	"stream":    func(*core.Request, string) error { return nil }, // read by handleExperiments
 }
 
 // setDeadline parses a request deadline given as a Go duration ("30s",
@@ -479,31 +537,44 @@ func setDeadline(req *core.Request, v string) error {
 	return err
 }
 
-// parseRequest decodes an experiment spec from a POST JSON body or the
-// GET query parameters q, then applies the X-Splashd-Deadline header. The
-// header wins over a body or query deadline: it is the transport-level
-// knob a proxy or impatient client sets without rewriting the spec.
-func parseRequest(r *http.Request, q url.Values) (core.Request, error) {
+// badBody is the 400 error for a POST body that cannot be read or
+// decoded.
+func badBody(err error) error { return fmt.Errorf("bad request body: %v", err) }
+
+// parseRequest decodes an experiment spec from a POST's JSON body, read
+// up to maxBodyBytes, or the GET query parameters q, then applies the
+// X-Splashd-Deadline header. The header wins over a body or query
+// deadline: it is the transport-level knob a proxy or impatient client
+// sets without rewriting the spec.
+func parseRequest(r *http.Request, q url.Values, body []byte) (core.Request, error) {
 	var req core.Request
 	if r.Method == http.MethodPost {
-		dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
+		dec := json.NewDecoder(bytes.NewReader(body))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil {
-			return req, fmt.Errorf("bad request body: %v", err)
+			return req, badBody(err)
 		}
 	} else {
-		var names, unknown []string
+		var names, unknown, repeated []string
 		for name := range q {
 			names = append(names, name)
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			if queryFields[name] == nil {
+			switch {
+			case queryFields[name] == nil:
 				unknown = append(unknown, strconv.Quote(name))
+			case len(q[name]) > 1:
+				repeated = append(repeated, strconv.Quote(name))
 			}
 		}
 		if len(unknown) > 0 {
 			return req, fmt.Errorf("unknown query parameter %s", strings.Join(unknown, ", "))
+		}
+		// One value per name: with two, q.Get would silently pick the
+		// first.
+		if len(repeated) > 0 {
+			return req, fmt.Errorf("query parameter %s given more than once", strings.Join(repeated, ", "))
 		}
 		for _, name := range names {
 			if v := q.Get(name); v != "" && queryFields[name](&req, v) != nil {
