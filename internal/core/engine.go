@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"splash2/internal/fault"
@@ -28,93 +27,22 @@ import (
 // the Figure 3 and Figure 7–8 sweeps its trace. PRAM timing makes each
 // experiment deterministic regardless of scheduling, so an Engine at any
 // parallelism produces results deep-equal to a single-worker engine's.
+//
+// Concurrent requests (Do) share the engine's worker pool, memo and
+// cache; each runs as its own graph with its own context, failure policy,
+// progress sink and failure manifest.
 type Engine struct {
-	r         *runner.Runner
+	r       *runner.Runner
+	journal *runner.Journal // durable run journal
+	// ctx and keepGoing are the context and failure policy of Report and
+	// CollectResults; Do takes both from its call.
 	ctx       context.Context
-	journal   *runner.Journal // durable run journal (root only)
 	keepGoing bool
 	spillDir  string // non-empty: record jobs spill v2 traces here
-	// privateSpill is the spill directory an uncached root engine made
-	// for itself; Close removes it.
+	// privateSpill is the spill directory an uncached engine made for
+	// itself; Close removes it.
 	privateSpill string
 	fault        *fault.Injector
-
-	// Request scope (nil on a root engine): Scoped views share r — and
-	// with it the worker pool, memo and cache — but carry their own
-	// context, failure policy, progress sink and failure log, which is
-	// how splashd isolates concurrent requests on one engine.
-	onProgress runner.ProgressFunc
-	scope      *requestScope
-}
-
-// requestScope collects the graphs created by one Scoped engine so its
-// Failures() sees only that request's losses.
-type requestScope struct {
-	mu     sync.Mutex
-	graphs []*runner.Graph
-}
-
-func (s *requestScope) add(g *runner.Graph) {
-	s.mu.Lock()
-	s.graphs = append(s.graphs, g)
-	s.mu.Unlock()
-}
-
-func (s *requestScope) failures() []*runner.JobError {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []*runner.JobError
-	for _, g := range s.graphs {
-		out = append(out, g.Failures()...)
-	}
-	return out
-}
-
-// ScopeOptions configures a request-scoped view of a shared engine.
-type ScopeOptions struct {
-	// Context cancels the scope's graphs; nil inherits the parent's.
-	Context context.Context
-	// KeepGoing sets the scope's failure policy (per request, independent
-	// of the engine's and of other scopes').
-	KeepGoing bool
-	// OnProgress receives this scope's job-completion events only; nil
-	// disables. It must not block (see runner.ProgressFunc).
-	OnProgress runner.ProgressFunc
-}
-
-// Scoped returns a request-scoped view of the engine: same runner (one
-// worker pool, one memo, one cache — results computed by any scope warm
-// every other), but its own context, failure policy, progress sink and
-// failure log. Failed jobs are never memoized or cached, so one scope's
-// failures cannot poison another's results.
-func (e *Engine) Scoped(o ScopeOptions) *Engine {
-	ctx := o.Context
-	if ctx == nil {
-		ctx = e.ctx
-	}
-	return &Engine{
-		r:          e.r,
-		ctx:        ctx,
-		keepGoing:  o.KeepGoing,
-		spillDir:   e.spillDir,
-		fault:      e.fault,
-		onProgress: o.OnProgress,
-		scope:      &requestScope{},
-	}
-}
-
-// newGraph starts a graph configured for this engine's scope. Every
-// request's batch creates its graph through it.
-func (e *Engine) newGraph() *runner.Graph {
-	g := e.r.NewGraph()
-	if e.scope != nil {
-		g.SetKeepGoing(e.keepGoing)
-		if e.onProgress != nil {
-			g.OnProgress(e.onProgress)
-		}
-		e.scope.add(g)
-	}
-	return g
 }
 
 // EngineOptions configures an Engine.
@@ -133,9 +61,10 @@ type EngineOptions struct {
 	// A whole-run deadline is a Context with a deadline.
 	Context context.Context
 
-	// KeepGoing runs every graph to completion past failed experiments:
-	// sections render FAILED(...) placeholders for lost rows and the
-	// failures accumulate for the end-of-run manifest (Failures).
+	// KeepGoing runs Report and CollectResults to completion past failed
+	// experiments: sections render FAILED(...) placeholders for lost rows
+	// and the run ends with its failure manifest. Do takes the policy
+	// from Request.KeepGoing instead.
 	KeepGoing bool
 	// Timeout bounds each experiment; 0 disables.
 	Timeout time.Duration
@@ -208,13 +137,12 @@ func NewEngine(o EngineOptions) (*Engine, error) {
 		fault:        o.Fault,
 		journal:      journal,
 		r: runner.New(runner.Options{
-			Workers:   o.Workers,
-			Cache:     cache,
-			Progress:  o.Progress,
-			KeepGoing: o.KeepGoing,
-			Timeout:   o.Timeout,
-			Fault:     o.Fault,
-			Journal:   journal,
+			Workers:  o.Workers,
+			Cache:    cache,
+			Progress: o.Progress,
+			Timeout:  o.Timeout,
+			Fault:    o.Fault,
+			Journal:  journal,
 		}),
 		ctx:       ctx,
 		keepGoing: o.KeepGoing,
@@ -223,9 +151,9 @@ func NewEngine(o EngineOptions) (*Engine, error) {
 
 // Close ends the engine run cleanly: the run journal gets its run.end
 // event (a journal without one is, by definition, a crashed run), and
-// an uncached engine's private spill directory is removed. Safe on a
-// Scoped view and safe to call more than once; experiments already in
-// flight are not interrupted by Close itself.
+// an uncached engine's private spill directory is removed. Safe to call
+// more than once; experiments already in flight are not interrupted by
+// Close itself.
 func (e *Engine) Close() error {
 	var err error
 	if e.journal != nil {
@@ -240,27 +168,16 @@ func (e *Engine) Close() error {
 }
 
 // Journal returns the engine's durable run journal, or nil when
-// journaling is disabled (no cache directory, or a Scoped
-// view — scopes share the root engine's journal through the runner).
+// journaling is disabled (no cache directory).
 func (e *Engine) Journal() *runner.Journal { return e.journal }
 
 // Counts returns the engine's cumulative scheduling counters (jobs
 // executed, cache hits, memo hits, failures, skips).
 func (e *Engine) Counts() runner.Counts { return e.r.Counts() }
 
-// MemoStats reports the engine's long-lived state sizes (memo entries,
-// failure-log length and overflow), for daemon memory monitoring.
-func (e *Engine) MemoStats() runner.MemoStats { return e.r.MemoStats() }
-
-// Failures returns every failed and skipped experiment recorded so far
-// (keep-going mode); see NewFailureManifest for the manifest form. On a
-// Scoped engine only this scope's failures are reported.
-func (e *Engine) Failures() []*runner.JobError {
-	if e.scope != nil {
-		return e.scope.failures()
-	}
-	return e.r.Failures()
-}
+// MemoEntries reports how many results the engine holds memoized in
+// memory, for daemon memory monitoring.
+func (e *Engine) MemoEntries() int { return e.r.MemoEntries() }
 
 // DefaultCacheDir returns the default on-disk cache location
 // (<user cache dir>/splash2).

@@ -27,12 +27,16 @@ import (
 // entries, so a cache filled before executions were shared still serves
 // them, and a fully cached point never executes at all.
 
-// batch is one request's job graph with its execution plan.
+// batch is one request's job graph with its execution plan. The graph
+// carries the request's failure policy and progress sink and collects its
+// failures, so the failure manifest is the graph's own.
 type batch struct {
-	e      *Engine
-	g      *runner.Graph
-	points map[pointKey]*execPoint
-	order  []*execPoint // first-registration order, so exec jobs submit deterministically
+	e         *Engine
+	g         *runner.Graph
+	ctx       context.Context
+	keepGoing bool
+	points    map[pointKey]*execPoint
+	order     []*execPoint // first-registration order, so exec jobs submit deterministically
 }
 
 // pointKey identifies a program point within a batch: the machine that
@@ -66,9 +70,14 @@ type execPoint struct {
 	job    runner.Job[*execution]
 }
 
-// newBatch starts a request's graph.
-func (e *Engine) newBatch() *batch {
-	return &batch{e: e, g: e.newGraph(), points: map[pointKey]*execPoint{}}
+// newBatch starts req's graph, run under ctx, keeping going past failures
+// when req asks to and streaming its progress to onProgress (nil
+// disables).
+func (e *Engine) newBatch(ctx context.Context, req Request, onProgress runner.ProgressFunc) *batch {
+	g := e.r.NewGraph()
+	g.SetKeepGoing(req.KeepGoing)
+	g.OnProgress(onProgress)
+	return &batch{e: e, g: g, ctx: ctx, keepGoing: req.KeepGoing, points: map[pointKey]*execPoint{}}
 }
 
 // point returns the plan of the point a pick with machine configuration
@@ -217,7 +226,7 @@ func (b *batch) wait() error {
 			b.g.Depend(p, pt.job)
 		}
 	}
-	err := b.g.Wait(b.e.ctx)
+	err := b.g.Wait(b.ctx)
 	for _, pt := range b.order {
 		if !pt.record {
 			continue

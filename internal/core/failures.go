@@ -63,13 +63,13 @@ func NewFailureManifest(fails []*runner.JobError) FailureManifest {
 	return FailureManifest{Count: len(recs), Failures: recs}
 }
 
-// lost returns the failure manifest of a keep-going engine that lost
+// lost returns the failure manifest of a keep-going batch that lost
 // experiments, and nil otherwise.
-func (e *Engine) lost() *FailureManifest {
-	if !e.keepGoing {
+func (b *batch) lost() *FailureManifest {
+	if !b.keepGoing {
 		return nil
 	}
-	fails := e.Failures()
+	fails := b.g.Failures()
 	if len(fails) == 0 {
 		return nil
 	}
@@ -95,17 +95,17 @@ func failedCell(err error) string {
 	return fmt.Sprintf("FAILED(%v)", err)
 }
 
-// degrade resolves a job under the engine's failure policy. Fail-fast
-// engines surface the error; keep-going engines convert it into a
+// degrade resolves a job under the batch's failure policy. Fail-fast
+// batches surface the error; keep-going batches convert it into a
 // FAILED(...) placeholder so the section renders a partial table and the
 // run continues.
-func degrade[T any](e *Engine, j runner.Job[T]) (v T, failed string, err error) {
+func degrade[T any](b *batch, j runner.Job[T]) (v T, failed string, err error) {
 	v, err = j.Result()
 	if err == nil {
 		return v, "", nil
 	}
 	var zero T
-	if e.keepGoing {
+	if b.keepGoing {
 		return zero, failedCell(err), nil
 	}
 	return zero, "", err

@@ -62,11 +62,11 @@ func (b *batch) lineSize(req Request) fill {
 	return func(res *Results) error {
 		for i, name := range req.Apps {
 			perFlop := flopBased(name)
-			run, failed, err := degrade(b.e, runs[i])
+			run, failed, err := degrade(b, runs[i])
 			if err != nil {
 				return err
 			}
-			sweep, sweepFailed, err := degrade(b.e, sweeps[i])
+			sweep, sweepFailed, err := degrade(b, sweeps[i])
 			if err != nil {
 				return err
 			}

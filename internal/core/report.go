@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"io"
 
 	"splash2/internal/memsys"
+	"splash2/internal/runner"
 	"splash2/internal/textplot"
 )
 
@@ -239,16 +241,17 @@ func oceanBigN(req Request) int {
 	return 64
 }
 
-// compute runs the sections req selects as one graph: every section
-// submits its jobs, the graph runs once — so sections share program
-// executions and no section waits for another's stragglers — and the
-// fills then read the results in table order. It returns the selected
-// sections for rendering. A keep-going run that lost experiments still
-// returns its results, carrying the failure manifest, with an
-// ErrFailures-wrapped error: callers export the partial data and use
-// errors.Is for the exit status.
-func (e *Engine) compute(req Request) (*Results, []section, error) {
-	b := e.newBatch()
+// compute runs the sections req selects as one graph under ctx: every
+// section submits its jobs, the graph runs once — so sections share
+// program executions and no section waits for another's stragglers — and
+// the fills then read the results in table order. Progress events of the
+// graph alone stream to onProgress (nil disables). It returns the
+// selected sections for rendering. A keep-going request that lost
+// experiments still returns its results, carrying the failure manifest of
+// its graph, with an ErrFailures-wrapped error: callers export the
+// partial data and use errors.Is for the exit status.
+func (e *Engine) compute(ctx context.Context, req Request, onProgress runner.ProgressFunc) (*Results, []section, error) {
+	b := e.newBatch(ctx, req, onProgress)
 	var selected []section
 	var fills []fill
 	for _, s := range sections {
@@ -269,17 +272,11 @@ func (e *Engine) compute(req Request) (*Results, []section, error) {
 			return nil, nil, err
 		}
 	}
-	if m := e.lost(); m != nil {
+	if m := b.lost(); m != nil {
 		res.Failures = m.Failures
 		return res, selected, m.err()
 	}
 	return res, selected, nil
-}
-
-// collect computes the sections req selects.
-func (e *Engine) collect(req Request) (*Results, error) {
-	res, _, err := e.compute(req)
-	return res, err
 }
 
 // Report runs the complete characterization — every table and figure of
@@ -303,8 +300,9 @@ func (e *Engine) Report(w io.Writer, o ReportOptions) error {
 	if err != nil {
 		return err
 	}
+	req.KeepGoing = e.keepGoing
 	fmt.Fprintf(w, "SPLASH-2 characterization — %d processors, scale=%v\n", req.Procs, o.Scale)
-	res, selected, err := e.compute(req)
+	res, selected, err := e.compute(e.ctx, req, nil)
 	if res == nil {
 		return err
 	}
@@ -339,12 +337,14 @@ func CollectResults(o ReportOptions) (*Results, error) {
 }
 
 // CollectResults is the engine form of the package-level CollectResults:
-// Do(results) on the engine itself. The engine's own options apply;
+// Do(results) under the engine's own context and failure policy;
 // o.EngineOptions is ignored.
 func (e *Engine) CollectResults(o ReportOptions) (*Results, error) {
 	req, err := o.request(KindResults)
 	if err != nil {
 		return nil, err
 	}
-	return e.collect(req)
+	req.KeepGoing = e.keepGoing
+	res, _, err := e.compute(e.ctx, req, nil)
+	return res, err
 }

@@ -311,13 +311,13 @@ func (r Request) Key() runner.Key {
 // told its copy is current.
 func ETag(key runner.Key) string { return `"` + key.String() + `"` }
 
-// Do executes one request on a request-scoped view of the engine and
-// returns its results: the sections the kind selects, plus the failure
-// manifest of a keep-going request that lost experiments (then err wraps
-// ErrFailures, as with CollectResults). Progress events for this request
-// alone stream to onProgress (nil disables). Do is safe to call from
-// many goroutines at once; concurrent requests share the engine's worker
-// pool, memo and cache.
+// Do executes one request as one graph under ctx and returns its
+// results: the sections the kind selects, plus the failure manifest of a
+// keep-going request that lost experiments (then err wraps ErrFailures,
+// as with CollectResults). Progress events for this request alone stream
+// to onProgress (nil disables). Do is safe to call from many goroutines
+// at once; concurrent requests share the engine's worker pool, memo and
+// cache, while each keeps its own failure policy and manifest.
 func (e *Engine) Do(ctx context.Context, req Request, onProgress runner.ProgressFunc) (*Results, error) {
 	cr, err := req.Canonical()
 	if err != nil {
@@ -339,9 +339,6 @@ func (e *Engine) Do(ctx context.Context, req Request, onProgress runner.Progress
 		// kind, or a report's SampleRate.
 		cr.SampleRate = 0
 	}
-	return e.Scoped(ScopeOptions{
-		Context:    ctx,
-		KeepGoing:  cr.KeepGoing,
-		OnProgress: onProgress,
-	}).collect(cr)
+	res, _, err := e.compute(ctx, cr, onProgress)
+	return res, err
 }

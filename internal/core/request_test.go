@@ -285,6 +285,59 @@ func TestEngineDoKeepGoingManifest(t *testing.T) {
 	}
 }
 
+// TestRootEngineManifestPerRun: a keep-going root engine reports each
+// run's losses alone. A fault spent in the first CollectResults (or
+// Report) must not reach the manifest of a second, clean run on the same
+// engine, which re-runs the failed job and completes every row.
+func TestRootEngineManifestPerRun(t *testing.T) {
+	o := ReportOptions{Apps: []string{"fft", "radix"}, Procs: 2, ProcList: []int{1, 2}, Scale: SweepScale,
+		CacheSizes: []int{16 << 10}, LineSizes: []int{64}}
+	newEngine := func() *Engine {
+		rules, err := fault.Parse("error@1=job:run fft*")
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewEngine(EngineOptions{Workers: 2, KeepGoing: true, Fault: fault.New(1, rules...)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { e.Close() })
+		return e
+	}
+
+	e := newEngine()
+	res, err := e.CollectResults(o)
+	if !errors.Is(err, ErrFailures) {
+		t.Fatalf("first CollectResults err = %v, want ErrFailures", err)
+	}
+	if res == nil || len(res.Failures) != 1 {
+		t.Fatalf("first run lost %v, want exactly 1 experiment", res)
+	}
+	res, err = e.CollectResults(o)
+	if err != nil {
+		t.Fatalf("clean second CollectResults: %v", err)
+	}
+	if len(res.Failures) != 0 {
+		t.Fatalf("clean second run carries the first run's failures: %+v", res.Failures)
+	}
+
+	e = newEngine()
+	var out strings.Builder
+	if err := e.Report(&out, o); !errors.Is(err, ErrFailures) {
+		t.Fatalf("first Report err = %v, want ErrFailures", err)
+	}
+	if !strings.Contains(out.String(), "Failure manifest") {
+		t.Fatal("first Report has no failure manifest section")
+	}
+	out.Reset()
+	if err := e.Report(&out, o); err != nil {
+		t.Fatalf("clean second Report: %v", err)
+	}
+	if strings.Contains(out.String(), "Failure manifest") {
+		t.Fatalf("clean second Report prints a failure manifest:\n%s", out.String())
+	}
+}
+
 func TestEngineDoContextCancel(t *testing.T) {
 	e, _ := NewEngine(EngineOptions{Workers: 2})
 	ctx, cancel := context.WithCancel(context.Background())

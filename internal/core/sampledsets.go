@@ -63,7 +63,7 @@ func (b *batch) sampledSets(req Request) fill {
 	}
 	return func(res *Results) error {
 		for i, name := range req.Apps {
-			sw, failed, err := degrade(b.e, sweeps[i])
+			sw, failed, err := degrade(b, sweeps[i])
 			if err != nil {
 				return err
 			}

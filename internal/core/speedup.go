@@ -36,7 +36,7 @@ func (b *batch) speedups(req Request) fill {
 			curve := SpeedupCurve{App: name, Procs: req.ProcList}
 			var t1 float64
 			for i, p := range req.ProcList {
-				run, failed, err := degrade(b.e, jobs[i][ai])
+				run, failed, err := degrade(b, jobs[i][ai])
 				if err != nil {
 					return err
 				}
@@ -107,7 +107,7 @@ func (b *batch) syncProfiles(req Request) fill {
 	jobs := b.countRuns(req, req.Procs)
 	return func(res *Results) error {
 		for i, name := range req.Apps {
-			run, failed, err := degrade(b.e, jobs[i])
+			run, failed, err := degrade(b, jobs[i])
 			if err != nil {
 				return err
 			}

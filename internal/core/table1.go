@@ -37,7 +37,7 @@ func (b *batch) table1(req Request) fill {
 	jobs := b.countRuns(req, req.Procs)
 	return func(res *Results) error {
 		for i, name := range req.Apps {
-			run, failed, err := degrade(b.e, jobs[i])
+			run, failed, err := degrade(b, jobs[i])
 			if err != nil {
 				return err
 			}

@@ -62,7 +62,7 @@ func (b *batch) trafficGroups(req Request) func() ([][]TrafficPoint, error) {
 			var pts []TrafficPoint
 			perFlop := flopBased(name)
 			for pi, p := range req.ProcList {
-				run, failed, err := degrade(b.e, jobs[i][pi])
+				run, failed, err := degrade(b, jobs[i][pi])
 				if err != nil {
 					return nil, err
 				}

@@ -48,7 +48,7 @@ func (b *batch) workingSets(req Request) fill {
 	}
 	return func(res *Results) error {
 		for i, name := range req.Apps {
-			grid, failed, err := degrade(b.e, sweeps[i])
+			grid, failed, err := degrade(b, sweeps[i])
 			if err != nil {
 				return err
 			}

@@ -55,8 +55,9 @@ func TestPanicIsolatedFailFast(t *testing.T) {
 }
 
 func TestPanicKeepGoing(t *testing.T) {
-	r := ftRunner(t, Options{KeepGoing: true})
+	r := ftRunner(t, Options{})
 	g := r.NewGraph()
+	g.SetKeepGoing(true)
 	Submit(g, Spec{Label: "boom"}, func(ctx context.Context) (int, error) {
 		panic("kaboom")
 	})
@@ -69,15 +70,16 @@ func TestPanicKeepGoing(t *testing.T) {
 	if v, err := ok.Result(); err != nil || v != 42 {
 		t.Fatalf("survivor = %v, %v", v, err)
 	}
-	fails := r.Failures()
+	fails := g.Failures()
 	if len(fails) != 1 || fails[0].Label != "boom" || !fails[0].Panicked {
 		t.Fatalf("Failures() = %+v", fails)
 	}
 }
 
 func TestTimeoutAbandonsWedgedJob(t *testing.T) {
-	r := ftRunner(t, Options{Timeout: 30 * time.Millisecond, KeepGoing: true})
+	r := ftRunner(t, Options{Timeout: 30 * time.Millisecond})
 	g := r.NewGraph()
+	g.SetKeepGoing(true)
 	released := make(chan struct{})
 	wedged := Submit(g, Spec{Label: "wedged"}, func(ctx context.Context) (int, error) {
 		<-released // ignores ctx entirely: a truly wedged job
@@ -118,8 +120,9 @@ func TestTimeoutAbandonsWedgedJob(t *testing.T) {
 // it returns, so abandoned bodies never run more than Workers at once.
 func TestTimedOutBodyKeepsWorkerSlot(t *testing.T) {
 	const workers, jobs = 1, 4
-	r := ftRunner(t, Options{Workers: workers, Timeout: 10 * time.Millisecond, KeepGoing: true})
+	r := ftRunner(t, Options{Workers: workers, Timeout: 10 * time.Millisecond})
 	g := r.NewGraph()
+	g.SetKeepGoing(true)
 	var running, peak atomic.Int64
 	var hs []Job[int]
 	for i := 0; i < jobs; i++ {
@@ -165,8 +168,9 @@ func TestPermanentErrorNotRetried(t *testing.T) {
 }
 
 func TestKeepGoingSkipsDependents(t *testing.T) {
-	r := ftRunner(t, Options{KeepGoing: true})
+	r := ftRunner(t, Options{})
 	g := r.NewGraph()
+	g.SetKeepGoing(true)
 	bad := Submit(g, Spec{Label: "bad"}, func(ctx context.Context) (int, error) {
 		return 0, errors.New("broken")
 	})
@@ -191,7 +195,7 @@ func TestKeepGoingSkipsDependents(t *testing.T) {
 	if c.Failed != 1 || c.Skipped != 1 {
 		t.Fatalf("Counts = %+v", c)
 	}
-	fails := r.Failures()
+	fails := g.Failures()
 	if len(fails) != 2 {
 		t.Fatalf("Failures() has %d records, want 2: %+v", len(fails), fails)
 	}
@@ -206,8 +210,9 @@ func TestKeepGoingSkipsDependents(t *testing.T) {
 
 func TestFaultInjectionAtJobPoint(t *testing.T) {
 	inj := fault.New(3, fault.Rule{Pattern: "job:victim", Action: fault.Error})
-	r := ftRunner(t, Options{KeepGoing: true, Fault: inj})
+	r := ftRunner(t, Options{Fault: inj})
 	g := r.NewGraph()
+	g.SetKeepGoing(true)
 	victim := Submit(g, Spec{Label: "victim"}, func(ctx context.Context) (int, error) {
 		return 1, nil
 	})
@@ -228,8 +233,9 @@ func TestFaultInjectionAtJobPoint(t *testing.T) {
 
 func TestInjectedPanicIsRecovered(t *testing.T) {
 	inj := fault.New(9, fault.Rule{Pattern: "job:target", Action: fault.Panic})
-	r := ftRunner(t, Options{KeepGoing: true, Fault: inj})
+	r := ftRunner(t, Options{Fault: inj})
 	g := r.NewGraph()
+	g.SetKeepGoing(true)
 	target := Submit(g, Spec{Label: "target"}, func(ctx context.Context) (int, error) {
 		return 1, nil
 	})
@@ -287,7 +293,7 @@ func TestCancellationNoGoroutineLeak(t *testing.T) {
 	if c := r.Counts(); c.Failed != 0 {
 		t.Fatalf("cancellation recorded failures: %+v", c)
 	}
-	if fails := r.Failures(); len(fails) != 0 {
+	if fails := g.Failures(); len(fails) != 0 {
 		t.Fatalf("cancellation produced failure records: %+v", fails)
 	}
 

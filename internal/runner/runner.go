@@ -50,12 +50,6 @@ type Options struct {
 	// one request's events without seeing its neighbours').
 	Progress io.Writer
 
-	// KeepGoing runs graphs to completion past failed jobs instead of
-	// failing fast: dependents of a failure are skipped (completing with
-	// a Skipped JobError), every failure is recorded for Failures(), and
-	// Wait returns nil unless the context was cancelled. Callers then
-	// inspect per-job errors and degrade their output.
-	KeepGoing bool
 	// Timeout bounds each job's run; 0 disables. A timed-out job fails
 	// with ErrTimeout at once, so a wedged job cannot hang its graph's
 	// Wait; its body keeps its worker slot until it returns, so abandoned
@@ -127,10 +121,6 @@ type Runner struct {
 	memoMu sync.Mutex
 	memo   map[Key]any
 
-	failMu       sync.Mutex
-	failures     []*JobError
-	failuresLost int64
-
 	submitted, executed, cacheHits, memoHits   atomic.Int64
 	failed, skipped, timedOut                  atomic.Int64
 	leaseAcquired, leaseShared, leaseTakeovers atomic.Int64
@@ -178,51 +168,12 @@ func (r *Runner) Counts() Counts {
 	}
 }
 
-// maxFailureLog bounds the runner-wide failure log: a long-running
-// engine (splashd) serving failing requests for days must not grow it
-// without bound. Per-graph logs (Graph.Failures) are bounded by graph
-// size and are what request-scoped manifests read; overflow here loses
-// only the global log's tail, counted by MemoStats.FailuresLost.
-const maxFailureLog = 4096
-
-// Failures returns every failed and skipped job recorded so far, in
-// completion order — the raw material of the failure manifest. The log
-// is capped at maxFailureLog entries; per-request manifests should use
-// Graph.Failures, which has no cap.
-func (r *Runner) Failures() []*JobError {
-	r.failMu.Lock()
-	defer r.failMu.Unlock()
-	return append([]*JobError(nil), r.failures...)
-}
-
-func (r *Runner) recordFailure(g *Graph, je *JobError) {
-	r.failMu.Lock()
-	if len(r.failures) < maxFailureLog {
-		r.failures = append(r.failures, je)
-	} else {
-		r.failuresLost++
-	}
-	r.failMu.Unlock()
-	g.recordFailure(je)
-}
-
-// MemoStats reports the size of the Runner's long-lived state, for a
-// daemon's metrics endpoint: memoized results held in memory, failure
-// log length, and failures dropped past the log cap.
-type MemoStats struct {
-	MemoEntries  int   `json:"memoEntries"`
-	FailureLog   int   `json:"failureLog"`
-	FailuresLost int64 `json:"failuresLost"`
-}
-
-// MemoStats returns the current long-lived state sizes.
-func (r *Runner) MemoStats() MemoStats {
+// MemoEntries reports how many results the Runner holds memoized in
+// memory, for a daemon's metrics endpoint.
+func (r *Runner) MemoEntries() int {
 	r.memoMu.Lock()
-	entries := len(r.memo)
-	r.memoMu.Unlock()
-	r.failMu.Lock()
-	defer r.failMu.Unlock()
-	return MemoStats{MemoEntries: entries, FailureLog: len(r.failures), FailuresLost: r.failuresLost}
+	defer r.memoMu.Unlock()
+	return len(r.memo)
 }
 
 func (r *Runner) memoGet(k Key) (any, bool) {
@@ -355,17 +306,19 @@ type Graph struct {
 	failures []*JobError
 }
 
-// NewGraph starts an empty job graph with the Runner's failure policy
-// and progress sinks.
+// NewGraph starts an empty, fail-fast job graph with the Runner's
+// progress sinks.
 func (r *Runner) NewGraph() *Graph {
-	return &Graph{r: r, byKey: map[Key]*job{}, keepGoing: r.opts.KeepGoing, fns: slices.Clone(r.fns)}
+	return &Graph{r: r, byKey: map[Key]*job{}, fns: slices.Clone(r.fns)}
 }
 
-// SetKeepGoing overrides the Runner's KeepGoing policy for this graph:
-// a request-scoped graph can run to completion past failures (its
-// dependents skipped, failures recorded for Failures) while the engine's
-// other graphs stay fail-fast, and vice versa. Must be called before
-// Wait.
+// SetKeepGoing sets this graph's failure policy. A keep-going graph runs
+// to completion past failed jobs instead of failing fast: dependents of a
+// failure are skipped (completing with a Skipped JobError), every failure
+// is recorded for Failures, and Wait returns nil unless the context was
+// cancelled; callers then inspect per-job errors and degrade their
+// output. The Runner's other graphs keep their own policies. Must be
+// called before Wait.
 func (g *Graph) SetKeepGoing(keep bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -389,9 +342,8 @@ func (g *Graph) OnProgress(fn ProgressFunc) {
 	}
 }
 
-// Failures returns the failed and skipped jobs of this graph alone, in
-// completion order — the per-request twin of Runner.Failures, with no
-// log cap.
+// Failures returns the failed and skipped jobs of this graph, in
+// completion order — the raw material of a request's failure manifest.
 func (g *Graph) Failures() []*JobError {
 	g.failMu.Lock()
 	defer g.failMu.Unlock()
@@ -583,7 +535,7 @@ func (g *Graph) execute(parent context.Context, need []*job) error {
 						}
 						g.r.skipped.Add(1)
 						skipped.Add(1)
-						g.r.recordFailure(g, je)
+						g.recordFailure(je)
 						g.r.opts.Journal.JobFail(ctx, je)
 						prog.job("skipped", j.label, d.label)
 						j.complete(nil, je)
@@ -619,7 +571,7 @@ func (g *Graph) execute(parent context.Context, need []*job) error {
 				je := asJobError(j, err)
 				g.r.failed.Add(1)
 				failed.Add(1)
-				g.r.recordFailure(g, je)
+				g.recordFailure(je)
 				g.r.opts.Journal.JobFail(ctx, je)
 				prog.job("failed", j.label, je.Cause())
 				j.complete(nil, je)

@@ -247,10 +247,9 @@ func (c *coalescer) alias(form []byte, f *flight, etag string) {
 }
 
 // run executes one flight: wait for an execution slot, run the request
-// through a scoped engine view with progress streaming to subscribers,
-// render the response bytes once, finish. Only a clean result that fits
-// under the retention cap is retained; any other outcome unregisters the
-// flight.
+// as one engine graph with progress streaming to subscribers, render the
+// response bytes once, finish. Only a clean result that fits under the
+// retention cap is retained; any other outcome unregisters the flight.
 func (c *coalescer) run(req core.Request, f *flight) {
 	ctx := f.ctx
 	clean := false

@@ -70,17 +70,15 @@ func (s *endpointStats) snapshot() map[string]endpointStat {
 // Queue block, which is instantaneous.
 type Metrics struct {
 	// Engine: cumulative scheduling counters (see runner.Counts) plus
-	// long-lived state sizes.
+	// the number of memoized results held in memory.
 	Engine struct {
-		Executed     int64   `json:"executed"`
-		CacheHits    int64   `json:"cacheHits"`
-		MemoHits     int64   `json:"memoHits"`
-		Failures     int64   `json:"failures"`
-		Skipped      int64   `json:"skipped"`
-		HitRatio     float64 `json:"hitRatio"` // (cache+memo) / (cache+memo+executed), of requests that reach the engine
-		MemoEntries  int     `json:"memoEntries"`
-		FailureLog   int     `json:"failureLog"`
-		FailuresLost int64   `json:"failuresLost"`
+		Executed    int64   `json:"executed"`
+		CacheHits   int64   `json:"cacheHits"`
+		MemoHits    int64   `json:"memoHits"`
+		Failures    int64   `json:"failures"`
+		Skipped     int64   `json:"skipped"`
+		HitRatio    float64 `json:"hitRatio"` // (cache+memo) / (cache+memo+executed), of requests that reach the engine
+		MemoEntries int     `json:"memoEntries"`
 	} `json:"engine"`
 
 	// Lease: cross-process work-lease activity on the shared cache dir

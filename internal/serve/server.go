@@ -20,9 +20,9 @@
 //     degrade everyone. BeginDrain flips new experiments to 503 while
 //     live flights finish (graceful SIGTERM).
 //   - Progress streams as server-sent events fed by the runner's
-//     per-graph progress hooks; requests are isolated scopes (PR 3 fault
-//     tolerance per request), so one client's keep-going failures never
-//     leak into another's response.
+//     per-graph progress hooks; each request is one graph with its own
+//     failure policy and manifest, so one client's keep-going failures
+//     never leak into another's response.
 //
 // The non-streaming response body is byte-identical to
 // `characterize -format json` for the equivalent flags: both are
@@ -202,10 +202,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if served := c.CacheHits + c.MemoHits; served+c.Executed > 0 {
 		m.Engine.HitRatio = float64(served) / float64(served+c.Executed)
 	}
-	ms := s.engine.MemoStats()
-	m.Engine.MemoEntries = ms.MemoEntries
-	m.Engine.FailureLog = ms.FailureLog
-	m.Engine.FailuresLost = ms.FailuresLost
+	m.Engine.MemoEntries = s.engine.MemoEntries()
 
 	m.Lease.Acquired = c.LeaseAcquired
 	m.Lease.Shared = c.LeaseShared
