@@ -65,7 +65,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 
 	"splash2"
 	"splash2/internal/cli"
@@ -115,6 +114,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return exitUsage
 	}
 	eo, err := engineOptions()
+	// -apps and -plist are request fields' text forms: the request table
+	// parses them, and Canonical validates what they hold.
+	var req core.Request
+	if *appsFlag != "" && err == nil {
+		err = req.Set("apps", *appsFlag)
+	}
+	if err == nil {
+		err = req.Set("plist", *procList)
+	}
+	var scale core.Scale
+	if err == nil {
+		scale, err = core.ParseScale(*scaleName)
+	}
 	if err != nil {
 		fmt.Fprintln(stderr, "characterize:", err)
 		return exitUsage
@@ -126,19 +138,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		eo.Context = ctx
 	}
 	o := splash2.ReportOptions{
-		EngineOptions: eo, Procs: *procs, AllAssocs: *allAssocs, Plot: *plot,
-		SampleRate: *sampleRate, SampleSeed: *sampleSeed,
-	}
-	if *appsFlag != "" {
-		o.Apps = strings.Split(*appsFlag, ",")
-	}
-	if o.ProcList, err = cli.ParseProcList(*procList); err != nil {
-		fmt.Fprintln(stderr, "characterize:", err)
-		return exitUsage
-	}
-	if o.Scale, err = core.ParseScale(*scaleName); err != nil {
-		fmt.Fprintln(stderr, "characterize:", err)
-		return exitUsage
+		EngineOptions: eo, Apps: req.Apps, Procs: *procs, ProcList: req.ProcList, Scale: scale,
+		AllAssocs: *allAssocs, Plot: *plot, SampleRate: *sampleRate, SampleSeed: *sampleSeed,
 	}
 	if *resume {
 		if o.CacheDir == "" {

@@ -26,14 +26,17 @@
 // The kind=working-set-sampled experiment serves the SHARDS-sampled
 // working-set estimate; the sampleRate and sampleSeed query parameters
 // (or JSON fields) select the sampling configuration and are part of
-// the request's content address, so estimates at different rates cache
-// and coalesce independently.
+// that kind's content address, so estimates at different rates cache
+// and coalesce independently. No other kind reads them, so on any other
+// kind they are validated and then left out of the address.
 //
 // Responses carry a deterministic ETag (the request's content address):
 // repeat a request with If-None-Match to get 304 without any execution.
-// Identical concurrent requests coalesce onto one execution, and once it
-// has finished cleanly its rendered bytes answer every repeat without
-// engine work; saturation sheds load with 429 + Retry-After.
+// A request is addressed by the fields its kind reads, so equivalent
+// concurrent requests — not only identical ones, e.g. kind=table1 with
+// and without plist — coalesce onto one execution, and once it has
+// finished cleanly its rendered bytes answer every repeat without engine
+// work; saturation sheds load with 429 + Retry-After.
 // SIGINT/SIGTERM stops accepting work, drains live flights up to
 // -drain-timeout, then exits.
 //

@@ -1,18 +1,15 @@
 // Package cli holds the conventions shared by the repository's
 // command-line entry points (characterize, splashd): the process exit
-// taxonomy, the engine flags both binaries register and the flag-value
-// parsers both accept. Keeping them in one place pins the contract —
-// scripts driving either binary see the same exit codes and the same
-// flag grammar.
+// taxonomy and the engine flags both binaries register. Keeping them in
+// one place pins the contract — scripts driving either binary see the
+// same exit codes and the same flag grammar. A request's own fields have
+// their text forms in core's request table (core.Request.Set).
 package cli
 
 import (
 	"errors"
 	"flag"
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
 
 	"splash2/internal/core"
 	"splash2/internal/fault"
@@ -45,31 +42,6 @@ func ExitCode(err error) int {
 	default:
 		return ExitRuntime
 	}
-}
-
-// ParseProcList parses a comma-separated list of processor counts,
-// rejecting anything that is not a whole positive integer (Sscanf-style
-// parsing would silently accept trailing junk like "8abc"). The result
-// is deduplicated and sorted ascending so sweeps are well-ordered.
-func ParseProcList(s string) ([]int, error) {
-	seen := make(map[int]bool)
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		p, err := strconv.Atoi(f)
-		if err != nil {
-			return nil, fmt.Errorf("bad -plist entry %q: not an integer", f)
-		}
-		if p < 1 {
-			return nil, fmt.Errorf("bad -plist entry %q: must be ≥ 1", f)
-		}
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
-	sort.Ints(out)
-	return out, nil
 }
 
 // EngineFlags registers on fs the engine flags characterize and splashd

@@ -5,28 +5,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"splash2/internal/core"
 )
-
-func TestParseProcList(t *testing.T) {
-	got, err := ParseProcList(" 8, 1,2 ,8,4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []int{1, 2, 4, 8}; !reflect.DeepEqual(got, want) {
-		t.Errorf("ParseProcList = %v, want %v", got, want)
-	}
-	for _, bad := range []string{"", "8abc", "0", "-2", "1,,2", "1;2"} {
-		if _, err := ParseProcList(bad); err == nil {
-			t.Errorf("ParseProcList(%q) accepted", bad)
-		}
-	}
-}
 
 func TestExitCode(t *testing.T) {
 	cases := []struct {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
@@ -42,13 +43,15 @@ type ReportOptions struct {
 // validates it with Canonical: unset fields take the Request defaults,
 // and AllAssocs selects Figure 3's four associativities (Table 2 and the
 // pruning advice stay four-way). The report kind is private, so the
-// request canonicalizes as results and takes kind afterwards; a zero
-// SampleRate keeps the sampled estimate out of a report and of results.
-func (o ReportOptions) request(kind string) (Request, error) {
+// request canonicalizes as results and takes kind afterwards. Results
+// reads no sample field, so a positive SampleRate and its seed are put
+// back afterwards too: they add the sampled estimate. keepGoing is the
+// engine's failure policy.
+func (o ReportOptions) request(kind string, keepGoing bool) (Request, error) {
 	r := Request{
 		Kind: KindResults, Apps: o.Apps, Procs: o.Procs, ProcList: o.ProcList,
 		Scale: ScaleName(o.Scale), CacheSizes: o.CacheSizes, LineSizes: o.LineSizes,
-		SampleRate: o.SampleRate, SampleSeed: o.SampleSeed,
+		SampleRate: o.SampleRate, SampleSeed: o.SampleSeed, KeepGoing: keepGoing,
 	}
 	if o.AllAssocs {
 		r.Assocs = []int{1, 2, 4, memsys.FullyAssoc}
@@ -57,8 +60,8 @@ func (o ReportOptions) request(kind string) (Request, error) {
 	if err != nil {
 		return cr, err
 	}
-	if o.SampleRate == 0 {
-		cr.SampleRate = 0
+	if o.SampleRate > 0 {
+		cr.SampleRate, cr.SampleSeed = o.SampleRate, cmp.Or(o.SampleSeed, 1)
 	}
 	cr.Kind = kind
 	return cr, nil
@@ -296,11 +299,10 @@ func Report(w io.Writer, o ReportOptions) error {
 // own options apply; o.EngineOptions is ignored. Every section's jobs run
 // in one graph; the sections then render in table order.
 func (e *Engine) Report(w io.Writer, o ReportOptions) error {
-	req, err := o.request(kindReport)
+	req, err := o.request(kindReport, e.keepGoing)
 	if err != nil {
 		return err
 	}
-	req.KeepGoing = e.keepGoing
 	fmt.Fprintf(w, "SPLASH-2 characterization — %d processors, scale=%v\n", req.Procs, o.Scale)
 	res, selected, err := e.compute(e.ctx, req, nil)
 	if res == nil {
@@ -340,11 +342,10 @@ func CollectResults(o ReportOptions) (*Results, error) {
 // Do(results) under the engine's own context and failure policy;
 // o.EngineOptions is ignored.
 func (e *Engine) CollectResults(o ReportOptions) (*Results, error) {
-	req, err := o.request(KindResults)
+	req, err := o.request(KindResults, e.keepGoing)
 	if err != nil {
 		return nil, err
 	}
-	req.KeepGoing = e.keepGoing
 	res, _, err := e.compute(e.ctx, req, nil)
 	return res, err
 }

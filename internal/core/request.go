@@ -5,7 +5,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -19,7 +22,8 @@ import (
 // arrive as a JSON body or URL query (splashd) as easily as from CLI
 // flags. A canonicalized Request has a content-addressed Key derived
 // from the same suite-versioned hashing as the result cache, which is
-// what splashd's coalescing and ETag semantics key on.
+// what splashd's coalescing and ETag semantics key on. Which kinds read
+// each field, and its text form, is the request table's (requestFields).
 type Request struct {
 	// Kind selects the experiment: one of Kinds (table1, speedups, sync,
 	// workingsets, traffic, linesize, table3, results).
@@ -30,31 +34,30 @@ type Request struct {
 	// Procs is the processor count for fixed-count experiments
 	// (default 32).
 	Procs int `json:"procs,omitempty"`
-	// ProcList holds the sweep points of scaling experiments (speedups,
-	// traffic, table3); it is deduplicated and sorted ascending.
+	// ProcList holds the sweep points of scaling experiments; it is
+	// deduplicated and sorted ascending.
 	ProcList []int `json:"procList,omitempty"`
 	// Scale names the problem sizes: "sweep" (default), "default" or
 	// "paper".
 	Scale string `json:"scale,omitempty"`
-	// CacheSizes are the Figure-3 sweep points (workingsets,
-	// working-set-sampled and results);
-	// default 1 KB–1 MB powers of two.
+	// CacheSizes are the Figure-3 sweep points; default 1 KB–1 MB powers
+	// of two.
 	CacheSizes []int `json:"cacheSizes,omitempty"`
-	// Assocs are the Figure-3 associativities (workingsets and results);
-	// 0 means fully associative. Default {4}.
+	// Assocs are the Figure-3 associativities; 0 means fully
+	// associative. Default {4}.
 	Assocs []int `json:"assocs,omitempty"`
-	// CacheSize is the fixed cache capacity of traffic and linesize
-	// experiments (and of results'); default 1 MB.
+	// CacheSize is the fixed cache capacity of the traffic and line-size
+	// experiments; default 1 MB.
 	CacheSize int `json:"cacheSize,omitempty"`
-	// LineSizes are the Figure-7/8 sweep points (linesize and results); default
-	// 8 B–256 B powers of two.
+	// LineSizes are the Figure-7/8 sweep points; default 8 B–256 B
+	// powers of two.
 	LineSizes []int `json:"lineSizes,omitempty"`
 	// Opts are per-program option overrides applied on top of the scale's
 	// defaults in every section of a single-app request; Canonical
 	// rejects them on a multi-app one.
 	Opts map[string]int `json:"opts,omitempty"`
 	// SampleRate is the spatial sampling rate of the sampled working-set
-	// estimator (working-set-sampled only); default 0.01, range (0, 1].
+	// estimator; default 0.01, range (0, 1].
 	SampleRate float64 `json:"sampleRate,omitempty"`
 	// SampleSeed seeds the estimator's spatial hash (default 1).
 	SampleSeed uint64 `json:"sampleSeed,omitempty"`
@@ -69,6 +72,88 @@ type Request struct {
 	// change what the answer is, so impatient and patient requests for
 	// the same experiment still coalesce.
 	TimeoutMillis int64 `json:"timeoutMs,omitempty"`
+}
+
+// A requestField is one Request field, named by its JSON key: the name
+// and parser of its text form (a GET query parameter or CLI flag; none
+// for a field only a JSON body sets) and the kinds whose results read it
+// (nil: every kind).
+type requestField struct {
+	field, query string
+	kinds        []string
+	parse        func(r *Request, v string) error
+}
+
+// requestFields is the request table, one row per Request field in
+// declaration order: the only place that says which kind reads which
+// field. Every body holds Results.Procs; table3 fixes 1 MB caches; the
+// sampled estimate is its own kind (ReportOptions.request adds it to a
+// report).
+var requestFields = []requestField{
+	{field: "kind", query: "kind", parse: func(r *Request, v string) error { r.Kind = v; return nil }},
+	{field: "apps", query: "apps", parse: func(r *Request, v string) error { r.Apps = strings.Split(v, ","); return nil }},
+	{field: "procs", query: "procs", parse: func(r *Request, v string) (err error) { r.Procs, err = strconv.Atoi(v); return err }},
+	{field: "procList", query: "plist", kinds: []string{KindSpeedups, KindTraffic, KindTable3, KindResults}, parse: parseProcList},
+	{field: "scale", query: "scale", parse: func(r *Request, v string) error { r.Scale = v; return nil }},
+	{field: "cacheSizes", kinds: []string{KindWorkingSets, KindWorkingSetsSampled, KindResults}},
+	{field: "assocs", kinds: []string{KindWorkingSets, KindResults}},
+	{field: "cacheSize", query: "cacheSize", kinds: []string{KindTraffic, KindLineSize, KindResults},
+		parse: func(r *Request, v string) (err error) { r.CacheSize, err = strconv.Atoi(v); return err }},
+	{field: "lineSizes", kinds: []string{KindLineSize, KindResults}},
+	{field: "opts"},
+	{field: "sampleRate", query: "sampleRate", kinds: []string{KindWorkingSetsSampled},
+		parse: func(r *Request, v string) (err error) { r.SampleRate, err = strconv.ParseFloat(v, 64); return err }},
+	{field: "sampleSeed", query: "sampleSeed", kinds: []string{KindWorkingSetsSampled},
+		parse: func(r *Request, v string) (err error) { r.SampleSeed, err = strconv.ParseUint(v, 10, 64); return err }},
+	{field: "keepGoing", query: "keepGoing", parse: func(r *Request, v string) error { r.KeepGoing = v == "1" || v == "true"; return nil }},
+	{field: "timeoutMs", query: "deadline", parse: func(r *Request, v string) error {
+		// A non-negative Go duration ("30s", "2m").
+		d, err := time.ParseDuration(v)
+		if err == nil && d < 0 {
+			err = errors.New("negative deadline")
+		}
+		r.TimeoutMillis = d.Milliseconds()
+		return err
+	}},
+}
+
+// parseProcList reads comma-separated whole numbers, spaces around an
+// entry allowed; Canonical range-checks, sorts and deduplicates them.
+func parseProcList(r *Request, v string) error {
+	r.ProcList = nil
+	for _, f := range strings.Split(v, ",") {
+		p, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil {
+			return err
+		}
+		r.ProcList = append(r.ProcList, p)
+	}
+	return nil
+}
+
+// QueryNames lists the names of the request fields' text forms.
+func QueryNames() []string {
+	var names []string
+	for _, f := range requestFields {
+		if f.query != "" {
+			names = append(names, f.query)
+		}
+	}
+	return names
+}
+
+// Set parses v, the text form of the field whose query name is name,
+// into r. Its errors wrap ErrInvalidRequest; Canonical then validates
+// the value as it validates a JSON body's.
+func (r *Request) Set(name, v string) error {
+	i := slices.IndexFunc(requestFields, func(f requestField) bool { return f.parse != nil && f.query == name })
+	if i < 0 {
+		return invalid("unknown field %q", name)
+	}
+	if requestFields[i].parse(r, v) != nil {
+		return invalid("bad %s %q", name, v)
+	}
+	return nil
 }
 
 // Kinds lists the accepted Request.Kind values in presentation order.
@@ -97,30 +182,24 @@ const (
 	KindWorkingSetsSampled = "working-set-sampled"
 )
 
+// scaleNames are the scales' text forms, indexed by Scale.
+var scaleNames = [...]string{DefaultScale: "default", SweepScale: "sweep", PaperScale: "paper"}
+
 // ParseScale resolves a scale name ("" selects sweep, the multi-point
 // default).
 func ParseScale(name string) (Scale, error) {
-	switch name {
-	case "", "sweep":
-		return SweepScale, nil
-	case "default":
-		return DefaultScale, nil
-	case "paper":
-		return PaperScale, nil
+	if i := slices.Index(scaleNames[:], cmp.Or(name, "sweep")); i >= 0 {
+		return Scale(i), nil
 	}
 	return 0, invalid("unknown scale %q (want sweep, default or paper)", name)
 }
 
 // ScaleName is ParseScale's inverse.
 func ScaleName(s Scale) string {
-	switch s {
-	case DefaultScale:
-		return "default"
-	case PaperScale:
-		return "paper"
-	default:
+	if s < 0 || int(s) >= len(scaleNames) {
 		return "sweep"
 	}
+	return scaleNames[s]
 }
 
 // ErrInvalidRequest marks a request that Canonical rejects. Every front
@@ -147,6 +226,14 @@ const (
 
 func isPow2(v int) bool { return v > 0 && v&(v-1) == 0 }
 
+// orDefault is cmp.Or for a list field: def when s is empty.
+func orDefault[T any](s, def []T) []T {
+	if len(s) == 0 {
+		return def
+	}
+	return s
+}
+
 // checkSizes validates a list field of power-of-two byte sizes in [lo, hi].
 func checkSizes(field, what string, sizes []int, lo, hi int) error {
 	if len(sizes) > maxReqListPoints {
@@ -165,8 +252,10 @@ func checkSizes(field, what string, sizes []int, lo, hi int) error {
 // to identical values, so their Keys collide and splashd coalesces them.
 // It is the only request validator — characterize's flags and splashd's
 // bodies and queries all pass through it — and its errors wrap
-// ErrInvalidRequest. Canonical is idempotent. Apps order is preserved
-// (it orders the result rows); ProcList is deduplicated and sorted.
+// ErrInvalidRequest. Every field is validated, whether or not the kind
+// reads it; the fields it does not read (requestFields) are then zeroed.
+// Canonical is idempotent. Apps order is preserved (it orders the result
+// rows); ProcList is deduplicated and sorted.
 func (r Request) Canonical() (Request, error) {
 	if r.Kind == "" {
 		return r, invalid("request missing kind (want one of %s)", strings.Join(Kinds(), ", "))
@@ -175,20 +264,15 @@ func (r Request) Canonical() (Request, error) {
 		return r, invalid("unknown kind %q (want one of %s)", r.Kind, strings.Join(Kinds(), ", "))
 	}
 
-	seen := make(map[string]bool, len(r.Apps))
-	for _, name := range r.Apps {
+	for i, name := range r.Apps {
 		if _, err := apps.Get(name); err != nil {
 			return r, fmt.Errorf("%w: %w", ErrInvalidRequest, err)
 		}
-		if seen[name] {
+		if slices.Contains(r.Apps[:i], name) {
 			return r, invalid("duplicate app %q", name)
 		}
-		seen[name] = true
 	}
-	if len(r.Apps) == 0 {
-		r.Apps = Suite
-	}
-	r.Apps = slices.Clone(r.Apps)
+	r.Apps = slices.Clone(orDefault(r.Apps, Suite))
 	if len(r.Opts) > 0 && len(r.Apps) != 1 {
 		return r, invalid("opts require a single-app request (got %d apps)", len(r.Apps))
 	}
@@ -200,9 +284,7 @@ func (r Request) Canonical() (Request, error) {
 	if r.Procs < 1 || r.Procs > maxReqProcs {
 		return r, invalid("procs %d out of range [1, %d]", r.Procs, maxReqProcs)
 	}
-	if len(r.ProcList) == 0 {
-		r.ProcList = []int{1, 2, 4, 8, 16, 32}
-	}
+	r.ProcList = orDefault(r.ProcList, []int{1, 2, 4, 8, 16, 32})
 	if len(r.ProcList) > maxReqListPoints {
 		return r, invalid("procList has %d points (max %d)", len(r.ProcList), maxReqListPoints)
 	}
@@ -220,9 +302,7 @@ func (r Request) Canonical() (Request, error) {
 		return r, err
 	}
 
-	if len(r.CacheSizes) == 0 {
-		r.CacheSizes = DefaultCacheSizes()
-	}
+	r.CacheSizes = orDefault(r.CacheSizes, DefaultCacheSizes())
 	if err := checkSizes("cacheSizes", "cache size", r.CacheSizes, 256, maxReqCacheBytes); err != nil {
 		return r, err
 	}
@@ -230,17 +310,13 @@ func (r Request) Canonical() (Request, error) {
 	if err := checkSizes("cacheSize", "cache size", []int{r.CacheSize}, 256, maxReqCacheBytes); err != nil {
 		return r, err
 	}
-	if len(r.Assocs) == 0 {
-		r.Assocs = []int{4}
-	}
+	r.Assocs = orDefault(r.Assocs, []int{4})
 	for _, a := range r.Assocs {
 		if a != 0 && (!isPow2(a) || a > 64) {
 			return r, invalid("associativity %d not 0 (full) or a power of two ≤ 64", a)
 		}
 	}
-	if len(r.LineSizes) == 0 {
-		r.LineSizes = DefaultLineSizes()
-	}
+	r.LineSizes = orDefault(r.LineSizes, DefaultLineSizes())
 	if err := checkSizes("lineSizes", "line size", r.LineSizes, 8, maxReqLineBytes); err != nil {
 		return r, err
 	}
@@ -254,6 +330,12 @@ func (r Request) Canonical() (Request, error) {
 		return r, invalid("negative timeoutMs %d", r.TimeoutMillis)
 	}
 	r.Opts = canonOpts(r.Opts)
+	// Last, a kind keys only on the fields it reads.
+	for i, f := range requestFields {
+		if f.kinds != nil && !slices.Contains(f.kinds, r.Kind) {
+			reflect.ValueOf(&r).Elem().Field(i).SetZero()
+		}
+	}
 	return r, nil
 }
 
@@ -267,14 +349,8 @@ func (r Request) overrides(app string) map[string]int {
 		return scale.Overrides(app)
 	}
 	out := map[string]int{}
-	//splash:allow determinism key-wise merge map->map; iteration order cannot affect the merged result
-	for k, v := range scale.Overrides(app) {
-		out[k] = v
-	}
-	//splash:allow determinism key-wise merge map->map; iteration order cannot affect the merged result
-	for k, v := range r.Opts {
-		out[k] = v
-	}
+	maps.Copy(out, scale.Overrides(app))
+	maps.Copy(out, r.Opts)
 	return out
 }
 
@@ -327,17 +403,10 @@ func (e *Engine) Do(ctx context.Context, req Request, onProgress runner.Progress
 		ctx = context.Background()
 	}
 	if d := cr.Deadline(); d > 0 {
-		// Min semantics: never extend a deadline the caller already set.
-		if cur, ok := ctx.Deadline(); !ok || time.Until(cur) > d { //splash:allow determinism deadline plumbing; cancellation timing, never in results
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, d)
-			defer cancel()
-		}
-	}
-	if cr.Kind == KindResults {
-		// Results carry the exact curves; the sampled estimate is its own
-		// kind, or a report's SampleRate.
-		cr.SampleRate = 0
+		// A deadline the caller already set that is sooner still holds.
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, d)
+		defer cancel()
 	}
 	res, _, err := e.compute(ctx, cr, onProgress)
 	return res, err

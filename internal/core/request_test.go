@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -25,11 +26,20 @@ func TestRequestCanonicalDefaults(t *testing.T) {
 	if cr.Procs != 32 || cr.Scale != "sweep" {
 		t.Errorf("defaults = procs %d scale %q", cr.Procs, cr.Scale)
 	}
-	if !reflect.DeepEqual(cr.ProcList, []int{1, 2, 4, 8, 16, 32}) {
-		t.Errorf("procList = %v", cr.ProcList)
+	// Table 1 reads neither the sweep points nor the cache geometry, so
+	// its canonical form holds none; results reads them all.
+	if cr.ProcList != nil || cr.CacheSize != 0 || cr.CacheSizes != nil || cr.LineSizes != nil {
+		t.Errorf("table1 keeps fields it does not read: %v %d %v %v", cr.ProcList, cr.CacheSize, cr.CacheSizes, cr.LineSizes)
 	}
-	if cr.CacheSize != 1<<20 || len(cr.CacheSizes) == 0 || len(cr.LineSizes) == 0 {
-		t.Errorf("cache defaults = %d %v %v", cr.CacheSize, cr.CacheSizes, cr.LineSizes)
+	all, err := Request{Kind: KindResults}.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(all.ProcList, []int{1, 2, 4, 8, 16, 32}) {
+		t.Errorf("procList = %v", all.ProcList)
+	}
+	if all.CacheSize != 1<<20 || len(all.CacheSizes) == 0 || len(all.LineSizes) == 0 {
+		t.Errorf("cache defaults = %d %v %v", all.CacheSize, all.CacheSizes, all.LineSizes)
 	}
 	// Idempotent: canonicalizing a canonical request is a no-op.
 	cr2, err := cr.Canonical()
@@ -103,6 +113,90 @@ func TestRequestKeyStability(t *testing.T) {
 	}
 	if tag := ETag(a.Key()); tag != `"`+a.Key().String()+`"` {
 		t.Errorf("ETag %q is not the key as a quoted strong validator", tag)
+	}
+}
+
+// TestRequestKeyReadsOnlyKindFields pins the request table: it has one
+// row per Request field, and for every kind a change to a field the kind
+// reads changes the Key, while a change to any other field (or to the
+// deadline, which is patience, not identity) leaves it alone.
+func TestRequestKeyReadsOnlyKindFields(t *testing.T) {
+	rt := reflect.TypeOf(Request{})
+	if rt.NumField() != len(requestFields) {
+		t.Fatalf("Request has %d fields, the request table %d rows", rt.NumField(), len(requestFields))
+	}
+	for i, f := range requestFields {
+		if tag, _, _ := strings.Cut(rt.Field(i).Tag.Get("json"), ","); tag != f.field {
+			t.Errorf("row %d is %q, Request field %d is %q", i, f.field, i, tag)
+		}
+	}
+
+	// A valid value other than the default, per field but kind.
+	change := map[string]func(r *Request){
+		"apps":       func(r *Request) { r.Apps = []string{"lu"} },
+		"procs":      func(r *Request) { r.Procs = 8 },
+		"procList":   func(r *Request) { r.ProcList = []int{1, 4} },
+		"scale":      func(r *Request) { r.Scale = "default" },
+		"cacheSizes": func(r *Request) { r.CacheSizes = []int{4 << 10} },
+		"assocs":     func(r *Request) { r.Assocs = []int{1} },
+		"cacheSize":  func(r *Request) { r.CacheSize = 64 << 10 },
+		"lineSizes":  func(r *Request) { r.LineSizes = []int{32} },
+		"opts":       func(r *Request) { r.Opts = map[string]int{"m": 8} },
+		"sampleRate": func(r *Request) { r.SampleRate = 0.5 },
+		"sampleSeed": func(r *Request) { r.SampleSeed = 7 },
+		"keepGoing":  func(r *Request) { r.KeepGoing = true },
+		"timeoutMs":  func(r *Request) { r.TimeoutMillis = 5000 },
+	}
+	if len(change) != len(requestFields)-1 {
+		t.Fatalf("test changes %d fields, the table has %d besides kind", len(change), len(requestFields)-1)
+	}
+	for _, kind := range Kinds() {
+		base := Request{Kind: kind, Apps: []string{"fft"}}
+		for _, f := range requestFields {
+			if f.field == "kind" {
+				continue
+			}
+			changed := base
+			change[f.field](&changed)
+			reads := f.field != "timeoutMs" && (f.kinds == nil || slices.Contains(f.kinds, kind))
+			if got := changed.Key() != base.Key(); got != reads {
+				t.Errorf("%s: changing %s changed the key: %v, want %v", kind, f.field, got, reads)
+			}
+		}
+	}
+}
+
+// TestSetProcList: the plist text form is comma-separated whole numbers,
+// spaces around an entry allowed; Canonical sorts, deduplicates and
+// range-checks what it parsed.
+func TestSetProcList(t *testing.T) {
+	r := Request{Kind: KindSpeedups}
+	if err := r.Set("plist", " 8, 1,2 ,8,4"); err != nil {
+		t.Fatal(err)
+	}
+	cr, err := r.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{1, 2, 4, 8}; !reflect.DeepEqual(cr.ProcList, want) {
+		t.Errorf("procList = %v, want %v", cr.ProcList, want)
+	}
+	for _, bad := range []string{"", "8abc", "1,,2", "1;2"} {
+		if err := r.Set("plist", bad); !errors.Is(err, ErrInvalidRequest) {
+			t.Errorf("Set(plist, %q) = %v, want an invalid request", bad, err)
+		}
+	}
+	for _, bad := range []string{"0", "-2"} {
+		r := Request{Kind: KindSpeedups}
+		if err := r.Set("plist", bad); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Canonical(); !errors.Is(err, ErrInvalidRequest) {
+			t.Errorf("plist %q canonicalized: %v", bad, err)
+		}
+	}
+	if err := r.Set("mode", "live"); !errors.Is(err, ErrInvalidRequest) {
+		t.Errorf("Set(mode) = %v, want an invalid request", err)
 	}
 }
 

@@ -335,15 +335,26 @@ func (tf *Trace) blocks(yield func(events []uint64) error) error {
 	if len(tf.index) == 0 {
 		return nil
 	}
-	// Size the buffer pool to the largest yield, so decode appends never
-	// reallocate mid-stream.
-	capEvents := replayBlockSize
-	for i := range tf.index {
-		capEvents = max(capEvents, tf.index[i].Events)
+	// Size the buffer pool to the largest yield this trace holds, so
+	// decode appends never reallocate mid-stream and a short trace does
+	// not pay for a paper-scale pool: one buffer per yield, up to
+	// decodeAhead+1.
+	total, largest := 0, 0
+	for _, info := range tf.index {
+		total, largest = total+info.Events, max(largest, info.Events)
 	}
+	capEvents := max(largest, min(total, replayBlockSize))
+	yields, n := 0, capEvents
+	for _, info := range tf.index {
+		if n+info.Events > capEvents {
+			yields, n = yields+1, 0
+		}
+		n += info.Events
+	}
+	buffers := min(decodeAhead+1, yields+1)
 	out := make(chan decodedBlock, decodeAhead)
-	free := make(chan []uint64, decodeAhead+1)
-	for i := 0; i < decodeAhead+1; i++ {
+	free := make(chan []uint64, buffers)
+	for i := 0; i < buffers; i++ {
 		free <- make([]uint64, 0, capEvents)
 	}
 	// stop tells the decoder an early consumer exit (yield error)

@@ -126,10 +126,10 @@ type coalescer struct {
 }
 
 // maxRetainedBytes caps the bodies finished flights hold. The memo does
-// not bound them: a request key hashes every field of the canonical
-// request, read by its kind or not (a sampleSeed on a Table 1 request,
-// the order of its apps), so a client can mint distinct keys whose
-// flights the memo serves in milliseconds without adding an entry. Past
+// not bound them: a request key hashes the order of its apps and its
+// keep-going flag, which no job key holds, so a client can mint distinct
+// keys whose flights the memo serves in milliseconds without adding an
+// entry. Past
 // the cap a clean flight is forgotten like a degraded one, and the
 // flights already held keep answering.
 //

@@ -214,15 +214,17 @@ func TestUnfinishedFlightsNotRetained(t *testing.T) {
 	})
 }
 
-// TestFinishedFlightsBounded: distinct keys are cheap to mint — the key
-// hashes a sampleSeed that Table 1 never reads — and each such flight is
-// served from the memo, yet retention stays under its cap. Past the cap a
-// clean flight is forgotten as it finishes, and the flights already held
-// keep answering.
+// TestFinishedFlightsBounded: distinct keys are cheap to mint — the row
+// order of three programs, with and without keep-going, is part of the
+// key but not of the body's length — and each such flight is served from
+// the memo, yet retention stays under its cap. Past the cap a clean
+// flight is forgotten as it finishes, and the flights already held keep
+// answering.
 func TestFinishedFlightsBounded(t *testing.T) {
 	s, ts := newTestServer(t, core.EngineOptions{}, Options{})
-	query := func(seed int) string {
-		return fmt.Sprintf("kind=table1&apps=fft,radix&procs=2&scale=default&sampleSeed=%d", seed)
+	orders := []string{"fft,radix,lu", "fft,lu,radix", "radix,fft,lu", "radix,lu,fft", "lu,fft,radix", "lu,radix,fft"}
+	query := func(k int) string {
+		return fmt.Sprintf("kind=table1&apps=%s&procs=2&scale=default&keepGoing=%d", orders[k%6], k/6)
 	}
 	status, body, _ := fetchExperiment(t, ts.URL, core.Request{}, query(0), "first")
 	if status != http.StatusOK {
@@ -234,13 +236,13 @@ func TestFinishedFlightsBounded(t *testing.T) {
 	s.co.mu.Unlock()
 	executed := s.engine.Counts().Executed
 
-	const keys = 20
-	for seed := 1; seed < keys; seed++ {
-		if status, got, _ := fetchExperiment(t, ts.URL, core.Request{}, query(seed), "flood"); status != http.StatusOK || len(got) != len(body) {
-			t.Fatalf("seed %d = %d with %d body bytes, want 200 with %d", seed, status, len(got), len(body))
+	const keys = 12
+	for k := 1; k < keys; k++ {
+		if status, got, _ := fetchExperiment(t, ts.URL, core.Request{}, query(k), "flood"); status != http.StatusOK || len(got) != len(body) {
+			t.Fatalf("key %d = %d with %d body bytes, want 200 with %d", k, status, len(got), len(body))
 		}
 		if _, size := s.co.retention(); size > limit {
-			t.Fatalf("after seed %d: retainedBytes = %d, over the cap %d", seed, size, limit)
+			t.Fatalf("after key %d: retainedBytes = %d, over the cap %d", k, size, limit)
 		}
 	}
 	if n, _ := s.co.retention(); n != 3 {

@@ -171,8 +171,8 @@ func TestUnknownParametersRejected(t *testing.T) {
 		"scale": "sweep", "cacheSize": "65536", "sampleRate": "0.5",
 		"sampleSeed": "3", "keepGoing": "1", "deadline": "30s", "stream": "1",
 	}
-	if len(allowed) != len(queryFields) {
-		t.Errorf("handler accepts %d query parameters, test covers %d", len(queryFields), len(allowed))
+	if accepted := len(core.QueryNames()) + 1; len(allowed) != accepted { // + stream
+		t.Errorf("handler accepts %d query parameters, test covers %d", accepted, len(allowed))
 	}
 	for name, v := range allowed {
 		q := url.Values{"kind": {"table1"}, "apps": {"fft"}, "procs": {"2"}}
@@ -670,6 +670,44 @@ func TestMetricsEndpoint(t *testing.T) {
 	ep, ok := m.Endpoints["experiments"]
 	if !ok || ep.Count != 2 {
 		t.Errorf("experiments endpoint stats = %+v", ep)
+	}
+}
+
+// TestEquivalentRequestsShareFlight: a field the kind does not read is
+// no part of a request's address. Table 1 posted with and without
+// cacheSizes, or fetched with and without plist, is one ETag, one body
+// and, on /metrics, one flight.
+func TestEquivalentRequestsShareFlight(t *testing.T) {
+	_, ts := newTestServer(t, core.EngineOptions{}, Options{})
+	forms := []struct{ method, query, body string }{
+		{http.MethodPost, "", `{"kind":"table1","apps":["fft"],"procs":2}`},
+		{http.MethodPost, "", `{"kind":"table1","apps":["fft"],"procs":2,"cacheSizes":[4096,8192]}`},
+		{http.MethodGet, "kind=table1&apps=fft&procs=2", ""},
+		{http.MethodGet, "kind=table1&apps=fft&procs=2&plist=1,2", ""},
+	}
+	var first answer
+	for i, f := range forms {
+		a := send(t, ts.URL, f.method, f.query, f.body, nil)
+		if i == 0 {
+			first = a
+		}
+		if a.status != http.StatusOK || a.etag != first.etag || a.body != first.body {
+			t.Errorf("%s %s%s: status %d ETag %s, want 200 and the first form's ETag %s and body",
+				f.method, f.query, f.body, a.status, a.etag, first.etag)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m Metrics
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Coalescing.Flights != 1 {
+		t.Errorf("flights = %d, want 1 for %d equivalent requests", m.Coalescing.Flights, len(forms))
 	}
 }
 

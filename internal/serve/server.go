@@ -6,11 +6,12 @@
 //   - Requests are canonicalized and content-addressed (core.Request.Key),
 //     so the response ETag is known before any work happens. A client
 //     revalidating with If-None-Match gets 304 with zero execution.
-//   - Identical requests coalesce onto a single flight, live or finished
-//     (singleflight keyed by the same hash as the result cache): while it
-//     runs each extra client costs a subscription, not a simulation, and
-//     once it finished cleanly a repeat is answered from the bytes it
-//     rendered, with no engine work at all. A repeat of a request form it
+//   - Equivalent requests (equal in every field their kind reads)
+//     coalesce onto a single flight, live or finished (singleflight
+//     keyed by the same hash as the result cache): while it runs each
+//     extra client costs a subscription, not a simulation, and once it
+//     finished cleanly a repeat is answered from the bytes it rendered,
+//     with no engine work at all. A repeat of a request form it
 //     already answered (the same method, raw query, deadline header and
 //     POST body) is found by those bytes before anything parses them:
 //     one map read, no Canonical and no key hash.
@@ -39,6 +40,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -47,6 +49,7 @@ import (
 
 	"splash2/internal/cli"
 	"splash2/internal/core"
+	"splash2/internal/runner"
 
 	// The daemon serves the full suite; pull in every program's
 	// registration.
@@ -75,10 +78,9 @@ type Server struct {
 	adm    *admission
 	stats  *endpointStats
 
-	baseCtx   context.Context // flights run on this, not on request contexts
-	drain     context.CancelFunc
-	draining  chan struct{} // closed by BeginDrain
-	markDrain func()
+	baseCtx  context.Context // flights run on this, not on request contexts
+	drain    context.CancelFunc
+	draining chan struct{} // closed by BeginDrain
 
 	// deadline504 counts requests answered 504 because their deadline
 	// expired before a result existed (metrics).
@@ -102,7 +104,7 @@ func New(ctx context.Context, engine *core.Engine, o Options) *Server {
 		ctx = context.Background()
 	}
 	flightCtx, cancel := context.WithCancel(ctx)
-	s := &Server{
+	return &Server{
 		engine:   engine,
 		co:       newCoalescer(engine, o.MaxInflight, o.MaxQueue),
 		adm:      newAdmission(o.PerClient),
@@ -111,7 +113,6 @@ func New(ctx context.Context, engine *core.Engine, o Options) *Server {
 		drain:    cancel,
 		draining: make(chan struct{}),
 	}
-	return s
 }
 
 // Handler returns the route table.
@@ -445,23 +446,19 @@ func (s *Server) streamFlight(w http.ResponseWriter, r *http.Request, f *flight)
 		http.Error(w, "splashd: transport cannot stream", http.StatusNotImplemented)
 		return
 	}
+	progress := func(ev runner.ProgressEvent) {
+		data, _ := json.Marshal(ev)
+		sse.event("progress", data)
+	}
 	for {
 		select {
 		case ev := <-events:
-			data, _ := json.Marshal(ev)
-			sse.event("progress", data)
+			progress(ev)
 		case <-f.done:
 			// Drain events buffered before completion so clients see the
 			// full progress record.
-			for {
-				select {
-				case ev := <-events:
-					data, _ := json.Marshal(ev)
-					sse.event("progress", data)
-					continue
-				default:
-				}
-				break
+			for len(events) > 0 {
+				progress(<-events)
 			}
 			if f.err != nil {
 				sse.event("error", []byte(f.err.Error()))
@@ -497,43 +494,6 @@ func etagMatch(header, etag string) bool {
 	return false
 }
 
-// queryFields maps each name a GET request may carry to its parser
-// into the request; an empty value leaves the field unset. The keys are
-// the accepted names: like unknown POST fields, anything else is
-// rejected rather than silently answered with defaults. Canonical then
-// validates the request a query describes exactly as it validates a
-// body.
-var queryFields = map[string]func(req *core.Request, v string) error{
-	"kind":      func(req *core.Request, v string) error { req.Kind = v; return nil },
-	"apps":      func(req *core.Request, v string) error { req.Apps = strings.Split(v, ","); return nil },
-	"scale":     func(req *core.Request, v string) error { req.Scale = v; return nil },
-	"procs":     func(req *core.Request, v string) (err error) { req.Procs, err = strconv.Atoi(v); return err },
-	"plist":     func(req *core.Request, v string) (err error) { req.ProcList, err = cli.ParseProcList(v); return err },
-	"cacheSize": func(req *core.Request, v string) (err error) { req.CacheSize, err = strconv.Atoi(v); return err },
-	"sampleRate": func(req *core.Request, v string) (err error) {
-		req.SampleRate, err = strconv.ParseFloat(v, 64)
-		return err
-	},
-	"sampleSeed": func(req *core.Request, v string) (err error) {
-		req.SampleSeed, err = strconv.ParseUint(v, 10, 64)
-		return err
-	},
-	"keepGoing": func(req *core.Request, v string) error { req.KeepGoing = v == "1" || v == "true"; return nil },
-	"deadline":  setDeadline,
-	"stream":    func(*core.Request, string) error { return nil }, // read by handleExperiments
-}
-
-// setDeadline parses a request deadline given as a Go duration ("30s",
-// "2m"): the deadline query parameter or the X-Splashd-Deadline header.
-func setDeadline(req *core.Request, v string) error {
-	d, err := time.ParseDuration(v)
-	if err == nil && d < 0 {
-		err = errors.New("negative deadline")
-	}
-	req.TimeoutMillis = d.Milliseconds()
-	return err
-}
-
 // badBody is the 400 error for a POST body that cannot be read or
 // decoded.
 func badBody(err error) error { return fmt.Errorf("bad request body: %v", err) }
@@ -542,7 +502,11 @@ func badBody(err error) error { return fmt.Errorf("bad request body: %v", err) }
 // up to maxBodyBytes, or the GET query parameters q, then applies the
 // X-Splashd-Deadline header. The header wins over a body or query
 // deadline: it is the transport-level knob a proxy or impatient client
-// sets without rewriting the spec.
+// sets without rewriting the spec. A query names fields by their
+// core.QueryNames, parsed by core's request table, plus stream, which
+// handleExperiments reads; like an unknown POST field, any other name is
+// rejected rather than silently answered with defaults, and an empty
+// value leaves its field unset.
 func parseRequest(r *http.Request, q url.Values, body []byte) (core.Request, error) {
 	var req core.Request
 	if r.Method == http.MethodPost {
@@ -552,34 +516,26 @@ func parseRequest(r *http.Request, q url.Values, body []byte) (core.Request, err
 			return req, badBody(err)
 		}
 	} else {
-		var names, unknown, repeated []string
+		names := make([]string, 0, len(q))
 		for name := range q {
 			names = append(names, name)
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			switch {
-			case queryFields[name] == nil:
-				unknown = append(unknown, strconv.Quote(name))
-			case len(q[name]) > 1:
-				repeated = append(repeated, strconv.Quote(name))
-			}
-		}
-		if len(unknown) > 0 {
-			return req, fmt.Errorf("unknown query parameter %s", strings.Join(unknown, ", "))
-		}
-		// One value per name: with two, q.Get would silently pick the
-		// first.
-		if len(repeated) > 0 {
-			return req, fmt.Errorf("query parameter %s given more than once", strings.Join(repeated, ", "))
-		}
-		for _, name := range names {
-			if v := q.Get(name); v != "" && queryFields[name](&req, v) != nil {
-				return req, fmt.Errorf("bad %s %q", name, v)
+			switch v := q[name]; {
+			case name != "stream" && !slices.Contains(core.QueryNames(), name):
+				return req, fmt.Errorf("unknown query parameter %q", name)
+			case len(v) > 1:
+				// One value per name: with two, one would silently win.
+				return req, fmt.Errorf("query parameter %q given more than once", name)
+			case name != "stream" && v[0] != "":
+				if err := req.Set(name, v[0]); err != nil {
+					return req, err
+				}
 			}
 		}
 	}
-	if v := r.Header.Get(headerDeadline); v != "" && setDeadline(&req, v) != nil {
+	if v := r.Header.Get(headerDeadline); v != "" && req.Set("deadline", v) != nil {
 		return req, fmt.Errorf("bad %s %q", headerDeadline, v)
 	}
 	return req, nil
