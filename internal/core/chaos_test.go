@@ -56,6 +56,7 @@ func chaosClean(t *testing.T) *Results {
 			chaosBaseline.err = err
 			return
 		}
+		defer e.Close()
 		chaosBaseline.res, chaosBaseline.err = e.CollectResults(engineTestOptions())
 	})
 	if chaosBaseline.err != nil {
@@ -300,6 +301,7 @@ func TestChaosFailFast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer e.Close()
 	_, err = e.CollectResults(engineTestOptions())
 	if err == nil {
 		t.Fatal("fail-fast run with an injected panic reported success")

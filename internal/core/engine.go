@@ -38,7 +38,7 @@ type Engine struct {
 	// CollectResults; Do takes both from its call.
 	ctx       context.Context
 	keepGoing bool
-	spillDir  string // non-empty: record jobs spill v2 traces here
+	spillDir  string // where recordings live as v2 containers (spill.go)
 	// privateSpill is the spill directory an uncached engine made for
 	// itself; Close removes it.
 	privateSpill string
@@ -50,10 +50,14 @@ type EngineOptions struct {
 	// Workers is the experiment-level parallelism; ≤ 0 selects
 	// runtime.GOMAXPROCS(0).
 	Workers int
-	// CacheDir roots the on-disk result cache and the durable run
-	// journal: each engine run appends its job lifecycle to
+	// CacheDir roots the on-disk result cache, the durable run journal
+	// and the recordings: each engine run appends its job lifecycle to
 	// CacheDir/journal/<runID>.jsonl, the crash-forensics record that
-	// `characterize -resume` reads back. Empty disables both.
+	// `characterize -resume` reads back, and keeps each recording as a
+	// verified v2 container under CacheDir/traces, reused across
+	// processes. Empty disables the cache and the journal, and the
+	// engine keeps its recordings in a private temporary directory that
+	// Close removes.
 	CacheDir string
 	// Progress receives live job-completion lines; nil disables them.
 	Progress io.Writer
@@ -72,15 +76,6 @@ type EngineOptions struct {
 	// execution and cache I/O; nil disables injection.
 	Fault *fault.Injector
 
-	// SpillTraces makes record jobs write each recording's v2 bytes to
-	// an on-disk container and replay it from the file, instead of
-	// holding the bytes in memory while the recording is memoized.
-	// Spilled traces are content-addressed under CacheDir/traces and
-	// reused across processes after an integrity check. Without a cache
-	// directory the engine spills into a private temporary directory
-	// that Close removes, so nothing is shared.
-	SpillTraces bool
-
 	// LeaseTTL configures cross-process work leases on the cache (on by
 	// default whenever CacheDir is set): 0 selects the default TTL,
 	// negative disables leases. Leases coalesce expensive jobs across
@@ -95,6 +90,7 @@ type EngineOptions struct {
 func NewEngine(o EngineOptions) (*Engine, error) {
 	var cache *runner.Cache
 	var journal *runner.Journal
+	var spillDir, privateSpill string
 	if o.CacheDir != "" {
 		c, err := runner.OpenCache(o.CacheDir)
 		if err != nil {
@@ -111,25 +107,21 @@ func NewEngine(o EngineOptions) (*Engine, error) {
 		}
 		j.SetFault(o.Fault)
 		journal = j
-	}
-	ctx := o.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	var spillDir, privateSpill string
-	switch {
-	case o.SpillTraces && o.CacheDir != "":
 		spillDir = filepath.Join(o.CacheDir, "traces")
 		if err := os.MkdirAll(spillDir, 0o777); err != nil {
 			return nil, fmt.Errorf("core: opening trace spill directory: %w", err)
 		}
 		sweepSpillOrphans(spillDir, spillOrphanAge)
-	case o.SpillTraces:
+	} else {
 		dir, err := os.MkdirTemp("", "splash2-spill-")
 		if err != nil {
 			return nil, fmt.Errorf("core: opening trace spill directory: %w", err)
 		}
 		spillDir, privateSpill = dir, dir
+	}
+	ctx := o.Context
+	if ctx == nil {
+		ctx = context.Background()
 	}
 	return &Engine{
 		spillDir:     spillDir,

@@ -147,6 +147,7 @@ func TestTraceSharedAcrossSweeps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer e.Close()
 	req := Request{Kind: KindWorkingSets, Apps: []string{"fft"}, Procs: 4, CacheSizes: []int{16 << 10}}
 	if _, err := e.Do(context.Background(), req, nil); err != nil {
 		t.Fatal(err)

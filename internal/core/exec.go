@@ -50,7 +50,7 @@ type pointKey struct {
 // execIdent is the cache identity of one execution: the program point
 // and, in canonical order, every memory configuration it fed. Whether
 // the recorder rode along is not part of it — the trace never enters the
-// cache.
+// result cache.
 type execIdent struct {
 	App      string          `json:"app"`
 	Procs    int             `json:"procs"`
@@ -63,11 +63,10 @@ type execIdent struct {
 // picks themselves, and — once wait submits it — the exec job feeding
 // them.
 type execPoint struct {
-	id     execIdent
-	record bool
-	spill  string // with trace spilling on, the record pick's key
-	picks  []runner.Handle
-	job    runner.Job[*execution]
+	id    execIdent
+	spill string // the record pick's key: non-empty, the execution fills its container
+	picks []runner.Handle
+	job   runner.Job[*execution]
 }
 
 // newBatch starts req's graph, run under ctx, keeping going past failures
@@ -138,52 +137,34 @@ func (b *batch) countRuns(req Request, procs int) []runner.Job[*RunResult] {
 	return jobs
 }
 
-// recordJob submits a trace pick (kind "record"): lazy — it runs only
+// recordJob submits a trace pick (kind "recordv2"): lazy — it runs only
 // when an uncached replay demands the trace — and never written to the
-// disk cache (traces are large; replay results are cached instead),
-// though memoized in memory so the Figure-3 and Figure-7/8 sweeps share
-// one trace per program. It takes the trace its point's execution
-// recorded; an execution served from the cache, from another process's
-// lease or from an earlier graph carries none, and the pick records on
-// its own. With trace spilling on (kind "recordv2") only where the bytes
-// live changes: the execution spills them (see wait), and a pick that
-// must record serves an earlier run's verified container if it can.
+// result cache (traces are large; replay results are cached instead),
+// though memoized so the Figure-3 and Figure-7/8 sweeps share one trace
+// per program. It serves the verified container its point's execution
+// wrote (spill.go); an execution served from the cache, from another
+// process's lease or from an earlier graph wrote none, and the pick
+// serves an earlier run's container or records on its own.
 func (b *batch) recordJob(id traceIdent) runner.Job[*memsys.Trace] {
-	e := b.e
-	kind := "record"
-	if e.spillDir != "" {
-		kind = "recordv2"
-	}
-	key := runner.KeyOf(kind, id)
+	key := runner.KeyOf("recordv2", id)
 	var pt *execPoint // as in runJob
 	j := runner.Submit(b.g, runner.Spec{
-		Label:   fmt.Sprintf("%s %s p=%d", kind, id.App, id.Procs),
+		Label:   fmt.Sprintf("recordv2 %s p=%d", id.App, id.Procs),
 		Key:     key,
 		Lazy:    true,
 		NoStore: true,
 	}, func(ctx context.Context) (*memsys.Trace, error) {
-		x, err := pt.job.Result()
-		if err != nil {
+		if _, err := pt.job.Result(); err != nil {
 			return nil, err
 		}
-		if tr := x.trace.Swap(nil); tr != nil {
-			return tr, nil
-		}
-		record := func() (*memsys.Trace, error) {
+		return b.e.spill(key.String(), func() (*memsys.Trace, error) {
 			tr, _, err := RecordApp(id.App, id.Procs, id.Opts)
 			return tr, err
-		}
-		if e.spillDir != "" {
-			return e.spill(key.String(), record)
-		}
-		return record()
+		})
 	})
 	if !j.Done() {
 		pt = b.point(id.App, mach.Config{Procs: id.Procs, MemModel: mach.CountOnly}, id.Opts)
-		pt.record = true
-		if e.spillDir != "" {
-			pt.spill = key.String()
-		}
+		pt.spill = key.String()
 		pt.picks = append(pt.picks, j)
 	}
 	return j
@@ -191,11 +172,11 @@ func (b *batch) recordJob(id traceIdent) runner.Job[*memsys.Trace] {
 
 // wait completes the plan — one lazy, stored and leased exec job per
 // point that has pending picks, each pick depending on it — and runs the
-// graph. With trace spilling on, an execution spills its recording
-// before it returns: a pick waits for a worker behind every execution
-// already queued, and the recordings would pile up in memory meanwhile.
-// Afterwards wait drops any trace no pick took (its replays were served
-// from the cache), so memoized executions never pin one.
+// graph. An execution whose point has a record pick records, unless a
+// verified container of an earlier run is already there, and writes the
+// recording to its container before it returns, dropping the bytes: a
+// pick waits for a worker behind every execution already queued, and
+// the recordings would pile up in memory meanwhile.
 func (b *batch) wait() error {
 	for _, pt := range b.order {
 		if len(pt.picks) == 0 {
@@ -203,41 +184,29 @@ func (b *batch) wait() error {
 		}
 		slices.SortFunc(pt.id.Taps, compareConfigs)
 		pt.id.Taps = slices.Compact(pt.id.Taps)
-		id, record, spill := pt.id, pt.record, pt.spill
+		id, spill := pt.id, pt.spill
 		pt.job = runner.Submit(b.g, runner.Spec{
-			Label: execLabel(id, record),
+			Label: execLabel(id, spill != ""),
 			Key:   runner.KeyOf("exec", id),
 			Lazy:  true,
 		}, func(ctx context.Context) (*execution, error) {
+			record := spill != "" && !b.e.spilled(spill)
 			x, _, err := execute(id.App, mach.Config{Procs: id.Procs, LineSize: id.LineSize, MemModel: mach.CountOnly}, id.Opts, id.Taps, record)
-			if err != nil || spill == "" {
-				return x, err
-			}
-			tr, err := b.e.spill(spill, func() (*memsys.Trace, error) {
-				return x.trace.Load(), nil
-			})
 			if err != nil {
 				return nil, err
 			}
-			x.trace.Store(tr)
+			if record {
+				if err := b.e.writeSpilled(spill, x.trace.Swap(nil)); err != nil {
+					return nil, err
+				}
+			}
 			return x, nil
 		})
 		for _, p := range pt.picks {
 			b.g.Depend(p, pt.job)
 		}
 	}
-	err := b.g.Wait(b.ctx)
-	for _, pt := range b.order {
-		if !pt.record {
-			continue
-		}
-		if x, xerr := pt.job.Result(); xerr == nil {
-			if tr := x.trace.Swap(nil); tr != nil {
-				tr.Close()
-			}
-		}
-	}
-	return err
+	return b.g.Wait(b.ctx)
 }
 
 // compareConfigs orders memory configurations canonically for exec keys.

@@ -42,6 +42,7 @@ func TestCollectResultsComplete(t *testing.T) {
 // derived from the four-way curves alone.
 func TestCollectResultsAllAssocs(t *testing.T) {
 	e, _ := NewEngine(EngineOptions{Workers: 2})
+	defer e.Close()
 	o := ReportOptions{
 		Apps: []string{"lu", "radix"}, Procs: 4, ProcList: []int{1, 4}, Scale: SweepScale,
 		CacheSizes: []int{16 << 10, 1 << 20}, LineSizes: []int{64},

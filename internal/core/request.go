@@ -234,10 +234,18 @@ func orDefault[T any](s, def []T) []T {
 	return s
 }
 
+// checkLen caps a list field at maxReqListPoints entries.
+func checkLen(field string, n int) error {
+	if n > maxReqListPoints {
+		return invalid("%s has %d points (max %d)", field, n, maxReqListPoints)
+	}
+	return nil
+}
+
 // checkSizes validates a list field of power-of-two byte sizes in [lo, hi].
 func checkSizes(field, what string, sizes []int, lo, hi int) error {
-	if len(sizes) > maxReqListPoints {
-		return invalid("%s has %d points (max %d)", field, len(sizes), maxReqListPoints)
+	if err := checkLen(field, len(sizes)); err != nil {
+		return err
 	}
 	for _, v := range sizes {
 		if !isPow2(v) || v < lo || v > hi {
@@ -285,8 +293,8 @@ func (r Request) Canonical() (Request, error) {
 		return r, invalid("procs %d out of range [1, %d]", r.Procs, maxReqProcs)
 	}
 	r.ProcList = orDefault(r.ProcList, []int{1, 2, 4, 8, 16, 32})
-	if len(r.ProcList) > maxReqListPoints {
-		return r, invalid("procList has %d points (max %d)", len(r.ProcList), maxReqListPoints)
+	if err := checkLen("procList", len(r.ProcList)); err != nil {
+		return r, err
 	}
 	for _, p := range r.ProcList {
 		if p < 1 || p > maxReqProcs {
@@ -311,6 +319,9 @@ func (r Request) Canonical() (Request, error) {
 		return r, err
 	}
 	r.Assocs = orDefault(r.Assocs, []int{4})
+	if err := checkLen("assocs", len(r.Assocs)); err != nil {
+		return r, err
+	}
 	for _, a := range r.Assocs {
 		if a != 0 && (!isPow2(a) || a > 64) {
 			return r, invalid("associativity %d not 0 (full) or a power of two ≤ 64", a)

@@ -78,6 +78,7 @@ func TestRequestCanonicalRejects(t *testing.T) {
 		{"cache npo2", Request{Kind: KindTraffic, CacheSize: 3000}, "power of two"},
 		{"line huge", Request{Kind: KindLineSize, LineSizes: []int{1 << 20}}, "power of two"},
 		{"assoc npo2", Request{Kind: KindWorkingSets, Assocs: []int{3}}, "associativity"},
+		{"assocs long", Request{Kind: KindWorkingSets, Assocs: make([]int, maxReqListPoints+1)}, "assocs has"},
 		{"opts multi-app", Request{Kind: KindTraffic, Opts: map[string]int{"m": 8}}, "single-app"},
 		{"rate high", Request{Kind: KindWorkingSetsSampled, SampleRate: 2}, "sample rate"},
 		{"rate NaN", Request{Kind: KindWorkingSetsSampled, SampleRate: math.NaN()}, "sample rate"},
@@ -226,6 +227,7 @@ func TestParseNamesRoundTrip(t *testing.T) {
 // what lets splashd answer any kind with the bytes the CLI would print.
 func TestEngineDoMatchesDirectCalls(t *testing.T) {
 	e, _ := NewEngine(EngineOptions{Workers: 4})
+	defer e.Close()
 	req := Request{
 		Apps: []string{"fft", "lu"}, Procs: 4, ProcList: []int{1, 4},
 		CacheSizes: []int{16 << 10, 64 << 10}, LineSizes: []int{32, 64},
@@ -265,6 +267,7 @@ func TestEngineDoMatchesDirectCalls(t *testing.T) {
 // runs of every kind, results included, through one override function.
 func TestRequestOptsReachEverySection(t *testing.T) {
 	e, _ := NewEngine(EngineOptions{Workers: 2})
+	defer e.Close()
 	req := Request{
 		Kind: KindTable1, Apps: []string{"fft"}, Procs: 4, ProcList: []int{1, 4},
 		CacheSizes: []int{16 << 10}, LineSizes: []int{64},
@@ -302,6 +305,7 @@ func TestRequestOptsReachEverySection(t *testing.T) {
 
 func TestEngineDoWorkingSetsFillsTable2(t *testing.T) {
 	e, _ := NewEngine(EngineOptions{Workers: 4})
+	defer e.Close()
 	res, err := e.Do(context.Background(), Request{
 		Kind: KindWorkingSets, Apps: []string{"radix"}, Procs: 4,
 		CacheSizes: []int{1 << 10, 1 << 12, 1 << 14}, Scale: "default",
@@ -319,6 +323,7 @@ func TestEngineDoWorkingSetsFillsTable2(t *testing.T) {
 
 func TestEngineDoProgressAndScoping(t *testing.T) {
 	e, _ := NewEngine(EngineOptions{Workers: 4})
+	defer e.Close()
 	var mu sync.Mutex
 	var events []runner.ProgressEvent
 	sink := func(ev runner.ProgressEvent) {
@@ -351,6 +356,7 @@ func TestEngineDoKeepGoingManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	e, _ := NewEngine(EngineOptions{Workers: 4, Fault: fault.New(1, rules...)})
+	defer e.Close()
 	res, err := e.Do(context.Background(), Request{
 		Kind: KindTable1, Apps: []string{"fft", "radix"}, Procs: 2,
 		Scale: "default", KeepGoing: true,
@@ -434,6 +440,7 @@ func TestRootEngineManifestPerRun(t *testing.T) {
 
 func TestEngineDoContextCancel(t *testing.T) {
 	e, _ := NewEngine(EngineOptions{Workers: 2})
+	defer e.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := e.Do(ctx, Request{Kind: KindTable1, Apps: []string{"fft"}, Procs: 2, Scale: "default"}, nil); !errors.Is(err, context.Canceled) {

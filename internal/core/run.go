@@ -136,8 +136,9 @@ func RecordApp(app string, procs int, over map[string]int) (*memsys.Trace, mach.
 type execution struct {
 	Stats mach.Stats     `json:"stats"`
 	Taps  []memsys.Stats `json:"taps"`
-	// trace is handed off once: the engine's record pick takes it, so
-	// a memoized execution does not pin the stream in memory.
+	// trace is the recording, when execute records. The engine's exec
+	// job moves it to its container (exec.go), so a memoized execution
+	// never holds one.
 	trace atomic.Pointer[memsys.Trace]
 }
 

@@ -132,6 +132,7 @@ func TestWorkingSetsSampledEngine(t *testing.T) {
 	}
 
 	e, _ := NewEngine(EngineOptions{Workers: 1})
+	defer e.Close()
 	for _, rate := range []float64{-0.5, 1.5, math.NaN()} {
 		req.Kind, req.SampleRate = KindWorkingSetsSampled, rate
 		if _, err := e.Do(context.Background(), req, nil); !errors.Is(err, ErrInvalidRequest) {

@@ -14,20 +14,19 @@ import (
 	"splash2/internal/memsys"
 )
 
-// Trace spilling: a recording is its v2 bytes, and with
-// EngineOptions.SpillTraces those bytes go to an on-disk container as
-// soon as the execution that recorded them finishes; the record pick
-// hands its consumers a memsys.Trace over the file instead of over
-// memory. Replay jobs (Figure 3, Figure 7–8) stream block by block
-// either way, so spilling only decides whether a memoized recording
-// holds its encoded bytes in memory while its sweeps run.
+// Trace spilling: a recording is its v2 bytes, and those bytes go to an
+// on-disk container as soon as the execution that recorded them
+// finishes; the record pick hands its consumers a memsys.Trace over the
+// file, so a memoized recording never holds its bytes in memory while
+// its sweeps run. Replay jobs (Figure 3, Figure 7–8) stream the file
+// block by block.
 //
-// Spilled containers are content-addressed by the trace identity (the
-// same key space as every derived replay, SuiteVersion included), so a
-// later process on the same cache directory reuses a spilled trace the
-// way it reuses cached replay results; an uncached engine spills into a
-// private directory that lives as long as it does. A reused file must be *verified*, not trusted: a sidecar
-// JSON carries the recording run's counters plus the container's
+// Containers are content-addressed by the trace identity (the same key
+// space as every derived replay, SuiteVersion included), so a later
+// process on the same cache directory reuses a container the way it
+// reuses cached replay results; an uncached engine spills into a
+// private directory that lives as long as it does. A reused file must
+// be *verified*, not trusted: a sidecar JSON carries the container's
 // SHA-256, and a reader that finds a mismatched hash (concurrent writer,
 // torn update, corruption) re-records instead of replaying the wrong
 // bytes.
@@ -95,47 +94,48 @@ func (e *Engine) spillPaths(key string) (trace, sidecar string) {
 	return base + ".sp2t", base + ".sp2t.json"
 }
 
-// loadSpilled opens a previously spilled container after verifying its
-// sidecar hash. Any inconsistency — missing files, corrupt JSON, hash
-// mismatch, unreadable container — reads as a miss, never an error:
-// spilling must degrade to re-recording.
-func (e *Engine) loadSpilled(key string) (*memsys.Trace, bool) {
+// spilled reports whether key's container is on disk and matches the
+// SHA-256 its sidecar states. Any inconsistency — missing files, corrupt
+// JSON, hash mismatch — reads as false, never an error: spilling must
+// degrade to re-recording.
+func (e *Engine) spilled(key string) bool {
 	tracePath, sidecarPath := e.spillPaths(key)
 	raw, err := os.ReadFile(sidecarPath)
 	if err != nil {
-		return nil, false
+		return false
 	}
 	var sc spillSidecar
 	if err := json.Unmarshal(raw, &sc); err != nil {
-		return nil, false
+		return false
 	}
 	f, err := os.Open(tracePath)
 	if err != nil {
-		return nil, false
+		return false
 	}
+	defer f.Close()
 	h := sha256.New()
 	if _, err := io.Copy(h, f); err != nil {
-		f.Close()
-		return nil, false
+		return false
 	}
-	f.Close()
-	if hex.EncodeToString(h.Sum(nil)) != sc.TraceSum {
-		return nil, false
-	}
-	tf, err := memsys.OpenTraceFile(tracePath, e.fault)
-	if err != nil {
-		return nil, false
-	}
-	return tf, true
+	return hex.EncodeToString(h.Sum(nil)) == sc.TraceSum
 }
 
-// spill serves the verified container of key if an earlier run left
-// one. Otherwise it writes the v2 bytes of the recording record returns
-// and their SHA-256 to the container and sidecar paths of key,
-// atomically (tmp + rename, container first so a sidecar never
-// describes a missing file), and serves a Trace over the file, so the
-// recording leaves memory. The container never enters the result
-// cache; it is the cached artifact.
+// loadSpilled opens key's container once spilled has verified it; an
+// unreadable container reads as a miss too.
+func (e *Engine) loadSpilled(key string) (*memsys.Trace, bool) {
+	if !e.spilled(key) {
+		return nil, false
+	}
+	tracePath, _ := e.spillPaths(key)
+	tf, err := memsys.OpenTraceFile(tracePath, e.fault)
+	return tf, err == nil
+}
+
+// spill serves key's verified container: the one its execution wrote
+// (exec.go), or an earlier run's. Failing that, it writes the recording
+// record returns and serves a Trace over the file, so the recording
+// leaves memory. The container never enters the result cache; it is the
+// cached artifact.
 func (e *Engine) spill(key string, record func() (*memsys.Trace, error)) (*memsys.Trace, error) {
 	if out, ok := e.loadSpilled(key); ok {
 		return out, nil
@@ -156,7 +156,9 @@ func (e *Engine) spill(key string, record func() (*memsys.Trace, error)) (*memsy
 	return out, nil
 }
 
-// writeSpilled writes the container and sidecar of tr.
+// writeSpilled writes the v2 bytes of tr and their SHA-256 to the
+// container and sidecar paths of key, atomically (tmp + rename,
+// container first so a sidecar never describes a missing file).
 func (e *Engine) writeSpilled(key string, tr *memsys.Trace) error {
 	tracePath, sidecarPath := e.spillPaths(key)
 	h := sha256.New()

@@ -22,9 +22,10 @@ func spillGlob(t *testing.T, dir string) []string {
 }
 
 // TestSpillTracesMatchInMemory is the spilling equivalence invariant: a
-// characterization whose record jobs stream to on-disk v2 containers and
-// replay out of core must be deep-equal to the all-in-memory run, and
-// the containers must actually exist on disk.
+// characterization whose recordings live in a cache directory's v2
+// containers must be deep-equal to an uncached engine's, whose
+// recordings live in its private directory, and the containers must
+// actually exist on disk.
 func TestSpillTracesMatchInMemory(t *testing.T) {
 	o := engineTestOptions()
 	base, err := CollectResults(o)
@@ -33,7 +34,7 @@ func TestSpillTracesMatchInMemory(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	e, err := NewEngine(EngineOptions{Workers: 4, CacheDir: dir, SpillTraces: true})
+	e, err := NewEngine(EngineOptions{Workers: 4, CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,13 +50,13 @@ func TestSpillTracesMatchInMemory(t *testing.T) {
 	}
 }
 
-// TestUncachedSpillIsPrivate: an engine that spills without a cache
-// directory spills into a directory of its own, which no other engine
+// TestUncachedSpillIsPrivate: an engine without a cache directory
+// spills into a directory of its own, which no other engine
 // shares, and the engine's Close removes it with every container in it.
 func TestUncachedSpillIsPrivate(t *testing.T) {
 	var dirs []string
 	for range 2 {
-		e, err := NewEngine(EngineOptions{Workers: 2, SpillTraces: true})
+		e, err := NewEngine(EngineOptions{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +74,7 @@ func TestUncachedSpillIsPrivate(t *testing.T) {
 		t.Fatalf("two uncached engines share spill directory %s", dirs[0])
 	}
 
-	e, err := NewEngine(EngineOptions{Workers: 2, SpillTraces: true})
+	e, err := NewEngine(EngineOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestSpillReuseAndCorruptionFallback(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	first, err := NewEngine(EngineOptions{Workers: 4, CacheDir: dir, SpillTraces: true})
+	first, err := NewEngine(EngineOptions{Workers: 4, CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestSpillReuseAndCorruptionFallback(t *testing.T) {
 		}
 	}
 	dropResultCache()
-	second, err := NewEngine(EngineOptions{Workers: 4, CacheDir: dir, SpillTraces: true})
+	second, err := NewEngine(EngineOptions{Workers: 4, CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestSpillReuseAndCorruptionFallback(t *testing.T) {
 		}
 	}
 	dropResultCache()
-	third, err := NewEngine(EngineOptions{Workers: 4, CacheDir: dir, SpillTraces: true})
+	third, err := NewEngine(EngineOptions{Workers: 4, CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,8 +190,7 @@ func TestSpillReuseAndCorruptionFallback(t *testing.T) {
 // TestChaosSpilledTraceFaults drives spilled characterizations through
 // faults on the trace-read points ("trace.read", "trace.read.footer",
 // "trace.read.block:<i>"). Open- and footer-level faults strike inside
-// loadSpilled, which must degrade to the recording in memory — zero
-// failures.
+// loadSpilled, which must degrade to re-recording — zero failures.
 // Block-level faults strike mid-replay inside sweep jobs, so keep-going
 // loses those experiments; either way every surviving row must be
 // byte-identical to the fault-free run.
@@ -221,11 +221,10 @@ func TestChaosSpilledTraceFaults(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/seed=%d", tc.name, seed), func(t *testing.T) {
 				inj := fault.New(seed, tc.rule)
 				e, err := NewEngine(EngineOptions{
-					Workers:     4,
-					CacheDir:    t.TempDir(),
-					SpillTraces: true,
-					KeepGoing:   true,
-					Fault:       inj,
+					Workers:   4,
+					CacheDir:  t.TempDir(),
+					KeepGoing: true,
+					Fault:     inj,
 				})
 				if err != nil {
 					t.Fatal(err)

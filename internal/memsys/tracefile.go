@@ -226,7 +226,34 @@ func (tf *Trace) Index() []BlockInfo {
 type blockReader struct {
 	tf      *Trace
 	raw     []byte
+	rawOff  int64 // offset of raw[0] in the container
 	maxAddr Addr
+	// ahead > 0 makes a read fetch up to ahead bytes and serve the
+	// following blocks from them. A streaming pass reads blocks in
+	// container order, so from a file it costs one ReadAt per ahead
+	// bytes instead of a system call per block (about 1 KB).
+	ahead int
+}
+
+// streamAhead is a streaming pass's read size.
+const streamAhead = 64 << 10
+
+// read returns the size bytes at off, from raw when an earlier read
+// fetched them.
+func (br *blockReader) read(off int64, size int) ([]byte, error) {
+	if off >= br.rawOff && off+int64(size) <= br.rawOff+int64(len(br.raw)) {
+		return br.raw[off-br.rawOff:][:size], nil
+	}
+	n := max(size, min(br.ahead, int(br.tf.footerOff-off)))
+	if cap(br.raw) < n {
+		br.raw = make([]byte, n)
+	}
+	br.raw, br.rawOff = br.raw[:n], off
+	if _, err := br.tf.r.ReadAt(br.raw, off); err != nil {
+		br.raw = br.raw[:0]
+		return nil, err
+	}
+	return br.raw[:size], nil
 }
 
 // decode reads and decodes block i, appending its packed events to dst.
@@ -238,11 +265,8 @@ func (br *blockReader) decode(i int, dst []uint64) ([]uint64, error) {
 	if err := tf.inj.Do(context.Background(), "trace.read.block:"+strconv.Itoa(i)); err != nil {
 		return dst, err
 	}
-	if cap(br.raw) < int(info.Size) {
-		br.raw = make([]byte, info.Size)
-	}
-	buf := br.raw[:info.Size]
-	if _, err := tf.r.ReadAt(buf, info.Offset); err != nil {
+	buf, err := br.read(info.Offset, int(info.Size))
+	if err != nil {
 		return dst, fmt.Errorf("memsys: trace truncated reading block %d (%d bytes at offset %d): %w", i, info.Size, info.Offset, err)
 	}
 	buf = tf.inj.Data("trace.read.block:"+strconv.Itoa(i), buf)
@@ -371,7 +395,7 @@ func (tf *Trace) blocks(yield func(events []uint64) error) error {
 				return false
 			}
 		}
-		br := blockReader{tf: tf}
+		br := blockReader{tf: tf, ahead: streamAhead}
 		var buf []uint64
 		for i, info := range tf.index {
 			if buf != nil && len(buf)+info.Events > cap(buf) {

@@ -53,7 +53,7 @@ func (w *windowedFile) holds(info BlockInfo) bool {
 // does, so a parallel pass meets its workers once per yield, not once
 // per recorded block.
 func (w *windowedFile) blocks(yield func(events []uint64) error) error {
-	br := blockReader{tf: w.tf}
+	br := blockReader{tf: w.tf, ahead: streamAhead}
 	events := make([]uint64, 0, min(replayBlockSize, w.meta.Len()))
 	for i, info := range w.tf.index {
 		if !w.holds(info) {

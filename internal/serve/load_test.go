@@ -122,6 +122,7 @@ func TestLoadCoalescedSweeps(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := cold.Do(context.Background(), shape, nil)
+		cold.Close()
 		if err != nil {
 			t.Fatalf("cold shape %d: %v", i, err)
 		}

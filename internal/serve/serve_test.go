@@ -30,6 +30,7 @@ func newTestServer(t *testing.T, eo core.EngineOptions, so Options) (*Server, *h
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { engine.Close() })
 	s := New(context.Background(), engine, so)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
