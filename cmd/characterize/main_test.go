@@ -31,6 +31,38 @@ func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errb.String()
 }
 
+// TestWarmRerunMatchesCold: a sweep-scale JSON export rerun on the cache
+// directory its cold run filled prints the same bytes and executes
+// nothing. The JSON export carries fields the text report never prints,
+// so a stored form that dropped or bent one shows here.
+func TestWarmRerunMatchesCold(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the sweep report takes seconds")
+	}
+	args := []string{"-scale", "sweep", "-format", "json", "-progress", "-cache-dir", t.TempDir()}
+	code, cold, stderr := runCLI(t, args...)
+	if code != exitOK {
+		t.Fatalf("cold run exited %d: %s", code, stderr)
+	}
+	code, warm, stderr := runCLI(t, args...)
+	if code != exitOK {
+		t.Fatalf("warm run exited %d: %s", code, stderr)
+	}
+	if !strings.Contains(stderr, " — 0 executed, ") {
+		t.Errorf("warm run executed jobs: %s", stderr)
+	}
+	if warm == cold {
+		return
+	}
+	got, want := strings.Split(warm, "\n"), strings.Split(cold, "\n")
+	for i := 0; i < len(got) && i < len(want); i++ {
+		if got[i] != want[i] {
+			t.Fatalf("warm output differs from cold at line %d:\n warm: %s\n cold: %s", i+1, got[i], want[i])
+		}
+	}
+	t.Fatalf("warm output has %d lines, cold %d", len(got), len(want))
+}
+
 func TestExitUsageErrors(t *testing.T) {
 	cases := [][]string{
 		{"-scale", "bogus"},

@@ -3,8 +3,6 @@ package runner
 import (
 	"context"
 	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io/fs"
 	"os"
@@ -16,13 +14,22 @@ import (
 )
 
 // Cache is the content-addressed on-disk result store. Each entry lives
-// at <dir>/<key[:2]>/<key[2:]>.json and wraps the experiment result in an
-// envelope carrying a checksum of the value bytes, so truncated or
-// corrupted files are detected on read and treated as misses (the entry
-// is removed and the experiment recomputed). Writes go through a
-// temporary file plus rename, so concurrent runs sharing a cache
-// directory never observe partial entries; temporary files orphaned by a
-// crashed run are swept on open.
+// at <dir>/<key[:2]>/<key[2:]>.json (the name predates the format) and
+// holds a fixed header and the value:
+//
+//	magic "SP2RES01" | SHA-256 of the value (32 bytes) | value
+//
+// The value is the job result in the runner's binary form (codec.go),
+// which starts with a fingerprint of the result type's shape. Get checks
+// the magic and the checksum, then decodes: a truncated, corrupted or
+// foreign file is a miss, and the entry is removed and the experiment
+// recomputed. An entry written in an older format — the JSON envelope
+// of earlier versions included — fails the magic check the same way, so
+// a cache directory migrates in place: the run that reads an old entry
+// rewrites it at the same path. Writes go through a temporary file plus
+// rename, so concurrent runs sharing a cache directory never observe
+// partial entries; temporary files orphaned by a crashed run are swept
+// on open.
 //
 // # Concurrency
 //
@@ -36,8 +43,8 @@ import (
 //   - Get/Put on the same key: Put is atomic (temp file + rename), so a
 //     concurrent Get observes either the complete old entry, the complete
 //     new entry, or — transiently, never wrongly — a miss. It can never
-//     observe a torn entry: the checksum envelope downgrades any partial
-//     read to a miss.
+//     observe a torn entry: the checksum in the header downgrades any
+//     partial read to a miss.
 //   - Get/Get on a damaged entry: both readers detect the bad checksum,
 //     both may Remove the file; unlinking a file another reader holds
 //     open is safe on POSIX, and a failed Remove is ignored.
@@ -171,19 +178,7 @@ func (c *Cache) SweepCrashed(ttl time.Duration) []string {
 		if err != nil || info.IsDir() || !strings.HasSuffix(info.Name(), ".lease") {
 			return nil
 		}
-		stale := time.Since(info.ModTime()) > ttl
-		if !stale {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				return nil
-			}
-			var rec leaseRecord
-			if json.Unmarshal(data, &rec) != nil {
-				stale = true // unparsable lease: nobody can release it
-			} else if rec.Host == host && rec.PID > 0 && !pidAlive(rec.PID) {
-				stale = true
-			}
-		}
+		stale := time.Since(info.ModTime()) > ttl || ownerDead(path, host)
 		if stale && os.Remove(path) == nil {
 			removed = append(removed, path)
 		}
@@ -192,24 +187,22 @@ func (c *Cache) SweepCrashed(ttl time.Duration) []string {
 	return removed
 }
 
-// envelope is the on-disk entry format: the result value plus a SHA-256
-// of its bytes for integrity checking.
-type envelope struct {
-	Sum   string          `json:"sum"`
-	Value json.RawMessage `json:"value"`
-}
+// entryMagic opens every entry file; the SHA-256 of the value follows.
+const entryMagic = "SP2RES01"
+
+const entryHeader = len(entryMagic) + sha256.Size
 
 func (c *Cache) path(k Key) string {
 	hx := k.String()
 	return filepath.Join(c.dir, hx[:2], hx[2:]+".json")
 }
 
-// Get loads the entry for k and decodes it with decode. Any failure —
-// missing or unreadable file, unparsable envelope, checksum mismatch,
-// decode error, even a decode panic — is a miss; damaged entries are
-// removed so the recomputed result can be stored cleanly. ctx scopes
-// the fault evaluation (injected delays honour request cancellation);
-// nil selects context.Background.
+// Get loads the entry for k and decodes its value with decode. Any
+// failure — missing or unreadable file, wrong magic, checksum mismatch,
+// decode error, even a decode panic — is a miss; damaged and old-format
+// entries are removed so the recomputed result can be stored cleanly.
+// ctx scopes the fault evaluation (injected delays honour request
+// cancellation); nil selects context.Background.
 func (c *Cache) Get(ctx context.Context, k Key, decode func([]byte) (any, error)) (v any, ok bool) {
 	if k.IsZero() {
 		return nil, false
@@ -234,10 +227,12 @@ func (c *Cache) Get(ctx context.Context, k Key, decode func([]byte) (any, error)
 		return nil, false
 	}
 	data = c.inj.Data(op, data)
-	var env envelope
-	if err := json.Unmarshal(data, &env); err == nil && env.Sum == valueSum(env.Value) {
-		if v, err := decode(env.Value); err == nil {
-			return v, true
+	if len(data) >= entryHeader && string(data[:len(entryMagic)]) == entryMagic {
+		value := data[entryHeader:]
+		if sha256.Sum256(value) == [sha256.Size]byte(data[len(entryMagic):entryHeader]) {
+			if v, err := decode(value); err == nil {
+				return v, true
+			}
 		}
 	}
 	os.Remove(path) // corrupted or stale-format entry
@@ -263,10 +258,8 @@ func (c *Cache) Put(ctx context.Context, k Key, value []byte) (err error) {
 	if err := c.inj.Do(ctx, "cache.put:"+k.String()); err != nil {
 		return err
 	}
-	env, err := json.Marshal(envelope{Sum: valueSum(value), Value: value})
-	if err != nil {
-		return err
-	}
+	sum := sha256.Sum256(value)
+	entry := append(append(append(make([]byte, 0, entryHeader+len(value)), entryMagic...), sum[:]...), value...)
 	path := c.path(k)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
@@ -275,7 +268,7 @@ func (c *Cache) Put(ctx context.Context, k Key, value []byte) (err error) {
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(env); err != nil {
+	if _, err := tmp.Write(entry); err != nil {
 		tmp.Close() //splash:allow durability cleanup close on an already-failing path; the Write error is what the caller sees and the temp file is removed
 		os.Remove(tmp.Name())
 		return err
@@ -289,9 +282,4 @@ func (c *Cache) Put(ctx context.Context, k Key, value []byte) (err error) {
 		return err
 	}
 	return nil
-}
-
-func valueSum(b []byte) string {
-	s := sha256.Sum256(b)
-	return hex.EncodeToString(s[:])
 }

@@ -158,7 +158,7 @@ func TestCacheFaultInjection(t *testing.T) {
 		t.Fatalf("post-fault Get = %v, %v", v, ok)
 	}
 
-	// Injected short read corrupts the envelope mid-flight → miss (and
+	// Injected short read corrupts the entry mid-flight → miss (and
 	// the on-disk entry is dropped as damaged, so the next run recomputes).
 	cache.SetFault(fault.New(1, fault.Rule{Pattern: "cache.get:*", Action: fault.ShortRead, Keep: 10}))
 	if _, ok := cache.Get(context.Background(), k, decode); ok {

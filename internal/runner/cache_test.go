@@ -2,6 +2,7 @@ package runner
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -76,10 +77,14 @@ func TestCacheCorruptionIsAMiss(t *testing.T) {
 	}
 
 	corruptions := map[string]func(path string){
-		"garbage":    func(p string) { os.WriteFile(p, []byte("not json at all"), 0o644) },
-		"truncated":  func(p string) { b, _ := os.ReadFile(p); os.WriteFile(p, b[:len(b)/2], 0o644) },
-		"wrong-sum":  func(p string) { os.WriteFile(p, []byte(`{"sum":"00","value":42}`), 0o644) },
-		"bad-decode": func(p string) { os.WriteFile(p, mustEnvelope(t, []byte(`"a string"`)), 0o644) },
+		"garbage":   func(p string) { os.WriteFile(p, []byte("not json at all"), 0o644) },
+		"truncated": func(p string) { b, _ := os.ReadFile(p); os.WriteFile(p, b[:len(b)/2], 0o644) },
+		"wrong-sum": func(p string) {
+			b := entryBytes([]byte("42"))
+			b[len(entryMagic)] ^= 1
+			os.WriteFile(p, b, 0o644)
+		},
+		"bad-decode": func(p string) { os.WriteFile(p, entryBytes([]byte(`"a string"`)), 0o644) },
 	}
 	for name, corrupt := range corruptions {
 		t.Run(name, func(t *testing.T) {
@@ -108,13 +113,11 @@ func TestCacheCorruptionIsAMiss(t *testing.T) {
 	}
 }
 
-func mustEnvelope(t *testing.T, value []byte) []byte {
-	t.Helper()
-	b, err := json.Marshal(envelope{Sum: valueSum(value), Value: value})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
+// entryBytes is the entry file Put writes for value: the magic, the
+// value's SHA-256, the value.
+func entryBytes(value []byte) []byte {
+	sum := sha256.Sum256(value)
+	return append(append([]byte(entryMagic), sum[:]...), value...)
 }
 
 func TestCacheSharding(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -312,10 +313,7 @@ func TestCacheSharedAcrossConcurrentGraphs(t *testing.T) {
 	if n != 5 {
 		t.Fatalf("cache holds %d entries, want 5", n)
 	}
-	v, ok := c.Get(context.Background(), KeyOf("shared", 0), func(b []byte) (any, error) {
-		var x int
-		return x, json.Unmarshal(b, &x)
-	})
+	v, ok := c.Get(context.Background(), KeyOf("shared", 0), codecFor(reflect.TypeOf(0)).decode)
 	if !ok || v.(int) != 100 {
 		t.Fatalf("shared entry 0 = %v, %v", v, ok)
 	}

@@ -269,6 +269,21 @@ func (l *leases) stale(path string) bool {
 	return err == nil && time.Since(st.ModTime()) > l.ttl
 }
 
+// ownerDead reports whether the lease file at path names a dead process
+// on host, or cannot be parsed (then nobody can release it). A file that
+// cannot be read is left for a later sweep.
+func ownerDead(path, host string) bool {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return false
+	}
+	var rec leaseRecord
+	if json.Unmarshal(data, &rec) != nil {
+		return true
+	}
+	return rec.Host == host && rec.PID > 0 && !pidAlive(rec.PID)
+}
+
 // pidAlive reports whether pid is a live process on this host, via
 // signal 0. Conservative: only a definitive "no such process" counts as
 // dead — permission errors and platforms without signal support count

@@ -85,6 +85,46 @@ func TestLeaseCoalescesTwoRunners(t *testing.T) {
 	}
 }
 
+// TestLeaseWonAfterStoreServesEntry: a runner whose resolve missed a key
+// and which wins the key's lease only after another runner stored the
+// result and released serves the stored entry instead of executing again.
+// The graph's first job holds the runner between its resolve and the
+// contended job's lease: its body runs the other runner's whole graph.
+func TestLeaseWonAfterStoreServesEntry(t *testing.T) {
+	dir := t.TempDir()
+	key := KeyOf("test", "lease-after-store")
+	var executions atomic.Int64
+	contended := func(context.Context) (int, error) {
+		executions.Add(1)
+		return 77, nil
+	}
+	first := New(Options{Cache: newLeasedCache(t, dir, time.Second)})
+	second := New(Options{Cache: newLeasedCache(t, dir, time.Second)})
+
+	g := second.NewGraph()
+	hold := Submit(g, Spec{Label: "hold", Key: KeyOf("test", "hold")}, func(ctx context.Context) (int, error) {
+		g1 := first.NewGraph()
+		Submit(g1, Spec{Label: "contended", Key: key}, contended)
+		return 0, g1.Wait(ctx)
+	})
+	j := Submit(g, Spec{Label: "contended", Key: key, Deps: []Handle{hold}}, contended)
+	if err := g.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := j.Result(); err != nil || v != 77 {
+		t.Fatalf("result %d, %v", v, err)
+	}
+	if n := executions.Load(); n != 1 {
+		t.Fatalf("contended job executed %d times, want 1", n)
+	}
+	if c := second.Counts(); c.LeaseShared != 1 || c.LeaseAcquired != 1 {
+		t.Errorf("second runner: shared=%d acquired=%d, want 1 (the stored entry) and 1 (hold)", c.LeaseShared, c.LeaseAcquired)
+	}
+	if leases, _ := filepath.Glob(filepath.Join(dir, "*", "*.lease")); len(leases) != 0 {
+		t.Errorf("leaked leases: %v", leases)
+	}
+}
+
 // writeStaleLease plants a lease file whose mtime is past the TTL, as a
 // crashed process would leave it.
 func writeStaleLease(t *testing.T, l *leases, k Key, age time.Duration) string {

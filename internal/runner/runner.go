@@ -23,10 +23,10 @@ package runner
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -85,7 +85,8 @@ type Counts struct {
 	LeaseAcquired int64
 	// LeaseShared counts jobs satisfied by another process's result:
 	// this process lost the lease race and read the winner's cache
-	// entry instead of recomputing.
+	// entry instead of recomputing, or won a lease whose previous holder
+	// had already stored the entry.
 	LeaseShared int64
 	// LeaseTakeovers counts stale leases reclaimed from dead processes.
 	LeaseTakeovers int64
@@ -208,7 +209,7 @@ type job struct {
 	noStore bool
 	deps    []*job
 	run     func(ctx context.Context) (any, error)
-	decode  func([]byte) (any, error)
+	codec   *valueCodec // the result type's stored form
 
 	done   chan struct{} // closed on completion
 	result any
@@ -382,11 +383,7 @@ func Submit[T any](g *Graph, spec Spec, run func(ctx context.Context) (T, error)
 		run: func(ctx context.Context) (any, error) {
 			return run(ctx)
 		},
-		decode: func(b []byte) (any, error) {
-			var v T
-			err := json.Unmarshal(b, &v)
-			return v, err
-		},
+		codec: codecFor(reflect.TypeFor[T]()),
 	}
 	for _, d := range spec.Deps {
 		j.deps = append(j.deps, d.raw())
@@ -460,7 +457,7 @@ func (g *Graph) resolve(ctx context.Context) []*job {
 			return
 		}
 		if !j.noStore && g.r.opts.Cache != nil && !j.key.IsZero() {
-			if v, ok := g.r.opts.Cache.Get(ctx, j.key, j.decode); ok {
+			if v, ok := g.r.opts.Cache.Get(ctx, j.key, j.codec.decode); ok {
 				g.r.cacheHits.Add(1)
 				j.complete(g.r.memoPut(j.key, v), nil)
 				return
@@ -623,6 +620,13 @@ func (g *Graph) runLeased(ctx context.Context, j *job) (v any, shared bool, err 
 		state, release := ls.tryAcquire(ctx, j.key)
 		switch state {
 		case leaseWon:
+			// The key's previous holder may have stored and released
+			// after this graph's resolve missed: its entry is the result.
+			if v, ok := c.Get(ctx, j.key, j.codec.decode); ok {
+				release()
+				g.r.leaseShared.Add(1)
+				return v, true, nil
+			}
 			g.r.leaseAcquired.Add(1)
 			v, err = g.runStored(ctx, j)
 			release()
@@ -631,7 +635,7 @@ func (g *Graph) runLeased(ctx context.Context, j *job) (v any, shared bool, err 
 			v, err = g.runStored(ctx, j)
 			return v, false, err
 		default: // leaseLost: another live process is computing this key
-			v, ok, werr := ls.wait(ctx, c, j.key, j.decode)
+			v, ok, werr := ls.wait(ctx, c, j.key, j.codec.decode)
 			if werr != nil {
 				return nil, false, werr
 			}
@@ -651,7 +655,7 @@ func (g *Graph) runLeased(ctx context.Context, j *job) (v any, shared bool, err 
 func (g *Graph) runStored(ctx context.Context, j *job) (any, error) {
 	v, err := g.runOnce(ctx, j)
 	if err == nil && !j.key.IsZero() && !j.noStore && g.r.opts.Cache != nil {
-		if data, merr := json.Marshal(v); merr == nil {
+		if data, merr := j.codec.encode(v); merr == nil {
 			// A failed Put must not fail the job: lease waiters detect the
 			// missing store ("winner vanished without storing") and re-run.
 			g.r.opts.Cache.Put(ctx, j.key, data) //splash:allow durability best-effort store; waiters re-contend on a missing cache entry, so a lost Put costs a re-run, not correctness
