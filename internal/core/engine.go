@@ -39,6 +39,7 @@ type Engine struct {
 	ctx       context.Context
 	keepGoing bool
 	spillDir  string // where recordings live as v2 containers (spill.go)
+	tmpDir    string // where their temp files are written: the cache's, or spillDir
 	// privateSpill is the spill directory an uncached engine made for
 	// itself; Close removes it.
 	privateSpill string
@@ -90,13 +91,13 @@ type EngineOptions struct {
 func NewEngine(o EngineOptions) (*Engine, error) {
 	var cache *runner.Cache
 	var journal *runner.Journal
-	var spillDir, privateSpill string
+	var spillDir, privateSpill, tmpDir string
 	if o.CacheDir != "" {
 		c, err := runner.OpenCache(o.CacheDir)
 		if err != nil {
 			return nil, err
 		}
-		cache = c
+		cache, tmpDir = c, c.TmpDir()
 		cache.SetFault(o.Fault)
 		if o.LeaseTTL >= 0 {
 			cache.EnableLeases(o.LeaseTTL)
@@ -117,7 +118,7 @@ func NewEngine(o EngineOptions) (*Engine, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: opening trace spill directory: %w", err)
 		}
-		spillDir, privateSpill = dir, dir
+		spillDir, privateSpill, tmpDir = dir, dir, dir
 	}
 	ctx := o.Context
 	if ctx == nil {
@@ -125,6 +126,7 @@ func NewEngine(o EngineOptions) (*Engine, error) {
 	}
 	return &Engine{
 		spillDir:     spillDir,
+		tmpDir:       tmpDir,
 		privateSpill: privateSpill,
 		fault:        o.Fault,
 		journal:      journal,

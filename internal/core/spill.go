@@ -69,7 +69,7 @@ func sweepSpillOrphans(dir string, age time.Duration) (removed []string) {
 		case strings.HasSuffix(name, ".sp2t"):
 			partner = name + ".json"
 		default:
-			continue // temp files and strangers are sweepTmp's business
+			continue // temp files and strangers are the cache's business
 		}
 		if present[partner] || !oldEnough(name) {
 			continue
@@ -181,10 +181,11 @@ func (e *Engine) writeSpilled(key string, tr *memsys.Trace) error {
 	return nil
 }
 
-// writeAtomic writes path through a temporary file of the spill
-// directory, renamed into place only when every write succeeded.
+// writeAtomic writes path through a temporary file of the engine's temp
+// directory (the cache's tmp/, where the open-time sweep finds an
+// orphan), renamed into place only when every write succeeded.
 func (e *Engine) writeAtomic(path, pattern string, write func(io.Writer) error) error {
-	f, err := os.CreateTemp(e.spillDir, pattern)
+	f, err := os.CreateTemp(e.tmpDir, pattern)
 	if err != nil {
 		return err
 	}

@@ -19,7 +19,10 @@
 // the same seed and rule set always picks the same occurrences. Under a
 // parallel scheduler the Nth matching operation can differ between runs
 // (scheduling order), which is exactly the point: the Fired log records
-// what actually happened, and the invariants must hold regardless.
+// what actually happened, and the invariants must hold regardless. That
+// includes "cache.get:<key>": a graph probes the cache entries of each
+// dependency level on up to Workers goroutines, so the occurrences are
+// counted in the order those probes happen to reach the injector.
 package fault
 
 import (

@@ -26,10 +26,17 @@ import (
 // recomputed. An entry written in an older format — the JSON envelope
 // of earlier versions included — fails the magic check the same way, so
 // a cache directory migrates in place: the run that reads an old entry
-// rewrites it at the same path. Writes go through a temporary file plus
-// rename, so concurrent runs sharing a cache directory never observe
-// partial entries; temporary files orphaned by a crashed run are swept
-// on open.
+// rewrites it at the same path.
+//
+// Writes go through a temporary file in <dir>/tmp (the engine's trace
+// containers too) and a rename on the same filesystem, so concurrent
+// runs sharing a cache directory never observe partial entries. Opening
+// a cache lists tmp/ alone and removes what a crashed run left there
+// over an hour ago; it reads no shard, journal or trace directory. Only
+// an explicit resume (SweepCrashed) walks the tree: it reclaims leases,
+// the reap files a killed takeover leaves beside its lease (the key's
+// next contender clears an abandoned ".reap-lock") and temp files an
+// older version wrote beside the entries.
 //
 // # Concurrency
 //
@@ -59,6 +66,7 @@ import (
 // before the cache is shared (test/CLI setup, not runtime controls).
 type Cache struct {
 	dir string
+	tmp string // <dir>/tmp: every temporary file, renamed into place
 	inj *fault.Injector
 	ls  *leases
 }
@@ -83,15 +91,19 @@ func OpenCache(dir string) (*Cache, error) {
 		}
 		dir = d
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	tmp := filepath.Join(dir, "tmp")
+	if err := os.MkdirAll(tmp, 0o755); err != nil {
 		return nil, fmt.Errorf("runner: cache dir: %w", err)
 	}
-	sweepStaleTmp(dir)
-	return &Cache{dir: dir}, nil
+	sweepTmp(tmp, staleTmpAge)
+	return &Cache{dir: dir, tmp: tmp}, nil
 }
 
 // Dir returns the cache root directory.
 func (c *Cache) Dir() string { return c.dir }
+
+// TmpDir returns <dir>/tmp, where temp files to rename into the cache go.
+func (c *Cache) TmpDir() string { return c.tmp }
 
 // SetFault attaches a fault injector to the cache's I/O paths: reads
 // evaluate "cache.get:<key>" (errors and short reads), writes evaluate
@@ -123,22 +135,17 @@ func (c *Cache) leaseManager() *leases {
 
 // staleTmpAge is how old an orphaned temporary file must be before the
 // open-time sweep deletes it. The margin keeps the sweep from racing a
-// concurrent run's in-flight Put, whose tmp files live for milliseconds.
+// concurrent run's in-flight write, whose temp file lives seconds at most.
 const staleTmpAge = time.Hour
 
-// sweepStaleTmp deletes temporary files left behind by crashed runs:
-// cache entry temps (".tmp-*"), spill container/sidecar temps
-// ("<key>.tmp*", "<key>.json.tmp*") and lease-reap leftovers
-// (".reap-*"). Real artifacts (.json entries, .sp2t containers and
-// their .sp2t.json sidecars, .lease files, journal .jsonl) never match.
-// Best-effort: sweep errors never fail OpenCache.
-func sweepStaleTmp(dir string) {
-	sweepTmp(dir, staleTmpAge)
-}
-
-// sweepTmp removes temp artifacts older than age under dir. It lists
-// the directories and stats only the temp names: a finished entry costs
-// its line in a directory listing, not an lstat.
+// sweepTmp removes temp artifacts older than age under dir: cache entry
+// temps (".tmp-*"), spill container/sidecar temps ("<key>.tmp*",
+// "<key>.json.tmp*") and lease-reap leftovers (".reap-*"). Real
+// artifacts (.json entries, .sp2t containers and their .sp2t.json
+// sidecars, .lease files, journal .jsonl) never match. It lists the
+// directories and stats only the temp names. OpenCache sweeps tmp/ alone
+// with staleTmpAge; SweepCrashed walks the whole cache with age 0.
+// Best-effort: sweep errors are ignored.
 func sweepTmp(dir string, age time.Duration) (removed []string) {
 	now := time.Now()
 	filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
@@ -264,7 +271,7 @@ func (c *Cache) Put(ctx context.Context, k Key, value []byte) (err error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
+	tmp, err := os.CreateTemp(c.tmp, ".tmp-*")
 	if err != nil {
 		return err
 	}

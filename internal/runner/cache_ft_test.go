@@ -101,7 +101,7 @@ func TestCacheSurvivesGarbageDir(t *testing.T) {
 
 func TestOpenCacheSweepsStaleTmpFiles(t *testing.T) {
 	dir := t.TempDir()
-	sub := filepath.Join(dir, "ab")
+	sub := filepath.Join(dir, "tmp")
 	if err := os.MkdirAll(sub, 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -125,6 +125,59 @@ func TestOpenCacheSweepsStaleTmpFiles(t *testing.T) {
 	}
 	if _, err := os.Stat(fresh); err != nil {
 		t.Fatalf("fresh tmp file was swept (could belong to a live run): %v", err)
+	}
+}
+
+// TestOpenCacheLeavesShardTmpToResume: the open-time sweep lists tmp/
+// alone, so a stale temp an older version left in a shard directory
+// survives an open; the explicit resume sweep removes it.
+func TestOpenCacheLeavesShardTmpToResume(t *testing.T) {
+	dir := t.TempDir()
+	stale := filepath.Join(dir, "ab", ".tmp-1234")
+	if err := os.MkdirAll(filepath.Dir(stale), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(stale, []byte("partial write"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old := time.Now().Add(-2 * staleTmpAge)
+	if err := os.Chtimes(stale, old, old); err != nil {
+		t.Fatal(err)
+	}
+
+	c, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(stale); err != nil {
+		t.Fatalf("opening the cache read a shard directory: %v", err)
+	}
+	if removed := c.SweepCrashed(time.Hour); len(removed) != 1 || removed[0] != stale {
+		t.Fatalf("resume sweep removed %v, want [%s]", removed, stale)
+	}
+}
+
+// TestCachePutRenameFailureLeavesNoTemp: a Put whose final rename fails
+// (a directory where the entry belongs) removes its temp file from tmp/.
+func TestCachePutRenameFailureLeavesNoTemp(t *testing.T) {
+	dir := t.TempDir()
+	c, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := KeyOf("test", "put-rename-fails")
+	if err := os.MkdirAll(filepath.Join(c.path(k), "blocker"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put(context.Background(), k, []byte("1")); err == nil {
+		t.Fatal("Put over a directory succeeded")
+	}
+	left, err := os.ReadDir(c.TmpDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Errorf("failed Put left %d file(s) in tmp/: %v", len(left), left)
 	}
 }
 

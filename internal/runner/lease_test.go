@@ -117,8 +117,8 @@ func TestLeaseWonAfterStoreServesEntry(t *testing.T) {
 	if n := executions.Load(); n != 1 {
 		t.Fatalf("contended job executed %d times, want 1", n)
 	}
-	if c := second.Counts(); c.LeaseShared != 1 || c.LeaseAcquired != 1 {
-		t.Errorf("second runner: shared=%d acquired=%d, want 1 (the stored entry) and 1 (hold)", c.LeaseShared, c.LeaseAcquired)
+	if c := second.Counts(); c.LeaseShared != 1 || c.LeaseAcquired != 1 || c.Executed != 1 {
+		t.Errorf("second runner: shared=%d acquired=%d executed=%d, want 1 (the stored entry), 1 and 1 (hold)", c.LeaseShared, c.LeaseAcquired, c.Executed)
 	}
 	if leases, _ := filepath.Glob(filepath.Join(dir, "*", "*.lease")); len(leases) != 0 {
 		t.Errorf("leaked leases: %v", leases)

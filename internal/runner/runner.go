@@ -441,39 +441,66 @@ func (g *Graph) Wait(ctx context.Context) error {
 	return g.err
 }
 
-// resolve walks from the demanded (non-lazy, incomplete) jobs, probing
-// the on-disk cache, and returns the jobs that must execute. A cache hit
-// stops the walk, so the dependencies of fully-cached sweeps are never
-// demanded.
+// resolve walks level by level from the demanded (non-lazy, incomplete)
+// jobs, probing each level's cache entries in parallel, and returns the
+// jobs that must execute: a miss demands its dependencies in the next
+// level, a hit stops the walk, so the dependencies of fully-cached sweeps
+// are never probed. No job is probed twice; only resolve marks visited.
 func (g *Graph) resolve(ctx context.Context) []*job {
-	var need []*job
-	var visit func(j *job)
-	visit = func(j *job) {
-		if j.visited {
-			return
-		}
-		j.visited = true
-		if j.isDone() {
-			return
-		}
-		if !j.noStore && g.r.opts.Cache != nil && !j.key.IsZero() {
-			if v, ok := g.r.opts.Cache.Get(ctx, j.key, j.codec.decode); ok {
-				g.r.cacheHits.Add(1)
-				j.complete(g.r.memoPut(j.key, v), nil)
-				return
-			}
-		}
-		need = append(need, j)
-		for _, d := range j.deps {
-			visit(d)
-		}
-	}
+	var need, level []*job
 	for _, j := range g.jobs {
 		if !j.lazy {
-			visit(j)
+			level = append(level, j)
+		}
+	}
+	for len(level) > 0 {
+		var probe []*job
+		for _, j := range level {
+			if !j.visited && !j.isDone() {
+				probe = append(probe, j)
+			}
+			j.visited = true
+		}
+		g.probe(ctx, probe)
+		level = level[:0]
+		for _, j := range probe {
+			if !j.isDone() { // a hit completed it
+				need = append(need, j)
+				level = append(level, j.deps...)
+			}
 		}
 	}
 	return need
+}
+
+// probe serves what it can of jobs from the on-disk cache, completing
+// each hit with the value the memo holds for its key. The probes run on
+// min(Workers, len(jobs)) goroutines; one worker probes inline.
+func (g *Graph) probe(ctx context.Context, jobs []*job) {
+	c := g.r.opts.Cache
+	if c == nil || len(jobs) == 0 {
+		return
+	}
+	var next atomic.Int64
+	work := func() {
+		for i := next.Add(1) - 1; i < int64(len(jobs)); i = next.Add(1) - 1 {
+			j := jobs[i]
+			if j.noStore || j.key.IsZero() {
+				continue
+			}
+			if v, ok := c.Get(ctx, j.key, j.codec.decode); ok {
+				g.r.cacheHits.Add(1)
+				j.complete(g.r.memoPut(j.key, v), nil)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(g.r.opts.Workers, len(jobs)) - 1 {
+		wg.Add(1)
+		go func() { defer wg.Done(); work() }()
+	}
+	work()
+	wg.Wait()
 }
 
 // execute runs the needed jobs: one goroutine per job waiting on its
@@ -556,8 +583,10 @@ func (g *Graph) execute(parent context.Context, need []*job) error {
 			}
 			g.r.opts.Journal.JobStart(ctx, j.label, keyStr(j.key))
 			v, shared, err := g.runLeased(ctx, j)
-			g.r.executed.Add(1)
-			executed.Add(1)
+			if !shared {
+				g.r.executed.Add(1)
+				executed.Add(1)
+			}
 			if err != nil {
 				if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
 					// Cancellation, not a job fault: complete without
