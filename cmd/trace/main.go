@@ -13,16 +13,19 @@
 //	trace replay -i fft.sp2t -window 1:2     # epochs 1-2 only; other blocks never decoded
 //	trace info -i fft.sp2t                   # counts, bytes/reference, block shape
 //	trace convert -i fft.trace -o fft.sp2t   # v1 → v2 (and -to v1 for the reverse)
-//	trace verify -i fft.sp2t                 # decode every block, check the sidecar hash
-//	trace verify -dir ~/.cache/splash2/traces  # audit a whole spill directory
+//	trace verify -i fft.sp2t                 # decode every block (and check an entry's sha256)
+//	trace verify -dir ~/.cache/splash2/traces  # audit an engine's recordings
 //
 // Traces come in two formats: the flat v1 stream (one packed word per
 // event) and the columnar v2 container (delta-compressed per-processor
 // blocks plus an index footer; see internal/README.md). record writes
 // v2 by default. replay sniffs the format: a v2 container streams from
 // disk block by block without ever materializing the event array, and a
-// v1 file is encoded into a v2 container in memory. -window selects the synchronization
-// epochs stamped on v2 blocks, so it needs a v2 container.
+// v1 file is encoded into a v2 container in memory. -window selects the
+// synchronization epochs stamped on v2 blocks, so it needs a v2
+// container. A recording an engine stored under <cache-dir>/traces is a
+// v2 container inside a checksummed entry; every subcommand reading a
+// trace accepts one and verifies its SHA-256 first.
 //
 // Replay can inject deterministic read faults to drill the decoder's
 // failure handling (a truncated stream fails with a descriptive error,
@@ -48,6 +51,7 @@ import (
 	"splash2"
 	"splash2/internal/cli"
 	"splash2/internal/memsys"
+	"splash2/internal/runner"
 )
 
 func main() {
@@ -157,18 +161,69 @@ func record(args []string, stdout, stderr io.Writer) int {
 	return cli.ExitOK
 }
 
-// readTrace reads a whole trace file, either format, into an in-memory
-// v2 container.
-func readTrace(path string, inj *splash2.FaultInjector) (*splash2.Trace, error) {
-	f, err := os.Open(path)
+// traceFile is a trace file opened for reading. payload is the
+// container: the whole file, or — for a recording an engine stored as a
+// checksummed entry (<cache-dir>/traces/<key>.sp2t) — the entry's
+// payload, which runner.OpenEntry verified against its SHA-256.
+type traceFile struct {
+	f       *os.File
+	payload *io.SectionReader
+	format  string // the container's: "v1" or "v2"
+	entry   bool
+}
+
+// openTrace opens path and sniffs its container's format.
+func openTrace(path string) (*traceFile, error) {
+	t := &traceFile{entry: runner.HasEntry(path)}
+	var err error
+	if t.entry {
+		t.payload, t.f, err = runner.OpenEntry(path)
+	} else if t.f, err = os.Open(path); err == nil {
+		var fi os.FileInfo
+		if fi, err = t.f.Stat(); err == nil {
+			t.payload = io.NewSectionReader(t.f, 0, fi.Size())
+		} else {
+			t.f.Close()
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
+	var m [4]byte
+	if _, err := t.payload.ReadAt(m[:], 0); err != nil {
+		t.f.Close()
+		return nil, fmt.Errorf("%s: reading magic: %w", path, err)
+	}
+	switch binary.LittleEndian.Uint32(m[:]) {
+	case memsys.TraceMagicV1:
+		t.format = "v1"
+	case memsys.TraceMagicV2:
+		t.format = "v2"
+	default:
+		t.f.Close()
+		return nil, fmt.Errorf("%s: not a trace file (magic %x)", path, m)
+	}
+	return t, nil
+}
+
+func (t *traceFile) Close() error { return t.f.Close() }
+
+// decode reads the whole container, either format, into an in-memory
+// trace.
+func (t *traceFile) decode(inj *splash2.FaultInjector) (*splash2.Trace, error) {
 	if err := inj.Do(nil, "trace.read"); err != nil {
 		return nil, err
 	}
-	return memsys.ReadTrace(inj.Reader("trace.read", f))
+	return memsys.ReadTrace(inj.Reader("trace.read", t.payload))
+}
+
+// stream opens a v2 container for out-of-core streaming; it reads
+// through the file, so close t after the trace's last pass.
+func (t *traceFile) stream(inj *splash2.FaultInjector) (*memsys.Trace, error) {
+	if err := inj.Do(nil, "trace.read"); err != nil {
+		return nil, err
+	}
+	return memsys.NewTraceFile(t.payload, t.payload.Size(), inj)
 }
 
 func replay(args []string, stdout, stderr io.Writer) int {
@@ -208,19 +263,19 @@ func replay(args []string, stdout, stderr io.Writer) int {
 			return cli.ExitUsage
 		}
 	}
-	format, err := sniffFormat(*in)
+	t, err := openTrace(*in)
 	if err != nil {
 		return fail(stderr, err)
 	}
+	defer t.Close()
 	// A v2 container streams from disk through its index; a v1 file is
 	// encoded into memory.
 	var src splash2.TraceSource
-	if format == "v2" {
-		tf, err := memsys.OpenTraceFile(*in, inj)
+	if t.format == "v2" {
+		tf, err := t.stream(inj)
 		if err != nil {
 			return fail(stderr, err)
 		}
-		defer tf.Close()
 		src = tf
 		if *window != "" {
 			if src, err = memsys.EpochWindow(tf, lo, lo+n-1); err != nil {
@@ -232,7 +287,7 @@ func replay(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "trace replay: -window selects the epochs stamped on v2 blocks, and %s is flat v1; convert it first (trace convert -i %s -o <out>.sp2t)\n", *in, *in)
 			return cli.ExitUsage
 		}
-		if src, err = readTrace(*in, inj); err != nil {
+		if src, err = t.decode(inj); err != nil {
 			return fail(stderr, err)
 		}
 	}
@@ -288,26 +343,6 @@ func parseWindow(s string) (start, n uint64, err error) {
 	return start, n, nil
 }
 
-// sniffFormat reads the magic of a trace file: "v1", "v2", or an error.
-func sniffFormat(path string) (string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", err
-	}
-	defer f.Close()
-	var m [4]byte
-	if _, err := io.ReadFull(f, m[:]); err != nil {
-		return "", fmt.Errorf("%s: reading magic: %w", path, err)
-	}
-	switch binary.LittleEndian.Uint32(m[:]) {
-	case memsys.TraceMagicV1:
-		return "v1", nil
-	case memsys.TraceMagicV2:
-		return "v2", nil
-	}
-	return "", fmt.Errorf("%s: not a trace file (magic %x)", path, m)
-}
-
 func info(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("trace info", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -319,21 +354,18 @@ func info(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "trace info: -i required")
 		return cli.ExitUsage
 	}
-	format, err := sniffFormat(*in)
+	t, err := openTrace(*in)
 	if err != nil {
 		return fail(stderr, err)
 	}
-	fi, err := os.Stat(*in)
-	if err != nil {
-		return fail(stderr, err)
-	}
+	defer t.Close()
 
 	var meta splash2.TraceMeta
 	var index []memsys.BlockInfo
 	epochs := uint64(0)
-	switch format {
+	switch t.format {
 	case "v1":
-		tr, err := readTrace(*in, nil)
+		tr, err := t.decode(nil)
 		if err != nil {
 			return fail(stderr, err)
 		}
@@ -341,13 +373,12 @@ func info(args []string, stdout, stderr io.Writer) int {
 		// Flat streams carry no epoch numbers; markers delimit the eras.
 		epochs = meta.Markers + 1
 	case "v2":
-		tf, err := splash2.OpenTraceFile(*in)
+		tf, err := t.stream(nil)
 		if err != nil {
 			return fail(stderr, err)
 		}
 		meta = tf.Meta()
 		index = tf.Index()
-		tf.Close()
 		for _, b := range index {
 			if b.Epoch+1 > epochs {
 				epochs = b.Epoch + 1
@@ -355,19 +386,24 @@ func info(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	fmt.Fprintf(stdout, "format          %s (%d bytes)\n", format, fi.Size())
+	size := t.payload.Size()
+	stored := ""
+	if t.entry {
+		stored = ", in an engine entry, sha256 verified"
+	}
+	fmt.Fprintf(stdout, "format          %s (%d bytes%s)\n", t.format, size, stored)
 	fmt.Fprintf(stdout, "events          %d (%d references + %d markers)\n",
 		meta.Refs+meta.Markers, meta.Refs, meta.Markers)
 	fmt.Fprintf(stdout, "processors      %d\n", meta.MaxProc+1)
 	fmt.Fprintf(stdout, "epochs          %d\n", epochs)
 	fmt.Fprintf(stdout, "max address     %#x\n", uint64(meta.MaxAddr))
 	if meta.Refs > 0 {
-		fmt.Fprintf(stdout, "bytes/reference %.3f\n", float64(fi.Size())/float64(meta.Refs))
+		fmt.Fprintf(stdout, "bytes/reference %.3f\n", float64(size)/float64(meta.Refs))
 	}
 	for p, n := range meta.ProcRefs {
 		fmt.Fprintf(stdout, "  proc %-3d      %d references\n", p, n)
 	}
-	if format != "v2" {
+	if t.format != "v2" {
 		return cli.ExitOK
 	}
 
@@ -413,12 +449,12 @@ func convert(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "trace convert: unknown -to %q (want v1 or v2)\n", *to)
 		return cli.ExitUsage
 	}
-	from, err := sniffFormat(*in)
+	t, err := openTrace(*in)
 	if err != nil {
 		return fail(stderr, err)
 	}
-
-	tr, err := readTrace(*in, nil)
+	tr, err := t.decode(nil)
+	t.Close()
 	if err != nil {
 		return fail(stderr, err)
 	}
@@ -427,6 +463,6 @@ func convert(args []string, stdout, stderr io.Writer) int {
 		return fail(stderr, err)
 	}
 	fmt.Fprintf(stdout, "converted %s (%s, %d events) → %s (%s, %d bytes)\n",
-		*in, from, tr.Len(), *out, *to, n)
+		*in, t.format, tr.Len(), *out, *to, n)
 	return cli.ExitOK
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 
 	"splash2"
 	"splash2/internal/cli"
+	"splash2/internal/core"
 	"splash2/internal/memsys"
 )
 
@@ -293,6 +295,41 @@ func TestInfoReportsBothFormats(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("v2 info lacks %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestInfoReadsEngineContainer: a recording an engine stored in its
+// cache directory is a checksummed entry around a v2 container; info
+// and replay read it like a bare one.
+func TestInfoReadsEngineContainer(t *testing.T) {
+	dir := t.TempDir()
+	e, err := core.NewEngine(core.EngineOptions{Workers: 2, CacheDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := core.Request{Kind: core.KindWorkingSets, Apps: []string{"fft"}, Procs: 2, CacheSizes: []int{16 << 10}}
+	if _, err := e.Do(context.Background(), req, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	containers, err := filepath.Glob(filepath.Join(dir, "traces", "*.sp2t"))
+	if err != nil || len(containers) != 1 {
+		t.Fatalf("engine wrote containers %v (err %v), want one", containers, err)
+	}
+
+	code, out, stderr := runCLI(t, "info", "-i", containers[0])
+	if code != cli.ExitOK {
+		t.Fatalf("info of an engine container exited %d: %s", code, stderr)
+	}
+	for _, want := range []string{"format          v2", "sha256 verified", "processors      2", "blocks"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("engine container info lacks %q:\n%s", want, out)
+		}
+	}
+	if code, _, stderr := runCLI(t, "replay", "-i", containers[0], "-sweep"); code != cli.ExitOK {
+		t.Fatalf("replay of an engine container exited %d: %s", code, stderr)
 	}
 }
 

@@ -1,9 +1,6 @@
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -13,30 +10,24 @@ import (
 	"strings"
 
 	"splash2/internal/cli"
-	"splash2/internal/memsys"
 )
 
 // trace verify: integrity audit for stored containers.
 //
-// Spilled traces are reused across processes and survive crashes, so a
-// reader must be able to prove a file is intact before replaying it.
-// verify performs the full check offline: the SHA-256 the sidecar
-// records must match the container bytes, and every block must decode
-// with a header that agrees with the index footer (the same
+// An engine's recordings are reused across processes and survive
+// crashes, so a reader must be able to prove a file is intact before
+// replaying it. verify performs the full check offline: an engine
+// entry's payload must match the SHA-256 in its header, and every block
+// must decode with a header that agrees with the index footer (the same
 // cross-checks the streaming replayer applies lazily, applied eagerly
 // to the whole file). Exit 0 means every container checked out; exit 3
 // reports the damaged ones.
-
-// sidecarSum is the slice of the engine's sidecar JSON verify needs.
-type sidecarSum struct {
-	TraceSum string `json:"traceSum"`
-}
 
 func verify(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("trace verify", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	in := fs.String("i", "", "trace container to verify")
-	dir := fs.String("dir", "", "spill directory: verify every container/sidecar pair in it")
+	dir := fs.String("dir", "", "an engine's trace directory: verify every container in it")
 	if err := fs.Parse(args); err != nil {
 		return cli.ExitUsage
 	}
@@ -83,41 +74,25 @@ func verify(args []string, stdout, stderr io.Writer) int {
 }
 
 // verifyContainer checks one container end to end and describes what
-// was proven ("sidecar sha256 + 214 blocks", "no sidecar, 12 blocks").
+// was proven ("entry sha256 + 214 blocks, ...", "no entry checksum +
+// 12 blocks, ...").
 func verifyContainer(path string) (string, error) {
-	var proofs []string
-
-	// Sidecar first: the recorded SHA-256 must match the container
-	// bytes. A missing sidecar is reported but not fatal for a bare -i
-	// file (containers written by `trace record` have none); inside a
-	// spill dir the engine always writes the pair, and a lone container
-	// there would already have been reaped by the orphan sweep.
-	sidecar := path + ".json"
-	if data, err := os.ReadFile(sidecar); err == nil {
-		var sc sidecarSum
-		if err := json.Unmarshal(data, &sc); err != nil {
-			return "", fmt.Errorf("sidecar %s: %v", sidecar, err)
-		}
-		sum, err := fileSHA256(path)
-		if err != nil {
-			return "", err
-		}
-		if sc.TraceSum != sum {
-			return "", fmt.Errorf("sidecar sha256 mismatch: container %s, sidecar records %s", sum, sc.TraceSum)
-		}
-		proofs = append(proofs, "sidecar sha256")
-	} else {
-		proofs = append(proofs, "no sidecar")
-	}
-
-	format, err := sniffFormat(path)
+	// An engine's entry is verified on open: a checksum mismatch is the
+	// error. A bare container (trace record's output) has no checksum.
+	t, err := openTrace(path)
 	if err != nil {
 		return "", err
 	}
-	if format == "v1" {
+	defer t.Close()
+	proofs := []string{"no entry checksum"}
+	if t.entry {
+		proofs[0] = "entry sha256"
+	}
+
+	if t.format == "v1" {
 		// Flat streams have no per-block structure: a full decode is the
 		// strongest check available.
-		tr, err := readTrace(path, nil)
+		tr, err := t.decode(nil)
 		if err != nil {
 			return "", err
 		}
@@ -129,11 +104,10 @@ func verifyContainer(path string) (string, error) {
 	// each block's own header against the index footer (proc, epoch,
 	// event count, payload length, address bound); on top of that the
 	// footer's totals must agree with the sum of its entries.
-	tf, err := memsys.OpenTraceFile(path, nil)
+	tf, err := t.stream(nil)
 	if err != nil {
 		return "", err
 	}
-	defer tf.Close()
 	index := tf.Index()
 	var refs, markers uint64
 	for i := range index {
@@ -153,18 +127,4 @@ func verifyContainer(path string) (string, error) {
 	}
 	proofs = append(proofs, fmt.Sprintf("%d blocks, %d events", len(index), refs+markers))
 	return strings.Join(proofs, " + "), nil
-}
-
-// fileSHA256 hashes a file's contents to lowercase hex.
-func fileSHA256(path string) (string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", err
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "", err
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
 }

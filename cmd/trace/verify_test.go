@@ -1,9 +1,7 @@
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,29 +9,36 @@ import (
 
 	"splash2/internal/cli"
 	"splash2/internal/memsys"
+	"splash2/internal/runner"
 )
 
-// writeSidecar writes the engine-format sidecar for a container with the
-// given hash (the container's real hash unless the test lies on purpose).
-func writeSidecar(t *testing.T, container, sum string) {
+// writeEntry stores the bare container src as an engine entry at path
+// (magic, SHA-256, container), the form of <cache-dir>/traces/*.sp2t.
+func writeEntry(t *testing.T, src, path string) {
 	t.Helper()
-	data, err := json.Marshal(sidecarSum{TraceSum: sum})
+	data, err := os.ReadFile(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(container+".json", data, 0o644); err != nil {
+	if err := runner.WriteEntry(filepath.Dir(path), path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func hashFile(t *testing.T, path string) string {
+// lieChecksum overwrites the SHA-256 in an entry's header.
+func lieChecksum(t *testing.T, path string) {
 	t.Helper()
-	data, err := os.ReadFile(path)
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
+	defer f.Close()
+	if _, err := f.WriteAt(make([]byte, 32), int64(len("SP2RES01"))); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestVerifyUsage(t *testing.T) {
@@ -59,7 +64,7 @@ func TestVerifyCleanContainers(t *testing.T) {
 	if code != cli.ExitOK {
 		t.Fatalf("verify v1 exited %d: %s", code, stderr)
 	}
-	if !strings.Contains(out, "v1 full decode") || !strings.Contains(out, "no sidecar") {
+	if !strings.Contains(out, "v1 full decode") || !strings.Contains(out, "no entry checksum") {
 		t.Errorf("v1 verify output lacks its proofs: %s", out)
 	}
 
@@ -72,25 +77,25 @@ func TestVerifyCleanContainers(t *testing.T) {
 	}
 }
 
-// TestVerifySidecar: a matching sidecar is part of the proof; a lying
-// one fails the container.
-func TestVerifySidecar(t *testing.T) {
+// TestVerifyEntryChecksum: an engine entry's checksum is part of the
+// proof; a lying one fails the container.
+func TestVerifyEntryChecksum(t *testing.T) {
 	dir := t.TempDir()
-	v2 := recordTo(t, dir, "v2")
-	writeSidecar(t, v2, hashFile(t, v2))
+	entry := filepath.Join(dir, "fft.sp2t")
+	writeEntry(t, recordTo(t, t.TempDir(), "v2"), entry)
 
-	code, out, stderr := runCLI(t, "verify", "-i", v2)
+	code, out, stderr := runCLI(t, "verify", "-i", entry)
 	if code != cli.ExitOK {
-		t.Fatalf("verify with good sidecar exited %d: %s", code, stderr)
+		t.Fatalf("verify of a good entry exited %d: %s", code, stderr)
 	}
-	if !strings.Contains(out, "sidecar sha256") {
-		t.Errorf("verify output lacks the sidecar proof: %s", out)
+	if !strings.Contains(out, "entry sha256") || !strings.Contains(out, "blocks") {
+		t.Errorf("verify output lacks the checksum or block proof: %s", out)
 	}
 
-	writeSidecar(t, v2, strings.Repeat("00", 32))
-	code, _, stderr = runCLI(t, "verify", "-i", v2)
+	lieChecksum(t, entry)
+	code, _, stderr = runCLI(t, "verify", "-i", entry)
 	if code != cli.ExitRuntime {
-		t.Fatalf("verify with lying sidecar exited %d, want %d", code, cli.ExitRuntime)
+		t.Fatalf("verify with a lying checksum exited %d, want %d", code, cli.ExitRuntime)
 	}
 	if !strings.Contains(stderr, "mismatch") {
 		t.Errorf("stderr does not name the hash mismatch: %s", stderr)
@@ -124,8 +129,8 @@ func TestVerifyCorruptBlock(t *testing.T) {
 	}
 }
 
-// TestVerifyDir audits a spill directory: one good pair and one damaged
-// container → exit 3 naming only the damaged one; an empty directory is
+// TestVerifyDir audits an engine's trace directory: one good entry and
+// one with a lying checksum → exit 3 naming only the damaged one; an empty directory is
 // a clean no-op.
 func TestVerifyDir(t *testing.T) {
 	empty := t.TempDir()
@@ -137,18 +142,9 @@ func TestVerifyDir(t *testing.T) {
 	good := filepath.Join(dir, "good.sp2t")
 	bad := filepath.Join(dir, "bad.sp2t")
 	src := recordTo(t, t.TempDir(), "v2")
-	data, err := os.ReadFile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(good, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	writeSidecar(t, good, hashFile(t, good))
-	if err := os.WriteFile(bad, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	writeSidecar(t, bad, strings.Repeat("11", 32))
+	writeEntry(t, src, good)
+	writeEntry(t, src, bad)
+	lieChecksum(t, bad)
 
 	code, out, stderr := runCLI(t, "verify", "-dir", dir)
 	if code != cli.ExitRuntime {

@@ -112,7 +112,6 @@ func NewEngine(o EngineOptions) (*Engine, error) {
 		if err := os.MkdirAll(spillDir, 0o777); err != nil {
 			return nil, fmt.Errorf("core: opening trace spill directory: %w", err)
 		}
-		sweepSpillOrphans(spillDir, spillOrphanAge)
 	} else {
 		dir, err := os.MkdirTemp("", "splash2-spill-")
 		if err != nil {

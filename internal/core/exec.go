@@ -157,7 +157,7 @@ func (b *batch) recordJob(id traceIdent) runner.Job[*memsys.Trace] {
 		if _, err := pt.job.Result(); err != nil {
 			return nil, err
 		}
-		return b.e.spill(key.String(), func() (*memsys.Trace, error) {
+		return b.e.spill(ctx, key.String(), func() (*memsys.Trace, error) {
 			tr, _, err := RecordApp(id.App, id.Procs, id.Opts)
 			return tr, err
 		})
@@ -173,10 +173,16 @@ func (b *batch) recordJob(id traceIdent) runner.Job[*memsys.Trace] {
 // wait completes the plan — one lazy, stored and leased exec job per
 // point that has pending picks, each pick depending on it — and runs the
 // graph. An execution whose point has a record pick records, unless a
-// verified container of an earlier run is already there, and writes the
-// recording to its container before it returns, dropping the bytes: a
-// pick waits for a worker behind every execution already queued, and
-// the recordings would pile up in memory meanwhile.
+// container of an earlier run is already there, and its label says so.
+// The presence check reads only the entry magic, and it is made here,
+// when the plan is complete, so it costs one open per such point even
+// when every job is then served from the cache. The pick verifies the
+// container's checksum; a damaged one that kept its magic is re-recorded
+// by the pick, at the cost of a second execution of the program. An
+// execution that records writes the recording to its container before
+// it returns, dropping the bytes: a pick waits for a worker behind every
+// execution already queued, and the recordings would pile up in memory
+// meanwhile.
 func (b *batch) wait() error {
 	for _, pt := range b.order {
 		if len(pt.picks) == 0 {
@@ -185,12 +191,12 @@ func (b *batch) wait() error {
 		slices.SortFunc(pt.id.Taps, compareConfigs)
 		pt.id.Taps = slices.Compact(pt.id.Taps)
 		id, spill := pt.id, pt.spill
+		record := spill != "" && !runner.HasEntry(b.e.spillPath(spill))
 		pt.job = runner.Submit(b.g, runner.Spec{
-			Label: execLabel(id, spill != ""),
+			Label: execLabel(id, record),
 			Key:   runner.KeyOf("exec", id),
 			Lazy:  true,
 		}, func(ctx context.Context) (*execution, error) {
-			record := spill != "" && !b.e.spilled(spill)
 			x, _, err := execute(id.App, mach.Config{Procs: id.Procs, LineSize: id.LineSize, MemModel: mach.CountOnly}, id.Opts, id.Taps, record)
 			if err != nil {
 				return nil, err

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"path/filepath"
 	"time"
 
 	"splash2/internal/runner"
@@ -13,26 +12,26 @@ import (
 //
 // A kill -9 mid-sweep leaves three kinds of debris in a cache directory:
 // the dead run's journal (no run.end event), its work leases (mtime
-// frozen at the last heartbeat), and its temp/spill artifacts. Nothing
-// about the *results* needs repair — every completed experiment was
-// stored atomically before its journal line — so resuming is forensics
-// plus cleanup plus an ordinary re-run: the cache supplies everything
-// the dead process finished, and only the in-flight remainder executes.
+// frozen at the last heartbeat), and its temp files. Nothing about the
+// *results* needs repair — every completed experiment was stored
+// atomically before its journal line — so resuming is forensics plus
+// cleanup plus an ordinary re-run: the cache supplies everything the
+// dead process finished, and only the in-flight remainder executes.
 
 // ResumeReport describes what a resume pass found and reclaimed.
 type ResumeReport struct {
 	// DeadRuns are the crashed runs adopted by this resume: journals
 	// with no run.end that no earlier resume had claimed.
 	DeadRuns []runner.RunSummary `json:"deadRuns"`
-	// Swept lists the lease/temp/spill files reclaimed.
+	// Swept lists the lease and temp files reclaimed.
 	Swept []string `json:"swept,omitempty"`
 }
 
 // Resume scans cacheDir for crashed runs, marks their journals resumed,
-// and sweeps their leases, temp files and broken spill pairs. leaseTTL
-// must match the crashed runs' lease configuration (0 selects the
-// default); leases younger than it that belong to live processes are
-// left alone, so resuming next to a healthy sibling daemon is safe.
+// and sweeps their leases and temp files. leaseTTL must match the
+// crashed runs' lease configuration (0 selects the default); leases
+// younger than it that belong to live processes are left alone, so
+// resuming next to a healthy sibling daemon is safe.
 // The caller then runs its sweep normally — cache hits are the resume.
 func Resume(cacheDir string, leaseTTL time.Duration) (*ResumeReport, error) {
 	if cacheDir == "" {
@@ -53,7 +52,6 @@ func Resume(cacheDir string, leaseTTL time.Duration) (*ResumeReport, error) {
 		rep.DeadRuns = append(rep.DeadRuns, s)
 	}
 	rep.Swept = cache.SweepCrashed(leaseTTL)
-	rep.Swept = append(rep.Swept, sweepSpillOrphans(filepath.Join(cacheDir, "traces"), 0)...)
 	return rep, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -28,9 +29,13 @@ import (
 // a cache directory migrates in place: the run that reads an old entry
 // rewrites it at the same path.
 //
-// Writes go through a temporary file in <dir>/tmp (the engine's trace
-// containers too) and a rename on the same filesystem, so concurrent
-// runs sharing a cache directory never observe partial entries. Opening
+// The engine's trace containers (<dir>/traces/<key>.sp2t) are entry
+// files of the same form with a v2 recording as the payload: WriteEntry
+// streams one in and OpenEntry verifies one before it is replayed.
+//
+// Writes go through a temporary file in <dir>/tmp and a rename on the
+// same filesystem (WriteEntry), so concurrent runs sharing a cache
+// directory never observe partial entries. Opening
 // a cache lists tmp/ alone and removes what a crashed run left there
 // over an hour ago; it reads no shard, journal or trace directory. Only
 // an explicit resume (SweepCrashed) walks the tree: it reclaims leases,
@@ -138,11 +143,11 @@ func (c *Cache) leaseManager() *leases {
 // concurrent run's in-flight write, whose temp file lives seconds at most.
 const staleTmpAge = time.Hour
 
-// sweepTmp removes temp artifacts older than age under dir: cache entry
-// temps (".tmp-*"), spill container/sidecar temps ("<key>.tmp*",
-// "<key>.json.tmp*") and lease-reap leftovers (".reap-*"). Real
-// artifacts (.json entries, .sp2t containers and their .sp2t.json
-// sidecars, .lease files, journal .jsonl) never match. It lists the
+// sweepTmp removes temp artifacts older than age under dir: entry temps
+// (".tmp-*", of cache entries and trace containers alike; older versions
+// also left "<key>.tmp*") and lease-reap leftovers (".reap-*"). Real
+// artifacts (.json entries, .sp2t containers, .lease files, journal
+// .jsonl) never match. It lists the
 // directories and stats only the temp names. OpenCache sweeps tmp/ alone
 // with staleTmpAge; SweepCrashed walks the whole cache with age 0.
 // Best-effort: sweep errors are ignored.
@@ -194,10 +199,108 @@ func (c *Cache) SweepCrashed(ttl time.Duration) []string {
 	return removed
 }
 
-// entryMagic opens every entry file; the SHA-256 of the value follows.
+// entryMagic opens every entry file — a cache entry or an engine's trace
+// container — and the SHA-256 of the payload follows it.
 const entryMagic = "SP2RES01"
 
 const entryHeader = len(entryMagic) + sha256.Size
+
+// checkEntry is the one integrity check of an entry file: header holds
+// the file's first entryHeader bytes and sum the SHA-256 of the payload
+// after them. The error says what failed.
+func checkEntry(header []byte, sum [sha256.Size]byte) error {
+	if magic := header[:len(entryMagic)]; string(magic) != entryMagic {
+		return fmt.Errorf("not an entry: magic %q, want %q", magic, entryMagic)
+	}
+	if want := [sha256.Size]byte(header[len(entryMagic):entryHeader]); sum != want {
+		return fmt.Errorf("entry checksum mismatch: payload sha256 %x, header records %x", sum, want)
+	}
+	return nil
+}
+
+// WriteEntry stores the payload write streams as an entry file at path:
+// the magic, the payload's SHA-256 and the payload. It writes through a
+// temporary file in tmpDir, which must be on path's filesystem, and
+// renames it into place only when every write and the close succeeded,
+// so no reader ever sees a torn entry.
+func WriteEntry(tmpDir, path string, write func(io.Writer) error) error {
+	f, err := os.CreateTemp(tmpDir, ".tmp-*")
+	if err != nil {
+		return err
+	}
+	err = writeEntry(f, write)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
+}
+
+// writeEntry writes the header with a zero checksum, streams the payload
+// through the hash and then fills the checksum in.
+func writeEntry(f *os.File, write func(io.Writer) error) error {
+	var header [entryHeader]byte
+	copy(header[:], entryMagic)
+	if _, err := f.Write(header[:]); err != nil {
+		return err
+	}
+	h := sha256.New()
+	if err := write(io.MultiWriter(f, h)); err != nil {
+		return err
+	}
+	_, err := f.WriteAt(h.Sum(nil), int64(len(entryMagic)))
+	return err
+}
+
+// HasEntry is the cheap presence check: path opens and starts with the
+// entry magic. It proves nothing about the payload; OpenEntry does.
+func HasEntry(path string) bool {
+	f, err := os.Open(path)
+	if err != nil {
+		return false
+	}
+	defer f.Close()
+	var magic [len(entryMagic)]byte
+	_, err = f.ReadAt(magic[:], 0)
+	return err == nil && string(magic[:]) == entryMagic
+}
+
+// OpenEntry opens the entry file at path and proves it intact: the
+// magic must match and the payload must hash to the header's SHA-256.
+// It returns the payload as a section of the open file, ready for
+// memsys.NewTraceFile, and the file, which the caller closes. A damaged
+// or foreign file is an error that says what failed.
+func OpenEntry(path string) (*io.SectionReader, *os.File, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	fi, err := f.Stat()
+	var header [entryHeader]byte
+	if err == nil {
+		if _, err = f.ReadAt(header[:], 0); err != nil {
+			err = fmt.Errorf("entry header truncated: %w", err)
+		}
+	}
+	var size int64
+	if err == nil {
+		size = fi.Size() - int64(entryHeader)
+		h := sha256.New()
+		if _, err = io.Copy(h, io.NewSectionReader(f, int64(entryHeader), size)); err == nil {
+			err = checkEntry(header[:], [sha256.Size]byte(h.Sum(nil)))
+		}
+	}
+	if err != nil {
+		f.Close()
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return io.NewSectionReader(f, int64(entryHeader), size), f, nil
+}
 
 func (c *Cache) path(k Key) string {
 	hx := k.String()
@@ -234,9 +337,9 @@ func (c *Cache) Get(ctx context.Context, k Key, decode func([]byte) (any, error)
 		return nil, false
 	}
 	data = c.inj.Data(op, data)
-	if len(data) >= entryHeader && string(data[:len(entryMagic)]) == entryMagic {
+	if len(data) >= entryHeader {
 		value := data[entryHeader:]
-		if sha256.Sum256(value) == [sha256.Size]byte(data[len(entryMagic):entryHeader]) {
+		if checkEntry(data, sha256.Sum256(value)) == nil {
 			if v, err := decode(value); err == nil {
 				return v, true
 			}
@@ -265,28 +368,12 @@ func (c *Cache) Put(ctx context.Context, k Key, value []byte) (err error) {
 	if err := c.inj.Do(ctx, "cache.put:"+k.String()); err != nil {
 		return err
 	}
-	sum := sha256.Sum256(value)
-	entry := append(append(append(make([]byte, 0, entryHeader+len(value)), entryMagic...), sum[:]...), value...)
 	path := c.path(k)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(c.tmp, ".tmp-*")
-	if err != nil {
+	return WriteEntry(c.tmp, path, func(w io.Writer) error {
+		_, err := w.Write(value)
 		return err
-	}
-	if _, err := tmp.Write(entry); err != nil {
-		tmp.Close() //splash:allow durability cleanup close on an already-failing path; the Write error is what the caller sees and the temp file is removed
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	})
 }

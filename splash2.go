@@ -256,7 +256,7 @@ type (
 const DefaultLeaseTTL = runner.DefaultLeaseTTL
 
 // Resume scans a cache directory for crashed runs: dead journals are
-// reported and marked resumed, and orphaned leases/temp/spill files are
+// reported and marked resumed, and orphaned leases and temp files are
 // swept. Run the characterization normally afterwards — cache hits are
 // the resume.
 func Resume(cacheDir string, leaseTTL time.Duration) (*ResumeReport, error) {
