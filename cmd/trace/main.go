@@ -40,6 +40,7 @@ package main
 
 import (
 	"encoding/binary"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -162,9 +163,8 @@ func record(args []string, stdout, stderr io.Writer) int {
 }
 
 // traceFile is a trace file opened for reading. payload is the
-// container: the whole file, or — for a recording an engine stored as a
-// checksummed entry (<cache-dir>/traces/<key>.sp2t) — the entry's
-// payload, which runner.OpenEntry verified against its SHA-256.
+// container: the whole file, or the payload runner.OpenEntry verified of
+// a recording an engine stored as an entry (<cache-dir>/traces/<key>.sp2t).
 type traceFile struct {
 	f       *os.File
 	payload *io.SectionReader
@@ -172,18 +172,16 @@ type traceFile struct {
 	entry   bool
 }
 
-// openTrace opens path and sniffs its container's format.
+// openTrace opens path and sniffs its container's format. A file without
+// the entry magic is a bare container; a damaged entry is an error.
 func openTrace(path string) (*traceFile, error) {
-	t := &traceFile{entry: runner.HasEntry(path)}
+	t := &traceFile{entry: true}
 	var err error
-	if t.entry {
-		t.payload, t.f, err = runner.OpenEntry(path)
-	} else if t.f, err = os.Open(path); err == nil {
-		var fi os.FileInfo
-		if fi, err = t.f.Stat(); err == nil {
-			t.payload = io.NewSectionReader(t.f, 0, fi.Size())
-		} else {
-			t.f.Close()
+	if t.payload, t.f, err = runner.OpenEntry(path); errors.Is(err, runner.ErrNotEntry) {
+		t.entry = false
+		if t.f, err = os.Open(path); err == nil {
+			size, _ := t.f.Seek(0, io.SeekEnd) // a failed seek reads as an empty file
+			t.payload = io.NewSectionReader(t.f, 0, size)
 		}
 	}
 	if err != nil {

@@ -3,10 +3,7 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"time"
 
 	"splash2/internal/fault"
@@ -38,12 +35,7 @@ type Engine struct {
 	// CollectResults; Do takes both from its call.
 	ctx       context.Context
 	keepGoing bool
-	spillDir  string // where recordings live as v2 containers (spill.go)
-	tmpDir    string // where their temp files are written: the cache's, or spillDir
-	// privateSpill is the spill directory an uncached engine made for
-	// itself; Close removes it.
-	privateSpill string
-	fault        *fault.Injector
+	fault     *fault.Injector
 }
 
 // EngineOptions configures an Engine.
@@ -54,11 +46,10 @@ type EngineOptions struct {
 	// CacheDir roots the on-disk result cache, the durable run journal
 	// and the recordings: each engine run appends its job lifecycle to
 	// CacheDir/journal/<runID>.jsonl, the crash-forensics record that
-	// `characterize -resume` reads back, and keeps each recording as a
-	// verified v2 container under CacheDir/traces, reused across
-	// processes. Empty disables the cache and the journal, and the
-	// engine keeps its recordings in a private temporary directory that
-	// Close removes.
+	// `characterize -resume` reads back, and a recording is a stored
+	// result the runner probes, leases and closes, a verified v2
+	// container under CacheDir/traces. Empty disables the cache and the
+	// journal; recordings then go to a private directory Close removes.
 	CacheDir string
 	// Progress receives live job-completion lines; nil disables them.
 	Progress io.Writer
@@ -91,44 +82,27 @@ type EngineOptions struct {
 func NewEngine(o EngineOptions) (*Engine, error) {
 	var cache *runner.Cache
 	var journal *runner.Journal
-	var spillDir, privateSpill, tmpDir string
 	if o.CacheDir != "" {
-		c, err := runner.OpenCache(o.CacheDir)
-		if err != nil {
+		var err error
+		if cache, err = runner.OpenCache(o.CacheDir); err != nil {
 			return nil, err
 		}
-		cache, tmpDir = c, c.TmpDir()
 		cache.SetFault(o.Fault)
 		if o.LeaseTTL >= 0 {
 			cache.EnableLeases(o.LeaseTTL)
 		}
-		j, err := runner.OpenJournal(runner.JournalDir(o.CacheDir))
-		if err != nil {
+		if journal, err = runner.OpenJournal(runner.JournalDir(o.CacheDir)); err != nil {
 			return nil, err
 		}
-		j.SetFault(o.Fault)
-		journal = j
-		spillDir = filepath.Join(o.CacheDir, "traces")
-		if err := os.MkdirAll(spillDir, 0o777); err != nil {
-			return nil, fmt.Errorf("core: opening trace spill directory: %w", err)
-		}
-	} else {
-		dir, err := os.MkdirTemp("", "splash2-spill-")
-		if err != nil {
-			return nil, fmt.Errorf("core: opening trace spill directory: %w", err)
-		}
-		spillDir, privateSpill, tmpDir = dir, dir, dir
+		journal.SetFault(o.Fault)
 	}
 	ctx := o.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	return &Engine{
-		spillDir:     spillDir,
-		tmpDir:       tmpDir,
-		privateSpill: privateSpill,
-		fault:        o.Fault,
-		journal:      journal,
+		fault:   o.Fault,
+		journal: journal,
 		r: runner.New(runner.Options{
 			Workers:  o.Workers,
 			Cache:    cache,
@@ -144,20 +118,15 @@ func NewEngine(o EngineOptions) (*Engine, error) {
 
 // Close ends the engine run cleanly: the run journal gets its run.end
 // event (a journal without one is, by definition, a crashed run), and
-// an uncached engine's private spill directory is removed. Safe to call
-// more than once; experiments already in flight are not interrupted by
-// Close itself.
+// the runner closes its recordings (Runner.Close). Safe to call more than
+// once; experiments in flight are not interrupted by Close itself.
 func (e *Engine) Close() error {
 	var err error
 	if e.journal != nil {
 		err = e.journal.Close(e.r.Counts())
 		e.journal = nil
 	}
-	if e.privateSpill != "" {
-		err = errors.Join(err, os.RemoveAll(e.privateSpill))
-		e.privateSpill = ""
-	}
-	return err
+	return errors.Join(err, e.r.Close())
 }
 
 // Journal returns the engine's durable run journal, or nil when

@@ -49,8 +49,8 @@ type pointKey struct {
 
 // execIdent is the cache identity of one execution: the program point
 // and, in canonical order, every memory configuration it fed. Whether
-// the recorder rode along is not part of it — the trace never enters the
-// result cache.
+// the recorder rode along is not part of it — the trace is stored under
+// the record pick's own key.
 type execIdent struct {
 	App      string          `json:"app"`
 	Procs    int             `json:"procs"`
@@ -64,7 +64,7 @@ type execIdent struct {
 // them.
 type execPoint struct {
 	id    execIdent
-	spill string // the record pick's key: non-empty, the execution fills its container
+	rec   runner.Job[*memsys.Trace] // the record pick, if the point has one
 	picks []runner.Handle
 	job   runner.Job[*execution]
 }
@@ -138,33 +138,23 @@ func (b *batch) countRuns(req Request, procs int) []runner.Job[*RunResult] {
 }
 
 // recordJob submits a trace pick (kind "recordv2"): lazy — it runs only
-// when an uncached replay demands the trace — and never written to the
-// result cache (traces are large; replay results are cached instead),
-// though memoized so the Figure-3 and Figure-7/8 sweeps share one trace
-// per program. It serves the verified container its point's execution
-// wrote (spill.go); an execution served from the cache, from another
-// process's lease or from an earlier graph wrote none, and the pick
-// serves an earlier run's container or records on its own.
+// when an uncached replay demands the trace — and stored like any result,
+// as a verified v2 container the runner serves from disk, so the Figure-3
+// and Figure-7/8 sweeps share one trace per program across processes.
+// Its point's execution records it (wait); the pick records on its own
+// only when that execution was served and no valid container is stored.
 func (b *batch) recordJob(id traceIdent) runner.Job[*memsys.Trace] {
-	key := runner.KeyOf("recordv2", id)
-	var pt *execPoint // as in runJob
 	j := runner.Submit(b.g, runner.Spec{
-		Label:   fmt.Sprintf("recordv2 %s p=%d", id.App, id.Procs),
-		Key:     key,
-		Lazy:    true,
-		NoStore: true,
+		Label: fmt.Sprintf("recordv2 %s p=%d", id.App, id.Procs),
+		Key:   runner.KeyOf("recordv2", id),
+		Lazy:  true,
 	}, func(ctx context.Context) (*memsys.Trace, error) {
-		if _, err := pt.job.Result(); err != nil {
-			return nil, err
-		}
-		return b.e.spill(ctx, key.String(), func() (*memsys.Trace, error) {
-			tr, _, err := RecordApp(id.App, id.Procs, id.Opts)
-			return tr, err
-		})
+		tr, _, err := RecordApp(id.App, id.Procs, id.Opts)
+		return tr, err
 	})
 	if !j.Done() {
-		pt = b.point(id.App, mach.Config{Procs: id.Procs, MemModel: mach.CountOnly}, id.Opts)
-		pt.spill = key.String()
+		pt := b.point(id.App, mach.Config{Procs: id.Procs, MemModel: mach.CountOnly}, id.Opts)
+		pt.rec = j
 		pt.picks = append(pt.picks, j)
 	}
 	return j
@@ -172,17 +162,10 @@ func (b *batch) recordJob(id traceIdent) runner.Job[*memsys.Trace] {
 
 // wait completes the plan — one lazy, stored and leased exec job per
 // point that has pending picks, each pick depending on it — and runs the
-// graph. An execution whose point has a record pick records, unless a
-// container of an earlier run is already there, and its label says so.
-// The presence check reads only the entry magic, and it is made here,
-// when the plan is complete, so it costs one open per such point even
-// when every job is then served from the cache. The pick verifies the
-// container's checksum; a damaged one that kept its magic is re-recorded
-// by the pick, at the cost of a second execution of the program. An
-// execution that records writes the recording to its container before
-// it returns, dropping the bytes: a pick waits for a worker behind every
-// execution already queued, and the recordings would pile up in memory
-// meanwhile.
+// graph. An execution records only if its point's record pick is going to
+// run (Graph.Needs), and hands the recording over as soon as it finishes
+// (runner.Store): the pick waits for a worker behind every execution
+// already queued, and recordings would pile up in memory meanwhile.
 func (b *batch) wait() error {
 	for _, pt := range b.order {
 		if len(pt.picks) == 0 {
@@ -190,21 +173,20 @@ func (b *batch) wait() error {
 		}
 		slices.SortFunc(pt.id.Taps, compareConfigs)
 		pt.id.Taps = slices.Compact(pt.id.Taps)
-		id, spill := pt.id, pt.spill
-		record := spill != "" && !runner.HasEntry(b.e.spillPath(spill))
+		id, rec := pt.id, pt.rec
 		pt.job = runner.Submit(b.g, runner.Spec{
-			Label: execLabel(id, record),
+			Label: execLabel(id),
 			Key:   runner.KeyOf("exec", id),
 			Lazy:  true,
 		}, func(ctx context.Context) (*execution, error) {
+			record := b.g.Needs(rec)
 			x, _, err := execute(id.App, mach.Config{Procs: id.Procs, LineSize: id.LineSize, MemModel: mach.CountOnly}, id.Opts, id.Taps, record)
 			if err != nil {
 				return nil, err
 			}
 			if record {
-				if err := b.e.writeSpilled(spill, x.trace.Swap(nil)); err != nil {
-					return nil, err
-				}
+				runner.Store(ctx, b.g, rec, x.trace)
+				x.trace = nil
 			}
 			return x, nil
 		})
@@ -237,8 +219,8 @@ func compareBool(a, b bool) int {
 }
 
 // execLabel names an exec job by its point and taps, e.g.
-// "exec ocean p=32 n=128 taps=64K/4-way,1024K/4-way +trace".
-func execLabel(id execIdent, record bool) string {
+// "exec ocean p=32 n=128 taps=64K/4-way,1024K/4-way".
+func execLabel(id execIdent) string {
 	label := fmt.Sprintf("exec %s p=%d", id.App, id.Procs)
 	var opts, taps []string
 	//splash:allow determinism collected then sorted; iteration order cannot reach the label
@@ -254,9 +236,6 @@ func execLabel(id execIdent, record bool) string {
 	}
 	if len(taps) > 0 {
 		label += " taps=" + strings.Join(taps, ",")
-	}
-	if record {
-		label += " +trace"
 	}
 	return label
 }

@@ -189,7 +189,7 @@ func TestTappedExecutionMatchesSeparateRuns(t *testing.T) {
 				if !reflect.DeepEqual(x.Stats, st) {
 					t.Errorf("tapped counters differ from the recording run's")
 				}
-				tapped := x.trace.Load()
+				tapped := x.trace
 				if !reflect.DeepEqual(tapped.Meta(), tr.Meta()) {
 					t.Errorf("tapped trace summary differs from RecordApp's\n got %+v\nwant %+v", tapped.Meta(), tr.Meta())
 				}

@@ -10,7 +10,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"splash2/internal/apps"
 	"splash2/internal/mach"
@@ -126,20 +125,19 @@ func RecordApp(app string, procs int, over map[string]int) (*memsys.Trace, mach.
 	if err != nil {
 		return nil, mach.Stats{}, err
 	}
-	return x.trace.Load(), x.Stats, nil
+	return x.trace, x.Stats, nil
 }
 
 // execution is what one program execution produced: the machine's
 // counters and PRAM time, one memsys.Stats per tap, and — when recorded —
-// the reference trace, which never enters the result cache. Run,
+// the reference trace, stored under its record pick's key. Run,
 // RecordApp and the engine's exec jobs all execute through execute.
 type execution struct {
 	Stats mach.Stats     `json:"stats"`
 	Taps  []memsys.Stats `json:"taps"`
-	// trace is the recording, when execute records. The engine's exec
-	// job moves it to its container (exec.go), so a memoized execution
-	// never holds one.
-	trace atomic.Pointer[memsys.Trace]
+	// trace is the recording, when execute records; the engine's exec
+	// job hands it to its record pick (exec.go) before it is memoized.
+	trace *memsys.Trace
 }
 
 // execute runs app once on a fresh machine configured by cfg, with one
@@ -171,7 +169,7 @@ func execute(app string, cfg mach.Config, over map[string]int, taps []memsys.Con
 	prog.Run(m)
 	x := &execution{}
 	if record {
-		x.trace.Store(m.FinishRecording())
+		x.trace = m.FinishRecording()
 	}
 	x.Stats = m.Snapshot()
 	for _, sys := range systems {

@@ -50,48 +50,57 @@ func TestSpillTracesMatchInMemory(t *testing.T) {
 	}
 }
 
-// TestUncachedSpillIsPrivate: an engine without a cache directory
-// spills into a directory of its own, which no other engine
-// shares, and the engine's Close removes it with every container in it.
+// TestUncachedSpillIsPrivate: an engine without a cache directory keeps
+// its recordings in a directory of its own, made 0700 in the temp
+// directory when it first records and shared with no other engine, and
+// the engine's Close removes it with every container in it.
 func TestUncachedSpillIsPrivate(t *testing.T) {
-	var dirs []string
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	private := func() []string {
+		dirs, err := filepath.Glob(filepath.Join(tmp, "splash2-spill-*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dirs
+	}
+	var engines []*Engine
 	for range 2 {
 		e, err := NewEngine(EngineOptions{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer e.Close()
-		info, err := os.Stat(e.spillDir)
+		if _, err := e.CollectResults(engineTestOptions()); err != nil {
+			t.Fatal(err)
+		}
+		engines = append(engines, e)
+	}
+	dirs := private()
+	if len(dirs) != 2 {
+		t.Fatalf("two uncached engines made private directories %v, want one each", dirs)
+	}
+	for _, dir := range dirs {
+		info, err := os.Stat(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if perm := info.Mode().Perm(); perm != 0o700 {
-			t.Errorf("spill directory %s has mode %v, want 0700", e.spillDir, perm)
+			t.Errorf("spill directory %s has mode %v, want 0700", dir, perm)
 		}
-		dirs = append(dirs, e.spillDir)
-	}
-	if dirs[0] == dirs[1] {
-		t.Fatalf("two uncached engines share spill directory %s", dirs[0])
-	}
-
-	e, err := NewEngine(EngineOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := e.spillDir
-	if _, err := e.CollectResults(engineTestOptions()); err != nil {
-		t.Fatal(err)
-	}
-	if paths, _ := filepath.Glob(filepath.Join(dir, "*.sp2t")); len(paths) == 0 {
-		t.Fatal("no spilled containers written; the run tested nothing")
-	}
-	for range 2 {
-		if err := e.Close(); err != nil {
-			t.Fatal(err)
+		if paths, _ := filepath.Glob(filepath.Join(dir, "traces", "*.sp2t")); len(paths) == 0 {
+			t.Fatalf("no spilled containers written in %s; the run tested nothing", dir)
 		}
 	}
-	if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("spill directory %s survives Close (stat error %v)", dir, err)
+	for i, e := range engines {
+		for range 2 {
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if left := private(); len(left) != len(engines)-1-i {
+			t.Fatalf("%d of %d engines closed, private directories left: %v", i+1, len(engines), left)
+		}
 	}
 }
 
@@ -166,8 +175,9 @@ func TestSpillReuseAndCorruptionFallback(t *testing.T) {
 		t.Fatalf("containers were rewritten on reuse:\nbefore %v\nafter  %v", before, after)
 	}
 
-	// Corrupt every container (hash mismatch against the sidecar): the
-	// loader must fall back to re-recording and overwrite them.
+	// Corrupt every container (no entry magic, so the verified open
+	// fails): the loader must fall back to re-recording and overwrite
+	// them.
 	for _, p := range containers {
 		if err := os.WriteFile(p, []byte("garbage, not a v2 container"), 0o644); err != nil {
 			t.Fatal(err)
@@ -189,8 +199,9 @@ func TestSpillReuseAndCorruptionFallback(t *testing.T) {
 
 // TestChaosSpilledTraceFaults drives spilled characterizations through
 // faults on the trace-read points ("trace.read", "trace.read.footer",
-// "trace.read.block:<i>"). Open- and footer-level faults strike inside
-// loadSpilled, which must degrade to re-recording — zero failures.
+// "trace.read.block:<i>"). Open- and footer-level faults strike when the
+// runner opens a container, which must degrade to the recording in hand
+// or to re-recording — zero failures.
 // Block-level faults strike mid-replay inside sweep jobs, so keep-going
 // loses those experiments; either way every surviving row must be
 // byte-identical to the fault-free run.

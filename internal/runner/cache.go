@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"io"
 	"io/fs"
@@ -29,9 +30,9 @@ import (
 // a cache directory migrates in place: the run that reads an old entry
 // rewrites it at the same path.
 //
-// The engine's trace containers (<dir>/traces/<key>.sp2t) are entry
-// files of the same form with a v2 recording as the payload: WriteEntry
-// streams one in and OpenEntry verifies one before it is replayed.
+// A recording is a file entry of the same form at <dir>/traces/<key>.sp2t
+// (files.go), its v2 container the payload, which the runner probes,
+// leases and serves like any entry and closes in Runner.Close.
 //
 // Writes go through a temporary file in <dir>/tmp and a rename on the
 // same filesystem (WriteEntry), so concurrent runs sharing a cache
@@ -106,9 +107,6 @@ func OpenCache(dir string) (*Cache, error) {
 
 // Dir returns the cache root directory.
 func (c *Cache) Dir() string { return c.dir }
-
-// TmpDir returns <dir>/tmp, where temp files to rename into the cache go.
-func (c *Cache) TmpDir() string { return c.tmp }
 
 // SetFault attaches a fault injector to the cache's I/O paths: reads
 // evaluate "cache.get:<key>" (errors and short reads), writes evaluate
@@ -205,12 +203,24 @@ const entryMagic = "SP2RES01"
 
 const entryHeader = len(entryMagic) + sha256.Size
 
+// ErrNotEntry is OpenEntry's error for a file without the entry magic
+// (foreign, or of an older format); a damaged entry is another error.
+var ErrNotEntry = errors.New("not an entry")
+
+// checkMagic reports a header that does not start with the entry magic.
+func checkMagic(header []byte) error {
+	if magic := header[:len(entryMagic)]; string(magic) != entryMagic {
+		return fmt.Errorf("%w: magic %q, want %q", ErrNotEntry, magic, entryMagic)
+	}
+	return nil
+}
+
 // checkEntry is the one integrity check of an entry file: header holds
 // the file's first entryHeader bytes and sum the SHA-256 of the payload
 // after them. The error says what failed.
 func checkEntry(header []byte, sum [sha256.Size]byte) error {
-	if magic := header[:len(entryMagic)]; string(magic) != entryMagic {
-		return fmt.Errorf("not an entry: magic %q, want %q", magic, entryMagic)
+	if err := checkMagic(header); err != nil {
+		return err
 	}
 	if want := [sha256.Size]byte(header[len(entryMagic):entryHeader]); sum != want {
 		return fmt.Errorf("entry checksum mismatch: payload sha256 %x, header records %x", sum, want)
@@ -257,24 +267,12 @@ func writeEntry(f *os.File, write func(io.Writer) error) error {
 	return err
 }
 
-// HasEntry is the cheap presence check: path opens and starts with the
-// entry magic. It proves nothing about the payload; OpenEntry does.
-func HasEntry(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	var magic [len(entryMagic)]byte
-	_, err = f.ReadAt(magic[:], 0)
-	return err == nil && string(magic[:]) == entryMagic
-}
-
 // OpenEntry opens the entry file at path and proves it intact: the
 // magic must match and the payload must hash to the header's SHA-256.
 // It returns the payload as a section of the open file, ready for
 // memsys.NewTraceFile, and the file, which the caller closes. A damaged
-// or foreign file is an error that says what failed.
+// file is an error that says what failed, and one without the magic is
+// ErrNotEntry.
 func OpenEntry(path string) (*io.SectionReader, *os.File, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -283,7 +281,10 @@ func OpenEntry(path string) (*io.SectionReader, *os.File, error) {
 	fi, err := f.Stat()
 	var header [entryHeader]byte
 	if err == nil {
-		if _, err = f.ReadAt(header[:], 0); err != nil {
+		_, err = f.ReadAt(header[:], 0)
+		if merr := checkMagic(header[:]); merr != nil {
+			err = merr
+		} else if err != nil {
 			err = fmt.Errorf("entry header truncated: %w", err)
 		}
 	}
@@ -308,13 +309,13 @@ func (c *Cache) path(k Key) string {
 }
 
 // Get loads the entry for k and decodes its value with decode. Any
-// failure — missing or unreadable file, wrong magic, checksum mismatch,
+// failure — no cache, missing or unreadable file, wrong magic, checksum mismatch,
 // decode error, even a decode panic — is a miss; damaged and old-format
 // entries are removed so the recomputed result can be stored cleanly.
 // ctx scopes the fault evaluation (injected delays honour request
 // cancellation); nil selects context.Background.
 func (c *Cache) Get(ctx context.Context, k Key, decode func([]byte) (any, error)) (v any, ok bool) {
-	if k.IsZero() {
+	if c == nil || k.IsZero() {
 		return nil, false
 	}
 	if ctx == nil {

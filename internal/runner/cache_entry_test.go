@@ -57,9 +57,6 @@ func TestCacheEntryRoundTrip(t *testing.T) {
 		payload := bytes.Repeat([]byte{byte(n), 0x5a, 0xc3}, n/3+1)[:n]
 		path := filepath.Join(dir, "e.sp2t")
 		writeTestEntry(t, dir, path, payload)
-		if !HasEntry(path) {
-			t.Fatalf("n=%d: HasEntry false on a fresh entry", n)
-		}
 		got, err := readEntry(path)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
@@ -104,7 +101,7 @@ func TestCacheEntryFailedWriteLeavesNothing(t *testing.T) {
 // a truncated payload, a flipped payload byte, a lying checksum, a
 // wrong magic, a truncated header — fails the one check, both for the
 // streaming verifier (a trace container) and for Cache.Get (a result).
-// Only a wrong or missing magic fails the cheap presence check.
+// Only a wrong or missing magic makes OpenEntry say ErrNotEntry.
 func TestCacheEntryDamageIsAMiss(t *testing.T) {
 	value := []byte(`{"miss":"rate","value":12345}`)
 	cases := []struct {
@@ -137,11 +134,12 @@ func TestCacheEntryDamageIsAMiss(t *testing.T) {
 			if err := os.WriteFile(path, tc.damage(raw), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if got := HasEntry(path); got != tc.present {
-				t.Errorf("HasEntry = %v, want %v", got, tc.present)
-			}
-			if _, err := readEntry(path); err == nil {
+			_, err = readEntry(path)
+			if err == nil {
 				t.Error("OpenEntry verified a damaged entry")
+			}
+			if got := !errors.Is(err, ErrNotEntry); got != tc.present {
+				t.Errorf("OpenEntry error %v: magic present = %v, want %v", err, got, tc.present)
 			}
 			if v, ok := c.Get(context.Background(), k, decodeInt); ok {
 				t.Errorf("Get served a damaged entry: %v", v)

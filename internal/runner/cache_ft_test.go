@@ -172,7 +172,7 @@ func TestCachePutRenameFailureLeavesNoTemp(t *testing.T) {
 	if err := c.Put(context.Background(), k, []byte("1")); err == nil {
 		t.Fatal("Put over a directory succeeded")
 	}
-	left, err := os.ReadDir(c.TmpDir())
+	left, err := os.ReadDir(filepath.Join(c.Dir(), "tmp"))
 	if err != nil {
 		t.Fatal(err)
 	}

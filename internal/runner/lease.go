@@ -306,10 +306,10 @@ func pidAlive(pid int) bool {
 // loop's stat/read traffic trivial.
 const waitInterval = 25 * time.Millisecond
 
-// wait blocks until the winner's result lands in the cache (returning
-// it), the lease disappears or goes stale (returning ok=false so the
+// wait blocks until the winner's result is stored — load, polled, serves
+// it — the lease disappears or goes stale (returning ok=false so the
 // caller re-contends), or ctx expires (returning ctx.Err()).
-func (l *leases) wait(ctx context.Context, c *Cache, k Key, decode func([]byte) (any, error)) (v any, ok bool, err error) {
+func (l *leases) wait(ctx context.Context, k Key, load func() (any, bool)) (v any, ok bool, err error) {
 	path := l.path(k)
 	t := time.NewTicker(waitInterval)
 	defer t.Stop()
@@ -319,7 +319,7 @@ func (l *leases) wait(ctx context.Context, c *Cache, k Key, decode func([]byte) 
 			return nil, false, ctx.Err()
 		case <-t.C:
 		}
-		if v, ok := c.Get(ctx, k, decode); ok {
+		if v, ok := load(); ok {
 			return v, true, nil
 		}
 		st, err := os.Stat(path)

@@ -348,7 +348,7 @@ func TestLeaseWaitWinnerVanished(t *testing.T) {
 	// No lease on disk at all: wait must return immediately-ish.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	_, ok, err := l.wait(ctx, c, k, decodeInt)
+	_, ok, err := l.wait(ctx, k, func() (any, bool) { return c.Get(ctx, k, decodeInt) })
 	if err != nil || ok {
 		t.Fatalf("wait = ok=%v err=%v, want re-contend (false, nil)", ok, err)
 	}
@@ -365,7 +365,7 @@ func TestLeaseWaitReapsStaleWinner(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	_, ok, err := l.wait(ctx, c, k, decodeInt)
+	_, ok, err := l.wait(ctx, k, func() (any, bool) { return c.Get(ctx, k, decodeInt) })
 	if err != nil || ok {
 		t.Fatalf("wait = ok=%v err=%v, want takeover re-contend (false, nil)", ok, err)
 	}
@@ -388,7 +388,7 @@ func TestLeaseWaitHonoursContext(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	_, ok, err := l.wait(ctx, c, k, decodeInt)
+	_, ok, err := l.wait(ctx, k, func() (any, bool) { return c.Get(ctx, k, decodeInt) })
 	if ok || err == nil {
 		t.Fatalf("wait = ok=%v err=%v, want context error", ok, err)
 	}

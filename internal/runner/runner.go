@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"reflect"
 	"runtime"
 	"runtime/debug"
@@ -35,6 +36,7 @@ import (
 	"time"
 
 	"splash2/internal/fault"
+	"splash2/internal/memsys"
 )
 
 // Options configures a Runner.
@@ -83,10 +85,10 @@ type Counts struct {
 	// LeaseAcquired counts jobs executed under a held cross-process
 	// lease (leases enabled, this process won the key).
 	LeaseAcquired int64
-	// LeaseShared counts jobs satisfied by another process's result:
-	// this process lost the lease race and read the winner's cache
-	// entry instead of recomputing, or won a lease whose previous holder
-	// had already stored the entry.
+	// LeaseShared counts leased jobs served from a stored entry instead
+	// of running: the winner's, when this process lost the lease race,
+	// or one found on winning it (its previous holder's, or a recording
+	// its execution handed over with Store).
 	LeaseShared int64
 	// LeaseTakeovers counts stale leases reclaimed from dead processes.
 	LeaseTakeovers int64
@@ -121,6 +123,11 @@ type Runner struct {
 
 	memoMu sync.Mutex
 	memo   map[Key]any
+
+	fileMu  sync.Mutex
+	files   []*os.File // the open file entries memoized values read (files.go)
+	private string     // an uncached runner's file-entry directory
+	closed  bool
 
 	submitted, executed, cacheHits, memoHits   atomic.Int64
 	failed, skipped, timedOut                  atomic.Int64
@@ -203,13 +210,13 @@ func (r *Runner) memoPut(k Key, v any) any {
 
 // job is the untyped scheduling unit.
 type job struct {
-	label   string
-	key     Key
-	lazy    bool
-	noStore bool
-	deps    []*job
-	run     func(ctx context.Context) (any, error)
-	codec   *valueCodec // the result type's stored form
+	label string
+	key   Key
+	lazy  bool
+	deps  []*job
+	run   func(ctx context.Context) (any, error)
+	codec *valueCodec // the result type's stored form
+	file  bool        // stored as a file entry instead (files.go)
 
 	done   chan struct{} // closed on completion
 	result any
@@ -278,10 +285,6 @@ type Spec struct {
 	// `record` job that is skipped entirely when every dependent `replay`
 	// is served from the cache.
 	Lazy bool
-	// NoStore keeps the result out of the on-disk cache (it is still
-	// memoized in memory and deduplicated). Used for traces, which are
-	// too large to persist per configuration.
-	NoStore bool
 	// Deps must complete before this job runs. They must belong to the
 	// same graph or already be complete.
 	Deps []Handle
@@ -375,15 +378,15 @@ func Submit[T any](g *Graph, spec Spec, run func(ctx context.Context) (T, error)
 		spec.Label = spec.Key.String()[:12]
 	}
 	j := &job{
-		label:   spec.Label,
-		key:     spec.Key,
-		lazy:    spec.Lazy,
-		noStore: spec.NoStore,
-		done:    make(chan struct{}),
+		label: spec.Label,
+		key:   spec.Key,
+		lazy:  spec.Lazy,
+		done:  make(chan struct{}),
 		run: func(ctx context.Context) (any, error) {
 			return run(ctx)
 		},
 		codec: codecFor(reflect.TypeFor[T]()),
+		file:  reflect.TypeFor[T]() == fileType,
 	}
 	for _, d := range spec.Deps {
 		j.deps = append(j.deps, d.raw())
@@ -417,6 +420,18 @@ func (g *Graph) Depend(j, dep Handle) {
 		return
 	}
 	jj.deps = append(jj.deps, dj)
+}
+
+// Needs reports whether j is going to run in g: demanded, served from
+// neither memo nor cache, not complete. A running job asks it of a
+// dependent, to make a by-product only for one that will use it (Store).
+func (g *Graph) Needs(h Handle) bool {
+	j := h.raw()
+	if j == nil || !j.visited || j.isDone() {
+		return false
+	}
+	_, memo := g.r.memoGet(j.key)
+	return !memo
 }
 
 // Wait resolves the graph (probing the cache for every demanded job,
@@ -473,9 +488,10 @@ func (g *Graph) resolve(ctx context.Context) []*job {
 	return need
 }
 
-// probe serves what it can of jobs from the on-disk cache, completing
-// each hit with the value the memo holds for its key. The probes run on
-// min(Workers, len(jobs)) goroutines; one worker probes inline.
+// probe serves what it can of jobs from the on-disk cache — cache
+// entries and file entries alike — completing each hit with the value
+// the memo holds for its key. The probes run on min(Workers, len(jobs))
+// goroutines; one worker probes inline.
 func (g *Graph) probe(ctx context.Context, jobs []*job) {
 	c := g.r.opts.Cache
 	if c == nil || len(jobs) == 0 {
@@ -485,10 +501,7 @@ func (g *Graph) probe(ctx context.Context, jobs []*job) {
 	work := func() {
 		for i := next.Add(1) - 1; i < int64(len(jobs)); i = next.Add(1) - 1 {
 			j := jobs[i]
-			if j.noStore || j.key.IsZero() {
-				continue
-			}
-			if v, ok := c.Get(ctx, j.key, j.codec.decode); ok {
+			if v, ok := g.r.load(ctx, j); ok {
 				g.r.cacheHits.Add(1)
 				j.complete(g.r.memoPut(j.key, v), nil)
 			}
@@ -636,61 +649,65 @@ func (g *Graph) execute(parent context.Context, need []*job) error {
 // never a gap. Losers wait on the winner's entry instead of recomputing
 // (shared=true); if the winner dies its lease expires and is taken over,
 // so the loop always terminates in a local execution or a shared result.
-// Jobs without a storable key — and any lease-layer error — fall back to
-// plain local execution: leases are an optimisation, never a gate.
+// Jobs without a key — and any lease-layer error — fall back to plain
+// local execution: leases are an optimisation, never a gate.
 func (g *Graph) runLeased(ctx context.Context, j *job) (v any, shared bool, err error) {
-	c := g.r.opts.Cache
-	ls := c.leaseManager()
-	if ls == nil || j.key.IsZero() || j.noStore {
-		v, err = g.runStored(ctx, j)
-		return v, false, err
-	}
-	for {
+	ls := g.r.opts.Cache.leaseManager()
+	for ls != nil && !j.key.IsZero() {
 		state, release := ls.tryAcquire(ctx, j.key)
-		switch state {
-		case leaseWon:
+		if state == leaseErr {
+			break
+		}
+		if state == leaseWon {
 			// The key's previous holder may have stored and released
 			// after this graph's resolve missed: its entry is the result.
-			if v, ok := c.Get(ctx, j.key, j.codec.decode); ok {
-				release()
-				g.r.leaseShared.Add(1)
-				return v, true, nil
-			}
-			g.r.leaseAcquired.Add(1)
-			v, err = g.runStored(ctx, j)
+			v, shared, err = g.runStored(ctx, j, true)
 			release()
-			return v, false, err
-		case leaseErr:
-			v, err = g.runStored(ctx, j)
-			return v, false, err
-		default: // leaseLost: another live process is computing this key
-			v, ok, werr := ls.wait(ctx, c, j.key, j.codec.decode)
-			if werr != nil {
-				return nil, false, werr
-			}
-			if ok {
+			if shared {
 				g.r.leaseShared.Add(1)
-				return v, true, nil
+			} else {
+				g.r.leaseAcquired.Add(1)
 			}
-			// The winner vanished without storing (crash or failure):
-			// re-contend and, if we win, run the job ourselves.
+			return v, shared, err
 		}
+		// leaseLost: another live process is computing this key.
+		v, ok, werr := ls.wait(ctx, j.key, func() (any, bool) { return g.r.load(ctx, j) })
+		if werr != nil {
+			return nil, false, werr
+		}
+		if ok {
+			g.r.leaseShared.Add(1)
+			return v, true, nil
+		}
+		// The winner vanished without storing (crash or failure):
+		// re-contend and, if we win, run the job ourselves.
 	}
+	return g.runStored(ctx, j, false)
 }
 
-// runStored runs a job and, on success, stores the result in the on-disk
-// cache (best-effort). Storing here — inside the lease window rather
-// than after it — is what makes cross-process hand-off race-free.
-func (g *Graph) runStored(ctx context.Context, j *job) (any, error) {
-	v, err := g.runOnce(ctx, j)
-	if err == nil && !j.key.IsZero() && !j.noStore && g.r.opts.Cache != nil {
-		if data, merr := j.codec.encode(v); merr == nil {
-			// A failed Put must not fail the job: lease waiters detect the
-			// missing store ("winner vanished without storing") and re-run.
-			g.r.opts.Cache.Put(ctx, j.key, data) //splash:allow durability best-effort store; waiters re-contend on a missing cache entry, so a lost Put costs a re-run, not correctness
+// runStored runs a job and stores its result, best-effort (a trace as a
+// file entry). On a won lease (recheck), and for a trace a dependency
+// may Store, it serves the job from an entry stored since the graph
+// resolved instead (served=true). Storing inside the lease window is
+// what makes hand-off race-free.
+func (g *Graph) runStored(ctx context.Context, j *job, recheck bool) (v any, served bool, err error) {
+	if recheck || j.file {
+		if v, ok := g.r.load(ctx, j); ok {
+			return v, true, nil
 		}
 	}
-	return v, err
+	if v, err = g.runOnce(ctx, j); err != nil || j.key.IsZero() {
+		return v, false, err
+	}
+	if j.file {
+		return g.r.storeFile(ctx, j.key, v.(*memsys.Trace)), false, nil
+	}
+	if c := g.r.opts.Cache; c != nil {
+		if data, merr := j.codec.encode(v); merr == nil {
+			c.Put(ctx, j.key, data) //splash:allow durability best-effort store; waiters re-contend on a missing cache entry, so a lost Put costs a re-run, not correctness
+		}
+	}
+	return v, false, nil
 }
 
 // runOnce executes the job's body on its own goroutine so that a panic

@@ -257,7 +257,7 @@ func TestCacheSkipsLazyDependency(t *testing.T) {
 	run := func() Counts {
 		r := New(Options{Workers: 2, Cache: cache})
 		g := r.NewGraph()
-		rec := Submit(g, Spec{Label: "record", Key: kRec, Lazy: true, NoStore: true}, func(ctx context.Context) (int, error) {
+		rec := Submit(g, Spec{Label: "record", Key: kRec, Lazy: true}, func(ctx context.Context) (int, error) {
 			records.Add(1)
 			return 10, nil
 		})
