@@ -45,8 +45,10 @@ type EngineOptions struct {
 	Workers int
 	// CacheDir roots the on-disk result cache, the durable run journal
 	// and the recordings: each engine run appends its job lifecycle to
-	// CacheDir/journal/<runID>.jsonl, the crash-forensics record that
-	// `characterize -resume` reads back, and a recording is a stored
+	// CacheDir/journal/<runID>.jsonl, made at its first job event, the
+	// crash-forensics record that `characterize -resume` reads back; a
+	// request's clean results are stored whole, one entry a repeat of
+	// the request reads in place of its graph; and a recording is a stored
 	// result the runner probes, leases and closes, a verified v2
 	// container under CacheDir/traces. Empty disables the cache and the
 	// journal; recordings then go to a private directory Close removes.

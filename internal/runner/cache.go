@@ -30,6 +30,9 @@ import (
 // a cache directory migrates in place: the run that reads an old entry
 // rewrites it at the same path.
 //
+// A value stored whole for a graph (Keep, read back by Lookup before the
+// graph is built) is one more entry of this form.
+//
 // A recording is a file entry of the same form at <dir>/traces/<key>.sp2t
 // (files.go), its v2 container the payload, which the runner probes,
 // leases and serves like any entry and closes in Runner.Close.

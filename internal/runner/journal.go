@@ -25,7 +25,9 @@ import (
 // the *run* itself legible after one. Each engine run appends JSONL
 // events — run.start, job.start, job.done, job.fail, job.skip,
 // job.shared, lease.takeover, run.end — to its own file under
-// <cacheDir>/journal/<runID>.jsonl. Every event is a single O_APPEND
+// <cacheDir>/journal/<runID>.jsonl. The file is made, with its run.start
+// line, at the run's first job or lease event: a run that journals none
+// (a warm one) leaves no file. Every event is a single O_APPEND
 // write of one line, which POSIX makes atomic for these sizes, so a
 // kill -9 can lose at most the tail of the final line; readers tolerate
 // exactly that (a truncated last line is dropped, anything else is
@@ -68,11 +70,12 @@ type JournalEvent struct {
 // journal hooks cost one nil check when journaling is disabled.
 type Journal struct {
 	mu       sync.Mutex
-	f        *os.File
+	f        *os.File // nil until the first event
 	path     string
 	runID    string
 	inj      *fault.Injector
 	appended int64
+	offered  bool // an event was offered: Close then ends the file with run.end
 	closed   bool
 }
 
@@ -84,7 +87,8 @@ func JournalDir(cacheDir string) string {
 	return filepath.Join(cacheDir, journalDirName)
 }
 
-// OpenJournal creates a new run journal in dir. The run id embeds the
+// OpenJournal names a new run journal in dir, which it creates; the file
+// itself is made at the first event. The run id embeds the
 // start time, pid and a nonce, so concurrent runs sharing the directory
 // never collide.
 func OpenJournal(dir string) (*Journal, error) {
@@ -95,15 +99,17 @@ func OpenJournal(dir string) (*Journal, error) {
 	rand.Read(nb[:])
 	runID := fmt.Sprintf("%s-%d-%s",
 		time.Now().UTC().Format("20060102T150405"), os.Getpid(), hex.EncodeToString(nb[:]))
-	path := filepath.Join(dir, runID+".jsonl")
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("runner: journal: %w", err)
+	return &Journal{path: filepath.Join(dir, runID+".jsonl"), runID: runID}, nil
+}
+
+// write appends one event line; the caller holds j.mu.
+func (j *Journal) write(ev JournalEvent) {
+	ev.Time = time.Now().UTC()
+	if data, err := json.Marshal(ev); err == nil {
+		if _, err := j.f.Write(append(data, '\n')); err == nil {
+			j.appended++
+		}
 	}
-	j := &Journal{f: f, path: path, runID: runID}
-	host, _ := os.Hostname()
-	j.append(nil, JournalEvent{Event: "run.start", PID: os.Getpid(), Host: host})
-	return j, nil
 }
 
 // SetFault attaches a fault injector to the journal's append path
@@ -122,7 +128,8 @@ func (j *Journal) RunID() string {
 	return j.runID
 }
 
-// Path returns the journal file path.
+// Path returns the journal file path; the file exists from the run's
+// first event on.
 func (j *Journal) Path() string {
 	if j == nil {
 		return ""
@@ -143,35 +150,40 @@ func (j *Journal) Appended() int64 {
 // append writes one event as a single JSONL line. Best-effort: a failed
 // append (full disk, injected fault) loses forensics, never results. The
 // context scopes the injection point to the request that caused the
-// event; lifecycle events (run.start, run.end) pass nil.
+// event; run.end passes nil.
 func (j *Journal) append(ctx context.Context, ev JournalEvent) {
 	if j == nil {
 		return
 	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if !j.closed {
+		j.offered = true
+		j.appendLocked(ctx, ev)
+	}
+}
+
+// appendLocked is append with j.mu held. The append is a crash
+// injection point: dying between a job's completion and its journal line
+// is exactly the window the reader's truncated-tail tolerance exists
+// for. The first event to pass it makes the file and its run.start line.
+func (j *Journal) appendLocked(ctx context.Context, ev JournalEvent) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ev.Time = time.Now().UTC()
-	data, err := json.Marshal(ev)
-	if err != nil {
+	if j.inj.Do(ctx, "journal.append") != nil {
 		return
 	}
-	data = append(data, '\n')
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return
+	if j.f == nil {
+		f, err := os.OpenFile(j.path, os.O_WRONLY|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o644)
+		if err != nil {
+			return
+		}
+		j.f = f
+		host, _ := os.Hostname()
+		j.write(JournalEvent{Event: "run.start", PID: os.Getpid(), Host: host})
 	}
-	// The append is a crash injection point: dying between a job's
-	// completion and its journal line is exactly the window the reader's
-	// truncated-tail tolerance exists for.
-	if err := j.inj.Do(ctx, "journal.append"); err != nil {
-		return
-	}
-	if _, err := j.f.Write(data); err != nil {
-		return
-	}
-	j.appended++
+	j.write(ev)
 }
 
 // JobStart records that a job began executing.
@@ -213,18 +225,24 @@ func (j *Journal) LeaseTakeover(ctx context.Context, key string) {
 }
 
 // Close appends the run.end event (with final counters) and closes the
-// file. A journal without run.end is, by definition, a crashed run.
+// file. A journal without run.end is, by definition, a crashed run; one
+// that was offered no event has no file and gets none.
 func (j *Journal) Close(counts Counts) error {
 	if j == nil {
 		return nil
 	}
-	j.append(nil, JournalEvent{Event: "run.end", Counts: &counts})
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
 		return nil
 	}
 	j.closed = true
+	if j.offered {
+		j.appendLocked(nil, JournalEvent{Event: "run.end", Counts: &counts})
+	}
+	if j.f == nil {
+		return nil
+	}
 	return j.f.Close()
 }
 

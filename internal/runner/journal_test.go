@@ -245,3 +245,40 @@ func TestJournalNilSafety(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestJournalFileMadeAtFirstEvent: a journal offered no event makes no
+// file, even after Close; the first event makes the file with its
+// run.start line, and Close then ends it with run.end.
+func TestJournalFileMadeAtFirstEvent(t *testing.T) {
+	dir := JournalDir(t.TempDir())
+	idle, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := idle.Close(Counts{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(idle.Path()); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a journal with no event left a file (stat: %v)", err)
+	}
+
+	j, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.JobStart(nil, "fft", "aa")
+	if err := j.Close(Counts{}); err != nil {
+		t.Fatal(err)
+	}
+	events, err := ReadJournal(j.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, ev := range events {
+		got = append(got, ev.Event)
+	}
+	if want := []string{"run.start", "job.start", "run.end"}; strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("events %v, want %v", got, want)
+	}
+}

@@ -25,8 +25,10 @@ type ProgressEvent struct {
 	Cause string `json:"cause,omitempty"`
 
 	// Summary-only fields: total jobs in the graph (served included),
-	// how many executed, how many were served from cache/memo, and the
-	// failure/skip counts of a keep-going graph.
+	// how many executed, how many were served from cache/memo — when the
+	// graph resolved, or at run time from another process's lease or a
+	// by-product Store handed over — and the failure/skip counts of a
+	// keep-going graph.
 	Jobs     int `json:"jobs,omitempty"`
 	Executed int `json:"executed,omitempty"`
 	Served   int `json:"served,omitempty"`
@@ -96,10 +98,10 @@ func (p *progress) job(status, label, cause string) {
 	p.emit(ProgressEvent{Status: status, Label: label, Done: p.done, Total: p.total, Cause: cause})
 }
 
-// summary emits the per-graph report event. needed is how many jobs the
-// graph had to run (failures included); the rest were served from the
-// cache or the memo.
-func (p *progress) summary(jobs, needed, executed, failed, skipped int) {
+// summary emits the per-graph report event: of its jobs, served came
+// from the cache or the memo and the rest ran (executed, failed) or were
+// skipped.
+func (p *progress) summary(jobs, served, executed, failed, skipped int) {
 	if len(p.fns) == 0 {
 		return
 	}
@@ -107,6 +109,6 @@ func (p *progress) summary(jobs, needed, executed, failed, skipped int) {
 	defer p.mu.Unlock()
 	p.emit(ProgressEvent{
 		Status: "summary", Done: p.done, Total: p.total,
-		Jobs: jobs, Executed: executed, Served: jobs - needed, Failed: failed, Skipped: skipped,
+		Jobs: jobs, Executed: executed, Served: served, Failed: failed, Skipped: skipped,
 	})
 }

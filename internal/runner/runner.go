@@ -524,7 +524,7 @@ func (g *Graph) probe(ctx context.Context, jobs []*job) {
 // cancelling the graph.
 func (g *Graph) execute(parent context.Context, need []*job) error {
 	if len(need) == 0 {
-		newProgress(g.fns, 0).summary(len(g.jobs), 0, 0, 0, 0)
+		newProgress(g.fns, 0).summary(len(g.jobs), len(g.jobs), 0, 0, 0)
 		return parent.Err()
 	}
 	ctx, cancel := context.WithCancel(parent)
@@ -539,9 +539,9 @@ func (g *Graph) execute(parent context.Context, need []*job) error {
 				cancel()
 			})
 		}
-		sem                       = g.r.sem
-		wg                        sync.WaitGroup
-		executed, failed, skipped atomic.Int64
+		sem                               = g.r.sem
+		wg                                sync.WaitGroup
+		executed, served, failed, skipped atomic.Int64
 	)
 	keep := g.keepGoing
 	prog := newProgress(g.fns, len(need))
@@ -624,6 +624,7 @@ func (g *Graph) execute(parent context.Context, need []*job) error {
 			}
 			j.complete(v, nil)
 			if shared {
+				served.Add(1)
 				g.r.opts.Journal.JobShared(ctx, j.label, keyStr(j.key))
 			} else {
 				g.r.opts.Journal.JobDone(ctx, j.label, keyStr(j.key))
@@ -638,7 +639,8 @@ func (g *Graph) execute(parent context.Context, need []*job) error {
 	if err := parent.Err(); err != nil {
 		return err
 	}
-	prog.summary(len(g.jobs), len(need), int(executed.Load()), int(failed.Load()), int(skipped.Load()))
+	prog.summary(len(g.jobs), len(g.jobs)-len(need)+int(served.Load()),
+		int(executed.Load()), int(failed.Load()), int(skipped.Load()))
 	return nil
 }
 
@@ -708,6 +710,33 @@ func (g *Graph) runStored(ctx context.Context, j *job, recheck bool) (v any, ser
 		}
 	}
 	return v, false, nil
+}
+
+// Lookup serves a whole graph's outcome from one value that Keep stored
+// under k, before any job of g is submitted: a verified Cache.Get (the
+// "cache.get:<key>" fault point, the checksum, the type's fingerprint; a
+// damaged entry is removed and missed), counted as a cache hit and
+// reported to g's sinks as a summary of one job served. On a miss g is
+// untouched and runs as usual.
+func Lookup[T any](ctx context.Context, g *Graph, k Key) (T, bool) {
+	v, ok := g.r.opts.Cache.Get(ctx, k, codecFor(reflect.TypeFor[T]()).decode)
+	if !ok {
+		var zero T
+		return zero, false
+	}
+	g.r.cacheHits.Add(1)
+	newProgress(g.fns, 0).summary(1, 1, 0, 0, 0)
+	return v.(T), true
+}
+
+// Keep stores v under k for Lookup, through the "cache.put:<key>" fault
+// point; a no-op without a cache.
+func Keep[T any](ctx context.Context, g *Graph, k Key, v T) {
+	if c := g.r.opts.Cache; c != nil {
+		if data, err := codecFor(reflect.TypeFor[T]()).encode(v); err == nil {
+			c.Put(ctx, k, data) //splash:allow durability best-effort store; a lost Put costs the next run a recompute, not correctness
+		}
+	}
 }
 
 // runOnce executes the job's body on its own goroutine so that a panic

@@ -318,3 +318,40 @@ func TestKeyDeterminismAndMapOrder(t *testing.T) {
 		t.Fatal("IsZero misbehaves")
 	}
 }
+
+// TestLookupServesKeptValue: a value Keep stored is served by Lookup in
+// a later runner as one cache hit, with a summary of one job served; a
+// runner without a cache, or another key, misses.
+func TestLookupServesKeptValue(t *testing.T) {
+	c, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := KeyOf("lookup", "whole")
+	ctx := context.Background()
+	Keep(ctx, New(Options{Cache: c}).NewGraph(), k, []string{"a", "b"})
+
+	r := New(Options{Cache: c})
+	g := r.NewGraph()
+	var sums []ProgressEvent
+	g.OnProgress(func(ev ProgressEvent) { sums = append(sums, ev) })
+	v, ok := Lookup[[]string](ctx, g, k)
+	if !ok || strings.Join(v, ",") != "a,b" {
+		t.Fatalf("Lookup = %v, %v; want the kept value", v, ok)
+	}
+	if n := r.Counts().CacheHits; n != 1 {
+		t.Errorf("%d cache hits, want 1", n)
+	}
+	if len(sums) != 1 || sums[0].Status != "summary" || sums[0].Jobs != 1 || sums[0].Served != 1 || sums[0].Executed != 0 {
+		t.Errorf("progress %+v, want one summary of one job served", sums)
+	}
+	if _, ok := Lookup[[]string](ctx, r.NewGraph(), KeyOf("lookup", "other")); ok {
+		t.Error("Lookup of a key never kept hit")
+	}
+	if _, ok := Lookup[[]string](ctx, New(Options{}).NewGraph(), k); ok {
+		t.Error("Lookup without a cache hit")
+	}
+	if _, ok := Lookup[[]int](ctx, r.NewGraph(), k); ok {
+		t.Error("Lookup as another type hit")
+	}
+}
