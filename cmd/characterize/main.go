@@ -29,13 +29,14 @@
 //
 //	characterize -resume              # reclaim a crashed run, then re-run (cache hits are the resume)
 //	characterize -deadline 10m        # whole-run deadline; doomed work cancelled promptly
-//	characterize -lease-ttl 10s       # cross-process work-lease expiry (0 disables leases)
 //
 // Runs that share a cache directory hold per-experiment work leases, so
 // two concurrent processes execute each expensive job once and the loser
-// adopts the winner's stored result. Every run appends a journal under
-// <cache-dir>/journal; after a kill -9, -resume reports what the dead
-// run finished and sweeps its stale leases and temp files.
+// adopts the winner's stored result. A lease is a file lock that dies
+// with its holder, so a killed run's keys go to the next contender at
+// once. Every run appends a journal under <cache-dir>/journal; after a
+// kill -9, -resume reports what the dead run finished and sweeps its
+// orphaned lease and temp files.
 //
 // Under -keep-going the run completes past failures: lost rows render as
 // FAILED(label: cause) placeholders, the failure manifest summarizes the
@@ -104,7 +105,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file on exit")
 
-		resume      = fs.Bool("resume", false, "reclaim crashed runs in the cache dir (report dead journals, sweep stale leases/temps) before running")
+		resume      = fs.Bool("resume", false, "reclaim crashed runs in the cache dir (report dead journals, sweep orphaned leases/temps) before running")
 		deadline    = fs.Duration("deadline", 0, "whole-run deadline; doomed work is cancelled promptly (0 = none)")
 		keepGoing   = fs.Bool("keep-going", false, "complete past failed experiments (exit 2, FAILED placeholders)")
 		failuresOut = fs.String("failures", "", "write the JSON failure manifest to this file (-keep-going)")
@@ -145,7 +146,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "characterize: -resume requires a cache directory")
 			return exitUsage
 		}
-		rep, err := splash2.Resume(o.CacheDir, o.LeaseTTL)
+		rep, err := splash2.Resume(o.CacheDir)
 		if err != nil {
 			fmt.Fprintln(stderr, "characterize:", err)
 			return exitRuntime

@@ -12,7 +12,6 @@
 //	splashd -max-inflight 4 -max-queue 16 -per-client 8
 //	splashd -timeout 5m              # per-experiment timeout
 //	splashd -drain-timeout 30s       # graceful SIGTERM budget
-//	splashd -lease-ttl 10s           # cross-process work-lease expiry (0 disables)
 //	splashd -progress                # per-experiment progress on stderr
 //	splashd -fault 'error@2=job:run fft*' -fault-seed 7   # chaos drill
 //
@@ -49,7 +48,9 @@
 //
 // Daemons sharing a cache directory (or sharing one with characterize
 // runs) hold cross-process work leases, executing each expensive
-// experiment once fleet-wide; every run appends a durable journal under
+// experiment once fleet-wide. A lease is a file lock the kernel drops
+// when its holder dies, so a crashed daemon's experiments go to the next
+// contender at once. Every run appends a durable journal under
 // <cache-dir>/journal for `characterize -resume` crash forensics.
 //
 // Requests are validated by core.Request.Canonical, the same validator

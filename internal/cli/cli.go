@@ -13,7 +13,6 @@ import (
 
 	"splash2/internal/core"
 	"splash2/internal/fault"
-	"splash2/internal/runner"
 )
 
 // Exit statuses shared by every binary: clean completion, bad usage,
@@ -45,7 +44,7 @@ func ExitCode(err error) int {
 }
 
 // EngineFlags registers on fs the engine flags characterize and splashd
-// share: -j, -cache-dir, -no-cache, -progress, -lease-ttl, -timeout,
+// share: -j, -cache-dir, -no-cache, -progress, -timeout,
 // -fault and -fault-seed. Call the returned function after fs.Parse; it
 // resolves them into engine options, or returns a usage error. Progress
 // lines and the note that no default cache directory exists go to
@@ -56,16 +55,12 @@ func EngineFlags(fs *flag.FlagSet) func() (core.EngineOptions, error) {
 		cacheDir  = fs.String("cache-dir", "", "result cache directory (default: <user cache dir>/splash2)")
 		noCache   = fs.Bool("no-cache", false, "disable the on-disk result cache")
 		progress  = fs.Bool("progress", false, "live per-experiment progress on stderr")
-		leaseTTL  = fs.Duration("lease-ttl", runner.DefaultLeaseTTL, "cross-process work-lease expiry; concurrent processes sharing the cache dir coalesce jobs (0 disables)")
 		timeout   = fs.Duration("timeout", 0, "per-experiment timeout (0 = none)")
 		faultSpec = fs.String("fault", "", `inject deterministic faults: "action[(arg)][@nth]=pattern;..."`)
 		faultSeed = fs.Int64("fault-seed", 1, "seed choosing the occurrence of @-nth fault rules")
 	)
 	return func() (core.EngineOptions, error) {
-		o := core.EngineOptions{Workers: *workers, Timeout: *timeout, LeaseTTL: *leaseTTL}
-		if *leaseTTL <= 0 {
-			o.LeaseTTL = -1 // the user asked for no leases
-		}
+		o := core.EngineOptions{Workers: *workers, Timeout: *timeout}
 		switch {
 		case *noCache:
 			if *cacheDir != "" {

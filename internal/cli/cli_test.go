@@ -7,7 +7,6 @@ import (
 	"io"
 	"strings"
 	"testing"
-	"time"
 
 	"splash2/internal/core"
 )
@@ -31,8 +30,7 @@ func TestExitCode(t *testing.T) {
 }
 
 // TestEngineFlags: the shared engine flags resolve into EngineOptions —
-// a non-positive -lease-ttl disables leases, -progress writes to the
-// flag set's output — and the -no-cache/-cache-dir exclusion and a bad
+// -progress writes to the flag set's output — and the -no-cache/-cache-dir exclusion and a bad
 // -fault rule are usage errors.
 func TestEngineFlags(t *testing.T) {
 	parse := func(args ...string) (core.EngineOptions, error) {
@@ -45,14 +43,14 @@ func TestEngineFlags(t *testing.T) {
 		}
 		return resolve()
 	}
-	o, err := parse("-j", "3", "-no-cache", "-lease-ttl", "0", "-progress", "-fault", "error=job:*")
+	o, err := parse("-j", "3", "-no-cache", "-progress", "-fault", "error=job:*")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Workers != 3 || o.CacheDir != "" || o.LeaseTTL != -1 || o.Progress != io.Discard || o.Fault == nil {
+	if o.Workers != 3 || o.CacheDir != "" || o.Progress != io.Discard || o.Fault == nil {
 		t.Errorf("options = %+v", o)
 	}
-	if o, err := parse("-cache-dir", "/x", "-lease-ttl", "5s"); err != nil || o.CacheDir != "/x" || o.LeaseTTL != 5*time.Second {
+	if o, err := parse("-cache-dir", "/x"); err != nil || o.CacheDir != "/x" {
 		t.Errorf("options = %+v, %v", o, err)
 	}
 	for _, args := range [][]string{{"-no-cache", "-cache-dir", "/x"}, {"-no-cache", "-fault", "explode=job:*"}} {
@@ -67,7 +65,7 @@ func TestEngineFlags(t *testing.T) {
 	EngineFlags(fs)
 	var names []string
 	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
-	if got, want := strings.Join(names, " "), "cache-dir fault fault-seed j lease-ttl no-cache progress timeout"; got != want {
+	if got, want := strings.Join(names, " "), "cache-dir fault fault-seed j no-cache progress timeout"; got != want {
 		t.Errorf("engine flags = %s, want %s", got, want)
 	}
 }

@@ -136,6 +136,8 @@ type chaosCase struct {
 	rules   []fault.Rule
 	// warmCache pre-populates the run's cache directory with a clean
 	// characterization so cache-read faults have real entries to corrupt.
+	// The request's stored results are dropped from it, or the run would
+	// read that one entry and no job or job entry would meet a fault.
 	warmCache bool
 	// wantFailures asserts the rule set actually lost experiments — a
 	// guard against rules that silently never fire.
@@ -200,6 +202,11 @@ func TestChaosKeepGoingInvariants(t *testing.T) {
 					if _, err := warm.CollectResults(o); err != nil {
 						t.Fatal(err)
 					}
+					warm.Close()
+					entry, _ := requestEntryPath(t, dir, o, KindResults)
+					if err := os.Remove(entry); err != nil {
+						t.Fatal(err)
+					}
 				}
 				inj := fault.New(seed, tc.rules...)
 				e, err := NewEngine(EngineOptions{
@@ -214,6 +221,9 @@ func TestChaosKeepGoingInvariants(t *testing.T) {
 				}
 				res, err := e.CollectResults(o)
 				checkChaosRun(t, inj, res, err, clean, tc.timeout > 0)
+				if len(inj.Fired()) == 0 {
+					t.Fatal("no rule fired; the case tested nothing")
+				}
 				if tc.wantFailures && len(res.Failures) == 0 {
 					t.Fatal("rule set lost no experiments; the case tested nothing")
 				}

@@ -50,8 +50,11 @@ type EngineOptions struct {
 	// request's clean results are stored whole, one entry a repeat of
 	// the request reads in place of its graph; and a recording is a stored
 	// result the runner probes, leases and closes, a verified v2
-	// container under CacheDir/traces. Empty disables the cache and the
-	// journal; recordings then go to a private directory Close removes.
+	// container under CacheDir/traces. Engines sharing a CacheDir, in one
+	// process or many, coalesce a cold job through its work lease, a
+	// lock the kernel drops when its holder dies. Empty disables the
+	// cache, the leases and the journal; recordings then go to a private
+	// directory Close removes.
 	CacheDir string
 	// Progress receives live job-completion lines; nil disables them.
 	Progress io.Writer
@@ -69,13 +72,6 @@ type EngineOptions struct {
 	// Fault is the deterministic fault injector threaded through job
 	// execution and cache I/O; nil disables injection.
 	Fault *fault.Injector
-
-	// LeaseTTL configures cross-process work leases on the cache (on by
-	// default whenever CacheDir is set): 0 selects the default TTL,
-	// negative disables leases. Leases coalesce expensive jobs across
-	// processes sharing one cache directory; a crashed holder's lease
-	// expires after the TTL and is taken over, never deadlocked on.
-	LeaseTTL time.Duration
 }
 
 // NewEngine creates an engine. It fails only when the cache or journal
@@ -90,9 +86,7 @@ func NewEngine(o EngineOptions) (*Engine, error) {
 			return nil, err
 		}
 		cache.SetFault(o.Fault)
-		if o.LeaseTTL >= 0 {
-			cache.EnableLeases(o.LeaseTTL)
-		}
+		cache.EnableLeases(0)
 		if journal, err = runner.OpenJournal(runner.JournalDir(o.CacheDir)); err != nil {
 			return nil, err
 		}

@@ -274,7 +274,8 @@ func checkSummary(t *testing.T, who string, s runner.ProgressEvent) {
 
 // TestSummaryAccountsEveryJob: a job served at run time — a recording
 // handed over by its execution, or a result lease-shared from another
-// engine — is counted as served, so the summary adds up to its jobs.
+// engine — is counted as served, and a failed job only as failed, so
+// the summary adds up to its jobs.
 func TestSummaryAccountsEveryJob(t *testing.T) {
 	req := Request{
 		Kind: KindResults, Apps: []string{"fft", "lu"}, Procs: 4, ProcList: []int{4},
@@ -322,6 +323,26 @@ func TestSummaryAccountsEveryJob(t *testing.T) {
 		if s.Executed == 0 && s.Served == 0 {
 			t.Errorf("engine %d: empty summary %+v", i, s)
 		}
+	}
+
+	rules, err := fault.Parse("error@1=job:exec *")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err = NewEngine(EngineOptions{Workers: 4, Fault: fault.New(1, rules...)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	kept := req
+	kept.KeepGoing = true
+	lossy, err := summaryOf(e, kept)
+	if !errors.Is(err, ErrFailures) {
+		t.Fatalf("keep-going run with a failed execution: err %v, want ErrFailures", err)
+	}
+	checkSummary(t, "keep-going run with a failed execution", lossy)
+	if lossy.Failed != 1 {
+		t.Errorf("keep-going run: %d failed jobs, want the 1 injected", lossy.Failed)
 	}
 }
 

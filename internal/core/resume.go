@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"splash2/internal/runner"
 )
@@ -11,8 +10,8 @@ import (
 // Resume: picking up after a crash.
 //
 // A kill -9 mid-sweep leaves three kinds of debris in a cache directory:
-// the dead run's journal (no run.end event), its work leases (mtime
-// frozen at the last heartbeat), and its temp files. Nothing about the
+// the dead run's journal (no run.end event), its lease files (their
+// locks died with it), and its temp files. Nothing about the
 // *results* needs repair — every completed experiment was stored
 // atomically before its journal line — so resuming is forensics plus
 // cleanup plus an ordinary re-run: the cache supplies everything the
@@ -28,12 +27,10 @@ type ResumeReport struct {
 }
 
 // Resume scans cacheDir for crashed runs, marks their journals resumed,
-// and sweeps their leases and temp files. leaseTTL must match the
-// crashed runs' lease configuration (0 selects the default); leases
-// younger than it that belong to live processes are left alone, so
-// resuming next to a healthy sibling daemon is safe.
+// and sweeps their leases and temp files. A lease a live process holds
+// is left alone, so resuming next to a healthy sibling daemon is safe.
 // The caller then runs its sweep normally — cache hits are the resume.
-func Resume(cacheDir string, leaseTTL time.Duration) (*ResumeReport, error) {
+func Resume(cacheDir string) (*ResumeReport, error) {
 	if cacheDir == "" {
 		return nil, fmt.Errorf("core: -resume requires a cache directory")
 	}
@@ -51,7 +48,7 @@ func Resume(cacheDir string, leaseTTL time.Duration) (*ResumeReport, error) {
 		}
 		rep.DeadRuns = append(rep.DeadRuns, s)
 	}
-	rep.Swept = cache.SweepCrashed(leaseTTL)
+	rep.Swept = cache.SweepCrashed()
 	return rep, nil
 }
 

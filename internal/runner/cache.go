@@ -42,10 +42,9 @@ import (
 // directory never observe partial entries. Opening
 // a cache lists tmp/ alone and removes what a crashed run left there
 // over an hour ago; it reads no shard, journal or trace directory. Only
-// an explicit resume (SweepCrashed) walks the tree: it reclaims leases,
-// the reap files a killed takeover leaves beside its lease (the key's
-// next contender clears an abandoned ".reap-lock") and temp files an
-// older version wrote beside the entries.
+// an explicit resume (SweepCrashed) walks the tree: it removes the lease
+// files no live process holds and the temp files an older version wrote
+// beside the entries.
 //
 // # Concurrency
 //
@@ -122,12 +121,12 @@ func (c *Cache) SetFault(inj *fault.Injector) {
 	}
 }
 
-// EnableLeases turns on cross-process work leases (see lease.go) with
-// the given TTL; ttl <= 0 selects DefaultLeaseTTL. Like SetFault it is
+// EnableLeases turns on cross-process work leases (see lease.go). The
+// argument is unused: a lease is a kernel lock that lasts as long as its
+// holder, so it has no expiry to configure. Like SetFault it is
 // setup-time configuration.
-func (c *Cache) EnableLeases(ttl time.Duration) {
-	c.ls = newLeases(c.dir, ttl)
-	c.ls.inj = c.inj
+func (c *Cache) EnableLeases(time.Duration) {
+	c.ls = &leases{dir: c.dir, inj: c.inj}
 }
 
 // leaseManager returns the lease manager, or nil when leases are
@@ -144,55 +143,50 @@ func (c *Cache) leaseManager() *leases {
 // concurrent run's in-flight write, whose temp file lives seconds at most.
 const staleTmpAge = time.Hour
 
-// sweepTmp removes temp artifacts older than age under dir: entry temps
-// (".tmp-*", of cache entries and trace containers alike; older versions
-// also left "<key>.tmp*") and lease-reap leftovers (".reap-*"). Real
-// artifacts (.json entries, .sp2t containers, .lease files, journal
-// .jsonl) never match. It lists the
-// directories and stats only the temp names. OpenCache sweeps tmp/ alone
-// with staleTmpAge; SweepCrashed walks the whole cache with age 0.
-// Best-effort: sweep errors are ignored.
-func sweepTmp(dir string, age time.Duration) (removed []string) {
+// sweepTmp removes the temp files (isTemp) under dir older than age.
+// OpenCache sweeps tmp/ alone with staleTmpAge, so it never races a
+// concurrent run's in-flight write. Best-effort: sweep errors are
+// ignored.
+func sweepTmp(dir string, age time.Duration) {
 	now := time.Now()
 	filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
+		if err != nil || d.IsDir() || !isTemp(d.Name()) {
 			return nil
 		}
-		name := d.Name()
-		if !strings.Contains(name, ".tmp") && !strings.Contains(name, ".reap-") {
-			return nil
-		}
-		info, err := d.Info()
-		if err != nil {
-			return nil
-		}
-		if now.Sub(info.ModTime()) > age {
-			if os.Remove(path) == nil {
-				removed = append(removed, path)
-			}
+		if info, err := d.Info(); err == nil && now.Sub(info.ModTime()) > age {
+			os.Remove(path)
 		}
 		return nil
 	})
-	return removed
+}
+
+// isTemp reports a temp file's name: an entry temp (".tmp-*", of cache
+// entries and trace containers alike; older versions also left
+// "<key>.tmp*"), or the ".reap-*" file of an older version's lease
+// takeover. Real artifacts (.json entries, .sp2t containers, .lease
+// files, journal .jsonl) never match.
+func isTemp(name string) bool {
+	return strings.Contains(name, ".tmp") || strings.Contains(name, ".reap-")
 }
 
 // SweepCrashed reclaims artifacts orphaned by dead runs, for an explicit
-// resume: every temp file regardless of age, and every lease that is
-// expired (mtime beyond ttl) or whose recorded owner is a dead process
-// on this host. Live remote owners are untouched — their heartbeat keeps
-// the mtime fresh. Returns the removed paths for the resume report.
-func (c *Cache) SweepCrashed(ttl time.Duration) []string {
-	if ttl <= 0 {
-		ttl = DefaultLeaseTTL
-	}
-	removed := sweepTmp(c.dir, 0)
-	host, _ := os.Hostname()
-	filepath.Walk(c.dir, func(path string, info os.FileInfo, err error) error {
-		if err != nil || info.IsDir() || !strings.HasSuffix(info.Name(), ".lease") {
+// resume, in one walk of the cache: every temp file regardless of age,
+// and every lease file whose lock it can take. A live holder, on this
+// host or another, keeps its lock and so its file. Returns the removed
+// paths for the resume report.
+func (c *Cache) SweepCrashed() (removed []string) {
+	filepath.WalkDir(c.dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
 			return nil
 		}
-		stale := time.Since(info.ModTime()) > ttl || ownerDead(path, host)
-		if stale && os.Remove(path) == nil {
+		var gone bool
+		switch name := d.Name(); {
+		case strings.HasSuffix(name, ".lease"):
+			gone = removeUnlocked(path)
+		case isTemp(name):
+			gone = os.Remove(path) == nil
+		}
+		if gone {
 			removed = append(removed, path)
 		}
 		return nil

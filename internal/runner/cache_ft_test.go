@@ -152,7 +152,7 @@ func TestOpenCacheLeavesShardTmpToResume(t *testing.T) {
 	if _, err := os.Stat(stale); err != nil {
 		t.Fatalf("opening the cache read a shard directory: %v", err)
 	}
-	if removed := c.SweepCrashed(time.Hour); len(removed) != 1 || removed[0] != stale {
+	if removed := c.SweepCrashed(); len(removed) != 1 || removed[0] != stale {
 		t.Fatalf("resume sweep removed %v, want [%s]", removed, stale)
 	}
 }

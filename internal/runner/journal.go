@@ -24,9 +24,9 @@ import (
 // The cache makes finished results survive a crash; the journal makes
 // the *run* itself legible after one. Each engine run appends JSONL
 // events — run.start, job.start, job.done, job.fail, job.skip,
-// job.shared, lease.takeover, run.end — to its own file under
+// job.shared, run.end — to its own file under
 // <cacheDir>/journal/<runID>.jsonl. The file is made, with its run.start
-// line, at the run's first job or lease event: a run that journals none
+// line, at the run's first job event: a run that journals none
 // (a warm one) leaves no file. Every event is a single O_APPEND
 // write of one line, which POSIX makes atomic for these sizes, so a
 // kill -9 can lose at most the tail of the final line; readers tolerate
@@ -45,12 +45,11 @@ type JournalEvent struct {
 	// Time is the event timestamp (UTC).
 	Time time.Time `json:"t"`
 	// Event is the event type: "run.start", "job.start", "job.done",
-	// "job.fail", "job.skip", "job.shared", "lease.takeover",
-	// "run.resumed", "run.end".
+	// "job.fail", "job.skip", "job.shared", "run.resumed", "run.end".
 	Event string `json:"ev"`
 	// Label is the job label for job.* events.
 	Label string `json:"label,omitempty"`
-	// Key is the job's content address for job.* and lease events.
+	// Key is the job's content address for job.* events.
 	Key string `json:"key,omitempty"`
 	// Cause is the failure cause for job.fail/job.skip.
 	Cause string `json:"cause,omitempty"`
@@ -217,11 +216,6 @@ func (j *Journal) JobFail(ctx context.Context, je *JobError) {
 // another process's lease instead of executing locally.
 func (j *Journal) JobShared(ctx context.Context, label, key string) {
 	j.append(ctx, JournalEvent{Event: "job.shared", Label: label, Key: key})
-}
-
-// LeaseTakeover records the reclamation of a dead process's lease.
-func (j *Journal) LeaseTakeover(ctx context.Context, key string) {
-	j.append(ctx, JournalEvent{Event: "lease.takeover", Key: key})
 }
 
 // Close appends the run.end event (with final counters) and closes the

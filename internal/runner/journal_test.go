@@ -27,22 +27,21 @@ func TestJournalRoundTrip(t *testing.T) {
 	j.JobFail(nil, &JobError{Label: "lu", Key: "bb22", Err: errors.New("boom")})
 	j.JobStart(nil, "radix", "cc33")
 	j.JobShared(nil, "radix", "cc33")
-	j.LeaseTakeover(nil, "dd44")
 	j.JobStart(nil, "ocean", "ee55") // never finishes: in flight at "crash"
 	if err := j.Close(Counts{Executed: 2}); err != nil {
 		t.Fatal(err)
 	}
-	// run.start + 9 = 10 events.
-	if n := j.Appended(); n != 10 {
-		t.Errorf("Appended() = %d, want 10", n)
+	// run.start + 8 = 9 events.
+	if n := j.Appended(); n != 9 {
+		t.Errorf("Appended() = %d, want 9", n)
 	}
 
 	events, err := ReadJournal(j.Path())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 10 {
-		t.Fatalf("read %d events, want 10", len(events))
+	if len(events) != 9 {
+		t.Fatalf("read %d events, want 9", len(events))
 	}
 	s := Summarize(j.Path(), events)
 	if s.RunID != j.RunID() {
@@ -237,7 +236,6 @@ func TestJournalNilSafety(t *testing.T) {
 	j.JobDone(nil, "x", "y")
 	j.JobFail(nil, &JobError{Label: "x"})
 	j.JobShared(nil, "x", "y")
-	j.LeaseTakeover(nil, "y")
 	if j.RunID() != "" || j.Path() != "" || j.Appended() != 0 {
 		t.Error("nil journal has identity")
 	}

@@ -2,7 +2,7 @@ package runner
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -12,11 +12,14 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"splash2/internal/fault"
 )
 
-// newLeasedCache opens a cache with leases enabled at a test-friendly
-// TTL. Each call gets its own manager (own owner nonce), so two caches
-// on one directory model two processes.
+// newLeasedCache opens a cache with leases enabled (EnableLeases ignores
+// the duration). Each lease attempt opens the lease file anew, and flock
+// excludes two open files of one process as it excludes two processes,
+// so two caches on one directory model two processes.
 func newLeasedCache(t *testing.T, dir string, ttl time.Duration) *Cache {
 	t.Helper()
 	c, err := OpenCache(dir)
@@ -125,52 +128,38 @@ func TestLeaseWonAfterStoreServesEntry(t *testing.T) {
 	}
 }
 
-// writeStaleLease plants a lease file whose mtime is past the TTL, as a
-// crashed process would leave it.
-func writeStaleLease(t *testing.T, l *leases, k Key, age time.Duration) string {
+// plantDeadLease leaves the lease file of k as a holder that died (or
+// closed it without removing it) leaves it: present and unlocked.
+func plantDeadLease(t *testing.T, l *leases, k Key) string {
 	t.Helper()
 	path := l.path(k)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	rec := leaseRecord{Owner: "deadhost:1:aa", PID: 1, Host: "deadhost", Start: time.Now().Add(-age)}
-	data, _ := json.Marshal(rec)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	old := time.Now().Add(-age)
-	if err := os.Chtimes(path, old, old); err != nil {
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
 }
 
-// TestLeaseTakeoverRace: many contenders hit one stale lease at once.
-// Exactly one may reap it (rename atomicity) and exactly one may win the
-// re-acquisition; everyone else must see leaseLost, never an error and
-// never a second takeover.
+// TestLeaseTakeoverRace: many contenders hit a dead holder's lease file
+// at once. The lock admits exactly one; everyone else must see
+// leaseLost, never an error.
 func TestLeaseTakeoverRace(t *testing.T) {
 	dir := t.TempDir()
 	k := KeyOf("test", "takeover-race")
-	var takeovers atomic.Int64
-
 	const contenders = 8
-	mgrs := make([]*leases, contenders)
-	for i := range mgrs {
-		mgrs[i] = newLeases(dir, 100*time.Millisecond)
-		mgrs[i].takeovers = func(context.Context, string) { takeovers.Add(1) }
-	}
-	writeStaleLease(t, mgrs[0], k, time.Minute)
+	plantDeadLease(t, &leases{dir: dir}, k)
 
 	states := make([]leaseState, contenders)
 	releases := make([]func(), contenders)
 	var wg sync.WaitGroup
-	for i := range mgrs {
+	for i := range contenders {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			states[i], releases[i] = mgrs[i].tryAcquire(context.Background(), k)
-		}(i)
+			states[i], releases[i] = (&leases{dir: dir}).tryAcquire(context.Background(), k)
+		}()
 	}
 	wg.Wait()
 
@@ -189,44 +178,63 @@ func TestLeaseTakeoverRace(t *testing.T) {
 	if won != 1 || errs != 0 {
 		t.Fatalf("states: won=%d lost=%d err=%d, want exactly one winner and no errors", won, lost, errs)
 	}
-	if n := takeovers.Load(); n != 1 {
-		t.Errorf("stale lease reaped %d times, want exactly 1", n)
-	}
 }
 
-// TestLeaseTakeoverStress repeats the takeover race a few hundred times
-// on two CPUs: every round plants one expired lease, releases all
-// contenders at once and requires exactly one winner, exactly one
-// reported takeover, and a directory with no lease or reap file left
-// once the winner releases. Rounds are paced by channels only.
+// TestLeaseTakeoverStress repeats the race a few hundred times on two
+// CPUs against two kinds of dead holder, alternating: a lease file whose
+// holder closed it without removing it, and a holder that releases
+// while the contenders are already contending, so some of them lock the
+// unlinked file they opened before the release. Each contender retries
+// until it wins or sees that another has won. Every round needs exactly
+// one winner, no error and, once the winner releases, no file left.
+// Rounds are paced by channels only.
 func TestLeaseTakeoverStress(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	const rounds, contenders = 300, 6
 	dir := t.TempDir()
-	var takeovers atomic.Int64
 	mgrs := make([]*leases, contenders)
 	for i := range mgrs {
-		mgrs[i] = newLeases(dir, time.Minute)
-		mgrs[i].takeovers = func(context.Context, string) { takeovers.Add(1) }
+		mgrs[i] = &leases{dir: dir}
 	}
+	holder := &leases{dir: dir}
 
 	type outcome struct {
 		state   leaseState
 		release func()
 	}
-	for round := 0; round < rounds; round++ {
+	for round := range rounds {
 		k := KeyOf("test", "takeover-stress", round)
-		writeStaleLease(t, mgrs[0], k, time.Hour)
-		takeovers.Store(0)
-
 		start := make(chan struct{})
+		if round%2 == 0 {
+			plantDeadLease(t, holder, k)
+		} else {
+			state, release := holder.tryAcquire(context.Background(), k)
+			if state != leaseWon {
+				t.Fatalf("round %d: holder could not acquire a fresh key", round)
+			}
+			go func() {
+				<-start
+				release()
+			}()
+		}
+
+		var won atomic.Bool
 		results := make(chan outcome, contenders) // one send per contender
 		for _, l := range mgrs {
-			go func(l *leases) {
+			go func() {
 				<-start
-				state, release := l.tryAcquire(context.Background(), k)
-				results <- outcome{state, release}
-			}(l)
+				for {
+					state, release := l.tryAcquire(context.Background(), k)
+					if state == leaseWon {
+						won.Store(true)
+					}
+					if state != leaseLost || won.Load() {
+						results <- outcome{state, release}
+						return
+					}
+					runtime.Gosched()
+				}
+			}()
 		}
 		close(start)
 		// Winners hold their lease until every contender has reported, so a
@@ -247,209 +255,191 @@ func TestLeaseTakeoverStress(t *testing.T) {
 		if len(releases) != 1 || errs != 0 {
 			t.Fatalf("round %d: won=%d err=%d, want exactly one winner and no errors", round, len(releases), errs)
 		}
-		if n := takeovers.Load(); n != 1 {
-			t.Fatalf("round %d: stale lease reaped %d times, want exactly 1", round, n)
-		}
 		if left, _ := filepath.Glob(filepath.Join(dir, "*", "*")); len(left) != 0 {
 			t.Fatalf("round %d: files left behind: %v", round, left)
 		}
 	}
 }
 
-// TestLeaseReapLockAbandoned: a reaper killed while holding the reap
-// lock must not wedge the key — the first contender to find the expired
-// lock clears it, and the next probe takes the stale lease over.
-func TestLeaseReapLockAbandoned(t *testing.T) {
-	l := newLeases(t.TempDir(), 100*time.Millisecond)
-	path := writeStaleLease(t, l, KeyOf("test", "reap-lock-abandoned"), time.Minute)
-	lock := path + ".reap-lock"
-	if err := os.WriteFile(lock, nil, 0o644); err != nil {
-		t.Fatal(err)
+// leasedJob runs one job keyed k on a runner over c and returns its
+// value and the runner's counts.
+func leasedJob(ctx context.Context, c *Cache, k Key, run func(context.Context) (int, error)) (int, Counts, error) {
+	r := New(Options{Cache: c})
+	g := r.NewGraph()
+	j := Submit(g, Spec{Label: "leased", Key: k}, run)
+	if err := g.Wait(ctx); err != nil {
+		return 0, r.Counts(), err
 	}
-	if l.reapIfStale(context.Background(), path) {
-		t.Fatal("reaped past a live reap lock")
+	v, err := j.Result()
+	return v, r.Counts(), err
+}
+
+// TestLeaseWaitWinnerVanished: a loser whose winner releases without
+// storing a result contends again and runs the job itself, rather than
+// waiting forever.
+func TestLeaseWaitWinnerVanished(t *testing.T) {
+	dir := t.TempDir()
+	c := newLeasedCache(t, dir, 0)
+	k := KeyOf("test", "winner-vanished")
+	state, release := (&leases{dir: dir}).tryAcquire(context.Background(), k)
+	if state != leaseWon {
+		t.Fatal("setup: the other holder could not acquire")
 	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("lease disturbed while the reap lock was held: %v", err)
+	time.AfterFunc(100*time.Millisecond, release)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	v, counts, err := leasedJob(ctx, c, k, func(context.Context) (int, error) { return 7, nil })
+	if err != nil || v != 7 {
+		t.Fatalf("job = %d, %v; want 7 run locally", v, err)
 	}
-	old := time.Now().Add(-time.Minute)
-	if err := os.Chtimes(lock, old, old); err != nil {
-		t.Fatal(err)
-	}
-	if l.reapIfStale(context.Background(), path) {
-		t.Fatal("the contender that clears an abandoned lock must re-probe, not reap")
-	}
-	if !l.reapIfStale(context.Background(), path) {
-		t.Fatal("stale lease not taken over after its abandoned reap lock was cleared")
-	}
-	if left, _ := filepath.Glob(path + "*"); len(left) != 0 {
-		t.Fatalf("files left behind: %v", left)
+	if counts.Executed != 1 || counts.LeaseAcquired != 1 || counts.LeaseShared != 0 {
+		t.Errorf("counts %+v, want one execution under a won lease", counts)
 	}
 }
 
-// TestLeaseHeartbeatKeepsLeaseFresh: a held lease outliving its TTL must
-// not look stale — the heartbeat bumps its mtime.
-func TestLeaseHeartbeatKeepsLeaseFresh(t *testing.T) {
+// TestLeaseWaitReapsStaleWinner: a waiter whose winner died mid-job —
+// its lock dropped, its lease file left behind — wins the key on its
+// next attempt, runs the job and removes the dead winner's file.
+func TestLeaseWaitReapsStaleWinner(t *testing.T) {
 	dir := t.TempDir()
-	l := newLeases(dir, 200*time.Millisecond)
-	k := KeyOf("test", "heartbeat")
-	state, release := l.tryAcquire(context.Background(), k)
+	c := newLeasedCache(t, dir, 0)
+	l := c.leaseManager()
+	k := KeyOf("test", "stale-winner")
+	// A holder's lock without its release: closing the file drops the
+	// lock as the death of its process would, and leaves the file.
+	path := plantDeadLease(t, l, k)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lock(f, path) != leaseWon {
+		t.Fatal("setup: could not lock the planted lease")
+	}
+	time.AfterFunc(100*time.Millisecond, func() { f.Close() })
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	v, counts, err := leasedJob(ctx, c, k, func(context.Context) (int, error) { return 9, nil })
+	if err != nil || v != 9 {
+		t.Fatalf("job = %d, %v; want 9 run locally", v, err)
+	}
+	if counts.LeaseAcquired != 1 {
+		t.Errorf("counts %+v, want the key won after its holder died", counts)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Error("dead winner's lease file still present after the job")
+	}
+}
+
+// TestLeaseWaitHonoursContext: a waiter on a live holder's lease returns
+// the context's error when it expires, without running the job.
+func TestLeaseWaitHonoursContext(t *testing.T) {
+	dir := t.TempDir()
+	c := newLeasedCache(t, dir, 0)
+	k := KeyOf("test", "wait-ctx")
+	state, release := (&leases{dir: dir}).tryAcquire(context.Background(), k)
 	if state != leaseWon {
-		t.Fatalf("tryAcquire = %v, want leaseWon", state)
+		t.Fatal("setup: the other holder could not acquire")
 	}
 	defer release()
 
-	time.Sleep(500 * time.Millisecond) // 2.5 TTLs
-	st, err := os.Stat(l.path(k))
-	if err != nil {
-		t.Fatalf("lease vanished while held: %v", err)
-	}
-	if age := time.Since(st.ModTime()); age > l.ttl {
-		t.Errorf("held lease looks stale (age %v > ttl %v); heartbeat not running", age, l.ttl)
-	}
-	if l.reapIfStale(context.Background(), l.path(k)) {
-		t.Error("contender reaped a heartbeating lease")
-	}
-}
-
-// TestLeaseReleaseRespectsTakeover: releasing after a contender took the
-// lease over must not remove the contender's lease.
-func TestLeaseReleaseRespectsTakeover(t *testing.T) {
-	dir := t.TempDir()
-	a := newLeases(dir, time.Hour)
-	k := KeyOf("test", "release-owner")
-	path := a.path(k)
-	state, release := a.tryAcquire(context.Background(), k)
-	if state != leaseWon {
-		t.Fatalf("tryAcquire = %v, want leaseWon", state)
-	}
-
-	// Simulate a takeover: replace the record with another owner's.
-	rec := leaseRecord{Owner: "otherhost:9:bb", PID: 9, Host: "otherhost", Start: time.Now()}
-	data, _ := json.Marshal(rec)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	release()
-	if _, err := os.Stat(path); err != nil {
-		t.Error("release removed a lease it no longer owned")
-	}
-	os.Remove(path)
-}
-
-// TestLeaseWaitWinnerVanished: a waiting loser whose winner removed its
-// lease without storing must re-contend (ok=false), not wait forever.
-func TestLeaseWaitWinnerVanished(t *testing.T) {
-	dir := t.TempDir()
-	c := newLeasedCache(t, dir, time.Hour)
-	l := c.leaseManager()
-	k := KeyOf("test", "winner-vanished")
-	// No lease on disk at all: wait must return immediately-ish.
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	_, ok, err := l.wait(ctx, k, func() (any, bool) { return c.Get(ctx, k, decodeInt) })
-	if err != nil || ok {
-		t.Fatalf("wait = ok=%v err=%v, want re-contend (false, nil)", ok, err)
-	}
-}
-
-// TestLeaseWaitReapsStaleWinner: a waiter polling a dead winner's lease
-// takes it over after the TTL instead of deadlocking on it.
-func TestLeaseWaitReapsStaleWinner(t *testing.T) {
-	dir := t.TempDir()
-	c := newLeasedCache(t, dir, 100*time.Millisecond)
-	l := c.leaseManager()
-	k := KeyOf("test", "stale-winner")
-	writeStaleLease(t, l, k, time.Minute)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	_, ok, err := l.wait(ctx, k, func() (any, bool) { return c.Get(ctx, k, decodeInt) })
-	if err != nil || ok {
-		t.Fatalf("wait = ok=%v err=%v, want takeover re-contend (false, nil)", ok, err)
-	}
-	if _, err := os.Stat(l.path(k)); !os.IsNotExist(err) {
-		t.Error("stale lease still present after wait's takeover")
-	}
-}
-
-// TestLeaseWaitHonoursContext: a cancelled waiter returns the context
-// error instead of polling on.
-func TestLeaseWaitHonoursContext(t *testing.T) {
-	dir := t.TempDir()
-	c := newLeasedCache(t, dir, time.Hour)
-	l := c.leaseManager()
-	k := KeyOf("test", "wait-ctx")
-	// A live (fresh) foreign lease, never released.
-	other := newLeases(dir, time.Hour)
-	if state, _ := other.tryAcquire(context.Background(), k); state != leaseWon {
-		t.Fatal("setup: other manager could not acquire")
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	_, ok, err := l.wait(ctx, k, func() (any, bool) { return c.Get(ctx, k, decodeInt) })
-	if ok || err == nil {
-		t.Fatalf("wait = ok=%v err=%v, want context error", ok, err)
+	var ran atomic.Bool
+	_, counts, err := leasedJob(ctx, c, k, func(context.Context) (int, error) { ran.Store(true); return 0, nil })
+	if !errors.Is(err, context.DeadlineExceeded) || ran.Load() || counts.Executed != 0 {
+		t.Fatalf("err=%v ran=%v executed=%d, want the deadline and no execution", err, ran.Load(), counts.Executed)
 	}
 }
 
-// deadPID returns the pid of a process that has definitely exited: the
-// test binary itself, re-run with no tests selected.
-func deadPID(t *testing.T) int {
-	t.Helper()
+const leaseHelperEnv = "SPLASH2_LEASE_HELPER"
+
+// TestLeaseHolderHelper is not a test: it is the child process of
+// TestLeaseKill9FreesKey. It dies by SIGKILL at the armed crash point,
+// holding the lease of the key the parent then contends for.
+func TestLeaseHolderHelper(t *testing.T) {
+	dir := os.Getenv(leaseHelperEnv)
+	if dir == "" {
+		t.Skip("lease holder helper: only runs re-executed")
+	}
+	rules, err := fault.Parse("crash@1=lease.acquire:*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := &leases{dir: dir, inj: fault.New(1, rules...)}
+	l.tryAcquire(context.Background(), KeyOf("test", "kill9"))
+	t.Fatal("the armed crash did not fire")
+}
+
+// TestLeaseKill9FreesKey: a process kill -9'd while holding a lease
+// leaves its lease file behind, and the next contender wins the key on
+// its first attempt: the kernel dropped the lock with the process, so no
+// expiry has to pass.
+func TestLeaseKill9FreesKey(t *testing.T) {
 	exe, err := os.Executable()
 	if err != nil {
 		t.Skip("no executable path:", err)
 	}
-	cmd := exec.Command(exe, "-test.run=^$")
-	if err := cmd.Run(); err != nil {
-		t.Skip("cannot re-exec test binary:", err)
+	dir := t.TempDir()
+	cmd := exec.Command(exe, "-test.run=^TestLeaseHolderHelper$")
+	cmd.Env = append(os.Environ(), leaseHelperEnv+"="+dir)
+	out, err := cmd.CombinedOutput()
+	if !strings.Contains(string(out), "fault: injected crash at lease.acquire:") {
+		t.Fatalf("helper did not die at the crash point (err %v): %s", err, out)
 	}
-	return cmd.Process.Pid
+	l := &leases{dir: dir}
+	k := KeyOf("test", "kill9")
+	if _, err := os.Stat(l.path(k)); err != nil {
+		t.Fatalf("the killed holder left no lease file: %v", err)
+	}
+	state, release := l.tryAcquire(context.Background(), k)
+	if state != leaseWon {
+		t.Fatalf("first attempt after the holder's death = %v, want leaseWon", state)
+	}
+	release()
+	if _, err := os.Stat(l.path(k)); !os.IsNotExist(err) {
+		t.Errorf("lease file left after release: %v", err)
+	}
 }
 
-// TestSweepCrashed: an explicit resume sweep reclaims expired leases,
-// same-host dead-owner leases and temp files, while leaving a live
-// owner's fresh lease alone.
+// TestSweepCrashed: an explicit resume sweep removes the lease files no
+// process holds and every temp file, including an older version's reap
+// leftovers, while leaving a live holder's lease alone.
 func TestSweepCrashed(t *testing.T) {
 	dir := t.TempDir()
-	c := newLeasedCache(t, dir, time.Hour)
+	c := newLeasedCache(t, dir, 0)
 	l := c.leaseManager()
 
-	stale := writeStaleLease(t, l, KeyOf("test", "sweep-stale"), 2*time.Hour)
-
-	host, _ := os.Hostname()
-	deadKey := KeyOf("test", "sweep-dead-pid")
-	deadPath := l.path(deadKey)
-	os.MkdirAll(filepath.Dir(deadPath), 0o755)
-	rec := leaseRecord{Owner: "x", PID: deadPID(t), Host: host, Start: time.Now()}
-	data, _ := json.Marshal(rec)
-	if err := os.WriteFile(deadPath, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	dead := plantDeadLease(t, l, KeyOf("test", "sweep-dead"))
 
 	liveKey := KeyOf("test", "sweep-live")
-	if state, _ := l.tryAcquire(context.Background(), liveKey); state != leaseWon {
+	state, release := l.tryAcquire(context.Background(), liveKey)
+	if state != leaseWon {
 		t.Fatal("setup: could not acquire live lease")
 	}
+	defer release()
 	livePath := l.path(liveKey)
 
-	tmp := filepath.Join(dir, "ab", ".tmp-orphan")
-	os.MkdirAll(filepath.Dir(tmp), 0o755)
-	if err := os.WriteFile(tmp, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
+	var debris []string
+	for _, name := range []string{".tmp-orphan", "cd.lease.reap-lock", "cd.lease.reap-0a1b"} {
+		p := filepath.Join(dir, "ab", name)
+		os.MkdirAll(filepath.Dir(p), 0o755)
+		if err := os.WriteFile(p, []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		debris = append(debris, p)
 	}
 
-	removed := c.SweepCrashed(time.Hour)
+	removed := c.SweepCrashed()
 	got := strings.Join(removed, "\n")
-	for _, want := range []string{stale, deadPath, tmp} {
+	for _, want := range append(debris, dead) {
 		if !strings.Contains(got, want) {
 			t.Errorf("sweep did not reclaim %s (removed: %v)", want, removed)
 		}
 	}
 	if _, err := os.Stat(livePath); err != nil {
-		t.Errorf("sweep removed a live owner's lease: %v", err)
+		t.Errorf("sweep removed a live holder's lease: %v", err)
 	}
 }
 

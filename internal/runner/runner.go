@@ -90,8 +90,6 @@ type Counts struct {
 	// or one found on winning it (its previous holder's, or a recording
 	// its execution handed over with Store).
 	LeaseShared int64
-	// LeaseTakeovers counts stale leases reclaimed from dead processes.
-	LeaseTakeovers int64
 }
 
 // Runner schedules experiment graphs. It may run many graphs
@@ -129,9 +127,9 @@ type Runner struct {
 	private string     // an uncached runner's file-entry directory
 	closed  bool
 
-	submitted, executed, cacheHits, memoHits   atomic.Int64
-	failed, skipped, timedOut                  atomic.Int64
-	leaseAcquired, leaseShared, leaseTakeovers atomic.Int64
+	submitted, executed, cacheHits, memoHits atomic.Int64
+	failed, skipped, timedOut                atomic.Int64
+	leaseAcquired, leaseShared               atomic.Int64
 }
 
 // New creates a Runner.
@@ -146,12 +144,6 @@ func New(opts Options) *Runner {
 	}
 	if opts.Progress != nil {
 		r.fns = append(r.fns, textProgress(opts.Progress, opts.Workers))
-	}
-	if ls := opts.Cache.leaseManager(); ls != nil {
-		ls.takeovers = func(ctx context.Context, key string) {
-			r.leaseTakeovers.Add(1)
-			r.opts.Journal.LeaseTakeover(ctx, key)
-		}
 	}
 	return r
 }
@@ -170,9 +162,8 @@ func (r *Runner) Counts() Counts {
 		Skipped:   r.skipped.Load(),
 		TimedOut:  r.timedOut.Load(),
 
-		LeaseAcquired:  r.leaseAcquired.Load(),
-		LeaseShared:    r.leaseShared.Load(),
-		LeaseTakeovers: r.leaseTakeovers.Load(),
+		LeaseAcquired: r.leaseAcquired.Load(),
+		LeaseShared:   r.leaseShared.Load(),
 	}
 }
 
@@ -596,10 +587,6 @@ func (g *Graph) execute(parent context.Context, need []*job) error {
 			}
 			g.r.opts.Journal.JobStart(ctx, j.label, keyStr(j.key))
 			v, shared, err := g.runLeased(ctx, j)
-			if !shared {
-				g.r.executed.Add(1)
-				executed.Add(1)
-			}
 			if err != nil {
 				if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
 					// Cancellation, not a job fault: complete without
@@ -627,6 +614,7 @@ func (g *Graph) execute(parent context.Context, need []*job) error {
 				served.Add(1)
 				g.r.opts.Journal.JobShared(ctx, j.label, keyStr(j.key))
 			} else {
+				executed.Add(1)
 				g.r.opts.Journal.JobDone(ctx, j.label, keyStr(j.key))
 			}
 			prog.job("done", j.label, "")
@@ -647,12 +635,13 @@ func (g *Graph) execute(parent context.Context, need []*job) error {
 // runLeased executes a job, coalescing with other processes when
 // cross-process leases are enabled on the cache. The winner of a key's
 // lease runs the job and stores the result durably *before* releasing
-// the lease, so losers polling the cache observe result-then-release,
-// never a gap. Losers wait on the winner's entry instead of recomputing
-// (shared=true); if the winner dies its lease expires and is taken over,
-// so the loop always terminates in a local execution or a shared result.
-// Jobs without a key — and any lease-layer error — fall back to plain
-// local execution: leases are an optimisation, never a gate.
+// the lease, so a loser that finds the lease free again finds the entry
+// too. A loser waits waitInterval, serves the winner's entry once it is
+// stored (shared=true), and otherwise contends again: a winner that
+// died or failed without storing leaves its key to the next contender,
+// so the loop ends in a local execution, a shared result or ctx's
+// error. Jobs without a key — and any lease-layer error — fall back to
+// plain local execution: leases are an optimisation, never a gate.
 func (g *Graph) runLeased(ctx context.Context, j *job) (v any, shared bool, err error) {
 	ls := g.r.opts.Cache.leaseManager()
 	for ls != nil && !j.key.IsZero() {
@@ -672,17 +661,16 @@ func (g *Graph) runLeased(ctx context.Context, j *job) (v any, shared bool, err 
 			}
 			return v, shared, err
 		}
-		// leaseLost: another live process is computing this key.
-		v, ok, werr := ls.wait(ctx, j.key, func() (any, bool) { return g.r.load(ctx, j) })
-		if werr != nil {
-			return nil, false, werr
+		// leaseLost: another process is computing this key.
+		select {
+		case <-ctx.Done():
+			return nil, false, ctx.Err()
+		case <-time.After(waitInterval):
 		}
-		if ok {
+		if v, ok := g.r.load(ctx, j); ok {
 			g.r.leaseShared.Add(1)
 			return v, true, nil
 		}
-		// The winner vanished without storing (crash or failure):
-		// re-contend and, if we win, run the job ourselves.
 	}
 	return g.runStored(ctx, j, false)
 }
@@ -746,6 +734,7 @@ func Keep[T any](ctx context.Context, g *Graph, k Key, v T) {
 // result and exits when it returns, and only then frees its worker slot
 // (releaseSlot).
 func (g *Graph) runOnce(ctx context.Context, j *job) (any, error) {
+	g.r.executed.Add(1)
 	rctx, rcancel := ctx, context.CancelFunc(func() {})
 	if g.r.opts.Timeout > 0 {
 		rctx, rcancel = context.WithTimeout(ctx, g.r.opts.Timeout)

@@ -84,9 +84,8 @@ type Metrics struct {
 	// Lease: cross-process work-lease activity on the shared cache dir
 	// (zero unless another process contends for the same experiments).
 	Lease struct {
-		Acquired  int64 `json:"acquired"`  // jobs executed under a won lease
-		Shared    int64 `json:"shared"`    // jobs adopted from another process's lease
-		Takeovers int64 `json:"takeovers"` // stale leases reclaimed from dead owners
+		Acquired int64 `json:"acquired"` // jobs executed under a won lease
+		Shared   int64 `json:"shared"`   // jobs adopted from another process's lease
 	} `json:"lease"`
 
 	// Journal: the durable run journal under <cache-dir>/journal.

@@ -215,7 +215,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	m.Lease.Acquired = c.LeaseAcquired
 	m.Lease.Shared = c.LeaseShared
-	m.Lease.Takeovers = c.LeaseTakeovers
 	if j := s.engine.Journal(); j != nil {
 		m.Journal.Enabled = true
 		m.Journal.RunID = j.RunID()

@@ -42,7 +42,6 @@ package splash2
 
 import (
 	"io"
-	"time"
 
 	"splash2/internal/apps"
 	_ "splash2/internal/apps/all"
@@ -250,17 +249,12 @@ type (
 	RunSummary = runner.RunSummary
 )
 
-// DefaultLeaseTTL is the default cross-process work-lease expiry
-// (ReportOptions.LeaseTTL = 0); a crashed lease holder delays
-// contenders on its key by at most this long.
-const DefaultLeaseTTL = runner.DefaultLeaseTTL
-
 // Resume scans a cache directory for crashed runs: dead journals are
 // reported and marked resumed, and orphaned leases and temp files are
 // swept. Run the characterization normally afterwards — cache hits are
 // the resume.
-func Resume(cacheDir string, leaseTTL time.Duration) (*ResumeReport, error) {
-	return core.Resume(cacheDir, leaseTTL)
+func Resume(cacheDir string) (*ResumeReport, error) {
+	return core.Resume(cacheDir)
 }
 
 // Fault tolerance and failure semantics. A characterization run in
