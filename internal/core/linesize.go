@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"text/tabwriter"
 
 	"splash2/internal/memsys"
 	"splash2/internal/runner"
@@ -122,39 +121,40 @@ func lineSizeSweepJob(g *runner.Graph, rec runner.Job[*memsys.Trace], id traceId
 
 // RenderLineSizeMisses prints Figure 7 (miss decomposition vs line size).
 func RenderLineSizeMisses(w io.Writer, groups [][]LineSizePoint) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Code\tLine\tCold%\tCap%\tTrue%\tFalse%\tUpgrades%\tTotal miss%")
+	r := newTable(w)
+	r.str("Code\tLine\tCold%\tCap%\tTrue%\tFalse%\tUpgrades%\tTotal miss%").end()
 	for _, pts := range groups {
 		for _, l := range pts {
-			if l.Failed != "" {
-				fmt.Fprintf(tw, "%s\t%s\n", l.App, l.Failed)
+			if r.str(l.App); l.Failed != "" {
+				r.cell(l.Failed).end()
 				continue
 			}
-			fmt.Fprintf(tw, "%s\t%dB\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f\n",
-				l.App, l.LineSize, l.ColdPct, l.CapacityPct, l.TruePct, l.FalsePct, l.UpgradePct, l.TotalMissPct())
+			r.next().int(l.LineSize).str("B")
+			for _, v := range [...]float64{l.ColdPct, l.CapacityPct, l.TruePct, l.FalsePct, l.UpgradePct, l.TotalMissPct()} {
+				r.next().fixed(v, 3)
+			}
+			r.end()
 		}
 	}
-	tw.Flush()
+	r.tw.Flush()
 }
 
 // RenderLineSizeTraffic prints Figure 8 (traffic vs line size).
 func RenderLineSizeTraffic(w io.Writer, groups [][]LineSizePoint) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Code\tLine\tUnit\tRemote data\tRemote ovhd\tLocal data\tTotal")
+	r := newTable(w)
+	r.str("Code\tLine\tUnit\tRemote data\tRemote ovhd\tLocal data\tTotal").end()
 	for _, pts := range groups {
 		for _, l := range pts {
-			if l.Failed != "" {
-				fmt.Fprintf(tw, "%s\t%s\n", l.App, l.Failed)
+			if r.str(l.App); l.Failed != "" {
+				r.cell(l.Failed).end()
 				continue
 			}
-			unit := "B/instr"
-			if l.PerFlop {
-				unit = "B/FLOP"
+			r.next().int(l.LineSize).str("B").cell(unitLabel(l.PerFlop))
+			for _, v := range [...]float64{l.RemoteData, l.RemoteOverhead, l.LocalData, l.RemoteData + l.RemoteOverhead + l.LocalData} {
+				r.next().fixed(v, 4)
 			}
-			fmt.Fprintf(tw, "%s\t%dB\t%s\t%.4f\t%.4f\t%.4f\t%.4f\n",
-				l.App, l.LineSize, unit, l.RemoteData, l.RemoteOverhead, l.LocalData,
-				l.RemoteData+l.RemoteOverhead+l.LocalData)
+			r.end()
 		}
 	}
-	tw.Flush()
+	r.tw.Flush()
 }

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"io"
-	"text/tabwriter"
-)
+import "io"
 
 // PruneAdvice automates the paper's §5 methodology for one program: given
 // a measured miss-rate curve, identify the working-set knees, the
@@ -87,31 +83,28 @@ func absf(x float64) float64 {
 
 // RenderPrune prints the advice table.
 func RenderPrune(w io.Writer, advice []PruneAdvice) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Code\tKnees (working sets fit)\tSimulate\tPrune")
+	r := newTable(w)
+	r.str("Code\tKnees (working sets fit)\tSimulate\tPrune").end()
 	for _, a := range advice {
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\n",
-			a.App, sizesKB(a.Knees), sizesKB(a.Representative), sizesKB(a.Redundant))
-	}
-	tw.Flush()
-}
-
-func sizesKB(sizes []int) string {
-	if len(sizes) == 0 {
-		return "—"
-	}
-	out := ""
-	for i, s := range sizes {
-		if i > 0 {
-			out += ","
+		r.str(a.App)
+		for _, sizes := range [...][]int{a.Knees, a.Representative, a.Redundant} {
+			if r.next(); len(sizes) == 0 {
+				r.str("—")
+			}
+			for i, s := range sizes {
+				if i > 0 {
+					r.str(",")
+				}
+				if s >= 1024 {
+					r.int(s / 1024).str("K")
+				} else {
+					r.int(s).str("B")
+				}
+			}
 		}
-		if s >= 1024 {
-			out += fmt.Sprintf("%dK", s/1024)
-		} else {
-			out += fmt.Sprintf("%dB", s)
-		}
+		r.end()
 	}
-	return out
+	r.tw.Flush()
 }
 
 // BandwidthMBs converts a traffic point into the paper's §6 bandwidth
@@ -123,16 +116,16 @@ func BandwidthMBs(t TrafficPoint, rateHz float64) float64 {
 
 // RenderBandwidth prints §6-style per-processor bandwidth needs.
 func RenderBandwidth(w io.Writer, groups [][]TrafficPoint, rateHz float64) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "Code\tP\tremote B/op\tMB/s per proc @%.0fM ops/s\n", rateHz/1e6)
+	r := newTable(w)
+	r.str("Code\tP\tremote B/op\tMB/s per proc @").fixed(rateHz/1e6, 0).str("M ops/s").end()
 	for _, pts := range groups {
 		for _, t := range pts {
-			if t.Failed != "" {
-				fmt.Fprintf(tw, "%s\t%d\t%s\n", t.App, t.Procs, t.Failed)
+			if r.str(t.App).next().int(t.Procs); t.Failed != "" {
+				r.cell(t.Failed).end()
 				continue
 			}
-			fmt.Fprintf(tw, "%s\t%d\t%.4f\t%.1f\n", t.App, t.Procs, t.Remote(), BandwidthMBs(t, rateHz))
+			r.next().fixed(t.Remote(), 4).next().fixed(BandwidthMBs(t, rateHz), 1).end()
 		}
 	}
-	tw.Flush()
+	r.tw.Flush()
 }

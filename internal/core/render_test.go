@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"strings"
@@ -187,5 +189,50 @@ func TestRendererGoldens(t *testing.T) {
 			}
 			t.Fatalf("%s: got %d lines, want %d", golden, len(got), len(exp))
 		})
+	}
+}
+
+// fixedSeeds reach appendFixed's edges: exact ties at every precision,
+// carries into a new leading digit, both zeros, NaN, the infinities,
+// subnormals, powers of ten and the ends of its fast range.
+var fixedSeeds = []float64{
+	0.5, 1.5, 2.5, 0.125, 0.375, 1.03125, 0.0625, 0.03125, 9.99995, 99.995,
+	0.95, 9.5, 999999.5, 0.05, 0.00005, 0.00006, 0.000049, 1e-7,
+	0, negZero, math.NaN(), math.Inf(1), math.Inf(-1),
+	math.SmallestNonzeroFloat64, 2.2250738585072014e-308, math.MaxFloat64,
+	1, 10, 100, 1e15, 1e16, 1e17, 9.999999999999999e15, 123456789.123456789,
+	-0.125, -9.99995, -1e-9, -1e300,
+}
+
+func checkFixed(t *testing.T, v float64, prec int) {
+	t.Helper()
+	if got, want := string(appendFixed(nil, v, prec)), fmt.Sprintf("%.*f", prec, v); got != want {
+		t.Fatalf("appendFixed(%v [%#x], %d) = %q, fmt prints %q", v, math.Float64bits(v), prec, got, want)
+	}
+}
+
+// FuzzAppendFixed holds appendFixed to fmt's %.*f for any float64 bit
+// pattern at precisions 0–6.
+func FuzzAppendFixed(f *testing.F) {
+	for _, v := range fixedSeeds {
+		for prec := uint8(0); prec <= 6; prec++ {
+			f.Add(math.Float64bits(v), prec)
+		}
+	}
+	f.Fuzz(func(t *testing.T, bits uint64, prec uint8) {
+		checkFixed(t, math.Float64frombits(bits), int(prec%7))
+	})
+}
+
+// TestAppendFixedMatchesFmt compares appendFixed with fmt on random bit
+// patterns, on random values of a report's magnitudes, and on exact
+// ties k/2^n, at precisions 0–6.
+func TestAppendFixedMatchesFmt(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for i := 0; i < 20000; i++ {
+		prec := i % 7
+		checkFixed(t, math.Float64frombits(rng.Uint64()), prec)
+		checkFixed(t, (rng.Float64()-0.25)*math.Pow(10, float64(rng.IntN(24)-12)), prec)
+		checkFixed(t, float64(rng.IntN(1<<20))/float64(uint64(1)<<rng.IntN(24)), prec)
 	}
 }

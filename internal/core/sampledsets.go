@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"text/tabwriter"
+	"strconv"
 
 	"splash2/internal/memsys"
 	"splash2/internal/runner"
@@ -138,26 +138,26 @@ func RenderSampledCurves(w io.Writer, curves []SampledCurve) {
 	if len(curves) == 0 {
 		return
 	}
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprint(tw, "Code\tRate")
+	r := newTable(w)
+	r.str("Code\tRate")
 	for _, cs := range curves[0].CacheSizes {
-		fmt.Fprintf(tw, "\t%dK", cs/1024)
+		r.next().int(cs / 1024).str("K")
 	}
-	fmt.Fprintln(tw)
+	r.end()
 	for _, c := range curves {
-		fmt.Fprintf(tw, "%s\t%g", c.App, c.Rate)
+		r.str(c.App).next()
+		r.b = strconv.AppendFloat(r.b, c.Rate, 'g', -1, 64)
 		if c.Failed != "" {
-			fmt.Fprintf(tw, "\t%s\n", c.Failed)
+			r.cell(c.Failed).end()
 			continue
 		}
 		for i, mr := range c.MissRate {
-			if c.BandLo[i] == c.BandHi[i] {
-				fmt.Fprintf(tw, "\t%.2f%%", mr)
-			} else {
-				fmt.Fprintf(tw, "\t%.2f±%.2f%%", mr, (c.BandHi[i]-c.BandLo[i])/2)
+			if r.next().fixed(mr, 2); c.BandLo[i] != c.BandHi[i] {
+				r.str("±").fixed((c.BandHi[i]-c.BandLo[i])/2, 2)
 			}
+			r.str("%")
 		}
-		fmt.Fprintln(tw)
+		r.end()
 	}
-	tw.Flush()
+	r.tw.Flush()
 }

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"fmt"
 	"io"
-	"text/tabwriter"
 
 	"splash2/internal/runner"
 )
@@ -64,24 +62,23 @@ func RenderSpeedups(w io.Writer, curves []SpeedupCurve) {
 	if len(curves) == 0 {
 		return
 	}
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprint(tw, "Code")
+	r := newTable(w)
+	r.str("Code")
 	for _, p := range curves[0].Procs {
-		fmt.Fprintf(tw, "\tP=%d", p)
+		r.cell("P=").int(p)
 	}
-	fmt.Fprintln(tw)
+	r.end()
 	for _, c := range curves {
-		fmt.Fprint(tw, c.App)
-		if c.Failed != "" {
-			fmt.Fprintf(tw, "\t%s\n", c.Failed)
+		if r.str(c.App); c.Failed != "" {
+			r.cell(c.Failed).end()
 			continue
 		}
 		for _, s := range c.Speedup {
-			fmt.Fprintf(tw, "\t%.2f", s)
+			r.next().fixed(s, 2)
 		}
-		fmt.Fprintln(tw)
+		r.end()
 	}
-	tw.Flush()
+	r.tw.Flush()
 }
 
 // SyncProfile is one program's synchronization time distribution at a
@@ -143,15 +140,15 @@ func (b *batch) syncProfiles(req Request) fill {
 
 // RenderSyncProfiles prints the Figure-2 table.
 func RenderSyncProfiles(w io.Writer, profiles []SyncProfile) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Code\tMin %\tAvg %\tMax %\tBarriers\tLocks\tPauses")
+	r := newTable(w)
+	r.str("Code\tMin %\tAvg %\tMax %\tBarriers\tLocks\tPauses").end()
 	for _, p := range profiles {
-		if p.Failed != "" {
-			fmt.Fprintf(tw, "%s\t%s\n", p.App, p.Failed)
+		if r.str(p.App); p.Failed != "" {
+			r.cell(p.Failed).end()
 			continue
 		}
-		fmt.Fprintf(tw, "%s\t%.1f\t%.1f\t%.1f\t%d\t%d\t%d\n",
-			p.App, p.MinPct, p.AvgPct, p.MaxPct, p.BarriersTotal, p.LocksTotal, p.PausesTotal)
+		r.next().fixed(p.MinPct, 1).next().fixed(p.AvgPct, 1).next().fixed(p.MaxPct, 1)
+		r.next().uint(p.BarriersTotal).next().uint(p.LocksTotal).next().uint(p.PausesTotal).end()
 	}
-	tw.Flush()
+	r.tw.Flush()
 }

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"fmt"
 	"io"
-	"text/tabwriter"
 
 	"splash2/internal/mach"
 )
@@ -65,16 +63,18 @@ func (b *batch) table1(req Request) fill {
 
 // RenderTable1 prints the rows in the paper's column layout.
 func RenderTable1(w io.Writer, rows []Table1Row) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Code\tTotal Instr\tTotal FLOPS\tTotal Reads\tTotal Writes\tShared Reads\tShared Writes\tBarriers\tLocks\tPauses")
-	for _, r := range rows {
-		if r.Failed != "" {
-			fmt.Fprintf(tw, "%s\t%s\n", r.App, r.Failed)
+	r := newTable(w)
+	r.str("Code\tTotal Instr\tTotal FLOPS\tTotal Reads\tTotal Writes\tShared Reads\tShared Writes\tBarriers\tLocks\tPauses").end()
+	for _, x := range rows {
+		if r.str(x.App); x.Failed != "" {
+			r.cell(x.Failed).end()
 			continue
 		}
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n",
-			r.App, r.Instr, r.Flops, r.Reads, r.Writes, r.SharedReads, r.SharedWrites,
-			r.BarriersPerProc, r.Locks, r.Pauses)
+		for _, v := range [...]uint64{x.Instr, x.Flops, x.Reads, x.Writes, x.SharedReads, x.SharedWrites,
+			x.BarriersPerProc, x.Locks, x.Pauses} {
+			r.next().uint(v)
+		}
+		r.end()
 	}
-	tw.Flush()
+	r.tw.Flush()
 }

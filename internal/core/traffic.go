@@ -2,9 +2,7 @@ package core
 
 import (
 	"cmp"
-	"fmt"
 	"io"
-	"text/tabwriter"
 
 	"splash2/internal/mach"
 	"splash2/internal/runner"
@@ -91,24 +89,24 @@ func (b *batch) trafficGroups(req Request) func() ([][]TrafficPoint, error) {
 
 // RenderTraffic prints breakdowns, one row per (app, procs).
 func RenderTraffic(w io.Writer, groups [][]TrafficPoint) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Code\tP\tUnit\tRem.Shared\tRem.Cold\tRem.Cap\tRem.WB\tRem.Ovhd\tLocal\tTrueShare\tTotal")
+	r := newTable(w)
+	r.str("Code\tP\tUnit\tRem.Shared\tRem.Cold\tRem.Cap\tRem.WB\tRem.Ovhd\tLocal\tTrueShare\tTotal").end()
 	for _, pts := range groups {
 		for _, t := range pts {
+			r.str(t.App).next().int(t.Procs)
 			if t.Failed != "" {
-				fmt.Fprintf(tw, "%s\t%d\t%s\n", t.App, t.Procs, t.Failed)
+				r.cell(t.Failed).end()
 				continue
 			}
-			unit := "B/instr"
-			if t.PerFlop {
-				unit = "B/FLOP"
+			r.cell(unitLabel(t.PerFlop))
+			for _, v := range [...]float64{t.RemoteShared, t.RemoteCold, t.RemoteCapacity,
+				t.RemoteWriteback, t.RemoteOverhead, t.LocalData, t.TrueSharing, t.Total()} {
+				r.next().fixed(v, 4)
 			}
-			fmt.Fprintf(tw, "%s\t%d\t%s\t%.4f\t%.4f\t%.4f\t%.4f\t%.4f\t%.4f\t%.4f\t%.4f\n",
-				t.App, t.Procs, unit, t.RemoteShared, t.RemoteCold, t.RemoteCapacity,
-				t.RemoteWriteback, t.RemoteOverhead, t.LocalData, t.TrueSharing, t.Total())
+			r.end()
 		}
 	}
-	tw.Flush()
+	r.tw.Flush()
 }
 
 // Table3Row gives the communication-to-computation growth of one program:
@@ -181,15 +179,25 @@ func (b *batch) table3(req Request) fill {
 
 // RenderTable3 prints Table 3.
 func RenderTable3(w io.Writer, rows []Table3Row) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Code\tGrowth of comm/comp (paper)\tmeasured @P1\tmeasured @P2\tgrowth")
-	for _, r := range rows {
-		if r.Failed != "" {
-			fmt.Fprintf(tw, "%s\t%s\t%s\n", r.App, r.AnalyticForm, r.Failed)
+	r := newTable(w)
+	r.str("Code\tGrowth of comm/comp (paper)\tmeasured @P1\tmeasured @P2\tgrowth").end()
+	for _, x := range rows {
+		r.str(x.App).cell(x.AnalyticForm)
+		if x.Failed != "" {
+			r.cell(x.Failed).end()
 			continue
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%.5f (P=%d)\t%.5f (P=%d)\t×%.2f\n",
-			r.App, r.AnalyticForm, r.RatioLow, r.LowProcs, r.RatioHigh, r.HighProcs, r.MeasuredGrow)
+		r.next().fixed(x.RatioLow, 5).str(" (P=").int(x.LowProcs).str(")")
+		r.next().fixed(x.RatioHigh, 5).str(" (P=").int(x.HighProcs).str(")")
+		r.cell("×").fixed(x.MeasuredGrow, 2).end()
 	}
-	tw.Flush()
+	r.tw.Flush()
+}
+
+// unitLabel names the unit traffic is normalized by.
+func unitLabel(perFlop bool) string {
+	if perFlop {
+		return "B/FLOP"
+	}
+	return "B/instr"
 }

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"text/tabwriter"
+	"strconv"
 
 	"splash2/internal/memsys"
 	"splash2/internal/runner"
@@ -140,7 +140,7 @@ func assocLabel(a int) string {
 	if a == memsys.FullyAssoc {
 		return "full"
 	}
-	return fmt.Sprintf("%d-way", a)
+	return strconv.Itoa(a) + "-way"
 }
 
 // RenderMissCurves prints Figure 3 as one row per (app, assoc).
@@ -148,24 +148,23 @@ func RenderMissCurves(w io.Writer, curves []MissCurve) {
 	if len(curves) == 0 {
 		return
 	}
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprint(tw, "Code\tAssoc")
+	r := newTable(w)
+	r.str("Code\tAssoc")
 	for _, cs := range curves[0].CacheSizes {
-		fmt.Fprintf(tw, "\t%dK", cs/1024)
+		r.next().int(cs / 1024).str("K")
 	}
-	fmt.Fprintln(tw)
+	r.end()
 	for _, c := range curves {
-		fmt.Fprintf(tw, "%s\t%s", c.App, assocLabel(c.Assoc))
-		if c.Failed != "" {
-			fmt.Fprintf(tw, "\t%s\n", c.Failed)
+		if r.str(c.App).cell(assocLabel(c.Assoc)); c.Failed != "" {
+			r.cell(c.Failed).end()
 			continue
 		}
 		for _, mr := range c.MissRate {
-			fmt.Fprintf(tw, "\t%.2f%%", mr)
+			r.next().fixed(mr, 2).str("%")
 		}
-		fmt.Fprintln(tw)
+		r.end()
 	}
-	tw.Flush()
+	r.tw.Flush()
 }
 
 // Knee locates the most important working set in a miss curve: the cache
@@ -238,11 +237,11 @@ func Table2(curves []MissCurve) []Table2Row {
 
 // RenderTable2 prints Table 2.
 func RenderTable2(w io.Writer, rows []Table2Row) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Code\tWorking Set 1\tGrowth\tFits?\tWorking Set 2\tGrowth\tFits?\tMeasured knee")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\t%s\t%dK\n",
-			r.App, r.WS1, r.WS1Growth, r.WS1Fits, r.WS2, r.WS2Growth, r.WS2Fits, r.MeasuredKnee/1024)
+	r := newTable(w)
+	r.str("Code\tWorking Set 1\tGrowth\tFits?\tWorking Set 2\tGrowth\tFits?\tMeasured knee").end()
+	for _, x := range rows {
+		r.str(x.App).cell(x.WS1).cell(x.WS1Growth).cell(x.WS1Fits).cell(x.WS2).cell(x.WS2Growth).cell(x.WS2Fits)
+		r.next().int(x.MeasuredKnee / 1024).str("K").end()
 	}
-	tw.Flush()
+	r.tw.Flush()
 }
