@@ -162,16 +162,16 @@ func (j *Journal) append(ctx context.Context, ev JournalEvent) {
 	}
 }
 
-// appendLocked is append with j.mu held. The append is a crash
-// injection point: dying between a job's completion and its journal line
-// is exactly the window the reader's truncated-tail tolerance exists
-// for. The first event to pass it makes the file and its run.start line.
+// appendLocked is append with j.mu held. The run's first event makes
+// the file and its run.start line, so a run that reached its first event
+// leaves a journal for -resume to report whatever happens next. The event
+// line itself is a crash injection point: dying between a job's
+// completion and its journal line is exactly the window the reader's
+// truncated-tail tolerance exists for, and an injected fault drops only
+// that line.
 func (j *Journal) appendLocked(ctx context.Context, ev JournalEvent) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if j.inj.Do(ctx, "journal.append") != nil {
-		return
 	}
 	if j.f == nil {
 		f, err := os.OpenFile(j.path, os.O_WRONLY|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o644)
@@ -182,7 +182,9 @@ func (j *Journal) appendLocked(ctx context.Context, ev JournalEvent) {
 		host, _ := os.Hostname()
 		j.write(JournalEvent{Event: "run.start", PID: os.Getpid(), Host: host})
 	}
-	j.write(ev)
+	if j.inj.Do(ctx, "journal.append") == nil {
+		j.write(ev)
+	}
 }
 
 // JobStart records that a job began executing.
