@@ -162,8 +162,8 @@ func prepare(ctx context.Context, ref, dir string) (side, error) {
 	return s, nil
 }
 
-// untar writes the regular files, directories and symlinks of a tar
-// stream under dir.
+// untar writes the directories and regular files of a tar stream under
+// dir.
 func untar(r io.Reader, dir string) error {
 	tr := tar.NewReader(r)
 	for {
@@ -179,12 +179,13 @@ func untar(r io.Reader, dir string) error {
 			return fmt.Errorf("archive entry %q leaves %s", h.Name, dir)
 		}
 		switch h.Typeflag {
+		case tar.TypeXGlobalHeader: // git archive's commit id
 		case tar.TypeDir:
 			err = os.MkdirAll(path, 0o755)
-		case tar.TypeSymlink:
-			err = os.Symlink(h.Linkname, path)
 		case tar.TypeReg:
 			err = writeFile(path, tr, h.FileInfo().Mode().Perm())
+		default:
+			err = fmt.Errorf("archive entry %q has unsupported type %q", h.Name, h.Typeflag)
 		}
 		if err != nil {
 			return err

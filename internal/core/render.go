@@ -37,12 +37,12 @@ func (r *row) end() {
 // strconv formats 'f' with a precision on its multiprecision path but 'e'
 // with up to 17 digits through Ryū; both round the exact binary value
 // correctly, so 'e' asked for exactly the digits %f prints gives them.
-// NaN, ±Inf, ±0 and values needing more digits take the 'f' path.
+// NaN, ±Inf and values past 17 digits or below the last place take 'f'.
 func appendFixed(dst []byte, v float64, prec int) []byte {
 	a := math.Abs(v)
 	_, e2 := math.Frexp(a)
 	e10 := (e2 - 1) * 78913 >> 18 // floor((e2-1)·log10 2): a's exponent or one below
-	if a == 0 || a > math.MaxFloat64 || v != v || prec+e10 < 0 || prec+e10 > 15 {
+	if a > math.MaxFloat64 || v != v || prec+e10 < 0 || prec+e10 > 15 {
 		return strconv.AppendFloat(dst, v, 'f', prec, 64)
 	}
 	var buf [2][32]byte
