@@ -13,9 +13,10 @@
 // `go run -C <tree>/bench .` does, base first on even pairs and head
 // first on odd ones (ABBA), and reads the JSON object on the last line of
 // its output. The end-to-end metrics and whether lower is better come from
-// the head tree's BENCHMARK.json. Per metric it prints both medians, the
-// median of head/base, its interval, the p-value, the pairs each side won
-// and one call: faster, slower or not significant. A run whose output
+// the head tree's BENCHMARK.json. Per metric it prints the base median and
+// quartiles, the head median, the median of head/base, its interval, the
+// p-value, the pairs head won and one call: faster, slower or not
+// significant. A run whose output
 // check fails, or that exits non-zero, stops the comparison with exit
 // status 1.
 package main
@@ -102,7 +103,7 @@ func run(ctx context.Context, baseRef, headRef string, workloads []string, pairs
 	rng := rand.New(rand.NewPCG(uint64(seed), 0x6265_6e63_6870_6169))
 	for _, w := range workloads {
 		fmt.Printf("%s: %d pairs, base %s vs head %s, --seconds %g\n", w, pairs, sides[0].name, sides[1].name, seconds)
-		values := map[string]*[2][]float64{}
+		values := make([][2][]float64, len(metrics)) // per metric, per side
 		for p := 0; p < pairs; p++ {
 			for k := 0; k < 2; k++ {
 				s := (p + k) % 2 // ABBA: base first on even pairs
@@ -110,23 +111,21 @@ func run(ctx context.Context, baseRef, headRef string, workloads []string, pairs
 				if err != nil {
 					return fmt.Errorf("%s pair %d, %s: %w", w, p, sides[s].name, err)
 				}
-				for _, m := range metrics {
+				for i, m := range metrics {
 					got, ok := line.Metrics[m.Name]
 					if !ok {
 						return fmt.Errorf("%s pair %d, %s: no metric %s", w, p, sides[s].name, m.Name)
 					}
-					if values[m.Name] == nil {
-						values[m.Name] = new([2][]float64)
-					}
-					values[m.Name][s] = append(values[m.Name][s], got.Value)
+					values[i][s] = append(values[i][s], got.Value)
 				}
 			}
 		}
-		fmt.Printf("  %-8s %12s %12s %7s %17s %8s %6s  %s\n", "metric", "base", "head", "ratio", "95% CI", "p", "wins", "verdict")
-		for _, m := range metrics {
-			v := compare(values[m.Name][0], values[m.Name][1], m.Better == "lower", rng)
-			fmt.Printf("  %-8s %12.6g %12.6g %7.3f  [%6.3f, %6.3f] %8.4f %3d/%-2d  %s\n",
-				m.Name, v.BaseMed, v.HeadMed, v.Ratio, v.CILo, v.CIHi, v.P, v.HeadWins, v.N, v.Call)
+		fmt.Printf("  %-8s %-32s %10s %7s %17s %8s %6s  %s\n", "metric", "base median (q1-q3)", "head", "ratio", "95% CI", "p", "wins", "verdict")
+		for i, m := range metrics {
+			v := compare(values[i][0], values[i][1], m.Better == "lower", rng)
+			base := fmt.Sprintf("%.4g (%.4g-%.4g)", v.BaseMed, v.BaseQ1, v.BaseQ3)
+			fmt.Printf("  %-8s %-32s %10.4g %7.3f  [%6.3f, %6.3f] %8.4f %3d/%-2d  %s\n",
+				m.Name, base, v.HeadMed, v.Ratio, v.CILo, v.CIHi, v.P, v.HeadWins, v.N, v.Call)
 		}
 	}
 	return nil

@@ -18,13 +18,14 @@ const bootstrapResamples = 2000
 
 // verdict is the comparison of one metric over n interleaved pairs.
 type verdict struct {
-	N                  int     // pairs
-	BaseMed, HeadMed   float64 // each side's median
-	Ratio              float64 // median of head/base over the pairs
-	CILo, CIHi         float64 // bootstrap 95 % interval of Ratio
-	P                  float64 // Wilcoxon signed-rank, two-sided
-	HeadWins, BaseWins int     // pairs where head (base) was better
-	Call               string  // "faster", "slower" or "not significant"
+	N                int     // pairs
+	BaseMed, HeadMed float64 // each side's median
+	BaseQ1, BaseQ3   float64 // the base side's quartiles, as bench computes them
+	Ratio            float64 // median of head/base over the pairs
+	CILo, CIHi       float64 // bootstrap 95 % interval of Ratio
+	P                float64 // Wilcoxon signed-rank, two-sided
+	HeadWins         int     // pairs where head was better
+	Call             string  // "faster", "slower" or "not significant"
 }
 
 // compare judges paired samples of a positive metric whose smaller values
@@ -32,24 +33,22 @@ type verdict struct {
 // bootstrap draws from rng, so a fixed seed gives a fixed interval.
 func compare(base, head []float64, lowerBetter bool, rng *rand.Rand) verdict {
 	n := len(base)
-	v := verdict{N: n, BaseMed: median(base), HeadMed: median(head), P: 1, Call: "not significant"}
+	v := verdict{N: n, P: 1, Call: "not significant"}
 	if n == 0 {
 		return v
 	}
+	v.BaseQ1, v.BaseMed, v.BaseQ3 = quartiles(base)
+	_, v.HeadMed, _ = quartiles(head)
 	ratios := make([]float64, n)
 	logs := make([]float64, n)
 	for i := range base {
 		ratios[i] = head[i] / base[i]
 		logs[i] = math.Log(ratios[i])
-		switch {
-		case logs[i] == 0:
-		case (logs[i] < 0) == lowerBetter:
+		if logs[i] != 0 && (logs[i] < 0) == lowerBetter {
 			v.HeadWins++
-		default:
-			v.BaseWins++
 		}
 	}
-	v.Ratio = median(ratios)
+	_, v.Ratio, _ = quartiles(ratios)
 	v.CILo, v.CIHi = bootstrapMedian(ratios, rng)
 	v.P = signedRankP(logs)
 	if v.P < alpha && (v.CIHi < 1 || v.CILo > 1) {
@@ -62,19 +61,22 @@ func compare(base, head []float64, lowerBetter bool, rng *rand.Rand) verdict {
 	return v
 }
 
-// median returns the middle of x (the mean of the middle two for an even
-// length), leaving x unchanged.
-func median(x []float64) float64 {
-	if len(x) == 0 {
-		return math.NaN()
-	}
+// quartiles returns the three quartile cuts of x, which it leaves
+// unchanged, by the method bench/stats.go uses: Python's
+// statistics.quantiles(x, n=4), the "exclusive" one.
+func quartiles(x []float64) (q1, q2, q3 float64) {
 	s := slices.Clone(x)
 	slices.Sort(s)
-	m := len(s) / 2
-	if len(s)%2 == 0 {
-		return (s[m-1] + s[m]) / 2
+	cut := func(i int) float64 {
+		if len(s) == 1 {
+			return s[0]
+		}
+		m := len(s) + 1
+		j := min(max(i*m/4, 1), len(s)-1)
+		delta := float64(i*m - j*4)
+		return (s[j-1]*(4-delta) + s[j]*delta) / 4
 	}
-	return s[m]
+	return cut(1), cut(2), cut(3)
 }
 
 // bootstrapMedian returns the 2.5th and 97.5th percentiles of the median
@@ -86,7 +88,7 @@ func bootstrapMedian(x []float64, rng *rand.Rand) (lo, hi float64) {
 		for i := range s {
 			s[i] = x[rng.IntN(len(x))]
 		}
-		meds[b] = median(s)
+		_, meds[b], _ = quartiles(s)
 	}
 	slices.Sort(meds)
 	return meds[bootstrapResamples*25/1000], meds[bootstrapResamples*975/1000-1]

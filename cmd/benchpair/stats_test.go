@@ -86,7 +86,25 @@ func TestCompareCallsDirection(t *testing.T) {
 	if v := compare(base, head, true, rng); v.Call != "faster" || v.HeadWins != 10 || math.Abs(v.Ratio-0.6) > 1e-9 {
 		t.Errorf("lower-is-better, head 0.6×: %+v", v)
 	}
-	if v := compare(base, head, false, rng); v.Call != "slower" || v.BaseWins != 10 {
+	if v := compare(base, head, false, rng); v.Call != "slower" || v.HeadWins != 0 {
 		t.Errorf("higher-is-better, head 0.6×: %+v", v)
+	}
+}
+
+// TestQuartilesMatchBench pins the quartile cuts to the exclusive method
+// bench/stats.go reports (Python's statistics.quantiles(x, n=4)).
+func TestQuartilesMatchBench(t *testing.T) {
+	for _, c := range []struct {
+		x          []float64
+		q1, q2, q3 float64
+	}{
+		{[]float64{7}, 7, 7, 7},
+		{[]float64{4, 1, 3, 2}, 1.25, 2.5, 3.75},
+		{[]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 2.75, 5.5, 8.25},
+		{[]float64{5, 1, 4, 2, 3}, 1.5, 3, 4.5},
+	} {
+		if q1, q2, q3 := quartiles(c.x); q1 != c.q1 || q2 != c.q2 || q3 != c.q3 {
+			t.Errorf("quartiles(%v) = %g, %g, %g, want %g, %g, %g", c.x, q1, q2, q3, c.q1, c.q2, c.q3)
+		}
 	}
 }
