@@ -4,33 +4,30 @@
 // pairwise ratio, its bootstrap 95 % interval and a Wilcoxon signed-rank
 // test (Touati et al., PAPERS.md).
 //
-//	go run ./cmd/benchpair -base HEAD~1 -workload report-warm -seconds 3
+//	go run ./cmd/benchpair -base HEAD~1 -workload report-warm
 //	go run ./cmd/benchpair -base v1 -head v2 -workload report-cold,serve-mix
 //
-// Each ref is extracted with `git archive` into a temporary directory,
-// removed at exit, and its bench/ module is built once there. Pair i runs
-// `bench --workload W --seconds S --trace 0` from <tree>/bench, as
-// `go run -C <tree>/bench .` does, base first on even pairs and head
-// first on odd ones (ABBA), and reads the JSON object on the last line of
-// its output. The end-to-end metrics and whether lower is better come from
-// the head tree's BENCHMARK.json. Per metric it prints the base median and
+// Each ref is extracted by piping `git archive` into `tar -x` in a
+// temporary directory, removed at exit, and its bench/ module is built
+// once there. Each of 12 pairs runs `bench --workload W --seconds S
+// --trace 0` from <tree>/bench, as `go run -C <tree>/bench .` does, base
+// first on even pairs and head first on odd ones (ABBA), and reads the
+// JSON object on the last line of its output. The run length S, the
+// end-to-end metrics and whether lower is better come from the head
+// tree's BENCHMARK.json. Per metric it prints the base median and
 // quartiles, the head median, the median of head/base, its interval, the
 // p-value, the pairs head won and one call: faster, slower or not
-// significant. A run whose output
-// check fails, or that exits non-zero, stops the comparison with exit
-// status 1.
+// significant. A run whose output check fails, or that exits non-zero,
+// stops the comparison with exit status 1.
 package main
 
 import (
-	"archive/tar"
 	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"math/rand/v2"
 	"os"
 	"os/exec"
@@ -51,10 +48,14 @@ type benchLine struct {
 	} `json:"metrics"`
 }
 
-// endToEnd is one entry of BENCHMARK.json's end_to_end list.
-type endToEnd struct {
-	Name   string `json:"name"`
-	Better string `json:"better"`
+// benchmark is what benchpair reads of BENCHMARK.json: how long one run
+// measures and which metrics judge it.
+type benchmark struct {
+	RunSeconds float64 `json:"run_seconds"`
+	EndToEnd   []struct {
+		Name   string `json:"name"`
+		Better string `json:"better"`
+	} `json:"end_to_end"`
 }
 
 // side is one ref under comparison: its extracted tree and bench binary.
@@ -66,16 +67,14 @@ func main() {
 	base := flag.String("base", "HEAD~1", "git ref of the baseline")
 	head := flag.String("head", "HEAD", "git ref of the change")
 	workloads := flag.String("workload", "", "comma-separated bench workloads (required)")
-	pairs := flag.Int("pairs", 12, "interleaved pairs per workload")
-	seconds := flag.Float64("seconds", 15, "bench --seconds for every run")
 	seed := flag.Int64("seed", 1, "bench --seed for every run")
 	flag.Parse()
-	if *workloads == "" || *pairs < 1 || flag.NArg() > 0 {
+	if *workloads == "" || flag.NArg() > 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	err := run(ctx, *base, *head, strings.Split(*workloads, ","), *pairs, *seconds, *seed)
+	err := run(ctx, *base, *head, strings.Split(*workloads, ","), *seed)
 	stop()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchpair:", err)
@@ -83,7 +82,7 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, baseRef, headRef string, workloads []string, pairs int, seconds float64, seed int64) error {
+func run(ctx context.Context, baseRef, headRef string, workloads []string, seed int64) error {
 	tmp, err := os.MkdirTemp("", "benchpair-")
 	if err != nil {
 		return err
@@ -95,14 +94,15 @@ func run(ctx context.Context, baseRef, headRef string, workloads []string, pairs
 			return err
 		}
 	}
-	metrics, err := readEndToEnd(filepath.Join(sides[1].tree, "BENCHMARK.json"))
+	b, err := readBenchmark(filepath.Join(sides[1].tree, "BENCHMARK.json"))
 	if err != nil {
 		return err
 	}
-	args := []string{"--seconds", strconv.FormatFloat(seconds, 'g', -1, 64), "--seed", strconv.FormatInt(seed, 10), "--trace", "0"}
+	metrics := b.EndToEnd
+	args := []string{"--seconds", strconv.FormatFloat(b.RunSeconds, 'g', -1, 64), "--seed", strconv.FormatInt(seed, 10), "--trace", "0"}
 	rng := rand.New(rand.NewPCG(uint64(seed), 0x6265_6e63_6870_6169))
 	for _, w := range workloads {
-		fmt.Printf("%s: %d pairs, base %s vs head %s, --seconds %g\n", w, pairs, sides[0].name, sides[1].name, seconds)
+		fmt.Printf("%s: %d pairs, base %s vs head %s, --seconds %g\n", w, pairs, sides[0].name, sides[1].name, b.RunSeconds)
 		values := make([][2][]float64, len(metrics)) // per metric, per side
 		for p := 0; p < pairs; p++ {
 			for k := 0; k < 2; k++ {
@@ -138,20 +138,24 @@ func prepare(ctx context.Context, ref, dir string) (side, error) {
 		return side{}, fmt.Errorf("resolving %s: %w", ref, err)
 	}
 	s := side{name: ref + " (" + strings.TrimSpace(string(rev)) + ")", tree: dir, bin: dir + ".bench"}
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		return s, err
+	}
 	archive := exec.CommandContext(ctx, "git", "archive", "--format=tar", ref)
-	out, err := archive.StdoutPipe()
+	untar := exec.CommandContext(ctx, "tar", "-x", "-C", dir)
+	archive.Stderr, untar.Stderr = os.Stderr, os.Stderr
+	if untar.Stdin, err = archive.StdoutPipe(); err != nil {
+		return s, err
+	}
+	if err := untar.Start(); err != nil {
+		return s, err
+	}
+	err = archive.Run()
+	if uerr := untar.Wait(); err == nil && uerr != nil {
+		err = uerr
+	}
 	if err != nil {
-		return s, err
-	}
-	if err := archive.Start(); err != nil {
-		return s, err
-	}
-	err = untar(out, dir)
-	if werr := archive.Wait(); err == nil && werr != nil {
-		err = fmt.Errorf("git archive %s: %w", ref, werr)
-	}
-	if err != nil {
-		return s, err
+		return s, fmt.Errorf("extracting %s: %w", ref, err)
 	}
 	build := exec.CommandContext(ctx, "go", "build", "-o", s.bin, ".")
 	build.Dir = filepath.Join(dir, "bench")
@@ -161,64 +165,19 @@ func prepare(ctx context.Context, ref, dir string) (side, error) {
 	return s, nil
 }
 
-// untar writes the directories and regular files of a tar stream under
-// dir.
-func untar(r io.Reader, dir string) error {
-	tr := tar.NewReader(r)
-	for {
-		h, err := tr.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(dir, filepath.FromSlash(h.Name))
-		if !strings.HasPrefix(path, filepath.Clean(dir)+string(filepath.Separator)) {
-			return fmt.Errorf("archive entry %q leaves %s", h.Name, dir)
-		}
-		switch h.Typeflag {
-		case tar.TypeXGlobalHeader: // git archive's commit id
-		case tar.TypeDir:
-			err = os.MkdirAll(path, 0o755)
-		case tar.TypeReg:
-			err = writeFile(path, tr, h.FileInfo().Mode().Perm())
-		default:
-			err = fmt.Errorf("archive entry %q has unsupported type %q", h.Name, h.Typeflag)
-		}
-		if err != nil {
-			return err
-		}
-	}
-}
-
-func writeFile(path string, r io.Reader, perm os.FileMode) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, perm)
-	if err != nil {
-		return err
-	}
-	_, err = io.Copy(f, r)
-	return errors.Join(err, f.Close())
-}
-
-func readEndToEnd(path string) ([]endToEnd, error) {
+func readBenchmark(path string) (benchmark, error) {
+	var b benchmark
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
-	}
-	var b struct {
-		EndToEnd []endToEnd `json:"end_to_end"`
+		return b, err
 	}
 	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return b, fmt.Errorf("%s: %w", path, err)
 	}
-	if len(b.EndToEnd) == 0 {
-		return nil, fmt.Errorf("%s names no end-to-end metric", path)
+	if b.RunSeconds <= 0 || len(b.EndToEnd) == 0 {
+		return b, fmt.Errorf("%s names no run_seconds or no end-to-end metric", path)
 	}
-	return b.EndToEnd, nil
+	return b, nil
 }
 
 // runBench runs one bench process and returns its last output line.

@@ -16,6 +16,11 @@ const alpha = 0.05
 // median ratio's interval.
 const bootstrapResamples = 2000
 
+// pairs is the number of interleaved pairs per workload: over 4–9 %
+// run-to-run spreads a 10 % shift is called in about 94 % of comparisons
+// at 12 pairs and in about 91 % at 10.
+const pairs = 12
+
 // verdict is the comparison of one metric over n interleaved pairs.
 type verdict struct {
 	N                int     // pairs

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// drawPairs draws n pairs the way this host's runs look: each pair shares
+// drawPairs draws n pairs the way runs on a shared host look: each pair shares
 // a drift factor (the host changing speed between pairs), and each run
 // has its own noise whose interquartile spread, relative to the median,
 // is spread. The head side is shift times the base side.
@@ -33,23 +33,18 @@ func verdictRates(seed uint64, n int, shift float64) map[string]float64 {
 	return calls
 }
 
-// testPairs is the pair count the verdict is validated at, benchpair's
-// default: over 4–9 % spreads a 10 % shift is called in about 94 % of
-// draws at 12 pairs, and in about 91 % at 10.
-const testPairs = 12
-
 func TestIdenticalDistributionsAreNotSignificant(t *testing.T) {
-	rates := verdictRates(1, testPairs, 1)
+	rates := verdictRates(1, pairs, 1)
 	if ns := rates["not significant"]; ns < 0.93 || ns > 0.995 {
 		t.Errorf("identical distributions read not significant in %.1f%% of draws, want about 95%% (%v)", 100*ns, rates)
 	}
 }
 
 func TestTenPercentShiftIsDetected(t *testing.T) {
-	if r := verdictRates(2, testPairs, 1.10)["slower"]; r < 0.90 {
+	if r := verdictRates(2, pairs, 1.10)["slower"]; r < 0.90 {
 		t.Errorf("a 10%% slowdown read slower in %.1f%% of draws, want at least 90%%", 100*r)
 	}
-	if r := verdictRates(3, testPairs, 1/1.10)["faster"]; r < 0.90 {
+	if r := verdictRates(3, pairs, 1/1.10)["faster"]; r < 0.90 {
 		t.Errorf("a 10%% speed-up read faster in %.1f%% of draws, want at least 90%%", 100*r)
 	}
 }

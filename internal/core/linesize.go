@@ -125,7 +125,8 @@ func RenderLineSizeMisses(w io.Writer, groups [][]LineSizePoint) {
 	r.str("Code\tLine\tCold%\tCap%\tTrue%\tFalse%\tUpgrades%\tTotal miss%").end()
 	for _, pts := range groups {
 		for _, l := range pts {
-			if r.str(l.App); l.Failed != "" {
+			r.str(l.App)
+			if l.Failed != "" {
 				r.cell(l.Failed).end()
 				continue
 			}
@@ -136,7 +137,7 @@ func RenderLineSizeMisses(w io.Writer, groups [][]LineSizePoint) {
 			r.end()
 		}
 	}
-	r.tw.Flush()
+	r.flush()
 }
 
 // RenderLineSizeTraffic prints Figure 8 (traffic vs line size).
@@ -145,7 +146,8 @@ func RenderLineSizeTraffic(w io.Writer, groups [][]LineSizePoint) {
 	r.str("Code\tLine\tUnit\tRemote data\tRemote ovhd\tLocal data\tTotal").end()
 	for _, pts := range groups {
 		for _, l := range pts {
-			if r.str(l.App); l.Failed != "" {
+			r.str(l.App)
+			if l.Failed != "" {
 				r.cell(l.Failed).end()
 				continue
 			}
@@ -156,5 +158,5 @@ func RenderLineSizeTraffic(w io.Writer, groups [][]LineSizePoint) {
 			r.end()
 		}
 	}
-	r.tw.Flush()
+	r.flush()
 }

@@ -88,7 +88,8 @@ func RenderPrune(w io.Writer, advice []PruneAdvice) {
 	for _, a := range advice {
 		r.str(a.App)
 		for _, sizes := range [...][]int{a.Knees, a.Representative, a.Redundant} {
-			if r.next(); len(sizes) == 0 {
+			r.next()
+			if len(sizes) == 0 {
 				r.str("—")
 			}
 			for i, s := range sizes {
@@ -104,7 +105,7 @@ func RenderPrune(w io.Writer, advice []PruneAdvice) {
 		}
 		r.end()
 	}
-	r.tw.Flush()
+	r.flush()
 }
 
 // BandwidthMBs converts a traffic point into the paper's §6 bandwidth
@@ -120,12 +121,13 @@ func RenderBandwidth(w io.Writer, groups [][]TrafficPoint, rateHz float64) {
 	r.str("Code\tP\tremote B/op\tMB/s per proc @").fixed(rateHz/1e6, 0).str("M ops/s").end()
 	for _, pts := range groups {
 		for _, t := range pts {
-			if r.str(t.App).next().int(t.Procs); t.Failed != "" {
+			r.str(t.App).next().int(t.Procs)
+			if t.Failed != "" {
 				r.cell(t.Failed).end()
 				continue
 			}
 			r.next().fixed(t.Remote(), 4).next().fixed(BandwidthMBs(t, rateHz), 1).end()
 		}
 	}
-	r.tw.Flush()
+	r.flush()
 }

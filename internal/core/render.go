@@ -19,8 +19,8 @@ type row struct {
 func newTable(w io.Writer) *row { return &row{tw: tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)} }
 
 // str appends to the current cell, next starts a cell and cell starts one
-// holding s; int, uint and fixed (fmt's %.{prec}f) append a number, and
-// end writes the finished row.
+// holding s; int, uint and fixed (fmt's %.{prec}f) append a number, end
+// writes the finished row and flush aligns and writes out the table.
 func (r *row) str(s string) *row              { r.b = append(r.b, s...); return r }
 func (r *row) next() *row                     { r.b = append(r.b, '\t'); return r }
 func (r *row) cell(s string) *row             { return r.next().str(s) }
@@ -32,6 +32,7 @@ func (r *row) end() {
 	r.tw.Write(r.b)
 	r.b = r.b[:0]
 }
+func (r *row) flush() { r.tw.Flush() }
 
 // appendFixed appends v byte for byte as fmt.Sprintf("%.*f", prec, v).
 // strconv formats 'f' with a precision on its multiprecision path but 'e'

@@ -152,12 +152,13 @@ func RenderSampledCurves(w io.Writer, curves []SampledCurve) {
 			continue
 		}
 		for i, mr := range c.MissRate {
-			if r.next().fixed(mr, 2); c.BandLo[i] != c.BandHi[i] {
+			r.next().fixed(mr, 2)
+			if c.BandLo[i] != c.BandHi[i] {
 				r.str("±").fixed((c.BandHi[i]-c.BandLo[i])/2, 2)
 			}
 			r.str("%")
 		}
 		r.end()
 	}
-	r.tw.Flush()
+	r.flush()
 }

@@ -69,7 +69,8 @@ func RenderSpeedups(w io.Writer, curves []SpeedupCurve) {
 	}
 	r.end()
 	for _, c := range curves {
-		if r.str(c.App); c.Failed != "" {
+		r.str(c.App)
+		if c.Failed != "" {
 			r.cell(c.Failed).end()
 			continue
 		}
@@ -78,7 +79,7 @@ func RenderSpeedups(w io.Writer, curves []SpeedupCurve) {
 		}
 		r.end()
 	}
-	r.tw.Flush()
+	r.flush()
 }
 
 // SyncProfile is one program's synchronization time distribution at a
@@ -143,12 +144,13 @@ func RenderSyncProfiles(w io.Writer, profiles []SyncProfile) {
 	r := newTable(w)
 	r.str("Code\tMin %\tAvg %\tMax %\tBarriers\tLocks\tPauses").end()
 	for _, p := range profiles {
-		if r.str(p.App); p.Failed != "" {
+		r.str(p.App)
+		if p.Failed != "" {
 			r.cell(p.Failed).end()
 			continue
 		}
 		r.next().fixed(p.MinPct, 1).next().fixed(p.AvgPct, 1).next().fixed(p.MaxPct, 1)
 		r.next().uint(p.BarriersTotal).next().uint(p.LocksTotal).next().uint(p.PausesTotal).end()
 	}
-	r.tw.Flush()
+	r.flush()
 }

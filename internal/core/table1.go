@@ -66,7 +66,8 @@ func RenderTable1(w io.Writer, rows []Table1Row) {
 	r := newTable(w)
 	r.str("Code\tTotal Instr\tTotal FLOPS\tTotal Reads\tTotal Writes\tShared Reads\tShared Writes\tBarriers\tLocks\tPauses").end()
 	for _, x := range rows {
-		if r.str(x.App); x.Failed != "" {
+		r.str(x.App)
+		if x.Failed != "" {
 			r.cell(x.Failed).end()
 			continue
 		}
@@ -76,5 +77,5 @@ func RenderTable1(w io.Writer, rows []Table1Row) {
 		}
 		r.end()
 	}
-	r.tw.Flush()
+	r.flush()
 }

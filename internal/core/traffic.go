@@ -106,7 +106,7 @@ func RenderTraffic(w io.Writer, groups [][]TrafficPoint) {
 			r.end()
 		}
 	}
-	r.tw.Flush()
+	r.flush()
 }
 
 // Table3Row gives the communication-to-computation growth of one program:
@@ -191,7 +191,7 @@ func RenderTable3(w io.Writer, rows []Table3Row) {
 		r.next().fixed(x.RatioHigh, 5).str(" (P=").int(x.HighProcs).str(")")
 		r.cell("×").fixed(x.MeasuredGrow, 2).end()
 	}
-	r.tw.Flush()
+	r.flush()
 }
 
 // unitLabel names the unit traffic is normalized by.

@@ -155,7 +155,8 @@ func RenderMissCurves(w io.Writer, curves []MissCurve) {
 	}
 	r.end()
 	for _, c := range curves {
-		if r.str(c.App).cell(assocLabel(c.Assoc)); c.Failed != "" {
+		r.str(c.App).cell(assocLabel(c.Assoc))
+		if c.Failed != "" {
 			r.cell(c.Failed).end()
 			continue
 		}
@@ -164,7 +165,7 @@ func RenderMissCurves(w io.Writer, curves []MissCurve) {
 		}
 		r.end()
 	}
-	r.tw.Flush()
+	r.flush()
 }
 
 // Knee locates the most important working set in a miss curve: the cache
@@ -243,5 +244,5 @@ func RenderTable2(w io.Writer, rows []Table2Row) {
 		r.str(x.App).cell(x.WS1).cell(x.WS1Growth).cell(x.WS1Fits).cell(x.WS2).cell(x.WS2Growth).cell(x.WS2Fits)
 		r.next().int(x.MeasuredKnee / 1024).str("K").end()
 	}
-	r.tw.Flush()
+	r.flush()
 }
