@@ -21,8 +21,8 @@ import (
 // SIGKILL mid-sweep — no defers, no flushes — exactly as an operator's
 // kill -9 would take it. The parent then restarts against the same cache
 // directory with -resume and proves the crash-consistency contract:
-// byte-identical results, no leaked leases or temp files, and a journal
-// that still parses and names the dead run.
+// byte-identical results, no leaked leases or temp files, and a resume
+// that names the dead run once and leaves no journal.
 
 const (
 	crashHelperEnv = "SPLASH2_CRASH_HELPER"
@@ -163,32 +163,14 @@ func TestKill9Chaos(t *testing.T) {
 				t.Errorf("crash debris not reclaimed: %v", debris)
 			}
 
-			// Every journal parses; the dead run is identifiable (no
-			// run.end) and was adopted exactly once; the resumed run's own
-			// journal ended cleanly.
-			journals, err := filepath.Glob(filepath.Join(runner.JournalDir(cacheDir), "*.jsonl"))
-			if err != nil || len(journals) < 2 {
-				t.Fatalf("expected crashed + resumed journals, got %v (err %v)", journals, err)
+			// The resume reported the dead run exactly once, and took its
+			// journal with it; the resumed run removed its own at its
+			// clean end.
+			if n := strings.Count(stderr, "resume: run "); n != 1 {
+				t.Errorf("resume named %d dead runs, want 1: %s", n, stderr)
 			}
-			dead, ended := 0, 0
-			for _, path := range journals {
-				events, err := runner.ReadJournal(path)
-				if err != nil {
-					t.Errorf("journal %s corrupt after crash: %v", path, err)
-					continue
-				}
-				s := runner.Summarize(path, events)
-				switch {
-				case s.Ended:
-					ended++
-				case s.Resumed:
-					dead++
-				default:
-					t.Errorf("journal %s: dead but never adopted by the resume", path)
-				}
-			}
-			if dead != 1 || ended != 1 {
-				t.Errorf("journal census: %d dead-resumed, %d ended; want 1 and 1", dead, ended)
+			if journals, err := os.ReadDir(runner.JournalDir(cacheDir)); err != nil || len(journals) != 0 {
+				t.Errorf("journal dir after the resumed run: %v (err %v), want empty", journals, err)
 			}
 		})
 	}
@@ -229,14 +211,8 @@ func TestTwoProcessSharedCache(t *testing.T) {
 	if debris := crashDebris(t, cacheDir); len(debris) != 0 {
 		t.Errorf("clean concurrent runs leaked: %v", debris)
 	}
-	// Both journals must exist and have ended cleanly.
-	sums := runner.ScanJournals(runner.JournalDir(cacheDir))
-	if len(sums) != 2 {
-		t.Fatalf("expected 2 journals, got %d", len(sums))
-	}
-	for _, s := range sums {
-		if !s.Ended {
-			t.Errorf("journal %s never ended", s.RunID)
-		}
+	// Both runs ended cleanly, so neither left its journal.
+	if journals, err := os.ReadDir(runner.JournalDir(cacheDir)); err != nil || len(journals) != 0 {
+		t.Errorf("journals left by clean runs: %v (err %v), want none", journals, err)
 	}
 }

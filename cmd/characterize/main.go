@@ -34,9 +34,9 @@
 // two concurrent processes execute each expensive job once and the loser
 // adopts the winner's stored result. A lease is a file lock that dies
 // with its holder, so a killed run's keys go to the next contender at
-// once. Every run appends a journal under <cache-dir>/journal; after a
-// kill -9, -resume reports what the dead run finished and sweeps its
-// orphaned lease and temp files.
+// once. Every run appends a journal under <cache-dir>/journal and
+// removes it at a clean end; after a kill -9, -resume reports what the
+// dead run finished, once, and sweeps its orphaned lease and temp files.
 //
 // Under -keep-going the run completes past failures: lost rows render as
 // FAILED(label: cause) placeholders, the failure manifest summarizes the

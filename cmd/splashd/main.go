@@ -51,7 +51,8 @@
 // experiment once fleet-wide. A lease is a file lock the kernel drops
 // when its holder dies, so a crashed daemon's experiments go to the next
 // contender at once. Every run appends a durable journal under
-// <cache-dir>/journal for `characterize -resume` crash forensics.
+// <cache-dir>/journal, removed at a clean exit, for `characterize
+// -resume` crash forensics.
 //
 // Requests are validated by core.Request.Canonical, the same validator
 // characterize's flags pass through, so a spec characterize rejects with
@@ -114,8 +115,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "splashd:", err)
 		return cli.ExitRuntime
 	}
-	// Close writes the journal's run.end marker; without it the next
-	// resume would report this daemon as a crashed run.
+	// Close removes the journal; left behind, the next resume would
+	// report this daemon as a crashed run.
 	defer engine.Close()
 	srv := serve.New(ctx, engine, serve.Options{
 		MaxInflight: *maxInflight,

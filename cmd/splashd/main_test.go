@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +15,7 @@ import (
 
 	"splash2/internal/cli"
 	"splash2/internal/core"
+	"splash2/internal/runner"
 )
 
 func TestUsageErrors(t *testing.T) {
@@ -58,8 +60,9 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-// bootDaemon starts the daemon on an ephemeral port and returns its base
-// URL plus a stop func that cancels the context and waits for exit.
+// bootDaemon starts the daemon on an ephemeral port with the given flags
+// (one of -no-cache and -cache-dir among them) and returns its base URL
+// plus a stop func that cancels the context and waits for exit.
 func bootDaemon(t *testing.T, args ...string) (url string, stop func() int) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -68,7 +71,7 @@ func bootDaemon(t *testing.T, args ...string) (url string, stop func() int) {
 
 	code := make(chan int, 1)
 	go func() {
-		code <- run(ctx, append([]string{"-addr", "127.0.0.1:0", "-no-cache"}, args...), stdoutW, &stderr)
+		code <- run(ctx, append([]string{"-addr", "127.0.0.1:0"}, args...), stdoutW, &stderr)
 	}()
 
 	sc := bufio.NewScanner(stdoutR)
@@ -97,7 +100,7 @@ func bootDaemon(t *testing.T, args ...string) (url string, stop func() int) {
 }
 
 func TestDaemonSmoke(t *testing.T) {
-	url, stop := bootDaemon(t)
+	url, stop := bootDaemon(t, "-no-cache")
 
 	resp, err := http.Get(url + "/healthz")
 	if err != nil {
@@ -153,7 +156,7 @@ func TestDaemonSmoke(t *testing.T) {
 }
 
 func TestDaemonMetrics(t *testing.T) {
-	url, stop := bootDaemon(t)
+	url, stop := bootDaemon(t, "-no-cache")
 	defer stop()
 	resp, err := http.Get(url + "/metrics")
 	if err != nil {
@@ -168,5 +171,49 @@ func TestDaemonMetrics(t *testing.T) {
 		if _, ok := m[key]; !ok {
 			t.Errorf("metrics missing %q block", key)
 		}
+	}
+}
+
+// TestDaemonJournalHeldWhileLive: a cache-backed daemon's journal,
+// made by its first cold request, is its own for as long as it runs: a
+// resume next to it reports no dead run and leaves the journal in place.
+// A clean shutdown removes it.
+func TestDaemonJournalHeldWhileLive(t *testing.T) {
+	dir := t.TempDir()
+	url, stop := bootDaemon(t, "-cache-dir", dir)
+	req := core.Request{Kind: core.KindTable1, Apps: []string{"fft"}, Procs: 2, Scale: "sweep"}
+	body, _ := json.Marshal(req)
+	resp, err := http.Post(url+"/v1/experiments", "application/json", bytes.NewReader(body))
+	if err != nil {
+		stop()
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		stop()
+		t.Fatalf("cold experiment = %d", resp.StatusCode)
+	}
+	journals := func() []string {
+		paths, err := filepath.Glob(filepath.Join(runner.JournalDir(dir), "*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return paths
+	}
+	live := journals()
+	rep, err := core.Resume(dir)
+	if err != nil {
+		t.Error(err)
+	} else if len(rep.DeadRuns) != 0 {
+		t.Errorf("resume next to a live daemon reported dead runs %+v", rep.DeadRuns)
+	}
+	if after := journals(); len(live) != 1 || len(after) != 1 || after[0] != live[0] {
+		t.Errorf("daemon journals %v before the resume and %v after, want its one journal in place", live, after)
+	}
+	if code := stop(); code != cli.ExitOK {
+		t.Errorf("shutdown exit = %d, want %d", code, cli.ExitOK)
+	}
+	if left := journals(); len(left) != 0 {
+		t.Errorf("journals %v after a clean shutdown, want none", left)
 	}
 }

@@ -21,8 +21,7 @@ package analysis
 //
 // Monitored operations: os.Rename; Close on writable *os.File values;
 // and the internal/runner durability surface (Cache.Put, Journal.Close,
-// MarkResumed, and any Release/Heartbeat/Append-named method with an
-// error result).
+// and any Release/Append-named method with an error result).
 
 import (
 	"go/ast"
@@ -98,8 +97,7 @@ func objKey(obj types.Object) string {
 // runnerMonitoredMethods are the internal/runner durability surface, by
 // lowercased name; matched only when the callee has an error result.
 var runnerMonitoredMethods = map[string]bool{
-	"put": true, "close": true, "markresumed": true,
-	"release": true, "heartbeat": true, "append": true,
+	"put": true, "close": true, "release": true, "append": true,
 }
 
 // monitoredCall classifies a call whose error result must be consulted.

@@ -45,8 +45,9 @@ type EngineOptions struct {
 	Workers int
 	// CacheDir roots the on-disk result cache, the durable run journal
 	// and the recordings: each engine run appends its job lifecycle to
-	// CacheDir/journal/<runID>.jsonl, made at its first job event, the
-	// crash-forensics record that `characterize -resume` reads back; a
+	// CacheDir/journal/<runID>.jsonl, made at its first job event and
+	// removed by Close, so only a run that died leaves the
+	// crash-forensics record that `characterize -resume` reports; a
 	// request's clean results are stored whole, one entry a repeat of
 	// the request reads in place of its graph; and a recording is a stored
 	// result the runner probes, leases and closes, a verified v2
@@ -76,7 +77,8 @@ type EngineOptions struct {
 
 // NewEngine creates an engine. It fails only when the cache or journal
 // directory cannot be opened. Callers owning the engine's lifecycle
-// should Close it when done so the run journal records a clean end.
+// should Close it when done, so its run journal is removed rather than
+// reported as a crashed run by the next resume.
 func NewEngine(o EngineOptions) (*Engine, error) {
 	var cache *runner.Cache
 	var journal *runner.Journal
@@ -112,9 +114,9 @@ func NewEngine(o EngineOptions) (*Engine, error) {
 	}, nil
 }
 
-// Close ends the engine run cleanly: the run journal gets its run.end
-// event (a journal without one is, by definition, a crashed run), and
-// the runner closes its recordings (Runner.Close). Safe to call more than
+// Close ends the engine run cleanly: the run journal removes its file
+// (a journal left behind is, by definition, a crashed run's), and the
+// runner closes its recordings (Runner.Close). Safe to call more than
 // once; experiments in flight are not interrupted by Close itself.
 func (e *Engine) Close() error {
 	var err error

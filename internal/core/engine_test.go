@@ -206,12 +206,11 @@ func TestLeasesCoalesceExecutions(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
-		path := e.Journal().Path()
-		if err := e.Close(); err != nil {
+		events, err := runner.ReadJournal(e.Journal().Path())
+		if err != nil {
 			t.Fatal(err)
 		}
-		events, err := runner.ReadJournal(path)
-		if err != nil {
+		if err := e.Close(); err != nil {
 			t.Fatal(err)
 		}
 		for _, ev := range events {

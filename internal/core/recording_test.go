@@ -78,16 +78,15 @@ func TestLeasesCoalesceRecordings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := fill.Journal().Path()
+	events, err := runner.ReadJournal(fill.Journal().Path())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := fill.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// Keep only the executions' result entries: every sweep then misses
 	// and demands its recording, whose execution is served from the cache.
-	events, err := runner.ReadJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	keep := map[string]bool{}
 	for _, ev := range events {
 		if ev.Event == "job.done" && strings.HasPrefix(ev.Label, "exec ") {
@@ -135,6 +134,9 @@ func TestLeasesCoalesceRecordings(t *testing.T) {
 			t.Fatal(errs[i])
 		}
 		journals = append(journals, e.Journal().Path())
+	}
+	counts := jobEvents(t, journals...)
+	for i, e := range engines {
 		if err := e.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +144,6 @@ func TestLeasesCoalesceRecordings(t *testing.T) {
 			t.Errorf("engine %d's results differ from the cold run's", i)
 		}
 	}
-	counts := jobEvents(t, journals...)
 	if n := counts["job.done exec"]; n != 0 {
 		t.Errorf("%d executions ran, want 0: they were cached", n)
 	}
@@ -240,6 +241,7 @@ func TestDamagedContainerCostsOneExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	counts := jobEvents(t, second.Journal().Path())
 	if err := second.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +251,6 @@ func TestDamagedContainerCostsOneExecution(t *testing.T) {
 	if got, err := os.ReadFile(damaged); err != nil || string(got) != string(clean) {
 		t.Errorf("%s was not re-recorded (err %v)", filepath.Base(damaged), err)
 	}
-	counts := jobEvents(t, journalPaths(t, dir)...)
 	points := counts["job.start exec"]
 	if programs := counts["job.done exec"] + counts["job.done recordv2"]; points == 0 || programs != points {
 		t.Errorf("%d programs ran for %d program points, want one each (%v)", programs, points, counts)

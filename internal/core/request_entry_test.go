@@ -346,24 +346,13 @@ func TestSummaryAccountsEveryJob(t *testing.T) {
 	}
 }
 
-// TestWarmEnginesLeaveNoJournal: a run that journals no job event makes
-// no journal file, so warm reruns do not grow the journal directory.
+// TestWarmEnginesLeaveNoJournal: a cold run removes its journal at a
+// clean Close, and a run that journals no job event makes no journal
+// file, so reruns do not grow the journal directory.
 func TestWarmEnginesLeaveNoJournal(t *testing.T) {
 	dir := t.TempDir()
 	o := engineTestOptions()
-	collectWithEngine(t, dir, o)
-	count := func() int {
-		paths, err := filepath.Glob(filepath.Join(runner.JournalDir(dir), "*.jsonl"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return len(paths)
-	}
-	before := count()
-	if before != 1 {
-		t.Fatalf("cold run left %d journals, want 1", before)
-	}
-	for range 50 {
+	run := func() {
 		e, err := NewEngine(EngineOptions{Workers: 2, CacheDir: dir})
 		if err != nil {
 			t.Fatal(err)
@@ -375,7 +364,14 @@ func TestWarmEnginesLeaveNoJournal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := count(); n != before {
-		t.Errorf("50 warm engines left %d journals, want none", n-before)
+	run()
+	if left := journalFiles(t, dir); len(left) != 0 {
+		t.Fatalf("cold run left journal files %v, want none", left)
+	}
+	for range 50 {
+		run()
+	}
+	if left := journalFiles(t, dir); len(left) != 0 {
+		t.Errorf("50 warm engines left journal files %v, want none", left)
 	}
 }

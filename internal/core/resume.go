@@ -10,26 +10,29 @@ import (
 // Resume: picking up after a crash.
 //
 // A kill -9 mid-sweep leaves three kinds of debris in a cache directory:
-// the dead run's journal (no run.end event), its lease files (their
-// locks died with it), and its temp files. Nothing about the
-// *results* needs repair — every completed experiment was stored
-// atomically before its journal line — so resuming is forensics plus
-// cleanup plus an ordinary re-run: the cache supplies everything the
-// dead process finished, and only the in-flight remainder executes.
+// the dead run's journal, its lease files (the locks on both died with
+// it), and its temp files. Nothing about the *results* needs repair —
+// every completed experiment was stored atomically before its journal
+// line — so resuming is forensics plus cleanup plus an ordinary re-run:
+// the cache supplies everything the dead process finished, and only the
+// in-flight remainder executes.
 
 // ResumeReport describes what a resume pass found and reclaimed.
 type ResumeReport struct {
-	// DeadRuns are the crashed runs adopted by this resume: journals
-	// with no run.end that no earlier resume had claimed.
+	// DeadRuns are the crashed runs this resume reported: each journal
+	// whose lock no live run held, read and then removed.
 	DeadRuns []runner.RunSummary `json:"deadRuns"`
-	// Swept lists the lease and temp files reclaimed.
+	// Swept lists the other files reclaimed: leases and temp files no
+	// live process holds, an older version's sidecars, and journals that
+	// do not parse or that an older version ended.
 	Swept []string `json:"swept,omitempty"`
 }
 
-// Resume scans cacheDir for crashed runs, marks their journals resumed,
-// and sweeps their leases and temp files. A lease a live process holds
-// is left alone, so resuming next to a healthy sibling daemon is safe.
-// The caller then runs its sweep normally — cache hits are the resume.
+// Resume reports the crashed runs in cacheDir and removes their
+// journals, and sweeps their leases and temp files. A journal or lease a
+// live process holds is left alone, so resuming next to a healthy
+// sibling daemon is safe, and each crash is reported once. The caller
+// then runs its sweep normally — cache hits are the resume.
 func Resume(cacheDir string) (*ResumeReport, error) {
 	if cacheDir == "" {
 		return nil, fmt.Errorf("core: -resume requires a cache directory")
@@ -38,18 +41,8 @@ func Resume(cacheDir string) (*ResumeReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep := &ResumeReport{}
-	for _, s := range runner.ScanJournals(runner.JournalDir(cacheDir)) {
-		if s.Ended || s.Resumed {
-			continue
-		}
-		if err := runner.MarkResumed(s.Path, fmt.Sprintf("resume pid %d", s.PID)); err != nil {
-			continue // unwritable journal: report it next time too
-		}
-		rep.DeadRuns = append(rep.DeadRuns, s)
-	}
-	rep.Swept = cache.SweepCrashed()
-	return rep, nil
+	dead, swept := runner.ReapJournals(runner.JournalDir(cacheDir))
+	return &ResumeReport{DeadRuns: dead, Swept: append(swept, cache.SweepCrashed()...)}, nil
 }
 
 // Render writes the human-readable resume report.
@@ -65,6 +58,6 @@ func (r *ResumeReport) Render(w io.Writer) {
 		}
 	}
 	if n := len(r.Swept); n > 0 {
-		fmt.Fprintf(w, "resume: swept %d orphaned lease/temp file(s)\n", n)
+		fmt.Fprintf(w, "resume: swept %d orphaned file(s)\n", n)
 	}
 }

@@ -43,8 +43,8 @@ import (
 // a cache lists tmp/ alone and removes what a crashed run left there
 // over an hour ago; it reads no shard, journal or trace directory. Only
 // an explicit resume (SweepCrashed) walks the tree: it removes the lease
-// files no live process holds and the temp files an older version wrote
-// beside the entries.
+// and temp files no live process holds, the temp files an older version
+// wrote beside the entries and its recordings' sidecars.
 //
 // # Concurrency
 //
@@ -162,31 +162,29 @@ func sweepTmp(dir string, age time.Duration) {
 
 // isTemp reports a temp file's name: an entry temp (".tmp-*", of cache
 // entries and trace containers alike; older versions also left
-// "<key>.tmp*"), or the ".reap-*" file of an older version's lease
-// takeover. Real artifacts (.json entries, .sp2t containers, .lease
-// files, journal .jsonl) never match.
+// "<key>.tmp*"), a journal's before its rename ("<runID>.tmp-*"), or the
+// ".reap-*" file of an older version's lease takeover. Real artifacts
+// (.json entries, .sp2t containers, .lease files, journal .jsonl) never
+// match.
 func isTemp(name string) bool {
 	return strings.Contains(name, ".tmp") || strings.Contains(name, ".reap-")
 }
 
 // SweepCrashed reclaims artifacts orphaned by dead runs, for an explicit
-// resume, in one walk of the cache: every temp file regardless of age,
-// and every lease file whose lock it can take. A live holder, on this
-// host or another, keeps its lock and so its file. Returns the removed
-// paths for the resume report.
+// resume, in one walk of the cache: every lease and temp file whose lock
+// it can take, regardless of age, and the inert .sp2t.json sidecars an
+// older version wrote beside its recordings. A live holder, on this host
+// or another, keeps its lock and so its file: a lease, or a journal in
+// the making (journal.go). Returns the removed paths for the resume
+// report.
 func (c *Cache) SweepCrashed() (removed []string) {
 	filepath.WalkDir(c.dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			return nil
 		}
-		var gone bool
-		switch name := d.Name(); {
-		case strings.HasSuffix(name, ".lease"):
-			gone = removeUnlocked(path)
-		case isTemp(name):
-			gone = os.Remove(path) == nil
-		}
-		if gone {
+		name := d.Name()
+		if (strings.HasSuffix(name, ".lease") || isTemp(name) || strings.HasSuffix(name, ".sp2t.json")) &&
+			removeUnlocked(path) {
 			removed = append(removed, path)
 		}
 		return nil

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -24,28 +25,34 @@ import (
 // The cache makes finished results survive a crash; the journal makes
 // the *run* itself legible after one. Each engine run appends JSONL
 // events — run.start, job.start, job.done, job.fail, job.skip,
-// job.shared, run.end — to its own file under
-// <cacheDir>/journal/<runID>.jsonl. The file is made, with its run.start
-// line, at the run's first job event: a run that journals none
-// (a warm one) leaves no file. Every event is a single O_APPEND
-// write of one line, which POSIX makes atomic for these sizes, so a
-// kill -9 can lose at most the tail of the final line; readers tolerate
-// exactly that (a truncated last line is dropped, anything else is
-// corruption and reported).
+// job.shared — to its own file under <cacheDir>/journal/<runID>.jsonl.
+// The file exists only while its run is live, or after the run died and
+// before a resume reports it:
 //
-// A journal whose file lacks a run.end event belongs to a run that died.
-// `characterize -resume` scans the journal directory, reports what each
-// dead run had finished and was executing (the crash forensics), marks
-// the dead journals resumed (append-only — a run.resumed event, never a
-// rewrite), sweeps the dead runs' leases and temp artifacts, and then
-// relies on the cache to supply everything the dead run completed.
+//   - It is made at the run's first job event (a warm run journals none
+//     and leaves no file), under a temp name, locked with an exclusive
+//     flock like a work lease (lease.go), given its run.start line and
+//     renamed into place. It appears already locked, so a resume can
+//     never take a live run's journal.
+//   - A clean Close removes the file while still holding the lock.
+//   - The kernel drops the lock when the run dies, however it dies, so
+//     a journal whose lock can be taken belongs to a dead run.
+//     ReapJournals (`characterize -resume`) reports what each dead run
+//     had finished and was executing (the crash forensics) and removes
+//     its journal, so each crash is reported once; the resumed run then
+//     relies on the cache to supply everything the dead run completed.
+//
+// Every event is a single write of one line, so a kill -9 can lose at
+// most the tail of the final line; readers tolerate exactly that (a
+// truncated last line is dropped, anything else is corruption and
+// reported).
 
 // JournalEvent is one journal line.
 type JournalEvent struct {
 	// Time is the event timestamp (UTC).
 	Time time.Time `json:"t"`
 	// Event is the event type: "run.start", "job.start", "job.done",
-	// "job.fail", "job.skip", "job.shared", "run.resumed", "run.end".
+	// "job.fail", "job.skip", "job.shared".
 	Event string `json:"ev"`
 	// Label is the job label for job.* events.
 	Label string `json:"label,omitempty"`
@@ -55,13 +62,9 @@ type JournalEvent struct {
 	Cause string `json:"cause,omitempty"`
 	// FaultOp names the injected fault behind a failure, when one fired.
 	FaultOp string `json:"faultOp,omitempty"`
-	// PID/Host identify the writing process (run.start, run.resumed).
+	// PID/Host identify the writing process (run.start).
 	PID  int    `json:"pid,omitempty"`
 	Host string `json:"host,omitempty"`
-	// By identifies who resumed a dead run (run.resumed).
-	By string `json:"by,omitempty"`
-	// Counts carries the final scheduler counters (run.end).
-	Counts *Counts `json:"counts,omitempty"`
 }
 
 // Journal is an append-only event log for one engine run. All methods
@@ -74,7 +77,6 @@ type Journal struct {
 	runID    string
 	inj      *fault.Injector
 	appended int64
-	offered  bool // an event was offered: Close then ends the file with run.end
 	closed   bool
 }
 
@@ -128,7 +130,7 @@ func (j *Journal) RunID() string {
 }
 
 // Path returns the journal file path; the file exists from the run's
-// first event on.
+// first event until a clean Close.
 func (j *Journal) Path() string {
 	if j == nil {
 		return ""
@@ -148,42 +150,55 @@ func (j *Journal) Appended() int64 {
 
 // append writes one event as a single JSONL line. Best-effort: a failed
 // append (full disk, injected fault) loses forensics, never results. The
-// context scopes the injection point to the request that caused the
-// event; run.end passes nil.
+// run's first event makes the file and its run.start line, so a run that
+// reached its first event leaves a journal for -resume to report whatever
+// happens next. The event line itself is a crash injection point, scoped
+// to the request that caused the event: dying between a job's completion
+// and its journal line is exactly the window the reader's truncated-tail
+// tolerance exists for, and an injected fault drops only that line.
 func (j *Journal) append(ctx context.Context, ev JournalEvent) {
 	if j == nil {
 		return
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if !j.closed {
-		j.offered = true
-		j.appendLocked(ctx, ev)
+	if j.closed || j.f == nil && !j.create() {
+		return
 	}
-}
-
-// appendLocked is append with j.mu held. The run's first event makes
-// the file and its run.start line, so a run that reached its first event
-// leaves a journal for -resume to report whatever happens next. The event
-// line itself is a crash injection point: dying between a job's
-// completion and its journal line is exactly the window the reader's
-// truncated-tail tolerance exists for, and an injected fault drops only
-// that line.
-func (j *Journal) appendLocked(ctx context.Context, ev JournalEvent) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if j.f == nil {
-		f, err := os.OpenFile(j.path, os.O_WRONLY|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o644)
-		if err != nil {
-			return
-		}
-		j.f = f
-		host, _ := os.Hostname()
-		j.write(JournalEvent{Event: "run.start", PID: os.Getpid(), Host: host})
-	}
 	if j.inj.Do(ctx, "journal.append") == nil {
 		j.write(ev)
+	}
+}
+
+// create makes the journal file, with j.mu held: under a temp name,
+// locked and holding its run.start line, then renamed into place, so the
+// file appears already locked. A resume that swept the temp file before
+// it was locked (lock then finds another file or none at its path) only
+// costs another attempt. It reports whether the file was made; if not,
+// j.f stays nil and the run journals nothing.
+func (j *Journal) create() bool {
+	for {
+		f, err := os.CreateTemp(filepath.Dir(j.path), j.runID+".tmp-*")
+		if err != nil {
+			return false
+		}
+		state := lock(f, f.Name())
+		if state == leaseWon {
+			j.f = f
+			host, _ := os.Hostname()
+			j.write(JournalEvent{Event: "run.start", PID: os.Getpid(), Host: host})
+			if os.Rename(f.Name(), j.path) == nil {
+				return true
+			}
+			j.f, j.appended = nil, 0
+		}
+		os.Remove(f.Name())
+		if f.Close() != nil || state != leaseLost {
+			return false
+		}
 	}
 }
 
@@ -220,10 +235,12 @@ func (j *Journal) JobShared(ctx context.Context, label, key string) {
 	j.append(ctx, JournalEvent{Event: "job.shared", Label: label, Key: key})
 }
 
-// Close appends the run.end event (with final counters) and closes the
-// file. A journal without run.end is, by definition, a crashed run; one
-// that was offered no event has no file and gets none.
-func (j *Journal) Close(counts Counts) error {
+// Close ends a clean run: it removes the journal file while still
+// holding its lock, then closes it, so only a run that died leaves a
+// journal. A journal that was offered no event has no file. Later
+// events are dropped. The argument is unused: a clean run's journal is
+// removed, so it records no final counters.
+func (j *Journal) Close(Counts) error {
 	if j == nil {
 		return nil
 	}
@@ -233,13 +250,10 @@ func (j *Journal) Close(counts Counts) error {
 		return nil
 	}
 	j.closed = true
-	if j.offered {
-		j.appendLocked(nil, JournalEvent{Event: "run.end", Counts: &counts})
-	}
 	if j.f == nil {
 		return nil
 	}
-	return j.f.Close()
+	return errors.Join(os.Remove(j.path), j.f.Close())
 }
 
 // maxJournalLine bounds a single journal line on read; real events are
@@ -247,7 +261,7 @@ func (j *Journal) Close(counts Counts) error {
 const maxJournalLine = 1 << 20
 
 // ReadJournal parses a journal file. A truncated or unparsable *final*
-// line — the only damage a crash can inflict on an O_APPEND JSONL file —
+// line — the only damage a crash can inflict on an append-only JSONL file —
 // is silently dropped; damage anywhere else is returned as an error with
 // the offending line number.
 func ReadJournal(path string) ([]JournalEvent, error) {
@@ -275,13 +289,7 @@ func ReadJournal(path string) ([]JournalEvent, error) {
 			continue
 		}
 		if badLine != 0 {
-			// A resume appends run.resumed right after a crash's torn
-			// tail; that pairing is the expected shape of a resumed
-			// journal. A bad line followed by anything else is damage.
-			if ev.Event != "run.resumed" {
-				return nil, fmt.Errorf("runner: journal %s: corrupt line %d", path, badLine)
-			}
-			badLine = 0
+			return nil, fmt.Errorf("runner: journal %s: corrupt line %d", path, badLine)
 		}
 		events = append(events, ev)
 	}
@@ -303,10 +311,6 @@ type RunSummary struct {
 	Host string `json:"host"`
 	// Started is the run.start timestamp.
 	Started time.Time `json:"started"`
-	// Ended reports whether a run.end event exists (clean shutdown).
-	Ended bool `json:"ended"`
-	// Resumed reports whether a later run already adopted this journal.
-	Resumed bool `json:"resumed"`
 	// Done, Failed, Shared count the journal's job outcomes; InFlight
 	// lists jobs started but never finished — what the process was
 	// executing when it died.
@@ -336,10 +340,6 @@ func Summarize(path string, events []JournalEvent) RunSummary {
 		case "job.shared":
 			s.Shared++
 			delete(open, ev.Key)
-		case "run.resumed":
-			s.Resumed = true
-		case "run.end":
-			s.Ended = true
 		}
 	}
 	for _, label := range open {
@@ -349,52 +349,39 @@ func Summarize(path string, events []JournalEvent) RunSummary {
 	return s
 }
 
-// ScanJournals summarizes every journal in dir, oldest first. A missing
-// directory is an empty scan, not an error; unreadable or corrupt
-// journals are skipped (a resume must never be blocked by the very
-// damage it exists to clean up).
-func ScanJournals(dir string) []RunSummary {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil
-	}
-	var out []RunSummary
+// ReapJournals reports and removes the journals of dead runs in dir, in
+// run id order. A journal whose lock it can take belongs to a run that
+// died (a clean run removes its own): it is read, summarized and removed,
+// so each crash is reported once. A live run holds its journal's lock and
+// keeps its file. A journal that does not parse, or that an older version
+// ended (run.end) or already reported (run.resumed), is removed without a
+// report and returned with the removed paths. A missing directory holds
+// no journal.
+func ReapJournals(dir string) (dead []RunSummary, removed []string) {
+	entries, _ := os.ReadDir(dir)
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".jsonl") {
+		path := filepath.Join(dir, e.Name())
+		if e.IsDir() || !strings.HasSuffix(path, ".jsonl") {
 			continue
 		}
-		path := filepath.Join(dir, e.Name())
-		events, err := ReadJournal(path)
+		f, err := os.Open(path)
 		if err != nil {
 			continue
 		}
-		out = append(out, Summarize(path, events))
+		if lock(f, path) == leaseWon {
+			events, err := ReadJournal(path)
+			old := slices.ContainsFunc(events, func(ev JournalEvent) bool {
+				return ev.Event == "run.end" || ev.Event == "run.resumed"
+			})
+			switch {
+			case os.Remove(path) != nil:
+			case err != nil || old:
+				removed = append(removed, path)
+			default:
+				dead = append(dead, Summarize(path, events))
+			}
+		}
+		f.Close()
 	}
-	sort.Slice(out, func(i, k int) bool { return out[i].RunID < out[k].RunID })
-	return out
-}
-
-// MarkResumed appends a run.resumed event to a dead run's journal, so
-// repeated resumes report each crash once. Append-only, honouring the
-// journal discipline: the dead run's history is never rewritten.
-func MarkResumed(path, by string) error {
-	host, _ := os.Hostname()
-	ev := JournalEvent{Time: time.Now().UTC(), Event: "run.resumed", By: by, PID: os.Getpid(), Host: host}
-	data, err := json.Marshal(ev)
-	if err != nil {
-		return err
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	// The dead journal may end in a torn line with no newline; lead with
-	// one so this event always starts a fresh line. Readers skip blanks.
-	_, err = f.Write(append([]byte{'\n'}, append(data, '\n')...))
-	// A failed close can swallow the flush of the resumed marker, and a
-	// lost marker makes every later resume re-report this crash.
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return dead, removed
 }

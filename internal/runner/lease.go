@@ -95,11 +95,11 @@ func (l *leases) tryAcquire(ctx context.Context, k Key) (leaseState, func()) {
 	return leaseWon, release
 }
 
-// lock takes an exclusive flock on f, the lease file opened at path,
-// without blocking. It is leaseLost when another open file holds the
-// lock, and also when the lock is on a file no longer at path: a
-// releasing holder unlinked it after f was opened, so the lock guards
-// nothing.
+// lock takes an exclusive flock on f, the lease (or journal) file
+// opened at path, without blocking. It is leaseLost when another open
+// file holds the lock, and also when the lock is on a file no longer at
+// path: a releasing holder unlinked it after f was opened, so the lock
+// guards nothing.
 func lock(f *os.File, path string) leaseState {
 	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
 		if errors.Is(err, syscall.EWOULDBLOCK) {
@@ -117,8 +117,9 @@ func lock(f *os.File, path string) leaseState {
 	return leaseWon
 }
 
-// removeUnlocked removes the lease file at path if no live process holds
-// its lock, and reports whether it did.
+// removeUnlocked removes the file at path — a lease, or any file a live
+// run would hold locked — if no live process holds its lock, and reports
+// whether it did.
 func removeUnlocked(path string) bool {
 	f, err := os.Open(path)
 	if err != nil {

@@ -404,8 +404,10 @@ func TestLeaseKill9FreesKey(t *testing.T) {
 }
 
 // TestSweepCrashed: an explicit resume sweep removes the lease files no
-// process holds and every temp file, including an older version's reap
-// leftovers, while leaving a live holder's lease alone.
+// process holds, every temp file no process holds, including an older
+// version's reap leftovers, and an older version's recording sidecars,
+// while leaving a live holder's lease and a journal's locked temp file
+// alone.
 func TestSweepCrashed(t *testing.T) {
 	dir := t.TempDir()
 	c := newLeasedCache(t, dir, 0)
@@ -422,14 +424,22 @@ func TestSweepCrashed(t *testing.T) {
 	livePath := l.path(liveKey)
 
 	var debris []string
-	for _, name := range []string{".tmp-orphan", "cd.lease.reap-lock", "cd.lease.reap-0a1b"} {
-		p := filepath.Join(dir, "ab", name)
+	for _, name := range []string{"ab/.tmp-orphan", "ab/cd.lease.reap-lock", "ab/cd.lease.reap-0a1b", "traces/ef.sp2t.json"} {
+		p := filepath.Join(dir, name)
 		os.MkdirAll(filepath.Dir(p), 0o755)
 		if err := os.WriteFile(p, []byte("x"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		debris = append(debris, p)
 	}
+
+	liveTemp := filepath.Join(dir, "journal", "run.tmp-live")
+	os.MkdirAll(filepath.Dir(liveTemp), 0o755)
+	f, err := os.Create(liveTemp)
+	if err != nil || lock(f, liveTemp) != leaseWon {
+		t.Fatalf("setup: could not lock a journal temp file: %v", err)
+	}
+	defer f.Close()
 
 	removed := c.SweepCrashed()
 	got := strings.Join(removed, "\n")
@@ -438,8 +448,10 @@ func TestSweepCrashed(t *testing.T) {
 			t.Errorf("sweep did not reclaim %s (removed: %v)", want, removed)
 		}
 	}
-	if _, err := os.Stat(livePath); err != nil {
-		t.Errorf("sweep removed a live holder's lease: %v", err)
+	for _, p := range []string{livePath, liveTemp} {
+		if _, err := os.Stat(p); err != nil {
+			t.Errorf("sweep removed a live holder's file: %v", err)
+		}
 	}
 }
 

@@ -190,7 +190,7 @@ const (
 )
 
 // NewEngine creates an experiment engine; Close it when done so a
-// cache-backed run journal records a clean end.
+// cache-backed run journal is removed, not reported as a crash.
 func NewEngine(o EngineOptions) (*Engine, error) { return core.NewEngine(o) }
 
 // DefaultExactLines is the default exact-window width of the sampled
@@ -238,10 +238,10 @@ func DefaultLineSizes() []int { return core.DefaultLineSizes() }
 // Crash consistency and multi-process sharing. Runs with a cache
 // directory hold cross-process work leases (so concurrent processes
 // coalesce expensive jobs instead of duplicating them) and append a
-// durable run journal under <cache-dir>/journal. After a crash, Resume
-// reports what the dead run had finished and reclaims its leases and
-// temp artifacts; the result cache then supplies everything it
-// completed.
+// durable run journal under <cache-dir>/journal that a clean Close
+// removes. After a crash, Resume reports what the dead run had finished
+// and reclaims its journal, leases and temp artifacts; the result cache
+// then supplies everything it completed.
 type (
 	// ResumeReport describes what a resume pass found and reclaimed.
 	ResumeReport = core.ResumeReport
@@ -249,10 +249,10 @@ type (
 	RunSummary = runner.RunSummary
 )
 
-// Resume scans a cache directory for crashed runs: dead journals are
-// reported and marked resumed, and orphaned leases and temp files are
-// swept. Run the characterization normally afterwards — cache hits are
-// the resume.
+// Resume scans a cache directory for crashed runs: each journal no live
+// run holds is reported once and removed, and orphaned leases and temp
+// files are swept. Run the characterization normally afterwards — cache
+// hits are the resume.
 func Resume(cacheDir string) (*ResumeReport, error) {
 	return core.Resume(cacheDir)
 }
